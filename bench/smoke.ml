@@ -10,7 +10,10 @@
       artifacts and diffed with the default 1.5x quantile threshold, so
       the bench exercises the same regression analyzer CI relies on;
    3. enabling telemetry does not slow the fused sweep beyond a lenient
-      1.5x band (the disabled path is a single atomic load).
+      1.5x band (the disabled path is a single atomic load).  Off and on
+      sweeps are interleaved in pairs and the gate is the median of the
+      per-pair ratios, so host drift between two timing blocks cannot
+      trip it.
 
    And, on the 8x8 multiplier:
    4. [Fault_sim.simulate] stats are bit-identical across
@@ -75,6 +78,29 @@ let time_collect f =
   done;
   (!best, Array.of_list (List.rev !samples))
 
+let median a =
+  let s = Array.copy a in
+  Array.sort Float.compare s;
+  s.(Array.length s / 2)
+
+(* Median over [rounds * iters] pairs of the ratio [on / off], timing one
+   call of each back to back; the pair order alternates so neither side
+   always runs on the warmer cache. *)
+let paired_ratio ~off ~on =
+  let time f =
+    let t = Rt_util.Stats.timer_start () in
+    f ();
+    Rt_util.Stats.timer_elapsed t
+  in
+  median
+    (Array.init (rounds * iters) (fun i ->
+         if i land 1 = 0 then
+           let a = time off in
+           time on /. a
+         else
+           let b = time on in
+           b /. time off))
+
 let () =
   let out_root = if Array.length Sys.argv > 1 then Sys.argv.(1) else "_obs/smoke" in
   let t_run = Rt_util.Stats.timer_start () in
@@ -127,14 +153,20 @@ let () =
   ignore (Sys.opaque_identity (sweep baseline ()));
   let t_fused, s_fused = time_collect (sweep fused) in
   let t_base, s_base = time_collect (sweep baseline) in
-  (* Telemetry-on overhead of the same fused sweep.  The band is lenient
-     (1.5x) because the absolute times are tiny and CI timers are noisy;
-     the point is to catch the disabled/enabled paths swapping cost. *)
+  (* Telemetry-on overhead of the same fused sweep, as the median of
+     interleaved off/on pairs.  The band is lenient (1.5x) because the
+     absolute times are tiny and CI timers are noisy; the point is to
+     catch the disabled/enabled paths swapping cost. *)
+  Rt_obs.clear ();
+  let obs_ratio =
+    paired_ratio ~off:(sweep fused)
+      ~on:(fun () ->
+        Rt_obs.set_enabled true;
+        sweep fused ();
+        Rt_obs.set_enabled false)
+  in
+  Rt_obs.clear ();
   Rt_obs.set_enabled true;
-  Rt_obs.clear ();
-  let t_fused_obs, _ = time_collect (sweep fused) in
-  Rt_obs.clear ();
-  let obs_ratio = t_fused_obs /. t_fused in
   (* Write both sides as run artifacts and let obs-diff judge the perf
      gate: baseline dir = 2x subset queries, candidate dir = fused. *)
   let manifest side =
@@ -161,7 +193,8 @@ let () =
   Printf.printf "  fused cofactor_pair sweep:  %8.3f ms\n" (t_fused *. 1000.0 /. Float.of_int iters);
   Printf.printf "  2x probs_subset sweep:      %8.3f ms\n" (t_base *. 1000.0 /. Float.of_int iters);
   Printf.printf "  ratio (fused / baseline):   %8.3f\n" ratio;
-  Printf.printf "  telemetry-on overhead:      %8.3f x\n" obs_ratio;
+  Printf.printf "  telemetry-on overhead:      %8.3f x (median of %d paired off/on sweeps)\n"
+    obs_ratio (rounds * iters);
   Printf.printf "  artifacts:                  %s {baseline,fused}\n" out_root;
   Rt_obs.Diff.pp_report Format.std_formatter diff;
   if regressions <> [] then begin
@@ -316,12 +349,7 @@ let () =
      read-back keeps its own guard — the two p50s must land within one
      bucket of each other — so the recorded story cannot drift from the
      measured one. *)
-  let raw_median a =
-    let s = Array.copy a in
-    Array.sort Float.compare s;
-    s.(Array.length s / 2)
-  in
-  let sampler_ratio = raw_median s_sampled /. raw_median s_tel_only in
+  let sampler_ratio = median s_sampled /. median s_tel_only in
   let artifact_ratio = p50_samp /. p50_tel in
   let sampler_thresholds = { Rt_obs.Diff.default with quantile_ratio = 1.8 } in
   let sampler_diff =
@@ -330,9 +358,9 @@ let () =
   let tl_self = Rt_obs.Diff.regressions (Rt_obs.Diff.compare_dirs dir_samp dir_samp) in
   Printf.printf "sampler overhead (fused sweep, 25 ms period):\n";
   Printf.printf "  telemetry-only p50:         %8.3f us (artifact %8.3f)\n"
-    (raw_median s_tel_only) p50_tel;
+    (median s_tel_only) p50_tel;
   Printf.printf "  telemetry+sampler p50:      %8.3f us (artifact %8.3f)\n"
-    (raw_median s_sampled) p50_samp;
+    (median s_sampled) p50_samp;
   Printf.printf "  ratio (sampled / plain):    %8.3f (artifact %8.3f)\n"
     sampler_ratio artifact_ratio;
   Printf.printf "  timeline samples/dropped:   %d / %d\n" (List.length tl_samples) tl_dropped;

@@ -61,22 +61,6 @@ let eval k (vs : bool array) =
   | Xor -> Array.fold_left (fun acc v -> acc <> v) false vs
   | Xnor -> not (Array.fold_left (fun acc v -> acc <> v) false vs)
 
-let eval_words k (ws : int64 array) =
-  let open Int64 in
-  let fold f init = Array.fold_left f init ws in
-  match k with
-  | Input -> invalid_arg "Gate.eval_words: Input has no gate function"
-  | Const0 -> 0L
-  | Const1 -> -1L
-  | Buf -> ws.(0)
-  | Not -> lognot ws.(0)
-  | And -> fold logand (-1L)
-  | Nand -> lognot (fold logand (-1L))
-  | Or -> fold logor 0L
-  | Nor -> lognot (fold logor 0L)
-  | Xor -> fold logxor 0L
-  | Xnor -> lognot (fold logxor 0L)
-
 let prob k (ps : float array) =
   let prod () = Array.fold_left ( *. ) 1.0 ps in
   let prod_compl () = Array.fold_left (fun acc p -> acc *. (1.0 -. p)) 1.0 ps in

@@ -1,9 +1,11 @@
 (** The gate alphabet of combinational networks.
 
-    Three semantics are provided for every gate kind: boolean evaluation,
-    64-way word-parallel evaluation, and the arithmetical embedding of paper
-    §2.1 (evaluation over independent signal probabilities).  Keeping all
-    three next to the type definition guarantees they never drift apart. *)
+    Two semantics are provided for every gate kind: boolean evaluation and
+    the arithmetical embedding of paper §2.1 (evaluation over independent
+    signal probabilities).  Keeping both next to the type definition
+    guarantees they never drift apart.  Word-parallel evaluation is
+    unrolled per kind inside the simulators ([Logic_sim], [Fault_sim]),
+    whose tests check it against {!eval}. *)
 
 type kind =
   | Input        (** primary input; no fanin *)
@@ -32,9 +34,6 @@ val arity_ok : kind -> int -> bool
 
 val eval : kind -> bool array -> bool
 (** Boolean semantics over the fanin values. *)
-
-val eval_words : kind -> int64 array -> int64
-(** Bitwise-parallel semantics: applies [eval] laneswise on 64 lanes. *)
 
 val prob : kind -> float array -> float
 (** Arithmetical embedding under the independence assumption: the exact

@@ -30,157 +30,179 @@ type stats = {
    touches the replay. *)
 
 (* Workspace reused across faults within a block; one per worker slot
-   when the per-fault work is sharded with [jobs > 1]. *)
+   when the per-fault work is sharded with [jobs > 1].  Every row is an
+   unboxed [Pattern.words] buffer, so the propagation kernel below
+   allocates nothing per gate or per fault. *)
 type ws = {
   c : Netlist.t;
   w : int;  (* lane words per block *)
   fval : Pattern.words;  (* node-major faulty values, size * w *)
+  pin : Pattern.words;  (* one row: a branch fault's stuck pin value *)
+  out : Pattern.words;  (* one row: scratch gate evaluation *)
+  det : Pattern.words;  (* one row: the fault's detection words *)
   dirty : bool array;
   queued : bool array;
-  heap : Rt_util.Int_heap.t;
-  mutable touched : int list;
-  args : int64 array array;  (* scratch per arity, indexed by arity *)
-  out : int64 array;  (* scratch gate evaluation, length w *)
-  det : int64 array;  (* scratch detection row, length w *)
+  touched : int array;  (* stack of dirty nodes, reset per fault *)
+  mutable n_touched : int;
+  mutable hi : int;  (* largest queued id, -1 when none *)
 }
+
+let row len =
+  let r = BA1.create Bigarray.int64 Bigarray.c_layout (max 1 len) in
+  BA1.fill r 0L;
+  r
 
 let make_ws ~words c =
   let n = Netlist.size c in
-  let max_arity =
-    let m = ref 1 in
-    Netlist.iter_gates c (fun g -> m := max !m (Array.length (Netlist.fanin c g)));
-    !m
-  in
-  let fval = BA1.create Bigarray.int64 Bigarray.c_layout (max 1 (n * words)) in
-  BA1.fill fval 0L;
   { c;
     w = words;
-    fval;
+    fval = row (n * words);
+    pin = row words;
+    out = row words;
+    det = row words;
     dirty = Array.make n false;
     queued = Array.make n false;
-    heap = Rt_util.Int_heap.create ();
-    touched = [];
-    args = Array.init (max_arity + 1) (fun a -> Array.make (max 1 a) 0L);
-    out = Array.make words 0L;
-    det = Array.make words 0L }
+    touched = Array.make (max 1 n) 0;
+    n_touched = 0;
+    hi = -1 }
 
-let reset ws =
-  List.iter
-    (fun n ->
-      ws.dirty.(n) <- false;
-      ws.queued.(n) <- false)
-    ws.touched;
-  ws.touched <- [];
-  Rt_util.Int_heap.clear ws.heap
+(* The row holding fanin [j] (node [s]) of the gate under evaluation: the
+   stuck pin of a branch fault, the faulty row of a dirty fanin, or the
+   good row.  Selecting the row, never the int64 word, keeps every read
+   an unboxed Bigarray load. *)
+let src_row ws (good : Pattern.words) ~pin j s : Pattern.words =
+  if j = pin then ws.pin else if ws.dirty.(s) then ws.fval else good
 
-(* Evaluate gate [g] into [ws.out], reading faulty values for dirty
-   fanins and good values otherwise, word by word. *)
-let eval_gate ws good g ~pin_override =
+let src_off ws ~pin j s = if j = pin then 0 else s * ws.w
+
+(* Evaluate gate [g] into [ws.out], one word loop per fanin.  [pin] is
+   the fanin index replaced by [ws.pin] (a branch fault), or -1. *)
+let eval_gate ws (good : Pattern.words) g ~pin =
   let fi = Netlist.fanin ws.c g in
-  let arity = Array.length fi in
-  let args = ws.args.(arity) in
   let kind = Netlist.kind ws.c g in
-  for k = 0 to ws.w - 1 do
-    for j = 0 to arity - 1 do
-      let s = fi.(j) in
-      args.(j) <-
-        (if ws.dirty.(s) then BA1.unsafe_get ws.fval ((s * ws.w) + k)
-         else BA1.unsafe_get good ((s * ws.w) + k))
+  let w = ws.w and out = ws.out in
+  match kind with
+  | Gate.Input -> invalid_arg "Fault_sim: primary inputs have no gate function"
+  | Gate.Const0 -> BA1.fill out 0L
+  | Gate.Const1 -> BA1.fill out (-1L)
+  | Gate.Buf | Gate.Not | Gate.And | Gate.Nand | Gate.Or | Gate.Nor | Gate.Xor | Gate.Xnor ->
+    let r = src_row ws good ~pin 0 fi.(0) and o = src_off ws ~pin 0 fi.(0) in
+    for k = 0 to w - 1 do
+      BA1.unsafe_set out k (BA1.unsafe_get r (o + k))
     done;
-    (match pin_override with
-     | Some (j, v) -> args.(j) <- (if v then -1L else 0L)
-     | None -> ());
-    ws.out.(k) <- Gate.eval_words kind args
-  done
+    for j = 1 to Array.length fi - 1 do
+      let r = src_row ws good ~pin j fi.(j) and o = src_off ws ~pin j fi.(j) in
+      match kind with
+      | Gate.And | Gate.Nand ->
+        for k = 0 to w - 1 do
+          BA1.unsafe_set out k (Int64.logand (BA1.unsafe_get out k) (BA1.unsafe_get r (o + k)))
+        done
+      | Gate.Or | Gate.Nor ->
+        for k = 0 to w - 1 do
+          BA1.unsafe_set out k (Int64.logor (BA1.unsafe_get out k) (BA1.unsafe_get r (o + k)))
+        done
+      | Gate.Xor | Gate.Xnor ->
+        for k = 0 to w - 1 do
+          BA1.unsafe_set out k (Int64.logxor (BA1.unsafe_get out k) (BA1.unsafe_get r (o + k)))
+        done
+      | Gate.Input | Gate.Const0 | Gate.Const1 | Gate.Buf | Gate.Not -> ()
+    done;
+    if Gate.inverting kind then
+      for k = 0 to w - 1 do
+        BA1.unsafe_set out k (Int64.lognot (BA1.unsafe_get out k))
+      done
 
 (* Whether [ws.out] differs from the good value of [n] in any valid lane. *)
-let out_differs ws good ~lanes n =
-  let differs = ref false in
-  for k = 0 to ws.w - 1 do
-    if
-      (not !differs)
-      && Int64.logand (Int64.logxor ws.out.(k) (BA1.unsafe_get good ((n * ws.w) + k))) lanes.(k) <> 0L
-    then differs := true
+let out_differs ws (good : Pattern.words) lanes n =
+  let o = n * ws.w in
+  let k = ref 0 in
+  while
+    !k < ws.w
+    && Int64.logand
+         (Int64.logxor (BA1.unsafe_get ws.out !k) (BA1.unsafe_get good (o + !k)))
+         lanes.(!k)
+       = 0L
+  do
+    incr k
   done;
-  !differs
+  !k < ws.w
 
-let push_fanouts ws n =
-  Array.iter
-    (fun r ->
-      if not ws.queued.(r) then begin
-        ws.queued.(r) <- true;
-        ws.touched <- r :: ws.touched;
-        Rt_util.Int_heap.push ws.heap r
-      end)
-    (Netlist.fanout ws.c n)
-
-let mark_dirty_out ws n =
+(* Store [ws.out] as the faulty row of [n], mark it dirty and queue its
+   fanouts.  A node is committed at most once per fault: the site first,
+   then each node the cursor reaches, and pushes only target larger ids. *)
+let commit ws n =
+  let o = n * ws.w in
   for k = 0 to ws.w - 1 do
-    BA1.unsafe_set ws.fval ((n * ws.w) + k) ws.out.(k)
+    BA1.unsafe_set ws.fval (o + k) (BA1.unsafe_get ws.out k)
   done;
-  if not ws.dirty.(n) then begin
-    ws.dirty.(n) <- true;
-    if not ws.queued.(n) then ws.touched <- n :: ws.touched
-  end
+  ws.dirty.(n) <- true;
+  ws.touched.(ws.n_touched) <- n;
+  ws.n_touched <- ws.n_touched + 1;
+  let fo = Netlist.fanout ws.c n in
+  for i = 0 to Array.length fo - 1 do
+    let r = fo.(i) in
+    if not ws.queued.(r) then begin
+      ws.queued.(r) <- true;
+      if r > ws.hi then ws.hi <- r
+    end
+  done
 
 (* Computes the per-word detection row for one fault on the current
    block into [ws.det].  [good] is the fault-free wide simulation,
    shared read-only across domains; [lanes.(k)] masks word [k]'s valid
-   lanes.  The wide event frontier is the union of the per-word narrow
-   frontiers (a node is re-evaluated if *any* word differs, and its
-   stored faulty row is exact for every word), so each word's masked
+   lanes.  The wide event frontier is the union of the per-word
+   narrow frontiers (a node is re-evaluated if *any* word differs, and
+   its stored faulty row is exact for every word), so each word's masked
    output differences — hence the stats replayed from them — equal the
-   one-word computation exactly. *)
-let inject_and_propagate ws ~good ~lanes fault =
-  let c = ws.c in
-  reset ws;
-  Array.fill ws.det 0 ws.w 0L;
-  let seeded =
+   one-word computation exactly.
+
+   Propagation walks an ascending cursor over node ids from the fault
+   site to the largest queued id.  [Netlist.make] rejects any fanin id
+   >= its node's id, so every push targets a larger id than the node
+   being evaluated: the cursor visits each queued node once, after all
+   its fanins are final, and clears its [queued] flag on the way. *)
+let inject_and_propagate ws ~(good : Pattern.words) ~lanes fault =
+  for i = 0 to ws.n_touched - 1 do
+    ws.dirty.(ws.touched.(i)) <- false
+  done;
+  ws.n_touched <- 0;
+  ws.hi <- -1;
+  BA1.fill ws.det 0L;
+  let site =
     match fault.Fault.site with
     | Fault.Stem n ->
-      let v = if fault.Fault.stuck then -1L else 0L in
-      Array.fill ws.out 0 ws.w v;
-      if not (out_differs ws good ~lanes n) then false
-      else begin
-        mark_dirty_out ws n;
-        push_fanouts ws n;
-        true
-      end
+      BA1.fill ws.out (if fault.Fault.stuck then -1L else 0L);
+      n
     | Fault.Branch (g, k) ->
-      eval_gate ws good g ~pin_override:(Some (k, fault.Fault.stuck));
-      if not (out_differs ws good ~lanes g) then false
-      else begin
-        mark_dirty_out ws g;
-        push_fanouts ws g;
-        true
-      end
+      BA1.fill ws.pin (if fault.Fault.stuck then -1L else 0L);
+      eval_gate ws good g ~pin:k;
+      g
   in
-  if seeded then begin
-    (* Every push targets a strictly larger id, so each node is popped at
-       most once, with all its fanins final — no iteration needed.  The
-       fault site itself is the seed and is never re-queued. *)
-    while not (Rt_util.Int_heap.is_empty ws.heap) do
-      let n = Rt_util.Int_heap.pop ws.heap in
-      if ws.queued.(n) then begin
-        ws.queued.(n) <- false;
-        eval_gate ws good n ~pin_override:None;
-        if out_differs ws good ~lanes n then begin
-          mark_dirty_out ws n;
-          push_fanouts ws n
-        end
-      end
+  if out_differs ws good lanes site then begin
+    commit ws site;
+    let n = ref (site + 1) in
+    while !n <= ws.hi do
+      if ws.queued.(!n) then begin
+        ws.queued.(!n) <- false;
+        eval_gate ws good !n ~pin:(-1);
+        if out_differs ws good lanes !n then commit ws !n
+      end;
+      incr n
     done;
-    Array.iter
-      (fun o ->
-        if ws.dirty.(o) then
-          for k = 0 to ws.w - 1 do
-            ws.det.(k) <-
-              Int64.logor ws.det.(k)
-                (Int64.logand
-                   (Int64.logxor (BA1.unsafe_get ws.fval ((o * ws.w) + k)) (BA1.unsafe_get good ((o * ws.w) + k)))
-                   lanes.(k))
-          done)
-      (Netlist.outputs c)
+    let outputs = Netlist.outputs ws.c in
+    for i = 0 to Array.length outputs - 1 do
+      let o = outputs.(i) in
+      if ws.dirty.(o) then begin
+        let r = o * ws.w in
+        for k = 0 to ws.w - 1 do
+          BA1.unsafe_set ws.det k
+            (Int64.logor (BA1.unsafe_get ws.det k)
+               (Int64.logand
+                  (Int64.logxor (BA1.unsafe_get ws.fval (r + k)) (BA1.unsafe_get good (r + k)))
+                  lanes.(k)))
+        done
+      end
+    done
   end
 
 let c_batches = Rt_obs.counter "ppsfp.batches"
@@ -235,7 +257,7 @@ let propagate_block ~label ~jobs ~wss ~good ~lanes ~table ~live ~todo faults =
         let fi = live.(p) in
         inject_and_propagate ws ~good ~lanes faults.(fi);
         for k = 0 to words - 1 do
-          BA1.unsafe_set table ((fi * words) + k) ws.det.(k)
+          BA1.unsafe_set table ((fi * words) + k) (BA1.unsafe_get ws.det k)
         done
       done)
 
@@ -248,7 +270,7 @@ let simulate ?jobs ?block_words ?(drop = true) c faults ~source ~n_patterns =
   let sim = Logic_sim.create_wide ~words c in
   let wss = Array.init jobs (fun _ -> make_ws ~words c) in
   let blk = Pattern.make_block ~n_inputs:(Array.length (Netlist.inputs c)) ~words in
-  let table = BA1.create Bigarray.int64 Bigarray.c_layout (max 1 (nf * words)) in
+  let table = row (nf * words) in
   let live = cone_order c faults in
   let n_live = ref nf in
   let base = ref 0 in
@@ -314,7 +336,7 @@ let simulate_with_responses ?jobs ?block_words ?(drop = false) c faults ~source 
   let sim = Logic_sim.create_wide ~words c in
   let wss = Array.init jobs (fun _ -> make_ws ~words c) in
   let blk = Pattern.make_block ~n_inputs:(Array.length (Netlist.inputs c)) ~words in
-  let table = BA1.create Bigarray.int64 Bigarray.c_layout (max 1 (nf * words)) in
+  let table = row (nf * words) in
   (* Per detecting fault the output-difference words must be captured
      before the workspace is reused for the next fault; rows are
      allocated only on detection, so the table stays sparse. *)
@@ -338,8 +360,9 @@ let simulate_with_responses ?jobs ?block_words ?(drop = false) c faults ~source 
           inject_and_propagate ws ~good ~lanes faults.(fi);
           let any = ref false in
           for k = 0 to words - 1 do
-            BA1.unsafe_set table ((fi * words) + k) ws.det.(k);
-            if not (Int64.equal ws.det.(k) 0L) then any := true
+            let d = BA1.unsafe_get ws.det k in
+            BA1.unsafe_set table ((fi * words) + k) d;
+            if d <> 0L then any := true
           done;
           diffs.(fi) <-
             (if not !any then [||]

@@ -40,21 +40,6 @@ let decode_int c out prefix =
 
 let all_gate_kinds = [ Gate.Buf; Gate.Not; Gate.And; Gate.Nand; Gate.Or; Gate.Nor; Gate.Xor; Gate.Xnor ]
 
-let test_gate_eval_words_consistent () =
-  (* Word evaluation applied laneswise must equal the boolean evaluation. *)
-  List.iter
-    (fun k ->
-      let arity = match k with Gate.Buf | Gate.Not -> 1 | _ -> 3 in
-      for assignment = 0 to (1 lsl arity) - 1 do
-        let bools = Array.init arity (fun i -> (assignment lsr i) land 1 = 1) in
-        let words = Array.map (fun b -> if b then -1L else 0L) bools in
-        let expect = Gate.eval k bools in
-        let got = Int64.logand (Gate.eval_words k words) 1L <> 0L in
-        if expect <> got then
-          Alcotest.failf "gate %s mismatch at %d" (Gate.to_string k) assignment
-      done)
-    all_gate_kinds
-
 let test_gate_prob_matches_enumeration () =
   (* With independent inputs the arithmetic embedding is exact: compare
      against explicit enumeration for a non-uniform distribution. *)
@@ -431,8 +416,7 @@ let () =
   let q = QCheck_alcotest.to_alcotest ~long:false in
   Alcotest.run "rt_circuit"
     [ ( "gate",
-        [ Alcotest.test_case "eval_words consistent" `Quick test_gate_eval_words_consistent;
-          Alcotest.test_case "prob matches enumeration" `Quick test_gate_prob_matches_enumeration;
+        [ Alcotest.test_case "prob matches enumeration" `Quick test_gate_prob_matches_enumeration;
           Alcotest.test_case "of_string" `Quick test_gate_of_string;
           Alcotest.test_case "controlling values" `Quick test_controlling_values ] );
       ( "netlist",

@@ -8,6 +8,9 @@ module Logic_sim = Rt_sim.Logic_sim
 module Fault_sim = Rt_sim.Fault_sim
 module Detect_mc = Rt_sim.Detect_mc
 module Netlist = Rt_circuit.Netlist
+module Gate = Rt_circuit.Gate
+module Fault = Rt_fault.Fault
+module Rng = Rt_util.Rng
 module Generators = Rt_circuit.Generators
 
 let check = Alcotest.check
@@ -222,6 +225,121 @@ let responses_qcheck =
         responses;
       !ok)
 
+(* [Generators.random_circuit] emits only AND/OR/NAND/NOR/XOR/NOT, so
+   this builds its own netlists: every non-input kind appears (the n-ary
+   ones first with a single fanin, then at random arities 1..4, repeated
+   fanins allowed) and each gate reads random earlier nodes, constants
+   included.  Every node that drives nothing is an output. *)
+let all_kinds_circuit rng =
+  let n_in = 3 + Rng.int rng 3 in
+  let pool =
+    [| Gate.Const0; Gate.Const1; Gate.Buf; Gate.Not; Gate.And; Gate.Nand; Gate.Or; Gate.Nor;
+       Gate.Xor; Gate.Xnor |]
+  in
+  let n = n_in + Array.length pool + 10 + Rng.int rng 10 in
+  let kinds = Array.make n Gate.Input and fanins = Array.make n [||] in
+  let drives = Array.make n false in
+  for i = n_in to n - 1 do
+    let first_pass = i - n_in < Array.length pool in
+    let k = if first_pass then pool.(i - n_in) else pool.(Rng.int rng (Array.length pool)) in
+    let arity =
+      match k with
+      | Gate.Input | Gate.Const0 | Gate.Const1 -> 0
+      | Gate.Buf | Gate.Not -> 1
+      | Gate.And | Gate.Nand | Gate.Or | Gate.Nor | Gate.Xor | Gate.Xnor ->
+        if first_pass then 1 else 1 + Rng.int rng 4
+    in
+    kinds.(i) <- k;
+    fanins.(i) <- Array.init arity (fun _ -> Rng.int rng i);
+    Array.iter (fun j -> drives.(j) <- true) fanins.(i)
+  done;
+  let output_list = List.filter (fun i -> not drives.(i)) (List.init (n - n_in) (( + ) n_in)) in
+  let names = Array.init n (Printf.sprintf "n%d") in
+  Netlist.make ~kinds ~fanins ~names ~output_list
+
+(* Both polarities on every stem and on every pin of every gate. *)
+let every_line_faults c =
+  List.init (Netlist.size c) (fun g ->
+      Fault.Stem g :: List.init (Array.length (Netlist.fanin c g)) (fun k -> Fault.Branch (g, k)))
+  |> List.concat
+  |> List.concat_map (fun site -> [ { Fault.site; stuck = false }; { Fault.site; stuck = true } ])
+  |> Array.of_list
+
+let ppsfp_all_kinds_qcheck =
+  QCheck.Test.make ~name:"ppsfp equals reference on every gate kind and pin" ~count:20
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let c = all_kinds_circuit rng in
+      let faults = every_line_faults c in
+      let n_in = Array.length (Netlist.inputs c) in
+      let n_patterns = 150 in
+      let vectors = Array.init n_patterns (fun _ -> Array.init n_in (fun _ -> Rng.bool rng)) in
+      let source () =
+        let batches = ref (Pattern.of_vectors vectors) in
+        fun () ->
+          match !batches with
+          | [] -> Alcotest.fail "source exhausted"
+          | b :: rest ->
+            batches := rest;
+            b
+      in
+      let hits = Array.map (fun f -> Array.map (Fault_sim.detects c f) vectors) faults in
+      let first fi =
+        let rec go i = if i = n_patterns then -1 else if hits.(fi).(i) then i else go (i + 1) in
+        go 0
+      in
+      let count_where fi keep =
+        let n = ref 0 in
+        Array.iteri (fun i h -> if h && keep i then incr n) hits.(fi);
+        !n
+      in
+      List.for_all
+        (fun block_words ->
+          let full = Fault_sim.simulate ~block_words ~drop:false c faults ~source:(source ()) ~n_patterns in
+          let dropped = Fault_sim.simulate ~block_words ~drop:true c faults ~source:(source ()) ~n_patterns in
+          let resp, _ =
+            Fault_sim.simulate_with_responses ~block_words c faults ~source:(source ()) ~n_patterns
+          in
+          resp.Fault_sim.detect_count = full.Fault_sim.detect_count
+          && resp.Fault_sim.first_detect = full.Fault_sim.first_detect
+          && Array.for_all Fun.id
+               (Array.mapi
+                  (fun fi _ ->
+                    let fd = first fi in
+                    full.Fault_sim.first_detect.(fi) = fd
+                    && full.Fault_sim.detect_count.(fi) = count_where fi (fun _ -> true)
+                    && dropped.Fault_sim.first_detect.(fi) = fd
+                    (* With dropping, a fault is counted through the
+                       64-pattern word that first detects it. *)
+                    && dropped.Fault_sim.detect_count.(fi)
+                       = (if fd < 0 then 0 else count_where fi (fun i -> i / 64 = fd / 64)))
+                  faults))
+        [ 1; 4 ])
+
+(* The propagation kernel must not allocate per gate: losing one
+   [Pattern.words] annotation turns every Bigarray read into a boxing
+   [caml_ba_get_1] call, which lifts this measure above the bound.  What
+   remains — per-block costs (pattern source, scheduling) and the serial
+   replay's boxed popcounts — stays well under it. *)
+let test_kernel_allocation_free () =
+  let c = Generators.c880ish () in
+  let faults = Rt_fault.Collapse.collapsed_universe c in
+  let n_inputs = Array.length (Netlist.inputs c) in
+  let block_words = 4 and n_patterns = 2048 in
+  let run () =
+    let source = Pattern.equiprobable (Rng.create 9) ~n_inputs in
+    ignore (Fault_sim.simulate ~jobs:1 ~block_words ~drop:false c faults ~source ~n_patterns)
+  in
+  run ();
+  let before = Gc.minor_words () in
+  run ();
+  let words = Gc.minor_words () -. before in
+  let injections = Array.length faults * (n_patterns / (64 * block_words)) in
+  let per = words /. Float.of_int injections in
+  if per > 64.0 then
+    Alcotest.failf "%.0f minor words per fault-block injection (bound 64)" per
+
 (* --- Multicore sharding ------------------------------------------------------------ *)
 
 let test_jobs_bit_identical () =
@@ -408,7 +526,9 @@ let () =
           Alcotest.test_case "coverage accounting" `Quick test_coverage_monotone;
           q responses_qcheck;
           Alcotest.test_case "responses drop matches simulate" `Quick
-            test_responses_drop_matches_simulate ] );
+            test_responses_drop_matches_simulate;
+          q ppsfp_all_kinds_qcheck;
+          Alcotest.test_case "kernel allocation-free" `Quick test_kernel_allocation_free ] );
       ( "multicore",
         [ Alcotest.test_case "jobs=4 stats bit-identical" `Quick test_jobs_bit_identical;
           Alcotest.test_case "jobs=4 responses bit-identical" `Quick

@@ -1,11 +1,10 @@
-(* Unit and property tests for Rt_util: Rng, Bitvec, Prob, Stats, Int_heap,
-   Bits, and the Parallel/Pool multicore layer. *)
+(* Unit and property tests for Rt_util: Rng, Bitvec, Prob, Stats, Bits,
+   and the Parallel/Pool multicore layer. *)
 
 module Rng = Rt_util.Rng
 module Bitvec = Rt_util.Bitvec
 module Prob = Rt_util.Prob
 module Stats = Rt_util.Stats
-module Int_heap = Rt_util.Int_heap
 module Parallel = Rt_util.Parallel
 module Pool = Rt_util.Pool
 module Bits = Rt_util.Bits
@@ -190,7 +189,7 @@ let prob_qcheck =
         let k = q /. 0.05 in
         Float.abs (k -. Float.round k) < 1e-9) ]
 
-(* --- Stats / Int_heap --------------------------------------------------------- *)
+(* --- Stats ------------------------------------------------------------------- *)
 
 let test_stats_mean_var () =
   checkf "mean" 2.0 (Stats.mean [| 1.0; 2.0; 3.0 |]);
@@ -212,18 +211,6 @@ let test_geometric_steps () =
     | _ -> true
   in
   check Alcotest.bool "strictly increasing" true (increasing steps)
-
-let heap_qcheck =
-  [ QCheck.Test.make ~name:"int heap pops in sorted order" ~count:300
-      QCheck.(list (int_range 0 10_000))
-      (fun xs ->
-        let h = Int_heap.create () in
-        List.iter (Int_heap.push h) xs;
-        let out = ref [] in
-        while not (Int_heap.is_empty h) do
-          out := Int_heap.pop h :: !out
-        done;
-        List.rev !out = List.sort compare xs) ]
 
 (* --- Bits ------------------------------------------------------------------ *)
 
@@ -477,7 +464,6 @@ let () =
         [ Alcotest.test_case "mean/variance" `Quick test_stats_mean_var;
           Alcotest.test_case "quantile" `Quick test_stats_quantile;
           Alcotest.test_case "geometric steps" `Quick test_geometric_steps ] );
-      qsuite "heap-properties" heap_qcheck;
       ( "bits",
         Alcotest.test_case "edge cases" `Quick test_bits_edge_cases
         :: List.map (QCheck_alcotest.to_alcotest ~long:false) bits_qcheck );
