@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is the pre-commit gate.
 
-.PHONY: all check test bench bench-json bench-smoke trace-demo obs-demo obs-live-demo obs-history-demo pipeline-demo opt-demo objective-demo clean
+.PHONY: all check test bench bench-json bench-smoke obs-demo obs-live-demo obs-history-demo objective-demo clean
 
 all:
 	dune build
@@ -18,30 +18,17 @@ bench-json:
 	dune exec bench/main.exe -- --json
 
 # Fast perf/correctness gate for the fused cofactor path: bit-identical to
-# two subset queries, and obs-diff (1.5x quantile gate) must not flag the
-# fused side against the two-query baseline.  Artifacts land under
-# _obs/smoke/{baseline,fused} for upload or manual `optprob obs-diff`.
+# two subset queries, and the artifact diff (1.5x quantile gate) must not
+# flag the fused side against the two-query baseline.  Artifacts land under
+# _obs/smoke/{baseline,fused} for upload or manual `optprob obs diff`.
 # The finished run is also ingested into the run registry (second arg) and
 # gated against the promoted baseline record there — the first run ever
 # bootstrap-promotes itself.
 bench-smoke:
 	dune exec bench/smoke.exe -- _obs/smoke _obs/registry
 
-# Sanity-check the observability surface end to end: run one optimize with
-# tracing on and make sure the trace is non-empty, valid JSON.
-trace-demo:
-	dune exec bin/main.exe -- optimize s1 --engine cond:8 --sweeps 2 \
-	  --trace /tmp/optprob-s1-trace.json -v
-	@test -s /tmp/optprob-s1-trace.json
-	@if command -v python3 >/dev/null 2>&1; then \
-	  python3 -m json.tool /tmp/optprob-s1-trace.json >/dev/null; \
-	else \
-	  grep -q '"traceEvents"' /tmp/optprob-s1-trace.json; \
-	fi
-	@echo "trace-demo: /tmp/optprob-s1-trace.json ok"
-
 # End-to-end artifact demo: two identical optimize runs under --obs-dir,
-# then obs-diff between them.  Thresholds are deliberately loose (10x) —
+# then `obs diff` between them.  Thresholds are deliberately loose (10x) —
 # the demo proves the plumbing (manifest, metrics, histograms, diff), not
 # machine speed, so CI timer noise cannot flake it.
 obs-demo:
@@ -52,7 +39,7 @@ obs-demo:
 	@test -s _obs/demo/a/manifest.json
 	@test -s _obs/demo/a/metrics.prom
 	@grep -q '"optprob-metrics/2"' _obs/demo/a/metrics.json
-	dune exec bin/main.exe -- obs-diff _obs/demo/a _obs/demo/b \
+	dune exec bin/main.exe -- obs diff _obs/demo/a _obs/demo/b \
 	  --max-span-ratio 10 --max-quantile-ratio 10 --max-counter-ratio 10
 	@echo "obs-demo: _obs/demo/{a,b} ok"
 
@@ -82,7 +69,7 @@ obs-live-demo:
 	@grep -q '"optprob-timeline/1"' _obs/live/timeline.json
 	@grep -q '"samples"' _obs/live/timeline.json
 	@grep -q 'pool.d1' _obs/live/trace.json || { echo "obs-live-demo FAIL: no per-domain tracks"; exit 1; }
-	dune exec bin/main.exe -- obs-diff _obs/live _obs/live -q
+	dune exec bin/main.exe -- obs diff _obs/live _obs/live -q
 	@echo "obs-live-demo: live /metrics + /healthz + /snapshot, timeline and per-domain tracks ok"
 
 # Longitudinal-history demo and acceptance gate for the run registry:
@@ -115,24 +102,6 @@ obs-history-demo:
 	  --obs-registry _obs/history-demo/registry \
 	  --max-span-ratio 10 --max-quantile-ratio 10 --max-counter-ratio 10
 	@echo "obs-history-demo: 3 ingested runs, 3-point trend, baseline diff ok"
-
-# Resumable-pipeline gate: the same `optprob run` twice against one
-# --work-dir.  The second run must execute zero stages — verified from its
-# metrics artifact: every pipeline.stage.*.cache_hit is 1 and every
-# pipeline.stage.*.run is 0.
-pipeline-demo:
-	rm -rf _obs/pipeline-demo
-	dune exec bin/main.exe -- run s1 --engine cond:8 --sweeps 2 -q \
-	  --work-dir _obs/pipeline-demo/work --obs-dir _obs/pipeline-demo/a
-	dune exec bin/main.exe -- run s1 --engine cond:8 --sweeps 2 -q \
-	  --work-dir _obs/pipeline-demo/work --obs-dir _obs/pipeline-demo/b
-	@for s in loaded opt_netlist faults analysis normalized optimized validated report; do \
-	  grep -q "\"pipeline.stage.$$s.cache_hit\": 1" _obs/pipeline-demo/b/metrics.json || \
-	    { echo "pipeline-demo FAIL: stage $$s not served from cache"; exit 1; }; \
-	  grep -q "\"pipeline.stage.$$s.run\": 0" _obs/pipeline-demo/b/metrics.json || \
-	    { echo "pipeline-demo FAIL: stage $$s re-executed"; exit 1; }; \
-	done
-	@echo "pipeline-demo: second run resumed 8/8 stages from cache"
 
 # Objective cache-separation gate: the same circuit and work dir under
 # --objective single, then ndetect:2.  The n-detect run must reuse the
@@ -168,16 +137,6 @@ objective-demo:
 	@grep -q '"objective.ndetect_2.runs"' _obs/objective-demo/nd/metrics.json || \
 	  { echo "objective-demo FAIL: per-objective run counter missing"; exit 1; }
 	@echo "objective-demo: objectives share upstream stages, separate downstream keys"
-
-# Netlist-optimization demo: simplify the deliberately redundant example
-# netlist and show the per-pass removal stats; then prove the generated
-# circuits are already fixpoints (relevel only, nothing removed).
-opt-demo:
-	dune exec bin/main.exe -- simplify examples/opt_demo.bench | tee /tmp/optprob-opt-demo.out
-	@grep -q 'pass const-fold' /tmp/optprob-opt-demo.out || { echo "opt-demo FAIL: no per-pass stats"; exit 1; }
-	@grep -q 'nodes removed: 11' /tmp/optprob-opt-demo.out || { echo "opt-demo FAIL: expected 11 nodes removed"; exit 1; }
-	dune exec bin/main.exe -- simplify s1 | grep 'nodes removed'
-	@echo "opt-demo: ok"
 
 clean:
 	dune clean

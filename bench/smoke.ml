@@ -5,7 +5,7 @@
    1. [Oracle.cofactor_pair] is bit-identical to the two independent
       subset queries it replaces;
    2. the fused (incremental damage-cone) path is not slower than 1.5x
-      the two-query baseline.  The gate is the [obs-diff] engine itself:
+      the two-query baseline.  The gate is the [Rt_obs.Diff] engine itself:
       both sides' per-sweep latencies are written as --obs-dir style run
       artifacts and diffed with the default 1.5x quantile threshold, so
       the bench exercises the same regression analyzer CI relies on;
@@ -20,7 +20,7 @@
       (jobs, block-words) combinations, including the defaults;
    5. on the no-drop workload (every fault stays live, the hard-fault
       regime the paper's optimization targets) the wide datapath (W=8)
-      beats the narrow one (W=1) by enough that obs-diff, run with the
+      beats the narrow one (W=1) by enough that obs diff, run with the
       narrow side as candidate against the wide baseline, flags the
       narrow path as a regression.  Inverting the roles turns the
       analyzer into a speedup lock: losing the width win makes the gate
@@ -33,7 +33,7 @@
       within 1.25x of telemetry-only, the p50s read back from the two run
       artifacts' metrics.json land within one log bucket of each other —
       and the sampler side's timeline.json self-diffs clean through
-      obs-diff.
+      obs diff.
 
    Finally the whole smoke run is ingested into the persistent run
    registry (argv.(2), default the OPTPROB_OBS_REGISTRY/_obs/registry
@@ -49,11 +49,10 @@
    oracle/simulator, not the telemetry.  Artifacts land under an optional
    argv root (default _obs/smoke) as <root>/{baseline,fused},
    <root>/{ppsfp-wide,ppsfp-narrow} and <root>/run (the ingested one),
-   ready for CI upload or a manual `optprob obs-diff`.
+   ready for CI upload or a manual `optprob obs diff`.
 
    Exits nonzero on any violation.  Run with: make bench-smoke *)
 
-module Detect = Rt_testability.Detect
 module Oracle = Rt_testability.Oracle
 module Pipeline = Rt_pipeline
 module Pconfig = Rt_pipeline.Config
@@ -124,9 +123,9 @@ let () =
   let baseline input =
     let x' = Array.copy x in
     x'.(input) <- 0.0;
-    let pf0 = Detect.probs_subset oracle hard x' in
+    let pf0 = Oracle.probs_subset oracle hard x' in
     x'.(input) <- 1.0;
-    let pf1 = Detect.probs_subset oracle hard x' in
+    let pf1 = Oracle.probs_subset oracle hard x' in
     (pf0, pf1)
   in
   (* Correctness first: every input's fused pair must equal the baseline
@@ -167,7 +166,7 @@ let () =
   in
   Rt_obs.clear ();
   Rt_obs.set_enabled true;
-  (* Write both sides as run artifacts and let obs-diff judge the perf
+  (* Write both sides as run artifacts and let obs diff judge the perf
      gate: baseline dir = 2x subset queries, candidate dir = fused. *)
   let manifest side =
     Rt_obs.Artifact.make_manifest ~engine:"cop"
@@ -198,7 +197,7 @@ let () =
   Printf.printf "  artifacts:                  %s {baseline,fused}\n" out_root;
   Rt_obs.Diff.pp_report Format.std_formatter diff;
   if regressions <> [] then begin
-    Printf.eprintf "bench-smoke FAIL: obs-diff flags the fused path as a regression\n";
+    Printf.eprintf "bench-smoke FAIL: obs diff flags the fused path as a regression\n";
     exit 1
   end;
   if obs_ratio > 1.5 then begin
@@ -250,7 +249,7 @@ let () =
   in
   (* One extra (untimed) recorded run per side puts the kernel counters —
      ppsfp.batches, parallel.* — next to the latency histogram in each
-     artifact, so obs-diff also sees the 8x good-machine-pass blowup of
+     artifact, so obs diff also sees the 8x good-machine-pass blowup of
      the narrow side. *)
   let write_ppsfp side samples ~block_words =
     let h = Rt_obs.histogram "smoke.ppsfp_us" in
@@ -267,7 +266,7 @@ let () =
   let dir_narrow = write_ppsfp "ppsfp-narrow" s_narrow ~block_words:1 in
   Rt_obs.set_enabled false;
   (* Roles inverted on purpose: wide is the baseline, narrow the
-     candidate, and the gate requires obs-diff to FLAG a latency
+     candidate, and the gate requires obs diff to FLAG a latency
      regression — i.e. W=1 must be at least [quantile_ratio] slower than
      W=8.  If a change erodes the width win below that bar, no histogram
      finding is emitted and the gate fails. *)
@@ -299,7 +298,7 @@ let () =
   Rt_obs.Diff.pp_report Format.std_formatter ppsfp_diff;
   if ppsfp_regressions = [] then begin
     Printf.eprintf
-      "bench-smoke FAIL: obs-diff does not flag W=1 as a regression vs W=8 \
+      "bench-smoke FAIL: obs diff does not flag W=1 as a regression vs W=8 \
        (width speedup %.3fx below the 1.25x gate)\n"
       width_ratio;
     exit 1

@@ -1,9 +1,9 @@
 (* optprob — command-line front end.
 
    Subcommands: list, generate, simplify, analyze, optimize, simulate,
-   run, atpg, selftest, tables, obs-diff, and the `obs` family
+   run, atpg, selftest, tables, and the `obs` family
    (list/show/ingest/trend/baseline/diff/gc) over the persistent run
-   registry.  Every compute subcommand is a thin layer
+   registry and run artifacts.  Every compute subcommand is a thin layer
    over the Rt_pipeline stage graph: it builds one validated
    Rt_pipeline.Config via the shared Cli terms, creates a pipeline
    context, and asks for the stages it needs.  With --work-dir the stage
@@ -17,20 +17,16 @@ module Cli = Rt_pipeline.Cli
 module Registry = Rt_obs_registry
 
 (* --- observability flags ---------------------------------------------------
-   Shared by the compute-heavy subcommands.  The unified form is
-   --obs-dir DIR: one self-describing artifact directory per run
-   (manifest.json, events.jsonl, metrics.json, metrics.prom, trace.json
-   and, for optimize/run, convergence.json), diffable with `optprob
-   obs-diff`.  The legacy --trace/--metrics (and optimize's --convergence)
-   flags keep working as standalone aliases for the corresponding
-   artifact.  Any of them enables Rt_obs recording; the disabled default
-   costs one branch per probe.  While an --obs-dir run is in flight,
+   Shared by the compute-heavy subcommands.  --obs-dir DIR writes one
+   self-describing artifact directory per run (manifest.json,
+   events.jsonl, metrics.json, metrics.prom, trace.json and, for
+   optimize/run, convergence.json), diffable with `optprob obs diff`.
+   Any obs flag enables Rt_obs recording; the disabled default costs one
+   branch per probe.  While an --obs-dir run is in flight,
    SIGUSR1 dumps a live metrics snapshot into the directory. *)
 
 type obs = {
   obs_dir : string option;
-  trace : string option;
-  metrics : string option;
   verbose : bool;
   sample_ms : int option;
   listen : int option;
@@ -49,17 +45,8 @@ let obs_dir_arg =
   Arg.(value & opt (some string) None & info [ "obs-dir" ] ~docv:"DIR"
          ~doc:"Write the full run artifact (manifest.json, events.jsonl, metrics.json, \
                metrics.prom, trace.json, timeline.json, convergence.json) to $(docv); \
-               compare two run directories with $(b,optprob obs-diff).  SIGUSR1 dumps a \
+               compare two run directories with $(b,optprob obs diff).  SIGUSR1 dumps a \
                live metrics snapshot mid-run.")
-
-let trace_arg =
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
-         ~doc:"Write the span timeline as Chrome trace_event JSON to $(docv) \
-               (open in chrome://tracing or https://ui.perfetto.dev).")
-
-let metrics_arg =
-  Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE"
-         ~doc:"Write the counter/gauge/histogram snapshot as JSON to $(docv).")
 
 let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ]
@@ -88,16 +75,15 @@ let registry_flag_arg =
                list/show/trend/diff.")
 
 let obs_arg =
-  Term.(const (fun obs_dir trace metrics verbose sample_ms listen registry ->
-            { obs_dir; trace; metrics; verbose; sample_ms; listen; registry;
+  Term.(const (fun obs_dir verbose sample_ms listen registry ->
+            { obs_dir; verbose; sample_ms; listen; registry;
               t_start = 0.0; sampler = None; server = None })
-        $ obs_dir_arg $ trace_arg $ metrics_arg $ verbose_arg $ sample_ms_arg $ listen_arg
-        $ registry_flag_arg)
+        $ obs_dir_arg $ verbose_arg $ sample_ms_arg $ listen_arg $ registry_flag_arg)
 
 let obs_begin obs =
   obs.t_start <- Unix.gettimeofday ();
-  if obs.obs_dir <> None || obs.trace <> None || obs.metrics <> None || obs.verbose
-     || obs.sample_ms <> None || obs.listen <> None || obs.registry <> None
+  if obs.obs_dir <> None || obs.verbose || obs.sample_ms <> None || obs.listen <> None
+     || obs.registry <> None
   then Rt_obs.set_enabled true;
   (match obs.obs_dir with
    | Some dir ->
@@ -166,16 +152,6 @@ let obs_end ?(cfg : Config.t option) ?convergence obs =
       Some (samples, dropped)
     | None -> None
   in
-  (match obs.trace with
-   | Some path ->
-     Rt_obs.write_trace path;
-     Format.eprintf "wrote trace %s@." path
-   | None -> ());
-  (match obs.metrics with
-   | Some path ->
-     Rt_obs.write_metrics path;
-     Format.eprintf "wrote metrics %s@." path
-   | None -> ());
   let write_artifact dir =
     Rt_obs.Artifact.write ~dir ~manifest:(manifest_of_cfg ?cfg obs) ?convergence ();
     match (timeline, obs.sample_ms) with
@@ -348,20 +324,13 @@ let optimize_cmd =
     Arg.(value & flag & info [ "partition" ]
            ~doc:"Also try the section-5.3 fault-set partitioning (2 distributions).")
   in
-  let convergence =
-    Arg.(value & opt (some string) None & info [ "convergence" ] ~docv:"FILE"
-           ~doc:"Record per-sweep J_N, required length N and input probabilities to $(docv) \
-                 (.json suffix: JSON, otherwise CSV).")
-  in
-  let run cfg out partition conv obs () =
+  let run cfg out partition obs () =
     obs_begin obs;
     let ctx = Pipeline.create cfg in
-    (* A recorder exists whenever anything will consume it: the legacy
-       --convergence file and/or the --obs-dir convergence.json artifact.
-       It only fills when the stage actually runs (not on a cache hit). *)
+    (* The recorder feeds the --obs-dir convergence.json artifact.  It only
+       fills when the stage actually runs (not on a cache hit). *)
     let recorder =
-      if conv <> None || obs.obs_dir <> None then Some (Rt_obs.Convergence.create ())
-      else None
+      if obs.obs_dir <> None then Some (Rt_obs.Convergence.create ()) else None
     in
     let staged =
       Pipeline.optimized
@@ -372,11 +341,6 @@ let optimize_cmd =
     let report = opt.Pipeline.opt_report in
     if staged.Pipeline.from_cache then
       Format.printf "optimized stage served from the work-dir artifact (cache hit)@.";
-    (match (conv, recorder) with
-     | Some path, Some rec_ ->
-       Rt_obs.Convergence.write rec_ path;
-       Format.printf "wrote convergence %s@." path
-     | _ -> ());
     Format.printf "@.engine:        %s@."
       (Pipeline.analysis ctx).Pipeline.value.Pipeline.engine_desc;
     if cfg.Config.objective <> "single" then
@@ -422,8 +386,8 @@ let optimize_cmd =
        ~exits)
     Term.(
       ret
-        (const (fun cfg o p cv obs () -> wrap (run cfg o p cv obs))
-        $ Cli.config () $ out $ partition $ convergence $ obs_arg $ const ()))
+        (const (fun cfg o p obs () -> wrap (run cfg o p obs))
+        $ Cli.config () $ out $ partition $ obs_arg $ const ()))
 
 (* --- simulate -------------------------------------------------------------- *)
 
@@ -508,21 +472,11 @@ let run_cmd =
 (* --- atpg ------------------------------------------------------------------ *)
 
 let atpg_cmd =
-  let engine =
-    Arg.(value & opt string "podem" & info [ "engine"; "e" ] ~docv:"ENGINE"
-           ~doc:"Deterministic engine: podem or dalg (the classical D-algorithm).")
-  in
-  let run circuit engine () =
+  let run circuit () =
     let ctx = Pipeline.create (Config.exn (Config.of_source circuit)) in
     let c = Pipeline.circuit ctx in
     let faults = Pipeline.fault_list ctx in
-    let engine =
-      match engine with
-      | "podem" -> `Podem
-      | "dalg" -> `Dalg
-      | other -> failwith (Printf.sprintf "unknown engine %S (podem | dalg)" other)
-    in
-    let r = Rt_atpg.Tpg.generate ~engine c faults in
+    let r = Rt_atpg.Tpg.generate c faults in
     Format.printf "tests:     %d@." (Array.length r.Rt_atpg.Tpg.tests);
     Format.printf "detected:  %d / %d@." r.Rt_atpg.Tpg.detected (Array.length faults);
     Format.printf "redundant: %d@." (Array.length r.Rt_atpg.Tpg.redundant);
@@ -532,9 +486,8 @@ let atpg_cmd =
   in
   Cmd.v
     (Cmd.info "atpg"
-       ~doc:"Deterministic test generation (PODEM or D-algorithm) — the section-5.2 baseline."
-       ~exits)
-    Term.(ret (const (fun c e () -> wrap (run c e)) $ Cli.circuit_arg $ engine $ const ()))
+       ~doc:"Deterministic test generation (PODEM) — the section-5.2 baseline." ~exits)
+    Term.(ret (const (fun c () -> wrap (run c)) $ Cli.circuit_arg $ const ()))
 
 (* --- selftest --------------------------------------------------------------- *)
 
@@ -566,9 +519,8 @@ let selftest_cmd =
         (const (fun c w n () -> wrap (run c w n))
         $ Cli.circuit_arg $ Cli.weights_arg $ patterns $ const ()))
 
-(* --- obs-diff ---------------------------------------------------------------- *)
+(* --- obs: the run-registry subcommand family --------------------------------- *)
 
-(* Threshold flags shared by `obs-diff` and `obs diff`. *)
 let diff_thresholds_term =
   let d = Rt_obs.Diff.default in
   let span_ratio =
@@ -605,30 +557,6 @@ let run_diff ~thresholds ~quiet a b =
   let findings = Rt_obs.Diff.compare_dirs ~thresholds a b in
   if not quiet then Rt_obs.Diff.pp_report Format.std_formatter findings;
   if Rt_obs.Diff.regressions findings <> [] then exit 3
-
-let obs_diff_cmd =
-  let dir_a =
-    Arg.(required & pos 0 (some dir) None & info [] ~docv:"A"
-           ~doc:"Baseline run artifact directory (from --obs-dir).")
-  in
-  let dir_b =
-    Arg.(required & pos 1 (some dir) None & info [] ~docv:"B"
-           ~doc:"Candidate run artifact directory (from --obs-dir).")
-  in
-  let run a b thresholds quiet () = run_diff ~thresholds ~quiet a b in
-  let exits = Cmd.Exit.info 3 ~doc:"on regressions past the configured thresholds." :: exits in
-  Cmd.v
-    (Cmd.info "obs-diff"
-       ~doc:"Compare two --obs-dir run artifacts: counter deltas, span-tree wall-clock, \
-             histogram quantile shifts, convergence divergence."
-       ~exits)
-    Term.(
-      ret
-        (const (fun a b th q () -> wrap (run a b th q))
-        $ dir_a $ dir_b $ diff_thresholds_term $ diff_quiet_arg
-        $ const ()))
-
-(* --- obs: the run-registry subcommand family --------------------------------- *)
 
 let registry_dir_arg =
   Arg.(value & opt string (Registry.default_dir ())
@@ -895,6 +823,12 @@ let obs_reg_diff_cmd =
        into a temporary artifact directory *)
     let resolve name =
       if Sys.file_exists name && Sys.is_directory name then name
+      else if
+        not (List.exists (fun (s : Registry.summary) -> s.Registry.id = name)
+               (Registry.list ~registry:reg ()))
+      then
+        failwith
+          (Printf.sprintf "%s: neither an artifact directory nor a record id in %s" name reg)
       else begin
         let dir =
           Filename.concat reg
@@ -945,8 +879,9 @@ let obs_reg_diff_cmd =
   let exits = Cmd.Exit.info 3 ~doc:"on regressions past the configured thresholds." :: exits in
   Cmd.v
     (Cmd.info "diff"
-       ~doc:"Diff two registry records (or artifact directories), or the newest run against \
-             the promoted baseline, with the obs-diff engine and thresholds."
+       ~doc:"Diff two run artifact directories (from --obs-dir) or registry records: counter \
+             deltas, span-tree wall-clock, histogram quantile shifts, convergence divergence.  \
+             With --baseline, diff the newest run against the promoted baseline."
        ~exits)
     Term.(
       ret
@@ -1021,6 +956,6 @@ let () =
   let group =
     Cmd.group info
       [ list_cmd; generate_cmd; simplify_cmd; analyze_cmd; optimize_cmd; simulate_cmd;
-        run_cmd; atpg_cmd; selftest_cmd; tables_cmd; obs_diff_cmd; obs_cmd ]
+        run_cmd; atpg_cmd; selftest_cmd; tables_cmd; obs_cmd ]
   in
   exit (Cmd.eval group)

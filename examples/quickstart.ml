@@ -32,7 +32,7 @@ let () =
       c faults
   in
   let uniform = Array.make 27 0.5 in
-  let pf = Rt_testability.Detect.probs oracle uniform in
+  let pf = Rt_testability.Oracle.probs oracle uniform in
   let pmin = Array.fold_left Float.min 1.0 pf in
   Format.printf "hardest fault at X = 0.5: p = %a@." Rt_util.Prob.pp pmin;
   let n0 = Rt_testability.Test_length.required ~confidence:0.95 pf in

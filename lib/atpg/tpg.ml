@@ -10,21 +10,8 @@ type result = {
   seconds : float;
 }
 
-let generate ?(engine = `Podem) ?(backtrack_limit = 10_000) ?(random_patterns = 128)
-    ?(seed = 1) ?(compact = true) c faults =
-  let deterministic c f =
-    match engine with
-    | `Podem ->
-      (match Podem.generate ~backtrack_limit c f with
-       | Podem.Test p, _ -> `Test p
-       | Podem.Redundant, _ -> `Redundant
-       | Podem.Aborted, _ -> `Aborted)
-    | `Dalg ->
-      (match Dalg.generate ~backtrack_limit c f with
-       | Dalg.Test p, _ -> `Test p
-       | Dalg.Redundant, _ -> `Redundant
-       | Dalg.Aborted, _ -> `Aborted)
-  in
+let generate ?(backtrack_limit = 10_000) ?(random_patterns = 128) ?(seed = 1) ?(compact = true)
+    c faults =
   let t0 = Rt_util.Stats.timer_start () in
   let n_inputs = Array.length (Netlist.inputs c) in
   let nf = Array.length faults in
@@ -63,8 +50,8 @@ let generate ?(engine = `Podem) ?(backtrack_limit = 10_000) ?(random_patterns = 
   for fi = 0 to nf - 1 do
     if not covered.(fi) then begin
       incr podem_calls;
-      match deterministic c faults.(fi) with
-      | `Test pattern ->
+      match fst (Podem.generate ~backtrack_limit c faults.(fi)) with
+      | Podem.Test pattern ->
         tests := pattern :: !tests;
         covered.(fi) <- true;
         (* Drop everything else this pattern catches. *)
@@ -72,8 +59,8 @@ let generate ?(engine = `Podem) ?(backtrack_limit = 10_000) ?(random_patterns = 
           if (not covered.(fj)) && Rt_sim.Fault_sim.detects c faults.(fj) pattern then
             covered.(fj) <- true
         done
-      | `Redundant -> redundant := faults.(fi) :: !redundant
-      | `Aborted -> aborted := faults.(fi) :: !aborted
+      | Podem.Redundant -> redundant := faults.(fi) :: !redundant
+      | Podem.Aborted -> aborted := faults.(fi) :: !aborted
     end
   done;
   (* Phase 3: reverse-order compaction — drop tests that detect nothing the

@@ -15,7 +15,6 @@ type result = {
 }
 
 val generate :
-  ?engine:[ `Podem | `Dalg ] ->
   ?backtrack_limit:int ->
   ?random_patterns:int ->
   ?seed:int ->
@@ -23,8 +22,8 @@ val generate :
   Rt_circuit.Netlist.t ->
   Rt_fault.Fault.t array ->
   result
-(** Defaults: PODEM engine (pass [`Dalg] for the classical D-algorithm),
-    backtrack limit 10_000, 128 random patterns, compaction on. *)
+(** Defaults: backtrack limit 10_000, 128 random patterns, compaction
+    on. *)
 
 val prune_redundant :
   ?backtrack_limit:int ->

@@ -946,9 +946,6 @@ let read_file path =
   close_in ic;
   s
 
-let write_trace path = write_file path (trace_json ())
-let write_metrics path = write_file path (metrics_json ())
-
 (* --- timeline sampler --------------------------------------------------------
 
    A background domain that periodically snapshots every counter and gauge
@@ -1188,36 +1185,6 @@ module Convergence = struct
 
   let pf_quantiles = [ ("p1", 0.01); ("p10", 0.1); ("p50", 0.5); ("p90", 0.9); ("p99", 0.99) ]
 
-  let to_csv t =
-    let rows = rows t in
-    let width = match rows with [] -> 0 | r :: _ -> Array.length r.y in
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf "stage,objective,sweep,j_n,n";
-    for i = 0 to width - 1 do
-      Buffer.add_string buf (Printf.sprintf ",y%d" i)
-    done;
-    Buffer.add_string buf ",pf_count,pf_min";
-    List.iter (fun (k, _) -> Buffer.add_string buf (",pf_" ^ k)) pf_quantiles;
-    Buffer.add_string buf ",pf_max";
-    Buffer.add_char buf '\n';
-    List.iter
-      (fun r ->
-        Buffer.add_string buf
-          (Printf.sprintf "%s,%s,%d,%.17g,%.17g" r.stage r.objective r.sweep r.j r.n);
-        Array.iter (fun y -> Buffer.add_string buf (Printf.sprintf ",%.17g" y)) r.y;
-        (match r.pf with
-         | Some s ->
-           Buffer.add_string buf (Printf.sprintf ",%d,%.17g" s.count s.min);
-           List.iter
-             (fun (_, q) -> Buffer.add_string buf (Printf.sprintf ",%.17g" (hsnap_quantile s q)))
-             pf_quantiles;
-           Buffer.add_string buf (Printf.sprintf ",%.17g" s.max)
-         | None ->
-           Buffer.add_string buf (String.make (3 + List.length pf_quantiles) ','));
-        Buffer.add_char buf '\n')
-      rows;
-    Buffer.contents buf
-
   let to_json t =
     let buf = Buffer.create 1024 in
     Buffer.add_string buf "{\n  \"schema\": \"optprob-convergence/2\",\n  \"rows\": [\n";
@@ -1245,10 +1212,6 @@ module Convergence = struct
       (rows t);
     Buffer.add_string buf "\n  ]\n}\n";
     Buffer.contents buf
-
-  let write t path =
-    let is_json = Filename.check_suffix path ".json" in
-    write_file path (if is_json then to_json t else to_csv t)
 end
 
 (* --- run artifacts ----------------------------------------------------------
@@ -1257,7 +1220,7 @@ end
    manifest.json (provenance), events.jsonl (structured log), metrics.json
    (counters + gauges + histograms), trace.json (Perfetto), metrics.prom
    (OpenMetrics) and, when a convergence recorder exists, convergence.json.
-   `obs-diff` consumes two such directories. *)
+   `optprob obs diff` consumes two such directories. *)
 
 module Artifact = struct
   type manifest = {
@@ -1368,11 +1331,11 @@ module Artifact = struct
     write_file (Filename.concat dir "metrics.prom") (metrics_prom ());
     write_file (Filename.concat dir "trace.json") (trace_json ());
     match convergence with
-    | Some t -> Convergence.write t (Filename.concat dir "convergence.json")
+    | Some t -> write_file (Filename.concat dir "convergence.json") (Convergence.to_json t)
     | None -> ()
 end
 
-(* --- obs-diff: artifact regression analysis -------------------------------- *)
+(* --- obs diff: artifact regression analysis -------------------------------- *)
 
 module Diff = struct
   type thresholds = {
@@ -1662,7 +1625,7 @@ module Diff = struct
   let regressions fs = List.filter (fun f -> f.severity = Regression) fs
 
   let pp_report ppf fs =
-    if fs = [] then Format.fprintf ppf "obs-diff: no differences@."
+    if fs = [] then Format.fprintf ppf "obs diff: no differences@."
     else begin
       let tag f =
         match f.severity with
@@ -1675,6 +1638,6 @@ module Diff = struct
           Format.fprintf ppf "  %-10s %-11s %-44s %s@." (tag f) f.kind f.name f.detail)
         fs;
       let n_reg = List.length (regressions fs) in
-      Format.fprintf ppf "obs-diff: %d difference(s), %d regression(s)@." (List.length fs) n_reg
+      Format.fprintf ppf "obs diff: %d difference(s), %d regression(s)@." (List.length fs) n_reg
     end
 end

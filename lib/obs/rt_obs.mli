@@ -103,9 +103,6 @@ val trace_json : unit -> string
     complete ("ph":"X") span events plus instant ("ph":"i") marks,
     timestamps in microseconds. *)
 
-val write_trace : string -> unit
-(** Write {!trace_json} to a file. *)
-
 val events_jsonl : unit -> string
 (** Structured log: one self-describing JSON object per line (spans and
     marks interleaved in start-timestamp order). *)
@@ -213,8 +210,6 @@ val metrics_json : unit -> string
 (** [{"schema":"optprob-metrics/2","counters":{...},"gauges":{...},
     "histograms":{...}}]; each histogram carries count/sum/min/max,
     p50/p90/p99 and its nonzero buckets as [[upper_bound, count]] pairs. *)
-
-val write_metrics : string -> unit
 
 val metrics_prom : unit -> string
 (** OpenMetrics text exposition of counters ([_total]), gauges and
@@ -338,15 +333,9 @@ module Convergence : sig
   val rows : t -> row list
   (** Oldest first. *)
 
-  val to_csv : t -> string
-  (** Header [stage,objective,sweep,j_n,n,y0,...,pf_count,pf_min,pf_p1,...,pf_max];
-      floats printed with full precision so the final [n] round-trips
-      exactly. *)
-
   val to_json : t -> string
-
-  val write : t -> string -> unit
-  (** Write {!to_json} if the path ends in [.json], else {!to_csv}. *)
+  (** [{"schema":"optprob-convergence/2","rows":[...]}]; floats printed
+      with full precision so the final [n] round-trips exactly. *)
 end
 
 (** {1 Run artifacts} *)

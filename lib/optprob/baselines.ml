@@ -1,18 +1,18 @@
-module Detect = Rt_testability.Detect
+module Oracle = Rt_testability.Oracle
 
 let required_for oracle ~confidence x =
-  let pf = Detect.probs oracle x in
+  let pf = Oracle.probs oracle x in
   let norm = Normalize.run ~confidence pf in
   norm.Normalize.n
 
 let equiprobable oracle ~confidence =
-  let n = Array.length (Rt_circuit.Netlist.inputs (Detect.circuit oracle)) in
+  let n = Array.length (Rt_circuit.Netlist.inputs (Oracle.circuit oracle)) in
   required_for oracle ~confidence (Array.make n 0.5)
 
 let default_grid = List.init 19 (fun i -> 0.05 *. Float.of_int (i + 1))
 
 let lieberherr ?(grid = default_grid) oracle ~confidence =
-  let n = Array.length (Rt_circuit.Netlist.inputs (Detect.circuit oracle)) in
+  let n = Array.length (Rt_circuit.Netlist.inputs (Oracle.circuit oracle)) in
   List.fold_left
     (fun (best_p, best_n) p ->
       let req = required_for oracle ~confidence (Array.make n p) in

@@ -1,13 +1,13 @@
 (** Baseline input-probability strategies the paper compares against or
     cites as prior work (§2.2). *)
 
-val equiprobable : Rt_testability.Detect.oracle -> confidence:float -> float
+val equiprobable : Rt_testability.Oracle.t -> confidence:float -> float
 (** Required test length of the conventional random test (all 0.5) — the
     paper's Table 1 column. *)
 
 val lieberherr :
   ?grid:float list ->
-  Rt_testability.Detect.oracle ->
+  Rt_testability.Oracle.t ->
   confidence:float ->
   float * float
 (** Parameterised random testing [Lieb84]: one shared probability [p] for
@@ -24,5 +24,5 @@ val max_output_entropy :
     the benches quantify that criticism. *)
 
 val required_for :
-  Rt_testability.Detect.oracle -> confidence:float -> float array -> float
+  Rt_testability.Oracle.t -> confidence:float -> float array -> float
 (** Required test length of an arbitrary weight vector under the oracle. *)

@@ -1,4 +1,3 @@
-module Detect = Rt_testability.Detect
 module Oracle = Rt_testability.Oracle
 
 type quantization =
@@ -78,9 +77,9 @@ let run ?(options = default_options) ?progress ?recorder ?keep oracle =
   let okey = metric_key obj.Objective.key in
   Rt_obs.incr (Rt_obs.counter (Printf.sprintf "objective.%s.runs" okey));
   let h_sweep_us = Rt_obs.histogram (Printf.sprintf "optimize.sweep_us.%s" okey) in
-  let n_inputs = Array.length (Rt_circuit.Netlist.inputs (Detect.circuit oracle)) in
+  let n_inputs = Array.length (Rt_circuit.Netlist.inputs (Oracle.circuit oracle)) in
   (match keep with
-  | Some k when Array.length k <> Array.length (Detect.faults oracle) ->
+  | Some k when Array.length k <> Array.length (Oracle.faults oracle) ->
     invalid_arg "Optimize.run: keep mask width"
   | _ -> ());
   let x =
@@ -110,7 +109,7 @@ let run ?(options = default_options) ?progress ?recorder ?keep oracle =
   (* ANALYSIS + NORMALIZE; keeps the raw p_f vector so the convergence
      trace can report J_N alongside N. *)
   let analyse x =
-    let pf = masked (Detect.probs oracle x) in
+    let pf = masked (Oracle.probs oracle x) in
     (pf, Normalize.run ~objective:obj ~confidence:o.confidence ~nf_min:o.nf_min pf)
   in
   (* The pf summary only matters when someone records it — the histogram of
@@ -253,13 +252,13 @@ let two_stage ?(options = default_options) ?(n1_grid = default_n1_grid) ?n1
     ?(seed = 0x2757) ?(sim_cap = 65536) ?jobs ?block_words ?progress ?recorder oracle =
   Rt_obs.with_span ~cat:"phase" "two-stage" @@ fun () ->
   let o = options in
-  let circuit = Detect.circuit oracle in
-  let faults = Detect.faults oracle in
+  let circuit = Oracle.circuit oracle in
+  let faults = Oracle.faults oracle in
   let n_faults = Array.length faults in
   (* Stage 1: the ordinary single-stage design over the whole universe. *)
   let stage1 = run ~options ?progress ?recorder oracle in
   let n_single = stage1.n_final in
-  let pf1 = Detect.probs oracle stage1.weights in
+  let pf1 = Oracle.probs oracle stage1.weights in
   let detectable = Array.map (fun p -> p > 0.0) pf1 in
   let n_detectable = Array.fold_left (fun a d -> if d then a + 1 else a) 0 detectable in
   let candidates =

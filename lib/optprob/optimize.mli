@@ -64,7 +64,7 @@ val run :
   ?progress:(sweep:int -> n:float -> unit) ->
   ?recorder:Rt_obs.Convergence.t ->
   ?keep:bool array ->
-  Rt_testability.Detect.oracle ->
+  Rt_testability.Oracle.t ->
   report
 (** Optimise the input probabilities for the oracle's circuit and fault
     list.  Deterministic for deterministic oracles; telemetry ([Rt_obs]
@@ -128,7 +128,7 @@ val two_stage :
   ?block_words:int ->
   ?progress:(sweep:int -> n:float -> unit) ->
   ?recorder:Rt_obs.Convergence.t ->
-  Rt_testability.Detect.oracle ->
+  Rt_testability.Oracle.t ->
   two_stage_report
 (** [two_stage oracle] runs the single-stage design, then searches the
     stage split.  [n1] pins the stage-1 budget instead of searching

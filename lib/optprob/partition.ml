@@ -10,7 +10,7 @@ type split = {
 }
 
 let preference_vectors oracle ~hard x =
-  let n_inputs = Array.length (Rt_circuit.Netlist.inputs (Detect.circuit oracle)) in
+  let n_inputs = Array.length (Rt_circuit.Netlist.inputs (Oracle.circuit oracle)) in
   let vectors = Array.map (fun _ -> Array.make n_inputs 0.0) hard in
   (* Only the hard faults' cofactors are read, so query through a subset
      plan and the fused cofactor path instead of 2n full-universe runs;
@@ -77,7 +77,7 @@ let split ?(options = Optimize.default_options) ?(k = 2) ?hard_threshold
     ?(sub_engine = Detect.Bdd_exact { node_limit = 500_000 }) oracle =
   if k < 2 then invalid_arg "Partition.split: k must be >= 2";
   let single = Optimize.run ~options oracle in
-  let pf = Detect.probs oracle single.Optimize.weights in
+  let pf = Oracle.probs oracle single.Optimize.weights in
   let norm = Normalize.run ~confidence:options.Optimize.confidence pf in
   let hard =
     match hard_threshold with
@@ -154,8 +154,8 @@ let split ?(options = Optimize.default_options) ?(k = 2) ?hard_threshold
     (* Per group: optimise for the group's hard faults plus every easy
        fault (easy faults are cheap under any distribution; including them
        keeps each part an honest standalone test). *)
-    let c = Detect.circuit oracle in
-    let all_faults = Detect.faults oracle in
+    let c = Oracle.circuit oracle in
+    let all_faults = Oracle.faults oracle in
     let hard_set = Hashtbl.create 64 in
     Array.iter (fun f -> Hashtbl.replace hard_set f ()) hard;
     let easy_idx =

@@ -22,7 +22,7 @@ type split = {
 }
 
 val preference_vectors :
-  Rt_testability.Detect.oracle -> hard:int array -> float array -> float array array
+  Rt_testability.Oracle.t -> hard:int array -> float array -> float array array
 (** One vector per hard fault, evaluated at the given weights. *)
 
 val antagonism : float array -> float array -> float
@@ -54,7 +54,7 @@ val split :
   ?k:int ->
   ?hard_threshold:float ->
   ?sub_engine:Rt_testability.Detect.engine ->
-  Rt_testability.Detect.oracle ->
+  Rt_testability.Oracle.t ->
   split
 (** [split oracle] with [k] parts (default 2).  Hard faults are those with
     detection probability below [hard_threshold] (default: the NORMALIZE

@@ -8,10 +8,11 @@
    crash, or re-run with only downstream options changed, skips straight
    past the untouched prefix.  Every stage records
    [pipeline.stage.<name>.{run,cache_hit}] counters and a
-   [pipeline.<name>] span so obs-diff can attribute a regression to a
+   [pipeline.<name>] span so `obs diff` can attribute a regression to a
    stage. *)
 
 module Detect = Rt_testability.Detect
+module Oracle = Rt_testability.Oracle
 module Normalize = Rt_optprob.Normalize
 module Optimize = Rt_optprob.Optimize
 
@@ -86,7 +87,7 @@ type t = {
   mutable s_loaded : Rt_circuit.Netlist.t staged option;
   mutable s_opt : opt_netlist staged option;
   mutable s_faults : Rt_fault.Fault.t array staged option;
-  mutable s_oracle : Detect.oracle option;
+  mutable s_oracle : Oracle.t option;
   mutable s_analysis : analysis staged option;
   mutable s_normalized : normalized staged option;
   mutable s_optimized : optimized staged option;
@@ -226,11 +227,11 @@ let analysis t =
     (fun () ->
       let o = oracle t in
       let x = Config.resolve_weights t.config op.value.on_netlist in
-      { pf = Detect.probs o x;
+      { pf = Oracle.probs o x;
         a_weights = x;
-        proven_redundant = Detect.proven_redundant o;
-        exact_mask = Detect.exact_mask o;
-        engine_desc = Detect.describe o })
+        proven_redundant = Oracle.proven_redundant o;
+        exact_mask = Oracle.exact_mask o;
+        engine_desc = Oracle.describe o })
 
 let normalized t =
   let a = analysis t in

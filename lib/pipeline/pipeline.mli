@@ -145,7 +145,7 @@ val remap : t -> Rt_circuit.Passes.Remap.t
 val opt_stats : t -> Rt_circuit.Passes.stats
 val fault_list : t -> Rt_fault.Fault.t array
 
-val oracle : t -> Rt_testability.Detect.oracle
+val oracle : t -> Rt_testability.Oracle.t
 (** The constructed ANALYSIS engine (memoised per context, never
     serialised).  Cache hits on downstream stages avoid constructing it. *)
 

@@ -1,7 +1,7 @@
 module Netlist = Rt_circuit.Netlist
 module Generators = Rt_circuit.Generators
 module Fault = Rt_fault.Fault
-module Detect = Rt_testability.Detect
+module Oracle = Rt_testability.Oracle
 module Optimize = Rt_optprob.Optimize
 module Pipeline = Rt_pipeline
 module Pconfig = Rt_pipeline.Config
@@ -105,8 +105,8 @@ let detectable_mask name =
   | Some m -> m
   | None ->
     let o = oracle name in
-    let red = Detect.proven_redundant o in
-    let exact = Detect.exact_mask o in
+    let red = Oracle.proven_redundant o in
+    let exact = Oracle.exact_mask o in
     let fs = faults name in
     let c = circuit name in
     (* Cheap pre-filter: fault simulation under several distributions
@@ -156,7 +156,7 @@ let optimized name ~full =
     (report, seconds)
 
 let required_at name weights =
-  let pf = Detect.probs (oracle name) weights in
+  let pf = Oracle.probs (oracle name) weights in
   let det = detectable_mask name in
   let pf_det = pf |> Array.to_list |> List.filteri (fun i _ -> det.(i)) |> Array.of_list in
   (Rt_optprob.Normalize.run ~confidence pf_det).Rt_optprob.Normalize.n
@@ -396,15 +396,15 @@ let x3_convexity_scan () =
   let name = "s1" in
   let o = oracle name in
   let x = uniform name in
-  let norm = Rt_optprob.Normalize.run ~confidence (Detect.probs o x) in
+  let norm = Rt_optprob.Normalize.run ~confidence (Oracle.probs o x) in
   let n = norm.Rt_optprob.Normalize.n in
   let hard = Rt_optprob.Normalize.hard_indices norm in
   let gather pf = Array.map (fun i -> pf.(i)) hard in
   let x' = Array.copy x in
   x'.(0) <- 0.0;
-  let p0 = gather (Detect.probs o x') in
+  let p0 = gather (Oracle.probs o x') in
   x'.(0) <- 1.0;
-  let p1 = gather (Detect.probs o x') in
+  let p1 = gather (Oracle.probs o x') in
   let ys = List.init 11 (fun i -> 0.05 +. (0.09 *. Float.of_int i)) in
   let js = List.map (fun y -> Rt_optprob.Objective.value_along ~n ~p0 ~p1 y) ys in
   (* Convexity check: second differences non-negative. *)
@@ -443,7 +443,7 @@ let x4_engine_ablation ?(full = false) () =
         let seconds = Rt_util.Stats.timer_elapsed t0 in
         (* Score the weights with the exact engine regardless of which
            engine produced them. *)
-        let pf = Detect.probs exact_oracle r.Optimize.weights in
+        let pf = Oracle.probs exact_oracle r.Optimize.weights in
         let n_true = (Rt_optprob.Normalize.run ~confidence pf).Rt_optprob.Normalize.n in
         [ label; fmt_n n_true; Printf.sprintf "%.1fs" seconds ])
       [ ("cop (PROTEST-style estimate)", "cop");
@@ -467,7 +467,7 @@ let x5_quantization_ablation ?(full = false) () =
   set_full full;
   let exact_oracle = oracle "s1" in
   let score w =
-    let pf = Detect.probs exact_oracle w in
+    let pf = Oracle.probs exact_oracle w in
     (Rt_optprob.Normalize.run ~confidence pf).Rt_optprob.Normalize.n
   in
   let t =

@@ -1,7 +1,6 @@
-(* Engine constructors for the oracle protocol, plus the original
-   [Detect.*] entry points as thin forwards to [Oracle].  The query
-   mechanics — subset plans, keyed plan cache, counters, spans, the
-   generic cofactor fallback — all live in [Oracle]; the COP sweep core
+(* Engine constructors for the oracle protocol.  The query mechanics —
+   subset plans, keyed plan cache, counters, spans, the generic cofactor
+   fallback — all live in [Oracle]; the COP sweep core
    and the incremental damage-cone evaluator live in [Cop_eval].  What
    remains here is one constructor per ANALYSIS engine, each registering
    its fused [cofactor_pair] when it has one:
@@ -32,8 +31,6 @@ type engine =
   | Bdd_exact of { node_limit : int }
   | Stafan of { n_patterns : int; seed : int }
   | Monte_carlo of { n_patterns : int; seed : int }
-
-type oracle = Oracle.t
 
 let injection f =
   match f.Fault.site with
@@ -91,15 +88,16 @@ let conditioned_expand ~jobs ~positions ~nf x eval_assignment =
   else begin
     (* Each assignment is a full COP sweep — heavy enough that any split
        pays off, so only the hardware clamp applies. *)
-    let partials =
-      Parallel.map_region ~label:"conditioned.expand" ~jobs ~n:n_assign (fun ~lo ~hi ->
-          accumulate ~lo ~hi)
-    in
-    match partials with
-    | [] -> Array.make nf 0.0
-    | first :: rest ->
-      List.iter (fun p -> Array.iteri (fun i v -> first.(i) <- first.(i) +. v) p) rest;
-      first
+    let parts = Array.make jobs [||] in
+    Parallel.region ~label:"conditioned.expand" ~jobs ~n:n_assign (fun ~chunk ~lo ~hi ->
+        parts.(chunk) <- accumulate ~lo ~hi);
+    (* The region runs at most [n_assign] chunks, so chunk 0 always holds
+       a partial; chunks it did not use stay empty and add nothing. *)
+    let acc = parts.(0) in
+    for chunk = 1 to jobs - 1 do
+      Array.iteri (fun i v -> acc.(i) <- acc.(i) +. v) parts.(chunk)
+    done;
+    acc
   end
 
 let conditioned_probs ?(jobs = 1) ~max_vars c faults x =
@@ -534,11 +532,3 @@ let make ?jobs engine c faults =
   | Bdd_exact { node_limit } -> make_bdd ~node_limit c faults
   | Stafan { n_patterns; seed } -> make_stafan ~n_patterns ~seed c faults
   | Monte_carlo { n_patterns; seed } -> make_mc ~jobs ~n_patterns ~seed c faults
-
-let probs = Oracle.probs
-let probs_subset = Oracle.probs_subset
-let faults = Oracle.faults
-let circuit = Oracle.circuit
-let describe = Oracle.describe
-let exact_mask = Oracle.exact_mask
-let proven_redundant = Oracle.proven_redundant

@@ -1,14 +1,12 @@
 (* Chunked Domain-based parallelism.
 
-   [run_chunks]/[map_chunks] spawn [jobs - 1] fresh domains per call and
-   join them before returning (tests rely on real domains being spawned);
-   [region]/[map_region]/[sweep] are the policy'd entry points the
-   library's kernels use — they clamp to the machine's core count, fall
-   back to sequential execution below a work-size threshold, and execute
-   on the persistent [Pool] so the per-call [Domain.spawn]/[join] cost is
-   paid once per process instead of once per region (per ppsfp *batch* on
-   the hot path).  [jobs = 1] stays on the exact serial code path, and
-   every chunk is timed as an [Rt_obs] span on its executing domain. *)
+   [region] and [sweep] are the only entry points: they clamp to the
+   machine's core count, fall back to sequential execution below a
+   work-size threshold, and execute on the persistent [Pool] so domains
+   are spawned once per process instead of once per region (per ppsfp
+   *batch* on the hot path).  [jobs = 1] stays on the exact serial code
+   path, and every chunk is timed as an [Rt_obs] span on its executing
+   domain. *)
 
 let max_jobs = 64
 
@@ -46,7 +44,6 @@ let chunk_bounds ~jobs ~n k =
   (lo, hi)
 
 let c_chunks = Rt_obs.counter "parallel.chunks"
-let c_spawns = Rt_obs.counter "parallel.spawns"
 let c_seq_fallbacks = Rt_obs.counter "parallel.seq_fallbacks"
 
 (* Cap the job count so no chunk falls below [min_per_chunk] items. *)
@@ -69,42 +66,9 @@ let timed_chunk ~label f =
     | Some h -> Rt_obs.span_end_h ~cat:"parallel" (label ^ ".chunk") h t0
     | None -> Rt_obs.span_end ~cat:"parallel" (label ^ ".chunk") t0
 
-let run_chunks ?(min_per_chunk = 1) ?(label = "parallel") ~jobs ~n f =
-  if n < 0 then invalid_arg "Parallel.run_chunks: negative n";
-  let jobs = clamp_chunk_jobs ~min_per_chunk ~jobs ~n in
-  let timed = timed_chunk ~label f in
-  if jobs = 1 || n = 0 then (if n > 0 then timed ~chunk:0 ~lo:0 ~hi:n)
-  else begin
-    Rt_obs.add c_spawns (jobs - 1);
-    let spawned =
-      Array.init (jobs - 1) (fun i ->
-          let k = i + 1 in
-          let lo, hi = chunk_bounds ~jobs ~n k in
-          Domain.spawn (fun () -> if hi > lo then timed ~chunk:k ~lo ~hi))
-    in
-    let _, hi0 = chunk_bounds ~jobs ~n 0 in
-    let caller_exn = (try (if hi0 > 0 then timed ~chunk:0 ~lo:0 ~hi:hi0); None with e -> Some e) in
-    (* Join everything before re-raising so no domain outlives the call. *)
-    let worker_exn = ref None in
-    Array.iter
-      (fun d ->
-        match Domain.join d with
-        | () -> ()
-        | exception e -> if !worker_exn = None then worker_exn := Some e)
-      spawned;
-    match (caller_exn, !worker_exn) with
-    | Some e, _ | None, Some e -> raise e
-    | None, None -> ()
-  end
-
-let map_chunks ?min_per_chunk ?label ~jobs ~n f =
-  let out = Array.make (max 1 jobs) None in
-  run_chunks ?min_per_chunk ?label ~jobs ~n (fun ~chunk ~lo ~hi -> out.(chunk) <- Some (f ~lo ~hi));
-  Array.to_list out |> List.filter_map Fun.id
-
 (* Effective job count for a policy'd region: never more domains than the
    hardware offers, and strictly sequential below the work-size threshold —
-   per-call [Domain.spawn] costs far more than a small chunk's work (the
+   dispatching a region costs far more than a small chunk's work (the
    measured ppsfp-on-one-core case was 4x slower at jobs=4 than serial). *)
 let region_jobs ~seq_below ~jobs ~n =
   let requested = max 1 jobs in
@@ -113,38 +77,25 @@ let region_jobs ~seq_below ~jobs ~n =
   if requested > 1 && eff = 1 then Rt_obs.incr c_seq_fallbacks;
   eff
 
-(* Run [jobs] chunks on the persistent pool.  One pool item per chunk,
+(* [jobs] chunks on the persistent pool.  One pool item per chunk,
    grain 1: participant [k]'s queue holds exactly chunk [k], so chunk 0
    normally lands on the caller and slow starters get their chunk stolen
    instead of stalling the region.  Each chunk still runs exactly once
    with its own [~chunk] index, so per-chunk workspaces and chunk-ordered
-   merges behave exactly as under the old spawn-per-region scheme. *)
-let pool_chunks ~label ~jobs ~n f =
-  let timed = timed_chunk ~label f in
-  if jobs = 1 || n = 0 then (if n > 0 then timed ~chunk:0 ~lo:0 ~hi:n)
-  else
-    Pool.run ~label (Pool.default ()) ~grain:1 ~participants:jobs ~n:jobs
-      (fun _worker klo khi ->
-        for k = klo to khi - 1 do
-          let lo, hi = chunk_bounds ~jobs ~n k in
-          if hi > lo then timed ~chunk:k ~lo ~hi
-        done)
-
-let region_chunk_jobs ?(min_per_chunk = 1) ~seq_below ~jobs ~n () =
+   merges do not depend on which domain ran which chunk. *)
+let region ?(min_per_chunk = 1) ?(label = "parallel") ?(seq_below = 0) ~jobs ~n f =
   if n < 0 then invalid_arg "Parallel.region: negative n";
-  let jobs = region_jobs ~seq_below ~jobs ~n in
-  clamp_chunk_jobs ~min_per_chunk ~jobs ~n
-
-let region ?min_per_chunk ?(label = "parallel") ?(seq_below = 0) ~jobs ~n f =
-  let jobs = region_chunk_jobs ?min_per_chunk ~seq_below ~jobs ~n () in
-  Rt_obs.with_span ~cat:"parallel" label (fun () -> pool_chunks ~label ~jobs ~n f)
-
-let map_region ?min_per_chunk ?(label = "parallel") ?(seq_below = 0) ~jobs ~n f =
-  let jobs = region_chunk_jobs ?min_per_chunk ~seq_below ~jobs ~n () in
-  let out = Array.make jobs None in
+  let jobs = clamp_chunk_jobs ~min_per_chunk ~jobs:(region_jobs ~seq_below ~jobs ~n) ~n in
   Rt_obs.with_span ~cat:"parallel" label (fun () ->
-      pool_chunks ~label ~jobs ~n (fun ~chunk ~lo ~hi -> out.(chunk) <- Some (f ~lo ~hi)));
-  Array.to_list out |> List.filter_map Fun.id
+      let timed = timed_chunk ~label f in
+      if jobs = 1 || n = 0 then (if n > 0 then timed ~chunk:0 ~lo:0 ~hi:n)
+      else
+        Pool.run ~label (Pool.default ()) ~grain:1 ~participants:jobs ~n:jobs
+          (fun _worker klo khi ->
+            for k = klo to khi - 1 do
+              let lo, hi = chunk_bounds ~jobs ~n k in
+              if hi > lo then timed ~chunk:k ~lo ~hi
+            done))
 
 let sweep ?grain ?(label = "parallel.sweep") ?(seq_below = 0) ~jobs ~n f =
   if n < 0 then invalid_arg "Parallel.sweep: negative n";

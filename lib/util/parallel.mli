@@ -1,10 +1,9 @@
 (** Chunked multicore helpers on top of [Domain] (OCaml 5, no extra deps).
 
-    Work over an index range is split into [jobs] contiguous chunks.
-    {!run_chunks}/{!map_chunks} spawn fresh domains per call and join them
-    before returning; {!region}/{!map_region}/{!sweep} instead execute on
-    the persistent work-stealing {!Pool}, so domains are spawned once per
-    process and parked between regions.  With [jobs = 1] the callback runs
+    Work over an index range is split into [jobs] contiguous chunks
+    ({!region}) or claimed item by item ({!sweep}), on the persistent
+    work-stealing {!Pool}, so domains are spawned once per process and
+    parked between regions.  With [jobs = 1] the callback runs
     inline on the caller — bit-identical to a serial loop — so every
     [?jobs] parameter in the library defaults to the serial behaviour. *)
 
@@ -26,54 +25,31 @@ val chunk_bounds : jobs:int -> n:int -> int -> int * int
 (** [chunk_bounds ~jobs ~n k] is the half-open range [(lo, hi)] of chunk
     [k]: contiguous, ascending, sizes differing by at most one. *)
 
-val run_chunks :
-  ?min_per_chunk:int ->
-  ?label:string ->
-  jobs:int -> n:int -> (chunk:int -> lo:int -> hi:int -> unit) -> unit
-(** Run [f] over [0, n) split into chunks.  [min_per_chunk] (default 1)
-    caps the effective job count so tiny ranges stay serial.  Exceptions
-    from any chunk are re-raised after all domains have been joined.  Each
-    chunk is timed as an [Rt_obs] span named ["<label>.chunk"] on its
-    executing domain (default label ["parallel"]).  The requested job count
-    is honoured exactly (modulo [min_per_chunk]) — use {!region} for the
-    core-count-aware policy. *)
-
-val map_chunks :
-  ?min_per_chunk:int ->
-  ?label:string -> jobs:int -> n:int -> (lo:int -> hi:int -> 'a) -> 'a list
-(** As {!run_chunks} but each chunk returns a value; results are listed in
-    chunk order (deterministic merge order regardless of scheduling). *)
-
 val region :
   ?min_per_chunk:int ->
   ?label:string ->
   ?seq_below:int ->
   jobs:int -> n:int -> (chunk:int -> lo:int -> hi:int -> unit) -> unit
-(** The policy'd parallel entry point used by the library's kernels: as
-    {!run_chunks}, but executed on the persistent {!Pool} (domains are
-    spawned at most once per process, not per region), with the effective
-    job count additionally clamped to {!hardware_jobs} (spawning more
-    domains than cores only adds overhead; set
-    [OPTPROB_JOBS_OVERCOMMIT=1] to lift the clamp and oversubscribe,
-    e.g. to exercise the scheduler telemetry on a single-core host),
-    and when [n < seq_below]
-    (default 0) the work runs sequentially on the caller — per-region
-    dispatch costs dwarf small workloads.  Each chunk is still called
-    exactly once with its own [~chunk] index (work stealing moves chunks
-    between domains, never splits or repeats them).  The whole region is
-    wrapped in an [Rt_obs] span named [label]; falls back to sequential
-    while [jobs > 1] increment the ["parallel.seq_fallbacks"] counter.
-    Regions nested inside a pool worker run inline and sequentially.
-    Results never depend on the effective job count. *)
-
-val map_region :
-  ?min_per_chunk:int ->
-  ?label:string ->
-  ?seq_below:int -> jobs:int -> n:int -> (lo:int -> hi:int -> 'a) -> 'a list
-(** As {!region} but collecting chunk results in chunk order.  Note the
-    chunking itself (hence the partial results) can differ from
-    {!map_chunks} with the same [jobs] — callers must merge in a way that is
-    chunking-independent (e.g. sum partial accumulators). *)
+(** Run [f] over [0, n) split into contiguous chunks, on the persistent
+    {!Pool} (domains are spawned at most once per process, not per
+    region).  [min_per_chunk] (default 1) caps the job count so no chunk
+    falls below that many items.  The effective job count is also clamped
+    to {!hardware_jobs} (spawning more domains than cores only adds
+    overhead; set [OPTPROB_JOBS_OVERCOMMIT=1] to lift the clamp and
+    oversubscribe, e.g. to exercise real pool domains on a single-core
+    host), and when [n < seq_below] (default 0) the work runs sequentially
+    on the caller — per-region dispatch costs dwarf small workloads.
+    Each chunk is called exactly once with its own [~chunk] index (work
+    stealing moves chunks between domains, never splits or repeats them),
+    so a caller that writes chunk-indexed partials and merges them in
+    chunk order gets a deterministic result for a given job count.  The
+    first exception raised by a chunk is re-raised on the caller once the
+    region has stopped.  Each chunk is timed as an [Rt_obs] span named
+    ["<label>.chunk"] on its executing domain (default label
+    ["parallel"]), and the whole region as a span named [label]; falls
+    back to sequential while [jobs > 1] increment the
+    ["parallel.seq_fallbacks"] counter.  Regions nested inside a pool
+    worker run inline and sequentially. *)
 
 val sweep :
   ?grain:int ->

@@ -77,7 +77,7 @@ let test_podem_sound_c432 () = podem_soundness_on "c432ish" Generators.c432ish
 let test_podem_sound_c1908 () = podem_soundness_on "c1908ish" Generators.c1908ish
 
 let podem_vs_bdd_qcheck =
-  QCheck.Test.make ~name:"podem verdicts agree with exact BDD analysis" ~count:8
+  QCheck.Test.make ~name:"podem verdicts agree with exact BDD" ~count:8
     QCheck.(int_range 0 10_000)
     (fun seed ->
       let c = Generators.random_circuit ~inputs:9 ~gates:50 ~seed in
@@ -148,80 +148,6 @@ let test_podem_aborts_on_limit () =
   in
   check Alcotest.bool "aborts happen at limit 0" true aborted
 
-(* --- D-algorithm ---------------------------------------------------------------------- *)
-
-let dalg_soundness_on name gen =
-  let c = gen () in
-  let faults = Rt_fault.Collapse.collapsed_universe c in
-  Array.iter
-    (fun f ->
-      match Rt_atpg.Dalg.generate ~backtrack_limit:3_000 c f with
-      | Rt_atpg.Dalg.Test p, _ ->
-        if not (Rt_sim.Fault_sim.detects c f p) then
-          Alcotest.failf "%s: dalg test does not detect %s" name (Rt_fault.Fault.to_string c f)
-      | Rt_atpg.Dalg.Redundant, _ | Rt_atpg.Dalg.Aborted, _ -> ())
-    faults
-
-let test_dalg_sound_c432 () = dalg_soundness_on "c432ish" Generators.c432ish
-let test_dalg_sound_c1908 () = dalg_soundness_on "c1908ish" Generators.c1908ish
-
-let dalg_vs_bdd_qcheck =
-  QCheck.Test.make ~name:"d-algorithm verdicts agree with exact BDD analysis" ~count:6
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      let c = Generators.random_circuit ~inputs:8 ~gates:35 ~seed in
-      let faults = Rt_fault.Collapse.collapsed_universe c in
-      let ok = ref true in
-      Array.iter
-        (fun f ->
-          match Rt_atpg.Dalg.generate ~backtrack_limit:100_000 c f with
-          | Rt_atpg.Dalg.Aborted, _ -> ()
-          | verdict, _ ->
-            let inj = Rt_testability.Detect.injection f in
-            (match Rt_bdd.Bdd_circuit.detection_function c inj with
-             | None -> ()
-             | Some (_, det, _) ->
-               let bdd_red = Rt_bdd.Bdd.is_zero det in
-               (match verdict with
-                | Rt_atpg.Dalg.Redundant -> if not bdd_red then ok := false
-                | Rt_atpg.Dalg.Test _ -> if bdd_red then ok := false
-                | Rt_atpg.Dalg.Aborted -> ())))
-        faults;
-      !ok)
-
-let dalg_vs_podem_qcheck =
-  (* The two complete algorithms must agree wherever neither aborts. *)
-  QCheck.Test.make ~name:"d-algorithm agrees with podem" ~count:8
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      let c = Generators.random_circuit ~inputs:7 ~gates:30 ~seed in
-      let faults = Rt_fault.Collapse.collapsed_universe c in
-      let ok = ref true in
-      Array.iter
-        (fun f ->
-          match
-            ( Rt_atpg.Dalg.generate ~backtrack_limit:50_000 c f,
-              Podem.generate ~backtrack_limit:50_000 c f )
-          with
-          | (Rt_atpg.Dalg.Redundant, _), (Podem.Test _, _) -> ok := false
-          | (Rt_atpg.Dalg.Test _, _), (Podem.Redundant, _) -> ok := false
-          | _ -> ())
-        faults;
-      !ok)
-
-let test_dalg_redundant_example () =
-  let b = Rt_circuit.Builder.create ~fold:false ~prune:false () in
-  let x = Rt_circuit.Builder.input b "x" in
-  let nx = Rt_circuit.Builder.not_ b x in
-  let zero = Rt_circuit.Builder.and2 b x nx in
-  Rt_circuit.Builder.output b ~name:"y" (Rt_circuit.Builder.or2 b zero x);
-  let c = Rt_circuit.Builder.finalize b in
-  let node = Option.get (Netlist.find c (Netlist.name c zero)) in
-  let verdict, _ =
-    Rt_atpg.Dalg.generate c { Rt_fault.Fault.site = Rt_fault.Fault.Stem node; stuck = false }
-  in
-  check Alcotest.bool "s-a-0 on constant proven redundant" true (verdict = Rt_atpg.Dalg.Redundant)
-
 (* --- TPG flow ------------------------------------------------------------------------ *)
 
 let test_tpg_covers_s1 () =
@@ -288,12 +214,6 @@ let () =
           Alcotest.test_case "redundancy example" `Quick test_podem_redundant_example;
           Alcotest.test_case "test cube" `Quick test_podem_cube;
           Alcotest.test_case "abort at limit" `Quick test_podem_aborts_on_limit ] );
-      ( "d-algorithm",
-        [ Alcotest.test_case "sound on c432ish" `Quick test_dalg_sound_c432;
-          Alcotest.test_case "sound on c1908ish" `Quick test_dalg_sound_c1908;
-          q dalg_vs_bdd_qcheck;
-          q dalg_vs_podem_qcheck;
-          Alcotest.test_case "redundancy example" `Quick test_dalg_redundant_example ] );
       ( "tpg",
         [ Alcotest.test_case "covers s1" `Quick test_tpg_covers_s1;
           Alcotest.test_case "compaction lossless" `Quick test_tpg_compaction_no_loss;

@@ -1,7 +1,7 @@
 (* Tests for Rt_obs_registry: ingest/load parse-back, index durability
    (concurrent writers, corrupt records, lost index), gc retention
    invariants (qcheck), the step-change detector and sparkline, record
-   materialization through the obs-diff engine, and the /runs + /trend
+   materialization through the Rt_obs.Diff engine, and the /runs + /trend
    HTTP endpoints (prom-linted live). *)
 
 module Obs = Rt_obs

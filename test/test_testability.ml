@@ -160,7 +160,7 @@ let test_cop_exact_on_single_and () =
   let c = Builder.finalize b in
   let f = [| { Rt_fault.Fault.site = Rt_fault.Fault.Stem g; stuck = false } |] in
   let o = Detect.make Detect.Cop c f in
-  let pf = Detect.probs o [| 0.4; 0.7 |] in
+  let pf = Oracle.probs o [| 0.4; 0.7 |] in
   check (Alcotest.float 1e-9) "cop exact here" (0.4 *. 0.7) pf.(0)
 
 let oracle_agreement_qcheck =
@@ -174,9 +174,9 @@ let oracle_agreement_qcheck =
       let bdd = Detect.make (Detect.Bdd_exact { node_limit = 500_000 }) c faults in
       let mc = Detect.make (Detect.Monte_carlo { n_patterns = 8_000; seed = 5 }) c faults in
       let x = Array.make 7 0.5 in
-      let pb = Detect.probs bdd x in
-      let pm = Detect.probs mc x in
-      let exact = Detect.exact_mask bdd in
+      let pb = Oracle.probs bdd x in
+      let pm = Oracle.probs mc x in
+      let exact = Oracle.exact_mask bdd in
       let ok = ref true in
       Array.iteri
         (fun i p ->
@@ -193,8 +193,8 @@ let test_stafan_close_to_exact_on_tree () =
   let stafan = Detect.make (Detect.Stafan { n_patterns = 20_000; seed = 3 }) c faults in
   let bdd = Detect.make (Detect.Bdd_exact { node_limit = 100_000 }) c faults in
   let x = Array.make 6 0.5 in
-  let ps = Detect.probs stafan x in
-  let pb = Detect.probs bdd x in
+  let ps = Oracle.probs stafan x in
+  let pb = Oracle.probs bdd x in
   Array.iteri
     (fun i p ->
       (* trees have no reconvergence: STAFAN's independence assumptions are
@@ -234,10 +234,10 @@ let subset_matches_gather_qcheck =
         List.for_all
           (fun e ->
             let o = Detect.make e c faults in
-            let full = Detect.probs o x in
-            let sub = Detect.probs_subset o subset x in
+            let full = Oracle.probs o x in
+            let sub = Oracle.probs_subset o subset x in
             (* Query twice: the second call exercises the cached cone plan. *)
-            let sub2 = Detect.probs_subset o subset x in
+            let sub2 = Oracle.probs_subset o subset x in
             let ok = ref (Array.length sub = Array.length subset) in
             Array.iteri
               (fun j fi ->
@@ -261,8 +261,8 @@ let jobs_oracle_agreement_qcheck =
       else begin
         let x = Array.make 7 0.4 in
         let agree ?(tol = 0.0) e =
-          let p1 = Detect.probs (Detect.make ~jobs:1 e c faults) x in
-          let p3 = Detect.probs (Detect.make ~jobs:3 e c faults) x in
+          let p1 = Oracle.probs (Detect.make ~jobs:1 e c faults) x in
+          let p3 = Oracle.probs (Detect.make ~jobs:3 e c faults) x in
           let ok = ref true in
           Array.iteri (fun i p -> if Float.abs (p -. p3.(i)) > tol then ok := false) p1;
           !ok
@@ -305,7 +305,7 @@ let cofactor_matches_two_subsets_qcheck =
           let reference i v =
             let x' = Array.copy x in
             x'.(i) <- v;
-            Detect.probs_subset o subset x'
+            Oracle.probs_subset o subset x'
           in
           let agree_at i =
             let x_before = Array.copy x in
@@ -340,7 +340,7 @@ let cofactor_affinity_qcheck =
       if nf = 0 then QCheck.assume_fail ()
       else begin
         let o = Detect.make (Detect.Bdd_exact { node_limit = 500_000 }) c faults in
-        let exact = Detect.exact_mask o in
+        let exact = Oracle.exact_mask o in
         let subset = Array.init nf Fun.id in
         let x = Array.init 7 (fun i -> 0.2 +. (0.05 *. Float.of_int i)) in
         let plan = Oracle.plan o subset in
@@ -349,7 +349,7 @@ let cofactor_affinity_qcheck =
           (fun y ->
             let x' = Array.copy x in
             x'.(input) <- y;
-            let pf = Detect.probs_subset o subset x' in
+            let pf = Oracle.probs_subset o subset x' in
             let ok = ref true in
             Array.iteri
               (fun f p ->
@@ -376,12 +376,12 @@ let test_plan_cache_keyed () =
   check Alcotest.bool "s1 plan cached across alternation" true (Oracle.plan o s1 == p1);
   check Alcotest.bool "s2 plan cached across alternation" true (Oracle.plan o s2 == p2);
   let x = Array.make (Array.length (Netlist.inputs c)) 0.4 in
-  let r1 = Detect.probs_subset o s1 x in
-  let r2 = Detect.probs_subset o s2 x in
+  let r1 = Oracle.probs_subset o s1 x in
+  let r2 = Oracle.probs_subset o s2 x in
   check Alcotest.bool "alternating results stable" true
-    (Detect.probs_subset o s1 x = r1
-    && Detect.probs_subset o s2 x = r2
-    && Detect.probs_subset o s1 x = r1)
+    (Oracle.probs_subset o s1 x = r1
+    && Oracle.probs_subset o s2 x = r2
+    && Oracle.probs_subset o s1 x = r1)
 
 let test_proven_redundant () =
   let b = Builder.create ~fold:false ~prune:false () in
@@ -392,11 +392,11 @@ let test_proven_redundant () =
   let c = Builder.finalize b in
   let faults = Rt_fault.Fault.universe c in
   let o = Detect.make (Detect.Bdd_exact { node_limit = 100_000 }) c faults in
-  let red = Detect.proven_redundant o in
+  let red = Oracle.proven_redundant o in
   let n_red = Array.fold_left (fun a b -> if b then a + 1 else a) 0 red in
   check Alcotest.bool "found redundancies" true (n_red > 0);
   (* A redundant fault's reported probability is 0 at any X. *)
-  let pf = Detect.probs o [| 0.3 |] in
+  let pf = Oracle.probs o [| 0.3 |] in
   Array.iteri (fun i r -> if r && pf.(i) <> 0.0 then Alcotest.fail "redundant with p > 0") red
 
 (* --- Test_length ------------------------------------------------------------------ *)

@@ -269,19 +269,23 @@ let test_parallel_chunk_bounds () =
       check Alcotest.int "tiles the range" n !prev)
     [ (1, 10); (3, 10); (4, 3); (7, 100); (5, 0) ]
 
+(* Parallel.region clamps to the hardware core count; lifting the clamp
+   makes these tests run real pool domains even on a single-core host. *)
+let () = Unix.putenv "OPTPROB_JOBS_OVERCOMMIT" "1"
+
 let test_parallel_covers_once () =
   let n = 1000 in
   let hits = Array.make n 0 in
-  Parallel.run_chunks ~jobs:4 ~n (fun ~chunk:_ ~lo ~hi ->
+  Parallel.region ~jobs:4 ~n (fun ~chunk:_ ~lo ~hi ->
       for i = lo to hi - 1 do
         hits.(i) <- hits.(i) + 1
       done);
   Array.iteri (fun i h -> if h <> 1 then Alcotest.failf "index %d visited %d times" i h) hits
 
 let test_parallel_worker_exception () =
-  (* An exception in a spawned chunk must surface on the caller. *)
+  (* An exception in a pool-run chunk must surface on the caller. *)
   match
-    Parallel.run_chunks ~jobs:4 ~n:64 (fun ~chunk ~lo:_ ~hi:_ ->
+    Parallel.region ~jobs:4 ~n:64 (fun ~chunk ~lo:_ ~hi:_ ->
         if chunk = 3 then failwith "boom")
   with
   | () -> Alcotest.fail "expected the worker's exception"
@@ -423,19 +427,18 @@ let test_parallel_sweep_covers_once () =
     (fun i h -> if Atomic.get h <> 1 then Alcotest.failf "index %d visited %d times" i (Atomic.get h))
     hits
 
-let parallel_map_chunks_qcheck =
-  QCheck.Test.make ~name:"map_chunks sums match serial" ~count:50
+let parallel_region_qcheck =
+  QCheck.Test.make ~name:"region sums match serial" ~count:50
     QCheck.(pair (int_range 0 500) (int_range 1 8))
     (fun (n, jobs) ->
-      let partials =
-        Parallel.map_chunks ~jobs ~n (fun ~lo ~hi ->
-            let s = ref 0 in
-            for i = lo to hi - 1 do
-              s := !s + i
-            done;
-            !s)
-      in
-      List.fold_left ( + ) 0 partials = n * (n - 1) / 2)
+      let partials = Array.make jobs 0 in
+      Parallel.region ~jobs ~n (fun ~chunk ~lo ~hi ->
+          let s = ref 0 in
+          for i = lo to hi - 1 do
+            s := !s + i
+          done;
+          partials.(chunk) <- !s);
+      Array.fold_left ( + ) 0 partials = n * (n - 1) / 2)
 
 let () =
   let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests) in
@@ -473,7 +476,7 @@ let () =
           Alcotest.test_case "worker exception propagates" `Quick test_parallel_worker_exception;
           Alcotest.test_case "resolve_jobs policy" `Quick test_parallel_resolve;
           Alcotest.test_case "sweep covers every index once" `Quick test_parallel_sweep_covers_once;
-          QCheck_alcotest.to_alcotest ~long:false parallel_map_chunks_qcheck ] );
+          QCheck_alcotest.to_alcotest ~long:false parallel_region_qcheck ] );
       ( "pool",
         [ Alcotest.test_case "covers every index once" `Quick test_pool_covers_once;
           Alcotest.test_case "reuses and grows domains" `Quick test_pool_reuse_and_growth;
