@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is the pre-commit gate.
 
-.PHONY: all check test bench bench-json bench-smoke obs-demo obs-live-demo obs-history-demo objective-demo clean
+.PHONY: all check test bench bench-json bench-smoke obs-demo obs-live-demo obs-history-demo clean
 
 all:
 	dune build
@@ -102,41 +102,6 @@ obs-history-demo:
 	  --obs-registry _obs/history-demo/registry \
 	  --max-span-ratio 10 --max-quantile-ratio 10 --max-counter-ratio 10
 	@echo "obs-history-demo: 3 ingested runs, 3-point trend, baseline diff ok"
-
-# Objective cache-separation gate: the same circuit and work dir under
-# --objective single, then ndetect:2.  The n-detect run must reuse the
-# circuit/fault/analysis stages but re-run everything the objective keys
-# (normalized onward); a repeat ndetect:2 run is then a full cache hit —
-# distinct objectives occupy distinct store keys with no cross-hits in
-# either direction.
-objective-demo:
-	rm -rf _obs/objective-demo
-	dune exec bin/main.exe -- run s1 --engine cond:8 --sweeps 2 -q \
-	  --objective single --work-dir _obs/objective-demo/work \
-	  --obs-dir _obs/objective-demo/single
-	dune exec bin/main.exe -- run s1 --engine cond:8 --sweeps 2 -q \
-	  --objective ndetect:2 --work-dir _obs/objective-demo/work \
-	  --obs-dir _obs/objective-demo/nd
-	@for s in loaded opt_netlist faults analysis; do \
-	  grep -q "\"pipeline.stage.$$s.cache_hit\": 1" _obs/objective-demo/nd/metrics.json || \
-	    { echo "objective-demo FAIL: stage $$s not shared across objectives"; exit 1; }; \
-	done
-	@for s in normalized optimized validated report; do \
-	  grep -q "\"pipeline.stage.$$s.run\": 1" _obs/objective-demo/nd/metrics.json || \
-	    { echo "objective-demo FAIL: stage $$s cross-hit between objectives"; exit 1; }; \
-	done
-	dune exec bin/main.exe -- run s1 --engine cond:8 --sweeps 2 -q \
-	  --objective ndetect:2 --work-dir _obs/objective-demo/work \
-	  --obs-dir _obs/objective-demo/nd2
-	@for s in loaded opt_netlist faults analysis normalized optimized validated report; do \
-	  grep -q "\"pipeline.stage.$$s.cache_hit\": 1" _obs/objective-demo/nd2/metrics.json || \
-	    { echo "objective-demo FAIL: repeat n-detect run not fully cached"; exit 1; }; \
-	done
-	@grep -q '"objective": "ndetect:2"' _obs/objective-demo/nd/manifest.json || \
-	  { echo "objective-demo FAIL: manifest missing the objective"; exit 1; }
-	@grep -q '"objective.ndetect_2.runs"' _obs/objective-demo/nd/metrics.json || \
-	  { echo "objective-demo FAIL: per-objective run counter missing"; exit 1; }
-	@echo "objective-demo: objectives share upstream stages, separate downstream keys"
 
 clean:
 	dune clean

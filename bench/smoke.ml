@@ -100,6 +100,15 @@ let paired_ratio ~off ~on =
            let b = time on in
            b /. time off))
 
+(* Parse an artifact directory this smoke just wrote; an unreadable one is
+   a harness failure. *)
+let read_run dir =
+  match Rt_obs.Artifact.read dir with
+  | Ok r -> r
+  | Error e ->
+    Printf.eprintf "bench-smoke FAIL: %s\n" e;
+    exit 1
+
 let () =
   let out_root = if Array.length Sys.argv > 1 then Sys.argv.(1) else "_obs/smoke" in
   let t_run = Rt_util.Stats.timer_start () in
@@ -185,7 +194,7 @@ let () =
   let dir_base = write "baseline" s_base in
   let dir_fused = write "fused" s_fused in
   Rt_obs.set_enabled false;
-  let diff = Rt_obs.Diff.compare_dirs dir_base dir_fused in
+  let diff = Rt_obs.Diff.compare (read_run dir_base) (read_run dir_fused) in
   let regressions = Rt_obs.Diff.regressions diff in
   let ratio = t_fused /. t_base in
   Printf.printf "bench-smoke (s1, cop, %d hard faults, %d inputs):\n" (Array.length hard) n_inputs;
@@ -271,7 +280,9 @@ let () =
      W=8.  If a change erodes the width win below that bar, no histogram
      finding is emitted and the gate fails. *)
   let ppsfp_thresholds = { Rt_obs.Diff.default with quantile_ratio = 1.25 } in
-  let ppsfp_diff = Rt_obs.Diff.compare_dirs ~thresholds:ppsfp_thresholds dir_wide dir_narrow in
+  let ppsfp_diff =
+    Rt_obs.Diff.compare ~thresholds:ppsfp_thresholds (read_run dir_wide) (read_run dir_narrow)
+  in
   let ppsfp_regressions =
     List.filter
       (fun f -> f.Rt_obs.Diff.kind = "histogram")
@@ -325,21 +336,13 @@ let () =
     (Filename.concat dir_samp "timeline.json")
     ~period_ms:25 ~dropped:tl_dropped tl_samples;
   Rt_obs.set_enabled false;
-  let p50_of dir =
-    let path = Filename.concat dir "metrics.json" in
-    let ic = open_in_bin path in
-    let doc = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    let j = Rt_obs.Json.parse doc in
-    match
-      Option.bind (Rt_obs.Json.member "histograms" j) (fun h ->
-          Option.bind (Rt_obs.Json.member "smoke.sweep_us" h) (fun s ->
-              Option.bind (Rt_obs.Json.member "p50" s) Rt_obs.Json.to_float))
-    with
+  let run_tel = read_run dir_tel and run_samp = read_run dir_samp in
+  let p50_of dir (r : Rt_obs.Artifact.run) =
+    match Option.bind (List.assoc_opt "smoke.sweep_us" r.histograms) (List.assoc_opt "p50") with
     | Some v -> v
-    | None -> Printf.eprintf "bench-smoke FAIL: no smoke.sweep_us p50 in %s\n" path; exit 1
+    | None -> Printf.eprintf "bench-smoke FAIL: no smoke.sweep_us p50 in %s\n" dir; exit 1
   in
-  let p50_tel = p50_of dir_tel and p50_samp = p50_of dir_samp in
+  let p50_tel = p50_of dir_tel run_tel and p50_samp = p50_of dir_samp run_samp in
   (* The artifact p50s are quantized by the histogram's log buckets
      (adjacent boundaries ~1.78x apart), so a tight band on them flips a
      coin whenever the sweep straddles a bucket edge.  The numeric gate
@@ -351,10 +354,8 @@ let () =
   let sampler_ratio = median s_sampled /. median s_tel_only in
   let artifact_ratio = p50_samp /. p50_tel in
   let sampler_thresholds = { Rt_obs.Diff.default with quantile_ratio = 1.8 } in
-  let sampler_diff =
-    Rt_obs.Diff.compare_dirs ~thresholds:sampler_thresholds dir_tel dir_samp
-  in
-  let tl_self = Rt_obs.Diff.regressions (Rt_obs.Diff.compare_dirs dir_samp dir_samp) in
+  let sampler_diff = Rt_obs.Diff.compare ~thresholds:sampler_thresholds run_tel run_samp in
+  let tl_self = Rt_obs.Diff.regressions (Rt_obs.Diff.compare run_samp run_samp) in
   Printf.printf "sampler overhead (fused sweep, 25 ms period):\n";
   Printf.printf "  telemetry-only p50:         %8.3f us (artifact %8.3f)\n"
     (median s_tel_only) p50_tel;
@@ -427,24 +428,15 @@ let () =
          exit 1)
      | Some base when base = id -> ()
      | Some base ->
-       let tmp = Filename.concat registry (Printf.sprintf "tmp-smoke.%d" (Unix.getpid ())) in
-       let cleanup () =
-         (try
-            Array.iter
-              (fun f -> try Sys.remove (Filename.concat tmp f) with Sys_error _ -> ())
-              (Sys.readdir tmp)
-          with Sys_error _ -> ());
-         try Unix.rmdir tmp with Unix.Unix_error _ -> ()
+       let base_run =
+         match Reg.load ~registry base with
+         | Ok r -> r.Reg.r_run
+         | Error e ->
+           Printf.eprintf "bench-smoke FAIL: baseline load: %s\n" e;
+           exit 1
        in
-       (match Reg.materialize ~registry ~dir:tmp base with
-        | Ok () -> ()
-        | Error e ->
-          cleanup ();
-          Printf.eprintf "bench-smoke FAIL: baseline materialize: %s\n" e;
-          exit 1);
        let thresholds = { Rt_obs.Diff.default with quantile_ratio = 3.0; span_ratio = 3.0 } in
-       let base_diff = Rt_obs.Diff.compare_dirs ~thresholds tmp dir_run in
-       cleanup ();
+       let base_diff = Rt_obs.Diff.compare ~thresholds base_run (read_run dir_run) in
        Printf.printf "  baseline:                   %s\n" base;
        Rt_obs.Diff.pp_report Format.std_formatter base_diff;
        (* Gate on what is stable across runners: work counters (exact for a

@@ -553,11 +553,6 @@ let diff_thresholds_term =
 let diff_quiet_arg =
   Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Only set the exit status; print nothing.")
 
-let run_diff ~thresholds ~quiet a b =
-  let findings = Rt_obs.Diff.compare_dirs ~thresholds a b in
-  if not quiet then Rt_obs.Diff.pp_report Format.std_formatter findings;
-  if Rt_obs.Diff.regressions findings <> [] then exit 3
-
 let registry_dir_arg =
   Arg.(value & opt string (Registry.default_dir ())
        & info [ "obs-registry" ] ~docv:"DIR"
@@ -817,38 +812,16 @@ let obs_reg_diff_cmd =
            ~doc:"Diff against the promoted baseline instead of an explicit pair.")
   in
   let run reg use_baseline a b thresholds quiet () =
-    let cleanups = ref [] in
-    let tmp_n = ref 0 in
-    (* a side is an existing directory, else a registry record id expanded
-       into a temporary artifact directory *)
+    (* a side is an existing directory, else a registry record id *)
     let resolve name =
-      if Sys.file_exists name && Sys.is_directory name then name
-      else if
-        not (List.exists (fun (s : Registry.summary) -> s.Registry.id = name)
-               (Registry.list ~registry:reg ()))
-      then
-        failwith
-          (Printf.sprintf "%s: neither an artifact directory nor a record id in %s" name reg)
-      else begin
-        let dir =
-          Filename.concat reg
-            (Printf.sprintf "tmp-diff.%d.%d" (Unix.getpid ()) (Stdlib.incr tmp_n; !tmp_n))
-        in
-        match Registry.materialize ~registry:reg ~dir name with
-        | Ok () ->
-          cleanups := dir :: !cleanups;
-          dir
-        | Error msg -> failwith msg
-      end
-    in
-    let cleanup () =
-      List.iter
-        (fun dir ->
-          Array.iter
-            (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-            (try Sys.readdir dir with Sys_error _ -> [||]);
-          try Unix.rmdir dir with Unix.Unix_error _ -> ())
-        !cleanups
+      if Sys.file_exists name && Sys.is_directory name then
+        match Rt_obs.Artifact.read name with Ok r -> r | Error msg -> failwith msg
+      else
+        match Registry.load ~registry:reg name with
+        | Ok r -> r.Registry.r_run
+        | Error _ ->
+          failwith
+            (Printf.sprintf "%s: neither an artifact directory nor a record id in %s" name reg)
     in
     let name_a, name_b =
       if use_baseline then begin
@@ -873,8 +846,11 @@ let obs_reg_diff_cmd =
         | Some a, Some b -> (a, b)
         | _ -> failwith "give two sides (A B) or --baseline"
     in
-    Fun.protect ~finally:cleanup (fun () ->
-        run_diff ~thresholds ~quiet (resolve name_a) (resolve name_b))
+    let run_a = resolve name_a in
+    let run_b = resolve name_b in
+    let findings = Rt_obs.Diff.compare ~thresholds run_a run_b in
+    if not quiet then Rt_obs.Diff.pp_report Format.std_formatter findings;
+    if Rt_obs.Diff.regressions findings <> [] then exit 3
   in
   let exits = Cmd.Exit.info 3 ~doc:"on regressions past the configured thresholds." :: exits in
   Cmd.v

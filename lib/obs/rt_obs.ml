@@ -543,6 +543,10 @@ module Json = struct
     | Str s -> Some s
     | _ -> None
 
+  let num_members = function
+    | Obj fields -> List.filter_map (fun (k, v) -> Option.map (fun f -> (k, f)) (to_float v)) fields
+    | _ -> []
+
   let print (j : t) : string =
     let buf = Buffer.create 256 in
     let rec go = function
@@ -927,9 +931,13 @@ let prom_lint s =
 (* Atomic artifact write: a reader polling the directory mid-run (SIGUSR1
    snapshots, the HTTP responder's fallback, `tail -f` on metrics.prom)
    must never see a torn file, so write a sibling temp file and rename it
-   into place — [Sys.rename] replaces atomically on POSIX. *)
+   into place — [Sys.rename] replaces atomically on POSIX.  The temp name
+   carries pid *and* domain id so concurrent writers within one process
+   (registry ingests from two domains) can't collide on the sibling. *)
 let write_file path s =
-  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
+  let tmp =
+    Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ()) ((Domain.self () :> int))
+  in
   let oc = open_out tmp in
   (try output_string oc s
    with e ->
@@ -945,6 +953,12 @@ let read_file path =
   let s = really_input_string ic n in
   close_in ic;
   s
+
+let rec mkdir_p dir =
+  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end
 
 (* --- timeline sampler --------------------------------------------------------
 
@@ -1219,8 +1233,9 @@ end
    One `--obs-dir DIR` run writes a self-describing artifact directory:
    manifest.json (provenance), events.jsonl (structured log), metrics.json
    (counters + gauges + histograms), trace.json (Perfetto), metrics.prom
-   (OpenMetrics) and, when a convergence recorder exists, convergence.json.
-   `optprob obs diff` consumes two such directories. *)
+   (OpenMetrics) and, when a convergence recorder exists, convergence.json;
+   the timeline sampler adds timeline.json.  [read] parses a directory back
+   into a [run], the one form `obs diff` and the run registry consume. *)
 
 module Artifact = struct
   type manifest = {
@@ -1241,12 +1256,6 @@ module Artifact = struct
       ?opt_rounds ?objective ~argv ~wall_s () =
     { argv; engine; seed; jobs; circuit; patterns; block_words; opt_passes; opt_rounds;
       objective; wall_s }
-
-  let rec mkdir_p dir =
-    if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-      mkdir_p (Filename.dirname dir);
-      try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-    end
 
   (* Best effort, no subprocess: $OPTPROB_GIT_REV wins, else follow
      .git/HEAD upward from the cwd. *)
@@ -1333,6 +1342,108 @@ module Artifact = struct
     match convergence with
     | Some t -> write_file (Filename.concat dir "convergence.json") (Convergence.to_json t)
     | None -> ()
+
+  type run = {
+    manifest : Json.t;
+    metrics : Json.t;
+    convergence : Json.t;
+    counters : (string * float) list;
+    gauges : (string * float) list;
+    histograms : (string * (string * float) list) list;
+    span_totals : (string * float) list;
+    timeline : (string * float) list option;
+    sweeps : int option;
+    final_n : float option;
+    final_j : float option;
+  }
+
+  let by_name l = List.sort (fun (a, _) (b, _) -> String.compare a b) l
+
+  (* Total span wall-clock per name from a trace.json. *)
+  let span_totals trace =
+    let tbl = Hashtbl.create 32 in
+    (match Json.member "traceEvents" trace with
+     | Some (Json.Arr evs) ->
+       List.iter
+         (fun e ->
+           match (Json.member "name" e, Json.member "dur" e) with
+           | Some (Json.Str name), Some (Json.Num dur) ->
+             Hashtbl.replace tbl name ((try Hashtbl.find tbl name with Not_found -> 0.0) +. dur)
+           | _ -> ())
+         evs
+     | _ -> ());
+    by_name (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+
+  (* Per-gauge series statistics (mean/peak/p90) from a timeline.json. *)
+  let timeline_stats timeline =
+    let tbl = Hashtbl.create 16 in
+    (match Json.member "samples" timeline with
+     | Some (Json.Arr samples) ->
+       List.iter
+         (fun s ->
+           List.iter
+             (fun (k, f) -> Hashtbl.replace tbl k (f :: (try Hashtbl.find tbl k with Not_found -> [])))
+             (Option.fold ~none:[] ~some:Json.num_members (Json.member "gauges" s)))
+         samples
+     | _ -> ());
+    Hashtbl.fold
+      (fun k vs acc ->
+        let n = List.length vs in
+        let sorted = List.sort Float.compare vs in
+        let peak = List.nth sorted (n - 1) in
+        let p90 = List.nth sorted (Stdlib.min (n - 1) ((n * 9 + 9) / 10 - 1)) in
+        let mean = List.fold_left ( +. ) 0.0 vs /. Float.of_int n in
+        (k ^ ".mean", mean) :: (k ^ ".peak", peak) :: (k ^ ".p90", p90) :: acc)
+      tbl []
+    |> by_name
+
+  let make_run ~manifest ~metrics ~convergence ~span_totals ~timeline =
+    let section k = Option.value ~default:Json.Null (Json.member k metrics) in
+    let histograms =
+      match section "histograms" with
+      | Json.Obj hs -> List.map (fun (name, h) -> (name, Json.num_members h)) hs
+      | _ -> []
+    in
+    let sweeps, final_n, final_j =
+      match Json.member "rows" convergence with
+      | Some (Json.Arr rows) ->
+        List.fold_left
+          (fun (sweeps, n, j) r ->
+            let num k = Option.bind (Json.member k r) Json.to_float in
+            match Json.member "stage" r with
+            | Some (Json.Str "sweep") -> (Option.map succ sweeps, n, j)
+            | Some (Json.Str "final") -> (sweeps, num "n", num "j_n")
+            | _ -> (sweeps, n, j))
+          (Some 0, None, None) rows
+      | _ -> (None, None, None)
+    in
+    { manifest; metrics; convergence;
+      counters = Json.num_members (section "counters");
+      gauges = Json.num_members (section "gauges");
+      histograms; span_totals; timeline; sweeps; final_n; final_j }
+
+  let read dir =
+    let load file =
+      let path = Filename.concat dir file in
+      if not (Sys.file_exists path) then Json.Null
+      else
+        try Json.parse (read_file path)
+        with Failure m | Sys_error m -> failwith (path ^ ": " ^ m)
+    in
+    match load "metrics.json" with
+    | exception Failure _ -> Error (dir ^ ": missing or unreadable metrics.json")
+    | Json.Null -> Error (dir ^ ": missing or unreadable metrics.json")
+    | metrics -> (
+      try
+        let timeline =
+          match load "timeline.json" with Json.Null -> None | j -> Some (timeline_stats j)
+        in
+        Ok
+          (make_run ~manifest:(load "manifest.json") ~metrics
+             ~convergence:(load "convergence.json")
+             ~span_totals:(span_totals (load "trace.json"))
+             ~timeline)
+      with Failure m -> Error m)
 end
 
 (* --- obs diff: artifact regression analysis -------------------------------- *)
@@ -1374,191 +1485,96 @@ module Diff = struct
     let r = ratio a b in
     if r > thr then Regression else if r < 1.0 /. thr then Improvement else Info
 
-  let load_json dir file =
-    let path = Filename.concat dir file in
-    if Sys.file_exists path then Some (Json.parse (read_file path)) else None
-
-  let num_members = function
-    | Some (Json.Obj fields) ->
-      List.filter_map (fun (k, v) -> Option.map (fun f -> (k, f)) (Json.to_float v)) fields
-    | _ -> []
-
-  let obj_members = function
-    | Some (Json.Obj fields) -> fields
-    | _ -> []
-
-  (* Total span wall-clock per name from a trace.json. *)
-  let span_totals = function
-    | None -> []
-    | Some j ->
-      let tbl = Hashtbl.create 32 in
-      (match Json.member "traceEvents" j with
-       | Some (Json.Arr evs) ->
-         List.iter
-           (fun e ->
-             match (Json.member "name" e, Json.member "dur" e) with
-             | Some (Json.Str name), Some (Json.Num dur) ->
-               Hashtbl.replace tbl name ((try Hashtbl.find tbl name with Not_found -> 0.0) +. dur)
-             | _ -> ())
-           evs
-       | _ -> ());
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  (* Outer join of two keyed lists by name: [both] judges a name present on
+     both sides, a one-sided name is an Info finding carrying [value]. *)
+  let join ~kind ~value ~both a_list b_list =
+    List.sort_uniq String.compare (List.map fst a_list @ List.map fst b_list)
+    |> List.filter_map (fun name ->
+           match (List.assoc_opt name a_list, List.assoc_opt name b_list) with
+           | Some a, Some b -> both name a b
+           | Some a, None ->
+             Some { severity = Info; kind; name; a = value a; b = Float.nan; detail = "only in A" }
+           | None, Some b ->
+             Some { severity = Info; kind; name; a = Float.nan; b = value b; detail = "only in B" }
+           | None, None -> None)
 
   (* Compare two keyed float lists; [gate] decides whether a pair is
-     eligible for regression/improvement classification at all. *)
-  let compare_keyed ?(invert = false) ~kind ~thr ~gate ~unit_ a_list b_list =
-    let names =
-      List.sort_uniq String.compare (List.map fst a_list @ List.map fst b_list)
-    in
-    List.filter_map
-      (fun name ->
-        match (List.assoc_opt name a_list, List.assoc_opt name b_list) with
-        | Some a, Some b ->
-          if a = b then None
-          else begin
-            (* [invert] flips the regression direction for
-               higher-is-better series (e.g. pool utilization). *)
-            let sev =
-              if gate a b then (if invert then classify thr b a else classify thr a b)
-              else Info
-            in
-            Some
-              { severity = sev;
-                kind;
-                name;
-                a;
-                b;
-                detail = Printf.sprintf "%.4g -> %.4g %s (x%.3g)" a b unit_ (ratio a b) }
-          end
-        | Some a, None ->
-          Some { severity = Info; kind; name; a; b = Float.nan; detail = "only in A" }
-        | None, Some b ->
-          Some { severity = Info; kind; name; a = Float.nan; b; detail = "only in B" }
-        | None, None -> None)
-      names
+     eligible for regression/improvement classification at all, and
+     [invert] flips the regression direction for higher-is-better series
+     (e.g. pool utilization). *)
+  let compare_keyed ?(invert = false) ~kind ~thr ~gate ~unit_ =
+    join ~kind ~value:Fun.id ~both:(fun name a b ->
+        if a = b then None
+        else
+          let sev =
+            if gate a b then (if invert then classify thr b a else classify thr a b) else Info
+          in
+          Some
+            { severity = sev; kind; name; a; b;
+              detail = Printf.sprintf "%.4g -> %.4g %s (x%.3g)" a b unit_ (ratio a b) })
 
-  (* Per-gauge series statistics (mean/peak/p90) from a timeline.json. *)
-  let timeline_series j =
-    match Json.member "samples" j with
-    | Some (Json.Arr samples) ->
-      let tbl = Hashtbl.create 16 in
-      List.iter
-        (fun s ->
-          match Json.member "gauges" s with
-          | Some (Json.Obj gs) ->
-            List.iter
-              (fun (k, v) ->
-                match Json.to_float v with
-                | Some f ->
-                  let vs = try Hashtbl.find tbl k with Not_found -> [] in
-                  Hashtbl.replace tbl k (f :: vs)
-                | None -> ())
-              gs
-          | _ -> ())
-        samples;
-      Hashtbl.fold
-        (fun k vs acc ->
-          let n = List.length vs in
-          if n = 0 then acc
-          else begin
-            let sorted = List.sort Float.compare vs in
-            let peak = List.nth sorted (n - 1) in
-            let p90 = List.nth sorted (Stdlib.min (n - 1) ((n * 9 + 9) / 10 - 1)) in
-            let mean = List.fold_left ( +. ) 0.0 vs /. Float.of_int n in
-            (k ^ ".mean", mean) :: (k ^ ".peak", peak) :: (k ^ ".p90", p90) :: acc
-          end)
-        tbl []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-    | _ -> []
-
-  let hist_quantiles fields =
+  let hist_quantiles (r : Artifact.run) =
     List.filter_map
-      (fun (name, h) ->
-        match h with
-        | Json.Obj _ ->
-          let f k = Option.bind (Json.member k h) Json.to_float in
-          (match (f "count", f "p50", f "p99", f "max") with
-           | Some c, Some p50, Some p99, Some mx -> Some (name, (c, p50, p99, mx))
-           | _ -> None)
+      (fun (name, stats) ->
+        let f k = List.assoc_opt k stats in
+        match (f "count", f "p50", f "p99", f "max") with
+        | Some c, Some p50, Some p99, Some _ -> Some (name, (c, p50, p99))
         | _ -> None)
-      fields
+      r.histograms
 
-  let compare_dirs ?(thresholds = default) dir_a dir_b =
-    let ma = load_json dir_a "metrics.json" and mb = load_json dir_b "metrics.json" in
-    if ma = None then failwith (dir_a ^ ": missing or unreadable metrics.json");
-    if mb = None then failwith (dir_b ^ ": missing or unreadable metrics.json");
+  let compare ?(thresholds = default) (ra : Artifact.run) (rb : Artifact.run) =
     let t = thresholds in
-    let member name j = Option.bind j (Json.member name) in
     let counters =
       compare_keyed ~kind:"counter" ~thr:t.counter_ratio
         ~gate:(fun a b -> Float.max a b >= 10.0)
-        ~unit_:""
-        (num_members (member "counters" ma))
-        (num_members (member "counters" mb))
+        ~unit_:"" ra.counters rb.counters
     in
     let gauges =
       (* gauges (heap sizes, GC totals) are environment-dependent: report,
          never gate *)
       compare_keyed ~kind:"gauge" ~thr:Float.infinity ~gate:(fun _ _ -> false) ~unit_:""
-        (num_members (member "gauges" ma))
-        (num_members (member "gauges" mb))
+        ra.gauges rb.gauges
       |> List.filter (fun f -> Float.abs (ratio f.a f.b -. 1.0) > 0.25)
     in
     let spans =
       compare_keyed ~kind:"span" ~thr:t.span_ratio
         ~gate:(fun a b -> Float.max a b >= t.min_span_us)
-        ~unit_:"us"
-        (span_totals (load_json dir_a "trace.json"))
-        (span_totals (load_json dir_b "trace.json"))
+        ~unit_:"us" ra.span_totals rb.span_totals
     in
-    let ha = hist_quantiles (obj_members (member "histograms" ma)) in
-    let hb = hist_quantiles (obj_members (member "histograms" mb)) in
     let hists =
-      let names = List.sort_uniq String.compare (List.map fst ha @ List.map fst hb) in
-      List.filter_map
-        (fun name ->
-          match (List.assoc_opt name ha, List.assoc_opt name hb) with
-          | Some (ca, p50a, p99a, _), Some (cb, p50b, p99b, _) ->
-            let eligible =
-              ca >= Float.of_int t.min_hist_count && cb >= Float.of_int t.min_hist_count
-            in
-            let sev_of qa qb =
-              if eligible && qa <> qb then classify t.quantile_ratio qa qb else Info
-            in
-            let sev =
-              match (sev_of p50a p50b, sev_of p99a p99b) with
-              | Regression, _ | _, Regression -> Regression
-              | Improvement, _ | _, Improvement -> Improvement
-              | _ -> Info
-            in
-            if p50a = p50b && p99a = p99b && ca = cb then None
-            else
-              Some
-                { severity = sev;
-                  kind = "histogram";
-                  name;
-                  a = p99a;
-                  b = p99b;
-                  detail =
-                    Printf.sprintf "p50 %.4g -> %.4g (x%.3g), p99 %.4g -> %.4g (x%.3g), n %g -> %g"
-                      p50a p50b (ratio p50a p50b) p99a p99b (ratio p99a p99b) ca cb }
-          | Some (_, _, p99a, _), None ->
-            Some { severity = Info; kind = "histogram"; name; a = p99a; b = Float.nan;
-                   detail = "only in A" }
-          | None, Some (_, _, p99b, _) ->
-            Some { severity = Info; kind = "histogram"; name; a = Float.nan; b = p99b;
-                   detail = "only in B" }
-          | None, None -> None)
-        names
+      join ~kind:"histogram" ~value:(fun (_, _, p99) -> p99)
+        ~both:(fun name (ca, p50a, p99a) (cb, p50b, p99b) ->
+          let eligible =
+            ca >= Float.of_int t.min_hist_count && cb >= Float.of_int t.min_hist_count
+          in
+          let sev_of qa qb =
+            if eligible && qa <> qb then classify t.quantile_ratio qa qb else Info
+          in
+          let sev =
+            match (sev_of p50a p50b, sev_of p99a p99b) with
+            | Regression, _ | _, Regression -> Regression
+            | Improvement, _ | _, Improvement -> Improvement
+            | _ -> Info
+          in
+          if p50a = p50b && p99a = p99b && ca = cb then None
+          else
+            Some
+              { severity = sev;
+                kind = "histogram";
+                name;
+                a = p99a;
+                b = p99b;
+                detail =
+                  Printf.sprintf "p50 %.4g -> %.4g (x%.3g), p99 %.4g -> %.4g (x%.3g), n %g -> %g"
+                    p50a p50b (ratio p50a p50b) p99a p99b (ratio p99a p99b) ca cb })
+        (hist_quantiles ra) (hist_quantiles rb)
     in
     let timelines =
       (* timeline gauge series: scheduler-derived series (pool/ppsfp
          prefixes) gate at the quantile threshold; GC/heap series are
          environment-dependent and report-only, like plain gauges *)
-      match (load_json dir_a "timeline.json", load_json dir_b "timeline.json") with
-      | Some ja, Some jb ->
-        let sa = timeline_series ja and sb = timeline_series jb in
+      match (ra.timeline, rb.timeline) with
+      | Some sa, Some sb ->
         let prefixed p (k, _) =
           String.length k >= String.length p && String.sub k 0 (String.length p) = p
         in
@@ -1580,19 +1596,7 @@ module Diff = struct
       | _ -> []
     in
     let convergence =
-      let final j =
-        match member "rows" j with
-        | Some (Json.Arr rows) ->
-          List.fold_left
-            (fun acc r ->
-              match (Json.member "stage" r, Json.member "n" r) with
-              | Some (Json.Str "final"), Some (Json.Num n) -> Some n
-              | _ -> acc)
-            None rows
-        | _ -> None
-      in
-      let ca = load_json dir_a "convergence.json" and cb = load_json dir_b "convergence.json" in
-      match (final ca, final cb) with
+      match (ra.final_n, rb.final_n) with
       | Some na, Some nb when na <> nb ->
         [ { severity = classify t.quantile_ratio na nb;
             kind = "convergence";
@@ -1603,11 +1607,10 @@ module Diff = struct
       | _ -> []
     in
     let manifest =
-      let field name j = Option.bind (member name j) Json.to_string in
-      let a = load_json dir_a "manifest.json" and b = load_json dir_b "manifest.json" in
+      let field name (r : Artifact.run) = Option.bind (Json.member name r.manifest) Json.to_string in
       List.filter_map
         (fun key ->
-          match (field key a, field key b) with
+          match (field key ra, field key rb) with
           | Some va, Some vb when va <> vb ->
             Some
               { severity = Info; kind = "manifest"; name = key; a = Float.nan; b = Float.nan;

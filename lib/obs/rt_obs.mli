@@ -1,6 +1,6 @@
 (** Observability for the optimize pipeline: spans, marks, counters/gauges,
-    log-bucketed histograms, a convergence recorder, unified run artifacts
-    and an artifact-diff analyzer.
+    log-bucketed histograms, a convergence recorder, unified run artifacts,
+    their one reader and an artifact-diff analyzer.
 
     Everything here is a global, process-wide sink.  Recording is gated on a
     single enabled flag: when disabled (the default) every entry point costs
@@ -12,8 +12,10 @@
     or {{:https://ui.perfetto.dev}Perfetto}) and as a human-readable
     aggregated tree.  Counters, gauges and histograms snapshot to JSON and
     to an OpenMetrics text exposition.  {!Artifact} bundles everything a run
-    recorded into one self-describing directory; {!Diff} compares two such
-    directories.  The convergence recorder is an explicit per-run object
+    recorded into one self-describing directory, and {!Artifact.read} is the
+    one parser that turns such a directory back into an {!Artifact.run};
+    {!Diff} compares two runs, and the run registry stores and rebuilds the
+    same [run].  The convergence recorder is an explicit per-run object
     (see {!Convergence}) that works independently of the global flag. *)
 
 val set_enabled : bool -> unit
@@ -230,8 +232,8 @@ val prom_lint : string -> string list
     lacks.  Each sample is taken after {!run_sample_hooks} and {!sample_gc},
     so derived scheduler gauges are fresh.  Flushes to a
     [optprob-timeline/1] JSON document ([timeline.json] in an artifact
-    directory); {!Diff.compare_dirs} compares gauge series between two
-    timelines. *)
+    directory); {!Artifact.read} folds each gauge series to mean/peak/p90
+    and {!Diff.compare} compares those between two runs. *)
 
 module Timeline : sig
   type sample = {
@@ -278,7 +280,8 @@ end
 (** {1 JSON reader}
 
     A minimal JSON parser (no external dependency) for reading artifacts
-    back — used by {!Diff} and available to tests. *)
+    back — used by {!Artifact.read} and the run registry, and available to
+    tests. *)
 
 module Json : sig
   type t =
@@ -296,10 +299,25 @@ module Json : sig
   val to_float : t -> float option
   val to_string : t -> string option
 
+  val num_members : t -> (string * float) list
+  (** The numeric members of an object, in document order; [[]] for anything
+      else. *)
+
   val print : t -> string
   (** Serialize back to JSON text (compact, [parse]-roundtrippable; non-finite
       numbers print as [null]/[1e999] like the rest of the emitters). *)
 end
+
+(** {1 Files} *)
+
+val write_file : string -> string -> unit
+(** Atomic write: a sibling temp file (named with the pid and the domain id,
+    so concurrent writers never share one) renamed into place. *)
+
+val read_file : string -> string
+
+val mkdir_p : string -> unit
+(** Create a directory and its missing parents. *)
 
 (** {1 Convergence recorder}
 
@@ -374,6 +392,38 @@ module Artifact : sig
   val write_live : dir:string -> unit
   (** The mid-run snapshot (SIGUSR1 handler body): refresh the GC gauges and
       rewrite [metrics.json] + [metrics.prom] only. *)
+
+  (** One artifact directory, parsed: the three documents the run registry
+      stores verbatim, and the views {!Diff} and the registry's derived
+      metric map are computed from. *)
+  type run = {
+    manifest : Json.t;  (** [manifest.json]; [Null] when absent *)
+    metrics : Json.t;  (** [metrics.json] *)
+    convergence : Json.t;  (** [convergence.json]; [Null] when absent *)
+    counters : (string * float) list;
+    gauges : (string * float) list;
+    histograms : (string * (string * float) list) list;
+        (** per histogram its numeric stats: count, sum, min, max, p50, p90, p99 *)
+    span_totals : (string * float) list;  (** total span µs per name, sorted *)
+    timeline : (string * float) list option;
+        (** [<gauge>.mean]/[.peak]/[.p90] per sampled gauge, sorted; [None]
+            without a [timeline.json] *)
+    sweeps : int option;  (** convergence sweep rows; [None] without rows *)
+    final_n : float option;  (** [n] of the last ["final"] convergence row *)
+    final_j : float option;  (** [j_n] of the last ["final"] convergence row *)
+  }
+
+  val read : string -> (run, string) result
+  (** Parse an artifact directory.  [metrics.json] is required; manifest,
+      convergence, trace and timeline files are optional.  [Error] names the
+      directory when [metrics.json] is missing or unreadable, and the file
+      when any other present file is malformed. *)
+
+  val make_run :
+    manifest:Json.t -> metrics:Json.t -> convergence:Json.t ->
+    span_totals:(string * float) list -> timeline:(string * float) list option -> run
+  (** Build a [run] from documents already parsed and span/timeline stats
+      already folded — how the run registry rebuilds one from a record. *)
 end
 
 (** {1 Artifact diffing} *)
@@ -402,14 +452,13 @@ module Diff : sig
     detail : string;
   }
 
-  val compare_dirs : ?thresholds:thresholds -> string -> string -> finding list
-  (** [compare_dirs a b] reads two {!Artifact} directories (A = baseline,
-      B = candidate) and returns findings ranked most severe first.
-      When both directories carry a [timeline.json], per-gauge series
-      statistics ([<gauge>.mean]/[.peak]/[.p90]) are compared too:
+  val compare : ?thresholds:thresholds -> Artifact.run -> Artifact.run -> finding list
+  (** [compare a b] diffs two runs (A = baseline, B = candidate), each from
+      {!Artifact.read} or a registry record, and returns findings ranked most
+      severe first.  When both runs carry timeline stats, the per-gauge
+      series statistics ([<gauge>.mean]/[.peak]/[.p90]) are compared too:
       scheduler series ([pool.*], [ppsfp.*]) gate at [quantile_ratio],
-      everything else is report-only.  Raises [Failure] when either
-      directory lacks a readable [metrics.json]. *)
+      everything else is report-only. *)
 
   val regressions : finding list -> finding list
 

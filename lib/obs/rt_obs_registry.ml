@@ -6,8 +6,12 @@
      index.json          cache of per-record summaries (rebuildable)
      baseline.json       the promoted baseline id, when any
 
-   Records are append-only: an ingest writes exactly one new file, via the
-   same temp-file + atomic-rename discipline as Rt_obs.Artifact, so two
+   A record keeps the manifest, metrics and convergence documents verbatim
+   plus the folded span totals and the derived metric map, which together
+   rebuild the Rt_obs.Artifact.run that Rt_obs.Artifact.read parsed.
+
+   Records are append-only: an ingest writes exactly one new file, via
+   Rt_obs.write_file's temp-file + atomic-rename discipline, so two
    processes (or two domains) ingesting concurrently can never corrupt each
    other.  The index is strictly a cache — every reader checks that it
    covers exactly the record files on disk and rebuilds it from the records
@@ -15,6 +19,7 @@
    record write and the index write therefore costs nothing. *)
 
 module Json = Rt_obs.Json
+module Artifact = Rt_obs.Artifact
 
 let schema_record = "optprob-registry/1"
 let schema_index = "optprob-registry-index/1"
@@ -30,36 +35,8 @@ let record_path registry id = Filename.concat (records_dir registry) (id ^ ".jso
 let index_path registry = Filename.concat registry "index.json"
 let baseline_path registry = Filename.concat registry "baseline.json"
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-(* Atomic write; the temp name carries pid *and* domain id so concurrent
-   writers within one process can't collide on the sibling either. *)
-let write_file path s =
-  let tmp =
-    Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ()) ((Domain.self () :> int))
-  in
-  let oc = open_out tmp in
-  (try output_string oc s
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  close_out oc;
-  Sys.rename tmp path
-
 let parse_file path =
-  if Sys.file_exists path then (try Some (Json.parse (read_file path)) with _ -> None)
+  if Sys.file_exists path then (try Some (Json.parse (Rt_obs.read_file path)) with _ -> None)
   else None
 
 (* --- summaries -------------------------------------------------------------- *)
@@ -76,8 +53,8 @@ type summary = {
 
 type record = {
   r_summary : summary;
+  r_run : Artifact.run;
   r_metrics : (string * float) list;
-  r_doc : Json.t;
 }
 
 type filter = {
@@ -186,7 +163,7 @@ let write_index registry entries =
       [ ("schema", Json.Str schema_index);
         ("entries", Json.Arr (List.map summary_json (List.sort by_age entries))) ]
   in
-  try write_file (index_path registry) (Json.print doc) with Sys_error _ -> ()
+  try Rt_obs.write_file (index_path registry) (Json.print doc) with Sys_error _ -> ()
 
 (* Bring the index in line with the record files: keep cached summaries whose
    record still exists, load summaries for records the cache misses, drop the
@@ -229,105 +206,29 @@ let list ?(filter = no_filter) ~registry () =
 
 (* --- derived metric map ----------------------------------------------------- *)
 
-let num_members = function
-  | Some (Json.Obj fields) ->
-    List.filter_map (fun (k, v) -> Option.map (fun f -> (k, f)) (Json.to_float v)) fields
-  | _ -> []
-
-let span_totals trace =
-  match Option.bind trace (Json.member "traceEvents") with
-  | Some (Json.Arr evs) ->
-    let tbl = Hashtbl.create 32 in
-    List.iter
-      (fun e ->
-        match (Json.member "name" e, Json.member "dur" e) with
-        | Some (Json.Str name), Some (Json.Num dur) ->
-          Hashtbl.replace tbl name ((try Hashtbl.find tbl name with Not_found -> 0.0) +. dur)
-        | _ -> ())
-      evs;
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  | _ -> []
-
-let timeline_stats timeline =
-  match Option.bind timeline (Json.member "samples") with
-  | Some (Json.Arr samples) ->
-    let tbl = Hashtbl.create 16 in
-    List.iter
-      (fun s ->
-        match Json.member "gauges" s with
-        | Some (Json.Obj gs) ->
-          List.iter
-            (fun (k, v) ->
-              match Json.to_float v with
-              | Some f ->
-                let vs = try Hashtbl.find tbl k with Not_found -> [] in
-                Hashtbl.replace tbl k (f :: vs)
-              | None -> ())
-            gs
-        | _ -> ())
-      samples;
-    Hashtbl.fold
-      (fun k vs acc ->
-        let n = List.length vs in
-        if n = 0 then acc
-        else begin
-          let sorted = List.sort Float.compare vs in
-          let peak = List.nth sorted (n - 1) in
-          let p90 = List.nth sorted (Stdlib.min (n - 1) ((n * 9 + 9) / 10 - 1)) in
-          let mean = List.fold_left ( +. ) 0.0 vs /. Float.of_int n in
-          ("timeline." ^ k ^ ".mean", mean)
-          :: ("timeline." ^ k ^ ".peak", peak)
-          :: ("timeline." ^ k ^ ".p90", p90)
-          :: acc
-        end)
-      tbl []
-  | _ -> []
-
-let convergence_stats convergence =
-  match Option.bind convergence (Json.member "rows") with
-  | Some (Json.Arr rows) ->
-    let sweeps = ref 0 and final_n = ref None and final_j = ref None in
-    List.iter
-      (fun r ->
-        match Json.member "stage" r with
-        | Some (Json.Str "sweep") -> incr sweeps
-        | Some (Json.Str "final") ->
-          final_n := mnum "n" r;
-          final_j := mnum "j" r
-        | _ -> ())
-      rows;
-    (("convergence.sweeps", Float.of_int !sweeps)
-     :: (match !final_n with Some n -> [ ("convergence.final_n", n) ] | None -> []))
-    @ (match !final_j with Some j -> [ ("convergence.final_j", j) ] | None -> [])
-  | _ -> []
-
 let has_prefix p s =
   String.length s >= String.length p && String.sub s 0 (String.length p) = p
 
-let derived_metrics ~manifest ~metrics ~convergence ~spans ~timeline_kvs =
+(* The flat name -> value map [show] and [trend] read: a flattening of the
+   run, later sections overriding earlier ones on a name clash. *)
+let derived (r : Artifact.run) =
   let tbl = Hashtbl.create 128 in
   let put k v = Hashtbl.replace tbl k v in
-  List.iter (fun (k, v) -> put k v) (num_members (Option.bind metrics (Json.member "counters")));
-  List.iter (fun (k, v) -> put k v) (num_members (Option.bind metrics (Json.member "gauges")));
-  (match Option.bind metrics (Json.member "histograms") with
-   | Some (Json.Obj hists) ->
-     List.iter
-       (fun (name, h) ->
-         List.iter
-           (fun (k, v) -> if k <> "buckets" then put (name ^ "." ^ k) v)
-           (num_members (Some h)))
-       hists
-   | _ -> ());
-  List.iter (fun (name, us) -> put ("span." ^ name ^ ".us") us) spans;
+  List.iter (fun (k, v) -> put k v) r.counters;
+  List.iter (fun (k, v) -> put k v) r.gauges;
+  List.iter (fun (name, stats) -> List.iter (fun (k, v) -> put (name ^ "." ^ k) v) stats)
+    r.histograms;
+  List.iter (fun (name, us) -> put ("span." ^ name ^ ".us") us) r.span_totals;
   let pipeline_total =
     List.fold_left (fun acc (name, us) -> if has_prefix "pipeline." name then acc +. us else acc)
-      0.0 spans
+      0.0 r.span_totals
   in
   if pipeline_total > 0.0 then put "pipeline.total_us" pipeline_total;
-  (match Option.bind manifest (mnum "wall_s") with Some w -> put "wall_s" w | None -> ());
-  List.iter (fun (k, v) -> put k v) (convergence_stats convergence);
-  List.iter (fun (k, v) -> put k v) timeline_kvs;
+  Option.iter (put "wall_s") (mnum "wall_s" r.manifest);
+  Option.iter (fun n -> put "convergence.sweeps" (Float.of_int n)) r.sweeps;
+  Option.iter (put "convergence.final_n") r.final_n;
+  Option.iter (put "convergence.final_j") r.final_j;
+  Option.iter (List.iter (fun (k, v) -> put ("timeline." ^ k) v)) r.timeline;
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
@@ -353,49 +254,54 @@ let gen_id ~registry ~obs_dir =
   attempt 0
 
 let ingest ?id ~registry ~obs_dir () =
-  let art file = parse_file (Filename.concat obs_dir file) in
-  match art "metrics.json" with
-  | None -> Error (obs_dir ^ ": missing or unreadable metrics.json")
-  | Some metrics_doc ->
-    let manifest = art "manifest.json" in
-    let convergence = art "convergence.json" in
-    let spans = span_totals (art "trace.json") in
-    let timeline_kvs = timeline_stats (art "timeline.json") in
-    let derived =
-      derived_metrics ~manifest ~metrics:(Some metrics_doc) ~convergence ~spans ~timeline_kvs
-    in
+  match Artifact.read obs_dir with
+  | Error _ as e -> e
+  | Ok run ->
     let id = match id with Some i -> i | None -> gen_id ~registry ~obs_dir in
     if Sys.file_exists (record_path registry id) then
       Error (Printf.sprintf "record %s already exists in %s" id registry)
     else begin
-      let opt_doc = function Some d -> d | None -> Json.Null in
+      let nums kvs = Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) kvs) in
       let doc =
         Json.Obj
           [ ("schema", Json.Str schema_record);
             ("id", Json.Str id);
             ("ingested_at", Json.Num (Unix.gettimeofday ()));
             ("source", Json.Str obs_dir);
-            ("manifest", opt_doc manifest);
-            ("metrics", metrics_doc);
-            ("convergence", opt_doc convergence);
-            ("span_totals", Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) spans));
-            ("derived", Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) derived)) ]
+            ("manifest", run.manifest);
+            ("metrics", run.metrics);
+            ("convergence", run.convergence);
+            ("span_totals", nums run.span_totals);
+            ("derived", nums (derived run)) ]
       in
       try
-        mkdir_p (records_dir registry);
-        write_file (record_path registry id) (Json.print doc);
+        Rt_obs.mkdir_p (records_dir registry);
+        Rt_obs.write_file (record_path registry id) (Json.print doc);
         ignore (sync_index registry);
         Ok id
       with Sys_error m | Unix.Unix_error (_, m, _) -> Error ("registry write failed: " ^ m)
     end
 
+(* The run a record was ingested from: its stored documents and span
+   totals, plus the timeline stats kept only as [timeline.*] derived keys. *)
 let load ~registry id =
   match parse_file (record_path registry id) with
   | Some (Json.Obj _ as doc) when mstr "schema" doc = Some schema_record ->
-    Ok
-      { r_summary = summary_of_doc ~id doc;
-        r_metrics = num_members (Json.member "derived" doc);
-        r_doc = doc }
+    let member k = Option.value ~default:Json.Null (Json.member k doc) in
+    let timeline =
+      List.filter_map
+        (fun (k, v) ->
+          if has_prefix "timeline." k then Some (String.sub k 9 (String.length k - 9), v)
+          else None)
+        (Json.num_members (member "derived"))
+    in
+    let run =
+      Artifact.make_run ~manifest:(member "manifest") ~metrics:(member "metrics")
+        ~convergence:(member "convergence")
+        ~span_totals:(Json.num_members (member "span_totals"))
+        ~timeline:(if timeline = [] then None else Some timeline)
+    in
+    Ok { r_summary = summary_of_doc ~id doc; r_run = run; r_metrics = derived run }
   | Some _ -> Error (Printf.sprintf "record %s: wrong shape or schema" id)
   | None -> Error (Printf.sprintf "record %s: missing or unreadable in %s" id registry)
 
@@ -420,49 +326,14 @@ let promote ~registry id =
           ("promoted_at", Json.Num (Unix.gettimeofday ())) ]
     in
     try
-      mkdir_p registry;
-      write_file (baseline_path registry) (Json.print doc);
+      Rt_obs.mkdir_p registry;
+      Rt_obs.write_file (baseline_path registry) (Json.print doc);
       Ok ()
     with Sys_error m | Unix.Unix_error (_, m, _) -> Error ("baseline write failed: " ^ m)
   end
 
 let clear_baseline ~registry =
   try Sys.remove (baseline_path registry) with Sys_error _ -> ()
-
-(* --- materialize ------------------------------------------------------------ *)
-
-let materialize ~registry ~dir id =
-  match load ~registry id with
-  | Error _ as e -> Result.map (fun _ -> ()) e
-  | Ok r ->
-    let doc = r.r_doc in
-    let write_member file = function
-      | Some Json.Null | None -> ()
-      | Some j -> write_file (Filename.concat dir file) (Json.print j)
-    in
-    (try
-       mkdir_p dir;
-       write_member "metrics.json" (Json.member "metrics" doc);
-       write_member "manifest.json" (Json.member "manifest" doc);
-       write_member "convergence.json" (Json.member "convergence" doc);
-       (* one aggregate complete event per span name: Diff's per-name span
-          totals round-trip exactly through this synthetic trace *)
-       let spans = num_members (Json.member "span_totals" doc) in
-       let events =
-         List.map
-           (fun (name, us) ->
-             Json.Obj
-               [ ("name", Json.Str name); ("cat", Json.Str "span"); ("ph", Json.Str "X");
-                 ("ts", Json.Num 0.0); ("dur", Json.Num us); ("pid", Json.Num 1.0);
-                 ("tid", Json.Num 0.0) ])
-           spans
-       in
-       write_file
-         (Filename.concat dir "trace.json")
-         (Json.print
-            (Json.Obj [ ("displayTimeUnit", Json.Str "ms"); ("traceEvents", Json.Arr events) ]));
-       Ok ()
-     with Sys_error m | Unix.Unix_error (_, m, _) -> Error ("materialize failed: " ^ m))
 
 (* --- retention -------------------------------------------------------------- *)
 

@@ -6,6 +6,12 @@
     under [records/], a rebuildable [index.json] cache of per-run summaries,
     and an optional [baseline.json] naming the promoted baseline record.
 
+    A record is an {!Rt_obs.Artifact.run} at rest: it stores the run's
+    manifest, metrics and convergence documents verbatim, its span totals,
+    and the flat derived metric map, and {!load} rebuilds the run from
+    those members.  A record therefore diffs with {!Rt_obs.Diff.compare}
+    exactly like the directory it came from.
+
     Durability model: every write is atomic (sibling temp file + rename), a
     record is one immutable file so concurrent writers never contend, and the
     index is only a cache — readers verify it covers exactly the record files
@@ -30,13 +36,14 @@ type summary = {
   wall_s : float;
 }
 
-(** A fully loaded record: its summary, the flat derived metric map (counters,
-    gauges, histogram quantiles, span totals, [pipeline.total_us], timeline
-    series statistics, convergence summary) and the raw document. *)
+(** A fully loaded record: its summary, the run it was ingested from, and
+    that run flattened into the derived metric map (counters, gauges,
+    histogram stats, span totals, [pipeline.total_us], [wall_s], timeline
+    series statistics, convergence summary). *)
 type record = {
   r_summary : summary;
+  r_run : Rt_obs.Artifact.run;
   r_metrics : (string * float) list;  (** sorted by name *)
-  r_doc : Rt_obs.Json.t;
 }
 
 type filter = {
@@ -49,8 +56,9 @@ type filter = {
 val no_filter : filter
 
 val ingest : ?id:string -> registry:string -> obs_dir:string -> unit -> (string, string) result
-(** Ingest one artifact directory (requires a readable [metrics.json]; all
-    other files are optional) into a new record and refresh the index.
+(** Ingest one artifact directory ({!Rt_obs.Artifact.read}: requires a
+    readable [metrics.json]; all other files are optional) into a new record
+    and refresh the index.
     Returns the record id — [YYYYMMDDTHHMMSS-xxxxxx] unless [?id] pins it.
     [Error] when the artifact is unreadable or the id already exists. *)
 
@@ -60,6 +68,8 @@ val list : ?filter:filter -> registry:string -> unit -> summary list
     skipped.  An absent registry directory is an empty registry. *)
 
 val load : registry:string -> string -> (record, string) result
+(** Rebuild a record's run from its stored members: [manifest], [metrics],
+    [convergence], [span_totals] and the [timeline.*] keys of [derived]. *)
 
 val metric : record -> string -> float option
 (** Look up one derived metric by name (e.g. ["pipeline.total_us"],
@@ -74,12 +84,6 @@ val promote : registry:string -> string -> (unit, string) result
 
 val promoted : registry:string -> string option
 val clear_baseline : registry:string -> unit
-
-val materialize : registry:string -> dir:string -> string -> (unit, string) result
-(** Expand a record back into an {!Rt_obs.Artifact}-shaped directory
-    ([metrics.json], [manifest.json], [convergence.json] when recorded, and a
-    synthetic [trace.json] carrying one aggregate event per span name) so
-    {!Rt_obs.Diff.compare_dirs} can diff live runs against history. *)
 
 (** {1 Retention} *)
 

@@ -1,10 +1,15 @@
 #!/bin/sh
 # CLI smoke test: drives the optprob binary end to end.
 #
-#   1. `run` twice against one --work-dir, each writing an --obs-dir artifact;
-#   2. `obs diff A B -q` on the two artifact directories exits 0;
-#   3. `atpg` on a .bench file succeeds;
-#   4. a removed flag (`optimize --trace FILE`) is a usage error.
+#   1. `run --objective single` twice against one --work-dir, each writing an
+#      --obs-dir artifact; `obs diff A B -q` on the two directories exits 0;
+#   2. `run --objective ndetect:2` against the same work dir shares the four
+#      upstream stages and re-runs the four downstream ones; a repeat is a
+#      full cache hit; the manifest and the per-objective counter record it;
+#   3. the registry diff path: `obs ingest` A, then `obs diff ID B`,
+#      `obs baseline promote ID` + `obs diff --baseline`, and an unknown side;
+#   4. `atpg` on a .bench file succeeds;
+#   5. a removed flag (`optimize --trace FILE`) is a usage error.
 #
 # Usage: cli_smoke.sh OPTPROB C17_BENCH   (run by `dune runtest`)
 set -eu
@@ -15,18 +20,61 @@ dir=cli-smoke.out
 rm -rf "$dir"
 mkdir "$dir"
 
-"$optprob" run wide_and-8 --sweeps 1 -q --work-dir "$dir/work" --obs-dir "$dir/a" >/dev/null 2>&1
-"$optprob" run wide_and-8 --sweeps 1 -q --work-dir "$dir/work" --obs-dir "$dir/b" >/dev/null 2>&1
+fail() {
+  echo "cli_smoke FAIL: $*" >&2
+  exit 1
+}
+
+run() {
+  "$optprob" run wide_and-8 --sweeps 1 -q --work-dir "$dir/work" "$@" >/dev/null 2>&1
+}
+
+run --objective single --obs-dir "$dir/a"
+run --objective single --obs-dir "$dir/b"
 "$optprob" obs diff "$dir/a" "$dir/b" -q
+
+# Objectives key the stages from normalized onward: distinct objectives
+# share the upstream stages and never cross-hit downstream.
+run --objective ndetect:2 --obs-dir "$dir/nd"
+for s in loaded opt_netlist faults analysis; do
+  grep -q "\"pipeline.stage.$s.cache_hit\": 1" "$dir/nd/metrics.json" ||
+    fail "stage $s not shared across objectives"
+done
+for s in normalized optimized validated report; do
+  grep -q "\"pipeline.stage.$s.run\": 1" "$dir/nd/metrics.json" ||
+    fail "stage $s cross-hit between objectives"
+done
+run --objective ndetect:2 --obs-dir "$dir/nd2"
+for s in loaded opt_netlist faults analysis normalized optimized validated report; do
+  grep -q "\"pipeline.stage.$s.cache_hit\": 1" "$dir/nd2/metrics.json" ||
+    fail "repeat ndetect:2 run not fully cached (stage $s)"
+done
+grep -q '"objective": "ndetect:2"' "$dir/nd/manifest.json" ||
+  fail "manifest missing the objective"
+grep -q '"objective.ndetect_2.runs"' "$dir/nd/metrics.json" ||
+  fail "per-objective run counter missing"
+
+# A registry record diffs like the directory it was ingested from.
+reg="$dir/registry"
+"$optprob" obs ingest "$dir/a" --obs-registry "$reg" >/dev/null
+id=$("$optprob" obs list --ids --obs-registry "$reg")
+"$optprob" obs diff "$id" "$dir/b" -q --obs-registry "$reg"
+"$optprob" obs baseline promote "$id" --obs-registry "$reg" >/dev/null
+"$optprob" obs diff --baseline -q --obs-registry "$reg"
+rc=0
+"$optprob" obs diff nosuch "$dir/b" --obs-registry "$reg" 2>"$dir/nosuch.err" || rc=$?
+if [ "$rc" -eq 0 ] || ! grep -q "neither an artifact directory nor a record id" "$dir/nosuch.err"; then
+  cat "$dir/nosuch.err" >&2
+  fail "obs diff on an unknown side did not fail cleanly (exit $rc)"
+fi
 
 "$optprob" atpg "$c17" >/dev/null
 
 rc=0
 "$optprob" optimize wide_and-8 --trace "$dir/x.json" >/dev/null 2>"$dir/trace.err" || rc=$?
 if [ "$rc" -ne 124 ] || ! grep -q "unknown option '--trace'" "$dir/trace.err"; then
-  echo "cli_smoke FAIL: --trace was not rejected as a usage error (exit $rc)" >&2
   cat "$dir/trace.err" >&2
-  exit 1
+  fail "--trace was not rejected as a usage error (exit $rc)"
 fi
 
 rm -rf "$dir"

@@ -525,6 +525,9 @@ let write_file path s =
   output_string oc s;
   close_out oc
 
+let read dir =
+  match Obs.Artifact.read dir with Ok r -> r | Error e -> Alcotest.failf "read %s: %s" dir e
+
 let trace_with_dur dur =
   Printf.sprintf
     "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{\"name\":\"optimize\",\"cat\":\"phase\",\"ph\":\"X\",\"ts\":1.0,\"dur\":%.1f,\"pid\":1,\"tid\":0}]}"
@@ -541,11 +544,11 @@ let test_obs_diff =
   Array.iter (fun v -> Obs.observe h (2.0 *. v)) samples;
   Obs.Artifact.write ~dir:dir_b ~manifest:test_manifest ();
   (* same run vs itself: nothing to flag *)
-  let same = Obs.Diff.compare_dirs dir_a dir_a in
+  let same = Obs.Diff.compare (read dir_a) (read dir_a) in
   check Alcotest.int "identical dirs: zero regressions" 0
     (List.length (Obs.Diff.regressions same));
   (* 2x slower histogram: flagged by name *)
-  let regs = Obs.Diff.regressions (Obs.Diff.compare_dirs dir_a dir_b) in
+  let regs = Obs.Diff.regressions (Obs.Diff.compare (read dir_a) (read dir_b)) in
   check Alcotest.bool "2x slowdown flagged on the affected histogram" true
     (List.exists
        (fun f -> f.Obs.Diff.kind = "histogram" && f.Obs.Diff.name = "test.diff.lat_us")
@@ -555,13 +558,13 @@ let test_obs_diff =
   (* inject a 2.4x span-tree slowdown above the noise floor *)
   write_file (Filename.concat dir_a "trace.json") (trace_with_dur 50_000.0);
   write_file (Filename.concat dir_b "trace.json") (trace_with_dur 120_000.0);
-  let regs = Obs.Diff.regressions (Obs.Diff.compare_dirs dir_a dir_b) in
+  let regs = Obs.Diff.regressions (Obs.Diff.compare (read dir_a) (read dir_b)) in
   check Alcotest.bool "span slowdown flagged" true
     (List.exists (fun f -> f.Obs.Diff.kind = "span" && f.Obs.Diff.name = "optimize") regs);
   (* below the default 1 ms noise floor the same ratio stays quiet *)
   write_file (Filename.concat dir_a "trace.json") (trace_with_dur 100.0);
   write_file (Filename.concat dir_b "trace.json") (trace_with_dur 240.0);
-  let regs = Obs.Diff.regressions (Obs.Diff.compare_dirs dir_a dir_b) in
+  let regs = Obs.Diff.regressions (Obs.Diff.compare (read dir_a) (read dir_b)) in
   check Alcotest.bool "sub-floor span noise ignored" true
     (List.for_all (fun f -> f.Obs.Diff.kind <> "span") regs)
 
@@ -876,14 +879,14 @@ let test_timeline_diff =
     (timeline_samples 0.8);
   Obs.Timeline.write (Filename.concat dir_b "timeline.json") ~period_ms:10 ~dropped:0
     (timeline_samples 0.8);
-  let same = Obs.Diff.regressions (Obs.Diff.compare_dirs dir_a dir_a) in
+  let same = Obs.Diff.regressions (Obs.Diff.compare (read dir_a) (read dir_a)) in
   check Alcotest.int "timeline self-diff clean" 0 (List.length same);
-  let same_ab = Obs.Diff.regressions (Obs.Diff.compare_dirs dir_a dir_b) in
+  let same_ab = Obs.Diff.regressions (Obs.Diff.compare (read dir_a) (read dir_b)) in
   check Alcotest.int "identical timelines diff clean" 0 (List.length same_ab);
   (* halved utilization on a scheduler series is a regression *)
   Obs.Timeline.write (Filename.concat dir_b "timeline.json") ~period_ms:10 ~dropped:0
     (timeline_samples 0.4);
-  let regs = Obs.Diff.regressions (Obs.Diff.compare_dirs dir_a dir_b) in
+  let regs = Obs.Diff.regressions (Obs.Diff.compare (read dir_a) (read dir_b)) in
   check Alcotest.bool "2x utilization drop flagged as timeline regression" true
     (List.exists
        (fun f ->

@@ -1,8 +1,8 @@
 (* Tests for Rt_obs_registry: ingest/load parse-back, index durability
    (concurrent writers, corrupt records, lost index), gc retention
-   invariants (qcheck), the step-change detector and sparkline, record
-   materialization through the Rt_obs.Diff engine, and the /runs + /trend
-   HTTP endpoints (prom-linted live). *)
+   invariants (qcheck), the step-change detector and sparkline, records
+   diffed through Rt_obs.Diff exactly like their source directories, and
+   the /runs + /trend HTTP endpoints (prom-linted live). *)
 
 module Obs = Rt_obs
 module Reg = Rt_obs_registry
@@ -65,6 +65,37 @@ let write_artifact ?(queries = 5) ?(p50 = 100.0) dir =
     ();
   Obs.clear ()
 
+(* [write_artifact] plus a convergence.json from a real recorder and a
+   timeline.json from a short sampler run; returns the recorder and the
+   timeline samples. *)
+let write_full_artifact dir =
+  write_artifact dir;
+  let conv = Obs.Convergence.create () in
+  let y = [| 0.5; 0.5 |] in
+  Obs.Convergence.record conv ~stage:"initial" ~sweep:0 ~j:9.0 ~n:4000.0 ~y ();
+  Obs.Convergence.record conv ~stage:"sweep" ~sweep:1 ~j:5.5 ~n:2500.0 ~y ();
+  Obs.Convergence.record conv ~stage:"sweep" ~sweep:2 ~j:4.25 ~n:2100.0 ~y ();
+  Obs.Convergence.record conv ~stage:"final" ~sweep:2 ~j:4.125 ~n:2048.0 ~y ();
+  let sampler = Obs.Timeline.start ~period_ms:5 () in
+  Unix.sleepf 0.02;
+  let samples, dropped = Obs.Timeline.stop sampler in
+  Obs.Artifact.write ~dir
+    ~manifest:(Obs.Artifact.make_manifest ~engine:"cop" ~argv:[| "test" |] ~wall_s:0.25 ())
+    ~convergence:conv ();
+  Obs.Timeline.write (Filename.concat dir "timeline.json") ~period_ms:5 ~dropped samples;
+  Obs.clear ();
+  (conv, samples)
+
+let read_exn dir =
+  match Obs.Artifact.read dir with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "read %s: %s" dir e
+
+let load_exn ~registry id =
+  match Reg.load ~registry id with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "load %s: %s" id e
+
 let ingest_exn ?id ~registry dir =
   match Reg.ingest ?id ~registry ~obs_dir:dir () with
   | Ok id -> id
@@ -115,6 +146,23 @@ let test_roundtrip =
   check Alcotest.bool "metric_names sorted, non-trivial" true
     (let names = Reg.metric_names r in
      List.length names >= 8 && List.sort String.compare names = names)
+
+(* The derived convergence summary reads the recorder's own rows: sweep
+   count, and N and J_N of the final row. *)
+let test_convergence_derived =
+  with_obs @@ fun () ->
+  let registry = scratch_dir "conv" in
+  let art = scratch_dir "conv-art" in
+  let conv, _ = write_full_artifact art in
+  let r = load_exn ~registry (ingest_exn ~registry art) in
+  let rows = Obs.Convergence.rows conv in
+  let last = List.nth rows (List.length rows - 1) in
+  check (Alcotest.option (Alcotest.float 0.0)) "final_j" (Some last.Obs.Convergence.j)
+    (Reg.metric r "convergence.final_j");
+  check (Alcotest.option (Alcotest.float 0.0)) "final_n" (Some last.Obs.Convergence.n)
+    (Reg.metric r "convergence.final_n");
+  check (Alcotest.option (Alcotest.float 0.0)) "sweeps" (Some 2.0)
+    (Reg.metric r "convergence.sweeps")
 
 (* --- filters ----------------------------------------------------------------- *)
 
@@ -319,9 +367,9 @@ let test_sparkline_ends =
   let s = Reg.sparkline [| 0.0; 1.0 |] in
   check Alcotest.string "min then max" "\xe2\x96\x81\xe2\x96\x88" s
 
-(* --- baseline + materialize -------------------------------------------------- *)
+(* --- baseline and record diffs ------------------------------------------------ *)
 
-let test_baseline_and_materialize =
+let test_baseline =
   with_obs @@ fun () ->
   let registry = scratch_dir "base" in
   let art = scratch_dir "base-art" in
@@ -335,21 +383,44 @@ let test_baseline_and_materialize =
    | Ok () -> ()
    | Error e -> Alcotest.failf "promote: %s" e);
   check (Alcotest.option Alcotest.string) "promoted" (Some id) (Reg.promoted ~registry);
-  (* a materialized record diffs clean against the original artifact dir:
-     counters and histogram quantiles identical, span totals aggregated
-     but equal — the whole point of keeping records diffable *)
-  let dir = scratch_dir "base-mat" in
-  (match Reg.materialize ~registry ~dir id with
-   | Ok () -> ()
-   | Error e -> Alcotest.failf "materialize: %s" e);
-  let d = Obs.Diff.compare_dirs art dir in
-  check Alcotest.int "original vs materialized: no regressions" 0
-    (List.length (Obs.Diff.regressions d));
-  let self = Obs.Diff.compare_dirs dir dir in
-  check Alcotest.int "materialized self-diff clean" 0
-    (List.length (Obs.Diff.regressions self));
   Reg.clear_baseline ~registry;
   check (Alcotest.option Alcotest.string) "cleared" None (Reg.promoted ~registry)
+
+(* A record is the run it was ingested from: counters, gauges, histogram
+   quantiles, span totals, convergence and timeline stats all diff equal
+   against the source directory, so no finding of any kind. *)
+let test_record_diffs_clean =
+  with_obs @@ fun () ->
+  let registry = scratch_dir "rdiff" in
+  let art = scratch_dir "rdiff-art" in
+  let _ = write_full_artifact art in
+  let r = load_exn ~registry (ingest_exn ~registry art) in
+  check Alcotest.bool "record carries timeline stats" true
+    (r.Reg.r_run.Obs.Artifact.timeline <> None);
+  check Alcotest.int "record vs source: no findings" 0
+    (List.length (Obs.Diff.compare r.Reg.r_run (read_exn art)))
+
+(* The record's timeline stats take part in its diffs: against a directory
+   whose timeline differs, the diff reports it. *)
+let test_record_timeline_diff =
+  with_obs @@ fun () ->
+  let registry = scratch_dir "rtl" in
+  let art = scratch_dir "rtl-art" in
+  let _, samples = write_full_artifact art in
+  let r = load_exn ~registry (ingest_exn ~registry art) in
+  let shifted =
+    List.map
+      (fun s ->
+        { s with
+          Obs.Timeline.s_gauges =
+            List.map (fun (k, v) -> (k, (2.0 *. v) +. 1.0)) s.Obs.Timeline.s_gauges })
+      samples
+  in
+  Obs.Timeline.write (Filename.concat art "timeline.json") ~period_ms:5 ~dropped:0 shifted;
+  check Alcotest.bool "timeline finding" true
+    (List.exists
+       (fun f -> f.Obs.Diff.kind = "timeline")
+       (Obs.Diff.compare r.Reg.r_run (read_exn art)))
 
 (* --- HTTP /runs + /trend ------------------------------------------------------ *)
 
@@ -445,7 +516,8 @@ let () =
   Alcotest.run "rt_obs_registry"
     [ ( "record",
         [ Alcotest.test_case "ingest/load parse-back" `Quick test_roundtrip;
-          Alcotest.test_case "list filters" `Quick test_filters ] );
+          Alcotest.test_case "list filters" `Quick test_filters;
+          Alcotest.test_case "convergence final_j derived" `Quick test_convergence_derived ] );
       ( "durability",
         [ Alcotest.test_case "concurrent two-domain ingest" `Quick test_concurrent_ingest;
           Alcotest.test_case "corrupt records skipped, index rebuilt" `Quick
@@ -456,8 +528,11 @@ let () =
           QCheck_alcotest.to_alcotest test_sparkline;
           Alcotest.test_case "sparkline range ends" `Quick test_sparkline_ends ] );
       ( "baseline",
-        [ Alcotest.test_case "promote/materialize/diff/clear" `Quick
-            test_baseline_and_materialize ] );
+        [ Alcotest.test_case "promote/clear" `Quick test_baseline;
+          Alcotest.test_case "record diffs clean against its source" `Quick
+            test_record_diffs_clean;
+          Alcotest.test_case "record timeline takes part in diffs" `Quick
+            test_record_timeline_diff ] );
       ( "http",
         [ Alcotest.test_case "/runs and /trend, prom-linted" `Quick test_http_endpoints ] )
     ]
