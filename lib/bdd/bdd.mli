@@ -7,7 +7,10 @@
     ANALYSIS backend for small circuits.
 
     Nodes are indices into a manager-owned store; every function below is
-    meaningful only for values created by the same manager. *)
+    meaningful only for values created by the same manager.  A manager is
+    single-threaded: even the probability queries memoise in scratch
+    arrays it owns, so use it from one domain at a time, and do not query
+    a manager from inside the [p] of a query on it. *)
 
 type manager
 type t
@@ -46,16 +49,14 @@ val is_one : t -> bool
 val restrict : manager -> t -> int -> bool -> t
 (** Cofactor with respect to one variable. *)
 
-val size : manager -> t -> int
-(** Number of distinct internal nodes reachable from the root. *)
-
 val eval : manager -> t -> (int -> bool) -> bool
 (** Evaluate under an assignment. *)
 
 val prob : manager -> t -> (int -> float) -> float
 (** [prob m f p] is the exact probability that [f] is true when variable
     [i] is independently true with probability [p i] — the arithmetical
-    embedding of paper §2.1 evaluated exactly. *)
+    embedding of paper §2.1 evaluated exactly.  It costs time in the
+    nodes reachable from [f], not in the size of the manager. *)
 
 val prob_many : manager -> t array -> (int -> float) -> float array
 (** As {!prob} for many roots, sharing one memo table — evaluating the

@@ -33,12 +33,6 @@ let dfs_order c =
     order;
   order
 
-let prob_of_inputs ~order x v =
-  (* order maps input position -> variable; invert lazily (arrays are small). *)
-  let n = Array.length order in
-  let rec find i = if i >= n then invalid_arg "Bdd_circuit.prob_of_inputs" else if order.(i) = v then x.(i) else find (i + 1) in
-  find 0
-
 let build_into m ~order ?inject c =
   let n = Netlist.size c in
   let bdds = Array.make n (Bdd.zero m) in

@@ -20,6 +20,14 @@ type injection =
       (** [Pin (g, k, v)]: gate [g] sees its [k]-th fanin as constant [v] —
           a stuck-at on one fanout branch. *)
 
+val build_into :
+  Bdd.manager -> order:int array -> ?inject:injection -> Rt_circuit.Netlist.t -> Bdd.t array
+(** [build_into m ~order c] is the BDD of every node of [c] in manager
+    [m], built in node order, with the fault [inject] (if any) applied.
+    Without [inject] this is the good-circuit build shared by {!build},
+    {!detection_function} and the exact ANALYSIS engine's generations.
+    Raises {!Bdd.Limit_exceeded} when [m] runs out of nodes. *)
+
 val build :
   ?node_limit:int ->
   ?order:int array ->
@@ -30,11 +38,6 @@ val build :
     position -> variable); [None] if the node limit (default 500_000) was
     hit.  BDD variables are order-ranks: to evaluate probabilities, map
     variable [v] back through the returned order. *)
-
-val prob_of_inputs : order:int array -> float array -> int -> float
-(** [prob_of_inputs ~order x v] is the probability of BDD variable [v]
-    given per-input probabilities [x] — the argument to {!Bdd.prob} and
-    {!Bdd.prob_many}. *)
 
 val signal_probs : ?node_limit:int -> Rt_circuit.Netlist.t -> float array -> float array option
 (** Exact signal probability of every node when input [i] is true with

@@ -225,14 +225,7 @@ let make_bdd ~node_limit ?(max_generations = 6) c faults =
   let outputs = Netlist.outputs c in
   let new_generation () =
     let m = Bdd.manager ~node_limit ~nvars:(Array.length (Netlist.inputs c)) () in
-    let good = Array.make n (Bdd.zero m) in
-    for i = 0 to n - 1 do
-      good.(i) <-
-        (match Netlist.kind c i with
-         | Gate.Input -> Bdd.var m order.(Netlist.input_index c i)
-         | k -> Bdd.apply_kind m k (Array.map (fun j -> good.(j)) (Netlist.fanin c i)))
-    done;
-    (m, good)
+    (m, Bdd_circuit.build_into m ~order c)
   in
   let build_fault m good f =
     let site_node = match f.Fault.site with Fault.Stem s -> s | Fault.Branch (g, _) -> g in
@@ -323,7 +316,7 @@ let make_bdd ~node_limit ?(max_generations = 6) c faults =
     t
   in
   (* Selected detection roots of one generation, as (position-in-subset,
-     root) lists — a generation none of the selected faults landed in is
+     root) arrays — a generation none of the selected faults landed in is
      not traversed at all. *)
   let gen_roots subset gi =
     let idxs = ref [] and roots = ref [] in
@@ -335,7 +328,12 @@ let make_bdd ~node_limit ?(max_generations = 6) c faults =
           roots := root :: !roots
         | Some _ | None -> ())
       subset;
-    (!idxs, !roots)
+    (Array.of_list !idxs, Array.of_list !roots)
+  in
+  (* Every generation's (fault indices, detection roots), for full queries. *)
+  let gen_all =
+    let all = Array.init nf Fun.id in
+    Array.mapi (fun gi _ -> gen_roots all gi) generations
   in
   let run x =
     let x_of_var = x_of_var_table x in
@@ -343,17 +341,11 @@ let make_bdd ~node_limit ?(max_generations = 6) c faults =
     (* Batch the prob evaluation per generation to share memo tables. *)
     Array.iteri
       (fun gi (m, _) ->
-        let idxs = ref [] and roots = ref [] in
-        Array.iteri
-          (fun fi r ->
-            match r with
-            | Some (g, root) when g = gi ->
-              idxs := fi :: !idxs;
-              roots := root :: !roots
-            | Some _ | None -> ())
-          detect_roots;
-        let vals = Bdd.prob_many m (Array.of_list !roots) (fun v -> x_of_var.(v)) in
-        List.iteri (fun j fi -> out.(fi) <- vals.(j)) !idxs)
+        let fis, roots = gen_all.(gi) in
+        if Array.length roots > 0 then begin
+          let vals = Bdd.prob_many m roots (fun v -> x_of_var.(v)) in
+          Array.iteri (fun j fi -> out.(fi) <- vals.(j)) fis
+        end)
       generations;
     if Array.exists (fun r -> r = None) detect_roots then begin
       let fb = Cop_eval.probs c faults x in
@@ -367,11 +359,11 @@ let make_bdd ~node_limit ?(max_generations = 6) c faults =
     let out = Array.make (Array.length subset) 0.0 in
     Array.iteri
       (fun gi (m, _) ->
-        match gen_roots subset gi with
-        | _, [] -> ()
-        | idxs, roots ->
-          let vals = Bdd.prob_many m (Array.of_list roots) (fun v -> x_of_var.(v)) in
-          List.iteri (fun p j -> out.(j) <- vals.(p)) idxs)
+        let idxs, roots = gen_roots subset gi in
+        if Array.length roots > 0 then begin
+          let vals = Bdd.prob_many m roots (fun v -> x_of_var.(v)) in
+          Array.iteri (fun p j -> out.(j) <- vals.(p)) idxs
+        end)
       generations;
     if Array.exists (fun fi -> detect_roots.(fi) = None) subset then begin
       let fb = Cop_eval.probs_subset c plan x in
@@ -392,18 +384,16 @@ let make_bdd ~node_limit ?(max_generations = 6) c faults =
     let out0 = Array.make ns 0.0 and out1 = Array.make ns 0.0 in
     Array.iteri
       (fun gi (m, _) ->
-        match gen_roots subset gi with
-        | _, [] -> ()
-        | idxs, roots ->
-          let pairs =
-            Bdd.prob_pair_many m (Array.of_list roots) ~var:fvar (fun v -> x_of_var.(v))
-          in
-          List.iteri
+        let idxs, roots = gen_roots subset gi in
+        if Array.length roots > 0 then begin
+          let pairs = Bdd.prob_pair_many m roots ~var:fvar (fun v -> x_of_var.(v)) in
+          Array.iteri
             (fun p j ->
               let v0, v1 = pairs.(p) in
               out0.(j) <- v0;
               out1.(j) <- v1)
-            idxs)
+            idxs
+        end)
       generations;
     if Array.exists (fun fi -> detect_roots.(fi) = None) subset then begin
       let x' = Array.copy x in

@@ -77,6 +77,77 @@ let test_any_sat () =
      check Alcotest.bool "assignment satisfies" true value);
   check Alcotest.bool "zero unsat" true (Bdd.any_sat m (Bdd.zero m) = None)
 
+(* OR of x_i & x_(i+k) under the order x_0 .. x_(2k-1) needs about 2^(k+1)
+   nodes: with k = 12 the store and the unique table grow (and rehash)
+   several times past their initial 1024 nodes.  Rebuilding it must then
+   find every node in the table. *)
+let test_growth_and_rebuild () =
+  let k = 12 in
+  let m = Bdd.manager ~nvars:(2 * k) () in
+  let build () =
+    let f = ref (Bdd.zero m) in
+    for i = 0 to k - 1 do
+      f := Bdd.or_ m !f (Bdd.and_ m (Bdd.var m i) (Bdd.var m (i + k)))
+    done;
+    !f
+  in
+  let f = build () in
+  let nodes = Bdd.node_count m in
+  check Alcotest.bool "more than 4096 nodes" true (nodes > 4096);
+  check (Alcotest.float 1e-12) "sat fraction" (1.0 -. (0.75 ** Float.of_int k)) (Bdd.sat_fraction m f);
+  let f' = build () in
+  check Alcotest.int "rebuild allocates no node" nodes (Bdd.node_count m);
+  check Alcotest.bool "rebuild returns the same root" true (Bdd.equal f f')
+
+(* Probability queries memoise in scratch kept by the manager.  Interleave
+   them with node allocation (so the scratch is outgrown), with changing
+   input probabilities and with cofactor-pair queries, and check each answer
+   bit for bit against a manager that answers one query only.  Then query
+   [g], whose nodes no other query visits, after every gap of 0 .. 299
+   other queries: a memo left from its previous visit must never be read. *)
+let test_queries_reuse_scratch () =
+  let k = 8 in
+  let nvars = (2 * k) + 2 in
+  let build m upto =
+    let f = ref (Bdd.zero m) in
+    for i = 0 to upto do
+      f := Bdd.or_ m !f (Bdd.and_ m (Bdd.var m i) (Bdd.var m (i + k)))
+    done;
+    !f
+  in
+  let g m = Bdd.and_ m (Bdd.var m (2 * k)) (Bdd.var m ((2 * k) + 1)) in
+  let fresh root q =
+    let m = Bdd.manager ~nvars () in
+    Bdd.prob m (root m) q
+  in
+  let once upto = fresh (fun m -> build m upto) in
+  let same what a b =
+    if Int64.bits_of_float a <> Int64.bits_of_float b then Alcotest.failf "%s: %h <> %h" what a b
+  in
+  let m = Bdd.manager ~nvars () in
+  for i = 0 to k - 1 do
+    let roots = Array.init (i + 1) (build m) in
+    let p v = 0.1 +. (0.05 *. Float.of_int ((v + i) mod 16)) in
+    let at var b v = if v = var then b else p v in
+    let all = Bdd.prob_many m roots p in
+    let pairs = Bdd.prob_pair_many m roots ~var:(i + k) p in
+    Array.iteri
+      (fun j r ->
+        same "prob_many" (once j p) all.(j);
+        same "prob" (once j p) (Bdd.prob m r p);
+        same "cofactor 0" (once j (at (i + k) 0.0)) (fst pairs.(j));
+        same "cofactor 1" (once j (at (i + k) 1.0)) (snd pairs.(j)))
+      roots
+  done;
+  let f = build m (k - 1) and gm = g m in
+  for gap = 0 to 299 do
+    for _ = 1 to gap do
+      ignore (Bdd.prob m f (fun _ -> 0.5))
+    done;
+    let q v = 0.3 +. (0.001 *. Float.of_int (gap + v)) in
+    same "after a gap" (fresh g q) (Bdd.prob m gm q)
+  done
+
 (* Random circuit: BDD evaluation must equal direct netlist evaluation, and
    BDD probability must equal exhaustive enumeration. *)
 let bdd_vs_netlist_qcheck =
@@ -189,7 +260,9 @@ let () =
           Alcotest.test_case "restrict" `Quick test_restrict;
           Alcotest.test_case "node limit" `Quick test_node_limit;
           Alcotest.test_case "sat fraction parity" `Quick test_sat_fraction_parity;
-          Alcotest.test_case "any_sat" `Quick test_any_sat ] );
+          Alcotest.test_case "any_sat" `Quick test_any_sat;
+          Alcotest.test_case "growth and rebuild" `Quick test_growth_and_rebuild;
+          Alcotest.test_case "queries reuse scratch" `Quick test_queries_reuse_scratch ] );
       ( "circuit",
         [ q bdd_vs_netlist_qcheck;
           q prob_vs_enumeration_qcheck;

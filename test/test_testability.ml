@@ -399,6 +399,29 @@ let test_proven_redundant () =
   let pf = Oracle.probs o [| 0.3 |] in
   Array.iteri (fun i r -> if r && pf.(i) <> 0.0 then Alcotest.fail "redundant with p > 0") red
 
+(* The exact engine's generations on S1, pinned: one roomy generation, four
+   tight ones, and a limit so small that most faults fall back to COP.
+   The storage inside the BDD manager must not move node ids, so these
+   labels and the exact p_f are fixed points of any change to it. *)
+let test_bdd_generations_pinned () =
+  let c = Generators.s1_comparator () in
+  let faults = Rt_fault.Collapse.collapsed_universe c in
+  let engine node_limit = Detect.make (Detect.Bdd_exact { node_limit }) c faults in
+  let roomy = engine 500_000 and tight = engine 30_000 in
+  check Alcotest.string "500k label" "bdd-exact(534/534 exact, 1 generations, 93034 nodes)"
+    (Oracle.describe roomy);
+  check Alcotest.string "30k label" "bdd-exact(534/534 exact, 4 generations, 105506 nodes)"
+    (Oracle.describe tight);
+  check Alcotest.string "8k label" "bdd-exact(12/534 exact, 1 generations, 7998 nodes)"
+    (Oracle.describe (engine 8_000));
+  let x = Array.make (Array.length (Netlist.inputs c)) 0.5 in
+  let p_roomy = Oracle.probs roomy x and p_tight = Oracle.probs tight x in
+  Array.iteri
+    (fun f p ->
+      if Int64.bits_of_float p <> Int64.bits_of_float p_tight.(f) then
+        Alcotest.failf "fault %d: p_f %h with one generation, %h with four" f p p_tight.(f))
+    p_roomy
+
 (* --- Test_length ------------------------------------------------------------------ *)
 
 let test_required_single_fault () =
@@ -456,7 +479,8 @@ let () =
           q cofactor_affinity_qcheck;
           Alcotest.test_case "keyed plan cache" `Quick test_plan_cache_keyed;
           Alcotest.test_case "stafan close on trees" `Quick test_stafan_close_to_exact_on_tree;
-          Alcotest.test_case "proven redundant" `Quick test_proven_redundant ] );
+          Alcotest.test_case "proven redundant" `Quick test_proven_redundant;
+          Alcotest.test_case "bdd generations pinned on s1" `Quick test_bdd_generations_pinned ] );
       ( "test-length",
         [ Alcotest.test_case "single fault" `Quick test_required_single_fault;
           Alcotest.test_case "confidence inverse" `Quick test_required_confidence_inverse;
