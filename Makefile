@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is the pre-commit gate.
 
-.PHONY: all check test bench bench-json bench-smoke obs-demo obs-live-demo obs-history-demo clean
+.PHONY: all check test bench bench-json bench-smoke obs-demo obs-history-demo clean
 
 all:
 	dune build
@@ -42,35 +42,6 @@ obs-demo:
 	dune exec bin/main.exe -- obs diff _obs/demo/a _obs/demo/b \
 	  --max-span-ratio 10 --max-quantile-ratio 10 --max-counter-ratio 10
 	@echo "obs-demo: _obs/demo/{a,b} ok"
-
-# Live-telemetry demo: one run with the background sampler, per-domain
-# scheduler tracks (OPTPROB_JOBS_OVERCOMMIT lifts the core clamp so real
-# worker domains exist even on 1-core CI) and the HTTP endpoint, scraped
-# mid-run with curl.  OPTPROB_OBS_LINGER_MS keeps /metrics answering
-# briefly after the run ends so the scrapes cannot race a fast finish.
-obs-live-demo:
-	rm -rf _obs/live
-	mkdir -p _obs/live
-	OPTPROB_JOBS_OVERCOMMIT=1 OPTPROB_OBS_LINGER_MS=6000 \
-	  dune exec bin/main.exe -- run c6288ish --patterns 20000 --jobs 4 \
-	  --obs-sample-ms 25 --obs-dir _obs/live --obs-listen 8377 \
-	  2> _obs/live/run.err & \
-	pid=$$!; \
-	up=0; for i in $$(seq 1 100); do \
-	  if curl -fsS http://127.0.0.1:8377/healthz 2>/dev/null | grep -q ok; then up=1; break; fi; \
-	  sleep 0.2; \
-	done; \
-	test $$up -eq 1 || { echo "obs-live-demo FAIL: /healthz never came up"; cat _obs/live/run.err; exit 1; }; \
-	curl -fsS http://127.0.0.1:8377/metrics > _obs/live/metrics.live.prom || exit 1; \
-	grep -q '^optprob_' _obs/live/metrics.live.prom || { echo "obs-live-demo FAIL: /metrics empty"; exit 1; }; \
-	curl -fsS http://127.0.0.1:8377/snapshot | grep -q 'optprob-metrics/2' || { echo "obs-live-demo FAIL: /snapshot"; exit 1; }; \
-	wait $$pid || { echo "obs-live-demo FAIL: run exited nonzero"; cat _obs/live/run.err; exit 1; }
-	@test -s _obs/live/timeline.json
-	@grep -q '"optprob-timeline/1"' _obs/live/timeline.json
-	@grep -q '"samples"' _obs/live/timeline.json
-	@grep -q 'pool.d1' _obs/live/trace.json || { echo "obs-live-demo FAIL: no per-domain tracks"; exit 1; }
-	dune exec bin/main.exe -- obs diff _obs/live _obs/live -q
-	@echo "obs-live-demo: live /metrics + /healthz + /snapshot, timeline and per-domain tracks ok"
 
 # Longitudinal-history demo and acceptance gate for the run registry:
 # three identical pipeline runs auto-ingest into a fresh registry, which

@@ -360,75 +360,6 @@ let run_perf () =
     results;
   List.sort (fun (a, _) (b, _) -> String.compare a b) !collected
 
-(* --- pool telemetry measurement --------------------------------------------
-
-   One sampled jobs=4 ppsfp run through the persistent pool, with the
-   hardware clamp lifted so the measurement exercises real worker domains
-   even on a single-core host.  Records per-lane scheduler counters and
-   the utilization profile the timeline sampler saw — the jobs axis of
-   the JSON is ready for multi-core hosts where the clamp never binds. *)
-
-type pool_measurement = {
-  pm_jobs : int;
-  pm_period_ms : int;
-  pm_samples : int;
-  pm_util_peak : float;
-  pm_util_mean : float;
-  pm_lanes : (int * int * int * int * int) list;
-      (* lane, tasks, steals, stolen_from, parked_us *)
-}
-
-let measure_pool () =
-  let jobs = 4 and period_ms = 5 in
-  let saved = Sys.getenv_opt "OPTPROB_JOBS_OVERCOMMIT" in
-  Unix.putenv "OPTPROB_JOBS_OVERCOMMIT" "1";
-  Fun.protect ~finally:(fun () ->
-      Unix.putenv "OPTPROB_JOBS_OVERCOMMIT" (Option.value ~default:"" saved))
-  @@ fun () ->
-  Rt_obs.set_enabled true;
-  Rt_obs.clear ();
-  let ctx =
-    Rt_pipeline.create
-      (Rt_pipeline.Config.exn (Rt_pipeline.Config.make ~engine:"cop" ~circuit:"c6288ish:8" ()))
-  in
-  let mult = Rt_pipeline.circuit ctx in
-  let mfaults = Rt_pipeline.fault_list ctx in
-  let n_inputs = Array.length (Rt_circuit.Netlist.inputs mult) in
-  let sampler = Rt_obs.Timeline.start ~period_ms () in
-  for seed = 1 to 3 do
-    let rng = Rt_util.Rng.create seed in
-    let source = Rt_sim.Pattern.equiprobable rng ~n_inputs in
-    ignore
-      (Rt_sim.Fault_sim.simulate ~jobs ~drop:false mult mfaults ~source ~n_patterns:1024)
-  done;
-  let samples, _dropped = Rt_obs.Timeline.stop sampler in
-  let snap = Rt_obs.counters_snapshot () in
-  let v name = Option.value ~default:0 (List.assoc_opt name snap) in
-  let lanes =
-    List.init jobs (fun k ->
-        let f field = v (Printf.sprintf "pool.d%d.%s" k field) in
-        (k, f "tasks", f "steals", f "stolen_from", f "parked_us"))
-  in
-  let utils =
-    List.filter_map
-      (fun s -> List.assoc_opt "pool.utilization" s.Rt_obs.Timeline.s_gauges)
-      samples
-  in
-  let peak = List.fold_left Float.max 0.0 utils in
-  let mean =
-    match utils with
-    | [] -> 0.0
-    | _ -> List.fold_left ( +. ) 0.0 utils /. Float.of_int (List.length utils)
-  in
-  Rt_obs.set_enabled false;
-  Rt_obs.clear ();
-  { pm_jobs = jobs;
-    pm_period_ms = period_ms;
-    pm_samples = List.length samples;
-    pm_util_peak = peak;
-    pm_util_mean = mean;
-    pm_lanes = lanes }
-
 (* --- JSON output ----------------------------------------------------------- *)
 
 let json_escape s =
@@ -445,32 +376,16 @@ let json_escape s =
     s;
   Buffer.contents buf
 
-let write_json ~path ~mode ~experiments ~kernels ~pool ~opt ~total_seconds =
+let write_json ~path ~mode ~experiments ~kernels ~opt ~total_seconds =
   let oc = open_out path in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
-  p "  \"schema\": \"optprob-bench/3\",\n";
+  p "  \"schema\": \"optprob-bench/4\",\n";
   p "  \"mode\": \"%s\",\n" (json_escape mode);
   p "  \"jobs_env\": %d,\n" (Rt_util.Parallel.default_jobs ());
   p "  \"block_words_env\": %d,\n" (Rt_sim.Pattern.default_block_words ());
   p "  \"host_cores\": %d,\n" (Domain.recommended_domain_count ());
   p "  \"total_seconds\": %.3f,\n" total_seconds;
-  p "  \"pool\": {\n";
-  p "    \"jobs\": %d,\n" pool.pm_jobs;
-  p "    \"sample_period_ms\": %d,\n" pool.pm_period_ms;
-  p "    \"timeline_samples\": %d,\n" pool.pm_samples;
-  p "    \"utilization\": {\"peak\": %.4f, \"mean\": %.4f},\n" pool.pm_util_peak
-    pool.pm_util_mean;
-  p "    \"domains\": [\n";
-  List.iteri
-    (fun i (lane, tasks, steals, stolen_from, parked_us) ->
-      p "      {\"lane\": %d, \"tasks\": %d, \"steals\": %d, \"stolen_from\": %d, \
-         \"parked_us\": %d}%s\n"
-        lane tasks steals stolen_from parked_us
-        (if i = List.length pool.pm_lanes - 1 then "" else ","))
-    pool.pm_lanes;
-  p "    ]\n";
-  p "  },\n";
   p "  \"opt\": {\n";
   p "    \"circuit\": \"s1-redundant\",\n";
   p "    \"passes\": \"%s\"," (json_escape (String.concat "," Rt_circuit.Passes.default_names));
@@ -502,7 +417,7 @@ let write_json ~path ~mode ~experiments ~kernels ~pool ~opt ~total_seconds =
 
 (* Record the finished bench run — per-experiment wall-clock as a latency
    histogram, the work counters each experiment burned, kernel ns/run as
-   gauges — as a transient artifact and ingest it into the run registry,
+   gauges — and ingest it straight from the sink into the run registry,
    so `optprob obs trend bench.experiment_us.p50` works across bench
    invocations without any separate tooling. *)
 let ingest_run ~registry ~experiments ~kernels ~total_seconds =
@@ -524,20 +439,14 @@ let ingest_run ~registry ~experiments ~kernels ~total_seconds =
     (fun (name, ns) ->
       Rt_obs.gauge_set (Rt_obs.gauge ("bench.kernel." ^ sanitize name ^ ".ns")) ns)
     kernels;
-  let dir = Filename.concat registry (Printf.sprintf "tmp-bench.%d" (Unix.getpid ())) in
-  Rt_obs.Artifact.write ~dir
-    ~manifest:(Rt_obs.Artifact.make_manifest ~argv:Sys.argv ~wall_s:total_seconds ())
-    ();
+  let run =
+    Rt_obs.Artifact.of_sink
+      ~manifest:(Rt_obs.Artifact.make_manifest ~argv:Sys.argv ~wall_s:total_seconds ())
+      ()
+  in
   Rt_obs.clear ();
   Rt_obs.set_enabled false;
-  let r = Rt_obs_registry.ingest ~registry ~obs_dir:dir () in
-  (try
-     Array.iter
-       (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-       (Sys.readdir dir)
-   with Sys_error _ -> ());
-  (try Unix.rmdir dir with Unix.Unix_error _ -> ());
-  match r with
+  match Rt_obs_registry.ingest_run ~source:"bench" ~registry run with
   | Ok id -> Format.printf "@.registry: ingested %s into %s@." id registry
   | Error e -> Format.eprintf "@.registry: ingest failed: %s@." e
 
@@ -551,15 +460,12 @@ let () =
   let kernels = if perf then run_perf () else [] in
   if json then begin
     let path = "BENCH_optprob.json" in
-    let pool = measure_pool () in
     let opt = measure_opt () in
-    Format.printf "@.pool (sampled jobs=%d ppsfp): utilization peak %.2f mean %.2f over %d samples@."
-      pool.pm_jobs pool.pm_util_peak pool.pm_util_mean pool.pm_samples;
-    Format.printf "opt (s1-redundant): %d -> %d nodes (%d removed)@."
+    Format.printf "@.opt (s1-redundant): %d -> %d nodes (%d removed)@."
       opt.om_raw_nodes opt.om_opt_nodes (opt.om_raw_nodes - opt.om_opt_nodes);
     write_json ~path
       ~mode:(if full then "full" else "quick")
-      ~experiments ~kernels ~pool ~opt
+      ~experiments ~kernels ~opt
       ~total_seconds:(Rt_util.Stats.timer_elapsed t0);
     Format.printf "@.wrote %s@." path
   end;

@@ -27,18 +27,12 @@
       fail.  The width axis is chosen because it does not depend on host
       core count, unlike the jobs axis;
    6. a second jobs=4 run spawns no additional domains
-      ([parallel.spawns] flat), i.e. the domain pool persists;
-   7. the background timeline sampler is free at the workload level: the
-      fused sweep's raw-sample p50 with telemetry+sampler(25 ms) stays
-      within 1.25x of telemetry-only, the p50s read back from the two run
-      artifacts' metrics.json land within one log bucket of each other —
-      and the sampler side's timeline.json self-diffs clean through
-      obs diff.
+      ([parallel.spawns] flat), i.e. the domain pool persists.
 
    Finally the whole smoke run is ingested into the persistent run
    registry (argv.(2), default the OPTPROB_OBS_REGISTRY/_obs/registry
    convention; pass "-" to skip):
-   8. the first ever run bootstrap-promotes itself as the baseline;
+   7. the first ever run bootstrap-promotes itself as the baseline;
       every later run is diffed against the promoted baseline record and
       fails on histogram (3x, cross-runner noise allowance) or counter
       (1.5x, counters are deterministic) regressions, and the
@@ -317,66 +311,6 @@ let () =
   if spawns_after > spawns_warm then begin
     Printf.eprintf "bench-smoke FAIL: second jobs=4 run spawned %d extra domains\n"
       (spawns_after - spawns_warm);
-    exit 1
-  end;
-  (* --- sampler overhead ------------------------------------------------------
-     Telemetry-only vs telemetry + 25 ms timeline sampler, same fused
-     sweep.  Both runs are recorded; the gate compares the p50 each
-     artifact's metrics.json reports, so it measures exactly what a
-     sampled production run would. *)
-  Rt_obs.set_enabled true;
-  Rt_obs.clear ();
-  let _, s_tel_only = time_collect (sweep fused) in
-  let dir_tel = write "sampler-off" s_tel_only in
-  let sampler = Rt_obs.Timeline.start ~period_ms:25 () in
-  let _, s_sampled = time_collect (sweep fused) in
-  let tl_samples, tl_dropped = Rt_obs.Timeline.stop sampler in
-  let dir_samp = write "sampler-on" s_sampled in
-  Rt_obs.Timeline.write
-    (Filename.concat dir_samp "timeline.json")
-    ~period_ms:25 ~dropped:tl_dropped tl_samples;
-  Rt_obs.set_enabled false;
-  let run_tel = read_run dir_tel and run_samp = read_run dir_samp in
-  let p50_of dir (r : Rt_obs.Artifact.run) =
-    match Option.bind (List.assoc_opt "smoke.sweep_us" r.histograms) (List.assoc_opt "p50") with
-    | Some v -> v
-    | None -> Printf.eprintf "bench-smoke FAIL: no smoke.sweep_us p50 in %s\n" dir; exit 1
-  in
-  let p50_tel = p50_of dir_tel run_tel and p50_samp = p50_of dir_samp run_samp in
-  (* The artifact p50s are quantized by the histogram's log buckets
-     (adjacent boundaries ~1.78x apart), so a tight band on them flips a
-     coin whenever the sweep straddles a bucket edge.  The numeric gate
-     therefore runs on the exact medians of the raw per-call samples
-     (1.25x, room for scheduler noise at the ~1 ms scale); the artifact
-     read-back keeps its own guard — the two p50s must land within one
-     bucket of each other — so the recorded story cannot drift from the
-     measured one. *)
-  let sampler_ratio = median s_sampled /. median s_tel_only in
-  let artifact_ratio = p50_samp /. p50_tel in
-  let sampler_thresholds = { Rt_obs.Diff.default with quantile_ratio = 1.8 } in
-  let sampler_diff = Rt_obs.Diff.compare ~thresholds:sampler_thresholds run_tel run_samp in
-  let tl_self = Rt_obs.Diff.regressions (Rt_obs.Diff.compare run_samp run_samp) in
-  Printf.printf "sampler overhead (fused sweep, 25 ms period):\n";
-  Printf.printf "  telemetry-only p50:         %8.3f us (artifact %8.3f)\n"
-    (median s_tel_only) p50_tel;
-  Printf.printf "  telemetry+sampler p50:      %8.3f us (artifact %8.3f)\n"
-    (median s_sampled) p50_samp;
-  Printf.printf "  ratio (sampled / plain):    %8.3f (artifact %8.3f)\n"
-    sampler_ratio artifact_ratio;
-  Printf.printf "  timeline samples/dropped:   %d / %d\n" (List.length tl_samples) tl_dropped;
-  Printf.printf "  artifacts:                  %s {sampler-off,sampler-on}\n" out_root;
-  Rt_obs.Diff.pp_report Format.std_formatter sampler_diff;
-  if sampler_ratio > 1.25 then begin
-    Printf.eprintf "bench-smoke FAIL: sampler overhead %.3fx > 1.25x on raw p50\n" sampler_ratio;
-    exit 1
-  end;
-  if artifact_ratio > 1.8 then begin
-    Printf.eprintf
-      "bench-smoke FAIL: artifact p50s more than one bucket apart (%.3fx)\n" artifact_ratio;
-    exit 1
-  end;
-  if tl_self <> [] then begin
-    Printf.eprintf "bench-smoke FAIL: sampler-side timeline does not self-diff clean\n";
     exit 1
   end;
   (* --- run registry ----------------------------------------------------------

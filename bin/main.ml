@@ -21,6 +21,8 @@ module Registry = Rt_obs_registry
    self-describing artifact directory per run (manifest.json,
    events.jsonl, metrics.json, metrics.prom, trace.json and, for
    optimize/run, convergence.json), diffable with `optprob obs diff`.
+   --obs-registry ingests the finished run into the run registry, from
+   the artifact directory when there is one and from memory otherwise.
    Any obs flag enables Rt_obs recording; the disabled default costs one
    branch per probe.  While an --obs-dir run is in flight,
    SIGUSR1 dumps a live metrics snapshot into the directory. *)
@@ -28,12 +30,8 @@ module Registry = Rt_obs_registry
 type obs = {
   obs_dir : string option;
   verbose : bool;
-  sample_ms : int option;
-  listen : int option;
   registry : string option;  (* "" = the default registry directory *)
   mutable t_start : float;
-  mutable sampler : Rt_obs.Timeline.sampler option;
-  mutable server : Rt_obs_http.t option;
 }
 
 let resolve_registry obs =
@@ -44,26 +42,13 @@ let resolve_registry obs =
 let obs_dir_arg =
   Arg.(value & opt (some string) None & info [ "obs-dir" ] ~docv:"DIR"
          ~doc:"Write the full run artifact (manifest.json, events.jsonl, metrics.json, \
-               metrics.prom, trace.json, timeline.json, convergence.json) to $(docv); \
+               metrics.prom, trace.json, convergence.json) to $(docv); \
                compare two run directories with $(b,optprob obs diff).  SIGUSR1 dumps a \
                live metrics snapshot mid-run.")
 
 let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ]
          ~doc:"Print the aggregated phase timings, counters and latency histograms to stderr.")
-
-let sample_ms_arg =
-  Arg.(value & opt (some int) None & info [ "obs-sample-ms" ] ~docv:"MS"
-         ~doc:"Start a background sampler domain snapshotting all counters and gauges \
-               (pool utilization, queue depths, GC, live faults) every $(docv) \
-               milliseconds into a bounded ring buffer, flushed to timeline.json in the \
-               --obs-dir artifact.")
-
-let listen_arg =
-  Arg.(value & opt (some int) None & info [ "obs-listen" ] ~docv:"PORT"
-         ~doc:"Serve live observability over HTTP on 127.0.0.1:$(docv) while the run is \
-               in flight: /metrics (OpenMetrics), /healthz, /snapshot (metrics JSON).  \
-               Port 0 picks an ephemeral port (printed on startup).")
 
 let registry_flag_arg =
   Arg.(value & opt ~vopt:(Some "") (some string) None
@@ -75,51 +60,18 @@ let registry_flag_arg =
                list/show/trend/diff.")
 
 let obs_arg =
-  Term.(const (fun obs_dir verbose sample_ms listen registry ->
-            { obs_dir; verbose; sample_ms; listen; registry;
-              t_start = 0.0; sampler = None; server = None })
-        $ obs_dir_arg $ verbose_arg $ sample_ms_arg $ listen_arg $ registry_flag_arg)
+  Term.(const (fun obs_dir verbose registry -> { obs_dir; verbose; registry; t_start = 0.0 })
+        $ obs_dir_arg $ verbose_arg $ registry_flag_arg)
 
 let obs_begin obs =
   obs.t_start <- Unix.gettimeofday ();
-  if obs.obs_dir <> None || obs.verbose || obs.sample_ms <> None || obs.listen <> None
-     || obs.registry <> None
-  then Rt_obs.set_enabled true;
-  (match obs.obs_dir with
-   | Some dir ->
-     (try
-        Sys.set_signal Sys.sigusr1
-          (Sys.Signal_handle (fun _ -> Rt_obs.Artifact.write_live ~dir))
-      with Invalid_argument _ | Sys_error _ -> ())
-   | None -> ());
-  (match obs.sample_ms with
-   | Some period_ms when period_ms >= 1 ->
-     obs.sampler <- Some (Rt_obs.Timeline.start ~period_ms ())
-   | Some bad -> failwith (Printf.sprintf "--obs-sample-ms %d: period must be >= 1" bad)
-   | None -> ());
-  match obs.listen with
-  | Some port when port >= 0 && port < 65536 ->
+  if obs.obs_dir <> None || obs.verbose || obs.registry <> None then Rt_obs.set_enabled true;
+  match obs.obs_dir with
+  | Some dir ->
     (try
-       let registry = resolve_registry obs in
-       let srv = Rt_obs_http.start ?registry ~port () in
-       obs.server <- Some srv;
-       Format.eprintf "obs: serving /metrics /healthz /snapshot%s on http://127.0.0.1:%d@."
-         (if registry <> None then " /runs /trend" else "")
-         (Rt_obs_http.port srv)
-     with Unix.Unix_error (err, _, _) ->
-       failwith
-         (Printf.sprintf "--obs-listen %d: cannot bind (%s)" port (Unix.error_message err)))
-  | Some bad -> failwith (Printf.sprintf "--obs-listen %d: not a valid port" bad)
-  | None -> ()
-
-(* Keep the HTTP endpoint answering briefly after the artifacts are written
-   — scripted clients (make obs-live-demo, CI) race the run's natural end. *)
-let obs_linger () =
-  match Sys.getenv_opt "OPTPROB_OBS_LINGER_MS" with
-  | Some s ->
-    (match int_of_string_opt (String.trim s) with
-     | Some ms when ms > 0 -> Unix.sleepf (Float.of_int ms /. 1000.0)
-     | _ -> ())
+       Sys.set_signal Sys.sigusr1
+         (Sys.Signal_handle (fun _ -> Rt_obs.Artifact.write_live ~dir))
+     with Invalid_argument _ | Sys_error _ -> ())
   | None -> ()
 
 (* The manifest carries the full config slice (engine, seed, jobs, circuit,
@@ -142,55 +94,25 @@ let manifest_of_cfg ?(cfg : Config.t option) obs =
     ~wall_s:(Unix.gettimeofday () -. obs.t_start) ()
 
 let obs_end ?(cfg : Config.t option) ?convergence obs =
-  (* stop the sampler first so its final sample lands in the timeline and
-     in the artifact snapshot below *)
-  let timeline =
-    match obs.sampler with
-    | Some s ->
-      obs.sampler <- None;
-      let samples, dropped = Rt_obs.Timeline.stop s in
-      Some (samples, dropped)
-    | None -> None
-  in
-  let write_artifact dir =
-    Rt_obs.Artifact.write ~dir ~manifest:(manifest_of_cfg ?cfg obs) ?convergence ();
-    match (timeline, obs.sample_ms) with
-    | Some (samples, dropped), Some period_ms ->
-      Rt_obs.Timeline.write (Filename.concat dir "timeline.json") ~period_ms ~dropped samples
-    | _ -> ()
-  in
+  let manifest = manifest_of_cfg ?cfg obs in
   (match obs.obs_dir with
    | Some dir ->
-     write_artifact dir;
+     Rt_obs.Artifact.write ~dir ~manifest ?convergence ();
      Format.eprintf "wrote run artifact %s@." dir
    | None -> ());
   (* flag-gated auto-ingest: every completed run lands in the registry *)
   (match resolve_registry obs with
    | None -> ()
    | Some reg ->
-     let ingest dir =
-       match Registry.ingest ~registry:reg ~obs_dir:dir () with
-       | Ok id -> Format.eprintf "registry: ingested %s into %s@." id reg
-       | Error msg -> Format.eprintf "registry: ingest failed: %s@." msg
+     let ingested =
+       match obs.obs_dir with
+       | Some dir -> Registry.ingest ~registry:reg ~obs_dir:dir ()
+       | None ->
+         Registry.ingest_run ~registry:reg (Rt_obs.Artifact.of_sink ~manifest ?convergence ())
      in
-     (match obs.obs_dir with
-      | Some dir -> ingest dir
-      | None ->
-        (* no --obs-dir: write a transient artifact just long enough to
-           ingest it *)
-        let tmp = Filename.concat reg (Printf.sprintf "tmp-ingest.%d" (Unix.getpid ())) in
-        write_artifact tmp;
-        ingest tmp;
-        Array.iter
-          (fun f -> try Sys.remove (Filename.concat tmp f) with Sys_error _ -> ())
-          (try Sys.readdir tmp with Sys_error _ -> [||]);
-        (try Unix.rmdir tmp with Unix.Unix_error _ -> ())));
-  (match obs.server with
-   | Some srv ->
-     obs.server <- None;
-     obs_linger ();
-     Rt_obs_http.stop srv
-   | None -> ());
+     (match ingested with
+      | Ok id -> Format.eprintf "registry: ingested %s into %s@." id reg
+      | Error msg -> Format.eprintf "registry: ingest failed: %s@." msg));
   if obs.verbose then begin
     Rt_obs.sample_gc ();
     Rt_obs.pp_summary Format.err_formatter

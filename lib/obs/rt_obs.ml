@@ -20,7 +20,6 @@ type event = {
   ts_us : float;
   dur_us : float;
   tid : int;
-  args : (string * string) list;
 }
 
 type mark = {
@@ -41,10 +40,10 @@ let record ev =
 
 let span_begin () = if Atomic.get on then now_us () else Float.neg_infinity
 
-let span_end ?(cat = "span") ?(args = []) name t0 =
+let span_end ?(cat = "span") name t0 =
   if t0 > Float.neg_infinity then begin
     let dur = Float.max 0.0 (now_us () -. t0) in
-    record { name; cat; ts_us = t0; dur_us = dur; tid = (Domain.self () :> int); args }
+    record { name; cat; ts_us = t0; dur_us = dur; tid = (Domain.self () :> int) }
   end
 
 let with_span ?cat name f =
@@ -81,49 +80,6 @@ let marks () =
   let ms = !marks_rev in
   Mutex.unlock lock;
   List.rev ms
-
-(* --- track names ------------------------------------------------------------
-
-   Per-domain display names for the trace viewer.  Registration-like (not
-   gated on the enabled flag, survives [clear]): a worker domain names its
-   track once at spawn and every later trace export shows it. *)
-
-let track_names : (int, string) Hashtbl.t = Hashtbl.create 8
-
-let set_track_name name =
-  let tid = (Domain.self () :> int) in
-  Mutex.lock lock;
-  Hashtbl.replace track_names tid name;
-  Mutex.unlock lock
-
-let track_names_snapshot () =
-  Mutex.lock lock;
-  let xs = Hashtbl.fold (fun tid name acc -> (tid, name) :: acc) track_names [] in
-  Mutex.unlock lock;
-  List.sort compare xs
-
-(* --- sample hooks -----------------------------------------------------------
-
-   Callbacks that refresh derived gauges from live state (pool utilization,
-   queue depths) right before a snapshot is taken.  Lets lower layers like
-   [Rt_util.Pool] — which depend on this module — feed the sampler, the
-   artifact writer and the HTTP responder without a reverse dependency. *)
-
-let sample_hooks : (unit -> unit) list ref = ref []
-
-let add_sample_hook f =
-  Mutex.lock lock;
-  sample_hooks := f :: !sample_hooks;
-  Mutex.unlock lock
-
-let run_sample_hooks () =
-  if Atomic.get on then begin
-    Mutex.lock lock;
-    let hs = !sample_hooks in
-    Mutex.unlock lock;
-    (* oldest first, so a later registration's writes win on shared gauges *)
-    List.iter (fun f -> try f () with _ -> ()) (List.rev hs)
-  end
 
 (* --- counters / gauges ----------------------------------------------------- *)
 
@@ -249,12 +205,12 @@ let observe_always h v =
 
 let observe h v = if Atomic.get on then observe_always h v
 
-let span_end_h ?(cat = "span") ?(args = []) name h t0 =
+let span_end_h ?(cat = "span") name h t0 =
   if t0 > Float.neg_infinity then begin
     (* One clock read feeds both the event and the histogram, so the two
        views of the span duration are identical. *)
     let dur = Float.max 0.0 (now_us () -. t0) in
-    record { name; cat; ts_us = t0; dur_us = dur; tid = (Domain.self () :> int); args };
+    record { name; cat; ts_us = t0; dur_us = dur; tid = (Domain.self () :> int) };
     observe_always h dur
   end
 
@@ -581,11 +537,12 @@ module Json = struct
     Buffer.contents buf
 end
 
-let args_json args =
+(* A mark's string fields as the members of a JSON object. *)
+let fields_json fields =
   String.concat ","
     (List.map
        (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-       args)
+       fields)
 
 let trace_json () =
   let evs = events () in
@@ -599,32 +556,18 @@ let trace_json () =
     Buffer.add_string buf s
   in
   List.iter
-    (fun (tid, name) ->
-      emit
-        (Printf.sprintf
-           "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
-           tid (json_escape name)))
-    (track_names_snapshot ());
-  List.iter
     (fun ev ->
-      let args = if ev.args = [] then "" else Printf.sprintf ",\"args\":{%s}" (args_json ev.args) in
       emit
         (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d%s}"
-           (json_escape ev.name) (json_escape ev.cat) ev.ts_us ev.dur_us ev.tid args))
+           "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d}"
+           (json_escape ev.name) (json_escape ev.cat) ev.ts_us ev.dur_us ev.tid))
     evs;
   List.iter
     (fun m ->
-      let args =
-        String.concat ","
-          (List.map
-             (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-             m.m_fields)
-      in
       emit
         (Printf.sprintf
            "{\"name\":\"%s\",\"cat\":\"mark\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{%s}}"
-           (json_escape m.m_name) m.m_ts_us m.m_tid args))
+           (json_escape m.m_name) m.m_ts_us m.m_tid (fields_json m.m_fields)))
     ms;
   Buffer.add_string buf "\n]}\n";
   Buffer.contents buf
@@ -635,26 +578,17 @@ let events_jsonl () =
   let lines =
     List.map
       (fun ev ->
-        let args =
-          if ev.args = [] then "" else Printf.sprintf ",\"args\":{%s}" (args_json ev.args)
-        in
         ( ev.ts_us,
           Printf.sprintf
-            "{\"type\":\"span\",\"name\":\"%s\",\"cat\":\"%s\",\"ts_us\":%.3f,\"dur_us\":%.3f,\"tid\":%d%s}"
-            (json_escape ev.name) (json_escape ev.cat) ev.ts_us ev.dur_us ev.tid args ))
+            "{\"type\":\"span\",\"name\":\"%s\",\"cat\":\"%s\",\"ts_us\":%.3f,\"dur_us\":%.3f,\"tid\":%d}"
+            (json_escape ev.name) (json_escape ev.cat) ev.ts_us ev.dur_us ev.tid ))
       (events ())
     @ List.map
         (fun m ->
-          let fields =
-            String.concat ","
-              (List.map
-                 (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-                 m.m_fields)
-          in
           ( m.m_ts_us,
             Printf.sprintf
               "{\"type\":\"mark\",\"name\":\"%s\",\"ts_us\":%.3f,\"tid\":%d,\"fields\":{%s}}"
-              (json_escape m.m_name) m.m_ts_us m.m_tid fields ))
+              (json_escape m.m_name) m.m_ts_us m.m_tid (fields_json m.m_fields) ))
         (marks ())
   in
   let lines = List.sort (fun (a, _) (b, _) -> Float.compare a b) lines in
@@ -929,9 +863,9 @@ let prom_lint s =
   List.rev !errs
 
 (* Atomic artifact write: a reader polling the directory mid-run (SIGUSR1
-   snapshots, the HTTP responder's fallback, `tail -f` on metrics.prom)
-   must never see a torn file, so write a sibling temp file and rename it
-   into place — [Sys.rename] replaces atomically on POSIX.  The temp name
+   snapshots, `tail -f` on metrics.prom) must never see a torn file, so
+   write a sibling temp file and rename it into place — [Sys.rename]
+   replaces atomically on POSIX.  The temp name
    carries pid *and* domain id so concurrent writers within one process
    (registry ingests from two domains) can't collide on the sibling. *)
 let write_file path s =
@@ -959,126 +893,6 @@ let rec mkdir_p dir =
     mkdir_p (Filename.dirname dir);
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
-
-(* --- timeline sampler --------------------------------------------------------
-
-   A background domain that periodically snapshots every counter and gauge
-   (after refreshing the derived ones via the sample hooks and the GC
-   gauges) into a bounded ring buffer, flushed on stop to a
-   `optprob-timeline/1` JSON document.  The ring keeps the newest
-   [capacity] samples and counts what it overwrote, so a runaway run has
-   bounded memory and an honest [dropped] figure. *)
-
-module Timeline = struct
-  type sample = {
-    s_ts_us : float;
-    s_counters : (string * int) list;
-    s_gauges : (string * float) list;
-  }
-
-  type ring = {
-    r_cap : int;
-    r_data : sample option array;
-    mutable r_pushed : int;
-    r_lock : Mutex.t;
-  }
-
-  let ring_create cap =
-    if cap < 1 then invalid_arg "Rt_obs.Timeline.ring_create: capacity must be >= 1";
-    { r_cap = cap; r_data = Array.make cap None; r_pushed = 0; r_lock = Mutex.create () }
-
-  let ring_push r s =
-    Mutex.lock r.r_lock;
-    (* clamp to keep the series strictly monotone even if the wall clock
-       steps backwards between samples *)
-    let s =
-      if r.r_pushed = 0 then s
-      else
-        match r.r_data.((r.r_pushed - 1) mod r.r_cap) with
-        | Some prev when s.s_ts_us <= prev.s_ts_us -> { s with s_ts_us = prev.s_ts_us +. 1e-3 }
-        | _ -> s
-    in
-    r.r_data.(r.r_pushed mod r.r_cap) <- Some s;
-    r.r_pushed <- r.r_pushed + 1;
-    Mutex.unlock r.r_lock
-
-  let ring_flush r =
-    Mutex.lock r.r_lock;
-    let n = Stdlib.min r.r_pushed r.r_cap in
-    let start = r.r_pushed - n in
-    let out = List.init n (fun i -> Option.get r.r_data.((start + i) mod r.r_cap)) in
-    let dropped = r.r_pushed - n in
-    Mutex.unlock r.r_lock;
-    (out, dropped)
-
-  let take_sample () =
-    run_sample_hooks ();
-    sample_gc ();
-    { s_ts_us = now_us (); s_counters = counters_snapshot (); s_gauges = gauges_snapshot () }
-
-  type sampler = {
-    ring : ring;
-    period_ms : int;
-    stop_flag : bool Atomic.t;
-    mutable domain : unit Domain.t option;
-  }
-
-  let start ?(capacity = 4096) ~period_ms () =
-    if period_ms < 1 then invalid_arg "Rt_obs.Timeline.start: period_ms must be >= 1";
-    let t =
-      { ring = ring_create capacity; period_ms; stop_flag = Atomic.make false; domain = None }
-    in
-    let d =
-      Domain.spawn (fun () ->
-          set_track_name "obs-sampler";
-          while not (Atomic.get t.stop_flag) do
-            ring_push t.ring (take_sample ());
-            (* sleep in <= 50 ms steps so stop stays prompt at long periods *)
-            let remaining = ref (Float.of_int t.period_ms /. 1000.0) in
-            while !remaining > 0.0 && not (Atomic.get t.stop_flag) do
-              let dt = Float.min 0.05 !remaining in
-              Unix.sleepf dt;
-              remaining := !remaining -. dt
-            done
-          done)
-    in
-    t.domain <- Some d;
-    t
-
-  let stop t =
-    Atomic.set t.stop_flag true;
-    (match t.domain with
-     | Some d ->
-       Domain.join d;
-       t.domain <- None
-     | None -> ());
-    (* one final sample so even a run shorter than a period flushes a
-       non-empty timeline with end-of-run values *)
-    ring_push t.ring (take_sample ());
-    ring_flush t.ring
-
-  let to_json ~period_ms ~dropped samples =
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf "{\n  \"schema\": \"optprob-timeline/1\",\n";
-    Buffer.add_string buf (Printf.sprintf "  \"period_ms\": %d,\n" period_ms);
-    Buffer.add_string buf (Printf.sprintf "  \"dropped\": %d,\n" dropped);
-    Buffer.add_string buf "  \"samples\": [\n";
-    List.iteri
-      (fun i s ->
-        if i > 0 then Buffer.add_string buf ",\n";
-        let kv_int (k, v) = Printf.sprintf "\"%s\": %d" (json_escape k) v in
-        let kv_flt (k, v) = Printf.sprintf "\"%s\": %s" (json_escape k) (json_float v) in
-        Buffer.add_string buf
-          (Printf.sprintf "    {\"ts_us\": %.3f, \"counters\": {%s}, \"gauges\": {%s}}" s.s_ts_us
-             (String.concat ", " (List.map kv_int s.s_counters))
-             (String.concat ", " (List.map kv_flt s.s_gauges))))
-      samples;
-    Buffer.add_string buf "\n  ]\n}\n";
-    Buffer.contents buf
-
-  let write path ~period_ms ~dropped samples =
-    write_file path (to_json ~period_ms ~dropped samples)
-end
 
 (* --- human-readable summary ------------------------------------------------ *)
 
@@ -1233,9 +1047,11 @@ end
    One `--obs-dir DIR` run writes a self-describing artifact directory:
    manifest.json (provenance), events.jsonl (structured log), metrics.json
    (counters + gauges + histograms), trace.json (Perfetto), metrics.prom
-   (OpenMetrics) and, when a convergence recorder exists, convergence.json;
-   the timeline sampler adds timeline.json.  [read] parses a directory back
-   into a [run], the one form `obs diff` and the run registry consume. *)
+   (OpenMetrics) and, when a convergence recorder exists, convergence.json.
+   [read] parses a directory back into a [run], the one form `obs diff` and
+   the run registry consume; [of_sink] parses the same documents straight
+   from the sink, so a run that is never written still yields the same
+   [run]. *)
 
 module Artifact = struct
   type manifest = {
@@ -1325,14 +1141,12 @@ module Artifact = struct
      cheap, and the files a scraper would poll. *)
   let write_live ~dir =
     mkdir_p dir;
-    run_sample_hooks ();
     sample_gc ();
     write_file (Filename.concat dir "metrics.json") (metrics_json ());
     write_file (Filename.concat dir "metrics.prom") (metrics_prom ())
 
   let write ~dir ~manifest ?convergence () =
     mkdir_p dir;
-    run_sample_hooks ();
     sample_gc ();
     write_file (Filename.concat dir "manifest.json") (manifest_json manifest);
     write_file (Filename.concat dir "events.jsonl") (events_jsonl ());
@@ -1351,7 +1165,6 @@ module Artifact = struct
     gauges : (string * float) list;
     histograms : (string * (string * float) list) list;
     span_totals : (string * float) list;
-    timeline : (string * float) list option;
     sweeps : int option;
     final_n : float option;
     final_j : float option;
@@ -1374,30 +1187,7 @@ module Artifact = struct
      | _ -> ());
     by_name (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
-  (* Per-gauge series statistics (mean/peak/p90) from a timeline.json. *)
-  let timeline_stats timeline =
-    let tbl = Hashtbl.create 16 in
-    (match Json.member "samples" timeline with
-     | Some (Json.Arr samples) ->
-       List.iter
-         (fun s ->
-           List.iter
-             (fun (k, f) -> Hashtbl.replace tbl k (f :: (try Hashtbl.find tbl k with Not_found -> [])))
-             (Option.fold ~none:[] ~some:Json.num_members (Json.member "gauges" s)))
-         samples
-     | _ -> ());
-    Hashtbl.fold
-      (fun k vs acc ->
-        let n = List.length vs in
-        let sorted = List.sort Float.compare vs in
-        let peak = List.nth sorted (n - 1) in
-        let p90 = List.nth sorted (Stdlib.min (n - 1) ((n * 9 + 9) / 10 - 1)) in
-        let mean = List.fold_left ( +. ) 0.0 vs /. Float.of_int n in
-        (k ^ ".mean", mean) :: (k ^ ".peak", peak) :: (k ^ ".p90", p90) :: acc)
-      tbl []
-    |> by_name
-
-  let make_run ~manifest ~metrics ~convergence ~span_totals ~timeline =
+  let make_run ~manifest ~metrics ~convergence ~span_totals =
     let section k = Option.value ~default:Json.Null (Json.member k metrics) in
     let histograms =
       match section "histograms" with
@@ -1420,7 +1210,16 @@ module Artifact = struct
     { manifest; metrics; convergence;
       counters = Json.num_members (section "counters");
       gauges = Json.num_members (section "gauges");
-      histograms; span_totals; timeline; sweeps; final_n; final_j }
+      histograms; span_totals; sweeps; final_n; final_j }
+
+  let of_sink ~manifest ?convergence () =
+    sample_gc ();
+    make_run ~manifest:(Json.parse (manifest_json manifest)) ~metrics:(Json.parse (metrics_json ()))
+      ~convergence:
+        (match convergence with
+         | Some t -> Json.parse (Convergence.to_json t)
+         | None -> Json.Null)
+      ~span_totals:(span_totals (Json.parse (trace_json ())))
 
   let read dir =
     let load file =
@@ -1435,14 +1234,10 @@ module Artifact = struct
     | Json.Null -> Error (dir ^ ": missing or unreadable metrics.json")
     | metrics -> (
       try
-        let timeline =
-          match load "timeline.json" with Json.Null -> None | j -> Some (timeline_stats j)
-        in
         Ok
           (make_run ~manifest:(load "manifest.json") ~metrics
              ~convergence:(load "convergence.json")
-             ~span_totals:(span_totals (load "trace.json"))
-             ~timeline)
+             ~span_totals:(span_totals (load "trace.json")))
       with Failure m -> Error m)
 end
 
@@ -1468,7 +1263,7 @@ module Diff = struct
 
   type finding = {
     severity : severity;
-    kind : string;  (* "counter" | "span" | "histogram" | "convergence" | "manifest" *)
+    kind : string;  (* "counter" | "gauge" | "span" | "histogram" | "convergence" | "manifest" *)
     name : string;
     a : float;
     b : float;
@@ -1499,16 +1294,12 @@ module Diff = struct
            | None, None -> None)
 
   (* Compare two keyed float lists; [gate] decides whether a pair is
-     eligible for regression/improvement classification at all, and
-     [invert] flips the regression direction for higher-is-better series
-     (e.g. pool utilization). *)
-  let compare_keyed ?(invert = false) ~kind ~thr ~gate ~unit_ =
+     eligible for regression/improvement classification at all. *)
+  let compare_keyed ~kind ~thr ~gate ~unit_ =
     join ~kind ~value:Fun.id ~both:(fun name a b ->
         if a = b then None
         else
-          let sev =
-            if gate a b then (if invert then classify thr b a else classify thr a b) else Info
-          in
+          let sev = if gate a b then classify thr a b else Info in
           Some
             { severity = sev; kind; name; a; b;
               detail = Printf.sprintf "%.4g -> %.4g %s (x%.3g)" a b unit_ (ratio a b) })
@@ -1569,32 +1360,6 @@ module Diff = struct
                     p50a p50b (ratio p50a p50b) p99a p99b (ratio p99a p99b) ca cb })
         (hist_quantiles ra) (hist_quantiles rb)
     in
-    let timelines =
-      (* timeline gauge series: scheduler-derived series (pool/ppsfp
-         prefixes) gate at the quantile threshold; GC/heap series are
-         environment-dependent and report-only, like plain gauges *)
-      match (ra.timeline, rb.timeline) with
-      | Some sa, Some sb ->
-        let prefixed p (k, _) =
-          String.length k >= String.length p && String.sub k 0 (String.length p) = p
-        in
-        let is_sched x = prefixed "pool." x || prefixed "ppsfp." x in
-        (* utilization is higher-is-better: a drop between runs is the
-           regression direction, unlike queue depths and latencies *)
-        let is_util = prefixed "pool.utilization" in
-        let sched l = List.filter (fun x -> is_sched x && not (is_util x)) l
-        and util l = List.filter is_util l
-        and rest l = List.filter (fun x -> not (is_sched x)) l in
-        let gate a b = Float.max (Float.abs a) (Float.abs b) >= 0.01 in
-        compare_keyed ~kind:"timeline" ~thr:t.quantile_ratio ~gate ~unit_:""
-          (sched sa) (sched sb)
-        @ compare_keyed ~invert:true ~kind:"timeline" ~thr:t.quantile_ratio ~gate ~unit_:""
-            (util sa) (util sb)
-        @ (compare_keyed ~kind:"timeline" ~thr:Float.infinity ~gate:(fun _ _ -> false) ~unit_:""
-             (rest sa) (rest sb)
-          |> List.filter (fun f -> Float.abs (ratio f.a f.b -. 1.0) > 0.25))
-      | _ -> []
-    in
     let convergence =
       match (ra.final_n, rb.final_n) with
       | Some na, Some nb when na <> nb ->
@@ -1623,7 +1388,7 @@ module Diff = struct
     in
     List.sort
       (fun x y -> compare (rank x) (rank y))
-      (counters @ gauges @ spans @ hists @ timelines @ convergence @ manifest)
+      (counters @ gauges @ spans @ hists @ convergence @ manifest)
 
   let regressions fs = List.filter (fun f -> f.severity = Regression) fs
 

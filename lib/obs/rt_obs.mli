@@ -12,10 +12,11 @@
     or {{:https://ui.perfetto.dev}Perfetto}) and as a human-readable
     aggregated tree.  Counters, gauges and histograms snapshot to JSON and
     to an OpenMetrics text exposition.  {!Artifact} bundles everything a run
-    recorded into one self-describing directory, and {!Artifact.read} is the
-    one parser that turns such a directory back into an {!Artifact.run};
-    {!Diff} compares two runs, and the run registry stores and rebuilds the
-    same [run].  The convergence recorder is an explicit per-run object
+    recorded into one self-describing directory; {!Artifact.read} turns such
+    a directory back into an {!Artifact.run}, and {!Artifact.of_sink} builds
+    the same [run] from the same documents without writing them.  {!Diff}
+    compares two runs, and the run registry stores and rebuilds the same
+    [run].  The convergence recorder is an explicit per-run object
     (see {!Convergence}) that works independently of the global flag. *)
 
 val set_enabled : bool -> unit
@@ -43,7 +44,6 @@ type event = {
   ts_us : float;  (** start, microseconds since the epoch *)
   dur_us : float;
   tid : int;  (** id of the recording domain *)
-  args : (string * string) list;  (** free-form key/value pairs, shown in the trace viewer *)
 }
 
 val span_begin : unit -> float
@@ -51,10 +51,8 @@ val span_begin : unit -> float
     the matching {!span_end} is a no-op.  This is the allocation-free form
     for hot paths (per-chunk timing). *)
 
-val span_end : ?cat:string -> ?args:(string * string) list -> string -> float -> unit
-(** [span_end ~cat name t0] records the span opened by [span_begin].
-    [args] attach as the trace event's ["args"] object (steal origins,
-    queue ids, ...). *)
+val span_end : ?cat:string -> string -> float -> unit
+(** [span_end ~cat name t0] records the span opened by [span_begin]. *)
 
 val with_span : ?cat:string -> string -> (unit -> 'a) -> 'a
 (** Run a thunk inside a span.  When disabled this is just [f ()].  The span
@@ -78,27 +76,6 @@ type mark = {
 
 val mark : ?fields:(string * string) list -> string -> unit
 val marks : unit -> mark list
-
-(** {1 Track names and sample hooks} *)
-
-val set_track_name : string -> unit
-(** Name the calling domain's track in the trace viewer (a Perfetto
-    [thread_name] metadata event).  Registration-like: not gated on the
-    enabled flag and survives {!clear}; call once at domain start. *)
-
-val track_names_snapshot : unit -> (int * string) list
-(** All named tracks as [(tid, name)], sorted. *)
-
-val add_sample_hook : (unit -> unit) -> unit
-(** Register a callback that refreshes derived gauges from live state
-    (e.g. pool utilization and queue depths).  Hooks run — oldest first,
-    exceptions swallowed — right before any snapshot is taken: by the
-    {!Timeline} sampler, by {!Artifact.write}/{!Artifact.write_live} and by
-    the HTTP exposition.  Lets low layers feed snapshots without a reverse
-    dependency on their callers. *)
-
-val run_sample_hooks : unit -> unit
-(** Run all registered hooks now (no-op while disabled). *)
 
 val trace_json : unit -> string
 (** Chrome [trace_event] JSON: an object with a ["traceEvents"] array of
@@ -163,7 +140,7 @@ val histogram : string -> histogram
 val observe : histogram -> float -> unit
 (** Record one sample.  Dropped while disabled; lock-free while enabled. *)
 
-val span_end_h : ?cat:string -> ?args:(string * string) list -> string -> histogram -> float -> unit
+val span_end_h : ?cat:string -> string -> histogram -> float -> unit
 (** {!span_end} that also observes the span's duration (µs) into a
     histogram — one clock read serves both. *)
 
@@ -224,58 +201,6 @@ val prom_lint : string -> string list
     order, counter [_total] suffixes, cumulative histogram buckets with a
     [+Inf] bucket equal to [_count], metric-name characters, label-value
     escaping and the single trailing [# EOF]. *)
-
-(** {1 Timeline sampler}
-
-    A background domain snapshotting every counter and gauge into a bounded
-    ring buffer at a fixed period — the time axis the flat metrics snapshot
-    lacks.  Each sample is taken after {!run_sample_hooks} and {!sample_gc},
-    so derived scheduler gauges are fresh.  Flushes to a
-    [optprob-timeline/1] JSON document ([timeline.json] in an artifact
-    directory); {!Artifact.read} folds each gauge series to mean/peak/p90
-    and {!Diff.compare} compares those between two runs. *)
-
-module Timeline : sig
-  type sample = {
-    s_ts_us : float;  (** strictly monotone within a ring *)
-    s_counters : (string * int) list;
-    s_gauges : (string * float) list;
-  }
-
-  (** Bounded ring of samples: keeps the newest [capacity], counts what it
-      overwrote.  Safe for one writer and concurrent flushers. *)
-  type ring
-
-  val ring_create : int -> ring
-  (** [ring_create capacity]; raises [Invalid_argument] when [capacity < 1]. *)
-
-  val ring_push : ring -> sample -> unit
-  (** Append a sample; its timestamp is clamped to stay strictly above the
-      previous sample's. *)
-
-  val ring_flush : ring -> sample list * int
-  (** Oldest-first retained samples and the count of overwritten ones. *)
-
-  val take_sample : unit -> sample
-  (** One snapshot now: runs the sample hooks, refreshes GC gauges, and
-      captures all counters and gauges. *)
-
-  type sampler
-
-  val start : ?capacity:int -> period_ms:int -> unit -> sampler
-  (** Spawn the sampler domain ([capacity] defaults to 4096 samples).
-      Raises [Invalid_argument] when [period_ms < 1]. *)
-
-  val stop : sampler -> sample list * int
-  (** Stop and join the sampler domain, push one final sample, and flush:
-      returns (samples oldest-first, dropped count). *)
-
-  val to_json : period_ms:int -> dropped:int -> sample list -> string
-  (** The [optprob-timeline/1] document. *)
-
-  val write : string -> period_ms:int -> dropped:int -> sample list -> unit
-  (** Atomically write {!to_json} to a file. *)
-end
 
 (** {1 JSON reader}
 
@@ -393,7 +318,7 @@ module Artifact : sig
   (** The mid-run snapshot (SIGUSR1 handler body): refresh the GC gauges and
       rewrite [metrics.json] + [metrics.prom] only. *)
 
-  (** One artifact directory, parsed: the three documents the run registry
+  (** One run's artifact, parsed: the three documents the run registry
       stores verbatim, and the views {!Diff} and the registry's derived
       metric map are computed from. *)
   type run = {
@@ -405,9 +330,6 @@ module Artifact : sig
     histograms : (string * (string * float) list) list;
         (** per histogram its numeric stats: count, sum, min, max, p50, p90, p99 *)
     span_totals : (string * float) list;  (** total span µs per name, sorted *)
-    timeline : (string * float) list option;
-        (** [<gauge>.mean]/[.peak]/[.p90] per sampled gauge, sorted; [None]
-            without a [timeline.json] *)
     sweeps : int option;  (** convergence sweep rows; [None] without rows *)
     final_n : float option;  (** [n] of the last ["final"] convergence row *)
     final_j : float option;  (** [j_n] of the last ["final"] convergence row *)
@@ -415,15 +337,22 @@ module Artifact : sig
 
   val read : string -> (run, string) result
   (** Parse an artifact directory.  [metrics.json] is required; manifest,
-      convergence, trace and timeline files are optional.  [Error] names the
-      directory when [metrics.json] is missing or unreadable, and the file
-      when any other present file is malformed. *)
+      convergence and trace files are optional, and any other file is
+      ignored.  [Error] names the directory when [metrics.json] is missing
+      or unreadable, and the file when any other present file is
+      malformed. *)
+
+  val of_sink : manifest:manifest -> ?convergence:Convergence.t -> unit -> run
+  (** The [run] that {!write} followed by {!read} would give, built in
+      memory: refreshes the GC gauges like {!write}, then parses the very
+      documents {!write} emits ([manifest.json], [metrics.json],
+      [trace.json], [convergence.json]) without touching the disk. *)
 
   val make_run :
     manifest:Json.t -> metrics:Json.t -> convergence:Json.t ->
-    span_totals:(string * float) list -> timeline:(string * float) list option -> run
-  (** Build a [run] from documents already parsed and span/timeline stats
-      already folded — how the run registry rebuilds one from a record. *)
+    span_totals:(string * float) list -> run
+  (** Build a [run] from documents already parsed and span totals already
+      folded — how the run registry rebuilds one from a record. *)
 end
 
 (** {1 Artifact diffing} *)
@@ -445,7 +374,7 @@ module Diff : sig
   type finding = {
     severity : severity;
     kind : string;  (** ["counter"], ["gauge"], ["span"], ["histogram"],
-                        ["timeline"], ["convergence"] or ["manifest"] *)
+                        ["convergence"] or ["manifest"] *)
     name : string;
     a : float;
     b : float;
@@ -454,11 +383,8 @@ module Diff : sig
 
   val compare : ?thresholds:thresholds -> Artifact.run -> Artifact.run -> finding list
   (** [compare a b] diffs two runs (A = baseline, B = candidate), each from
-      {!Artifact.read} or a registry record, and returns findings ranked most
-      severe first.  When both runs carry timeline stats, the per-gauge
-      series statistics ([<gauge>.mean]/[.peak]/[.p90]) are compared too:
-      scheduler series ([pool.*], [ppsfp.*]) gate at [quantile_ratio],
-      everything else is report-only. *)
+      {!Artifact.read}, {!Artifact.of_sink} or a registry record, and
+      returns findings ranked most severe first. *)
 
   val regressions : finding list -> finding list
 

@@ -228,13 +228,12 @@ let derived (r : Artifact.run) =
   Option.iter (fun n -> put "convergence.sweeps" (Float.of_int n)) r.sweeps;
   Option.iter (put "convergence.final_n") r.final_n;
   Option.iter (put "convergence.final_j") r.final_j;
-  Option.iter (List.iter (fun (k, v) -> put ("timeline." ^ k) v)) r.timeline;
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* --- ingest ----------------------------------------------------------------- *)
 
-let gen_id ~registry ~obs_dir =
+let gen_id ~registry ~source =
   let rec attempt n =
     let t = Unix.gettimeofday () in
     let tm = Unix.gmtime t in
@@ -245,7 +244,7 @@ let gen_id ~registry ~obs_dir =
     let digest =
       Digest.to_hex
         (Digest.string
-           (Printf.sprintf "%s|%d|%d|%.9f|%d" obs_dir (Unix.getpid ())
+           (Printf.sprintf "%s|%d|%d|%.9f|%d" source (Unix.getpid ())
               ((Domain.self () :> int)) t n))
     in
     let id = stamp ^ "-" ^ String.sub digest 0 6 in
@@ -253,53 +252,46 @@ let gen_id ~registry ~obs_dir =
   in
   attempt 0
 
+let ingest_run ?id ?(source = "memory") ~registry (run : Artifact.run) =
+  let id = match id with Some i -> i | None -> gen_id ~registry ~source in
+  if Sys.file_exists (record_path registry id) then
+    Error (Printf.sprintf "record %s already exists in %s" id registry)
+  else begin
+    let nums kvs = Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) kvs) in
+    let doc =
+      Json.Obj
+        [ ("schema", Json.Str schema_record);
+          ("id", Json.Str id);
+          ("ingested_at", Json.Num (Unix.gettimeofday ()));
+          ("source", Json.Str source);
+          ("manifest", run.manifest);
+          ("metrics", run.metrics);
+          ("convergence", run.convergence);
+          ("span_totals", nums run.span_totals);
+          ("derived", nums (derived run)) ]
+    in
+    try
+      Rt_obs.mkdir_p (records_dir registry);
+      Rt_obs.write_file (record_path registry id) (Json.print doc);
+      ignore (sync_index registry);
+      Ok id
+    with Sys_error m | Unix.Unix_error (_, m, _) -> Error ("registry write failed: " ^ m)
+  end
+
 let ingest ?id ~registry ~obs_dir () =
-  match Artifact.read obs_dir with
-  | Error _ as e -> e
-  | Ok run ->
-    let id = match id with Some i -> i | None -> gen_id ~registry ~obs_dir in
-    if Sys.file_exists (record_path registry id) then
-      Error (Printf.sprintf "record %s already exists in %s" id registry)
-    else begin
-      let nums kvs = Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) kvs) in
-      let doc =
-        Json.Obj
-          [ ("schema", Json.Str schema_record);
-            ("id", Json.Str id);
-            ("ingested_at", Json.Num (Unix.gettimeofday ()));
-            ("source", Json.Str obs_dir);
-            ("manifest", run.manifest);
-            ("metrics", run.metrics);
-            ("convergence", run.convergence);
-            ("span_totals", nums run.span_totals);
-            ("derived", nums (derived run)) ]
-      in
-      try
-        Rt_obs.mkdir_p (records_dir registry);
-        Rt_obs.write_file (record_path registry id) (Json.print doc);
-        ignore (sync_index registry);
-        Ok id
-      with Sys_error m | Unix.Unix_error (_, m, _) -> Error ("registry write failed: " ^ m)
-    end
+  Result.bind (Artifact.read obs_dir) (ingest_run ?id ~source:obs_dir ~registry)
 
 (* The run a record was ingested from: its stored documents and span
-   totals, plus the timeline stats kept only as [timeline.*] derived keys. *)
+   totals.  [derived] is recomputed from them, so keys a record stored
+   that the current map no longer derives are dropped. *)
 let load ~registry id =
   match parse_file (record_path registry id) with
   | Some (Json.Obj _ as doc) when mstr "schema" doc = Some schema_record ->
     let member k = Option.value ~default:Json.Null (Json.member k doc) in
-    let timeline =
-      List.filter_map
-        (fun (k, v) ->
-          if has_prefix "timeline." k then Some (String.sub k 9 (String.length k - 9), v)
-          else None)
-        (Json.num_members (member "derived"))
-    in
     let run =
       Artifact.make_run ~manifest:(member "manifest") ~metrics:(member "metrics")
         ~convergence:(member "convergence")
         ~span_totals:(Json.num_members (member "span_totals"))
-        ~timeline:(if timeline = [] then None else Some timeline)
     in
     Ok { r_summary = summary_of_doc ~id doc; r_run = run; r_metrics = derived run }
   | Some _ -> Error (Printf.sprintf "record %s: wrong shape or schema" id)

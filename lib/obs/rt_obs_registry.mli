@@ -38,8 +38,8 @@ type summary = {
 
 (** A fully loaded record: its summary, the run it was ingested from, and
     that run flattened into the derived metric map (counters, gauges,
-    histogram stats, span totals, [pipeline.total_us], [wall_s], timeline
-    series statistics, convergence summary). *)
+    histogram stats, span totals, [pipeline.total_us], [wall_s],
+    convergence summary). *)
 type record = {
   r_summary : summary;
   r_run : Rt_obs.Artifact.run;
@@ -55,12 +55,20 @@ type filter = {
 
 val no_filter : filter
 
+val ingest_run :
+  ?id:string -> ?source:string -> registry:string -> Rt_obs.Artifact.run ->
+  (string, string) result
+(** Store one run ({!Rt_obs.Artifact.read} or {!Rt_obs.Artifact.of_sink})
+    as a new record and refresh the index.  [source] (default ["memory"])
+    is kept in the record as its provenance.  Returns the record id —
+    [YYYYMMDDTHHMMSS-xxxxxx] unless [?id] pins it.  [Error] when the id
+    already exists or the record cannot be written. *)
+
 val ingest : ?id:string -> registry:string -> obs_dir:string -> unit -> (string, string) result
-(** Ingest one artifact directory ({!Rt_obs.Artifact.read}: requires a
-    readable [metrics.json]; all other files are optional) into a new record
-    and refresh the index.
-    Returns the record id — [YYYYMMDDTHHMMSS-xxxxxx] unless [?id] pins it.
-    [Error] when the artifact is unreadable or the id already exists. *)
+(** {!Rt_obs.Artifact.read} on [obs_dir] (requires a readable
+    [metrics.json]; all other files are optional), then {!ingest_run} with
+    [obs_dir] as the source.  [Error] also when the artifact is
+    unreadable. *)
 
 val list : ?filter:filter -> registry:string -> unit -> summary list
 (** All records oldest-first, via the index when it is consistent with the
@@ -68,8 +76,11 @@ val list : ?filter:filter -> registry:string -> unit -> summary list
     skipped.  An absent registry directory is an empty registry. *)
 
 val load : registry:string -> string -> (record, string) result
-(** Rebuild a record's run from its stored members: [manifest], [metrics],
-    [convergence], [span_totals] and the [timeline.*] keys of [derived]. *)
+(** Rebuild a record's run from its stored members [manifest], [metrics],
+    [convergence] and [span_totals].  The stored [derived] map is not read
+    back: it is recomputed from the run, so a record written by an older
+    build (e.g. one carrying [timeline.*] keys) loads as the same run minus
+    the keys no longer derived. *)
 
 val metric : record -> string -> float option
 (** Look up one derived metric by name (e.g. ["pipeline.total_us"],

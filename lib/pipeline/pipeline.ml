@@ -114,20 +114,6 @@ let config t = t.config
 
 (* --- stage executor --------------------------------------------------------- *)
 
-(* Which stage is currently computing, as a gauge the timeline sampler can
-   plot: the 1-based position in the canonical stage order (0 = idle /
-   between stages).  Cache hits never set it — they take microseconds. *)
-let g_stage = Rt_obs.gauge "pipeline.stage_index"
-
-let stage_index stage =
-  let rec find i = function
-    | [] -> 0
-    | s :: rest -> if s = stage then i else find (i + 1) rest
-  in
-  find 1
-    [ "loaded"; "opt_netlist"; "faults"; "analysis"; "optimized"; "validated"; "simulated";
-      "report" ]
-
 let exec t ~stage ~parts compute =
   let key = Store.key ~stage ~parts in
   let cached =
@@ -143,12 +129,7 @@ let exec t ~stage ~parts compute =
   | None ->
     Rt_obs.incr (Rt_obs.counter ("pipeline.stage." ^ stage ^ ".run"));
     ignore (Rt_obs.counter ("pipeline.stage." ^ stage ^ ".cache_hit"));
-    Rt_obs.gauge_set g_stage (Float.of_int (stage_index stage));
-    let value =
-      Fun.protect
-        ~finally:(fun () -> Rt_obs.gauge_set g_stage 0.0)
-        (fun () -> Rt_obs.with_span ~cat:"pipeline" ("pipeline." ^ stage) compute)
-    in
+    let value = Rt_obs.with_span ~cat:"pipeline" ("pipeline." ^ stage) compute in
     let digest =
       match t.store with
       | Some store -> Store.save store ~stage ~key value

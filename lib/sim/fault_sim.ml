@@ -210,8 +210,8 @@ let c_patterns = Rt_obs.counter "ppsfp.patterns"
 let c_dropped = Rt_obs.counter "ppsfp.faults_dropped"
 let h_batch = Rt_obs.histogram "ppsfp.batch_us"
 
-(* Undetected-fault population after the latest batch: the shrinking
-   workload the timeline sampler plots against pool utilization. *)
+(* Undetected-fault population after the latest batch; its final value is
+   the run's undetected-fault count. *)
 let g_live = Rt_obs.gauge "ppsfp.live_faults"
 
 (* Sub-millisecond blocks are not worth parallel dispatch

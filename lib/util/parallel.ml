@@ -28,9 +28,9 @@ let hardware_jobs () = min max_jobs (Domain.recommended_domain_count ())
 
 (* [OPTPROB_JOBS_OVERCOMMIT=1] lifts the hardware-core clamp in
    {!region_jobs} so a [--jobs 4] run spawns real pool domains even on a
-   single-core host — pure oversubscription, useful only to exercise the
-   scheduler telemetry (per-domain tracks, steals, parks) where the
-   machine could not otherwise show it. *)
+   single-core host — pure oversubscription, there so the parallel
+   tests that check results against a serial run use real worker
+   domains on any machine. *)
 let overcommit () =
   match Sys.getenv_opt "OPTPROB_JOBS_OVERCOMMIT" with
   | Some ("1" | "true" | "yes") -> true

@@ -36,8 +36,8 @@ val region :
     falls below that many items.  The effective job count is also clamped
     to {!hardware_jobs} (spawning more domains than cores only adds
     overhead; set [OPTPROB_JOBS_OVERCOMMIT=1] to lift the clamp and
-    oversubscribe, e.g. to exercise real pool domains on a single-core
-    host), and when [n < seq_below] (default 0) the work runs sequentially
+    oversubscribe, e.g. so serial-equivalence tests run real pool
+    domains on a single-core host), and when [n < seq_below] (default 0) the work runs sequentially
     on the caller — per-region dispatch costs dwarf small workloads.
     Each chunk is called exactly once with its own [~chunk] index (work
     stealing moves chunks between domains, never splits or repeats them),

@@ -24,10 +24,7 @@
    whole life — the domain spawned [i]-th always takes slot [i] (its
    "lane"), and the submitting domain is always lane 0.  A region with
    [participants = p] is joined by exactly the workers whose lane is
-   below [p].  This keeps the old completion/abort semantics (a late
-   worker's queue is drained by the others) while making the per-domain
-   telemetry stable: [pool.d<k>.*] counters and the [pool.d<k>] trace
-   track always describe the same domain.
+   below [p]; a late worker's queue is simply drained by the others.
 
    Determinism: which domain executes an item is scheduling-dependent, but
    the [worker] id passed to the body is the executing participant's slot
@@ -73,86 +70,6 @@ let c_spawns = Rt_obs.counter "parallel.spawns"
 let c_steals = Rt_obs.counter "parallel.steals"
 let c_tasks = Rt_obs.counter "pool.tasks"
 
-(* Per-lane scheduler counters, registered lazily the first time a lane is
-   used.  Lanes are stable domain identities (see the header comment), so
-   [pool.d<k>.tasks] really is "slices executed by domain k" across the
-   whole run. *)
-type lane_counters = {
-  lc_tasks : Rt_obs.counter;
-  lc_steals : Rt_obs.counter;  (* slices this lane took from other queues *)
-  lc_stolen_from : Rt_obs.counter;  (* slices other lanes took from this queue *)
-  lc_parked_us : Rt_obs.counter;  (* cumulative time parked between regions *)
-}
-
-let lane_lock = Mutex.create ()
-let lane_tbl : (int, lane_counters) Hashtbl.t = Hashtbl.create 16
-let depth_tbl : (int, Rt_obs.gauge) Hashtbl.t = Hashtbl.create 16
-
-let lane_counters k =
-  Mutex.lock lane_lock;
-  let c =
-    match Hashtbl.find_opt lane_tbl k with
-    | Some c -> c
-    | None ->
-      let mk s = Rt_obs.counter (Printf.sprintf "pool.d%d.%s" k s) in
-      let c =
-        { lc_tasks = mk "tasks";
-          lc_steals = mk "steals";
-          lc_stolen_from = mk "stolen_from";
-          lc_parked_us = mk "parked_us" }
-      in
-      Hashtbl.add lane_tbl k c;
-      c
-  in
-  Mutex.unlock lane_lock;
-  c
-
-let depth_gauge k =
-  Mutex.lock lane_lock;
-  let g =
-    match Hashtbl.find_opt depth_tbl k with
-    | Some g -> g
-    | None ->
-      let g = Rt_obs.gauge (Printf.sprintf "pool.queue_depth.d%d" k) in
-      Hashtbl.add depth_tbl k g;
-      g
-  in
-  Mutex.unlock lane_lock;
-  g
-
-let g_utilization = Rt_obs.gauge "pool.utilization"
-let g_queue_total = Rt_obs.gauge "pool.queue_depth.total"
-
-(* Refresh the derived pool gauges from live scheduler state; registered as
-   an [Rt_obs] sample hook for the default pool so the timeline sampler,
-   artifact writes and the HTTP exposition all see current values.  Takes
-   [t.m] only long enough to read the published job pointer — the cursors
-   themselves are atomics. *)
-let sample_pool t =
-  Mutex.lock t.m;
-  let job = if t.quit then None else t.current in
-  let workers = t.n_workers in
-  Mutex.unlock t.m;
-  match job with
-  | None ->
-    Rt_obs.gauge_set g_utilization 0.0;
-    Rt_obs.gauge_set g_queue_total 0.0;
-    Mutex.lock lane_lock;
-    let gs = Hashtbl.fold (fun _ g acc -> g :: acc) depth_tbl [] in
-    Mutex.unlock lane_lock;
-    List.iter (fun g -> Rt_obs.gauge_set g 0.0) gs
-  | Some j ->
-    let cap = Stdlib.min (workers + 1) j.participants in
-    Rt_obs.gauge_set g_utilization
-      (Float.of_int (Atomic.get j.active) /. Float.of_int (Stdlib.max 1 cap));
-    let total = ref 0 in
-    for k = 0 to j.participants - 1 do
-      let d = Stdlib.max 0 (j.hi.(k) - Atomic.get j.next.(k)) in
-      total := !total + d;
-      Rt_obs.gauge_set (depth_gauge k) (Float.of_int d)
-    done;
-    Rt_obs.gauge_set g_queue_total (Float.of_int !total)
-
 (* True on any domain currently executing inside a pool region (both pool
    workers and a submitting domain while it participates). *)
 let in_worker_key = Domain.DLS.new_key (fun () -> false)
@@ -170,12 +87,10 @@ let run_slice job ~worker ~lo ~hi =
 (* Drain queue [q], [grain] items per atomic claim.  Cursors of exhausted
    queues keep advancing past [hi] on failed claims; that is harmless (the
    overshoot is bounded by one grain per scan) and keeps the fast path a
-   single fetch_and_add.  [self_c] is the executing lane's counters; when
-   recording is on, every slice becomes a trace span on the executing
-   domain's track carrying its origin queue and whether it was stolen. *)
-let drain job ~worker ~self_c q =
+   single fetch_and_add.  When recording is on, every slice becomes a
+   trace span on the executing domain. *)
+let drain job ~worker q =
   let stolen = q <> worker in
-  let victim_c = if stolen then lane_counters q else self_c in
   let continue = ref true in
   while !continue do
     let lo = Atomic.fetch_and_add job.next.(q) job.grain in
@@ -183,40 +98,25 @@ let drain job ~worker ~self_c q =
     else begin
       let hi = min (lo + job.grain) job.hi.(q) in
       Rt_obs.incr c_tasks;
-      Rt_obs.incr self_c.lc_tasks;
-      if stolen then begin
-        Rt_obs.incr c_steals;
-        Rt_obs.incr self_c.lc_steals;
-        Rt_obs.incr victim_c.lc_stolen_from
-      end;
+      if stolen then Rt_obs.incr c_steals;
       let t0 = Rt_obs.span_begin () in
       run_slice job ~worker ~lo ~hi;
-      if t0 > Float.neg_infinity then
-        Rt_obs.span_end ~cat:"pool"
-          ~args:
-            [ ("queue", "d" ^ string_of_int q);
-              ("stolen", if stolen then "true" else "false") ]
-          (job.label ^ ".slice") t0
+      if t0 > Float.neg_infinity then Rt_obs.span_end ~cat:"pool" (job.label ^ ".slice") t0
     end
   done
 
 let participate job ~slot =
   let prev = Domain.DLS.get in_worker_key in
   Domain.DLS.set in_worker_key true;
-  let self_c = lane_counters slot in
   Fun.protect
     ~finally:(fun () -> Domain.DLS.set in_worker_key prev)
     (fun () ->
-      drain job ~worker:slot ~self_c slot;
+      drain job ~worker:slot slot;
       for d = 1 to job.participants - 1 do
-        drain job ~worker:slot ~self_c ((slot + d) mod job.participants)
+        drain job ~worker:slot ((slot + d) mod job.participants)
       done)
 
 let rec worker_loop t ~lane last_epoch =
-  (* The park interval runs from here to the claim decision; it shows up
-     as a [pool.parked] span on this lane's track and accumulates into
-     [pool.d<lane>.parked_us]. *)
-  let t_park = Rt_obs.span_begin () in
   Mutex.lock t.m;
   while (not t.quit) && t.epoch = last_epoch do
     Condition.wait t.cv t.m
@@ -232,14 +132,6 @@ let rec worker_loop t ~lane last_epoch =
       | Some _ | None -> None
     in
     Mutex.unlock t.m;
-    if t_park > Float.neg_infinity then begin
-      let parked = Float.max 0.0 (Rt_obs.now_us () -. t_park) in
-      Rt_obs.add (lane_counters lane).lc_parked_us (int_of_float parked);
-      Rt_obs.span_end ~cat:"pool" ~args:[ ("lane", string_of_int lane) ] "pool.parked" t_park;
-      Rt_obs.mark
-        ~fields:[ ("lane", string_of_int lane); ("parked_us", Printf.sprintf "%.0f" parked) ]
-        "pool.unpark"
-    end;
     (match claimed with
      | Some job ->
        participate job ~slot:lane;
@@ -268,9 +160,7 @@ let ensure_workers t w =
   while t.n_workers < w do
     let lane = t.n_workers + 1 in
     let d =
-      Domain.spawn (fun () ->
-          Rt_obs.set_track_name (Printf.sprintf "pool.d%d" lane);
-          worker_loop t ~lane t.epoch)
+      Domain.spawn (fun () -> worker_loop t ~lane t.epoch)
     in
     (* Spawn-epoch race: the worker captures the epoch from the shared
        record under no lock, but [t.epoch] only changes under [t.submit],
@@ -351,9 +241,7 @@ let shutdown t =
 
 (* The process-wide pool behind [Parallel.region]/[Parallel.sweep].
    Shut down via [at_exit] so the program never terminates with parked
-   domains still alive.  Its scheduler state feeds the [pool.*] gauges
-   through an [Rt_obs] sample hook, so the timeline sampler and the HTTP
-   exposition see live utilization and queue depths. *)
+   domains still alive. *)
 let default_pool = ref None
 let default_mutex = Mutex.create ()
 
@@ -365,7 +253,6 @@ let default () =
     | None ->
       let p = create () in
       default_pool := Some p;
-      Rt_obs.add_sample_hook (fun () -> sample_pool p);
       at_exit (fun () ->
           Mutex.lock default_mutex;
           let q = !default_pool in

@@ -14,22 +14,11 @@
 
     Every worker domain is pinned to one participant slot ("lane") for
     its whole life — the [i]-th domain spawned is lane [i + 1], the
-    submitting domain is lane 0 — so per-domain telemetry has a stable
-    identity.  Global counters: [parallel.spawns] counts domain spawns
-    (constant per process), [pool.tasks] counts executed slices,
-    [parallel.steals] the stolen ones.  Per lane [k]:
-    [pool.d<k>.tasks], [pool.d<k>.steals] (slices lane [k] took from
-    other queues), [pool.d<k>.stolen_from] (slices other lanes took
-    from queue [k]) and [pool.d<k>.parked_us] (cumulative idle time
-    between regions).  When recording is on, each slice is a trace span
-    ["<label>.slice"] on the executing domain's named track
-    ([pool.d<k>]) carrying its origin queue and steal flag, and park
-    intervals appear as ["pool.parked"] spans with ["pool.unpark"]
-    instants.  Derived gauges [pool.utilization] (active participants /
-    usable lanes) and [pool.queue_depth.d<k>]/[pool.queue_depth.total]
-    are refreshed via an [Rt_obs] sample hook registered for the
-    {!default} pool — the timeline sampler, artifact writes and the
-    HTTP exposition all trigger it. *)
+    submitting domain is lane 0.  Counters: [parallel.spawns] counts
+    domain spawns (constant per process), [pool.tasks] counts executed
+    slices, [parallel.steals] the stolen ones.  When recording is on,
+    each slice is a trace span ["<label>.slice"] on the executing
+    domain. *)
 
 type t
 
@@ -38,8 +27,7 @@ val create : unit -> t
 
 val default : unit -> t
 (** The process-wide pool used by [Parallel.region]; created on first
-    use and shut down via [at_exit].  Registers the pool-gauge sample
-    hook on creation. *)
+    use and shut down via [at_exit]. *)
 
 val run :
   ?grain:int -> ?label:string -> t -> participants:int -> n:int ->

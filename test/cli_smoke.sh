@@ -8,8 +8,11 @@
 #      full cache hit; the manifest and the per-objective counter record it;
 #   3. the registry diff path: `obs ingest` A, then `obs diff ID B`,
 #      `obs baseline promote ID` + `obs diff --baseline`, and an unknown side;
-#   4. `atpg` on a .bench file succeeds;
-#   5. a removed flag (`optimize --trace FILE`) is a usage error.
+#   4. `run --obs-registry R` without --obs-dir ingests from memory: R holds
+#      exactly one record and no temporary artifact directory;
+#   5. `atpg` on a .bench file succeeds;
+#   6. removed flags (`--trace FILE` and the live-telemetry pair
+#      `--obs-{listen,sample-ms} N`) are usage errors.
 #
 # Usage: cli_smoke.sh OPTPROB C17_BENCH   (run by `dune runtest`)
 set -eu
@@ -68,13 +71,26 @@ if [ "$rc" -eq 0 ] || ! grep -q "neither an artifact directory nor a record id" 
   fail "obs diff on an unknown side did not fail cleanly (exit $rc)"
 fi
 
+mreg="$dir/mem-registry"
+run --objective single --obs-registry "$mreg"
+[ "$(ls "$mreg")" = "$(printf 'index.json\nrecords')" ] ||
+  fail "registry ingest without --obs-dir left extra entries: $(ls "$mreg" | tr '\n' ' ')"
+[ "$("$optprob" obs list --ids --obs-registry "$mreg" | wc -l)" -eq 1 ] ||
+  fail "registry ingest without --obs-dir did not list exactly one id"
+
 "$optprob" atpg "$c17" >/dev/null
 
-rc=0
-"$optprob" optimize wide_and-8 --trace "$dir/x.json" >/dev/null 2>"$dir/trace.err" || rc=$?
-if [ "$rc" -ne 124 ] || ! grep -q "unknown option '--trace'" "$dir/trace.err"; then
-  cat "$dir/trace.err" >&2
-  fail "--trace was not rejected as a usage error (exit $rc)"
-fi
+rejected() {
+  rc=0
+  "$optprob" optimize wide_and-8 "$1" "$2" >/dev/null 2>"$dir/flag.err" || rc=$?
+  if [ "$rc" -ne 124 ] || ! grep -q "unknown option '$1'" "$dir/flag.err"; then
+    cat "$dir/flag.err" >&2
+    fail "$1 was not rejected as a usage error (exit $rc)"
+  fi
+}
+rejected --trace "$dir/x.json"
+for flag in listen:0 sample-ms:5; do
+  rejected "--obs-${flag%%:*}" "${flag#*:}"
+done
 
 rm -rf "$dir"

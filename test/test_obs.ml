@@ -282,9 +282,6 @@ let test_trace_json_valid =
    | _ -> Alcotest.fail "displayTimeUnit");
   match member "traceEvents" j with
   | List evs ->
-    (* Track-name metadata ("ph":"M") survives [clear]: pool domains named
-       by earlier tests in this process still list theirs. *)
-    let evs = List.filter (fun e -> member "ph" e <> Str "M") evs in
     check Alcotest.int "two events" 2 (List.length evs);
     let names =
       List.map (fun e -> match member "name" e with Str s -> s | _ -> Alcotest.fail "name") evs
@@ -694,39 +691,6 @@ let test_convergence_matches_report () =
      | _ -> Alcotest.fail "convergence JSON rows")
   | [] -> Alcotest.fail "no rows"
 
-(* --- track names and span args --------------------------------------------- *)
-
-let test_track_names_and_args =
-  with_obs @@ fun () ->
-  Obs.set_track_name "test-main-track";
-  let t0 = Obs.span_begin () in
-  Obs.span_end ~cat:"pool" ~args:[ ("queue", "d2"); ("stolen", "true") ] "work.slice" t0;
-  let j = parse_json (Obs.trace_json ()) in
-  match member "traceEvents" j with
-  | List evs ->
-    check Alcotest.bool "thread_name metadata event present" true
-      (List.exists
-         (fun e ->
-           match (member "name" e, member "ph" e) with
-           | Str "thread_name", Str "M" ->
-             (match member "name" (member "args" e) with
-              | Str "test-main-track" -> true
-              | _ -> false)
-           | _ -> false)
-         evs);
-    let slice =
-      List.find
-        (fun e -> match member "name" e with Str "work.slice" -> true | _ -> false)
-        evs
-    in
-    (match member "args" slice with
-     | Obj kvs ->
-       check Alcotest.bool "steal args round-trip" true
-         (List.assoc_opt "queue" kvs = Some (Str "d2")
-          && List.assoc_opt "stolen" kvs = Some (Str "true"))
-     | _ -> Alcotest.fail "slice span carries no args object")
-  | _ -> Alcotest.fail "traceEvents"
-
 (* --- OpenMetrics lint -------------------------------------------------------
 
    The real exposition must parse back clean, and each way of corrupting
@@ -782,207 +746,6 @@ let test_artifact_atomic =
            has_sub 0)
   in
   check (Alcotest.list Alcotest.string) "no .tmp leftovers after atomic writes" [] leftovers
-
-(* --- timeline ring buffer --------------------------------------------------- *)
-
-let mk_sample ts =
-  { Obs.Timeline.s_ts_us = ts; s_counters = [ ("c", int_of_float ts) ]; s_gauges = [] }
-
-let ring_qcheck =
-  QCheck.Test.make ~name:"timeline ring: bounded, monotone, lossless below capacity"
-    ~count:200
-    QCheck.(pair (int_range 1 64) (list_of_size Gen.(int_range 0 200) (float_range 0.0 1e6)))
-    (fun (cap, stamps) ->
-      let r = Obs.Timeline.ring_create cap in
-      List.iter (fun ts -> Obs.Timeline.ring_push r (mk_sample ts)) stamps;
-      let samples, dropped = Obs.Timeline.ring_flush r in
-      let n = List.length stamps in
-      let retained = List.length samples in
-      let ts = List.map (fun s -> s.Obs.Timeline.s_ts_us) samples in
-      let rec monotone = function
-        | a :: (b :: _ as rest) -> a < b && monotone rest
-        | _ -> true
-      in
-      retained <= cap
-      && retained = min n cap
-      && dropped = n - retained
-      && monotone ts
-      && (* below capacity nothing is lost: the pushed counters survive in
-            order *)
-      (n > cap
-       || List.map (fun s -> List.assoc "c" s.Obs.Timeline.s_counters) samples
-          = List.map int_of_float stamps))
-
-let test_ring_capacity_validation () =
-  (try
-     ignore (Obs.Timeline.ring_create 0);
-     Alcotest.fail "ring_create 0 must raise"
-   with Invalid_argument _ -> ());
-  let r = Obs.Timeline.ring_create 3 in
-  (* identical timestamps are clamped strictly monotone *)
-  List.iter (fun _ -> Obs.Timeline.ring_push r (mk_sample 5.0)) [ (); (); () ];
-  let samples, _ = Obs.Timeline.ring_flush r in
-  let ts = List.map (fun s -> s.Obs.Timeline.s_ts_us) samples in
-  check Alcotest.bool "equal stamps forced strictly monotone" true
-    (match ts with [ a; b; c ] -> a < b && b < c | _ -> false)
-
-(* The sampler runs concurrently with a real multi-domain pool workload:
-   the flushed timeline must be non-empty, strictly monotone, and must
-   have seen the pool gauges that the workload's sample hook refreshes. *)
-let test_sampler_during_pool_run =
-  with_obs @@ fun () ->
-  let s = Obs.Timeline.start ~period_ms:2 () in
-  let pool = Rt_util.Pool.default () in
-  let spin = Atomic.make 0 in
-  for _ = 1 to 20 do
-    Rt_util.Pool.run pool ~label:"test.sampler" ~grain:4 ~participants:4 ~n:512
-      (fun _worker lo hi ->
-        for _ = lo to hi - 1 do
-          (* enough work per item for the sampler to interleave *)
-          for _ = 1 to 200 do
-            Atomic.incr spin
-          done
-        done)
-  done;
-  let samples, dropped = Obs.Timeline.stop s in
-  check Alcotest.bool "samples collected" true (List.length samples > 0);
-  check Alcotest.bool "nothing dropped in a short run" true (dropped = 0);
-  let ts = List.map (fun x -> x.Obs.Timeline.s_ts_us) samples in
-  let rec monotone = function
-    | a :: (b :: _ as rest) -> a < b && monotone rest
-    | _ -> true
-  in
-  check Alcotest.bool "timestamps strictly monotone" true (monotone ts);
-  let last = List.nth samples (List.length samples - 1) in
-  check Alcotest.bool "pool.utilization gauge sampled" true
-    (List.mem_assoc "pool.utilization" last.Obs.Timeline.s_gauges);
-  check Alcotest.bool "final sample sees executed pool tasks" true
-    (match List.assoc_opt "pool.tasks" last.Obs.Timeline.s_counters with
-     | Some v -> v > 0
-     | None -> false)
-
-(* --- timeline diff ----------------------------------------------------------- *)
-
-let timeline_samples util =
-  List.init 20 (fun i ->
-      { Obs.Timeline.s_ts_us = Float.of_int (1000 * (i + 1));
-        s_counters = [];
-        s_gauges = [ ("pool.utilization", util); ("heap.live_mb", 10.0) ] })
-
-let test_timeline_diff =
-  with_obs @@ fun () ->
-  let dir_a = scratch_dir "tdiff-a" and dir_b = scratch_dir "tdiff-b" in
-  Obs.incr (Obs.counter "test.tdiff.c");
-  Obs.Artifact.write ~dir:dir_a ~manifest:test_manifest ();
-  Obs.Artifact.write ~dir:dir_b ~manifest:test_manifest ();
-  Obs.Timeline.write (Filename.concat dir_a "timeline.json") ~period_ms:10 ~dropped:0
-    (timeline_samples 0.8);
-  Obs.Timeline.write (Filename.concat dir_b "timeline.json") ~period_ms:10 ~dropped:0
-    (timeline_samples 0.8);
-  let same = Obs.Diff.regressions (Obs.Diff.compare (read dir_a) (read dir_a)) in
-  check Alcotest.int "timeline self-diff clean" 0 (List.length same);
-  let same_ab = Obs.Diff.regressions (Obs.Diff.compare (read dir_a) (read dir_b)) in
-  check Alcotest.int "identical timelines diff clean" 0 (List.length same_ab);
-  (* halved utilization on a scheduler series is a regression *)
-  Obs.Timeline.write (Filename.concat dir_b "timeline.json") ~period_ms:10 ~dropped:0
-    (timeline_samples 0.4);
-  let regs = Obs.Diff.regressions (Obs.Diff.compare (read dir_a) (read dir_b)) in
-  check Alcotest.bool "2x utilization drop flagged as timeline regression" true
-    (List.exists
-       (fun f ->
-         f.Obs.Diff.kind = "timeline"
-         && String.length f.Obs.Diff.name >= 16
-         && String.sub f.Obs.Diff.name 0 16 = "pool.utilization")
-       regs)
-
-(* --- HTTP exposition ---------------------------------------------------------
-
-   A raw Unix-socket client (the test deps have no HTTP library either):
-   one request per connection, exactly like the server's model. *)
-
-let http_get port ?(meth = "GET") path =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-  @@ fun () ->
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  let req = Printf.sprintf "%s %s HTTP/1.1\r\nHost: localhost\r\n\r\n" meth path in
-  let _ = Unix.write_substring fd req 0 (String.length req) in
-  let buf = Buffer.create 4096 in
-  let chunk = Bytes.create 4096 in
-  let rec drain () =
-    match Unix.read fd chunk 0 (Bytes.length chunk) with
-    | 0 -> ()
-    | n ->
-      Buffer.add_subbytes buf chunk 0 n;
-      drain ()
-    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
-  in
-  drain ();
-  let raw = Buffer.contents buf in
-  let code =
-    try Scanf.sscanf raw "HTTP/1.1 %d" Fun.id
-    with Scanf.Scan_failure _ | End_of_file -> -1
-  in
-  let body =
-    let rec find i =
-      if i + 4 > String.length raw then String.length raw
-      else if String.sub raw i 4 = "\r\n\r\n" then i + 4
-      else find (i + 1)
-    in
-    let b = find 0 in
-    String.sub raw b (String.length raw - b)
-  in
-  (code, body)
-
-let test_http_smoke =
-  with_obs @@ fun () ->
-  Obs.add (Obs.counter "test.http.hits") 7;
-  let srv = Rt_obs_http.start ~port:0 () in
-  Fun.protect ~finally:(fun () -> Rt_obs_http.stop srv)
-  @@ fun () ->
-  let port = Rt_obs_http.port srv in
-  check Alcotest.bool "ephemeral port bound" true (port > 0);
-  (* keep the sink moving from another domain while we scrape, like a real
-     in-flight run *)
-  let stop = Atomic.make false in
-  let mutator =
-    Domain.spawn (fun () ->
-        let c = Obs.counter "test.http.background" in
-        while not (Atomic.get stop) do
-          Obs.incr c;
-          Domain.cpu_relax ()
-        done)
-  in
-  Fun.protect ~finally:(fun () ->
-      Atomic.set stop true;
-      Domain.join mutator)
-  @@ fun () ->
-  let code, body = http_get port "/healthz" in
-  check Alcotest.int "healthz 200" 200 code;
-  check Alcotest.string "healthz body" "ok\n" body;
-  let code, prom = http_get port "/metrics" in
-  check Alcotest.int "metrics 200" 200 code;
-  (match Obs.prom_lint prom with
-   | [] -> ()
-   | errs -> Alcotest.failf "live /metrics fails lint: %s" (String.concat "; " errs));
-  let has needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
-  check Alcotest.bool "metrics carries the counter" true
-    (has "optprob_test_http_hits_total 7" prom);
-  check Alcotest.bool "metrics refreshed pool gauges via hooks" true
-    (has "optprob_pool_utilization" prom);
-  let code, snap = http_get port "/snapshot" in
-  check Alcotest.int "snapshot 200" 200 code;
-  (match Obs.Json.member "schema" (Obs.Json.parse snap) with
-   | Some (Obs.Json.Str "optprob-metrics/2") -> ()
-   | _ -> Alcotest.fail "snapshot schema");
-  let code, _ = http_get port "/nope" in
-  check Alcotest.int "unknown path 404" 404 code;
-  let code, _ = http_get port ~meth:"POST" "/metrics" in
-  check Alcotest.int "non-GET 405" 405 code
 
 (* --- telemetry must never change results ----------------------------------- *)
 
@@ -1051,22 +814,11 @@ let () =
       ( "artifact",
         [ Alcotest.test_case "manifest/events/prom round-trip" `Quick test_artifact_roundtrip ] );
       ( "diff",
-        [ Alcotest.test_case "obs-diff self-test" `Quick test_obs_diff;
-          Alcotest.test_case "timeline series gating" `Quick test_timeline_diff ] );
-      ( "tracks",
-        [ Alcotest.test_case "thread_name metadata and span args" `Quick
-            test_track_names_and_args ] );
+        [ Alcotest.test_case "obs-diff self-test" `Quick test_obs_diff ] );
       ( "prom",
         [ Alcotest.test_case "lint: clean exposition and corruptions" `Quick test_prom_lint ] );
       ( "atomic",
         [ Alcotest.test_case "no tmp leftovers" `Quick test_artifact_atomic ] );
-      ( "timeline",
-        [ QCheck_alcotest.to_alcotest ring_qcheck;
-          Alcotest.test_case "ring capacity and monotone clamp" `Quick
-            test_ring_capacity_validation;
-          Alcotest.test_case "sampler during pool run" `Quick test_sampler_during_pool_run ] );
-      ( "http",
-        [ Alcotest.test_case "live endpoints smoke" `Quick test_http_smoke ] );
       ( "parallel",
         [ Alcotest.test_case "region seq_below fallback" `Quick test_region_seq_below ] );
       ( "oracle",

@@ -1,8 +1,9 @@
-(* Tests for Rt_obs_registry: ingest/load parse-back, index durability
-   (concurrent writers, corrupt records, lost index), gc retention
-   invariants (qcheck), the step-change detector and sparkline, records
-   diffed through Rt_obs.Diff exactly like their source directories, and
-   the /runs + /trend HTTP endpoints (prom-linted live). *)
+(* Tests for Rt_obs_registry: ingest/load parse-back, ingest from memory
+   against ingest from a directory, index durability (concurrent writers,
+   corrupt records, lost index), gc retention invariants (qcheck), the
+   step-change detector and sparkline, records diffed through Rt_obs.Diff
+   exactly like their source directories, and records and artifact
+   directories written by older builds. *)
 
 module Obs = Rt_obs
 module Reg = Rt_obs_registry
@@ -65,9 +66,8 @@ let write_artifact ?(queries = 5) ?(p50 = 100.0) dir =
     ();
   Obs.clear ()
 
-(* [write_artifact] plus a convergence.json from a real recorder and a
-   timeline.json from a short sampler run; returns the recorder and the
-   timeline samples. *)
+(* [write_artifact] plus a convergence.json from a real recorder; returns
+   the recorder. *)
 let write_full_artifact dir =
   write_artifact dir;
   let conv = Obs.Convergence.create () in
@@ -76,15 +76,11 @@ let write_full_artifact dir =
   Obs.Convergence.record conv ~stage:"sweep" ~sweep:1 ~j:5.5 ~n:2500.0 ~y ();
   Obs.Convergence.record conv ~stage:"sweep" ~sweep:2 ~j:4.25 ~n:2100.0 ~y ();
   Obs.Convergence.record conv ~stage:"final" ~sweep:2 ~j:4.125 ~n:2048.0 ~y ();
-  let sampler = Obs.Timeline.start ~period_ms:5 () in
-  Unix.sleepf 0.02;
-  let samples, dropped = Obs.Timeline.stop sampler in
   Obs.Artifact.write ~dir
     ~manifest:(Obs.Artifact.make_manifest ~engine:"cop" ~argv:[| "test" |] ~wall_s:0.25 ())
     ~convergence:conv ();
-  Obs.Timeline.write (Filename.concat dir "timeline.json") ~period_ms:5 ~dropped samples;
   Obs.clear ();
-  (conv, samples)
+  conv
 
 let read_exn dir =
   match Obs.Artifact.read dir with
@@ -153,7 +149,7 @@ let test_convergence_derived =
   with_obs @@ fun () ->
   let registry = scratch_dir "conv" in
   let art = scratch_dir "conv-art" in
-  let conv, _ = write_full_artifact art in
+  let conv = write_full_artifact art in
   let r = load_exn ~registry (ingest_exn ~registry art) in
   let rows = Obs.Convergence.rows conv in
   let last = List.nth rows (List.length rows - 1) in
@@ -163,6 +159,57 @@ let test_convergence_derived =
     (Reg.metric r "convergence.final_n");
   check (Alcotest.option (Alcotest.float 0.0)) "sweeps" (Some 2.0)
     (Reg.metric r "convergence.sweeps")
+
+(* --- ingest from memory ------------------------------------------------------- *)
+
+(* One recorded sink, ingested twice: once from the directory it was
+   written to and once straight from memory.  Recording is switched off
+   before either path runs, so neither one's GC refresh can move a gauge
+   and both parse the very same documents. *)
+let test_ingest_from_memory =
+  with_obs @@ fun () ->
+  let registry = scratch_dir "mem" in
+  let art = scratch_dir "mem-art" in
+  Obs.with_span ~cat:"phase" "pipeline.analyze" (fun () ->
+      let t = Unix.gettimeofday () in
+      while Unix.gettimeofday () -. t < 1e-3 do
+        ignore (Sys.opaque_identity 1)
+      done);
+  Obs.add (Obs.counter "reg.test.queries") 5;
+  Obs.gauge_set (Obs.gauge "reg.test.level") 0.5;
+  List.iter (Obs.observe (Obs.histogram "reg.test.lat_us")) [ 99.0; 100.0; 101.0 ];
+  let conv = Obs.Convergence.create () in
+  Obs.Convergence.record conv ~stage:"initial" ~sweep:0 ~j:9.0 ~n:4000.0 ~y:[| 0.5 |] ();
+  Obs.Convergence.record conv ~stage:"final" ~sweep:0 ~j:4.0 ~n:2048.0 ~y:[| 0.25 |] ();
+  let manifest =
+    Obs.Artifact.make_manifest ~engine:"cop" ~circuit:"s1" ~argv:[| "test"; "mem" |]
+      ~wall_s:0.25 ()
+  in
+  Obs.set_enabled false;
+  Obs.Artifact.write ~dir:art ~manifest ~convergence:conv ();
+  let from_dir = load_exn ~registry (ingest_exn ~registry art) in
+  let from_mem =
+    match Reg.ingest_run ~registry (Obs.Artifact.of_sink ~manifest ~convergence:conv ()) with
+    | Ok id -> load_exn ~registry id
+    | Error e -> Alcotest.failf "ingest_run: %s" e
+  in
+  check
+    Alcotest.(list (pair string (float 0.0)))
+    "equal derived metrics" from_dir.Reg.r_metrics from_mem.Reg.r_metrics;
+  let doc f (r : Reg.record) = Obs.Json.print (f r.Reg.r_run) in
+  List.iter
+    (fun (name, f) ->
+      check Alcotest.string (name ^ " stored identically") (doc f from_dir) (doc f from_mem))
+    [ ("metrics", fun (r : Obs.Artifact.run) -> r.metrics);
+      ("convergence", fun (r : Obs.Artifact.run) -> r.convergence) ];
+  check Alcotest.int "no finding dir -> memory" 0
+    (List.length (Obs.Diff.compare from_dir.Reg.r_run from_mem.Reg.r_run));
+  check Alcotest.int "no finding memory -> dir" 0
+    (List.length (Obs.Diff.compare from_mem.Reg.r_run from_dir.Reg.r_run));
+  check
+    Alcotest.(list string)
+    "the registry holds only its own files" [ "index.json"; "records" ]
+    (List.sort String.compare (Array.to_list (Sys.readdir registry)))
 
 (* --- filters ----------------------------------------------------------------- *)
 
@@ -387,137 +434,105 @@ let test_baseline =
   check (Alcotest.option Alcotest.string) "cleared" None (Reg.promoted ~registry)
 
 (* A record is the run it was ingested from: counters, gauges, histogram
-   quantiles, span totals, convergence and timeline stats all diff equal
-   against the source directory, so no finding of any kind. *)
+   quantiles, span totals and convergence all diff equal against the
+   source directory, so no finding of any kind. *)
 let test_record_diffs_clean =
   with_obs @@ fun () ->
   let registry = scratch_dir "rdiff" in
   let art = scratch_dir "rdiff-art" in
   let _ = write_full_artifact art in
   let r = load_exn ~registry (ingest_exn ~registry art) in
-  check Alcotest.bool "record carries timeline stats" true
-    (r.Reg.r_run.Obs.Artifact.timeline <> None);
   check Alcotest.int "record vs source: no findings" 0
     (List.length (Obs.Diff.compare r.Reg.r_run (read_exn art)))
 
-(* The record's timeline stats take part in its diffs: against a directory
-   whose timeline differs, the diff reports it. *)
-let test_record_timeline_diff =
+(* --- records and artifacts from older builds ------------------------------------
+
+   Registries outlive builds (CI carries one across workflow runs), and
+   records written while runs could be sampled carry [timeline.*] keys in
+   their stored derived map.  Such a record must still load, list, trend
+   and self-diff clean; the keys are simply no longer derived. *)
+
+let old_record id =
+  Printf.sprintf
+    {|{"schema":"optprob-registry/1","id":"%s","ingested_at":1760000000.5,"source":"_obs/run",
+"manifest":{"schema":"optprob-manifest/2","git_rev":"abc123","argv":["optprob","run","s1"],
+"engine":"cop","seed":1,"jobs":4,"circuit":"s1","patterns":null,"block_words":null,
+"opt_passes":null,"opt_rounds":null,"objective":"single","host_cores":2,"hostname":"ci",
+"ocaml":"5.1.1","written_at":1760000000.25,"wall_s":0.5},
+"metrics":{"schema":"optprob-metrics/2","counters":{"pool.tasks":64,"parallel.steals":3},
+"gauges":{"ppsfp.live_faults":2,"gc.heap_words":12345},
+"histograms":{"oracle.query.us":{"count":3,"sum":30,"min":9,"max":11,"p50":10,"p90":11,
+"p99":11,"buckets":[[10,2],[17.782794100389228,1]]}}},
+"convergence":null,
+"span_totals":{"pipeline.analysis":1500,"pool.parked":900},
+"derived":{"pool.tasks":64,"parallel.steals":3,"ppsfp.live_faults":2,"gc.heap_words":12345,
+"pipeline.total_us":1500,"wall_s":0.5,"timeline.ppsfp.live_faults.mean":40,
+"timeline.ppsfp.live_faults.peak":96,"timeline.ppsfp.live_faults.p90":90,
+"timeline.gc.heap_words.mean":12000}}|}
+    id
+
+let test_old_record () =
+  let registry = scratch_dir "old" in
+  let ids = [ "20250101T000000-aaaaaa"; "20250101T000001-bbbbbb" ] in
+  Obs.mkdir_p (Filename.concat registry "records");
+  List.iter
+    (fun id ->
+      Obs.write_file
+        (Filename.concat (Filename.concat registry "records") (id ^ ".json"))
+        (old_record id))
+    ids;
+  check
+    Alcotest.(list string)
+    "both records listed" ids
+    (List.map (fun s -> s.Reg.id) (Reg.list ~registry ()));
+  List.iter
+    (fun id ->
+      let r = load_exn ~registry id in
+      check (Alcotest.option Alcotest.string) "summary circuit" (Some "s1")
+        r.Reg.r_summary.Reg.circuit;
+      check (Alcotest.option (Alcotest.float 0.0)) "pipeline.total_us" (Some 1500.0)
+        (Reg.metric r "pipeline.total_us");
+      check (Alcotest.option (Alcotest.float 0.0)) "histogram p50" (Some 10.0)
+        (Reg.metric r "oracle.query.us.p50");
+      check Alcotest.bool "no timeline.* key derived" true
+        (List.for_all
+           (fun k -> not (String.length k > 9 && String.sub k 0 9 = "timeline."))
+           (Reg.metric_names r));
+      check Alcotest.int "self-diff clean" 0
+        (List.length (Obs.Diff.compare r.Reg.r_run r.Reg.r_run)))
+    ids;
+  let series = Reg.series ~registry "pipeline.total_us" in
+  check
+    Alcotest.(list (float 0.0))
+    "two-point trend" [ 1500.0; 1500.0 ]
+    (List.map (fun p -> p.Reg.p_value) series.Reg.s_points);
+  let a = load_exn ~registry (List.nth ids 0) and b = load_exn ~registry (List.nth ids 1) in
+  check Alcotest.int "the two records diff clean" 0
+    (List.length (Obs.Diff.compare a.Reg.r_run b.Reg.r_run))
+
+(* An artifact directory written by a sampled run also holds a
+   timeline.json; reading it ignores that file. *)
+let test_stray_timeline =
   with_obs @@ fun () ->
-  let registry = scratch_dir "rtl" in
-  let art = scratch_dir "rtl-art" in
-  let _, samples = write_full_artifact art in
-  let r = load_exn ~registry (ingest_exn ~registry art) in
-  let shifted =
-    List.map
-      (fun s ->
-        { s with
-          Obs.Timeline.s_gauges =
-            List.map (fun (k, v) -> (k, (2.0 *. v) +. 1.0)) s.Obs.Timeline.s_gauges })
-      samples
-  in
-  Obs.Timeline.write (Filename.concat art "timeline.json") ~period_ms:5 ~dropped:0 shifted;
-  check Alcotest.bool "timeline finding" true
-    (List.exists
-       (fun f -> f.Obs.Diff.kind = "timeline")
-       (Obs.Diff.compare r.Reg.r_run (read_exn art)))
-
-(* --- HTTP /runs + /trend ------------------------------------------------------ *)
-
-let http_get port path =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-  @@ fun () ->
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  let req = Printf.sprintf "GET %s HTTP/1.1\r\nHost: localhost\r\n\r\n" path in
-  let _ = Unix.write_substring fd req 0 (String.length req) in
-  let buf = Buffer.create 4096 in
-  let chunk = Bytes.create 4096 in
-  let rec drain () =
-    match Unix.read fd chunk 0 (Bytes.length chunk) with
-    | 0 -> ()
-    | n ->
-      Buffer.add_subbytes buf chunk 0 n;
-      drain ()
-    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()
-  in
-  drain ();
-  let raw = Buffer.contents buf in
-  let code =
-    try Scanf.sscanf raw "HTTP/1.1 %d" Fun.id
-    with Scanf.Scan_failure _ | End_of_file -> -1
-  in
-  let body =
-    let rec find i =
-      if i + 4 > String.length raw then String.length raw
-      else if String.sub raw i 4 = "\r\n\r\n" then i + 4
-      else find (i + 1)
-    in
-    let b = find 0 in
-    String.sub raw b (String.length raw - b)
-  in
-  (code, body)
-
-let test_http_endpoints =
-  with_obs @@ fun () ->
-  let registry = scratch_dir "http" in
-  let art = scratch_dir "http-art" in
+  let art = scratch_dir "stray" in
   write_artifact art;
-  let id = ingest_exn ~registry art in
-  let srv = Rt_obs_http.start ~registry ~port:0 () in
-  Fun.protect ~finally:(fun () -> Rt_obs_http.stop srv)
-  @@ fun () ->
-  let port = Rt_obs_http.port srv in
-  let contains needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
-  (* JSON bodies parse back and carry the record *)
-  let code, body = http_get port "/runs" in
-  check Alcotest.int "/runs 200" 200 code;
-  let j = Obs.Json.parse body in
-  (match Obs.Json.member "schema" j with
-   | Some (Obs.Json.Str "optprob-runs/1") -> ()
-   | _ -> Alcotest.fail "/runs schema");
-  check Alcotest.bool "/runs lists the record" true (contains id body);
-  let code, body = http_get port "/trend?metric=reg.test.lat_us.p50" in
-  check Alcotest.int "/trend 200" 200 code;
-  (match Obs.Json.member "schema" (Obs.Json.parse body) with
-   | Some (Obs.Json.Str "optprob-trend/1") -> ()
-   | _ -> Alcotest.fail "/trend schema");
-  (* prom variants pass the same lint as /metrics, # EOF terminator and all *)
-  let code, prom = http_get port "/runs?format=prom" in
-  check Alcotest.int "/runs prom 200" 200 code;
-  (match Obs.prom_lint prom with
-   | [] -> ()
-   | errs -> Alcotest.failf "/runs prom fails lint: %s" (String.concat "; " errs));
-  check Alcotest.bool "/runs prom run_info" true (contains "optprob_run_info{" prom);
-  let code, prom = http_get port "/trend?metric=reg.test.lat_us.p50&format=prom" in
-  check Alcotest.int "/trend prom 200" 200 code;
-  (match Obs.prom_lint prom with
-   | [] -> ()
-   | errs -> Alcotest.failf "/trend prom fails lint: %s" (String.concat "; " errs));
-  check Alcotest.bool "/trend prom family" true (contains "optprob_trend{" prom);
-  (* parameter validation *)
-  let code, _ = http_get port "/trend" in
-  check Alcotest.int "/trend without metric is 400" 400 code;
-  (* a server without a registry 404s both endpoints *)
-  let bare = Rt_obs_http.start ~port:0 () in
-  Fun.protect ~finally:(fun () -> Rt_obs_http.stop bare)
-  @@ fun () ->
-  let bport = Rt_obs_http.port bare in
-  let code, _ = http_get bport "/runs" in
-  check Alcotest.int "/runs without registry is 404" 404 code;
-  let code, _ = http_get bport "/trend?metric=x" in
-  check Alcotest.int "/trend without registry is 404" 404 code
+  let before = read_exn art in
+  Obs.write_file (Filename.concat art "timeline.json")
+    {|{"schema":"optprob-timeline/1","period_ms":5,"dropped":0,"samples":[
+{"ts_us":1000.0,"counters":{"pool.tasks":3},"gauges":{"ppsfp.live_faults":7}}]}|};
+  let after = read_exn art in
+  check Alcotest.string "same metrics" (Obs.Json.print before.Obs.Artifact.metrics)
+    (Obs.Json.print after.Obs.Artifact.metrics);
+  check Alcotest.int "no finding" 0 (List.length (Obs.Diff.compare before after))
 
 let () =
   Alcotest.run "rt_obs_registry"
     [ ( "record",
         [ Alcotest.test_case "ingest/load parse-back" `Quick test_roundtrip;
           Alcotest.test_case "list filters" `Quick test_filters;
-          Alcotest.test_case "convergence final_j derived" `Quick test_convergence_derived ] );
+          Alcotest.test_case "convergence final_j derived" `Quick test_convergence_derived;
+          Alcotest.test_case "ingest from memory equals ingest from dir" `Quick
+            test_ingest_from_memory ] );
       ( "durability",
         [ Alcotest.test_case "concurrent two-domain ingest" `Quick test_concurrent_ingest;
           Alcotest.test_case "corrupt records skipped, index rebuilt" `Quick
@@ -530,9 +545,8 @@ let () =
       ( "baseline",
         [ Alcotest.test_case "promote/clear" `Quick test_baseline;
           Alcotest.test_case "record diffs clean against its source" `Quick
-            test_record_diffs_clean;
-          Alcotest.test_case "record timeline takes part in diffs" `Quick
-            test_record_timeline_diff ] );
-      ( "http",
-        [ Alcotest.test_case "/runs and /trend, prom-linted" `Quick test_http_endpoints ] )
+            test_record_diffs_clean ] );
+      ( "compat",
+        [ Alcotest.test_case "older record with timeline keys" `Quick test_old_record;
+          Alcotest.test_case "stray timeline.json ignored" `Quick test_stray_timeline ] )
     ]

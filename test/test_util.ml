@@ -381,41 +381,6 @@ let test_pool_create_teardown_no_leak () =
   Pool.run p ~participants:1 ~n:8 (fun _ _ _ -> ());
   Pool.run p ~participants:4 ~n:0 (fun _ _ _ -> ())
 
-(* Per-lane scheduler counters must stay coherent with the global ones:
-   every executed slice is attributed to exactly one lane, and every
-   steal has both a thief (lane steals) and a victim (stolen_from). *)
-let test_pool_lane_counters () =
-  Rt_obs.set_enabled true;
-  Rt_obs.clear ();
-  Fun.protect ~finally:(fun () ->
-      Rt_obs.set_enabled false;
-      Rt_obs.clear ())
-  @@ fun () ->
-  let p = Pool.create () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p)
-  @@ fun () ->
-  let spin = Atomic.make 0 in
-  for _ = 1 to 5 do
-    Pool.run p ~grain:4 ~participants:4 ~n:1024 (fun _worker lo hi ->
-        for _ = lo to hi - 1 do
-          for _ = 1 to 50 do
-            Atomic.incr spin
-          done
-        done)
-  done;
-  let snap = Rt_obs.counters_snapshot () in
-  let v name = Option.value ~default:0 (List.assoc_opt name snap) in
-  let lane_sum field =
-    List.init 8 (fun k -> v (Printf.sprintf "pool.d%d.%s" k field))
-    |> List.fold_left ( + ) 0
-  in
-  check Alcotest.bool "slices were executed" true (v "pool.tasks" > 0);
-  check Alcotest.int "lane tasks sum to pool.tasks" (v "pool.tasks") (lane_sum "tasks");
-  check Alcotest.int "lane steals sum to parallel.steals" (v "parallel.steals")
-    (lane_sum "steals");
-  check Alcotest.int "every steal has a victim queue" (lane_sum "steals")
-    (lane_sum "stolen_from")
-
 let test_parallel_sweep_covers_once () =
   let n = 5000 in
   let hits = Array.init n (fun _ -> Atomic.make 0) in
@@ -483,6 +448,5 @@ let () =
           Alcotest.test_case "exception propagates, pool survives" `Quick
             test_pool_exception_propagates;
           Alcotest.test_case "nested regions run inline" `Quick test_pool_nested_runs_inline;
-          Alcotest.test_case "lane counters coherent" `Quick test_pool_lane_counters;
           Alcotest.test_case "create/teardown leaks nothing" `Quick
             test_pool_create_teardown_no_leak ] ) ]
