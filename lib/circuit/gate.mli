@@ -35,10 +35,13 @@ val arity_ok : kind -> int -> bool
 val eval : kind -> bool array -> bool
 (** Boolean semantics over the fanin values. *)
 
-val prob : kind -> float array -> float
-(** Arithmetical embedding under the independence assumption: the exact
-    probability of the gate output being true when the fanin signals are
-    {e independent} with the given probabilities ([Xor] folds pairwise). *)
+val set_prob : kind -> float array -> fanin:int array -> int -> unit
+(** [set_prob k p ~fanin dst] stores in [p.(dst)] the arithmetical
+    embedding under the independence assumption: the exact probability of
+    the gate output being true when the fanin signals, read as
+    [p.(fanin.(j))], are {e independent}.  Products fold in pin order from
+    1.0 and [Xor] folds pairwise from 0.0.  Allocates nothing, so a
+    per-node sweep can call it directly on its probability vector. *)
 
 val inverting : kind -> bool
 (** Whether the gate complements the natural monotone body ([Nand], [Nor],

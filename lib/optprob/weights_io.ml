@@ -11,24 +11,36 @@ let save path c w =
 
 let load path c =
   let w = Array.make (Array.length (Netlist.inputs c)) 0.5 in
-  let ic = open_in path in
-  (try
-     let lineno = ref 0 in
-     while true do
-       incr lineno;
-       let line = String.trim (input_line ic) in
-       if line <> "" && line.[0] <> '#' then begin
-         match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
-         | [ name; value ] ->
-           (match Netlist.find c name with
-            | Some node when Netlist.kind c node = Rt_circuit.Gate.Input ->
-              w.(Netlist.input_index c node) <- float_of_string value
-            | Some _ | None ->
-              failwith (Printf.sprintf "weights file line %d: unknown input %s" !lineno name))
-         | _ -> failwith (Printf.sprintf "weights file line %d: expected 'name value'" !lineno)
-       end
-     done
-   with End_of_file -> close_in ic);
+  let ic =
+    try open_in path with Sys_error msg -> failwith (Printf.sprintf "weights file %s: %s" path msg)
+  in
+  let fail lineno fmt =
+    Printf.ksprintf (fun msg -> failwith (Printf.sprintf "weights file %s line %d: %s" path lineno msg)) fmt
+  in
+  let weight lineno value =
+    match float_of_string_opt value with
+    | None -> fail lineno "not a number: %s" value
+    | Some v when not (Float.is_finite v) -> fail lineno "weight %s is not finite" value
+    | Some v when v < 0.0 || v > 1.0 -> fail lineno "weight %s is outside [0,1]" value
+    | Some v -> v
+  in
+  let rec read lineno =
+    match input_line ic with
+    | exception End_of_file -> ()
+    | line ->
+      let line = String.trim line in
+      if line <> "" && line.[0] <> '#' then begin
+        match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
+        | [ name; value ] ->
+          (match Netlist.find c name with
+           | Some node when Netlist.kind c node = Rt_circuit.Gate.Input ->
+             w.(Netlist.input_index c node) <- weight lineno value
+           | Some _ | None -> fail lineno "unknown input %s" name)
+        | _ -> fail lineno "expected 'name value'"
+      end;
+      read (lineno + 1)
+  in
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> read 1);
   w
 
 let pp c ppf w =

@@ -6,7 +6,11 @@
 val save : string -> Rt_circuit.Netlist.t -> float array -> unit
 
 val load : string -> Rt_circuit.Netlist.t -> float array
-(** Missing inputs default to 0.5; unknown names raise [Failure]. *)
+(** Missing inputs default to 0.5.  An unknown input name, a malformed
+    line, or a value that is not a number, not finite or outside
+    [\[0,1\]] raises [Failure "weights file PATH line N: ..."]; an
+    unreadable file raises [Failure "weights file PATH: ..."].  The
+    channel is closed on every path. *)
 
 val pp : Rt_circuit.Netlist.t -> Format.formatter -> float array -> unit
 (** Compact appendix-style listing, grouping equal consecutive weights. *)

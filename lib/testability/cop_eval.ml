@@ -11,18 +11,20 @@
    entirely masked), hence its cached value already equals the from-
    scratch value; a node inside the cone is recomputed in ascending
    (topological, therefore level) order with exactly the sweep's
-   arithmetic ([Gate.prob] over the same fanin reads).  The observability
-   side re-runs [Observability.cop_node] in descending order over the
-   nodes whose readers changed (observability or side-pin sensitization),
-   seeded conservatively — extra recomputation reproduces the same
-   floats, so conservatism costs time, never exactness. *)
+   arithmetic ([Gate.set_prob] over the same fanin reads).  The
+   observability side re-runs [Observability.set_cop_node] in descending
+   order over the nodes whose readers changed (observability or side-pin
+   sensitization), seeded conservatively — extra recomputation reproduces
+   the same floats, so conservatism costs time, never exactness.  Both
+   per-node kernels are the ones the sweeps call, so the patch allocates
+   nothing per node. *)
 
 module Netlist = Rt_circuit.Netlist
 module Gate = Rt_circuit.Gate
 module Fault = Rt_fault.Fault
 module Parallel = Rt_util.Parallel
 
-let fault_prob c ~sp ~obs f =
+let[@inline] fault_prob c ~sp ~obs f =
   let src = Fault.source f c in
   let act = if f.Fault.stuck then 1.0 -. sp.(src) else sp.(src) in
   match f.Fault.site with
@@ -62,10 +64,11 @@ type state = {
   mutable base_x : float array;  (* [||] until the first rebuild *)
   mutable sp : float array;
   mutable obs : float array;
-  cones : (int, int array * int array) Hashtbl.t;
-      (* input index -> (sp-dirty nodes ascending, obs-dirty nodes
-         ascending); depends only on the plan's masks, so reset on plan
-         change and kept across base-point moves *)
+  cones : (int array * int array) option array;
+      (* by input index: (sp-dirty nodes ascending, obs-dirty nodes
+         ascending), computed on first use; depends only on the plan's
+         masks, so reset on plan change and kept across base-point
+         moves *)
   sp_dirty_scratch : bool array;
   mutable save_sp : float array;  (* cone-sized undo buffers *)
   mutable save_obs : float array;
@@ -78,7 +81,7 @@ let create ?(jobs = 1) c =
     base_x = [||];
     sp = [||];
     obs = [||];
-    cones = Hashtbl.create 16;
+    cones = Array.make (Array.length (Netlist.inputs c)) None;
     sp_dirty_scratch = Array.make (Netlist.size c) false;
     save_sp = [||];
     save_obs = [||] }
@@ -135,11 +138,11 @@ let compute_cone st plan input =
   end
 
 let get_cone st plan input =
-  match Hashtbl.find_opt st.cones input with
+  match st.cones.(input) with
   | Some cone -> cone
   | None ->
     let cone = compute_cone st plan input in
-    Hashtbl.add st.cones input cone;
+    st.cones.(input) <- Some cone;
     cone
 
 let ensure_saves st n_sp n_obs =
@@ -152,25 +155,27 @@ let ensure_saves st n_sp n_obs =
 let apply_patch st (sp_dirty, obs_dirty) v =
   let c = st.c in
   let sp = st.sp and obs = st.obs in
-  Array.iteri
-    (fun k g ->
-      st.save_sp.(k) <- sp.(g);
-      sp.(g) <-
-        (match Netlist.kind c g with
-         | Gate.Input -> v  (* only the flipped input itself; inputs have no fanin *)
-         | kind -> Gate.prob kind (Array.map (fun j -> sp.(j)) (Netlist.fanin c g))))
-    sp_dirty;
+  for k = 0 to Array.length sp_dirty - 1 do
+    let g = sp_dirty.(k) in
+    st.save_sp.(k) <- sp.(g);
+    match Netlist.kind c g with
+    | Gate.Input -> sp.(g) <- v  (* only the flipped input itself; inputs have no fanin *)
+    | kind -> Gate.set_prob kind sp ~fanin:(Netlist.fanin c g) g
+  done;
   for k = Array.length obs_dirty - 1 downto 0 do
     let g = obs_dirty.(k) in
     st.save_obs.(k) <- obs.(g);
-    obs.(g) <-
-      Observability.cop_node c ~stem_rule:Observability.Complement_product ~node_probs:sp ~obs g
+    Observability.set_cop_node c ~stem_rule:Observability.Complement_product ~node_probs:sp ~obs g
   done;
   Rt_obs.add c_patched (Array.length sp_dirty + Array.length obs_dirty)
 
 let restore st (sp_dirty, obs_dirty) =
-  Array.iteri (fun k g -> st.sp.(g) <- st.save_sp.(k)) sp_dirty;
-  Array.iteri (fun k g -> st.obs.(g) <- st.save_obs.(k)) obs_dirty
+  for k = 0 to Array.length sp_dirty - 1 do
+    st.sp.(sp_dirty.(k)) <- st.save_sp.(k)
+  done;
+  for k = 0 to Array.length obs_dirty - 1 do
+    st.obs.(obs_dirty.(k)) <- st.save_obs.(k)
+  done
 
 (* Bring the cached base point to (plan, x).  Same plan and a single
    moved coordinate — the optimizer's per-coordinate update — commits
@@ -179,18 +184,17 @@ let sync st plan x =
   let same_plan = match st.plan with Some p -> p == plan | None -> false in
   if not same_plan then begin
     st.plan <- Some plan;
-    Hashtbl.reset st.cones;
+    Array.fill st.cones 0 (Array.length st.cones) None;
     rebuild st plan x
   end
   else begin
     let first = ref (-1) and ndiff = ref 0 in
-    Array.iteri
-      (fun i v ->
-        if v <> st.base_x.(i) then begin
-          if !ndiff = 0 then first := i;
-          incr ndiff
-        end)
-      x;
+    for i = 0 to Array.length x - 1 do
+      if x.(i) <> st.base_x.(i) then begin
+        if !ndiff = 0 then first := i;
+        incr ndiff
+      end
+    done;
     if !ndiff = 1 then begin
       let i = !first in
       let ((sp_d, obs_d) as cone) = get_cone st plan i in

@@ -16,25 +16,6 @@
     flipped input (the masks are closure-consistent), and nodes inside are
     recomputed in the same order with the same arithmetic. *)
 
-val fault_prob :
-  Rt_circuit.Netlist.t ->
-  sp:float array ->
-  obs:float array ->
-  Rt_fault.Fault.t ->
-  float
-(** Activation x observability for one fault, given sweep results. *)
-
-val fill :
-  jobs:int ->
-  Rt_circuit.Netlist.t ->
-  sp:float array ->
-  obs:float array ->
-  Rt_fault.Fault.t array ->
-  float array ->
-  unit
-(** Fill [out.(i) <- fault_prob faults.(i)] for all faults, sharded across
-    [jobs] domains for large fault arrays.  Bit-identical for any [jobs]. *)
-
 val probs : ?jobs:int -> Rt_circuit.Netlist.t -> Rt_fault.Fault.t array -> float array -> float array
 (** Full-circuit COP estimate of [p_f(X)] per fault. *)
 

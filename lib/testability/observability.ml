@@ -5,7 +5,7 @@ type stem_rule =
   | Complement_product
   | Maximum
 
-let pin_sensitization c ~node_probs g k =
+let[@inline] pin_sensitization c ~node_probs g k =
   let fi = Netlist.fanin c g in
   match Netlist.kind c g with
   | Gate.Input | Gate.Const0 | Gate.Const1 ->
@@ -14,38 +14,47 @@ let pin_sensitization c ~node_probs g k =
   | Gate.Xor | Gate.Xnor -> 1.0
   | Gate.And | Gate.Nand ->
     let p = ref 1.0 in
-    Array.iteri (fun j f -> if j <> k then p := !p *. node_probs.(f)) fi;
+    for j = 0 to Array.length fi - 1 do
+      if j <> k then p := !p *. node_probs.(fi.(j))
+    done;
     !p
   | Gate.Or | Gate.Nor ->
     let p = ref 1.0 in
-    Array.iteri (fun j f -> if j <> k then p := !p *. (1.0 -. node_probs.(f))) fi;
+    for j = 0 to Array.length fi - 1 do
+      if j <> k then p := !p *. (1.0 -. node_probs.(fi.(j)))
+    done;
     !p
 
 let pin_observability c ~node_probs ~obs g k =
   pin_sensitization c ~node_probs g k *. obs.(g)
 
-let cop_node c ~stem_rule ~node_probs ~obs g =
+(* The branch observabilities fold readers last to first, and within a
+   reader its pins last to first.  The order is part of the result:
+   1 - prod (1 - o_b) is not associative in floating point, and this is
+   the order the pinned digests and recorded tables were produced with. *)
+let set_cop_node c ~stem_rule ~node_probs ~obs g =
   let base = if Netlist.is_output c g then 1.0 else 0.0 in
-  let branch_obs = ref [] in
-  Array.iter
-    (fun reader ->
-      let fi = Netlist.fanin c reader in
-      Array.iteri
-        (fun k f ->
-          if f = g then
-            branch_obs := pin_observability c ~node_probs ~obs reader k :: !branch_obs)
-        fi)
-    (Netlist.fanout c g);
-  match stem_rule with
-  | Complement_product ->
-    1.0 -. List.fold_left (fun acc o -> acc *. (1.0 -. o)) (1.0 -. base) !branch_obs
-  | Maximum -> List.fold_left Float.max base !branch_obs
+  let acc = ref (match stem_rule with Complement_product -> 1.0 -. base | Maximum -> base) in
+  let readers = Netlist.fanout c g in
+  for r = Array.length readers - 1 downto 0 do
+    let reader = readers.(r) in
+    let fi = Netlist.fanin c reader in
+    for k = Array.length fi - 1 downto 0 do
+      if fi.(k) = g then begin
+        let o = pin_sensitization c ~node_probs reader k *. obs.(reader) in
+        match stem_rule with
+        | Complement_product -> acc := !acc *. (1.0 -. o)
+        | Maximum -> acc := Float.max !acc o
+      end
+    done
+  done;
+  obs.(g) <- (match stem_rule with Complement_product -> 1.0 -. !acc | Maximum -> !acc)
 
 let cop ?(stem_rule = Complement_product) c ~node_probs =
   let n = Netlist.size c in
   let obs = Array.make n 0.0 in
   for g = n - 1 downto 0 do
-    obs.(g) <- cop_node c ~stem_rule ~node_probs ~obs g
+    set_cop_node c ~stem_rule ~node_probs ~obs g
   done;
   obs
 
@@ -54,6 +63,6 @@ let cop_subset ?(stem_rule = Complement_product) c ~mask ~node_probs =
   if Array.length mask <> n then invalid_arg "Observability.cop_subset: mask size";
   let obs = Array.make n 0.0 in
   for g = n - 1 downto 0 do
-    if mask.(g) then obs.(g) <- cop_node c ~stem_rule ~node_probs ~obs g
+    if mask.(g) then set_cop_node c ~stem_rule ~node_probs ~obs g
   done;
   obs

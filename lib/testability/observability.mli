@@ -34,18 +34,20 @@ val cop_subset :
     masked) — e.g. a union of transitive fanout cones — so masked values
     equal the full sweep's exactly. *)
 
-val cop_node :
+val set_cop_node :
   Rt_circuit.Netlist.t ->
   stem_rule:stem_rule ->
   node_probs:float array ->
   obs:float array ->
   Rt_circuit.Netlist.node ->
-  float
-(** One node's observability given its readers' observabilities in [obs]
-    and side-input signal probabilities in [node_probs] — the body of one
-    {!cop} sweep step.  Exposed so incremental evaluators can recompute
-    exactly the dirty nodes of a damage cone with the same arithmetic as
-    the full sweep. *)
+  unit
+(** Stores in [obs.(g)] node [g]'s observability given its readers'
+    observabilities in [obs] and side-input signal probabilities in
+    [node_probs] — the body of one {!cop} sweep step.  Exposed so
+    incremental evaluators can recompute exactly the dirty nodes of a
+    damage cone with the same arithmetic as the full sweep.  Branch
+    observabilities fold in reverse (reader, pin) discovery order;
+    allocates nothing. *)
 
 val pin_sensitization :
   Rt_circuit.Netlist.t -> node_probs:float array -> Rt_circuit.Netlist.node -> int -> float

@@ -9,9 +9,7 @@ let independence c x =
   for i = 0 to n - 1 do
     match Netlist.kind c i with
     | Gate.Input -> p.(i) <- x.(Netlist.input_index c i)
-    | k ->
-      let args = Array.map (fun j -> p.(j)) (Netlist.fanin c i) in
-      p.(i) <- Gate.prob k args
+    | k -> Gate.set_prob k p ~fanin:(Netlist.fanin c i) i
   done;
   p
 
@@ -25,9 +23,7 @@ let independence_subset c ~mask x =
     if mask.(i) then
       match Netlist.kind c i with
       | Gate.Input -> p.(i) <- x.(Netlist.input_index c i)
-      | k ->
-        let args = Array.map (fun j -> p.(j)) (Netlist.fanin c i) in
-        p.(i) <- Gate.prob k args
+      | k -> Gate.set_prob k p ~fanin:(Netlist.fanin c i) i
   done;
   p
 

@@ -64,30 +64,38 @@ let count c ~source ~n_patterns =
 
 let controllability counts n = Float.of_int counts.ones.(n) /. Float.of_int counts.n_patterns
 
-let observability_node c counts ~stem_rule ~total ~obs g =
+(* Same loop shape and fold order as [Observability.set_cop_node], with
+   the measured sensitization in place of the COP product. *)
+let set_observability_node c counts ~stem_rule ~total ~obs g =
   let base = if Netlist.is_output c g then 1.0 else 0.0 in
-  let branch_obs = ref [] in
-  Array.iter
-    (fun reader ->
-      Array.iteri
-        (fun k f ->
-          if f = g then begin
-            let sens_p = Float.of_int counts.sens.(reader).(k) /. total in
-            branch_obs := (sens_p *. obs.(reader)) :: !branch_obs
-          end)
-        (Netlist.fanin c reader))
-    (Netlist.fanout c g);
-  match stem_rule with
-  | Observability.Complement_product ->
-    1.0 -. List.fold_left (fun acc o -> acc *. (1.0 -. o)) (1.0 -. base) !branch_obs
-  | Observability.Maximum -> List.fold_left Float.max base !branch_obs
+  let acc =
+    ref (match stem_rule with Observability.Complement_product -> 1.0 -. base | Observability.Maximum -> base)
+  in
+  let readers = Netlist.fanout c g in
+  for r = Array.length readers - 1 downto 0 do
+    let reader = readers.(r) in
+    let fi = Netlist.fanin c reader in
+    for k = Array.length fi - 1 downto 0 do
+      if fi.(k) = g then begin
+        let sens_p = Float.of_int counts.sens.(reader).(k) /. total in
+        let o = sens_p *. obs.(reader) in
+        match stem_rule with
+        | Observability.Complement_product -> acc := !acc *. (1.0 -. o)
+        | Observability.Maximum -> acc := Float.max !acc o
+      end
+    done
+  done;
+  obs.(g) <-
+    (match stem_rule with
+     | Observability.Complement_product -> 1.0 -. !acc
+     | Observability.Maximum -> !acc)
 
 let observability ?(stem_rule = Observability.Complement_product) c counts =
   let n = Netlist.size c in
   let total = Float.of_int counts.n_patterns in
   let obs = Array.make n 0.0 in
   for g = n - 1 downto 0 do
-    obs.(g) <- observability_node c counts ~stem_rule ~total ~obs g
+    set_observability_node c counts ~stem_rule ~total ~obs g
   done;
   obs
 
@@ -97,7 +105,7 @@ let observability_subset ?(stem_rule = Observability.Complement_product) c ~mask
   let total = Float.of_int counts.n_patterns in
   let obs = Array.make n 0.0 in
   for g = n - 1 downto 0 do
-    if mask.(g) then obs.(g) <- observability_node c counts ~stem_rule ~total ~obs g
+    if mask.(g) then set_observability_node c counts ~stem_rule ~total ~obs g
   done;
   obs
 

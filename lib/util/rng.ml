@@ -1,4 +1,13 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The four xoshiro256** state words s0..s3 live unboxed in one 32-byte
+   buffer.  As [mutable int64] record fields each would be a pointer to a
+   boxed int64, so every [bits64] would allocate four fresh boxes; with
+   [Bytes.get_int64_ne]/[set_int64_ne] on an annotated [t] the step is a
+   handful of loads and stores, and [biased_word]'s inner loop, which
+   inlines [bits64], allocates nothing. *)
+type t = Bytes.t
+
+let[@inline] get (t : t) i = Bytes.get_int64_ne t (8 * i)
+let[@inline] set (t : t) i v = Bytes.set_int64_ne t (8 * i) v
 
 (* splitmix64: used only to expand the user seed into state words, the
    recommended seeding procedure for xoshiro. *)
@@ -12,26 +21,31 @@ let splitmix_next state =
 
 let create seed =
   let state = ref (Int64.of_int seed) in
-  let s0 = splitmix_next state in
-  let s1 = splitmix_next state in
-  let s2 = splitmix_next state in
-  let s3 = splitmix_next state in
-  { s0; s1; s2; s3 }
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    set t i (splitmix_next state)
+  done;
+  t
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy (t : t) = Bytes.copy t
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
+let[@inline] bits64 (t : t) =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get t 0 and s1 = get t 1 and s2 = get t 2 and s3 = get t 3 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let tmp = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  let s2 = logxor s2 tmp in
+  let s3 = rotl s3 45 in
+  set t 0 s0;
+  set t 1 s1;
+  set t 2 s2;
+  set t 3 s3;
   result
 
 let split t =
@@ -64,13 +78,17 @@ let bernoulli t p =
   else if p >= 1.0 then true
   else float t < p
 
-(* Bit-sliced biased word: write p in binary as 0.b1 b2 ... b30; starting
-   from the least significant considered bit, fold fair words w with
-   acc <- (acc AND w) when b=0 and acc <- (acc OR w) ... actually the
-   standard recurrence processes bits from LSB to MSB of the expansion:
-   acc := if b then acc OR w else acc AND w, starting with acc = 0, yields
-   each bit of acc being 1 with probability exactly 0.b1...bk. *)
-let biased_word t p =
+(* Bit-sliced biased word.  Round p to 30 bits, p ~ 0.b1 b2 ... b30 (b1
+   the most significant; clamped to [2^-30, 1 - 2^-30]), and fold fair
+   words w from the least significant bit b30 up to b1, starting from
+   acc = 0:
+     acc := if b then acc OR w else acc AND w.
+   By induction each bit of acc is 1 with probability exactly
+   0.b_i ... b30 after processing b_i: OR with a fair bit maps q to
+   (1 + q)/2 and AND maps q to q/2, which is prepending the bit 1 or 0.
+   After b1 every bit is Bernoulli(0.b1 ... b30), at a cost of 30 fair
+   words per 64 biased bits. *)
+let biased_word (t : t) p =
   if p <= 0.0 then 0L
   else if p >= 1.0 then -1L
   else if p = 0.5 then bits64 t

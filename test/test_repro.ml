@@ -32,16 +32,80 @@ let test_weights_load_defaults () =
   check (Alcotest.float 1e-9) "named input set" 0.9 w.(0);
   check (Alcotest.float 1e-9) "others default" 0.5 w.(1)
 
-let test_weights_load_unknown_name () =
+let load_failure contents =
   let c = Generators.c432ish () in
   let path = Filename.temp_file "weights" ".txt" in
   let oc = open_out path in
-  output_string oc "does_not_exist 0.9\n";
+  output_string oc contents;
   close_out oc;
-  (match Weights_io.load path c with
-   | exception Failure _ -> ()
-   | _ -> Alcotest.fail "expected failure");
-  Sys.remove path
+  let result = match Weights_io.load path c with exception Failure msg -> Some msg | _ -> None in
+  Sys.remove path;
+  (path, result)
+
+let test_weights_load_unknown_name () =
+  match load_failure "does_not_exist 0.9\n" with
+  | _, None -> Alcotest.fail "expected failure"
+  | path, Some msg ->
+    check Alcotest.string "located" (Printf.sprintf "weights file %s line 1: unknown input does_not_exist" path) msg
+
+(* Each bad line fails with the file and line named, not a bare
+   [float_of_string] failure or a silently accepted weight. *)
+let test_weights_load_rejects () =
+  List.iter
+    (fun (contents, line, what) ->
+      match load_failure contents with
+      | _, None -> Alcotest.failf "%S accepted" contents
+      | path, Some msg ->
+        let prefix = Printf.sprintf "weights file %s line %d: " path line in
+        let n = String.length prefix in
+        if String.length msg < n || String.sub msg 0 n <> prefix then
+          Alcotest.failf "%S: message %S lacks %S" contents msg prefix;
+        let rest = String.sub msg n (String.length msg - n) in
+        if not (String.length rest >= String.length what && String.sub rest 0 (String.length what) = what)
+        then Alcotest.failf "%S: message %S, expected %S" contents msg what)
+    [ ("# header\nch0_r0 0.9 extra\n", 2, "expected 'name value'");
+      ("ch0_r0 abc\n", 1, "not a number");
+      ("ch0_r0 0.2\n\nch0_r1 nan\n", 3, "weight nan is not finite");
+      ("ch0_r0 inf\n", 1, "weight inf is not finite");
+      ("ch0_r0 -infinity\n", 1, "weight -infinity is not finite");
+      ("ch0_r0 1.5\n", 1, "weight 1.5 is outside [0,1]");
+      ("ch0_r0 -0.01\n", 1, "weight -0.01 is outside [0,1]") ]
+
+let test_weights_load_bounds_accepted () =
+  let c = Generators.c432ish () in
+  let path = Filename.temp_file "weights" ".txt" in
+  let oc = open_out path in
+  output_string oc "ch0_r0 0\nch0_r1 1.0\n";
+  close_out oc;
+  let w = Weights_io.load path c in
+  Sys.remove path;
+  check (Alcotest.float 0.0) "0 accepted" 0.0 w.(0);
+  check (Alcotest.float 0.0) "1 accepted" 1.0 w.(1)
+
+let test_weights_load_missing_file () =
+  let c = Generators.c432ish () in
+  let path = Filename.concat (Filename.get_temp_dir_name ()) "no-such-weights-file.txt" in
+  match Weights_io.load path c with
+  | exception Failure msg ->
+    let prefix = Printf.sprintf "weights file %s: " path in
+    check Alcotest.string "located" prefix (String.sub msg 0 (min (String.length msg) (String.length prefix)))
+  | _ -> Alcotest.fail "missing file accepted"
+
+(* A failing load must not leak its channel: repeated failures leave the
+   process's open descriptors unchanged (checked where /proc exposes
+   them). *)
+let test_weights_load_closes_channel () =
+  let fd_dir = "/proc/self/fd" in
+  if Sys.file_exists fd_dir then begin
+    let open_fds () = Array.length (Sys.readdir fd_dir) in
+    ignore (load_failure "ch0_r0 nan\n");
+    let before = open_fds () in
+    for _ = 1 to 20 do
+      ignore (load_failure "ch0_r0 abc\n");
+      ignore (load_failure "does_not_exist 0.5\n")
+    done;
+    check Alcotest.int "no leaked descriptors" before (open_fds ())
+  end
 
 let test_weights_pp_groups_runs () =
   let c = Generators.wide_and 6 in
@@ -94,6 +158,10 @@ let () =
         [ Alcotest.test_case "roundtrip" `Quick test_weights_roundtrip;
           Alcotest.test_case "defaults" `Quick test_weights_load_defaults;
           Alcotest.test_case "unknown name" `Quick test_weights_load_unknown_name;
+          Alcotest.test_case "bad lines located" `Quick test_weights_load_rejects;
+          Alcotest.test_case "bounds 0 and 1 accepted" `Quick test_weights_load_bounds_accepted;
+          Alcotest.test_case "missing file located" `Quick test_weights_load_missing_file;
+          Alcotest.test_case "channel closed on failure" `Quick test_weights_load_closes_channel;
           Alcotest.test_case "pp groups runs" `Quick test_weights_pp_groups_runs ] );
       ( "experiments",
         [ Alcotest.test_case "by_id" `Quick test_by_id;

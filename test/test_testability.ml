@@ -362,6 +362,208 @@ let cofactor_affinity_qcheck =
           [ 0.0; 0.25; 0.5; 1.0 ]
       end)
 
+(* --- Kernel bit-identity ---------------------------------------------------
+
+   Verbatim copies of the per-node kernels as they were before the
+   fanin-indexed loops replaced them: the gate formula over an
+   [Array.map]-gathered fanin vector, and the observability sweeps that
+   cons branch observabilities onto a list and fold it.  The library's
+   allocation-free kernels must reproduce these floats bit for bit. *)
+module Ref_kernels = struct
+  module Gate = Rt_circuit.Gate
+
+  let gate_prob k (ps : float array) =
+    let prod () = Array.fold_left ( *. ) 1.0 ps in
+    let prod_compl () = Array.fold_left (fun acc p -> acc *. (1.0 -. p)) 1.0 ps in
+    let xor () = Array.fold_left (fun a b -> (a *. (1.0 -. b)) +. (b *. (1.0 -. a))) 0.0 ps in
+    match k with
+    | Gate.Input -> invalid_arg "Gate.prob: Input has no gate function"
+    | Gate.Const0 -> 0.0
+    | Gate.Const1 -> 1.0
+    | Gate.Buf -> ps.(0)
+    | Gate.Not -> 1.0 -. ps.(0)
+    | Gate.And -> prod ()
+    | Gate.Nand -> 1.0 -. prod ()
+    | Gate.Or -> 1.0 -. prod_compl ()
+    | Gate.Nor -> prod_compl ()
+    | Gate.Xor -> xor ()
+    | Gate.Xnor -> 1.0 -. xor ()
+
+  let independence_subset c ~mask x =
+    let n = Netlist.size c in
+    let p = Array.make n 0.0 in
+    for i = 0 to n - 1 do
+      if mask.(i) then
+        match Netlist.kind c i with
+        | Gate.Input -> p.(i) <- x.(Netlist.input_index c i)
+        | k ->
+          let args = Array.map (fun j -> p.(j)) (Netlist.fanin c i) in
+          p.(i) <- gate_prob k args
+    done;
+    p
+
+  let pin_sensitization c ~node_probs g k =
+    let fi = Netlist.fanin c g in
+    match Netlist.kind c g with
+    | Gate.Input | Gate.Const0 | Gate.Const1 -> invalid_arg "not a gate"
+    | Gate.Buf | Gate.Not -> 1.0
+    | Gate.Xor | Gate.Xnor -> 1.0
+    | Gate.And | Gate.Nand ->
+      let p = ref 1.0 in
+      Array.iteri (fun j f -> if j <> k then p := !p *. node_probs.(f)) fi;
+      !p
+    | Gate.Or | Gate.Nor ->
+      let p = ref 1.0 in
+      Array.iteri (fun j f -> if j <> k then p := !p *. (1.0 -. node_probs.(f))) fi;
+      !p
+
+  (* The shared backward sweep; [branch obs reader k] is one branch's
+     observability (COP or STAFAN). *)
+  let sweep c ~stem_rule ~mask ~branch =
+    let n = Netlist.size c in
+    let obs = Array.make n 0.0 in
+    for g = n - 1 downto 0 do
+      if mask.(g) then begin
+        let base = if Netlist.is_output c g then 1.0 else 0.0 in
+        let branch_obs = ref [] in
+        Array.iter
+          (fun reader ->
+            let fi = Netlist.fanin c reader in
+            Array.iteri
+              (fun k f -> if f = g then branch_obs := branch obs reader k :: !branch_obs)
+              fi)
+          (Netlist.fanout c g);
+        obs.(g) <-
+          (match stem_rule with
+           | Observability.Complement_product ->
+             1.0 -. List.fold_left (fun acc o -> acc *. (1.0 -. o)) (1.0 -. base) !branch_obs
+           | Observability.Maximum -> List.fold_left Float.max base !branch_obs)
+      end
+    done;
+    obs
+
+  let cop_subset c ~stem_rule ~mask ~node_probs =
+    sweep c ~stem_rule ~mask ~branch:(fun obs reader k ->
+        pin_sensitization c ~node_probs reader k *. obs.(reader))
+
+  let stafan_subset c ~stem_rule ~mask (counts : Stafan.counts) =
+    let total = Float.of_int counts.n_patterns in
+    sweep c ~stem_rule ~mask ~branch:(fun obs reader k ->
+        Float.of_int counts.sens.(reader).(k) /. total *. obs.(reader))
+end
+
+(* [Generators.random_circuit] never wires one node into two pins of the
+   same gate; this netlist does, and uses every gate kind, so the
+   within-reader pin order of the observability fold is exercised too. *)
+let multi_pin_circuit rng ~inputs ~gates =
+  let kinds = Rt_circuit.Gate.[| And; Nand; Or; Nor; Xor; Xnor; Buf; Not; Const0; Const1 |] in
+  let n = inputs + gates in
+  let kind = Array.make n Rt_circuit.Gate.Input in
+  let fanins = Array.make n [||] in
+  for g = inputs to n - 1 do
+    let k = kinds.(Rt_util.Rng.int rng (Array.length kinds)) in
+    let arity =
+      match k with
+      | Rt_circuit.Gate.Const0 | Rt_circuit.Gate.Const1 -> 0
+      | Rt_circuit.Gate.Buf | Rt_circuit.Gate.Not -> 1
+      | _ -> 1 + Rt_util.Rng.int rng 4
+    in
+    kind.(g) <- k;
+    fanins.(g) <- Array.init arity (fun _ -> g - 1 - Rt_util.Rng.int rng (min g 6))
+  done;
+  let outputs = List.filter (fun g -> g >= n - 3 || Rt_util.Rng.int rng 5 = 0) (List.init gates (( + ) inputs)) in
+  Netlist.make ~kinds:kind ~fanins ~names:(Array.init n (Printf.sprintf "n%d")) ~output_list:outputs
+
+let bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v)) a b
+
+let check_kernels c rng =
+  let n = Netlist.size c in
+  let inputs = Array.length (Netlist.inputs c) in
+  (* Mostly interior points, plus exact 0/1/0.5 corners. *)
+  let x =
+    Array.init inputs (fun _ ->
+        match Rt_util.Rng.int rng 8 with
+        | 0 -> 0.0
+        | 1 -> 1.0
+        | 2 -> 0.5
+        | _ -> Rt_util.Rng.float rng)
+  in
+  let all = Array.make n true in
+  let mask = Array.init n (fun _ -> Rt_util.Rng.float rng < 0.7) in
+  let expect what a b = if not (bits_equal a b) then QCheck.Test.fail_reportf "%s differs" what in
+  let sp = Signal_prob.independence c x in
+  expect "independence" (Ref_kernels.independence_subset c ~mask:all x) sp;
+  expect "independence_subset"
+    (Ref_kernels.independence_subset c ~mask x)
+    (Signal_prob.independence_subset c ~mask x);
+  Netlist.iter_gates c (fun g ->
+      match Netlist.kind c g with
+      | Rt_circuit.Gate.Const0 | Rt_circuit.Gate.Const1 -> ()
+      | _ ->
+        for k = 0 to Array.length (Netlist.fanin c g) - 1 do
+          expect "pin_sensitization"
+            [| Ref_kernels.pin_sensitization c ~node_probs:sp g k |]
+            [| Observability.pin_sensitization c ~node_probs:sp g k |]
+        done);
+  let counts =
+    { Stafan.n_patterns = 256;
+      ones = Array.make n 0;
+      sens =
+        Array.init n (fun g -> Array.map (fun _ -> Rt_util.Rng.int rng 257) (Netlist.fanin c g)) }
+  in
+  List.iter
+    (fun stem_rule ->
+      expect "cop"
+        (Ref_kernels.cop_subset c ~stem_rule ~mask:all ~node_probs:sp)
+        (Observability.cop ~stem_rule c ~node_probs:sp);
+      expect "cop_subset"
+        (Ref_kernels.cop_subset c ~stem_rule ~mask ~node_probs:sp)
+        (Observability.cop_subset ~stem_rule c ~mask ~node_probs:sp);
+      expect "stafan"
+        (Ref_kernels.stafan_subset c ~stem_rule ~mask:all counts)
+        (Stafan.observability ~stem_rule c counts);
+      expect "stafan_subset"
+        (Ref_kernels.stafan_subset c ~stem_rule ~mask counts)
+        (Stafan.observability_subset ~stem_rule c ~mask counts))
+    [ Observability.Complement_product; Observability.Maximum ]
+
+let kernels_bit_identical_qcheck =
+  QCheck.Test.make ~name:"fanin-indexed kernels bit-identical to the gathered-array reference"
+    ~count:40
+    QCheck.(triple (int_range 0 10_000) (int_range 0 1_000) (int_range 4 12))
+    (fun (seed, wseed, inputs) ->
+      let rng = Rt_util.Rng.create wseed in
+      check_kernels (Generators.random_circuit ~inputs ~gates:(6 * inputs) ~seed) rng;
+      check_kernels (multi_pin_circuit rng ~inputs ~gates:(6 * inputs)) rng;
+      true)
+
+(* PREPARE's COP [cofactor_pair] patches ~200 nodes of a damage cone per
+   cofactor on s1; the per-node kernels allocate nothing, so what a call
+   allocates is its two result arrays (2 (nf + 1) words) plus per-call
+   bookkeeping, not a multiple of the cone size. *)
+let test_cop_cofactor_allocation () =
+  let c = Generators.s1_comparator () in
+  let faults = Rt_fault.Collapse.collapsed_universe c in
+  let nf = min 256 (Array.length faults) in
+  let o = Detect.make ~jobs:1 Detect.Cop c faults in
+  let plan = Oracle.plan o (Array.init nf Fun.id) in
+  let ni = Array.length (Netlist.inputs c) in
+  let x = Array.make ni 0.5 in
+  let sweep () =
+    for i = 0 to ni - 1 do
+      ignore (Sys.opaque_identity (Oracle.cofactor_pair o plan ~input:i ~x))
+    done
+  in
+  sweep ();
+  let before = Gc.minor_words () in
+  sweep ();
+  let per_call = (Gc.minor_words () -. before) /. Float.of_int ni in
+  let bound = Float.of_int ((4 * nf) + 256) in
+  if per_call > bound then
+    Alcotest.failf "cofactor_pair allocates %.0f minor words per call (bound %.0f)" per_call bound
+
 let test_plan_cache_keyed () =
   (* Alternating between subsets must reuse both cached plans (the old
      single-slot cache thrashed here) and keep results bit-stable. *)
@@ -469,7 +671,8 @@ let () =
           q cutting_contains_independence_qcheck ] );
       ( "observability",
         [ Alcotest.test_case "range and outputs" `Quick test_observability_range_and_outputs;
-          Alcotest.test_case "pin sensitization" `Quick test_pin_sensitization ] );
+          Alcotest.test_case "pin sensitization" `Quick test_pin_sensitization;
+          q kernels_bit_identical_qcheck ] );
       ( "detect-oracles",
         [ Alcotest.test_case "cop exact on single AND" `Quick test_cop_exact_on_single_and;
           q oracle_agreement_qcheck;
@@ -477,6 +680,8 @@ let () =
           q jobs_oracle_agreement_qcheck;
           q cofactor_matches_two_subsets_qcheck;
           q cofactor_affinity_qcheck;
+          Alcotest.test_case "cop cofactor_pair allocation bounded" `Quick
+            test_cop_cofactor_allocation;
           Alcotest.test_case "keyed plan cache" `Quick test_plan_cache_keyed;
           Alcotest.test_case "stafan close on trees" `Quick test_stafan_close_to_exact_on_tree;
           Alcotest.test_case "proven redundant" `Quick test_proven_redundant;

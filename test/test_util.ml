@@ -97,6 +97,96 @@ let test_shuffle_permutation () =
   Array.sort compare sorted;
   check Alcotest.(array int) "shuffle is a permutation" (Array.init 50 Fun.id) sorted
 
+(* Golden stream: literal outputs captured before the generator state was
+   moved to an unboxed buffer.  Any change to the xoshiro step, the
+   splitmix seeding, [split], [copy] or the bit-sliced [biased_word]
+   fails here directly, not only through downstream digests. *)
+type golden = {
+  g_seed : int;
+  g_words : int64 list;  (* first 8 [bits64] of a fresh generator *)
+  g_biased : int64 list;  (* [biased_word] at 0.5, 0.3, 0.02, 0.375, in turn *)
+  g_float : float;  (* then [float], [int 7], [int 8] on the same stream *)
+  g_int7 : int;
+  g_int8 : int;
+  g_child : int64 * int64;  (* first two words of [split] of a fresh generator *)
+  g_second : int64;  (* word 2 of the stream: the parent after [split], and a [copy] *)
+}
+
+let goldens =
+  [ { g_seed = 0;
+      g_words =
+        [ -7355399402456485196L; -4652746763540216534L; 1900383378846508768L;
+          7684712102626143532L; -4925340083591827879L; -4640532413560118L;
+          7788427924976520344L; -8565655843838424513L ];
+      g_biased = [ -7355399402456485196L; 2582293231241937617L; 8796093038592L; -8813497820840457718L ];
+      g_float = 0x1.29d6d4ef401cbp-1;
+      g_int7 = 5;
+      g_int8 = 4;
+      g_child = (-3611815244658370711L, -2112246589720797342L);
+      g_second = -4652746763540216534L };
+    { g_seed = 1;
+      g_words =
+        [ -5480124913605472059L; -8846382939111011094L; -7856363154187860716L;
+          7218738570589545383L; -5586072249713871245L; 2648436617965840162L;
+          1310552918490157286L; 7031611932980406429L ];
+      g_biased = [ -5480124913605472059L; 165567225061810441L; 4398046511104L; 1301574672331047977L ];
+      g_float = 0x1.fbf5ae2ba5ffep-2;
+      g_int7 = 2;
+      g_int8 = 3;
+      g_child = (-1087910903155404370L, 2592918661114225513L);
+      g_second = -8846382939111011094L };
+    { g_seed = 42;
+      g_words =
+        [ 1546998764402558742L; 6990951692964543102L; -5902157311460992607L;
+          -1389169964527427423L; -151191095644234140L; -4247557243643801032L;
+          -5178765164775350862L; -2766855848391737209L ];
+      g_biased = [ 1546998764402558742L; 3029136946651270104L; 0L; 1659330239459407444L ];
+      g_float = 0x1.728eff5743c99p-1;
+      g_int7 = 3;
+      g_int8 = 4;
+      g_child = (8045409100215604067L, 2161474970721225608L);
+      g_second = 6990951692964543102L } ]
+
+let test_rng_golden_stream () =
+  List.iter
+    (fun g ->
+      let msg what = Printf.sprintf "seed %d %s" g.g_seed what in
+      let t = Rng.create g.g_seed in
+      check Alcotest.(list int64) (msg "bits64") g.g_words (List.map (fun _ -> Rng.bits64 t) g.g_words);
+      let t = Rng.create g.g_seed in
+      check Alcotest.(list int64) (msg "biased_word") g.g_biased
+        (List.map (Rng.biased_word t) [ 0.5; 0.3; 0.02; 0.375 ]);
+      let f = Rng.float t in
+      check Alcotest.int64 (msg "float") (Int64.bits_of_float g.g_float) (Int64.bits_of_float f);
+      let i7 = Rng.int t 7 in
+      let i8 = Rng.int t 8 in
+      check Alcotest.(pair int int) (msg "int 7, int 8") (g.g_int7, g.g_int8) (i7, i8);
+      let t = Rng.create g.g_seed in
+      let child = Rng.split t in
+      let c1 = Rng.bits64 child in
+      let c2 = Rng.bits64 child in
+      check Alcotest.(pair int64 int64) (msg "split child") g.g_child (c1, c2);
+      check Alcotest.int64 (msg "parent after split") g.g_second (Rng.bits64 t);
+      let t = Rng.create g.g_seed in
+      ignore (Rng.bits64 t);
+      let cp = Rng.copy t in
+      check Alcotest.int64 (msg "copy") g.g_second (Rng.bits64 cp);
+      check Alcotest.int64 (msg "original after copy") g.g_second (Rng.bits64 t))
+    goldens
+
+(* A biased word costs 30 state steps; with an unboxed state only the
+   returned int64 is boxed, so well under 8 minor words a call. *)
+let test_biased_word_allocation () =
+  let r = Rng.create 3 in
+  ignore (Rng.biased_word r 0.3);
+  let calls = 1000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (Rng.biased_word r 0.3))
+  done;
+  let words = (Gc.minor_words () -. before) /. Float.of_int calls in
+  if words > 8.0 then Alcotest.failf "biased_word allocates %.1f minor words per call" words
+
 (* --- Bitvec ----------------------------------------------------------------- *)
 
 let test_bitvec_get_set () =
@@ -417,6 +507,8 @@ let () =
           Alcotest.test_case "float range" `Quick test_rng_float_range;
           Alcotest.test_case "biased word statistics" `Quick test_biased_word_statistics;
           Alcotest.test_case "biased word extremes" `Quick test_biased_word_extremes;
+          Alcotest.test_case "golden stream" `Quick test_rng_golden_stream;
+          Alcotest.test_case "biased word allocation" `Quick test_biased_word_allocation;
           Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation ] );
       ( "bitvec",
         [ Alcotest.test_case "get/set/popcount" `Quick test_bitvec_get_set;
