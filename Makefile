@@ -37,7 +37,8 @@ obs-demo:
 	dune exec bin/main.exe -- optimize s1 --engine cond:8 --sweeps 2 \
 	  --obs-dir _obs/demo/b
 	@test -s _obs/demo/a/manifest.json
-	@test -s _obs/demo/a/metrics.prom
+	@test ! -e _obs/demo/a/metrics.prom
+	@test ! -e _obs/demo/a/events.jsonl
 	@grep -q '"optprob-metrics/2"' _obs/demo/a/metrics.json
 	dune exec bin/main.exe -- obs diff _obs/demo/a _obs/demo/b \
 	  --max-span-ratio 10 --max-quantile-ratio 10 --max-counter-ratio 10

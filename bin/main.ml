@@ -1,7 +1,7 @@
 (* optprob — command-line front end.
 
    Subcommands: list, generate, simplify, analyze, optimize, simulate,
-   run, atpg, selftest, tables, and the `obs` family
+   run, atpg, selftest, and the `obs` family
    (list/show/ingest/trend/baseline/diff/gc) over the persistent run
    registry and run artifacts.  Every compute subcommand is a thin layer
    over the Rt_pipeline stage graph: it builds one validated
@@ -19,13 +19,12 @@ module Registry = Rt_obs_registry
 (* --- observability flags ---------------------------------------------------
    Shared by the compute-heavy subcommands.  --obs-dir DIR writes one
    self-describing artifact directory per run (manifest.json,
-   events.jsonl, metrics.json, metrics.prom, trace.json and, for
-   optimize/run, convergence.json), diffable with `optprob obs diff`.
+   metrics.json, trace.json and, for optimize/run, convergence.json),
+   diffable with `optprob obs diff`.
    --obs-registry ingests the finished run into the run registry, from
    the artifact directory when there is one and from memory otherwise.
    Any obs flag enables Rt_obs recording; the disabled default costs one
-   branch per probe.  While an --obs-dir run is in flight,
-   SIGUSR1 dumps a live metrics snapshot into the directory. *)
+   branch per probe. *)
 
 type obs = {
   obs_dir : string option;
@@ -41,10 +40,9 @@ let resolve_registry obs =
 
 let obs_dir_arg =
   Arg.(value & opt (some string) None & info [ "obs-dir" ] ~docv:"DIR"
-         ~doc:"Write the full run artifact (manifest.json, events.jsonl, metrics.json, \
-               metrics.prom, trace.json, convergence.json) to $(docv); \
-               compare two run directories with $(b,optprob obs diff).  SIGUSR1 dumps a \
-               live metrics snapshot mid-run.")
+         ~doc:"Write the full run artifact (manifest.json, metrics.json, trace.json, \
+               convergence.json) to $(docv); compare two run directories with \
+               $(b,optprob obs diff).")
 
 let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ]
@@ -65,14 +63,7 @@ let obs_arg =
 
 let obs_begin obs =
   obs.t_start <- Unix.gettimeofday ();
-  if obs.obs_dir <> None || obs.verbose || obs.registry <> None then Rt_obs.set_enabled true;
-  match obs.obs_dir with
-  | Some dir ->
-    (try
-       Sys.set_signal Sys.sigusr1
-         (Sys.Signal_handle (fun _ -> Rt_obs.Artifact.write_live ~dir))
-     with Invalid_argument _ | Sys_error _ -> ())
-  | None -> ()
+  if obs.obs_dir <> None || obs.verbose || obs.registry <> None then Rt_obs.set_enabled true
 
 (* The manifest carries the full config slice (engine, seed, jobs, circuit,
    patterns, block_words, opt_passes, opt_rounds, objective) so registry
@@ -822,38 +813,12 @@ let obs_cmd =
     [ obs_list_cmd; obs_show_cmd; obs_ingest_cmd; obs_trend_cmd; obs_baseline_cmd;
       obs_reg_diff_cmd; obs_gc_cmd ]
 
-(* --- tables ------------------------------------------------------------------ *)
-
-let tables_cmd =
-  let full = Arg.(value & flag & info [ "full" ] ~doc:"Paper-scale mode.") in
-  let only =
-    Arg.(value & opt (some string) None & info [ "only" ] ~docv:"IDS"
-           ~doc:"Comma-separated experiment ids (t1..t5, f1, f2, a1, x2, x3).")
-  in
-  let run full only () =
-    let tables =
-      match only with
-      | None -> Rt_repro.Experiments.all ~full ()
-      | Some ids ->
-        List.filter_map
-          (fun id ->
-            match Rt_repro.Experiments.by_id id with
-            | Some f -> Some (f ~full ())
-            | None -> failwith ("unknown experiment id " ^ id))
-          (String.split_on_char ',' ids)
-    in
-    List.iter (Rt_repro.Experiments.print_table Format.std_formatter) tables
-  in
-  Cmd.v
-    (Cmd.info "tables" ~doc:"Reproduce the paper's tables and figures." ~exits)
-    Term.(ret (const (fun f o () -> wrap (run f o)) $ full $ only $ const ()))
-
 let () =
   let doc = "optimized input probabilities for random tests (Wunderlich, DAC 1987)" in
   let info = Cmd.info "optprob" ~version:"1.0.0" ~doc in
   let group =
     Cmd.group info
       [ list_cmd; generate_cmd; simplify_cmd; analyze_cmd; optimize_cmd; simulate_cmd;
-        run_cmd; atpg_cmd; selftest_cmd; tables_cmd; obs_cmd ]
+        run_cmd; atpg_cmd; selftest_cmd; obs_cmd ]
   in
   exit (Cmd.eval group)

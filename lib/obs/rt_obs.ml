@@ -284,7 +284,7 @@ let hsnap_quantile s q =
 (* --- GC gauges --------------------------------------------------------------
 
    Cheap heap gauges from [Gc.quick_stat], refreshed at phase boundaries
-   (sweep ends, artifact writes, SIGUSR1 dumps).  Gated like everything
+   (sweep ends, artifact writes).  Gated like everything
    else: free when recording is off. *)
 
 let g_minor_words = gauge "gc.minor_words"
@@ -572,34 +572,6 @@ let trace_json () =
   Buffer.add_string buf "\n]}\n";
   Buffer.contents buf
 
-(* One self-describing JSON object per line, spans and marks interleaved in
-   start-timestamp order — greppable, tail-able, trivially parseable. *)
-let events_jsonl () =
-  let lines =
-    List.map
-      (fun ev ->
-        ( ev.ts_us,
-          Printf.sprintf
-            "{\"type\":\"span\",\"name\":\"%s\",\"cat\":\"%s\",\"ts_us\":%.3f,\"dur_us\":%.3f,\"tid\":%d}"
-            (json_escape ev.name) (json_escape ev.cat) ev.ts_us ev.dur_us ev.tid ))
-      (events ())
-    @ List.map
-        (fun m ->
-          ( m.m_ts_us,
-            Printf.sprintf
-              "{\"type\":\"mark\",\"name\":\"%s\",\"ts_us\":%.3f,\"tid\":%d,\"fields\":{%s}}"
-              (json_escape m.m_name) m.m_ts_us m.m_tid (fields_json m.m_fields) ))
-        (marks ())
-  in
-  let lines = List.sort (fun (a, _) (b, _) -> Float.compare a b) lines in
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun (_, l) ->
-      Buffer.add_string buf l;
-      Buffer.add_char buf '\n')
-    lines;
-  Buffer.contents buf
-
 let hsnap_json s =
   let qs =
     [ ("p50", hsnap_quantile s 0.5); ("p90", hsnap_quantile s 0.9); ("p99", hsnap_quantile s 0.99) ]
@@ -635,239 +607,12 @@ let metrics_json () =
   Buffer.add_string buf "\n  }\n}\n";
   Buffer.contents buf
 
-(* --- OpenMetrics exposition -------------------------------------------------
-
-   Text exposition for scrape-based collection: counters (`_total`), gauges,
-   and histograms with cumulative `_bucket{le="..."}` series.  Metric names
-   are sanitised to [a-zA-Z0-9_:] and prefixed with `optprob_`. *)
-
-let prom_name name =
-  let buf = Buffer.create (String.length name + 8) in
-  Buffer.add_string buf "optprob_";
-  String.iter
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> Buffer.add_char buf c
-      | _ -> Buffer.add_char buf '_')
-    name;
-  Buffer.contents buf
-
-let prom_float v =
-  if Float.is_nan v then "NaN"
-  else if v = Float.infinity then "+Inf"
-  else if v = Float.neg_infinity then "-Inf"
-  else Printf.sprintf "%.17g" v
-
-let metrics_prom () =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun (name, v) ->
-      let n = prom_name name in
-      Buffer.add_string buf (Printf.sprintf "# TYPE %s counter\n%s_total %d\n" n n v))
-    (counters_snapshot ());
-  List.iter
-    (fun (name, v) ->
-      let n = prom_name name in
-      Buffer.add_string buf (Printf.sprintf "# TYPE %s gauge\n%s %s\n" n n (prom_float v)))
-    (gauges_snapshot ());
-  List.iter
-    (fun (name, s) ->
-      let n = prom_name name in
-      Buffer.add_string buf (Printf.sprintf "# TYPE %s histogram\n" n);
-      let acc = ref 0 in
-      Array.iteri
-        (fun i c ->
-          acc := !acc + c;
-          (* keep the exposition compact: only emit boundaries that close a
-             nonempty prefix, plus the mandatory +Inf bucket *)
-          if c > 0 && i < n_buckets - 1 then
-            Buffer.add_string buf
-              (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" n (prom_float (bucket_upper i)) !acc))
-        s.buckets;
-      Buffer.add_string buf (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" n s.count);
-      Buffer.add_string buf (Printf.sprintf "%s_sum %s\n" n (prom_float s.sum));
-      Buffer.add_string buf (Printf.sprintf "%s_count %d\n" n s.count))
-    (histograms_snapshot ());
-  Buffer.add_string buf "# EOF\n";
-  Buffer.contents buf
-
-(* Strict structural lint of an OpenMetrics text exposition: family blocks
-   declared by `# TYPE`, counter samples suffixed `_total`, histogram series
-   cumulative with a `+Inf` bucket equal to `_count`, names restricted to
-   [a-zA-Z0-9_:], label values quote-escaped, one trailing `# EOF`.  Used by
-   the parse-back test and available to external checks. *)
-let prom_lint s =
-  let errs = ref [] in
-  let add m = errs := m :: !errs in
-  let errf lineno fmt =
-    Printf.ksprintf (fun m -> add (Printf.sprintf "line %d: %s" lineno m)) fmt
-  in
-  let name_char = function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> true | _ -> false in
-  let name_ok n =
-    n <> ""
-    && (match n.[0] with 'a' .. 'z' | 'A' .. 'Z' | '_' | ':' -> true | _ -> false)
-    && String.for_all name_char n
-  in
-  let value_of v =
-    match v with
-    | "+Inf" -> Some Float.infinity
-    | "-Inf" -> Some Float.neg_infinity
-    | "NaN" -> Some Float.nan
-    | _ -> float_of_string_opt v
-  in
-  (* sample line: name[{k="v",...}] value — quote-aware label scanner *)
-  let parse_sample line =
-    let len = String.length line in
-    let i = ref 0 in
-    while !i < len && name_char line.[!i] do Stdlib.incr i done;
-    let name = String.sub line 0 !i in
-    let labels = ref [] in
-    let ok = ref (name <> "") in
-    if !ok && !i < len && line.[!i] = '{' then begin
-      Stdlib.incr i;
-      let rec pairs () =
-        if !i < len && line.[!i] = '}' then Stdlib.incr i
-        else begin
-          let ks = !i in
-          while
-            !i < len
-            && (match line.[!i] with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false)
-          do
-            Stdlib.incr i
-          done;
-          let k = String.sub line ks (!i - ks) in
-          if k = "" || !i + 1 >= len || line.[!i] <> '=' || line.[!i + 1] <> '"' then ok := false
-          else begin
-            i := !i + 2;
-            let buf = Buffer.create 8 in
-            let closed = ref false in
-            while not !closed && !ok && !i < len do
-              (match line.[!i] with
-               | '"' -> closed := true
-               | '\\' ->
-                 Stdlib.incr i;
-                 if !i >= len then ok := false
-                 else (
-                   match line.[!i] with
-                   | '\\' -> Buffer.add_char buf '\\'
-                   | '"' -> Buffer.add_char buf '"'
-                   | 'n' -> Buffer.add_char buf '\n'
-                   | _ -> ok := false)
-               | c -> Buffer.add_char buf c);
-              Stdlib.incr i
-            done;
-            if not !closed then ok := false
-            else begin
-              labels := (k, Buffer.contents buf) :: !labels;
-              if !i < len && line.[!i] = ',' then begin
-                Stdlib.incr i;
-                pairs ()
-              end
-              else if !i < len && line.[!i] = '}' then Stdlib.incr i
-              else ok := false
-            end
-          end
-        end
-      in
-      pairs ()
-    end;
-    if (not !ok) || !i >= len || line.[!i] <> ' ' then None
-    else Some (name, List.rev !labels, String.sub line (!i + 1) (len - !i - 1))
-  in
-  (* family block state *)
-  let fam = ref None in
-  let seen = Hashtbl.create 16 in
-  let hist_prev = ref 0.0
-  and hist_inf = ref None
-  and hist_count = ref None
-  and fam_line = ref 0 in
-  let finish_family () =
-    match !fam with
-    | Some (n, "histogram") -> (
-      match (!hist_inf, !hist_count) with
-      | None, _ -> errf !fam_line "histogram %s: missing le=\"+Inf\" bucket" n
-      | Some _, None -> errf !fam_line "histogram %s: missing %s_count" n n
-      | Some inf, Some c ->
-        if inf <> c then errf !fam_line "histogram %s: +Inf bucket %g <> count %g" n inf c)
-    | _ -> ()
-  in
-  if s = "" || s.[String.length s - 1] <> '\n' then add "exposition does not end with a newline";
-  let lines = String.split_on_char '\n' s in
-  let n_lines = List.length lines in
-  let eof = ref false in
-  List.iteri
-    (fun i line ->
-      let lineno = i + 1 in
-      if line = "" then begin
-        if i <> n_lines - 1 then errf lineno "unexpected blank line"
-      end
-      else if !eof then errf lineno "content after # EOF"
-      else if line = "# EOF" then begin
-        finish_family ();
-        eof := true
-      end
-      else if line.[0] = '#' then begin
-        match String.split_on_char ' ' line with
-        | [ "#"; "TYPE"; mname; mtype ] ->
-          finish_family ();
-          if not (name_ok mname) then errf lineno "bad metric family name %S" mname;
-          if not (List.mem mtype [ "counter"; "gauge"; "histogram"; "summary"; "info"; "unknown" ])
-          then errf lineno "bad metric type %S" mtype;
-          if Hashtbl.mem seen mname then errf lineno "duplicate family %s" mname;
-          Hashtbl.replace seen mname ();
-          fam := Some (mname, mtype);
-          hist_prev := 0.0;
-          hist_inf := None;
-          hist_count := None;
-          fam_line := lineno
-        | "#" :: ("HELP" | "UNIT") :: _ -> ()
-        | _ -> errf lineno "unrecognized comment line %S" line
-      end
-      else begin
-        match parse_sample line with
-        | None -> errf lineno "malformed sample line %S" line
-        | Some (sname, labels, vstr) ->
-          if not (name_ok sname) then errf lineno "bad sample name %S" sname;
-          (match value_of vstr with
-           | None -> errf lineno "unparseable value %S" vstr
-           | Some v -> (
-             match !fam with
-             | None -> errf lineno "sample %s before any # TYPE" sname
-             | Some (fname, "counter") ->
-               if sname <> fname ^ "_total" && sname <> fname ^ "_created" then
-                 errf lineno "counter sample %s must be %s_total" sname fname
-               else if not (v >= 0.0) then errf lineno "counter %s has non-finite or negative value" sname
-             | Some (fname, "gauge") ->
-               if sname <> fname then errf lineno "gauge sample %s outside family %s" sname fname
-             | Some (fname, "histogram") ->
-               if sname = fname ^ "_bucket" then begin
-                 (match List.assoc_opt "le" labels with
-                  | None -> errf lineno "histogram bucket without le label"
-                  | Some le ->
-                    if value_of le = None then errf lineno "unparseable le=%S" le;
-                    if le = "+Inf" then hist_inf := Some v);
-                 if v < !hist_prev then
-                   errf lineno "histogram %s buckets not cumulative (%g after %g)" fname v !hist_prev;
-                 hist_prev := v
-               end
-               else if sname = fname ^ "_sum" then ()
-               else if sname = fname ^ "_count" then begin
-                 if not (v >= 0.0) then errf lineno "negative histogram count";
-                 hist_count := Some v
-               end
-               else errf lineno "unexpected sample %s in histogram family %s" sname fname
-             | Some _ -> ()))
-      end)
-    lines;
-  if not !eof then add "missing '# EOF' terminator";
-  List.rev !errs
-
-(* Atomic artifact write: a reader polling the directory mid-run (SIGUSR1
-   snapshots, `tail -f` on metrics.prom) must never see a torn file, so
-   write a sibling temp file and rename it into place — [Sys.rename]
-   replaces atomically on POSIX.  The temp name
-   carries pid *and* domain id so concurrent writers within one process
-   (registry ingests from two domains) can't collide on the sibling. *)
+(* Atomic artifact write: registry records are ingested from concurrent
+   domains, and a crash in the middle of a write must not leave a torn
+   file behind, so write a sibling temp file and rename it into place —
+   [Sys.rename] replaces atomically on POSIX.  The temp name carries pid
+   *and* domain id so concurrent writers within one process (registry
+   ingests from two domains) can't collide on the sibling. *)
 let write_file path s =
   let tmp =
     Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ()) ((Domain.self () :> int))
@@ -1045,9 +790,9 @@ end
 (* --- run artifacts ----------------------------------------------------------
 
    One `--obs-dir DIR` run writes a self-describing artifact directory:
-   manifest.json (provenance), events.jsonl (structured log), metrics.json
-   (counters + gauges + histograms), trace.json (Perfetto), metrics.prom
-   (OpenMetrics) and, when a convergence recorder exists, convergence.json.
+   manifest.json (provenance), metrics.json (counters + gauges +
+   histograms), trace.json (Perfetto: spans and marks) and, when a
+   convergence recorder exists, convergence.json.
    [read] parses a directory back into a [run], the one form `obs diff` and
    the run registry consume; [of_sink] parses the same documents straight
    from the sink, so a run that is never written still yields the same
@@ -1074,7 +819,10 @@ module Artifact = struct
       objective; wall_s }
 
   (* Best effort, no subprocess: $OPTPROB_GIT_REV wins, else follow
-     .git/HEAD upward from the cwd. *)
+     .git/HEAD upward from the cwd.  A symbolic HEAD resolves through the
+     loose ref file or, after `git gc`/`git pack-refs`, the
+     `<hash> <ref>` lines of .git/packed-refs; an unresolvable ref is
+     "unknown", never the "ref: ..." text. *)
   let git_rev () =
     match Sys.getenv_opt "OPTPROB_GIT_REV" with
     | Some rev when rev <> "" -> rev
@@ -1097,8 +845,16 @@ module Artifact = struct
           let content = String.trim (read_file head) in
           if String.length content > 5 && String.sub content 0 5 = "ref: " then begin
             let ref_path = String.sub content 5 (String.length content - 5) in
-            let full = Filename.concat dir (Filename.concat ".git" ref_path) in
-            if Sys.file_exists full then String.trim (read_file full) else content
+            let git = Filename.concat dir ".git" in
+            let loose = Filename.concat git ref_path in
+            if Sys.file_exists loose then String.trim (read_file loose)
+            else
+              String.split_on_char '\n' (read_file (Filename.concat git "packed-refs"))
+              |> List.find_map (fun line ->
+                     match String.split_on_char ' ' (String.trim line) with
+                     | [ hash; r ] when r = ref_path -> Some hash
+                     | _ -> None)
+              |> Option.value ~default:"unknown"
           end
           else content
       with _ -> "unknown")
@@ -1137,21 +893,11 @@ module Artifact = struct
         Printf.sprintf "  \"wall_s\": %s\n" (json_float m.wall_s);
         "}\n" ]
 
-  (* The live snapshot (also the SIGUSR1 handler's body): metrics only —
-     cheap, and the files a scraper would poll. *)
-  let write_live ~dir =
-    mkdir_p dir;
-    sample_gc ();
-    write_file (Filename.concat dir "metrics.json") (metrics_json ());
-    write_file (Filename.concat dir "metrics.prom") (metrics_prom ())
-
   let write ~dir ~manifest ?convergence () =
     mkdir_p dir;
     sample_gc ();
     write_file (Filename.concat dir "manifest.json") (manifest_json manifest);
-    write_file (Filename.concat dir "events.jsonl") (events_jsonl ());
     write_file (Filename.concat dir "metrics.json") (metrics_json ());
-    write_file (Filename.concat dir "metrics.prom") (metrics_prom ());
     write_file (Filename.concat dir "trace.json") (trace_json ());
     match convergence with
     | Some t -> write_file (Filename.concat dir "convergence.json") (Convergence.to_json t)

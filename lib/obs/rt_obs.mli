@@ -64,8 +64,7 @@ val events : unit -> event list
 (** {1 Marks}
 
     Instant structured-log events: a name, a timestamp and free-form string
-    fields.  They appear as instant events in the trace and as lines in the
-    [events.jsonl] artifact. *)
+    fields.  They appear as instant events in the trace. *)
 
 type mark = {
   m_name : string;
@@ -81,10 +80,6 @@ val trace_json : unit -> string
 (** Chrome [trace_event] JSON: an object with a ["traceEvents"] array of
     complete ("ph":"X") span events plus instant ("ph":"i") marks,
     timestamps in microseconds. *)
-
-val events_jsonl : unit -> string
-(** Structured log: one self-describing JSON object per line (spans and
-    marks interleaved in start-timestamp order). *)
 
 val pp_summary : Format.formatter -> unit
 (** Human-readable aggregated span tree (count and total wall-clock per
@@ -189,18 +184,6 @@ val metrics_json : unit -> string
 (** [{"schema":"optprob-metrics/2","counters":{...},"gauges":{...},
     "histograms":{...}}]; each histogram carries count/sum/min/max,
     p50/p90/p99 and its nonzero buckets as [[upper_bound, count]] pairs. *)
-
-val metrics_prom : unit -> string
-(** OpenMetrics text exposition of counters ([_total]), gauges and
-    histograms (cumulative [_bucket{le="..."}] series), terminated by
-    [# EOF]. *)
-
-val prom_lint : string -> string list
-(** Strict structural check of an OpenMetrics text exposition: returns one
-    message per violation (empty list = clean).  Checks family declaration
-    order, counter [_total] suffixes, cumulative histogram buckets with a
-    [+Inf] bucket equal to [_count], metric-name characters, label-value
-    escaping and the single trailing [# EOF]. *)
 
 (** {1 JSON reader}
 
@@ -307,16 +290,13 @@ module Artifact : sig
 
   val git_rev : unit -> string
   (** [$OPTPROB_GIT_REV] if set, else the commit hash from [.git/HEAD]
-      (following one level of symbolic ref), else ["unknown"]. *)
+      (following one level of symbolic ref, loose or in [packed-refs]),
+      else ["unknown"]. *)
 
   val write : dir:string -> manifest:manifest -> ?convergence:Convergence.t -> unit -> unit
-  (** Create [dir] (and parents) and write [manifest.json], [events.jsonl],
-      [metrics.json], [metrics.prom], [trace.json] and — when a recorder is
-      given — [convergence.json].  Samples the GC gauges first. *)
-
-  val write_live : dir:string -> unit
-  (** The mid-run snapshot (SIGUSR1 handler body): refresh the GC gauges and
-      rewrite [metrics.json] + [metrics.prom] only. *)
+  (** Create [dir] (and parents) and write [manifest.json], [metrics.json],
+      [trace.json] and — when a recorder is given — [convergence.json].
+      Samples the GC gauges first. *)
 
   (** One run's artifact, parsed: the three documents the run registry
       stores verbatim, and the views {!Diff} and the registry's derived

@@ -535,21 +535,6 @@ let x6_jitter_ablation ?(full = false) () =
       [ "equality comparators make X = 0.5 a stationary point of every coordinate: \
          with jitter 0.00 the sweep cannot separate the operand pair weights" ] }
 
-let all ?(full = false) () =
-  [ t1_required_length_conventional ~full ();
-    t2_coverage_conventional ~full ();
-    t3_required_length_optimized ~full ();
-    t4_coverage_optimized ~full ();
-    t5_cpu_time ~full ();
-    f1_s1_structure ();
-    f2_coverage_curve ~full ();
-    a1_weight_listing ~full ();
-    x2_partitioning ();
-    x3_convexity_scan ();
-    x4_engine_ablation ~full ();
-    x5_quantization_ablation ~full ();
-    x6_jitter_ablation ~full () ]
-
 let ids = [ "t1"; "t2"; "t3"; "t4"; "t5"; "f1"; "f2"; "a1"; "x2"; "x3"; "x4"; "x5"; "x6" ]
 
 let by_id id =

@@ -2,7 +2,8 @@
 # CLI smoke test: drives the optprob binary end to end.
 #
 #   1. `run --objective single` twice against one --work-dir, each writing an
-#      --obs-dir artifact; `obs diff A B -q` on the two directories exits 0;
+#      --obs-dir artifact of exactly four documents; `obs diff A B -q` on the
+#      two directories exits 0;
 #   2. `run --objective ndetect:2` against the same work dir shares the four
 #      upstream stages and re-runs the four downstream ones; a repeat is a
 #      full cache hit; the manifest and the per-objective counter record it;
@@ -12,7 +13,8 @@
 #      exactly one record and no temporary artifact directory;
 #   5. `atpg` on a .bench file succeeds;
 #   6. removed flags (`--trace FILE` and the live-telemetry pair
-#      `--obs-{listen,sample-ms} N`) are usage errors.
+#      `--obs-{listen,sample-ms} N`) and the removed `tables` subcommand are
+#      usage errors.
 #
 # Usage: cli_smoke.sh OPTPROB C17_BENCH   (run by `dune runtest`)
 set -eu
@@ -34,6 +36,8 @@ run() {
 
 run --objective single --obs-dir "$dir/a"
 run --objective single --obs-dir "$dir/b"
+[ "$(ls "$dir/a")" = "$(printf 'convergence.json\nmanifest.json\nmetrics.json\ntrace.json')" ] ||
+  fail "run --obs-dir wrote other than the four documents: $(ls "$dir/a" | tr '\n' ' ')"
 "$optprob" obs diff "$dir/a" "$dir/b" -q
 
 # Objectives key the stages from normalized onward: distinct objectives
@@ -92,5 +96,8 @@ rejected --trace "$dir/x.json"
 for flag in listen:0 sample-ms:5; do
   rejected "--obs-${flag%%:*}" "${flag#*:}"
 done
+rc=0
+"$optprob" tables >/dev/null 2>&1 || rc=$?
+[ "$rc" -eq 124 ] || fail "the removed tables subcommand exited $rc, not 124"
 
 rm -rf "$dir"

@@ -471,36 +471,16 @@ let test_artifact_roundtrip =
   (match jmember "git_rev" m with
    | Obs.Json.Str _ -> ()
    | _ -> Alcotest.fail "git_rev");
-  (* events.jsonl: every line is a self-describing JSON object *)
-  let lines =
-    String.split_on_char '\n' (read_file (Filename.concat dir "events.jsonl"))
-    |> List.filter (fun l -> String.trim l <> "")
-  in
-  check Alcotest.bool "events.jsonl non-empty" true (List.length lines >= 2);
-  List.iter
-    (fun l ->
-      match jmember "type" (Obs.Json.parse l) with
-      | Obs.Json.Str ("span" | "mark") -> ()
-      | _ -> Alcotest.fail "events.jsonl line type")
-    lines;
   (* metrics.json parses and carries the histogram *)
   let mx = Obs.Json.parse (read_file (Filename.concat dir "metrics.json")) in
   (match jmember "test.artifact.lat_us" (jmember "histograms" mx) with
    | Obs.Json.Obj _ -> ()
    | _ -> Alcotest.fail "histogram in metrics.json");
-  (* metrics.prom: OpenMetrics shape *)
-  let prom = read_file (Filename.concat dir "metrics.prom") in
-  let has needle =
-    let nl = String.length needle and pl = String.length prom in
-    let rec go i = i + nl <= pl && (String.sub prom i nl = needle || go (i + 1)) in
-    go 0
-  in
-  check Alcotest.bool "prom counter _total" true
-    (has "optprob_test_artifact_queries_total 1");
-  check Alcotest.bool "prom histogram buckets" true
-    (has "optprob_test_artifact_lat_us_bucket{le=");
-  check Alcotest.bool "prom +Inf bucket" true (has "_bucket{le=\"+Inf\"} 1");
-  check Alcotest.bool "prom EOF terminator" true (has "# EOF");
+  (* one format per document: no OpenMetrics copy, no JSON-lines event log *)
+  List.iter
+    (fun f ->
+      check Alcotest.bool (f ^ " not written") false (Sys.file_exists (Filename.concat dir f)))
+    [ "metrics.prom"; "events.jsonl" ];
   (* trace.json still parses with the mark as an instant event *)
   let t = Obs.Json.parse (read_file (Filename.concat dir "trace.json")) in
   match jmember "traceEvents" t with
@@ -691,43 +671,37 @@ let test_convergence_matches_report () =
      | _ -> Alcotest.fail "convergence JSON rows")
   | [] -> Alcotest.fail "no rows"
 
-(* --- OpenMetrics lint -------------------------------------------------------
-
-   The real exposition must parse back clean, and each way of corrupting
-   it must be caught by at least one lint error. *)
-
-let test_prom_lint =
-  with_obs @@ fun () ->
-  Obs.add (Obs.counter "test.lint.requests") 3;
-  Obs.gauge_set (Obs.gauge "test.lint.level") 0.5;
-  Obs.observe (Obs.histogram "test.lint.lat_us") 42.0;
-  let prom = Obs.metrics_prom () in
-  (match Obs.prom_lint prom with
-   | [] -> ()
-   | errs -> Alcotest.failf "clean exposition flagged: %s" (String.concat "; " errs));
-  let corrupt name f =
-    match Obs.prom_lint (f prom) with
-    | [] -> Alcotest.failf "corruption %S not caught" name
-    | _ -> ()
+(* After `git gc` or `git pack-refs` a branch ref lives only in
+   .git/packed-refs; the manifest must still record its hash. *)
+let test_git_rev_packed () =
+  let dir = scratch_dir "gitrev" in
+  let git = Filename.concat dir ".git" in
+  let hash = "0123456789abcdef0123456789abcdef01234567" in
+  let write name s =
+    let oc = open_out (Filename.concat git name) in
+    output_string oc s;
+    close_out oc
   in
-  (* truncate the # EOF terminator *)
-  corrupt "missing EOF" (fun s -> String.sub s 0 (String.length s - 6));
-  (* counter sample without the _total suffix *)
-  corrupt "counter without _total" (fun s ->
-      s ^ "# TYPE optprob_bad counter\noptprob_bad 1\n# EOF\n");
-  Obs.prom_lint (String.concat "\n"
-    [ "# TYPE optprob_dup counter"; "optprob_dup_total 1";
-      "# TYPE optprob_dup counter"; "optprob_dup_total 2"; "# EOF"; "" ])
-  |> fun errs ->
-  check Alcotest.bool "duplicate family caught" true (errs <> []);
-  (* histogram whose +Inf bucket disagrees with _count *)
-  Obs.prom_lint (String.concat "\n"
-    [ "# TYPE optprob_h histogram";
-      "optprob_h_bucket{le=\"1\"} 1";
-      "optprob_h_bucket{le=\"+Inf\"} 2";
-      "optprob_h_count 3"; "optprob_h_sum 4"; "# EOF"; "" ])
-  |> fun errs ->
-  check Alcotest.bool "+Inf/count mismatch caught" true (errs <> [])
+  Obs.mkdir_p git;
+  write "packed-refs"
+    (Printf.sprintf "# pack-refs with: peeled fully-peeled sorted \n%s refs/heads/main\n\
+                     fedcba9876543210fedcba9876543210fedcba98 refs/tags/v1\n\
+                     ^0000000000000000000000000000000000000000\n" hash);
+  let cwd = Sys.getcwd () and env = Sys.getenv_opt "OPTPROB_GIT_REV" in
+  Unix.putenv "OPTPROB_GIT_REV" "";
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.chdir cwd;
+      Unix.putenv "OPTPROB_GIT_REV" (Option.value env ~default:"");
+      Array.iter (fun f -> Sys.remove (Filename.concat git f)) (Sys.readdir git);
+      Sys.rmdir git;
+      Sys.rmdir dir)
+    (fun () ->
+      Sys.chdir dir;
+      write "HEAD" "ref: refs/heads/main\n";
+      check Alcotest.string "packed branch ref" hash (Obs.Artifact.git_rev ());
+      write "HEAD" "ref: refs/heads/gone\n";
+      check Alcotest.string "unresolvable ref" "unknown" (Obs.Artifact.git_rev ()))
 
 (* --- atomic artifact writes ------------------------------------------------- *)
 
@@ -735,8 +709,9 @@ let test_artifact_atomic =
   with_obs @@ fun () ->
   let dir = scratch_dir "atomic" in
   Obs.incr (Obs.counter "test.atomic.c");
+  (* the second write renames over the first one's files *)
   Obs.Artifact.write ~dir ~manifest:test_manifest ();
-  Obs.Artifact.write_live ~dir;
+  Obs.Artifact.write ~dir ~manifest:test_manifest ();
   let leftovers =
     Sys.readdir dir |> Array.to_list
     |> List.filter (fun f ->
@@ -812,11 +787,10 @@ let () =
           QCheck_alcotest.to_alcotest hist_quantile_qcheck;
           Alcotest.test_case "with_span_h observes the span duration" `Quick test_with_span_h ] );
       ( "artifact",
-        [ Alcotest.test_case "manifest/events/prom round-trip" `Quick test_artifact_roundtrip ] );
+        [ Alcotest.test_case "manifest/events/prom round-trip" `Quick test_artifact_roundtrip;
+          Alcotest.test_case "git_rev through packed-refs" `Quick test_git_rev_packed ] );
       ( "diff",
         [ Alcotest.test_case "obs-diff self-test" `Quick test_obs_diff ] );
-      ( "prom",
-        [ Alcotest.test_case "lint: clean exposition and corruptions" `Quick test_prom_lint ] );
       ( "atomic",
         [ Alcotest.test_case "no tmp leftovers" `Quick test_artifact_atomic ] );
       ( "parallel",

@@ -511,7 +511,11 @@ let test_old_record () =
     (List.length (Obs.Diff.compare a.Reg.r_run b.Reg.r_run))
 
 (* An artifact directory written by a sampled run also holds a
-   timeline.json; reading it ignores that file. *)
+   timeline.json, and every older build also wrote events.jsonl and
+   metrics.prom.  Their content below disagrees with the real documents
+   (an extra span, another counter value), so a reader that consumed any
+   of them would change the run; reading, ingesting and diffing ignore
+   all three files. *)
 let test_stray_timeline =
   with_obs @@ fun () ->
   let art = scratch_dir "stray" in
@@ -520,10 +524,36 @@ let test_stray_timeline =
   Obs.write_file (Filename.concat art "timeline.json")
     {|{"schema":"optprob-timeline/1","period_ms":5,"dropped":0,"samples":[
 {"ts_us":1000.0,"counters":{"pool.tasks":3},"gauges":{"ppsfp.live_faults":7}}]}|};
+  Obs.write_file (Filename.concat art "events.jsonl")
+    {|{"type":"span","name":"pipeline.analyze","cat":"phase","ts_us":10.000,"dur_us":1200.000,"tid":0}
+{"type":"span","name":"stray.span","cat":"phase","ts_us":20.000,"dur_us":50.000,"tid":0}
+{"type":"mark","name":"checkpoint","ts_us":30.000,"tid":0,"fields":{"k":"v"}}
+|};
+  Obs.write_file (Filename.concat art "metrics.prom")
+    {|# TYPE optprob_reg_test_queries counter
+optprob_reg_test_queries_total 999
+# TYPE optprob_reg_test_level gauge
+optprob_reg_test_level 0.75
+# TYPE optprob_reg_test_lat_us histogram
+optprob_reg_test_lat_us_bucket{le="101.59366732596479"} 3
+optprob_reg_test_lat_us_bucket{le="+Inf"} 3
+optprob_reg_test_lat_us_sum 300
+optprob_reg_test_lat_us_count 3
+# EOF
+|};
   let after = read_exn art in
   check Alcotest.string "same metrics" (Obs.Json.print before.Obs.Artifact.metrics)
     (Obs.Json.print after.Obs.Artifact.metrics);
-  check Alcotest.int "no finding" 0 (List.length (Obs.Diff.compare before after))
+  check
+    Alcotest.(list (pair string (float 0.0)))
+    "same span totals" before.Obs.Artifact.span_totals after.Obs.Artifact.span_totals;
+  check Alcotest.int "no finding" 0 (List.length (Obs.Diff.compare before after));
+  let registry = scratch_dir "stray-reg" in
+  let r = load_exn ~registry (ingest_exn ~registry art) in
+  check (Alcotest.option (Alcotest.float 0.0)) "counter from metrics.json" (Some 5.0)
+    (Reg.metric r "reg.test.queries");
+  check Alcotest.int "record diffs clean against the pre-stray read" 0
+    (List.length (Obs.Diff.compare r.Reg.r_run before))
 
 let () =
   Alcotest.run "rt_obs_registry"
