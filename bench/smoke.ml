@@ -6,7 +6,8 @@
       subset queries it replaces;
    2. the fused (incremental damage-cone) path is not slower than 1.5x
       the two-query baseline.  The gate is the [Rt_obs.Diff] engine itself:
-      both sides' per-sweep latencies are written as --obs-dir style run
+      both sides' per-sweep latencies, sampled in interleaved pairs so
+      that both see the same host phases, are written as --obs-dir style run
       artifacts and diffed with the default 1.5x quantile threshold, so
       the bench exercises the same regression analyzer CI relies on;
    3. enabling telemetry does not slow the fused sweep beyond a lenient
@@ -20,7 +21,8 @@
       (jobs, block-words) combinations, including the defaults;
    5. on the no-drop workload (every fault stays live, the hard-fault
       regime the paper's optimization targets) the wide datapath (W=8)
-      beats the narrow one (W=1) by enough that obs diff, run with the
+      beats the narrow one (W=1, timed in interleaved pairs with W=8)
+      by enough that obs diff, run with the
       narrow side as candidate against the wide baseline, flags the
       narrow path as a regression.  Inverting the roles turns the
       analyzer into a speedup lock: losing the width win makes the gate
@@ -52,47 +54,55 @@ module Pipeline = Rt_pipeline
 module Pconfig = Rt_pipeline.Config
 
 let rounds = 3
-let iters = 20
 
-(* Time [f] repeatedly; returns the best-of-rounds total and the per-call
-   durations (microseconds) of every call across all rounds. *)
-let time_collect f =
-  let best = ref Float.infinity in
-  let samples = ref [] in
-  for _ = 1 to rounds do
-    let t0 = Rt_util.Stats.timer_start () in
-    for _ = 1 to iters do
-      let t = Rt_util.Stats.timer_start () in
-      f ();
-      samples := Rt_util.Stats.timer_elapsed t *. 1e6 :: !samples
-    done;
-    let dt = Rt_util.Stats.timer_elapsed t0 in
-    if dt < !best then best := dt
+(* Calls per round: a cofactor sweep of s1 takes about a millisecond, so
+   its gates take 300 samples per side, and p99 is the fourth-largest
+   sample rather than the maximum, which one preempted call could set
+   on either side. *)
+let sweep_iters = 100
+let ppsfp_iters = 20
+
+(* Time [f] and [g] over [rounds * iters] pairs of back-to-back calls,
+   alternating which of the two runs first, so both sample sets see the
+   same host phases and neither side always runs on the warmer cache.
+   Returns, per side, the best-of-rounds total (seconds) and the per-call
+   durations (microseconds) in pair order. *)
+let time_pairs ~iters f g =
+  let time h =
+    let t = Rt_util.Stats.timer_start () in
+    h ();
+    Rt_util.Stats.timer_elapsed t
+  in
+  let n = rounds * iters in
+  let sf = Array.make n 0.0 and sg = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    if i land 1 = 0 then begin
+      sf.(i) <- time f;
+      sg.(i) <- time g
+    end
+    else begin
+      sg.(i) <- time g;
+      sf.(i) <- time f
+    end
   done;
-  (!best, Array.of_list (List.rev !samples))
+  let side s =
+    let best = ref Float.infinity in
+    for r = 0 to rounds - 1 do
+      best := Float.min !best (Array.fold_left ( +. ) 0.0 (Array.sub s (r * iters) iters))
+    done;
+    (!best, Array.map (fun dt -> dt *. 1e6) s)
+  in
+  (side sf, side sg)
 
 let median a =
   let s = Array.copy a in
   Array.sort Float.compare s;
   s.(Array.length s / 2)
 
-(* Median over [rounds * iters] pairs of the ratio [on / off], timing one
-   call of each back to back; the pair order alternates so neither side
-   always runs on the warmer cache. *)
+(* Median over [rounds * sweep_iters] pairs of the ratio [on / off]. *)
 let paired_ratio ~off ~on =
-  let time f =
-    let t = Rt_util.Stats.timer_start () in
-    f ();
-    Rt_util.Stats.timer_elapsed t
-  in
-  median
-    (Array.init (rounds * iters) (fun i ->
-         if i land 1 = 0 then
-           let a = time off in
-           time on /. a
-         else
-           let b = time on in
-           b /. time off))
+  let (_, s_off), (_, s_on) = time_pairs ~iters:sweep_iters off on in
+  median (Array.map2 (fun a b -> b /. a) s_off s_on)
 
 (* Parse an artifact directory this smoke just wrote; an unreadable one is
    a harness failure. *)
@@ -153,8 +163,11 @@ let () =
   in
   ignore (Sys.opaque_identity (sweep fused ()));
   ignore (Sys.opaque_identity (sweep baseline ()));
-  let t_fused, s_fused = time_collect (sweep fused) in
-  let t_base, s_base = time_collect (sweep baseline) in
+  (* Interleaved pairs, so that a host phase cannot land on one side
+     only and flip the p99 gate. *)
+  let (t_fused, s_fused), (t_base, s_base) =
+    time_pairs ~iters:sweep_iters (sweep fused) (sweep baseline)
+  in
   (* Telemetry-on overhead of the same fused sweep, as the median of
      interleaved off/on pairs.  The band is lenient (1.5x) because the
      absolute times are tiny and CI timers are noisy; the point is to
@@ -192,11 +205,11 @@ let () =
   let regressions = Rt_obs.Diff.regressions diff in
   let ratio = t_fused /. t_base in
   Printf.printf "bench-smoke (s1, cop, %d hard faults, %d inputs):\n" (Array.length hard) n_inputs;
-  Printf.printf "  fused cofactor_pair sweep:  %8.3f ms\n" (t_fused *. 1000.0 /. Float.of_int iters);
-  Printf.printf "  2x probs_subset sweep:      %8.3f ms\n" (t_base *. 1000.0 /. Float.of_int iters);
+  Printf.printf "  fused cofactor_pair sweep:  %8.3f ms\n" (t_fused *. 1000.0 /. Float.of_int sweep_iters);
+  Printf.printf "  2x probs_subset sweep:      %8.3f ms\n" (t_base *. 1000.0 /. Float.of_int sweep_iters);
   Printf.printf "  ratio (fused / baseline):   %8.3f\n" ratio;
   Printf.printf "  telemetry-on overhead:      %8.3f x (median of %d paired off/on sweeps)\n"
-    obs_ratio (rounds * iters);
+    obs_ratio (rounds * sweep_iters);
   Printf.printf "  artifacts:                  %s {baseline,fused}\n" out_root;
   Rt_obs.Diff.pp_report Format.std_formatter diff;
   if regressions <> [] then begin
@@ -244,11 +257,10 @@ let () =
      sides — and is exactly the hard-fault regime (detection
      probabilities near zero) the optimized input probabilities are
      computed for. *)
-  let t_narrow, s_narrow =
-    time_collect (fun () -> ignore (sim ~jobs:1 ~block_words:1 ~drop:false ()))
-  in
-  let t_wide, s_wide =
-    time_collect (fun () -> ignore (sim ~jobs:1 ~block_words:8 ~drop:false ()))
+  let (t_narrow, s_narrow), (t_wide, s_wide) =
+    time_pairs ~iters:ppsfp_iters
+      (fun () -> ignore (sim ~jobs:1 ~block_words:1 ~drop:false ()))
+      (fun () -> ignore (sim ~jobs:1 ~block_words:8 ~drop:false ()))
   in
   (* One extra (untimed) recorded run per side puts the kernel counters —
      ppsfp.batches, parallel.* — next to the latency histogram in each
@@ -295,8 +307,8 @@ let () =
   Rt_obs.clear ();
   Rt_obs.set_enabled false;
   Printf.printf "ppsfp (c6288ish:8, %d faults, 512 patterns, no-drop):\n" (Array.length mfaults);
-  Printf.printf "  narrow W=1 run:             %8.3f ms\n" (t_narrow *. 1000.0 /. Float.of_int iters);
-  Printf.printf "  wide   W=8 run:             %8.3f ms\n" (t_wide *. 1000.0 /. Float.of_int iters);
+  Printf.printf "  narrow W=1 run:             %8.3f ms\n" (t_narrow *. 1000.0 /. Float.of_int ppsfp_iters);
+  Printf.printf "  wide   W=8 run:             %8.3f ms\n" (t_wide *. 1000.0 /. Float.of_int ppsfp_iters);
   Printf.printf "  width speedup (W1 / W8):    %8.3f x\n" width_ratio;
   Printf.printf "  domain spawns warm/after:   %d / %d\n" spawns_warm spawns_after;
   Printf.printf "  artifacts:                  %s {ppsfp-wide,ppsfp-narrow}\n" out_root;

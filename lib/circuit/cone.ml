@@ -89,17 +89,17 @@ let fanout_within c ~mask root =
     out
   end
 
-(* Ids are topological, so one descending sweep propagates the smallest
-   reachable output ordinal from every fanout in a single pass. *)
-let nearest_output c =
+(* A node read on exactly one gate pin that is not an output joins its
+   reader's region.  Readers have larger ids, so in one descending sweep
+   every reader's root is final before its fanins take it over. *)
+let ffr_roots c =
   let n = Netlist.size c in
-  let unreachable = max_int in
-  let key = Array.make n unreachable in
-  Array.iteri (fun ord o -> if key.(o) > ord then key.(o) <- ord) (Netlist.outputs c);
+  let root = Array.init n Fun.id in
   for i = n - 1 downto 0 do
-    Array.iter (fun j -> if key.(j) < key.(i) then key.(i) <- key.(j)) (Netlist.fanout c i)
+    let fo = Netlist.fanout c i in
+    if Array.length fo = 1 && not (Netlist.is_output c i) then root.(i) <- root.(fo.(0))
   done;
-  key
+  root
 
 let reaches_output c node =
   let mask = transitive_fanout c node in

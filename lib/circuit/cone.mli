@@ -24,13 +24,14 @@ val transitive_fanout : Netlist.t -> Netlist.node -> bool array
 val reaches_output : Netlist.t -> Netlist.node -> bool
 (** Whether some primary output is in the transitive fanout. *)
 
-val nearest_output : Netlist.t -> int array
-(** For every node, the smallest primary-output ordinal (index into
-    [Netlist.outputs]) reachable from it; [max_int] for nodes that reach
-    no output.  One reverse topological sweep.  Faults sorted by this key
-    cluster by output cone, so consecutive faults in a batch touch
-    overlapping gate ranges — the scheduling key for cache-warm ppsfp
-    workspaces. *)
+val ffr_roots : Netlist.t -> Netlist.node array
+(** For every node, the root of its fanout-free region.  A node with
+    exactly one fanout entry ({!Netlist.fanout}, one per reading pin, so
+    a gate reading a node on two pins counts twice) that is not a
+    primary output belongs to its reader's region; every other node is
+    a root, and its own root.  Every path from a region's node to a
+    primary output passes through the root.  One reverse topological
+    sweep. *)
 
 val fanout_within : Netlist.t -> mask:bool array -> Netlist.node -> Netlist.node array
 (** [fanout_within c ~mask root] is the transitive fanout of [root]

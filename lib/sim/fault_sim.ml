@@ -13,36 +13,48 @@ type stats = {
 }
 
 (* The datapath is W x 64-bit wide: each good-machine pass simulates a
-   [Pattern.block] of up to [W] 64-pattern words, and each fault is
-   injected once per block, propagating all W words together through its
-   fanout cone.  Detection bookkeeping (first_detect / detect_count /
-   drop order) replays serially from the per-fault detection rows *word
-   by word* — a fault detected in word [w] leaves the live set before
-   word [w+1] is accounted, and a block's trailing words are not
-   accounted once the live set empties — so the returned stats are
-   bit-identical to the one-word path for every (jobs, block_words)
-   combination.  The only W-dependence is source consumption: a block is
-   filled before simulating, so when dropping empties the live set
-   mid-block up to [W - 1] already-pulled batches go unused.  [jobs > 1]
-   shards the per-fault work across pool domains (each with its own
-   workspace) via grain-level work stealing; per-fault detection rows
-   land in a shared table at fault-indexed rows, so scheduling never
-   touches the replay. *)
+   [Pattern.block] of up to [W] 64-pattern words, and all fault work
+   handles the W words of a block together.  Per block, each live fault
+   is propagated only up to the root of its fanout-free region, and a
+   root that some fault's difference reaches is flipped and propagated
+   to the outputs once (see "Fanout-free regions" below).  Detection
+   bookkeeping (first_detect / detect_count / drop order) replays
+   serially from the per-fault detection rows *word by word* — a fault
+   detected in word [w] leaves the live set before word [w+1] is
+   accounted, and a block's trailing words are not accounted once the
+   live set empties — so the returned stats are bit-identical to the
+   one-word path for every (jobs, block_words) combination.  The only
+   W-dependence is source consumption: a block is filled before
+   simulating, so when dropping empties the live set mid-block up to
+   [W - 1] already-pulled batches go unused.  [jobs > 1] shards the
+   per-fault and per-root work across pool domains (each with its own
+   workspace) via grain-level work stealing; detection rows land in a
+   shared table at fault-indexed rows, each written by one work item, so
+   scheduling never touches the replay.
 
-(* Workspace reused across faults within a block; one per worker slot
-   when the per-fault work is sharded with [jobs > 1].  Every row is an
-   unboxed [Pattern.words] buffer, so the propagation kernel below
-   allocates nothing per gate or per fault. *)
+   Fanout-free regions.  A node with exactly one reader that is not a
+   primary output belongs to its reader's region, whose root is a node
+   with fanout <> 1 or an output ([Cone.ffr_roots]).  Every node a fault
+   inside a region can change lies on its path to the root or beyond
+   the root, so in each lane where the root differs, the faulty values
+   beyond it are exactly those of flipping the root alone: the fault's
+   output differences are "the root differs" AND "flipping the root
+   changes that output", lane by lane. *)
+
+(* Workspace reused across faults and roots within a block; one per
+   worker slot when the work is sharded with [jobs > 1].  Every row is
+   an unboxed [Pattern.words] buffer, so the propagation kernel below
+   allocates nothing per gate, fault or root. *)
 type ws = {
   c : Netlist.t;
   w : int;  (* lane words per block *)
   fval : Pattern.words;  (* node-major faulty values, size * w *)
   pin : Pattern.words;  (* one row: a branch fault's stuck pin value *)
   out : Pattern.words;  (* one row: scratch gate evaluation *)
-  det : Pattern.words;  (* one row: the fault's detection words *)
+  det : Pattern.words;  (* one row: the lane differences of the last call *)
   dirty : bool array;
   queued : bool array;
-  touched : int array;  (* stack of dirty nodes, reset per fault *)
+  touched : int array;  (* stack of dirty nodes, reset per propagation *)
   mutable n_touched : int;
   mutable hi : int;  (* largest queued id, -1 when none *)
 }
@@ -127,10 +139,11 @@ let out_differs ws (good : Pattern.words) lanes n =
   done;
   !k < ws.w
 
-(* Store [ws.out] as the faulty row of [n], mark it dirty and queue its
-   fanouts.  A node is committed at most once per fault: the site first,
-   then each node the cursor reaches, and pushes only target larger ids. *)
-let commit ws n =
+(* Store [ws.out] as the faulty row of [n], mark it dirty and, unless [n]
+   is [stop], queue its fanouts.  A node is committed at most once per
+   propagation: the site first, then each node the cursor reaches, and
+   pushes only target larger ids. *)
+let commit ws ~stop n =
   let o = n * ws.w in
   for k = 0 to ws.w - 1 do
     BA1.unsafe_set ws.fval (o + k) (BA1.unsafe_get ws.out k)
@@ -138,36 +151,90 @@ let commit ws n =
   ws.dirty.(n) <- true;
   ws.touched.(ws.n_touched) <- n;
   ws.n_touched <- ws.n_touched + 1;
-  let fo = Netlist.fanout ws.c n in
-  for i = 0 to Array.length fo - 1 do
-    let r = fo.(i) in
-    if not ws.queued.(r) then begin
-      ws.queued.(r) <- true;
-      if r > ws.hi then ws.hi <- r
-    end
-  done
+  if n <> stop then begin
+    let fo = Netlist.fanout ws.c n in
+    for i = 0 to Array.length fo - 1 do
+      let r = fo.(i) in
+      if not ws.queued.(r) then begin
+        ws.queued.(r) <- true;
+        if r > ws.hi then ws.hi <- r
+      end
+    done
+  end
 
-(* Computes the per-word detection row for one fault on the current
-   block into [ws.det].  [good] is the fault-free wide simulation,
-   shared read-only across domains; [lanes.(k)] masks word [k]'s valid
-   lanes.  The wide event frontier is the union of the per-word
-   narrow frontiers (a node is re-evaluated if *any* word differs, and
-   its stored faulty row is exact for every word), so each word's masked
-   output differences — hence the stats replayed from them — equal the
-   one-word computation exactly.
-
-   Propagation walks an ascending cursor over node ids from the fault
-   site to the largest queued id.  [Netlist.make] rejects any fanin id
-   >= its node's id, so every push targets a larger id than the node
-   being evaluated: the cursor visits each queued node once, after all
-   its fanins are final, and clears its [queued] flag on the way. *)
-let inject_and_propagate ws ~(good : Pattern.words) ~lanes fault =
+(* Clear the previous propagation's dirty marks and the event frontier. *)
+let reset ws =
   for i = 0 to ws.n_touched - 1 do
     ws.dirty.(ws.touched.(i)) <- false
   done;
   ws.n_touched <- 0;
-  ws.hi <- -1;
-  BA1.fill ws.det 0L;
+  ws.hi <- -1
+
+(* The one propagation kernel.  [ws.out] holds the faulty row of [site]
+   on a reset workspace; its effect is propagated through the fanout of
+   [site], stopping at node [stop] (whose fanouts are not queued), or
+   reaching the outputs when [stop] is -1.  [good] is the fault-free
+   wide simulation, shared read-only across domains; [lanes.(k)] masks
+   word [k]'s valid lanes.  The wide event frontier is the union of the
+   per-word narrow frontiers (a node is re-evaluated if *any* word
+   differs, and its stored faulty row is exact for every word), so each
+   word's masked differences — hence the stats replayed from them —
+   equal the one-word computation exactly.
+
+   Propagation walks an ascending cursor over node ids from the site to
+   the largest queued id.  [Netlist.make] rejects any fanin id >= its
+   node's id, so every push targets a larger id than the node being
+   evaluated: the cursor visits each queued node once, after all its
+   fanins are final, and clears its [queued] flag on the way. *)
+let propagate ws ~(good : Pattern.words) ~lanes ~stop site =
+  if out_differs ws good lanes site then begin
+    commit ws ~stop site;
+    let n = ref (site + 1) in
+    while !n <= ws.hi do
+      if ws.queued.(!n) then begin
+        ws.queued.(!n) <- false;
+        eval_gate ws good !n ~pin:(-1);
+        if out_differs ws good lanes !n then commit ws ~stop !n
+      end;
+      incr n
+    done
+  end
+
+(* OR into [ws.det] node [n]'s valid-lane differences, if it is dirty. *)
+let or_diff ws (good : Pattern.words) lanes n =
+  if ws.dirty.(n) then begin
+    let r = n * ws.w in
+    for k = 0 to ws.w - 1 do
+      BA1.unsafe_set ws.det k
+        (Int64.logor (BA1.unsafe_get ws.det k)
+           (Int64.logand
+              (Int64.logxor (BA1.unsafe_get ws.fval (r + k)) (BA1.unsafe_get good (r + k)))
+              lanes.(k)))
+    done
+  end
+
+(* The fanout-free regions and, when responses are kept, the output
+   differences of the current block's root flips. *)
+type regions = {
+  root : int array;  (* per node: the root of its region ([Cone.ffr_roots]) *)
+  n_out : int;  (* outputs whose flip differences [outs] keeps; 0 for none *)
+  outs : Pattern.words option array;
+      (* per root node: its flip's differences at the kept outputs, W
+         words each, allocated at its first flip; [||] when [n_out = 0] *)
+}
+
+let make_regions ~n_out c =
+  { root = Cone.ffr_roots c;
+    n_out;
+    outs = (if n_out > 0 then Array.make (Netlist.size c) None else [||]) }
+
+let site_of f = match f.Fault.site with Fault.Stem n -> n | Fault.Branch (g, _) -> g
+
+(* [ws.det] := the fault's valid-lane differences at its region's root:
+   the fault is injected at its site and propagated no further than the
+   root. *)
+let local_diff ws rg ~(good : Pattern.words) ~lanes fault =
+  reset ws;
   let site =
     match fault.Fault.site with
     | Fault.Stem n ->
@@ -178,32 +245,25 @@ let inject_and_propagate ws ~(good : Pattern.words) ~lanes fault =
       eval_gate ws good g ~pin:k;
       g
   in
-  if out_differs ws good lanes site then begin
-    commit ws site;
-    let n = ref (site + 1) in
-    while !n <= ws.hi do
-      if ws.queued.(!n) then begin
-        ws.queued.(!n) <- false;
-        eval_gate ws good !n ~pin:(-1);
-        if out_differs ws good lanes !n then commit ws !n
-      end;
-      incr n
-    done;
-    let outputs = Netlist.outputs ws.c in
-    for i = 0 to Array.length outputs - 1 do
-      let o = outputs.(i) in
-      if ws.dirty.(o) then begin
-        let r = o * ws.w in
-        for k = 0 to ws.w - 1 do
-          BA1.unsafe_set ws.det k
-            (Int64.logor (BA1.unsafe_get ws.det k)
-               (Int64.logand
-                  (Int64.logxor (BA1.unsafe_get ws.fval (r + k)) (BA1.unsafe_get good (r + k)))
-                  lanes.(k)))
-        done
-      end
-    done
-  end
+  let root = rg.root.(site) in
+  propagate ws ~good ~lanes ~stop:root site;
+  BA1.fill ws.det 0L;
+  or_diff ws good lanes root
+
+(* [ws.det] := the valid lanes in which flipping root [r] (injecting the
+   complement of its good row) changes some primary output. *)
+let flip_root ws ~(good : Pattern.words) ~lanes r =
+  reset ws;
+  let o = r * ws.w in
+  for k = 0 to ws.w - 1 do
+    BA1.unsafe_set ws.out k (Int64.lognot (BA1.unsafe_get good (o + k)))
+  done;
+  propagate ws ~good ~lanes ~stop:(-1) r;
+  BA1.fill ws.det 0L;
+  let outputs = Netlist.outputs ws.c in
+  for i = 0 to Array.length outputs - 1 do
+    or_diff ws good lanes outputs.(i)
+  done
 
 let c_batches = Rt_obs.counter "ppsfp.batches"
 let c_patterns = Rt_obs.counter "ppsfp.patterns"
@@ -214,30 +274,28 @@ let h_batch = Rt_obs.histogram "ppsfp.batch_us"
    the run's undetected-fault count. *)
 let g_live = Rt_obs.gauge "ppsfp.live_faults"
 
-(* Sub-millisecond blocks are not worth parallel dispatch
-   (Parallel.sweep also clamps to the core count); at ~2-10 us per fault
-   propagation this threshold puts the crossover near half a millisecond
-   of work. *)
+(* Sub-millisecond sweeps are not worth parallel dispatch
+   (Parallel.sweep also clamps to the core count); at ~1-10 us per fault
+   or root propagation this threshold puts the crossover near half a
+   millisecond of work. *)
 let ppsfp_seq_below = 256
 
-(* Schedule faults so consecutive ones feed the same primary-output
-   cone: stable order by (nearest reachable output, site id).  A worker
-   draining a contiguous slice then repeatedly propagates through
-   overlapping gate ranges, keeping its workspace rows cache-warm.
-   Stats are accumulated per fault index, so the schedule never affects
-   results. *)
-let cone_order c faults =
-  let nearest = Cone.nearest_output c in
-  let site f =
-    match f.Fault.site with Fault.Stem n -> n | Fault.Branch (g, _) -> g
+(* Schedule faults region by region: stable order by (root, site id).
+   The faults of one region are then consecutive in the live set, which
+   is what lets [propagate_block] flip each root once, and successive
+   flips propagate through overlapping gate ranges.  Stats are
+   accumulated per fault index, so the schedule never affects results. *)
+let region_order rg c faults =
+  let size = Netlist.size c in
+  let key fi =
+    let s = site_of faults.(fi) in
+    (rg.root.(s) * size) + s
   in
-  let nf = Array.length faults in
-  let key = Array.map (fun f -> (nearest.(site f), site f)) faults in
-  let order = Array.init nf Fun.id in
+  let order = Array.init (Array.length faults) Fun.id in
   Array.sort
     (fun a b ->
-      let d = compare key.(a) key.(b) in
-      if d <> 0 then d else compare a b)
+      let d = Int.compare (key a) (key b) in
+      if d <> 0 then d else Int.compare a b)
     order;
   order
 
@@ -245,20 +303,95 @@ let lanes_of_block blk =
   Array.init blk.Pattern.words (fun k ->
       if k < blk.Pattern.filled then Pattern.word_mask blk.Pattern.counts.(k) else 0L)
 
-(* Run one block's per-fault propagation for the first [todo] entries of
-   [live], writing each fault's detection row into [table] at its
-   fault-indexed row (disjoint rows, so sharding is race-free). *)
-let propagate_block ~label ~jobs ~wss ~good ~lanes ~table ~live ~todo faults =
-  let words = wss.(0).w in
+(* Fault [fi]'s difference at its root into its fault-indexed [table]
+   row. *)
+let store_local ws rg ~(good : Pattern.words) ~lanes ~(table : Pattern.words) faults fi =
+  local_diff ws rg ~good ~lanes faults.(fi);
+  for k = 0 to ws.w - 1 do
+    BA1.unsafe_set table ((fi * ws.w) + k) (BA1.unsafe_get ws.det k)
+  done
+
+(* Flip root [r] and mask with its observability the [table] rows of
+   live entries [first, stop), the faults of its region; when
+   [rg.n_out > 0], also keep its per-output differences in [rg.outs]. *)
+let flip_region ws rg ~(good : Pattern.words) ~lanes ~(table : Pattern.words) ~live ~first ~stop r =
+  let w = ws.w in
+  flip_root ws ~good ~lanes r;
+  for q = first to stop - 1 do
+    let o = live.(q) * w in
+    for k = 0 to w - 1 do
+      BA1.unsafe_set table (o + k) (Int64.logand (BA1.unsafe_get table (o + k)) (BA1.unsafe_get ws.det k))
+    done
+  done;
+  if rg.n_out > 0 then begin
+    let outs =
+      match rg.outs.(r) with
+      | Some o -> o
+      | None ->
+        let o = row (rg.n_out * w) in
+        rg.outs.(r) <- Some o;
+        o
+    in
+    let outputs = Netlist.outputs ws.c in
+    for i = 0 to rg.n_out - 1 do
+      let o = outputs.(i) in
+      for k = 0 to w - 1 do
+        BA1.unsafe_set outs ((i * w) + k)
+          (if ws.dirty.(o) then
+             Int64.logand
+               (Int64.logxor (BA1.unsafe_get ws.fval ((o * w) + k)) (BA1.unsafe_get good ((o * w) + k)))
+               lanes.(k)
+           else 0L)
+      done
+    done
+  end
+
+(* One block's fault work for the first [todo] entries of [live], in two
+   pool sweeps, leaving each fault's detection row in its [table] row.
+   The first writes each fault's difference at its root.  The second
+   flips, once, each root that some fault's difference reaches, and
+   masks the region's rows with the flip: the region-ordered live set
+   holds a region's faults consecutively, so the entry that starts a
+   region scans them and flips the root if any row is nonzero.  The
+   flip is lazy: hard faults are rarely excited, and their propagation
+   usually dies at the site.  Both sweeps write rows owned by one item
+   (a fault, a region's first entry), so sharding is race-free and no
+   row depends on scheduling. *)
+let propagate_block ~label ~root_label ~jobs ~wss ~rg ~good ~lanes ~(table : Pattern.words) ~live
+    ~todo faults =
   Rt_util.Parallel.sweep ~label ~seq_below:ppsfp_seq_below ~jobs ~n:todo
     (fun ~worker ~lo ~hi ->
       let ws = wss.(worker) in
       for p = lo to hi - 1 do
-        let fi = live.(p) in
-        inject_and_propagate ws ~good ~lanes faults.(fi);
-        for k = 0 to words - 1 do
-          BA1.unsafe_set table ((fi * words) + k) (BA1.unsafe_get ws.det k)
-        done
+        store_local ws rg ~good ~lanes ~table faults live.(p)
+      done);
+  let words = wss.(0).w in
+  let root_at p = rg.root.(site_of faults.(live.(p))) in
+  let excited p =
+    let o = live.(p) * words in
+    let k = ref 0 in
+    while !k < words && Int64.equal (BA1.unsafe_get table (o + !k)) 0L do
+      incr k
+    done;
+    !k < words
+  in
+  Rt_util.Parallel.sweep ~label:root_label ~seq_below:ppsfp_seq_below ~jobs ~n:todo
+    (fun ~worker ~lo ~hi ->
+      for p = lo to hi - 1 do
+        let r = root_at p in
+        if p = 0 || root_at (p - 1) <> r then begin
+          let stop = ref p in
+          while !stop < todo && root_at !stop = r do
+            incr stop
+          done;
+          let first = ref p in
+          while !first < !stop && not (excited !first) do
+            incr first
+          done;
+          (* Rows before [first] are zero and stay so. *)
+          if !first < !stop then
+            flip_region wss.(worker) rg ~good ~lanes ~table ~live ~first:!first ~stop:!stop r
+        end
       done)
 
 let simulate ?jobs ?block_words ?(drop = true) c faults ~source ~n_patterns =
@@ -269,9 +402,10 @@ let simulate ?jobs ?block_words ?(drop = true) c faults ~source ~n_patterns =
   let detect_count = Array.make nf 0 in
   let sim = Logic_sim.create_wide ~words c in
   let wss = Array.init jobs (fun _ -> make_ws ~words c) in
+  let rg = make_regions ~n_out:0 c in
   let blk = Pattern.make_block ~n_inputs:(Array.length (Netlist.inputs c)) ~words in
   let table = row (nf * words) in
-  let live = cone_order c faults in
+  let live = region_order rg c faults in
   let n_live = ref nf in
   let base = ref 0 in
   Rt_obs.with_span ~cat:"sim" "fault_sim" @@ fun () ->
@@ -281,7 +415,8 @@ let simulate ?jobs ?block_words ?(drop = true) c faults ~source ~n_patterns =
     let lanes = lanes_of_block blk in
     Logic_sim.run_wide sim blk;
     let good = Logic_sim.wide_values sim in
-    propagate_block ~label:"ppsfp" ~jobs ~wss ~good ~lanes ~table ~live ~todo:!n_live faults;
+    propagate_block ~label:"ppsfp" ~root_label:"ppsfp.roots" ~jobs ~wss ~rg ~good ~lanes ~table
+      ~live ~todo:!n_live faults;
     (* Serial word-by-word replay: within a word, detections are lane-
        parallel; between words, drops take effect, exactly as if each
        word had been its own batch. *)
@@ -335,15 +470,14 @@ let simulate_with_responses ?jobs ?block_words ?(drop = false) c faults ~source 
   let responses = Array.make nf [] in
   let sim = Logic_sim.create_wide ~words c in
   let wss = Array.init jobs (fun _ -> make_ws ~words c) in
+  (* A fault's output differences in a lane where it is detected are its
+     root flip's, so the per-output rows are kept per flipped root, not
+     per fault. *)
+  let n_out = min 64 (Array.length (Netlist.outputs c)) in
+  let rg = make_regions ~n_out c in
   let blk = Pattern.make_block ~n_inputs:(Array.length (Netlist.inputs c)) ~words in
   let table = row (nf * words) in
-  (* Per detecting fault the output-difference words must be captured
-     before the workspace is reused for the next fault; rows are
-     allocated only on detection, so the table stays sparse. *)
-  let diffs = Array.make nf [||] in
-  let outputs = Netlist.outputs c in
-  let n_out = min 64 (Array.length outputs) in
-  let live = cone_order c faults in
+  let live = region_order rg c faults in
   let n_live = ref nf in
   let base = ref 0 in
   Rt_obs.with_span ~cat:"sim" "fault_sim.responses" @@ fun () ->
@@ -352,29 +486,8 @@ let simulate_with_responses ?jobs ?block_words ?(drop = false) c faults ~source 
     let lanes = lanes_of_block blk in
     Logic_sim.run_wide sim blk;
     let good = Logic_sim.wide_values sim in
-    Rt_util.Parallel.sweep ~label:"ppsfp.responses" ~seq_below:ppsfp_seq_below ~jobs ~n:!n_live
-      (fun ~worker ~lo ~hi ->
-        let ws = wss.(worker) in
-        for p = lo to hi - 1 do
-          let fi = live.(p) in
-          inject_and_propagate ws ~good ~lanes faults.(fi);
-          let any = ref false in
-          for k = 0 to words - 1 do
-            let d = BA1.unsafe_get ws.det k in
-            BA1.unsafe_set table ((fi * words) + k) d;
-            if d <> 0L then any := true
-          done;
-          diffs.(fi) <-
-            (if not !any then [||]
-             else
-               Array.init (n_out * words) (fun i ->
-                   let o = outputs.(i / words) and k = i mod words in
-                   if ws.dirty.(o) then
-                     Int64.logand
-                       (Int64.logxor (BA1.unsafe_get ws.fval ((o * ws.w) + k)) (BA1.unsafe_get good ((o * ws.w) + k)))
-                       lanes.(k)
-                   else 0L))
-        done);
+    propagate_block ~label:"ppsfp.responses" ~root_label:"ppsfp.responses.roots" ~jobs ~wss ~rg
+      ~good ~lanes ~table ~live ~todo:!n_live faults;
     let n0 = !n_live in
     let alive = ref n0 in
     let processed = ref 0 in
@@ -389,14 +502,15 @@ let simulate_with_responses ?jobs ?block_words ?(drop = false) c faults ~source 
             if first_detect.(fi) < 0 then
               first_detect.(fi) <- !base + !processed + Bits.ctz d;
             detect_count.(fi) <- detect_count.(fi) + Bits.popcount d;
-            let row = diffs.(fi) in
+            (* Detected, so the root was flipped in this block. *)
+            let outs = Option.get rg.outs.(rg.root.(site_of faults.(fi))) in
             for lane = 0 to cnt - 1 do
               if Int64.logand (Int64.shift_right_logical d lane) 1L <> 0L then begin
                 let dw = ref 0L in
                 for k = 0 to n_out - 1 do
-                  if
-                    Int64.logand (Int64.shift_right_logical row.((k * words) + !w) lane) 1L <> 0L
-                  then dw := Int64.logor !dw (Int64.shift_left 1L k)
+                  let o = BA1.unsafe_get outs ((k * words) + !w) in
+                  if Int64.logand (Int64.shift_right_logical o lane) 1L <> 0L then
+                    dw := Int64.logor !dw (Int64.shift_left 1L k)
                 done;
                 responses.(fi) <- (!base + !processed + lane, !dw) :: responses.(fi)
               end

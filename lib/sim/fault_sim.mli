@@ -2,9 +2,14 @@
 
     For each block of up to [W * 64] patterns ([W] words of 64 lanes,
     see {!Pattern.block}) the good circuit is simulated once; each live
-    fault is then injected and its effect propagated event-driven
-    through its fanout cone only, all lanes at once.  Live faults are
-    scheduled in output-cone order and sharded across the persistent
+    fault is then injected and its effect propagated event-driven, all
+    lanes at once, but only up to the root of its fanout-free region
+    ({!Rt_circuit.Cone.ffr_roots}).  Where that difference is nonzero,
+    the root's flip is propagated to the outputs, at most once per root
+    and block, and the fault is detected in the lanes where both the
+    root differs and its flip is observed — exactly the lanes where a
+    full propagation of the fault would reach an output.  Live faults
+    are scheduled region by region and sharded across the persistent
     domain pool with work stealing; detection bookkeeping replays
     serially word by word, so results never depend on [jobs] or
     [block_words].  With fault dropping this is the engine behind the
@@ -31,8 +36,8 @@ val simulate :
 (** [drop] (default true) stops simulating a fault once detected.
 
     [jobs] (default: the [OPTPROB_JOBS] environment variable, else 1)
-    shards the per-fault injection/propagation of each block across that
-    many pool domains, each with its own workspace; detection
+    shards the per-fault and per-root propagations of each block across
+    that many pool domains, each with its own workspace; detection
     bookkeeping is replayed deterministically on the caller, so the
     returned [stats] are bit-identical for every [jobs] value (the
     good-circuit simulation and the pattern source always run on the

@@ -2,8 +2,9 @@
    buffer.  As [mutable int64] record fields each would be a pointer to a
    boxed int64, so every [bits64] would allocate four fresh boxes; with
    [Bytes.get_int64_ne]/[set_int64_ne] on an annotated [t] the step is a
-   handful of loads and stores, and [biased_word]'s inner loop, which
-   inlines [bits64], allocates nothing. *)
+   handful of loads and stores.  [biased_word] loads the words into
+   locals once per call, so its 30 steps allocate nothing and touch no
+   memory. *)
 type t = Bytes.t
 
 let[@inline] get (t : t) i = Bytes.get_int64_ne t (8 * i)
@@ -96,12 +97,26 @@ let biased_word (t : t) p =
     let bits = 30 in
     let scaled = Float.to_int (Float.round (p *. Float.of_int (1 lsl bits))) in
     let scaled = if scaled <= 0 then 1 else if scaled >= 1 lsl bits then (1 lsl bits) - 1 else scaled in
+    (* [bits64]'s step, on the state held in locals; the golden-stream
+       test pins the two to the same sequence. *)
+    let open Int64 in
+    let s0 = ref (get t 0) and s1 = ref (get t 1) and s2 = ref (get t 2) and s3 = ref (get t 3) in
     let acc = ref 0L in
     for i = 0 to bits - 1 do
-      let b = (scaled lsr i) land 1 = 1 in
-      let w = bits64 t in
-      if b then acc := Int64.logor !acc w else acc := Int64.logand !acc w
+      let w = mul (rotl (mul !s1 5L) 7) 9L in
+      let tmp = shift_left !s1 17 in
+      s2 := logxor !s2 !s0;
+      s3 := logxor !s3 !s1;
+      s1 := logxor !s1 !s2;
+      s0 := logxor !s0 !s3;
+      s2 := logxor !s2 tmp;
+      s3 := rotl !s3 45;
+      if (scaled lsr i) land 1 = 1 then acc := logor !acc w else acc := logand !acc w
     done;
+    set t 0 !s0;
+    set t 1 !s1;
+    set t 2 !s2;
+    set t 3 !s3;
     !acc
   end
 

@@ -245,6 +245,42 @@ let test_transitive_fanout () =
   check Alcotest.bool "contains itself" true mask.(i0);
   check Alcotest.bool "reaches an output" true (Cone.reaches_output c i0)
 
+(* A hand-built netlist with a node read on two pins (q), an output that
+   also feeds a gate (p), a constant inside a region (k) and a dangling
+   non-output gate (d). *)
+let test_ffr_roots () =
+  let kinds =
+    Gate.[| Input; Input; Input; And; Or; Not; Nand; And; Buf; Const0; Or |]
+  and fanins =
+    [| [||]; [||]; [||]; [| 0; 1 |]; [| 3; 2 |]; [| 4 |]; [| 5; 2 |]; [| 6; 6 |]; [| 7 |]; [||];
+       [| 9; 0 |] |]
+  in
+  let names = [| "a"; "b"; "c"; "x"; "y"; "p"; "q"; "r"; "s"; "k"; "d" |] in
+  let c = Netlist.make ~kinds ~fanins ~names ~output_list:[ 5; 8 ] in
+  check (Alcotest.array Alcotest.int) "roots" [| 0; 5; 2; 5; 5; 5; 6; 8; 8; 10; 10 |]
+    (Cone.ffr_roots c);
+  (* On a generated circuit: a non-root is no output and has exactly one
+     reader, in its region, and everything it reaches outside its own
+     region lies beyond the root. *)
+  let c = Generators.c432ish () in
+  let root = Cone.ffr_roots c in
+  for i = 0 to Netlist.size c - 1 do
+    let r = root.(i) in
+    check Alcotest.int "a root is its own root" r root.(r);
+    if r <> i then begin
+      if Netlist.is_output c i then Alcotest.failf "output %d inside a region" i;
+      (match Netlist.fanout c i with
+       | [| g |] -> check Alcotest.int "reader in the region" r root.(g)
+       | _ -> Alcotest.failf "node %d in a region without exactly one reader" i);
+      let beyond = Cone.transitive_fanout c r in
+      Array.iteri
+        (fun j reached ->
+          if reached && not (beyond.(j) || (root.(j) = r && j < r)) then
+            Alcotest.failf "node %d reaches %d around its root %d" i j r)
+        (Cone.transitive_fanout c i)
+    end
+  done
+
 (* --- Generators functional correctness ------------------------------------------ *)
 
 let test_multiplier_exhaustive () =
@@ -437,7 +473,8 @@ let () =
       ( "cone",
         [ Alcotest.test_case "support" `Quick test_cone_support;
           Alcotest.test_case "extract" `Quick test_cone_extract;
-          Alcotest.test_case "transitive fanout" `Quick test_transitive_fanout ] );
+          Alcotest.test_case "transitive fanout" `Quick test_transitive_fanout;
+          Alcotest.test_case "fanout-free region roots" `Quick test_ffr_roots ] );
       ( "generators",
         [ Alcotest.test_case "multiplier exhaustive 4x4" `Quick test_multiplier_exhaustive;
           Alcotest.test_case "divider exhaustive 4-bit" `Quick test_divider_exhaustive;

@@ -229,7 +229,10 @@ let responses_qcheck =
    this builds its own netlists: every non-input kind appears (the n-ary
    ones first with a single fanin, then at random arities 1..4, repeated
    fanins allowed) and each gate reads random earlier nodes, constants
-   included.  Every node that drives nothing is an output. *)
+   included.  The first two-pin gate reads one node on both pins.  A node
+   that drives nothing is an output, or dangling one time in four; a node
+   that drives something is also an output one time in six; the last
+   node is always an output. *)
 let all_kinds_circuit rng =
   let n_in = 3 + Rng.int rng 3 in
   let pool =
@@ -239,6 +242,7 @@ let all_kinds_circuit rng =
   let n = n_in + Array.length pool + 10 + Rng.int rng 10 in
   let kinds = Array.make n Gate.Input and fanins = Array.make n [||] in
   let drives = Array.make n false in
+  let doubled = ref false in
   for i = n_in to n - 1 do
     let first_pass = i - n_in < Array.length pool in
     let k = if first_pass then pool.(i - n_in) else pool.(Rng.int rng (Array.length pool)) in
@@ -251,9 +255,16 @@ let all_kinds_circuit rng =
     in
     kinds.(i) <- k;
     fanins.(i) <- Array.init arity (fun _ -> Rng.int rng i);
+    if arity = 2 && not !doubled then begin
+      fanins.(i).(1) <- fanins.(i).(0);
+      doubled := true
+    end;
     Array.iter (fun j -> drives.(j) <- true) fanins.(i)
   done;
-  let output_list = List.filter (fun i -> not drives.(i)) (List.init (n - n_in) (( + ) n_in)) in
+  let is_output i =
+    i = n - 1 || if drives.(i) then Rng.int rng 6 = 0 else Rng.int rng 4 <> 0
+  in
+  let output_list = List.filter is_output (List.init (n - n_in) (( + ) n_in)) in
   let names = Array.init n (Printf.sprintf "n%d") in
   Netlist.make ~kinds ~fanins ~names ~output_list
 
@@ -265,57 +276,139 @@ let every_line_faults c =
   |> List.concat_map (fun site -> [ { Fault.site; stuck = false }; { Fault.site; stuck = true } ])
   |> Array.of_list
 
+(* The faulty circuit's value of every node under one pattern. *)
+let faulty_values c f pattern =
+  let bad = Array.make (Netlist.size c) false in
+  for i = 0 to Netlist.size c - 1 do
+    let v =
+      match Netlist.kind c i with
+      | Gate.Input -> pattern.(Netlist.input_index c i)
+      | k ->
+        let args = Array.map (fun j -> bad.(j)) (Netlist.fanin c i) in
+        (match f.Fault.site with
+         | Fault.Branch (g, pin) when g = i -> args.(pin) <- f.Fault.stuck
+         | Fault.Branch _ | Fault.Stem _ -> ());
+        Gate.eval k args
+    in
+    bad.(i) <- (match f.Fault.site with Fault.Stem s when s = i -> f.Fault.stuck | _ -> v)
+  done;
+  bad
+
+(* Whether [simulate] and [simulate_with_responses], with and without
+   dropping, at several (jobs, block_words), reproduce the single-pattern
+   reference on [vectors]: first detections, detection counts and each
+   response-difference stream.  [Fault_sim.detects] must agree with the
+   reference's output comparison on every pattern. *)
+let agrees_with_reference c faults vectors =
+  let n_patterns = Array.length vectors in
+  let outputs = Netlist.outputs c in
+  let reference =
+    Array.map
+      (fun f ->
+        Array.map
+          (fun v ->
+            let good = Netlist.eval c v and bad = faulty_values c f v in
+            let dw = ref 0L in
+            Array.iteri
+              (fun k o ->
+                if k < 64 && good.(o) <> bad.(o) then dw := Int64.logor !dw (Int64.shift_left 1L k))
+              outputs;
+            let hit = Array.exists (fun o -> good.(o) <> bad.(o)) outputs in
+            if hit <> Fault_sim.detects c f v then
+              Alcotest.failf "detects disagrees with the faulty evaluation of %s"
+                (Fault.to_string c f);
+            (hit, !dw))
+          vectors)
+      faults
+  in
+  let source () =
+    let batches = ref (Pattern.of_vectors vectors) in
+    fun () ->
+      match !batches with
+      | [] -> Alcotest.fail "source exhausted"
+      | b :: rest ->
+        batches := rest;
+        b
+  in
+  let first fi =
+    let rec go i = if i = n_patterns then -1 else if fst reference.(fi).(i) then i else go (i + 1) in
+    go 0
+  in
+  (* With dropping, a fault is counted through the 64-pattern word that
+     first detects it. *)
+  let expected ~drop fi =
+    let fd = first fi in
+    let stream = ref [] in
+    Array.iteri
+      (fun i (hit, dw) ->
+        if hit && ((not drop) || i / 64 = fd / 64) then stream := (i, dw) :: !stream)
+      reference.(fi);
+    (fd, List.rev !stream)
+  in
+  List.for_all
+    (fun (jobs, block_words) ->
+      List.for_all
+        (fun drop ->
+          let s = Fault_sim.simulate ~jobs ~block_words ~drop c faults ~source:(source ()) ~n_patterns in
+          let rs, resp =
+            Fault_sim.simulate_with_responses ~jobs ~block_words ~drop c faults
+              ~source:(source ()) ~n_patterns
+          in
+          Array.for_all Fun.id
+            (Array.mapi
+               (fun fi _ ->
+                 let fd, stream = expected ~drop fi in
+                 let count = List.length stream in
+                 s.Fault_sim.first_detect.(fi) = fd
+                 && rs.Fault_sim.first_detect.(fi) = fd
+                 && s.Fault_sim.detect_count.(fi) = count
+                 && rs.Fault_sim.detect_count.(fi) = count
+                 && resp.(fi) = stream)
+               faults))
+        [ false; true ])
+    [ (1, 1); (1, 4); (2, 4) ]
+
 let ppsfp_all_kinds_qcheck =
   QCheck.Test.make ~name:"ppsfp equals reference on every gate kind and pin" ~count:20
     QCheck.(int_range 0 10_000)
     (fun seed ->
       let rng = Rng.create seed in
       let c = all_kinds_circuit rng in
-      let faults = every_line_faults c in
       let n_in = Array.length (Netlist.inputs c) in
-      let n_patterns = 150 in
-      let vectors = Array.init n_patterns (fun _ -> Array.init n_in (fun _ -> Rng.bool rng)) in
-      let source () =
-        let batches = ref (Pattern.of_vectors vectors) in
-        fun () ->
-          match !batches with
-          | [] -> Alcotest.fail "source exhausted"
-          | b :: rest ->
-            batches := rest;
-            b
-      in
-      let hits = Array.map (fun f -> Array.map (Fault_sim.detects c f) vectors) faults in
-      let first fi =
-        let rec go i = if i = n_patterns then -1 else if hits.(fi).(i) then i else go (i + 1) in
-        go 0
-      in
-      let count_where fi keep =
-        let n = ref 0 in
-        Array.iteri (fun i h -> if h && keep i then incr n) hits.(fi);
-        !n
-      in
-      List.for_all
-        (fun block_words ->
-          let full = Fault_sim.simulate ~block_words ~drop:false c faults ~source:(source ()) ~n_patterns in
-          let dropped = Fault_sim.simulate ~block_words ~drop:true c faults ~source:(source ()) ~n_patterns in
-          let resp, _ =
-            Fault_sim.simulate_with_responses ~block_words c faults ~source:(source ()) ~n_patterns
-          in
-          resp.Fault_sim.detect_count = full.Fault_sim.detect_count
-          && resp.Fault_sim.first_detect = full.Fault_sim.first_detect
-          && Array.for_all Fun.id
-               (Array.mapi
-                  (fun fi _ ->
-                    let fd = first fi in
-                    full.Fault_sim.first_detect.(fi) = fd
-                    && full.Fault_sim.detect_count.(fi) = count_where fi (fun _ -> true)
-                    && dropped.Fault_sim.first_detect.(fi) = fd
-                    (* With dropping, a fault is counted through the
-                       64-pattern word that first detects it. *)
-                    && dropped.Fault_sim.detect_count.(fi)
-                       = (if fd < 0 then 0 else count_where fi (fun i -> i / 64 = fd / 64)))
-                  faults))
-        [ 1; 4 ])
+      let vectors = Array.init 150 (fun _ -> Array.init n_in (fun _ -> Rng.bool rng)) in
+      agrees_with_reference c (every_line_faults c) vectors)
+
+(* Hand-built corners of the fanout-free-region decomposition: in the
+   first netlist, q is read on both pins of r, the output p also feeds q,
+   and d dangles with a constant in its region; in the second, e's
+   effect dies at f (AND with Const0) inside the region of the output g,
+   which also feeds t, Const1 feeds h, and u reads c on both pins.
+   Every line's faults include the branch faults on each root gate. *)
+let test_ppsfp_edge_netlists () =
+  let build kinds fanins output_list =
+    let names = Array.mapi (fun i _ -> Printf.sprintf "n%d" i) kinds in
+    Netlist.make ~kinds ~fanins ~names ~output_list
+  in
+  let first =
+    build
+      Gate.[| Input; Input; Input; And; Or; Not; Nand; And; Buf; Const0; Or |]
+      [| [||]; [||]; [||]; [| 0; 1 |]; [| 3; 2 |]; [| 4 |]; [| 5; 2 |]; [| 6; 6 |]; [| 7 |];
+         [||]; [| 9; 0 |] |]
+      [ 5; 8 ]
+  and second =
+    build
+      Gate.[| Input; Input; Input; Const0; Const1; And; And; And; Or; Xnor; Nor |]
+      [| [||]; [||]; [||]; [||]; [||]; [| 1; 2 |]; [| 5; 3 |]; [| 4; 0 |]; [| 6; 7 |];
+         [| 8; 2 |]; [| 2; 2 |] |]
+      [ 8; 9; 10 ]
+  in
+  let rng = Rng.create 4 in
+  List.iteri
+    (fun k c ->
+      let vectors = Array.init 200 (fun _ -> Array.init 3 (fun _ -> Rng.bool rng)) in
+      if not (agrees_with_reference c (every_line_faults c) vectors) then
+        Alcotest.failf "netlist %d disagrees with the reference" k)
+    [ first; second ]
 
 (* The propagation kernel must not allocate per gate: losing one
    [Pattern.words] annotation turns every Bigarray read into a boxing
@@ -528,6 +621,7 @@ let () =
           Alcotest.test_case "responses drop matches simulate" `Quick
             test_responses_drop_matches_simulate;
           q ppsfp_all_kinds_qcheck;
+          Alcotest.test_case "ppsfp edge netlists" `Quick test_ppsfp_edge_netlists;
           Alcotest.test_case "kernel allocation-free" `Quick test_kernel_allocation_free ] );
       ( "multicore",
         [ Alcotest.test_case "jobs=4 stats bit-identical" `Quick test_jobs_bit_identical;
