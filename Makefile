@@ -18,8 +18,9 @@ bench-json:
 	dune exec bench/main.exe -- --json
 
 # Fast perf/correctness gate for the fused cofactor path: bit-identical to
-# two subset queries, and the artifact diff (1.5x quantile gate) must not
-# flag the fused side against the two-query baseline.  Artifacts land under
+# two subset queries, the median of paired fused/baseline sweep ratios must
+# not exceed 1.0, and the artifact diff (1.5x quantile gate) must not flag
+# the fused side against the two-query baseline.  Artifacts land under
 # _obs/smoke/{baseline,fused} for upload or manual `optprob obs diff`.
 # The finished run is also ingested into the run registry (second arg) and
 # gated against the promoted baseline record there — the first run ever

@@ -58,37 +58,6 @@ let transitive_fanout c root =
   done;
   mask
 
-(* The damage cone of an incremental re-evaluation: the nodes inside
-   [mask] whose value can change when [root] changes.  Because node ids
-   are topological (every fanin id is smaller), one ascending sweep finds
-   the cone and the returned members are already in evaluation (level)
-   order.  For the result to be the full intersection fanout*(root) n mask,
-   [mask] must be fanin-closed over the cone's paths — true for the
-   fanin-closed signal-probability masks the testability layer builds. *)
-let fanout_within c ~mask root =
-  let n = Netlist.size c in
-  if not mask.(root) then [||]
-  else begin
-    let seen = Array.make n false in
-    seen.(root) <- true;
-    let count = ref 1 in
-    for i = root + 1 to n - 1 do
-      if mask.(i) && Array.exists (fun j -> seen.(j)) (Netlist.fanin c i) then begin
-        seen.(i) <- true;
-        incr count
-      end
-    done;
-    let out = Array.make !count 0 in
-    let k = ref 0 in
-    for i = root to n - 1 do
-      if seen.(i) then begin
-        out.(!k) <- i;
-        incr k
-      end
-    done;
-    out
-  end
-
 (* A node read on exactly one gate pin that is not an output joins its
    reader's region.  Readers have larger ids, so in one descending sweep
    every reader's root is final before its fanins take it over. *)

@@ -33,14 +33,6 @@ val ffr_roots : Netlist.t -> Netlist.node array
     primary output passes through the root.  One reverse topological
     sweep. *)
 
-val fanout_within : Netlist.t -> mask:bool array -> Netlist.node -> Netlist.node array
-(** [fanout_within c ~mask root] is the transitive fanout of [root]
-    restricted to [mask] — the damage cone of a one-node change inside a
-    masked sub-evaluation — as an ascending (therefore topological /
-    level-ordered) id array; [[||]] when [root] is not masked.  [mask]
-    must be fanin-closed so that every path out of [root] toward a masked
-    node stays masked (the masks built by subset plans are). *)
-
 val extract : Netlist.t -> Netlist.node list -> Netlist.t * int array
 (** [extract c roots] builds the subcircuit feeding [roots]: the cone's
     inputs are the original primary inputs it depends on; [roots] become the

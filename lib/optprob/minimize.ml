@@ -9,13 +9,35 @@ let h_iters = Rt_obs.histogram "minimize.newton_iterations"
 let newton ?(objective = Objective.single) ?(lo = 0.01) ?(hi = 0.99) ?(tol = 1e-6)
     ?(max_iter = 60) ~n ~p0 ~p1 y_start =
   if lo >= hi then invalid_arg "Minimize.newton: empty interval";
+  if Array.length p0 <> Array.length p1 then invalid_arg "Minimize.newton: p0/p1 length mismatch";
   let observed r =
     Rt_obs.observe h_iters (Float.of_int r.iterations);
     r
   in
   observed
   @@
-  let deriv y = objective.Objective.derivatives_along ~n ~p0 ~p1 y in
+  (* A fault with p0 = p1 does not move along this coordinate.  Its
+     derivative terms are multiples of p1 - p0 = 0, so they are +0.0 or
+     -0.0, and adding either to a sum that starts at +0.0 (and so can
+     never become -0.0) changes nothing: the derivatives run over the
+     moved faults only, in their original order, bit-identically. *)
+  let p0m, p1m =
+    let moved = ref 0 in
+    for f = 0 to Array.length p0 - 1 do
+      if p0.(f) <> p1.(f) then incr moved
+    done;
+    let p0m = Array.make !moved 0.0 and p1m = Array.make !moved 0.0 in
+    let k = ref 0 in
+    for f = 0 to Array.length p0 - 1 do
+      if p0.(f) <> p1.(f) then begin
+        p0m.(!k) <- p0.(f);
+        p1m.(!k) <- p1.(f);
+        incr k
+      end
+    done;
+    (p0m, p1m)
+  in
+  let deriv y = objective.Objective.derivatives_along ~n ~p0:p0m ~p1:p1m y in
   let value y = objective.Objective.value_along ~n ~p0 ~p1 y in
   (* Convexity: J' is non-decreasing on the contract region (globally for
      the paper objective).  Track a bracket [a, b] with J'(a) <= 0 <= J'(b)

@@ -31,4 +31,7 @@ val newton :
     [[0.01, 0.99]], [tol = 1e-6], [max_iter = 60]).  [p0]/[p1] are the
     cofactor detection probabilities of the relevant faults.  [objective]
     (default {!Objective.single}) supplies the restricted value and its
-    derivatives. *)
+    derivatives.  The Newton steps evaluate the derivatives over the faults
+    with [p0 <> p1] only (the others contribute exact zeros); [objective]
+    in the result sums every fault.  Raises [Invalid_argument] when
+    [lo >= hi] or when [p0] and [p1] differ in length. *)

@@ -8,15 +8,27 @@ type t = {
 let run ?(objective = Objective.single) ?(confidence = 0.95) ?(nf_min = 8) pfs =
   if confidence <= 0.0 || confidence >= 1.0 then invalid_arg "Normalize.run: confidence";
   Rt_obs.with_span ~cat:"phase" "normalize" @@ fun () ->
-  let all = Array.init (Array.length pfs) Fun.id in
-  let undetectable = Array.of_list (List.filter (fun i -> pfs.(i) <= 0.0) (Array.to_list all)) in
-  (* The paper's SORT step: faults ascending by detection probability. *)
+  let pick keep =
+    let n = Array.fold_left (fun acc p -> if keep p then acc + 1 else acc) 0 pfs in
+    let out = Array.make n 0 in
+    let k = ref 0 in
+    Array.iteri
+      (fun i p ->
+        if keep p then begin
+          out.(!k) <- i;
+          incr k
+        end)
+      pfs;
+    out
+  in
+  let undetectable = pick (fun p -> p <= 0.0) in
+  (* The paper's SORT step: faults ascending by detection probability
+     (stable, so ties keep index order). *)
   let sorted_idx =
     Rt_obs.with_span ~cat:"phase" "sort" @@ fun () ->
-    Array.to_list all
-    |> List.filter (fun i -> pfs.(i) > 0.0)
-    |> List.sort (fun a b -> Float.compare pfs.(a) pfs.(b))
-    |> Array.of_list
+    let idx = pick (fun p -> p > 0.0) in
+    Array.stable_sort (fun a b -> Float.compare pfs.(a) pfs.(b)) idx;
+    idx
   in
   let n_det = Array.length sorted_idx in
   if n_det = 0 then { sorted_idx; undetectable; n = Float.infinity; nf = 0 }
@@ -27,22 +39,28 @@ let run ?(objective = Objective.single) ?(confidence = 0.95) ?(nf_min = 8) pfs =
     (* J_M bounds from a z-prefix; z is 1-based count.  Validity rests on
        the protocol's monotonicity contract: the per-fault miss term is
        decreasing in p, so the faults beyond the sorted prefix each
-       contribute at most the term of fault z. *)
+       contribute at most the term of fault z.  The lower bound stops as
+       soon as its partial sum passes q: the terms are >= 0 and adding a
+       non-negative float never decreases a sum, so the full sum would
+       exceed q too, and only l <= q is ever used as a value. *)
     let l z m =
-      let acc = ref 0.0 in
-      for i = 0 to z - 1 do acc := !acc +. term ~n:m ~p:(p i) done;
+      let acc = ref 0.0 and i = ref 0 in
+      while !i < z && !acc <= q do
+        acc := !acc +. term ~n:m ~p:(p !i);
+        incr i
+      done;
       !acc
     in
-    let u z m =
-      if z >= n_det then l z m
-      else l z m +. (Float.of_int (n_det - z) *. term ~n:m ~p:(p z))
+    let u z m lz =
+      if z >= n_det then lz else lz +. (Float.of_int (n_det - z) *. term ~n:m ~p:(p z))
     in
     (* Decide J_M <= q using as small a prefix as possible; returns
        (meets, z_used). *)
     let decide m =
       let rec go z =
-        if l z m > q then (false, z)
-        else if u z m <= q then (true, z)
+        let lz = l z m in
+        if lz > q then (false, z)
+        else if u z m lz <= q then (true, z)
         else if z >= n_det then (true, z)
         else go (min n_det (2 * z))
       in

@@ -34,14 +34,21 @@ type t = {
   label : string;  (** Human-readable description for reports and logs. *)
   term : n:float -> p:float -> float;
       (** Per-fault miss term [F(n * p)] — the summand of [value].  Must be
-          decreasing in both [n] and [p]; {!Normalize} builds its
-          prefix bounds on [J_M] from this monotonicity. *)
+          [>= 0] and decreasing in both [n] and [p]; {!Normalize} builds its
+          prefix bounds on [J_M] from this monotonicity, and stops a prefix
+          sum once it exceeds the confidence budget, which is exact only
+          because no term is negative. *)
   value : n:float -> float array -> float;  (** [J_N] over a [p_f] vector. *)
   value_along : n:float -> p0:float array -> p1:float array -> float -> float;
       (** [J_N(X, y|i)] from the cofactor pair of the scrutinised faults. *)
   derivatives_along :
     n:float -> p0:float array -> p1:float array -> float -> float * float;
-      (** First and second derivative of [value_along] in [y]. *)
+      (** First and second derivative of [value_along] in [y], each a sum
+          that starts at [+0.0] of one term per fault.  For finite [n],
+          every term must be a multiple of [p1 - p0] (the chain rule's
+          [dp/dy]), so a fault with [p0 = p1] adds [+0.0] or [-0.0] and
+          changes neither sum; {!Minimize.newton} relies on this to drop
+          such faults before its Newton steps. *)
   confidence : n:float -> float array -> float;
       (** [exp (-J_N)] — the eq. (1) approximation reported to the user. *)
 }

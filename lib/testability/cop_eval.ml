@@ -13,11 +13,15 @@
    (topological, therefore level) order with exactly the sweep's
    arithmetic ([Gate.set_prob] over the same fanin reads).  The
    observability side re-runs [Observability.set_cop_node] in descending
-   order over the nodes whose readers changed (observability or side-pin
-   sensitization), seeded conservatively — extra recomputation reproduces
-   the same floats, so conservatism costs time, never exactness.  Both
+   order over exactly the nodes whose kernel reads a changed value: a
+   reader's observability, or a side pin's signal probability.  Both
    per-node kernels are the ones the sweeps call, so the patch allocates
-   nothing per node. *)
+   nothing per node.
+
+   The cones depend only on the circuit and the plan's masks, so each
+   input's full-circuit cone is built once per oracle ([cones], shared by
+   every state the oracle holds) and cut down to a plan's masks by a
+   byte scan when the plan changes. *)
 
 module Netlist = Rt_circuit.Netlist
 module Gate = Rt_circuit.Gate
@@ -55,34 +59,169 @@ let probs_subset ?(jobs = 1) c plan x =
   fill ~jobs c ~sp ~obs (Oracle.selected plan) out;
   out
 
+(* --- Damage cones ---------------------------------------------------------- *)
+
+(* Flag bits of a full-circuit cone byte. *)
+let sp_bit = 1
+let obs_bit = 2
+
+type cones = {
+  circuit : Netlist.t;
+  full : Bytes.t array;
+      (* by input index: one flag byte per node under the full masks,
+         [Bytes.empty] until first use; depends only on the circuit *)
+  mutable cut_for : Oracle.plan option;  (* the plan [cut] was intersected with *)
+  cut : (int array * int array) option array;
+      (* by input index: (sp-dirty nodes ascending, obs-dirty nodes
+         ascending) inside [cut_for]'s masks, computed on first use *)
+  sp_buf : int array;  (* node-sized buffers for one cut *)
+  obs_buf : int array;
+}
+
+let cones c =
+  let ni = Array.length (Netlist.inputs c) and n = Netlist.size c in
+  { circuit = c;
+    full = Array.make ni Bytes.empty;
+    cut_for = None;
+    cut = Array.make ni None;
+    sp_buf = Array.make n 0;
+    obs_buf = Array.make n 0 }
+
+let[@inline] flags b g = Char.code (Bytes.get b g)
+let[@inline] mark b g bit = Bytes.set b g (Char.unsafe_chr (flags b g lor bit))
+
+(* The full-circuit damage cone of input [input].  sp side: the
+   transitive fanout of the input node, in one ascending sweep (fanin ids
+   are smaller).  obs side, the exact rule: [set_cop_node g] reads, per
+   reader r and pin k with [fanin r].(k) = g, only [obs r] and — for
+   AND/NAND/OR/NOR, whose pin sensitization is the product over the other
+   pins — the signal probabilities at the pins j <> k.  So g is dirty iff
+   some such (r, k) has [obs r] dirty or an sp-dirty fanin at a pin j <> k.
+   One descending sweep pushes that from each reader to its fanins:
+   readers have larger ids, so a reader's own flag is final when it is
+   visited. *)
+let build_full c input =
+  let n = Netlist.size c in
+  let b = Bytes.make n '\000' in
+  let root = (Netlist.inputs c).(input) in
+  mark b root sp_bit;
+  for g = root + 1 to n - 1 do
+    let fi = Netlist.fanin c g in
+    let j = ref 0 in
+    while !j < Array.length fi do
+      if flags b fi.(!j) land sp_bit <> 0 then begin
+        mark b g sp_bit;
+        j := Array.length fi
+      end
+      else incr j
+    done
+  done;
+  for r = n - 1 downto 0 do
+    let fi = Netlist.fanin c r in
+    let nfi = Array.length fi in
+    if flags b r land obs_bit <> 0 then
+      for k = 0 to nfi - 1 do mark b fi.(k) obs_bit done
+    else
+      match Netlist.kind c r with
+      | Gate.And | Gate.Nand | Gate.Or | Gate.Nor ->
+        let ndirty = ref 0 and dirty_pin = ref (-1) in
+        for k = 0 to nfi - 1 do
+          if flags b fi.(k) land sp_bit <> 0 then begin
+            incr ndirty;
+            dirty_pin := k
+          end
+        done;
+        (* One sp-dirty pin changes the sensitization of every other
+           pin; two or more change that of every pin. *)
+        if !ndirty > 0 then
+          for k = 0 to nfi - 1 do
+            if !ndirty > 1 || k <> !dirty_pin then mark b fi.(k) obs_bit
+          done
+      | Gate.Input | Gate.Const0 | Gate.Const1 | Gate.Buf | Gate.Not | Gate.Xor | Gate.Xnor -> ()
+  done;
+  b
+
+let full t input =
+  let b = t.full.(input) in
+  if Bytes.length b > 0 then b
+  else begin
+    let b = build_full t.circuit input in
+    t.full.(input) <- b;
+    b
+  end
+
+let full_cone_sizes t ~input =
+  let b = full t input in
+  let ns = ref 0 and no = ref 0 in
+  for g = 0 to Bytes.length b - 1 do
+    let f = flags b g in
+    if f land sp_bit <> 0 then incr ns;
+    if f land obs_bit <> 0 then incr no
+  done;
+  (!ns, !no)
+
+(* The plan's cone is the full cone intersected with its masks.  sp side:
+   [sp_mask] is fanin-closed, so every path from the input to a masked node
+   is masked, and the masked transitive fanout is fanout ∩ sp_mask.  obs
+   side: [obs_mask] is fanout-closed, so a masked node's readers are all
+   masked, and [sp_mask] holds every fanin of a masked node; the masked
+   rule then reads only flags the full rule reads, and by descending
+   induction the masked obs cone is the full one ∩ obs_mask. *)
+let intersect t plan input =
+  let b = full t input in
+  let spm = Oracle.sp_mask plan and om = Oracle.obs_mask plan in
+  let sp_buf = t.sp_buf and obs_buf = t.obs_buf in
+  let ns = ref 0 and no = ref 0 in
+  for g = 0 to Bytes.length b - 1 do
+    let f = flags b g in
+    if f <> 0 then begin
+      if f land sp_bit <> 0 && spm.(g) then begin
+        sp_buf.(!ns) <- g;
+        incr ns
+      end;
+      if f land obs_bit <> 0 && om.(g) then begin
+        obs_buf.(!no) <- g;
+        incr no
+      end
+    end
+  done;
+  (Array.sub sp_buf 0 !ns, Array.sub obs_buf 0 !no)
+
+let cone t plan ~input =
+  (match t.cut_for with
+   | Some p when p == plan -> ()
+   | Some _ | None ->
+     t.cut_for <- Some plan;
+     Array.fill t.cut 0 (Array.length t.cut) None);
+  match t.cut.(input) with
+  | Some cone -> cone
+  | None ->
+    let cone = intersect t plan input in
+    t.cut.(input) <- Some cone;
+    cone
+
 (* --- Incremental state ---------------------------------------------------- *)
 
 type state = {
   c : Netlist.t;
   jobs : int;
+  cone_table : cones;  (* shared by every state of one oracle *)
   mutable plan : Oracle.plan option;
   mutable base_x : float array;  (* [||] until the first rebuild *)
   mutable sp : float array;
   mutable obs : float array;
-  cones : (int array * int array) option array;
-      (* by input index: (sp-dirty nodes ascending, obs-dirty nodes
-         ascending), computed on first use; depends only on the plan's
-         masks, so reset on plan change and kept across base-point
-         moves *)
-  sp_dirty_scratch : bool array;
   mutable save_sp : float array;  (* cone-sized undo buffers *)
   mutable save_obs : float array;
 }
 
-let create ?(jobs = 1) c =
-  { c;
+let create ?(jobs = 1) cone_table =
+  { c = cone_table.circuit;
     jobs;
+    cone_table;
     plan = None;
     base_x = [||];
     sp = [||];
     obs = [||];
-    cones = Array.make (Array.length (Netlist.inputs c)) None;
-    sp_dirty_scratch = Array.make (Netlist.size c) false;
     save_sp = [||];
     save_obs = [||] }
 
@@ -95,55 +234,6 @@ let rebuild st plan x =
   st.sp <- Signal_prob.independence_subset st.c ~mask:(Oracle.sp_mask plan) x;
   st.obs <- Observability.cop_subset st.c ~mask:(Oracle.obs_mask plan) ~node_probs:st.sp;
   st.base_x <- Array.copy x
-
-(* The damage cone of input [i] under the plan's masks.  sp side: the
-   masked transitive fanout of the input node (ascending = level order).
-   obs side: a node's observability must be recomputed when a reader's
-   observability changed or a reader's side-pin sensitization changed —
-   i.e. when some reader has any sp-dirty fanin.  One descending sweep
-   decides both (readers have larger ids, so they are final when their
-   fanins are visited). *)
-let compute_cone st plan input =
-  let c = st.c in
-  let n = Netlist.size c in
-  let root = (Netlist.inputs c).(input) in
-  let sp_dirty = Rt_circuit.Cone.fanout_within c ~mask:(Oracle.sp_mask plan) root in
-  if Array.length sp_dirty = 0 then ([||], [||])
-  else begin
-    let spd = st.sp_dirty_scratch in
-    Array.iter (fun g -> spd.(g) <- true) sp_dirty;
-    let obs_mask = Oracle.obs_mask plan in
-    let od = Array.make n false in
-    let count = ref 0 in
-    for g = n - 1 downto 0 do
-      if obs_mask.(g)
-         && Array.exists
-              (fun r -> od.(r) || Array.exists (fun f -> spd.(f)) (Netlist.fanin c r))
-              (Netlist.fanout c g)
-      then begin
-        od.(g) <- true;
-        incr count
-      end
-    done;
-    Array.iter (fun g -> spd.(g) <- false) sp_dirty;
-    let obs_dirty = Array.make !count 0 in
-    let k = ref 0 in
-    for g = 0 to n - 1 do
-      if od.(g) then begin
-        obs_dirty.(!k) <- g;
-        incr k
-      end
-    done;
-    (sp_dirty, obs_dirty)
-  end
-
-let get_cone st plan input =
-  match st.cones.(input) with
-  | Some cone -> cone
-  | None ->
-    let cone = compute_cone st plan input in
-    st.cones.(input) <- Some cone;
-    cone
 
 let ensure_saves st n_sp n_obs =
   if Array.length st.save_sp < n_sp then st.save_sp <- Array.make n_sp 0.0;
@@ -184,7 +274,6 @@ let sync st plan x =
   let same_plan = match st.plan with Some p -> p == plan | None -> false in
   if not same_plan then begin
     st.plan <- Some plan;
-    Array.fill st.cones 0 (Array.length st.cones) None;
     rebuild st plan x
   end
   else begin
@@ -197,7 +286,7 @@ let sync st plan x =
     done;
     if !ndiff = 1 then begin
       let i = !first in
-      let ((sp_d, obs_d) as cone) = get_cone st plan i in
+      let ((sp_d, obs_d) as cone) = cone st.cone_table plan ~input:i in
       ensure_saves st (Array.length sp_d) (Array.length obs_d);
       apply_patch st cone x.(i);
       st.base_x.(i) <- x.(i);
@@ -215,7 +304,7 @@ let eval st plan x =
 
 let cofactor_pair st plan ~input x =
   sync st plan x;
-  let ((sp_d, obs_d) as cone) = get_cone st plan input in
+  let ((sp_d, obs_d) as cone) = cone st.cone_table plan ~input in
   ensure_saves st (Array.length sp_d) (Array.length obs_d);
   let sel = Oracle.selected plan in
   let nf = Array.length sel in

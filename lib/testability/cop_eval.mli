@@ -5,11 +5,13 @@
     observabilities of a base point [x] under a plan's masks.  A query at
     [x] with input [i] flipped re-evaluates only the {e damage cone} of
     [i]: the masked transitive fanout of the input node (signal side) and
-    the nodes whose readers' observability or side-pin sensitization that
-    touches (observability side).  Patches are undone after each query, so
-    the cache is always consistent with [base_x]; when the caller's [x]
-    itself moves by one coordinate — the optimizer's per-coordinate sweep —
-    the patch is committed instead of rebuilt.
+    the nodes whose COP observability reads a value that changes
+    (observability side: a reader's observability, or the signal
+    probability of another pin of an AND/NAND/OR/NOR reader).  Patches are
+    undone after each query, so the cache is always consistent with
+    [base_x]; when the caller's [x] itself moves by one coordinate — the
+    optimizer's per-coordinate sweep — the patch is committed instead of
+    rebuilt.
 
     Every result is bit-identical to the corresponding from-scratch
     {!probs_subset} call: nodes outside the cone cannot depend on the
@@ -23,11 +25,32 @@ val probs_subset : ?jobs:int -> Rt_circuit.Netlist.t -> Oracle.plan -> float arr
 (** Plan-restricted sweep: masked signal-probability and observability
     sweeps, then the selected faults only. *)
 
+type cones
+(** The damage cones of one circuit.  Each input's full-circuit cone is
+    built on first use and kept as one flag byte per node; a plan's cone
+    is that byte table intersected with the plan's masks, cut on first use
+    per (plan, input) and kept until a query names another plan.  One
+    table serves every {!state} of an oracle, so the conditioned engine's
+    per-assignment states share it. *)
+
+val cones : Rt_circuit.Netlist.t -> cones
+
+val cone : cones -> Oracle.plan -> input:int -> int array * int array
+(** [cone t plan ~input] is the input's damage cone under the plan's
+    masks: (signal-probability-dirty nodes ascending, observability-dirty
+    nodes ascending).  The arrays are the table's own; treat them as
+    read-only. *)
+
+val full_cone_sizes : cones -> input:int -> int * int
+(** Sizes of the input's signal-probability and observability cones
+    under the full masks (every node). *)
+
 type state
 (** Mutable incremental-evaluation state for one circuit.  Not
-    thread-safe; create one per oracle. *)
+    thread-safe; create one per oracle (or per conditioning assignment,
+    sharing one {!cones}). *)
 
-val create : ?jobs:int -> Rt_circuit.Netlist.t -> state
+val create : ?jobs:int -> cones -> state
 
 val eval : state -> Oracle.plan -> float array -> float array
 (** [eval st plan x]: the plan's selected detection probabilities at [x],

@@ -44,7 +44,7 @@ let no_flags faults = Array.make (Array.length faults) false
 (* --- COP ------------------------------------------------------------------ *)
 
 let make_cop ~jobs c faults =
-  let st = Cop_eval.create ~jobs c in
+  let st = Cop_eval.create ~jobs (Cop_eval.cones c) in
   Oracle.make ~kind:"cop" ~label:"cop" ~c ~faults ~exact:(no_flags faults)
     ~redundant:(no_flags faults)
     ~run:(fun x -> Cop_eval.probs ~jobs c faults x)
@@ -119,21 +119,23 @@ let conditioned_probs_subset ?(jobs = 1) ~max_vars c plan x =
   end
 
 (* Fused conditioned cofactors (serial expansion only): one incremental
-   COP state per live assignment.  When the flipped input is itself a
-   conditioning variable its value is fixed by the assignment, so one
-   evaluation serves both cofactors and only the Shannon weights differ
-   (the x_i factor becomes 0.0 or 1.0 — bit-identical to the reference
-   loop's [x''.(pos)] factor, since multiplying by 1.0 is exact and a
-   0.0 factor zeroes the product and skips the assignment).  Otherwise
+   COP state per live assignment, all sharing one damage-cone table.
+   When the flipped input is itself a conditioning variable its value is
+   fixed by the assignment, so one evaluation serves both cofactors and
+   only the Shannon weights differ (the x_i factor becomes 0.0 or 1.0 —
+   bit-identical to the reference loop's [x''.(pos)] factor, since
+   multiplying by 1.0 is exact and a 0.0 factor zeroes the product and
+   skips the assignment).  Otherwise
    the assignment's state answers both cofactors from one damage cone. *)
 let conditioned_cofactor ~positions c =
   let n_assign = 1 lsl Array.length positions in
   let states = Array.make n_assign None in
+  let cones = Cop_eval.cones c in
   let state a =
     match states.(a) with
     | Some s -> s
     | None ->
-      let s = Cop_eval.create ~jobs:1 c in
+      let s = Cop_eval.create ~jobs:1 cones in
       states.(a) <- Some s;
       s
   in
@@ -188,7 +190,7 @@ let make_conditioned ~jobs ~max_vars c faults =
     if k = 0 then begin
       (* No conditioning variables: the engine degenerates to plain COP,
          so a plain incremental state is the fused path. *)
-      let st = Cop_eval.create ~jobs c in
+      let st = Cop_eval.create ~jobs (Cop_eval.cones c) in
       Some (fun plan ~input x -> Cop_eval.cofactor_pair st plan ~input x)
     end
     else if jobs = 1 && k <= 8 then begin

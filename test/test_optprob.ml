@@ -165,6 +165,89 @@ let normalize_sorted_qcheck =
       done;
       !ok)
 
+(* The list-based NORMALIZE kept as the reference: full prefix sums,
+   computed twice per step, and a list filter/sort.  [Normalize.run] must
+   make the same decisions from its early-stopping sums and array sort. *)
+let normalize_reference ~objective ~confidence ~nf_min pfs =
+  let all = Array.init (Array.length pfs) Fun.id in
+  let undetectable = Array.of_list (List.filter (fun i -> pfs.(i) <= 0.0) (Array.to_list all)) in
+  let sorted_idx =
+    Array.to_list all
+    |> List.filter (fun i -> pfs.(i) > 0.0)
+    |> List.sort (fun a b -> Float.compare pfs.(a) pfs.(b))
+    |> Array.of_list
+  in
+  let n_det = Array.length sorted_idx in
+  if n_det = 0 then (sorted_idx, undetectable, Float.infinity, 0)
+  else begin
+    let q = -.Float.log confidence in
+    let p i = pfs.(sorted_idx.(i)) in
+    let term = objective.Objective.term in
+    let l z m =
+      let acc = ref 0.0 in
+      for i = 0 to z - 1 do acc := !acc +. term ~n:m ~p:(p i) done;
+      !acc
+    in
+    let u z m =
+      if z >= n_det then l z m else l z m +. (Float.of_int (n_det - z) *. term ~n:m ~p:(p z))
+    in
+    let decide m =
+      let rec go z =
+        if l z m > q then (false, z)
+        else if u z m <= q then (true, z)
+        else if z >= n_det then (true, z)
+        else go (min n_det (2 * z))
+      in
+      go (min n_det (max 1 nf_min))
+    in
+    let rec grow m = if fst (decide m) || m > 1e15 then m else grow (m *. 2.0) in
+    let hi = grow 1.0 in
+    if not (fst (decide hi)) then (sorted_idx, undetectable, Float.infinity, min n_det nf_min)
+    else begin
+      let rec bisect lo hi =
+        if hi -. lo <= Float.max 0.5 (1e-9 *. hi) then hi
+        else begin
+          let mid = 0.5 *. (lo +. hi) in
+          if fst (decide mid) then bisect lo mid else bisect mid hi
+        end
+      in
+      let n = Float.round (bisect 0.0 hi +. 0.49) in
+      let _, z = decide n in
+      (sorted_idx, undetectable, n, max (min n_det nf_min) z)
+    end
+  end
+
+let objectives = [ Objective.single; Objective.n_detect ~k:2; Objective.n_detect ~k:3 ]
+
+let normalize_matches_reference_qcheck =
+  (* Values drawn from a short list, so ties and zeros are common. *)
+  let value =
+    QCheck.Gen.(
+      frequency
+        [ (1, return 0.0);
+          (3, oneofl [ 1e-5; 1e-4; 1e-3; 0.01; 0.2 ]);
+          (3, float_range 1e-6 0.5) ])
+  in
+  QCheck.Test.make ~name:"normalize equals the list-based reference" ~count:150
+    (QCheck.make
+       ~print:QCheck.Print.(array float)
+       QCheck.Gen.(array_size (1 -- 400) value))
+    (fun pfs ->
+      List.for_all
+        (fun objective ->
+          List.for_all
+            (fun nf_min ->
+              let r = Normalize.run ~objective ~confidence:0.95 ~nf_min pfs in
+              let sorted_idx, undetectable, n, nf =
+                normalize_reference ~objective ~confidence:0.95 ~nf_min pfs
+              in
+              r.Normalize.sorted_idx = sorted_idx
+              && r.Normalize.undetectable = undetectable
+              && Int64.bits_of_float r.Normalize.n = Int64.bits_of_float n
+              && r.Normalize.nf = nf)
+            [ 1; 8; 256 ])
+        objectives)
+
 (* --- Minimize ------------------------------------------------------------------- *)
 
 let minimize_qcheck =
@@ -195,6 +278,67 @@ let test_minimize_boundary () =
   (* A fault that only wants y high: optimum at the hi boundary. *)
   let r = Minimize.newton ~lo:0.05 ~hi:0.95 ~n:100.0 ~p0:[| 0.0 |] ~p1:[| 0.5 |] 0.5 in
   check (Alcotest.float 1e-9) "pegged at hi" 0.95 r.Minimize.y
+
+(* [Minimize.newton] before it dropped the p0 = p1 faults: the Newton
+   steps ran the derivatives over every fault.  Kept as the reference the
+   compacted search must reproduce bit for bit. *)
+let newton_reference ~objective ~lo ~hi ~n ~p0 ~p1 y_start =
+  let deriv y = objective.Objective.derivatives_along ~n ~p0 ~p1 y in
+  let value y = objective.Objective.value_along ~n ~p0 ~p1 y in
+  let d_lo, _ = deriv lo and d_hi, _ = deriv hi in
+  if d_lo >= 0.0 then (lo, value lo, 0)
+  else if d_hi <= 0.0 then (hi, value hi, 0)
+  else begin
+    let a = ref lo and b = ref hi in
+    let y = ref (Rt_util.Prob.clamp ~lo ~hi y_start) in
+    let iters = ref 0 in
+    let finished = ref false in
+    while (not !finished) && !iters < 60 do
+      incr iters;
+      let d1, d2 = deriv !y in
+      if d1 <= 0.0 then a := Float.max !a !y else b := Float.min !b !y;
+      let step_ok = d2 > 0.0 in
+      let candidate = if step_ok then !y -. (d1 /. d2) else Float.nan in
+      let next =
+        if step_ok && candidate > !a && candidate < !b then candidate else 0.5 *. (!a +. !b)
+      in
+      if Float.abs (next -. !y) < 1e-6 || !b -. !a < 1e-6 then finished := true;
+      y := next
+    done;
+    (!y, value !y, !iters)
+  end
+
+let newton_matches_reference_qcheck =
+  (* [share] is the fraction of faults with p1 = p0: about half, all or
+     none of them. *)
+  QCheck.Test.make ~name:"newton over moved faults equals the full-loop reference" ~count:200
+    QCheck.(
+      quad (int_range 0 10_000) (int_range 1 300) (oneofl [ 0.5; 1.0; 0.0 ])
+        (float_range 50.0 5000.0))
+    (fun (seed, nf, share, n) ->
+      let rng = Rt_util.Rng.create seed in
+      let p0 = Array.init nf (fun _ -> 0.3 *. Rt_util.Rng.float rng) in
+      let p1 =
+        Array.map
+          (fun p -> if Rt_util.Rng.float rng < share then p else 0.3 *. Rt_util.Rng.float rng)
+          p0
+      in
+      let y_start = 0.02 +. (0.96 *. Rt_util.Rng.float rng) in
+      List.for_all
+        (fun objective ->
+          let r = Minimize.newton ~objective ~lo:0.02 ~hi:0.98 ~n ~p0 ~p1 y_start in
+          let y, j, iters = newton_reference ~objective ~lo:0.02 ~hi:0.98 ~n ~p0 ~p1 y_start in
+          Int64.bits_of_float r.Minimize.y = Int64.bits_of_float y
+          && Int64.bits_of_float r.Minimize.objective = Int64.bits_of_float j
+          && r.Minimize.iterations = iters)
+        objectives)
+
+let test_minimize_length_mismatch () =
+  let expect = Invalid_argument "Minimize.newton: p0/p1 length mismatch" in
+  Alcotest.check_raises "shorter p1" expect (fun () ->
+      ignore (Minimize.newton ~n:100.0 ~p0:[| 0.1; 0.2 |] ~p1:[| 0.3 |] 0.5));
+  Alcotest.check_raises "longer p1" expect (fun () ->
+      ignore (Minimize.newton ~n:100.0 ~p0:[| 0.1 |] ~p1:[| 0.3; 0.2 |] 0.5))
 
 (* --- Optimize / Partition / Baselines ---------------------------------------------- *)
 
@@ -389,9 +533,13 @@ let () =
           Alcotest.test_case "excludes zeros" `Quick test_normalize_excludes_zeros;
           Alcotest.test_case "all zero" `Quick test_normalize_all_zero;
           Alcotest.test_case "hard prefix" `Quick test_normalize_hard_prefix;
-          q normalize_sorted_qcheck ] );
+          q normalize_sorted_qcheck;
+          q normalize_matches_reference_qcheck ] );
       ( "minimize",
-        [ q minimize_qcheck; Alcotest.test_case "boundary optimum" `Quick test_minimize_boundary ] );
+        [ q minimize_qcheck;
+          Alcotest.test_case "boundary optimum" `Quick test_minimize_boundary;
+          q newton_matches_reference_qcheck;
+          Alcotest.test_case "p0/p1 length mismatch" `Quick test_minimize_length_mismatch ] );
       ( "optimize",
         [ Alcotest.test_case "wide AND" `Quick test_optimize_improves_wide_and;
           Alcotest.test_case "s1 order of magnitude" `Slow test_optimize_s1_order_of_magnitude;

@@ -8,6 +8,7 @@ module Observability = Rt_testability.Observability
 module Stafan = Rt_testability.Stafan
 module Detect = Rt_testability.Detect
 module Oracle = Rt_testability.Oracle
+module Cop_eval = Rt_testability.Cop_eval
 module Test_length = Rt_testability.Test_length
 module Netlist = Rt_circuit.Netlist
 module Generators = Rt_circuit.Generators
@@ -299,28 +300,41 @@ let cofactor_matches_two_subsets_qcheck =
             Detect.Stafan { n_patterns = 256; seed = 3 };
             Detect.Monte_carlo { n_patterns = 256; seed = 5 } ]
         in
+        (* A second subset, so that queries can switch plans A -> B -> A:
+           each switch rebuilds the base point and re-cuts the damage
+           cones, which the conditioned engine's states share. *)
+        let subset_b =
+          Array.of_list (List.filter (fun _ -> Rt_util.Rng.float rng < 0.5) (List.init nf Fun.id))
+        in
+        let subset_b = if Array.length subset_b = 0 then [| nf - 1 |] else subset_b in
         let check_engine ~jobs e =
           let o = Detect.make ~jobs e c faults in
-          let plan = Oracle.plan o subset in
-          let reference i v =
-            let x' = Array.copy x in
-            x'.(i) <- v;
-            Oracle.probs_subset o subset x'
-          in
-          let agree_at i =
+          let plan = Oracle.plan o subset and plan_b = Oracle.plan o subset_b in
+          let agree_at ~plan ~subset i =
+            let reference v =
+              let x' = Array.copy x in
+              x'.(i) <- v;
+              Oracle.probs_subset o subset x'
+            in
             let x_before = Array.copy x in
             let pf0, pf1 = Oracle.cofactor_pair o plan ~input:i ~x in
-            x = x_before && pf0 = reference i 0.0 && pf1 = reference i 1.0
+            x = x_before && pf0 = reference 0.0 && pf1 = reference 1.0
           in
+          let on_a = agree_at ~plan ~subset and on_b = agree_at ~plan:plan_b ~subset:subset_b in
           (* Every input at a fixed base point (warm incremental caches on
              repeat queries), then move the base by one coordinate and
-             query again — the optimizer's commit path. *)
+             query again — the optimizer's commit path — then switch to
+             plan B and back to A, at the moved base point. *)
           let ok = ref true in
           for i = 0 to 6 do
-            if not (agree_at i) then ok := false
+            if not (on_a i) then ok := false
           done;
           x.(2) <- 0.05 +. (0.9 *. Rt_util.Rng.float rng);
-          if not (agree_at 5) then ok := false;
+          if not (on_a 5) then ok := false;
+          List.iter (fun i -> if not (on_b i) then ok := false) [ 5; 0; 3 ];
+          x.(4) <- 0.05 +. (0.9 *. Rt_util.Rng.float rng);
+          List.iter (fun i -> if not (on_a i) then ok := false) [ 3; 6; 0 ];
+          if not (on_b 1) then ok := false;
           !ok
         in
         List.for_all (fun e -> check_engine ~jobs:1 e && check_engine ~jobs:4 e) engines
@@ -539,6 +553,63 @@ let kernels_bit_identical_qcheck =
       check_kernels (multi_pin_circuit rng ~inputs ~gates:(6 * inputs)) rng;
       true)
 
+(* The damage cone is sound: a node whose masked-sweep signal probability
+   or observability moves when input i is set to 0 or 1 is in the plan's
+   cone of i, so the patch recomputes it. *)
+let damage_cone_covers_changes_qcheck =
+  QCheck.Test.make ~name:"damage cone holds every node a one-input change moves" ~count:40
+    QCheck.(pair (int_range 0 10_000) (int_range 0 1_000))
+    (fun (seed, wseed) ->
+      let c = Generators.random_circuit ~inputs:7 ~gates:30 ~seed in
+      let faults = Rt_fault.Collapse.collapsed_universe c in
+      let nf = Array.length faults in
+      if nf = 0 then QCheck.assume_fail ()
+      else begin
+        let rng = Rt_util.Rng.create wseed in
+        let x = Array.init 7 (fun _ -> 0.05 +. (0.9 *. Rt_util.Rng.float rng)) in
+        let subset =
+          let l = List.filter (fun _ -> Rt_util.Rng.float rng < 0.4) (List.init nf Fun.id) in
+          Array.of_list (match l with [] -> [ Rt_util.Rng.int rng nf ] | l -> l)
+        in
+        let plan = Oracle.plan (Detect.make Detect.Cop c faults) subset in
+        let sweep x =
+          let sp = Signal_prob.independence_subset c ~mask:(Oracle.sp_mask plan) x in
+          (sp, Observability.cop_subset c ~mask:(Oracle.obs_mask plan) ~node_probs:sp)
+        in
+        let sp, obs = sweep x in
+        let cones = Cop_eval.cones c in
+        let differs a b g = Int64.bits_of_float a.(g) <> Int64.bits_of_float b.(g) in
+        let ok = ref true in
+        for i = 0 to 6 do
+          let sp_cone, obs_cone = Cop_eval.cone cones plan ~input:i in
+          List.iter
+            (fun v ->
+              let x' = Array.copy x in
+              x'.(i) <- v;
+              let sp', obs' = sweep x' in
+              for g = 0 to Netlist.size c - 1 do
+                if differs sp sp' g && not (Array.mem g sp_cone) then ok := false;
+                if differs obs obs' g && not (Array.mem g obs_cone) then ok := false
+              done)
+            [ 0.0; 1.0 ]
+        done;
+        !ok
+      end)
+
+(* A node is observability-dirty only when its COP observability reads a
+   changed value: a reader's observability, or another pin's signal
+   probability at an AND/NAND/OR/NOR reader.  The looser rule (any reader
+   with any signal-dirty fanin) marked 211.0 nodes per input on s1, this
+   one 195.3. *)
+let test_s1_obs_cone_total () =
+  let c = Generators.s1_comparator () in
+  let cones = Cop_eval.cones c in
+  let total = ref 0 in
+  for input = 0 to Array.length (Netlist.inputs c) - 1 do
+    total := !total + snd (Cop_eval.full_cone_sizes cones ~input)
+  done;
+  check Alcotest.int "obs-dirty nodes over all inputs" 9374 !total
+
 (* PREPARE's COP [cofactor_pair] patches ~200 nodes of a damage cone per
    cofactor on s1; the per-node kernels allocate nothing, so what a call
    allocates is its two result arrays (2 (nf + 1) words) plus per-call
@@ -680,6 +751,8 @@ let () =
           q jobs_oracle_agreement_qcheck;
           q cofactor_matches_two_subsets_qcheck;
           q cofactor_affinity_qcheck;
+          q damage_cone_covers_changes_qcheck;
+          Alcotest.test_case "s1 obs cone total" `Quick test_s1_obs_cone_total;
           Alcotest.test_case "cop cofactor_pair allocation bounded" `Quick
             test_cop_cofactor_allocation;
           Alcotest.test_case "keyed plan cache" `Quick test_plan_cache_keyed;
