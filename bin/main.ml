@@ -1,7 +1,7 @@
 (* optprob — command-line front end.
 
    Subcommands: list, generate, simplify, analyze, optimize, simulate,
-   run, atpg, selftest, and the `obs` family
+   run, atpg, and the `obs` family
    (list/show/ingest/trend/baseline/diff/gc) over the persistent run
    registry and run artifacts.  Every compute subcommand is a thin layer
    over the Rt_pipeline stage graph: it builds one validated
@@ -111,7 +111,11 @@ let obs_end ?(cfg : Config.t option) ?convergence obs =
 
 let exits = Cmd.Exit.defaults
 
-let wrap f = try `Ok (f ()) with Failure msg -> `Error (false, msg)
+let wrap f =
+  try `Ok (f ()) with
+  | Failure msg -> `Error (false, msg)
+  | Rt_circuit.Bench_format.Parse_error { file; line; msg } ->
+    `Error (false, Printf.sprintf "%s:%d: %s" file line msg)
 
 (* --- list ----------------------------------------------------------------- *)
 
@@ -401,36 +405,6 @@ let atpg_cmd =
     (Cmd.info "atpg"
        ~doc:"Deterministic test generation (PODEM) — the section-5.2 baseline." ~exits)
     Term.(ret (const (fun c () -> wrap (run c)) $ Cli.circuit_arg $ const ()))
-
-(* --- selftest --------------------------------------------------------------- *)
-
-let selftest_cmd =
-  let patterns =
-    Arg.(value & opt int 4096 & info [ "patterns"; "n" ] ~docv:"N" ~doc:"Session length.")
-  in
-  let run circuit weights patterns () =
-    let weights_src =
-      match weights with None -> Config.Uniform | Some path -> Config.Weights_file path
-    in
-    let ctx = Pipeline.create (Config.exn (Config.of_source ~weights:weights_src circuit)) in
-    let c = Pipeline.circuit ctx in
-    let faults = Pipeline.fault_list ctx in
-    let x = Config.resolve_weights (Pipeline.config ctx) c in
-    let cfg =
-      { (Rt_bist.Selftest.default_config c ~weights:x) with Rt_bist.Selftest.n_patterns = patterns }
-    in
-    let oc = Rt_bist.Selftest.run c faults cfg in
-    Format.printf "golden signature: %016Lx@." oc.Rt_bist.Selftest.golden;
-    Format.printf "coverage:         %.2f%%@." (100.0 *. oc.Rt_bist.Selftest.coverage);
-    Format.printf "aliased:          %d@." oc.Rt_bist.Selftest.aliased
-  in
-  Cmd.v
-    (Cmd.info "selftest" ~doc:"BILBO-style self-test session with weighted LFSR and MISR."
-       ~exits)
-    Term.(
-      ret
-        (const (fun c w n () -> wrap (run c w n))
-        $ Cli.circuit_arg $ Cli.weights_arg $ patterns $ const ()))
 
 (* --- obs: the run-registry subcommand family --------------------------------- *)
 
@@ -819,6 +793,6 @@ let () =
   let group =
     Cmd.group info
       [ list_cmd; generate_cmd; simplify_cmd; analyze_cmd; optimize_cmd; simulate_cmd;
-        run_cmd; atpg_cmd; selftest_cmd; obs_cmd ]
+        run_cmd; atpg_cmd; obs_cmd ]
   in
   exit (Cmd.eval group)

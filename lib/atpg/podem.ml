@@ -197,8 +197,3 @@ let generate ?backtrack_limit c fault =
     (Test (Array.map (fun v -> match v with T.T -> true | T.F | T.X -> false) cube), stats)
   | `Redundant, stats -> (Redundant, stats)
   | `Aborted, stats -> (Aborted, stats)
-
-let test_cube ?backtrack_limit c fault =
-  match search ?backtrack_limit c fault with
-  | `Test cube, _ -> Some cube
-  | (`Redundant | `Aborted), _ -> None

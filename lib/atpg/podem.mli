@@ -26,11 +26,3 @@ val generate :
   Rt_fault.Fault.t ->
   verdict * stats
 (** [generate c f] with a default backtrack limit of 10_000. *)
-
-val test_cube :
-  ?backtrack_limit:int ->
-  Rt_circuit.Netlist.t ->
-  Rt_fault.Fault.t ->
-  Tristate.t array option
-(** The partial assignment (with don't-cares) of a successful search;
-    [None] when redundant or aborted. *)

@@ -96,31 +96,3 @@ let generate ?(backtrack_limit = 10_000) ?(random_patterns = 128) ?(seed = 1) ?(
     aborted = Array.of_list (List.rev !aborted);
     podem_calls = !podem_calls;
     seconds = Rt_util.Stats.timer_elapsed t0 }
-
-let prune_redundant ?backtrack_limit ?(sim_patterns = 4096) c faults =
-  (* Fault simulation under several distributions proves most faults
-     detectable cheaply; only the survivors need a PODEM verdict. *)
-  let detected = Array.make (Array.length faults) false in
-  if sim_patterns > 0 then begin
-    let n_inputs = Array.length (Netlist.inputs c) in
-    List.iter
-      (fun (seed, w) ->
-        let rng = Rt_util.Rng.create seed in
-        let source = Rt_sim.Pattern.weighted rng (Array.make n_inputs w) in
-        let sim = Rt_sim.Fault_sim.simulate ~drop:true c faults ~source ~n_patterns:sim_patterns in
-        Array.iteri
-          (fun i fd -> if fd >= 0 then detected.(i) <- true)
-          sim.Rt_sim.Fault_sim.first_detect)
-      [ (11, 0.5); (13, 0.9); (17, 0.1); (19, 0.7); (23, 0.3) ]
-  end;
-  let keep = ref [] and redundant = ref [] in
-  Array.iteri
-    (fun i f ->
-      if detected.(i) then keep := f :: !keep
-      else begin
-        match Podem.generate ?backtrack_limit c f with
-        | Podem.Redundant, _ -> redundant := f :: !redundant
-        | (Podem.Test _ | Podem.Aborted), _ -> keep := f :: !keep
-      end)
-    faults;
-  (Array.of_list (List.rev !keep), Array.of_list (List.rev !redundant))

@@ -24,15 +24,3 @@ val generate :
   result
 (** Defaults: backtrack limit 10_000, 128 random patterns, compaction
     on. *)
-
-val prune_redundant :
-  ?backtrack_limit:int ->
-  ?sim_patterns:int ->
-  Rt_circuit.Netlist.t ->
-  Rt_fault.Fault.t array ->
-  Rt_fault.Fault.t array * Rt_fault.Fault.t array
-(** [(detectable_or_aborted, proven_redundant)] — the paper reports fault
-    coverage "only with respect to those faults which are not proven to be
-    undetectable due to redundancy".  A multi-distribution fault simulation
-    of [sim_patterns] patterns (default 4096, 0 disables) pre-filters so
-    PODEM only runs on simulation-resistant faults. *)

@@ -6,7 +6,6 @@ type t =
 let of_bool b = if b then T else F
 let equal (a : t) (b : t) = a = b
 let is_known = function F | T -> true | X -> false
-let to_char = function F -> '0' | T -> '1' | X -> 'x'
 
 let and3 a b =
   match (a, b) with

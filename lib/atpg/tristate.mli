@@ -9,7 +9,6 @@ type t =
 val of_bool : bool -> t
 val equal : t -> t -> bool
 val is_known : t -> bool
-val to_char : t -> char
 
 val eval : Rt_circuit.Gate.kind -> t array -> t
 (** Gate evaluation with unknowns: a controlling value decides the output

@@ -225,7 +225,6 @@ let rec apply m op f g =
 let and_ m f g = apply m 0 f g
 let or_ m f g = apply m 1 f g
 let xor_ m f g = apply m 2 f g
-let xnor_ m f g = not_ m (xor_ m f g)
 
 let ite m c t e = or_ m (and_ m c t) (and_ m (not_ m c) e)
 

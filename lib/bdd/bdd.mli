@@ -34,7 +34,6 @@ val not_ : manager -> t -> t
 val and_ : manager -> t -> t -> t
 val or_ : manager -> t -> t -> t
 val xor_ : manager -> t -> t -> t
-val xnor_ : manager -> t -> t -> t
 val ite : manager -> t -> t -> t -> t
 
 val apply_kind : manager -> Rt_circuit.Gate.kind -> t array -> t

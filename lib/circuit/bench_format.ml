@@ -1,15 +1,16 @@
-exception Parse_error of int * string
+exception Parse_error of { file : string; line : int; msg : string }
 
 type raw_decl =
   | Rinput
   | Rgate of Gate.kind * string list
 
-let fail line msg = raise (Parse_error (line, msg))
+let fail file line msg = raise (Parse_error { file; line; msg })
 
 let strip s = String.trim s
 
 (* "g = NAND(a, b)" -> (g, NAND, [a;b]); "INPUT(g)" -> input decl. *)
-let parse_line lineno line =
+let parse_line ~file lineno line =
+  let fail line msg = fail file line msg in
   let line =
     match String.index_opt line '#' with
     | Some i -> String.sub line 0 i
@@ -41,6 +42,8 @@ let parse_line lineno line =
         | None -> fail lineno ("unknown gate type: " ^ head)
       in
       if kind = Gate.Input then fail lineno "INPUT cannot appear on the right-hand side";
+      if not (Gate.arity_ok kind (List.length args)) then
+        fail lineno (Printf.sprintf "%s cannot take %d fanin(s)" head (List.length args));
       Some (`Decl (lhs, Rgate (kind, args)))
     | None ->
       let head, args = parse_call line in
@@ -53,17 +56,18 @@ let parse_line lineno line =
        | _ -> fail lineno ("unknown directive: " ^ head))
   end
 
-let parse text =
+let parse ?(file = "-") text =
+  let fail line msg = fail file line msg in
   let lines = String.split_on_char '\n' text in
   let decls : (string, raw_decl * int) Hashtbl.t = Hashtbl.create 256 in
   let order : string list ref = ref [] in
-  let outputs : string list ref = ref [] in
+  let outputs : (string * int) list ref = ref [] in
   List.iteri
     (fun i line ->
       let lineno = i + 1 in
-      match parse_line lineno line with
+      match parse_line ~file lineno line with
       | None -> ()
-      | Some (`Output name) -> outputs := name :: !outputs
+      | Some (`Output name) -> outputs := (name, lineno) :: !outputs
       | Some (`Decl (name, d)) ->
         if Hashtbl.mem decls name then fail lineno ("duplicate declaration of " ^ name);
         Hashtbl.add decls name (d, lineno);
@@ -71,26 +75,27 @@ let parse text =
     lines;
   let order = List.rev !order in
   let outputs = List.rev !outputs in
-  (* Topological sort by DFS over fanin references. *)
+  (* Topological sort by DFS over fanin references; [lineno] is the line
+     of the declaration that reads [name]. *)
   let ids : (string, int) Hashtbl.t = Hashtbl.create 256 in
   let kinds = ref [] and fanins = ref [] and names = ref [] in
   let next_id = ref 0 in
   let visiting : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  let rec visit name =
+  let rec visit lineno name =
     match Hashtbl.find_opt ids name with
     | Some id -> id
     | None ->
-      if Hashtbl.mem visiting name then fail 0 ("combinational cycle through " ^ name);
-      Hashtbl.add visiting name ();
-      let decl =
+      let decl, line =
         match Hashtbl.find_opt decls name with
-        | Some (d, _) -> d
-        | None -> fail 0 ("undeclared signal: " ^ name)
+        | Some d -> d
+        | None -> fail lineno ("undeclared signal: " ^ name)
       in
+      if Hashtbl.mem visiting name then fail line ("combinational cycle through " ^ name);
+      Hashtbl.add visiting name ();
       let fanin_ids =
         match decl with
         | Rinput -> [||]
-        | Rgate (_, args) -> Array.of_list (List.map visit args)
+        | Rgate (_, args) -> Array.of_list (List.map (visit line) args)
       in
       Hashtbl.remove visiting name;
       let id = !next_id in
@@ -102,13 +107,13 @@ let parse text =
       names := name :: !names;
       id
   in
-  List.iter (fun name -> ignore (visit name)) order;
+  List.iter (fun name -> ignore (visit (snd (Hashtbl.find decls name)) name)) order;
   let output_list =
     List.map
-      (fun name ->
+      (fun (name, lineno) ->
         match Hashtbl.find_opt ids name with
         | Some id -> id
-        | None -> fail 0 ("OUTPUT references undeclared signal: " ^ name))
+        | None -> fail lineno ("OUTPUT references undeclared signal: " ^ name))
       outputs
   in
   Netlist.make
@@ -122,7 +127,7 @@ let load path =
   let len = in_channel_length ic in
   let text = really_input_string ic len in
   close_in ic;
-  parse text
+  parse ~file:path text
 
 let print ppf c =
   Format.fprintf ppf "# %d inputs, %d outputs, %d gates@." (Array.length (Netlist.inputs c))

@@ -5,11 +5,13 @@
     Declarations may appear in any order; the parser topologically sorts
     them.  Only combinational gate types are accepted (no [DFF]). *)
 
-exception Parse_error of int * string
-(** Line number (1-based) and message. *)
+exception Parse_error of { file : string; line : int; msg : string }
+(** The file, the 1-based line of the offending declaration and a
+    message. *)
 
-val parse : string -> Netlist.t
-(** Parse from the full file contents. *)
+val parse : ?file:string -> string -> Netlist.t
+(** Parse from the full file contents; [file] (default ["-"]) only names
+    the text in a {!Parse_error}. *)
 
 val load : string -> Netlist.t
 (** [load path] reads and parses a file. *)

@@ -151,7 +151,6 @@ let nor2 b x y = gate b Gate.Nor [ x; y ]
 let xnor2 b x y = gate b Gate.Xnor [ x; y ]
 let andn b xs = gate b Gate.And xs
 let orn b xs = gate b Gate.Or xs
-let xorn b xs = gate b Gate.Xor xs
 
 let mux b ~sel a0 a1 =
   match const_value b sel with

@@ -40,7 +40,6 @@ val nor2 : t -> Netlist.node -> Netlist.node -> Netlist.node
 val xnor2 : t -> Netlist.node -> Netlist.node -> Netlist.node
 val andn : t -> Netlist.node list -> Netlist.node
 val orn : t -> Netlist.node list -> Netlist.node
-val xorn : t -> Netlist.node list -> Netlist.node
 val mux : t -> sel:Netlist.node -> Netlist.node -> Netlist.node -> Netlist.node
 (** [mux b ~sel a0 a1] is [a0] when [sel = 0], [a1] when [sel = 1]. *)
 

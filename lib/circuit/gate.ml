@@ -11,8 +11,6 @@ type kind =
   | Xor
   | Xnor
 
-let equal_kind (a : kind) (b : kind) = a = b
-
 let to_string = function
   | Input -> "INPUT"
   | Const0 -> "CONST0"
@@ -110,12 +108,4 @@ let inverting = function
 let controlling_value = function
   | And | Nand -> Some false
   | Or | Nor -> Some true
-  | Input | Const0 | Const1 | Buf | Not | Xor | Xnor -> None
-
-let controlled_output k =
-  match k with
-  | And -> Some false
-  | Nand -> Some true
-  | Or -> Some true
-  | Nor -> Some false
   | Input | Const0 | Const1 | Buf | Not | Xor | Xnor -> None

@@ -20,7 +20,6 @@ type kind =
   | Xor
   | Xnor
 
-val equal_kind : kind -> kind -> bool
 val to_string : kind -> string
 
 val of_string : string -> kind option
@@ -51,6 +50,3 @@ val controlling_value : kind -> bool option
 (** The fanin value that forces the output regardless of other fanins:
     [Some false] for AND/NAND, [Some true] for OR/NOR, [None] for the
     rest. *)
-
-val controlled_output : kind -> bool option
-(** Output produced when some fanin is at the controlling value. *)

@@ -507,12 +507,6 @@ let paper_suite =
     ("c6288ish", fun () -> c6288ish ());
     ("c7552ish", c7552ish) ]
 
-let hard_suite =
-  [ ("s1", s1_comparator);
-    ("s2", fun () -> s2_divider ());
-    ("c2670ish", c2670ish);
-    ("c7552ish", c7552ish) ]
-
 let by_name name =
   match List.assoc_opt name paper_suite with
   | Some g -> Some g

@@ -134,9 +134,6 @@ val paper_suite : (string * (unit -> Netlist.t)) list
     c432ish, c499ish, c880ish, c1355ish, c1908ish, c2670ish, c3540ish,
     c5315ish, c6288ish, c7552ish. *)
 
-val hard_suite : (string * (unit -> Netlist.t)) list
-(** The starred circuits (random-resistant): s1, s2, c2670ish, c7552ish. *)
-
 val by_name : string -> (unit -> Netlist.t) option
 (** Lookup across [paper_suite] plus [antagonist]/[wide_and-N] and the
     parameterised widths [s2:W] and [c6288ish:W]. *)

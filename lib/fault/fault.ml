@@ -22,8 +22,6 @@ let source f c =
   | Stem n -> n
   | Branch (g, k) -> (Netlist.fanin c g).(k)
 
-let observation_gate f = match f.site with Stem _ -> None | Branch (g, _) -> Some g
-
 let universe c =
   let acc = ref [] in
   for n = Netlist.size c - 1 downto 0 do

@@ -22,9 +22,6 @@ val source : t -> Rt_circuit.Netlist.t -> Rt_circuit.Netlist.node
 (** The driving node of the faulted line (the node itself for a stem; the
     [k]-th fanin for a branch). *)
 
-val observation_gate : t -> Rt_circuit.Netlist.node option
-(** For a branch fault, the gate whose pin is faulted. *)
-
 val universe : Rt_circuit.Netlist.t -> t array
 (** Full uncollapsed universe, deterministically ordered. *)
 

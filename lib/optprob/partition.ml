@@ -22,47 +22,6 @@ let preference_vectors oracle ~hard x =
   done;
   vectors
 
-let cube_distance ?backtrack_limit c fa fb =
-  match
-    ( Rt_atpg.Podem.test_cube ?backtrack_limit c fa,
-      Rt_atpg.Podem.test_cube ?backtrack_limit c fb )
-  with
-  | Some ca, Some cb ->
-    let d = ref 0 in
-    Array.iteri
-      (fun i va ->
-        match (va, cb.(i)) with
-        | Rt_atpg.Tristate.T, Rt_atpg.Tristate.F | Rt_atpg.Tristate.F, Rt_atpg.Tristate.T ->
-          incr d
-        | (Rt_atpg.Tristate.T | Rt_atpg.Tristate.F | Rt_atpg.Tristate.X), _ -> ())
-      ca;
-    Some !d
-  | None, _ | _, None -> None
-
-let most_antagonistic_pair ?backtrack_limit c faults =
-  let n = Array.length faults in
-  let cubes = Array.map (fun f -> Rt_atpg.Podem.test_cube ?backtrack_limit c f) faults in
-  let best = ref None in
-  for a = 0 to n - 1 do
-    for b = a + 1 to n - 1 do
-      match (cubes.(a), cubes.(b)) with
-      | Some ca, Some cb ->
-        let d = ref 0 in
-        Array.iteri
-          (fun i va ->
-            match (va, cb.(i)) with
-            | Rt_atpg.Tristate.T, Rt_atpg.Tristate.F
-            | Rt_atpg.Tristate.F, Rt_atpg.Tristate.T -> incr d
-            | (Rt_atpg.Tristate.T | Rt_atpg.Tristate.F | Rt_atpg.Tristate.X), _ -> ())
-          ca;
-        (match !best with
-         | Some (_, _, bd) when bd >= !d -> ()
-         | Some _ | None -> best := Some (a, b, !d))
-      | None, _ | _, None -> ()
-    done
-  done;
-  !best
-
 let antagonism a b =
   let dot = ref 0.0 and na = ref 0.0 and nb = ref 0.0 in
   Array.iteri

@@ -11,7 +11,8 @@
     component [i] is [p_f(X,1|i) - p_f(X,0|i)] — how much raising input [i]
     helps detecting [f].  Antagonistic faults have strongly anti-correlated
     preference vectors; groups are seeded with the most antagonistic pair
-    and grown by similarity. *)
+    and grown by similarity.  The paper's own criterion, the Hamming
+    distance between the two faults' test sets, is not implemented. *)
 
 type split = {
   groups : int array array;  (** hard-fault indices per group *)
@@ -27,27 +28,6 @@ val preference_vectors :
 
 val antagonism : float array -> float array -> float
 (** Negative cosine similarity in [[-1, 1]]: 1 = perfectly antagonistic. *)
-
-val cube_distance :
-  ?backtrack_limit:int ->
-  Rt_circuit.Netlist.t ->
-  Rt_fault.Fault.t ->
-  Rt_fault.Fault.t ->
-  int option
-(** The paper's own §5.3 conflict criterion: "the Hamming distance between
-    the test sets of these both faults is very large".  Computes one PODEM
-    test cube per fault and counts the input positions where both cubes are
-    specified and disagree — a lower bound on the Hamming distance between
-    any pair of tests refining the cubes.  [None] if either fault has no
-    test (redundant or aborted search). *)
-
-val most_antagonistic_pair :
-  ?backtrack_limit:int ->
-  Rt_circuit.Netlist.t ->
-  Rt_fault.Fault.t array ->
-  (int * int * int) option
-(** Among the given (hard) faults, the pair with the largest
-    {!cube_distance}: [(index_a, index_b, distance)]. *)
 
 val split :
   ?options:Optimize.options ->

@@ -490,7 +490,7 @@ let x5_quantization_ablation ?(full = false) () =
     title = "cost of weight realisability on S1 (same optimum, coarser grids)";
     header = [ "grid"; "required N" ];
     rows;
-    notes = [ "the LFSR weighting network of Rt_bist realises the dyadic rows in hardware" ] }
+    notes = [ "the dyadic rows round to Optimize.Dyadic grids k/2^b, the weights a b-bit network realises" ] }
 
 let x6_jitter_ablation ?(full = false) () =
   set_full full;

@@ -61,7 +61,7 @@ val x4_engine_ablation : ?full:bool -> unit -> table
 
 val x5_quantization_ablation : ?full:bool -> unit -> table
 (** Appendix grid — cost of weight realisability: unquantised vs the 0.05
-    paper grid vs dyadic LFSR-network grids. *)
+    paper grid vs dyadic grids. *)
 
 val x6_jitter_ablation : ?full:bool -> unit -> table
 (** §3.1 multi-extremality in practice: starting the sweep exactly at the

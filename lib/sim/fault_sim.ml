@@ -213,27 +213,12 @@ let or_diff ws (good : Pattern.words) lanes n =
     done
   end
 
-(* The fanout-free regions and, when responses are kept, the output
-   differences of the current block's root flips. *)
-type regions = {
-  root : int array;  (* per node: the root of its region ([Cone.ffr_roots]) *)
-  n_out : int;  (* outputs whose flip differences [outs] keeps; 0 for none *)
-  outs : Pattern.words option array;
-      (* per root node: its flip's differences at the kept outputs, W
-         words each, allocated at its first flip; [||] when [n_out = 0] *)
-}
-
-let make_regions ~n_out c =
-  { root = Cone.ffr_roots c;
-    n_out;
-    outs = (if n_out > 0 then Array.make (Netlist.size c) None else [||]) }
-
 let site_of f = match f.Fault.site with Fault.Stem n -> n | Fault.Branch (g, _) -> g
 
 (* [ws.det] := the fault's valid-lane differences at its region's root:
    the fault is injected at its site and propagated no further than the
    root. *)
-let local_diff ws rg ~(good : Pattern.words) ~lanes fault =
+let local_diff ws ~root ~(good : Pattern.words) ~lanes fault =
   reset ws;
   let site =
     match fault.Fault.site with
@@ -245,10 +230,10 @@ let local_diff ws rg ~(good : Pattern.words) ~lanes fault =
       eval_gate ws good g ~pin:k;
       g
   in
-  let root = rg.root.(site) in
-  propagate ws ~good ~lanes ~stop:root site;
+  let r = root.(site) in
+  propagate ws ~good ~lanes ~stop:r site;
   BA1.fill ws.det 0L;
-  or_diff ws good lanes root
+  or_diff ws good lanes r
 
 (* [ws.det] := the valid lanes in which flipping root [r] (injecting the
    complement of its good row) changes some primary output. *)
@@ -285,11 +270,11 @@ let ppsfp_seq_below = 256
    is what lets [propagate_block] flip each root once, and successive
    flips propagate through overlapping gate ranges.  Stats are
    accumulated per fault index, so the schedule never affects results. *)
-let region_order rg c faults =
+let region_order ~root c faults =
   let size = Netlist.size c in
   let key fi =
     let s = site_of faults.(fi) in
-    (rg.root.(s) * size) + s
+    (root.(s) * size) + s
   in
   let order = Array.init (Array.length faults) Fun.id in
   Array.sort
@@ -305,16 +290,15 @@ let lanes_of_block blk =
 
 (* Fault [fi]'s difference at its root into its fault-indexed [table]
    row. *)
-let store_local ws rg ~(good : Pattern.words) ~lanes ~(table : Pattern.words) faults fi =
-  local_diff ws rg ~good ~lanes faults.(fi);
+let store_local ws ~root ~(good : Pattern.words) ~lanes ~(table : Pattern.words) faults fi =
+  local_diff ws ~root ~good ~lanes faults.(fi);
   for k = 0 to ws.w - 1 do
     BA1.unsafe_set table ((fi * ws.w) + k) (BA1.unsafe_get ws.det k)
   done
 
 (* Flip root [r] and mask with its observability the [table] rows of
-   live entries [first, stop), the faults of its region; when
-   [rg.n_out > 0], also keep its per-output differences in [rg.outs]. *)
-let flip_region ws rg ~(good : Pattern.words) ~lanes ~(table : Pattern.words) ~live ~first ~stop r =
+   live entries [first, stop), the faults of its region. *)
+let flip_region ws ~(good : Pattern.words) ~lanes ~(table : Pattern.words) ~live ~first ~stop r =
   let w = ws.w in
   flip_root ws ~good ~lanes r;
   for q = first to stop - 1 do
@@ -322,29 +306,7 @@ let flip_region ws rg ~(good : Pattern.words) ~lanes ~(table : Pattern.words) ~l
     for k = 0 to w - 1 do
       BA1.unsafe_set table (o + k) (Int64.logand (BA1.unsafe_get table (o + k)) (BA1.unsafe_get ws.det k))
     done
-  done;
-  if rg.n_out > 0 then begin
-    let outs =
-      match rg.outs.(r) with
-      | Some o -> o
-      | None ->
-        let o = row (rg.n_out * w) in
-        rg.outs.(r) <- Some o;
-        o
-    in
-    let outputs = Netlist.outputs ws.c in
-    for i = 0 to rg.n_out - 1 do
-      let o = outputs.(i) in
-      for k = 0 to w - 1 do
-        BA1.unsafe_set outs ((i * w) + k)
-          (if ws.dirty.(o) then
-             Int64.logand
-               (Int64.logxor (BA1.unsafe_get ws.fval ((o * w) + k)) (BA1.unsafe_get good ((o * w) + k)))
-               lanes.(k)
-           else 0L)
-      done
-    done
-  end
+  done
 
 (* One block's fault work for the first [todo] entries of [live], in two
    pool sweeps, leaving each fault's detection row in its [table] row.
@@ -357,16 +319,15 @@ let flip_region ws rg ~(good : Pattern.words) ~lanes ~(table : Pattern.words) ~l
    usually dies at the site.  Both sweeps write rows owned by one item
    (a fault, a region's first entry), so sharding is race-free and no
    row depends on scheduling. *)
-let propagate_block ~label ~root_label ~jobs ~wss ~rg ~good ~lanes ~(table : Pattern.words) ~live
-    ~todo faults =
-  Rt_util.Parallel.sweep ~label ~seq_below:ppsfp_seq_below ~jobs ~n:todo
+let propagate_block ~jobs ~wss ~root ~good ~lanes ~(table : Pattern.words) ~live ~todo faults =
+  Rt_util.Parallel.sweep ~label:"ppsfp" ~seq_below:ppsfp_seq_below ~jobs ~n:todo
     (fun ~worker ~lo ~hi ->
       let ws = wss.(worker) in
       for p = lo to hi - 1 do
-        store_local ws rg ~good ~lanes ~table faults live.(p)
+        store_local ws ~root ~good ~lanes ~table faults live.(p)
       done);
   let words = wss.(0).w in
-  let root_at p = rg.root.(site_of faults.(live.(p))) in
+  let root_at p = root.(site_of faults.(live.(p))) in
   let excited p =
     let o = live.(p) * words in
     let k = ref 0 in
@@ -375,7 +336,7 @@ let propagate_block ~label ~root_label ~jobs ~wss ~rg ~good ~lanes ~(table : Pat
     done;
     !k < words
   in
-  Rt_util.Parallel.sweep ~label:root_label ~seq_below:ppsfp_seq_below ~jobs ~n:todo
+  Rt_util.Parallel.sweep ~label:"ppsfp.roots" ~seq_below:ppsfp_seq_below ~jobs ~n:todo
     (fun ~worker ~lo ~hi ->
       for p = lo to hi - 1 do
         let r = root_at p in
@@ -390,7 +351,7 @@ let propagate_block ~label ~root_label ~jobs ~wss ~rg ~good ~lanes ~(table : Pat
           done;
           (* Rows before [first] are zero and stay so. *)
           if !first < !stop then
-            flip_region wss.(worker) rg ~good ~lanes ~table ~live ~first:!first ~stop:!stop r
+            flip_region wss.(worker) ~good ~lanes ~table ~live ~first:!first ~stop:!stop r
         end
       done)
 
@@ -402,10 +363,10 @@ let simulate ?jobs ?block_words ?(drop = true) c faults ~source ~n_patterns =
   let detect_count = Array.make nf 0 in
   let sim = Logic_sim.create_wide ~words c in
   let wss = Array.init jobs (fun _ -> make_ws ~words c) in
-  let rg = make_regions ~n_out:0 c in
+  let root = Cone.ffr_roots c in
   let blk = Pattern.make_block ~n_inputs:(Array.length (Netlist.inputs c)) ~words in
   let table = row (nf * words) in
-  let live = region_order rg c faults in
+  let live = region_order ~root c faults in
   let n_live = ref nf in
   let base = ref 0 in
   Rt_obs.with_span ~cat:"sim" "fault_sim" @@ fun () ->
@@ -415,8 +376,7 @@ let simulate ?jobs ?block_words ?(drop = true) c faults ~source ~n_patterns =
     let lanes = lanes_of_block blk in
     Logic_sim.run_wide sim blk;
     let good = Logic_sim.wide_values sim in
-    propagate_block ~label:"ppsfp" ~root_label:"ppsfp.roots" ~jobs ~wss ~rg ~good ~lanes ~table
-      ~live ~todo:!n_live faults;
+    propagate_block ~jobs ~wss ~root ~good ~lanes ~table ~live ~todo:!n_live faults;
     (* Serial word-by-word replay: within a word, detections are lane-
        parallel; between words, drops take effect, exactly as if each
        word had been its own batch. *)
@@ -460,84 +420,6 @@ let simulate ?jobs ?block_words ?(drop = true) c faults ~source ~n_patterns =
     base := !base + !processed
   done;
   { faults; first_detect; detect_count; patterns_run = !base }
-
-let simulate_with_responses ?jobs ?block_words ?(drop = false) c faults ~source ~n_patterns =
-  let jobs = Rt_util.Parallel.resolve_jobs jobs in
-  let words = Pattern.resolve_block_words block_words in
-  let nf = Array.length faults in
-  let first_detect = Array.make nf (-1) in
-  let detect_count = Array.make nf 0 in
-  let responses = Array.make nf [] in
-  let sim = Logic_sim.create_wide ~words c in
-  let wss = Array.init jobs (fun _ -> make_ws ~words c) in
-  (* A fault's output differences in a lane where it is detected are its
-     root flip's, so the per-output rows are kept per flipped root, not
-     per fault. *)
-  let n_out = min 64 (Array.length (Netlist.outputs c)) in
-  let rg = make_regions ~n_out c in
-  let blk = Pattern.make_block ~n_inputs:(Array.length (Netlist.inputs c)) ~words in
-  let table = row (nf * words) in
-  let live = region_order rg c faults in
-  let n_live = ref nf in
-  let base = ref 0 in
-  Rt_obs.with_span ~cat:"sim" "fault_sim.responses" @@ fun () ->
-  while !base < n_patterns && (!n_live > 0 || not drop) do
-    Pattern.fill_block source blk ~needed:(n_patterns - !base);
-    let lanes = lanes_of_block blk in
-    Logic_sim.run_wide sim blk;
-    let good = Logic_sim.wide_values sim in
-    propagate_block ~label:"ppsfp.responses" ~root_label:"ppsfp.responses.roots" ~jobs ~wss ~rg
-      ~good ~lanes ~table ~live ~todo:!n_live faults;
-    let n0 = !n_live in
-    let alive = ref n0 in
-    let processed = ref 0 in
-    let w = ref 0 in
-    while !w < blk.Pattern.filled && (!alive > 0 || not drop) do
-      let cnt = blk.Pattern.counts.(!w) in
-      for p = 0 to n0 - 1 do
-        let fi = live.(p) in
-        if not (drop && first_detect.(fi) >= 0) then begin
-          let d = BA1.unsafe_get table ((fi * words) + !w) in
-          if not (Int64.equal d 0L) then begin
-            if first_detect.(fi) < 0 then
-              first_detect.(fi) <- !base + !processed + Bits.ctz d;
-            detect_count.(fi) <- detect_count.(fi) + Bits.popcount d;
-            (* Detected, so the root was flipped in this block. *)
-            let outs = Option.get rg.outs.(rg.root.(site_of faults.(fi))) in
-            for lane = 0 to cnt - 1 do
-              if Int64.logand (Int64.shift_right_logical d lane) 1L <> 0L then begin
-                let dw = ref 0L in
-                for k = 0 to n_out - 1 do
-                  let o = BA1.unsafe_get outs ((k * words) + !w) in
-                  if Int64.logand (Int64.shift_right_logical o lane) 1L <> 0L then
-                    dw := Int64.logor !dw (Int64.shift_left 1L k)
-                done;
-                responses.(fi) <- (!base + !processed + lane, !dw) :: responses.(fi)
-              end
-            done;
-            if drop then decr alive
-          end
-        end
-      done;
-      processed := !processed + cnt;
-      incr w
-    done;
-    if drop then begin
-      let k = ref 0 in
-      for p = 0 to n0 - 1 do
-        let fi = live.(p) in
-        if first_detect.(fi) < 0 then begin
-          live.(!k) <- fi;
-          incr k
-        end
-      done;
-      n_live := !k
-    end;
-    Rt_obs.gauge_set g_live (Float.of_int !n_live);
-    base := !base + !processed
-  done;
-  let responses = Array.map List.rev responses in
-  ({ faults; first_detect; detect_count; patterns_run = !base }, responses)
 
 let detects c f pattern =
   let good = Netlist.eval c pattern in

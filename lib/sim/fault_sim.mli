@@ -50,28 +50,6 @@ val simulate :
     simulating, so when dropping empties the live set mid-block up to
     [W - 1] already-pulled source batches go unused. *)
 
-val simulate_with_responses :
-  ?jobs:int ->
-  ?block_words:int ->
-  ?drop:bool ->
-  Rt_circuit.Netlist.t ->
-  Rt_fault.Fault.t array ->
-  source:Pattern.source ->
-  n_patterns:int ->
-  stats * (int * int64) list array
-(** Like [simulate ~drop:false] but additionally returns, per fault, the
-    sparse response-difference stream: [(pattern_index, diff_word)] pairs
-    (ascending) where bit [k] of [diff_word] says primary output [k]
-    (among the first 64) differed.  Signature analysis is linear, so this
-    stream is exactly what a MISR needs to decide aliasing.
-
-    [drop] (default false, preserving the full response stream) enables
-    the same live-set handling as {!simulate}: a detected fault is no
-    longer simulated, so its response stream ends at its first detecting
-    word and the run stops early once every fault is detected.  With
-    [~drop:true] the returned [stats] equal [simulate ~drop:true]'s
-    bit-for-bit; [jobs]/[block_words] behave as in {!simulate}. *)
-
 val detects :
   Rt_circuit.Netlist.t -> Rt_fault.Fault.t -> bool array -> bool
 (** [detects c f pattern]: single-pattern check (reference semantics used by

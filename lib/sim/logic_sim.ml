@@ -81,9 +81,6 @@ let create_wide ?words c =
   BA1.fill wvals 0L;
   { wc = c; ww; wvals }
 
-let wide_circuit t = t.wc
-let wide_words t = t.ww
-
 let run_wide t blk =
   let c = t.wc in
   if blk.Pattern.width <> Array.length (Netlist.inputs c) then
@@ -167,4 +164,3 @@ let run_wide t blk =
 
 let wide_values t = t.wvals
 let wide_value t n k = BA1.get t.wvals ((n * t.ww) + k)
-let wide_output_word t o k = wide_value t (Netlist.outputs t.wc).(o) k

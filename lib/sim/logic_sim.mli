@@ -35,12 +35,9 @@ type wide
 val create_wide : ?words:int -> Rt_circuit.Netlist.t -> wide
 (** [words] as per {!Pattern.resolve_block_words}. *)
 
-val wide_circuit : wide -> Rt_circuit.Netlist.t
-val wide_words : wide -> int
-
 val run_wide : wide -> Pattern.block -> unit
 (** Evaluate every node for the block (the block's word count must equal
-    [wide_words]; lanes beyond each word's count hold garbage — mask with
+    the workspace's [words]; lanes beyond each word's count hold garbage — mask with
     {!Pattern.word_mask}). *)
 
 val wide_values : wide -> Pattern.words
@@ -49,6 +46,3 @@ val wide_values : wide -> Pattern.words
 
 val wide_value : wide -> Rt_circuit.Netlist.node -> int -> int64
 (** [wide_value t n k] is node [n]'s lane word [k]. *)
-
-val wide_output_word : wide -> int -> int -> int64
-(** [wide_output_word t o k] is primary output [o]'s lane word [k]. *)

@@ -47,10 +47,6 @@ let equiprobable rng ~n_inputs =
   let w = Array.make n_inputs 0.5 in
   weighted rng w
 
-let constant_weight rng ~n_inputs p =
-  let w = Array.make n_inputs p in
-  weighted rng w
-
 (* Wide blocks: W words of up to 64 patterns each, Bigarray-backed so the
    whole block is one flat unboxed buffer (input-major — input [i]'s W
    words are contiguous, matching the per-input fill and the wide sim's

@@ -29,9 +29,6 @@ val weighted : Rt_util.Rng.t -> float array -> source
 (** The paper's optimized random test: input [i] is 1 with probability
     [w.(i)]. *)
 
-val constant_weight : Rt_util.Rng.t -> n_inputs:int -> float -> source
-(** All inputs share one probability (Lieberherr's parameterised tests). *)
-
 val take : source -> int -> batch list
 (** [take src n] is batches holding exactly [n] patterns in total. *)
 

@@ -74,11 +74,6 @@ let int t n =
     draw ()
   end
 
-let bernoulli t p =
-  if p <= 0.0 then false
-  else if p >= 1.0 then true
-  else float t < p
-
 (* Bit-sliced biased word.  Round p to 30 bits, p ~ 0.b1 b2 ... b30 (b1
    the most significant; clamped to [2^-30, 1 - 2^-30]), and fold fair
    words w from the least significant bit b30 up to b1, starting from

@@ -33,9 +33,6 @@ val float : t -> float
 val bool : t -> bool
 (** [bool t] is a fair coin. *)
 
-val bernoulli : t -> float -> bool
-(** [bernoulli t p] is [true] with probability [p]. *)
-
 val biased_word : t -> float -> int64
 (** [biased_word t p] is a 64-bit word whose bits are independent Bernoulli(p)
     draws.  Implemented by comparing 64 uniform draws against [p] would cost

@@ -11,8 +11,6 @@ let variance a =
     s /. Float.of_int (n - 1)
   end
 
-let stddev a = sqrt (variance a)
-
 let quantile q a =
   let n = Array.length a in
   if n = 0 then invalid_arg "Stats.quantile: empty array";

@@ -6,8 +6,6 @@ val mean : float array -> float
 val variance : float array -> float
 (** Unbiased sample variance; 0 when fewer than two samples. *)
 
-val stddev : float array -> float
-
 val quantile : float -> float array -> float
 (** [quantile q a] with [q] in [0,1]; linear interpolation on the sorted
     copy of [a].  Raises [Invalid_argument] on an empty array. *)

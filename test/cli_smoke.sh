@@ -13,8 +13,10 @@
 #      exactly one record and no temporary artifact directory;
 #   5. `atpg` on a .bench file succeeds;
 #   6. removed flags (`--trace FILE` and the live-telemetry pair
-#      `--obs-{listen,sample-ms} N`) and the removed `tables` subcommand are
-#      usage errors.
+#      `--obs-{listen,sample-ms} N`) and the removed `tables` and `selftest`
+#      subcommands are usage errors;
+#   7. a malformed .bench file (undeclared signal, cycle, duplicate, wrong
+#      arity) exits 124 with a FILE:LINE: message.
 #
 # Usage: cli_smoke.sh OPTPROB C17_BENCH   (run by `dune runtest`)
 set -eu
@@ -96,8 +98,22 @@ rejected --trace "$dir/x.json"
 for flag in listen:0 sample-ms:5; do
   rejected "--obs-${flag%%:*}" "${flag#*:}"
 done
-rc=0
-"$optprob" tables >/dev/null 2>&1 || rc=$?
-[ "$rc" -eq 124 ] || fail "the removed tables subcommand exited $rc, not 124"
+for sub in tables selftest; do
+  rc=0
+  "$optprob" "$sub" >/dev/null 2>&1 || rc=$?
+  [ "$rc" -eq 124 ] || fail "the removed $sub subcommand exited $rc, not 124"
+done
+
+# Each file's defect is on line 3.
+for bad in 'b = AND(a, c)' 'b = AND(b, a)' 'INPUT(a)' 'b = NOT(a, a)'; do
+  f="$dir/bad.bench"
+  printf 'INPUT(a)\nOUTPUT(b)\n%s\n' "$bad" >"$f"
+  rc=0
+  "$optprob" generate "$f" >/dev/null 2>"$dir/bad.err" || rc=$?
+  if [ "$rc" -ne 124 ] || ! grep -q "$f:3: " "$dir/bad.err"; then
+    cat "$dir/bad.err" >&2
+    fail "malformed .bench line '$bad' did not exit 124 with $f:3: (exit $rc)"
+  fi
+done
 
 rm -rf "$dir"

@@ -128,12 +128,12 @@ let test_podem_cube () =
            | Rt_fault.Fault.Stem n -> (not f.Rt_fault.Fault.stuck) && Netlist.is_output c n
            | Rt_fault.Fault.Branch _ -> false)
   in
-  match Podem.test_cube c f with
-  | None -> Alcotest.fail "testable fault"
-  | Some cube ->
-    Array.iter
-      (fun v -> if v <> T.T then Alcotest.fail "cube must be all ones")
-      (Array.sub cube 0 6)
+  match Podem.generate c f with
+  | (Podem.Redundant | Podem.Aborted), _ -> Alcotest.fail "testable fault"
+  | Podem.Test t, _ ->
+    (* Unassigned cube positions become 0, so an all-ones test means the
+       cube itself is all ones. *)
+    Array.iter (fun v -> if not v then Alcotest.fail "cube must be all ones") (Array.sub t 0 6)
 
 let test_podem_aborts_on_limit () =
   let c = Generators.s2_divider ~width:8 () in
@@ -179,26 +179,6 @@ let test_tpg_compaction_no_loss () =
   check Alcotest.bool "compaction does not grow the set" true
     (Array.length compact.Tpg.tests <= Array.length full.Tpg.tests)
 
-let test_prune_redundant () =
-  let c = Generators.s2_divider ~width:6 () in
-  let faults = Rt_fault.Collapse.collapsed_universe c in
-  let kept, redundant = Tpg.prune_redundant ~backtrack_limit:5_000 c faults in
-  check Alcotest.int "partition of the universe" (Array.length faults)
-    (Array.length kept + Array.length redundant);
-  check Alcotest.bool "divider has redundancy" true (Array.length redundant > 0);
-  (* Spot check: each proven-redundant fault is indeed undetectable per BDD. *)
-  Array.iteri
-    (fun i f ->
-      if i mod 5 = 0 then begin
-        let inj = Rt_testability.Detect.injection f in
-        match Rt_bdd.Bdd_circuit.detection_function c inj with
-        | None -> ()
-        | Some (_, det, _) ->
-          if not (Rt_bdd.Bdd.is_zero det) then
-            Alcotest.failf "%s wrongly proven redundant" (Rt_fault.Fault.to_string c f)
-      end)
-    redundant
-
 let () =
   let q = QCheck_alcotest.to_alcotest ~long:false in
   Alcotest.run "rt_atpg"
@@ -216,5 +196,4 @@ let () =
           Alcotest.test_case "abort at limit" `Quick test_podem_aborts_on_limit ] );
       ( "tpg",
         [ Alcotest.test_case "covers s1" `Quick test_tpg_covers_s1;
-          Alcotest.test_case "compaction lossless" `Quick test_tpg_compaction_no_loss;
-          Alcotest.test_case "prune redundant" `Quick test_prune_redundant ] ) ]
+          Alcotest.test_case "compaction lossless" `Quick test_tpg_compaction_no_loss ] ) ]

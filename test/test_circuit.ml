@@ -193,13 +193,27 @@ let test_bench_parse_errors () =
   let expect_error text =
     match Bench.parse text with
     | exception Bench.Parse_error _ -> ()
-    | exception Invalid_argument _ -> ()
     | _ -> Alcotest.fail "expected parse error"
   in
   expect_error "g = FROB(a)\nINPUT(a)\n";
   expect_error "INPUT(a)\ng = AND(a, undeclared)\nOUTPUT(g)\n";
   expect_error "INPUT(a)\na = AND(a, a)\n";
   expect_error "g = AND(h)\nh = AND(g)\n"
+
+let test_bench_error_lines () =
+  (* Each one-line defect is reported at the line that holds it. *)
+  List.iter
+    (fun (what, text, line) ->
+      match Bench.parse ~file:"t.bench" text with
+      | exception Bench.Parse_error { file; line = l; _ } ->
+        check Alcotest.string (what ^ " file") "t.bench" file;
+        check Alcotest.int (what ^ " line") line l
+      | _ -> Alcotest.failf "%s: expected a parse error" what)
+    [ ("undeclared", "INPUT(a)\nOUTPUT(b)\nb = AND(a, c)\n", 3);
+      ("cycle", "INPUT(a)\nOUTPUT(b)\nb = AND(b, a)\n", 3);
+      ("duplicate", "INPUT(a)\nINPUT(a)\nOUTPUT(a)\n", 2);
+      ("arity", "INPUT(a)\nOUTPUT(b)\nb = NOT(a, a)\n", 3);
+      ("undeclared output", "INPUT(a)\nOUTPUT(z)\nb = NOT(a)\n", 2) ]
 
 let test_bench_out_of_order () =
   (* Declarations in any order must parse. *)
@@ -468,6 +482,7 @@ let () =
       ( "bench-format",
         [ Alcotest.test_case "roundtrip semantics" `Quick test_bench_roundtrip_semantics;
           Alcotest.test_case "parse errors" `Quick test_bench_parse_errors;
+          Alcotest.test_case "error lines" `Quick test_bench_error_lines;
           Alcotest.test_case "out of order decls" `Quick test_bench_out_of_order;
           Alcotest.test_case "comments and blanks" `Quick test_bench_comments_and_blanks ] );
       ( "cone",

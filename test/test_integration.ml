@@ -1,5 +1,5 @@
 (* End-to-end integration tests: the full pipeline
-   generate -> collapse -> analyse -> optimize -> simulate -> selftest,
+   generate -> collapse -> analyse -> optimize -> simulate,
    on circuits small enough to run in seconds, with the central claims of
    the paper asserted quantitatively. *)
 
@@ -71,8 +71,8 @@ let test_bench_roundtrip_then_optimize () =
   check Alcotest.bool "finite result" true (Float.is_finite report.Optimize.n_final)
 
 let test_weighted_selftest_end_to_end () =
-  (* optimize -> quantise to hardware grid -> LFSR + weighting + MISR run
-     beats the unweighted session. *)
+  (* optimize -> quantise to the 4-bit dyadic grid -> a weighted random
+     session beats the unweighted one. *)
   let c = hard_circuit () in
   let faults = Rt_fault.Collapse.collapsed_universe c in
   let oracle = Detect.make (Detect.Bdd_exact { node_limit = 500_000 }) c faults in
@@ -80,16 +80,11 @@ let test_weighted_selftest_end_to_end () =
     { Optimize.default_options with Optimize.quantize = Optimize.Dyadic 4 }
   in
   let report = Optimize.run ~options oracle in
-  let session weights =
-    let cfg =
-      { (Rt_bist.Selftest.default_config c ~weights) with Rt_bist.Selftest.n_patterns = 2048 }
-    in
-    (Rt_bist.Selftest.run c faults cfg).Rt_bist.Selftest.coverage
-  in
+  let session weights = coverage c faults weights ~n_patterns:2048 ~seed:11 in
   let conv = session (Array.make 26 0.5) in
   let opt = session report.Optimize.weights in
-  check Alcotest.bool "weighted BIST wins" true (opt > conv +. 0.05);
-  check Alcotest.bool "weighted BIST near complete" true (opt > 0.98)
+  check Alcotest.bool "weighted session wins" true (opt > conv +. 0.05);
+  check Alcotest.bool "weighted session near complete" true (opt > 0.98)
 
 let test_atpg_agrees_with_optimized_random () =
   (* Deterministic TPG and a long optimized random test must reach the

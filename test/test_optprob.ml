@@ -1,13 +1,12 @@
 (* Tests for the core optimizer: the objective and its derivatives,
-   NORMALIZE's bounds, MINIMIZE's convex search, the OPTIMIZE loop, the
-   section-5.3 partitioning, and the baselines. *)
+   NORMALIZE's bounds, MINIMIZE's convex search, the OPTIMIZE loop and the
+   section-5.3 partitioning. *)
 
 module Objective = Rt_optprob.Objective
 module Normalize = Rt_optprob.Normalize
 module Minimize = Rt_optprob.Minimize
 module Optimize = Rt_optprob.Optimize
 module Partition = Rt_optprob.Partition
-module Baselines = Rt_optprob.Baselines
 module Detect = Rt_testability.Detect
 module Generators = Rt_circuit.Generators
 
@@ -340,7 +339,7 @@ let test_minimize_length_mismatch () =
   Alcotest.check_raises "longer p1" expect (fun () ->
       ignore (Minimize.newton ~n:100.0 ~p0:[| 0.1 |] ~p1:[| 0.3; 0.2 |] 0.5))
 
-(* --- Optimize / Partition / Baselines ---------------------------------------------- *)
+(* --- Optimize / Partition ---------------------------------------------------------- *)
 
 let test_optimize_improves_wide_and () =
   let c = Generators.wide_and 12 in
@@ -475,47 +474,11 @@ let test_partition_antagonist () =
   let w0 = sp.Partition.weights.(0).(0) and w1 = sp.Partition.weights.(1).(0) in
   check Alcotest.bool "opposite extremes" true ((w0 > 0.7 && w1 < 0.3) || (w0 < 0.3 && w1 > 0.7))
 
-let test_cube_distance () =
-  (* On the antagonist circuit, the AND-output s-a-0 needs all ones and
-     the NOR-output s-a-0 needs all zeros: distance = k. *)
-  let k = 8 in
-  let c = Generators.antagonist ~k () in
-  let faults = Rt_fault.Fault.universe c in
-  let find name stuck =
-    Array.to_list faults
-    |> List.find (fun f ->
-           match f.Rt_fault.Fault.site with
-           | Rt_fault.Fault.Stem n ->
-             Rt_circuit.Netlist.name c n = name && f.Rt_fault.Fault.stuck = stuck
-           | Rt_fault.Fault.Branch _ -> false)
-  in
-  let f_and = find "all_ones" false in
-  let f_nor = find "all_zeros" false in
-  (match Partition.cube_distance c f_and f_nor with
-   | Some d -> check Alcotest.int "maximal hamming distance" k d
-   | None -> Alcotest.fail "both faults are testable");
-  (* The pair search must single these two out among the hard faults. *)
-  (match Partition.most_antagonistic_pair c [| f_and; f_nor |] with
-   | Some (0, 1, d) -> check Alcotest.int "pair distance" k d
-   | Some _ | None -> Alcotest.fail "expected the (0,1) pair")
-
 let test_antagonism_measure () =
   let v = [| 1.0; -2.0; 0.5 |] in
   let neg = Array.map (fun x -> -.x) v in
   check (Alcotest.float 1e-9) "self" (-1.0) (Partition.antagonism v v);
   check (Alcotest.float 1e-9) "negated" 1.0 (Partition.antagonism v neg)
-
-let test_baselines_ordering () =
-  (* On the wide AND: lieberherr nearly matches full optimization, both
-     beat equiprobable. *)
-  let c = Generators.wide_and 10 in
-  let faults = Rt_fault.Collapse.collapsed_universe c in
-  let oracle = Detect.make (Detect.Bdd_exact { node_limit = 100_000 }) c faults in
-  let n_eq = Baselines.equiprobable oracle ~confidence:0.95 in
-  let _, n_lieb = Baselines.lieberherr oracle ~confidence:0.95 in
-  check Alcotest.bool "lieberherr beats equiprobable here" true (n_lieb < n_eq /. 10.0);
-  let w = Baselines.max_output_entropy c in
-  check Alcotest.int "entropy weight width" 10 (Array.length w)
 
 let () =
   let q = QCheck_alcotest.to_alcotest ~long:false in
@@ -554,6 +517,4 @@ let () =
           Alcotest.test_case "pinned split" `Quick test_two_stage_pinned_split ] );
       ( "partition",
         [ Alcotest.test_case "antagonist" `Quick test_partition_antagonist;
-          Alcotest.test_case "antagonism measure" `Quick test_antagonism_measure;
-          Alcotest.test_case "cube distance (paper's criterion)" `Quick test_cube_distance ] );
-      ("baselines", [ Alcotest.test_case "ordering" `Quick test_baselines_ordering ]) ]
+          Alcotest.test_case "antagonism measure" `Quick test_antagonism_measure ] ) ]

@@ -1,7 +1,6 @@
 (* Tests for Rt_sim: pattern batches/sources, the 64-way logic simulator,
-   PPSFP fault simulation against the single-pattern reference, coverage
-   accounting, and the response-difference stream used by signature
-   analysis. *)
+   PPSFP fault simulation against the single-pattern reference, and
+   coverage accounting. *)
 
 module Pattern = Rt_sim.Pattern
 module Logic_sim = Rt_sim.Logic_sim
@@ -196,35 +195,6 @@ let test_coverage_monotone () =
     (Array.length (Fault_sim.undetected stats)
     + Array.fold_left (fun a fd -> if fd >= 0 then a + 1 else a) 0 stats.Fault_sim.first_detect)
 
-let responses_qcheck =
-  QCheck.Test.make ~name:"response stream consistent with detection" ~count:10
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      let c = Generators.random_circuit ~inputs:7 ~gates:30 ~seed in
-      let faults = Rt_fault.Collapse.collapsed_universe c in
-      let mk_source () =
-        let rng = Rt_util.Rng.create 42 in
-        Pattern.equiprobable rng ~n_inputs:7
-      in
-      let stats, responses =
-        Fault_sim.simulate_with_responses c faults ~source:(mk_source ()) ~n_patterns:128
-      in
-      let plain = Fault_sim.simulate ~drop:false c faults ~source:(mk_source ()) ~n_patterns:128 in
-      let ok = ref true in
-      Array.iteri
-        (fun fi diffs ->
-          (* diff count equals detect count; every diff word nonzero;
-             indices ascending; first index equals first_detect. *)
-          if List.length diffs <> plain.Fault_sim.detect_count.(fi) then ok := false;
-          if List.exists (fun (_, d) -> Int64.equal d 0L) diffs then ok := false;
-          let idxs = List.map fst diffs in
-          if List.sort compare idxs <> idxs then ok := false;
-          (match idxs with
-           | [] -> if stats.Fault_sim.first_detect.(fi) >= 0 then ok := false
-           | first :: _ -> if first <> stats.Fault_sim.first_detect.(fi) then ok := false))
-        responses;
-      !ok)
-
 (* [Generators.random_circuit] emits only AND/OR/NAND/NOR/XOR/NOT, so
    this builds its own netlists: every non-input kind appears (the n-ary
    ones first with a single fanin, then at random arities 1..4, repeated
@@ -294,11 +264,10 @@ let faulty_values c f pattern =
   done;
   bad
 
-(* Whether [simulate] and [simulate_with_responses], with and without
-   dropping, at several (jobs, block_words), reproduce the single-pattern
-   reference on [vectors]: first detections, detection counts and each
-   response-difference stream.  [Fault_sim.detects] must agree with the
-   reference's output comparison on every pattern. *)
+(* Whether [simulate], with and without dropping, at several (jobs,
+   block_words), reproduces the single-pattern reference on [vectors]:
+   first detections and detection counts.  [Fault_sim.detects] must agree
+   with the reference's output comparison on every pattern. *)
 let agrees_with_reference c faults vectors =
   let n_patterns = Array.length vectors in
   let outputs = Netlist.outputs c in
@@ -308,16 +277,11 @@ let agrees_with_reference c faults vectors =
         Array.map
           (fun v ->
             let good = Netlist.eval c v and bad = faulty_values c f v in
-            let dw = ref 0L in
-            Array.iteri
-              (fun k o ->
-                if k < 64 && good.(o) <> bad.(o) then dw := Int64.logor !dw (Int64.shift_left 1L k))
-              outputs;
             let hit = Array.exists (fun o -> good.(o) <> bad.(o)) outputs in
             if hit <> Fault_sim.detects c f v then
               Alcotest.failf "detects disagrees with the faulty evaluation of %s"
                 (Fault.to_string c f);
-            (hit, !dw))
+            hit)
           vectors)
       faults
   in
@@ -331,39 +295,29 @@ let agrees_with_reference c faults vectors =
         b
   in
   let first fi =
-    let rec go i = if i = n_patterns then -1 else if fst reference.(fi).(i) then i else go (i + 1) in
+    let rec go i = if i = n_patterns then -1 else if reference.(fi).(i) then i else go (i + 1) in
     go 0
   in
   (* With dropping, a fault is counted through the 64-pattern word that
      first detects it. *)
   let expected ~drop fi =
     let fd = first fi in
-    let stream = ref [] in
+    let count = ref 0 in
     Array.iteri
-      (fun i (hit, dw) ->
-        if hit && ((not drop) || i / 64 = fd / 64) then stream := (i, dw) :: !stream)
+      (fun i hit -> if hit && ((not drop) || i / 64 = fd / 64) then incr count)
       reference.(fi);
-    (fd, List.rev !stream)
+    (fd, !count)
   in
   List.for_all
     (fun (jobs, block_words) ->
       List.for_all
         (fun drop ->
           let s = Fault_sim.simulate ~jobs ~block_words ~drop c faults ~source:(source ()) ~n_patterns in
-          let rs, resp =
-            Fault_sim.simulate_with_responses ~jobs ~block_words ~drop c faults
-              ~source:(source ()) ~n_patterns
-          in
           Array.for_all Fun.id
             (Array.mapi
                (fun fi _ ->
-                 let fd, stream = expected ~drop fi in
-                 let count = List.length stream in
-                 s.Fault_sim.first_detect.(fi) = fd
-                 && rs.Fault_sim.first_detect.(fi) = fd
-                 && s.Fault_sim.detect_count.(fi) = count
-                 && rs.Fault_sim.detect_count.(fi) = count
-                 && resp.(fi) = stream)
+                 let fd, count = expected ~drop fi in
+                 s.Fault_sim.first_detect.(fi) = fd && s.Fault_sim.detect_count.(fi) = count)
                faults))
         [ false; true ])
     [ (1, 1); (1, 4); (2, 4) ]
@@ -459,22 +413,6 @@ let test_jobs_bit_identical () =
         s4.Fault_sim.patterns_run)
     [ true; false ]
 
-let test_jobs_responses_identical () =
-  let c = Generators.c880ish () in
-  let faults = Rt_fault.Collapse.collapsed_universe c in
-  let n_inputs = Array.length (Netlist.inputs c) in
-  let mk () =
-    let rng = Rt_util.Rng.create 23 in
-    Pattern.equiprobable rng ~n_inputs
-  in
-  let st1, r1 = Fault_sim.simulate_with_responses ~jobs:1 c faults ~source:(mk ()) ~n_patterns:128 in
-  let st4, r4 = Fault_sim.simulate_with_responses ~jobs:4 c faults ~source:(mk ()) ~n_patterns:128 in
-  check (Alcotest.array Alcotest.int) "first_detect" st1.Fault_sim.first_detect
-    st4.Fault_sim.first_detect;
-  check (Alcotest.array Alcotest.int) "detect_count" st1.Fault_sim.detect_count
-    st4.Fault_sim.detect_count;
-  if r1 <> r4 then Alcotest.fail "response-difference streams differ across jobs"
-
 (* The acceptance property of the wide datapath: for every (jobs,
    block_words) combination the stats replay to the same bits as the
    one-word serial path — including patterns_run, whose early-exit
@@ -504,84 +442,6 @@ let jobs_words_identity_qcheck =
                 [ 1; 4; 8 ])
             [ 1; 2; 4 ])
         [ true; false ])
-
-let responses_jobs_words_identity_qcheck =
-  QCheck.Test.make ~name:"responses bit-identical across jobs x block-words" ~count:4
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      let c = Generators.random_circuit ~inputs:7 ~gates:40 ~seed in
-      let faults = Rt_fault.Collapse.collapsed_universe c in
-      let run ~jobs ~block_words ~drop =
-        let rng = Rt_util.Rng.create (seed + 3) in
-        let source = Pattern.equiprobable rng ~n_inputs:7 in
-        Fault_sim.simulate_with_responses ~jobs ~block_words ~drop c faults ~source
-          ~n_patterns:200
-      in
-      List.for_all
-        (fun drop ->
-          let ref_stats, ref_resp = run ~jobs:1 ~block_words:1 ~drop in
-          List.for_all
-            (fun jobs ->
-              List.for_all
-                (fun block_words ->
-                  let s, r = run ~jobs ~block_words ~drop in
-                  s.Fault_sim.first_detect = ref_stats.Fault_sim.first_detect
-                  && s.Fault_sim.detect_count = ref_stats.Fault_sim.detect_count
-                  && s.Fault_sim.patterns_run = ref_stats.Fault_sim.patterns_run
-                  && r = ref_resp)
-                [ 1; 4; 8 ])
-            [ 1; 2; 4 ])
-        [ false; true ])
-
-let test_responses_drop_matches_simulate () =
-  (* The flag-gated live-set handling: with ~drop:true the response run's
-     stats must equal simulate ~drop:true bit for bit, and each response
-     stream must be the prefix of the full stream ending with its first
-     detecting word. *)
-  let c = Generators.c880ish () in
-  let faults = Rt_fault.Collapse.collapsed_universe c in
-  let n_inputs = Array.length (Netlist.inputs c) in
-  let mk seed () =
-    let rng = Rt_util.Rng.create seed in
-    Pattern.equiprobable rng ~n_inputs
-  in
-  let st_drop, resp_drop =
-    Fault_sim.simulate_with_responses ~drop:true c faults ~source:(mk 31 ()) ~n_patterns:256
-  in
-  let plain = Fault_sim.simulate ~drop:true c faults ~source:(mk 31 ()) ~n_patterns:256 in
-  check (Alcotest.array Alcotest.int) "first_detect vs simulate" plain.Fault_sim.first_detect
-    st_drop.Fault_sim.first_detect;
-  check (Alcotest.array Alcotest.int) "detect_count vs simulate" plain.Fault_sim.detect_count
-    st_drop.Fault_sim.detect_count;
-  check Alcotest.int "patterns_run vs simulate" plain.Fault_sim.patterns_run
-    st_drop.Fault_sim.patterns_run;
-  let _, resp_full =
-    Fault_sim.simulate_with_responses ~drop:false c faults ~source:(mk 31 ())
-      ~n_patterns:256
-  in
-  Array.iteri
-    (fun fi stream ->
-      let full = resp_full.(fi) in
-      (* Prefix of the full stream... *)
-      let rec is_prefix a b =
-        match (a, b) with
-        | [], _ -> true
-        | x :: a', y :: b' -> x = y && is_prefix a' b'
-        | _ :: _, [] -> false
-      in
-      if not (is_prefix stream full) then Alcotest.failf "fault %d: not a prefix" fi;
-      (* ...covering exactly the detections of the first detecting word. *)
-      match stream with
-      | [] -> if st_drop.Fault_sim.first_detect.(fi) >= 0 then Alcotest.failf "fault %d: empty" fi
-      | (first, _) :: _ ->
-        let word = first / 64 in
-        if first <> st_drop.Fault_sim.first_detect.(fi) then Alcotest.failf "fault %d: first" fi;
-        if List.exists (fun (i, _) -> i / 64 <> word) stream then
-          Alcotest.failf "fault %d: stream crosses its detecting word" fi;
-        let in_word = List.filter (fun (i, _) -> i / 64 = word) full in
-        if List.length stream <> List.length in_word then
-          Alcotest.failf "fault %d: missing detections in word" fi)
-    resp_drop
 
 (* --- Detect_mc --------------------------------------------------------------------- *)
 
@@ -617,18 +477,12 @@ let () =
         [ q ppsfp_vs_reference_qcheck;
           Alcotest.test_case "drop keeps first_detect" `Quick test_drop_consistency;
           Alcotest.test_case "coverage accounting" `Quick test_coverage_monotone;
-          q responses_qcheck;
-          Alcotest.test_case "responses drop matches simulate" `Quick
-            test_responses_drop_matches_simulate;
           q ppsfp_all_kinds_qcheck;
           Alcotest.test_case "ppsfp edge netlists" `Quick test_ppsfp_edge_netlists;
           Alcotest.test_case "kernel allocation-free" `Quick test_kernel_allocation_free ] );
       ( "multicore",
         [ Alcotest.test_case "jobs=4 stats bit-identical" `Quick test_jobs_bit_identical;
-          Alcotest.test_case "jobs=4 responses bit-identical" `Quick
-            test_jobs_responses_identical;
-          q jobs_words_identity_qcheck;
-          q responses_jobs_words_identity_qcheck ] );
+          q jobs_words_identity_qcheck ] );
       ( "monte-carlo",
         [ Alcotest.test_case "estimates p" `Quick test_mc_estimates;
           Alcotest.test_case "confidence halfwidth" `Quick test_confidence_halfwidth ] ) ]

@@ -1,9 +1,8 @@
-(* Tests for Rt_testability: signal probability engines, the cutting
-   algorithm's bounds, observability, STAFAN, the detection-probability
-   oracles, and test-length computation. *)
+(* Tests for Rt_testability: signal probability engines, observability,
+   STAFAN, the detection-probability oracles, and test-length
+   computation. *)
 
 module Signal_prob = Rt_testability.Signal_prob
-module Cutting = Rt_testability.Cutting
 module Observability = Rt_testability.Observability
 module Stafan = Rt_testability.Stafan
 module Detect = Rt_testability.Detect
@@ -52,31 +51,6 @@ let test_max_error_positive_on_reconvergent () =
   | None -> Alcotest.fail "must fit"
   | Some err -> check (Alcotest.float 1e-9) "error is 0.25" 0.25 err
 
-let test_cutting_xor_reconvergence () =
-  (* Regression: XOR of two copies of the same signal is identically 0;
-     naive interval-corner propagation claims [0.5, 0.5] at p = 0.5.  The
-     support-aware Frechet rule must keep 0 inside the interval. *)
-  let b = Builder.create ~fold:false () in
-  let x = Builder.input b "x" in
-  let p1 = Builder.buf b x in
-  let p2 = Builder.buf b x in
-  let g = Builder.xor2 b p1 p2 in
-  Builder.output b ~name:"y" g;
-  let c = Builder.finalize b in
-  let iv = Cutting.bounds c [| 0.5 |] in
-  let lo, hi = iv.(g) in
-  check Alcotest.bool "zero inside" true (lo <= 1e-9 && hi >= 0.0);
-  (* And the AND case: AND of complementary copies is identically 0. *)
-  let b = Builder.create ~fold:false () in
-  let x = Builder.input b "x" in
-  let nx = Builder.not_ b x in
-  let g = Builder.and2 b x nx in
-  Builder.output b ~name:"y" g;
-  let c = Builder.finalize b in
-  let iv = Cutting.bounds c [| 0.5 |] in
-  let lo, _hi = iv.(g) in
-  check Alcotest.bool "and of complements contains 0" true (lo <= 1e-9)
-
 let test_conditioned_exact_when_covering () =
   (* y = x AND x via two buffers: conditioning on x (its fanout is 2) makes
      the estimate exact where independence got 0.25. *)
@@ -108,24 +82,6 @@ let conditioned_improves_qcheck =
           !s
         in
         err (Signal_prob.conditioned c x) <= err (Signal_prob.independence c x) +. 1e-9)
-
-let cutting_qcheck =
-  QCheck.Test.make ~name:"cutting bounds contain exact probabilities" ~count:40
-    QCheck.(pair (int_range 0 10_000) (float_range 0.1 0.9))
-    (fun (seed, p) ->
-      let c = Generators.random_circuit ~inputs:7 ~gates:30 ~seed in
-      let x = Array.make 7 p in
-      match Signal_prob.exact c x with
-      | None -> QCheck.assume_fail ()
-      | Some exact -> Cutting.contains (Cutting.bounds c x) exact)
-
-let cutting_contains_independence_qcheck =
-  QCheck.Test.make ~name:"cutting bounds contain the independence estimate" ~count:40
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      let c = Generators.random_circuit ~inputs:7 ~gates:30 ~seed in
-      let x = Array.make 7 0.5 in
-      Cutting.contains (Cutting.bounds c x) (Signal_prob.independence c x))
 
 let test_observability_range_and_outputs () =
   let c = Generators.c880ish () in
@@ -735,11 +691,6 @@ let () =
           Alcotest.test_case "conditioning recovers exactness" `Quick
             test_conditioned_exact_when_covering;
           q conditioned_improves_qcheck ] );
-      ( "cutting",
-        [ Alcotest.test_case "xor reconvergence regression" `Quick
-            test_cutting_xor_reconvergence;
-          q cutting_qcheck;
-          q cutting_contains_independence_qcheck ] );
       ( "observability",
         [ Alcotest.test_case "range and outputs" `Quick test_observability_range_and_outputs;
           Alcotest.test_case "pin sensitization" `Quick test_pin_sensitization;
