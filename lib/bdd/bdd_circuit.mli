@@ -1,9 +1,11 @@
-(** Building BDDs for netlist nodes, with optional fault injection.
+(** Building BDDs for netlist nodes.
 
     Variables are the primary inputs in [Netlist.inputs] order (variable [i]
     is input position [i]).  Construction is bottom-up in topological order;
     a {!Bdd.Limit_exceeded} anywhere aborts with [None] results, signalling
-    the caller to fall back to an estimator. *)
+    the caller to fall back to an estimator.  Fault detection functions are
+    built from these good-circuit BDDs by the exact ANALYSIS engine
+    ([Rt_testability.Detect]). *)
 
 val dfs_order : Rt_circuit.Netlist.t -> int array
 (** A variable order (input position -> BDD variable level) from a
@@ -13,25 +15,15 @@ val dfs_order : Rt_circuit.Netlist.t -> int array
     declaration order is exponential.  All functions below use it by
     default; pass [~order] to override. *)
 
-type injection =
-  | Stem of Rt_circuit.Netlist.node * bool
-      (** Force a node's function to a constant — a stuck-at on the stem. *)
-  | Pin of Rt_circuit.Netlist.node * int * bool
-      (** [Pin (g, k, v)]: gate [g] sees its [k]-th fanin as constant [v] —
-          a stuck-at on one fanout branch. *)
-
-val build_into :
-  Bdd.manager -> order:int array -> ?inject:injection -> Rt_circuit.Netlist.t -> Bdd.t array
+val build_into : Bdd.manager -> order:int array -> Rt_circuit.Netlist.t -> Bdd.t array
 (** [build_into m ~order c] is the BDD of every node of [c] in manager
-    [m], built in node order, with the fault [inject] (if any) applied.
-    Without [inject] this is the good-circuit build shared by {!build},
-    {!detection_function} and the exact ANALYSIS engine's generations.
-    Raises {!Bdd.Limit_exceeded} when [m] runs out of nodes. *)
+    [m], built in node order: the good-circuit build shared by {!build}
+    and the exact ANALYSIS engine's generations.  Raises
+    {!Bdd.Limit_exceeded} when [m] runs out of nodes. *)
 
 val build :
   ?node_limit:int ->
   ?order:int array ->
-  ?inject:injection ->
   Rt_circuit.Netlist.t ->
   (Bdd.manager * Bdd.t array * int array) option
 (** BDD for every node of the circuit plus the variable order used (input
@@ -42,17 +34,3 @@ val build :
 val signal_probs : ?node_limit:int -> Rt_circuit.Netlist.t -> float array -> float array option
 (** Exact signal probability of every node when input [i] is true with
     probability [x_i] — the Parker-McCluskey computation. *)
-
-val detection_function :
-  ?node_limit:int ->
-  Rt_circuit.Netlist.t ->
-  injection ->
-  (Bdd.manager * Bdd.t * int array) option
-(** The boolean difference: BDD of "some primary output differs between the
-    good circuit and the injected-fault circuit" (with the order used).
-    Its {!Bdd.prob} under the input distribution is the {e exact} fault
-    detection probability [p_f(X)]. *)
-
-val detection_prob :
-  ?node_limit:int -> Rt_circuit.Netlist.t -> injection -> float array -> float option
-(** [detection_prob c inj x] composes {!detection_function} and {!Bdd.prob}. *)

@@ -75,6 +75,11 @@ let parse ?(file = "-") text =
     lines;
   let order = List.rev !order in
   let outputs = List.rev !outputs in
+  if outputs = [] then begin
+    (* A trailing newline ends the last line; it does not start one. *)
+    let n = List.length lines in
+    fail (if n > 1 && List.nth lines (n - 1) = "" then n - 1 else n) "no OUTPUT declared"
+  end;
   (* Topological sort by DFS over fanin references; [lineno] is the line
      of the declaration that reads [name]. *)
   let ids : (string, int) Hashtbl.t = Hashtbl.create 256 in

@@ -7,7 +7,8 @@
 
 exception Parse_error of { file : string; line : int; msg : string }
 (** The file, the 1-based line of the offending declaration and a
-    message. *)
+    message.  A file that declares no [OUTPUT] is reported at its last
+    line. *)
 
 val parse : ?file:string -> string -> Netlist.t
 (** Parse from the full file contents; [file] (default ["-"]) only names

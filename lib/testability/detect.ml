@@ -32,11 +32,6 @@ type engine =
   | Stafan of { n_patterns : int; seed : int }
   | Monte_carlo of { n_patterns : int; seed : int }
 
-let injection f =
-  match f.Fault.site with
-  | Fault.Stem n -> Bdd_circuit.Stem (n, f.Fault.stuck)
-  | Fault.Branch (g, k) -> Bdd_circuit.Pin (g, k, f.Fault.stuck)
-
 let c_bdd_nodes = Rt_obs.counter "bdd.nodes_allocated"
 
 let no_flags faults = Array.make (Array.length faults) false
@@ -211,13 +206,31 @@ let make_conditioned ~jobs ~max_vars c faults =
     ?cofactor_pair:cofactor ()
 
 (* Exact engine.  Good-circuit BDDs are built once per "generation"; per
-   fault only its transitive-fanout cone is rebuilt with the fault
-   injected, and the boolean difference at the outputs becomes the fault's
-   detection BDD.  The shared unique table fills up with per-fault
-   intermediates, so when it overflows a fresh generation (new manager,
-   same variable order, rebuilt good circuit) continues with the remaining
-   faults — only a fault too large for an empty manager falls back to the
-   COP estimate. *)
+   fault, only the chain from its site to the root of its fanout-free
+   region ([Cone.ffr_roots]) is rebuilt with the fault injected.  Every
+   path from the site to an output passes through that root [r], and a
+   non-root node of a region has exactly one reader, so the chain is the
+   site's only route out and the outputs see the fault only as a flip of
+   [r].  The detection BDD is therefore
+     (good_r XOR bad_r) AND obs_r,   obs_r = OR_o (good_o XOR good_o[r := NOT r]),
+   where [obs_r] depends on the root alone and is built once per
+   generation, on the first fault that needs it.  This is the same
+   Boolean function as the boolean difference of the whole faulty
+   circuit, and BDDs are canonical, so every probability, cofactor pair
+   and redundancy flag equals the full rebuild's bit for bit.
+
+   The shared unique table fills up with per-fault intermediates, so when
+   it overflows a fresh generation (new manager, same variable order,
+   rebuilt good circuit, empty observability memo) continues with the
+   remaining faults — only a fault too large for an empty manager falls
+   back to the COP estimate. *)
+type generation = {
+  m : Bdd.manager;
+  good : Bdd.t array;
+  obs : Bdd.t option array;  (** obs_r per region root, [None] until built *)
+  flipped : Bdd.t array;  (** scratch: node values with one root inverted *)
+}
+
 let make_bdd ~node_limit ?(max_generations = 6) c faults =
   let nf = Array.length faults in
   let exact = Array.make nf false in
@@ -225,38 +238,83 @@ let make_bdd ~node_limit ?(max_generations = 6) c faults =
   let order = Bdd_circuit.dfs_order c in
   let n = Netlist.size c in
   let outputs = Netlist.outputs c in
+  let root_of = Rt_circuit.Cone.ffr_roots c in
   let new_generation () =
     let m = Bdd.manager ~node_limit ~nvars:(Array.length (Netlist.inputs c)) () in
-    (m, Bdd_circuit.build_into m ~order c)
+    { m;
+      good = Bdd_circuit.build_into m ~order c;
+      obs = Array.make n None;
+      flipped = Array.make n (Bdd.zero m) }
   in
-  let build_fault m good f =
-    let site_node = match f.Fault.site with Fault.Stem s -> s | Fault.Branch (g, _) -> g in
-    let mask = Rt_circuit.Cone.transitive_fanout c site_node in
-    let bad = Array.make n (Bdd.zero m) in
-    for i = 0 to n - 1 do
-      if mask.(i) then begin
-        let value =
-          match f.Fault.site with
-          | Fault.Stem s when s = i -> if f.Fault.stuck then Bdd.one m else Bdd.zero m
-          | Fault.Stem _ | Fault.Branch _ ->
-            let fanin = Netlist.fanin c i in
-            let args = Array.map (fun j -> if mask.(j) then bad.(j) else good.(j)) fanin in
-            let args =
-              match f.Fault.site with
-              | Fault.Branch (g, k) when g = i ->
-                let args = Array.copy args in
-                args.(k) <- (if f.Fault.stuck then Bdd.one m else Bdd.zero m);
-                args
-              | Fault.Branch _ | Fault.Stem _ -> args
-            in
-            Bdd.apply_kind m (Netlist.kind c i) args
+  (* [dirty] marks the transitive fanout of the root being flipped, and
+     only while its observability is built: the marks are cleared on the
+     way out, [Bdd.Limit_exceeded] included, and the memo entry is set
+     only once the build has finished. *)
+  let dirty = Array.make n false in
+  let cone = Array.make n 0 in
+  let observability g r =
+    match g.obs.(r) with
+    | Some o -> o
+    | None ->
+      let m = g.m in
+      let size = ref 0 in
+      let rec mark i =
+        if not dirty.(i) then begin
+          dirty.(i) <- true;
+          cone.(!size) <- i;
+          incr size;
+          Array.iter mark (Netlist.fanout c i)
+        end
+      in
+      mark r;
+      let nodes = Array.sub cone 0 !size in
+      let build () =
+        (* Fanin ids are below the reader's, so ascending ids are a
+           topological order of the cone. *)
+        Array.sort compare nodes;
+        g.flipped.(r) <- Bdd.not_ m g.good.(r);
+        for p = 1 to Array.length nodes - 1 do
+          let i = nodes.(p) in
+          let args =
+            Array.map (fun j -> if dirty.(j) then g.flipped.(j) else g.good.(j)) (Netlist.fanin c i)
+          in
+          g.flipped.(i) <- Bdd.apply_kind m (Netlist.kind c i) args
+        done;
+        Array.fold_left
+          (fun acc o ->
+            if dirty.(o) then Bdd.or_ m acc (Bdd.xor_ m g.good.(o) g.flipped.(o)) else acc)
+          (Bdd.zero m) outputs
+      in
+      let clear () = Array.iter (fun i -> dirty.(i) <- false) nodes in
+      let o = Fun.protect build ~finally:clear in
+      g.obs.(r) <- Some o;
+      o
+  in
+  let build_fault g f =
+    let m = g.m and good = g.good in
+    let const v = if v then Bdd.one m else Bdd.zero m in
+    (* The faulty value of [node] read by the region's next gate, up to
+       the root. *)
+    let rec climb node value =
+      if root_of.(node) = node then (node, value)
+      else begin
+        let reader = (Netlist.fanout c node).(0) in
+        let args =
+          Array.map (fun j -> if j = node then value else good.(j)) (Netlist.fanin c reader)
         in
-        bad.(i) <- value
+        climb reader (Bdd.apply_kind m (Netlist.kind c reader) args)
       end
-    done;
-    Array.fold_left
-      (fun acc o -> if mask.(o) then Bdd.or_ m acc (Bdd.xor_ m good.(o) bad.(o)) else acc)
-      (Bdd.zero m) outputs
+    in
+    let r, bad_r =
+      match f.Fault.site with
+      | Fault.Stem s -> climb s (const f.Fault.stuck)
+      | Fault.Branch (gate, k) ->
+        let args = Array.map (fun j -> good.(j)) (Netlist.fanin c gate) in
+        args.(k) <- const f.Fault.stuck;
+        climb gate (Bdd.apply_kind m (Netlist.kind c gate) args)
+    in
+    let activated = Bdd.xor_ m good.(r) bad_r in
+    if Bdd.is_zero activated then activated else Bdd.and_ m activated (observability g r)
   in
   (* detect_roots.(fi) = Some (generation, root). *)
   let detect_roots = Array.make nf None in
@@ -280,8 +338,8 @@ let make_bdd ~node_limit ?(max_generations = 6) c faults =
         let fi = ref 0 in
         while !fi < nf do
           let f = faults.(!fi) in
-          let m, good = !current in
-          (match build_fault m good f with
+          let g = !current in
+          (match build_fault g f with
            | detect ->
              detect_roots.(!fi) <- Some (!gen_idx, detect);
              exact.(!fi) <- true;
@@ -300,7 +358,7 @@ let make_bdd ~node_limit ?(max_generations = 6) c faults =
                match new_generation () with
                | exception Bdd.Limit_exceeded -> fi := nf
                | gen ->
-                 total_nodes := !total_nodes + Bdd.node_count m;
+                 total_nodes := !total_nodes + Bdd.node_count g.m;
                  current := gen;
                  incr gen_idx;
                  fresh := true;
@@ -308,8 +366,7 @@ let make_bdd ~node_limit ?(max_generations = 6) c faults =
                  generations_rev := gen :: !generations_rev
              end)
         done;
-        let m, _ = !current in
-        total_nodes := !total_nodes + Bdd.node_count m);
+        total_nodes := !total_nodes + Bdd.node_count !current.m);
   let generations = Array.of_list (List.rev !generations_rev) in
   Rt_obs.add c_bdd_nodes !total_nodes;
   let x_of_var_table x =
@@ -342,7 +399,7 @@ let make_bdd ~node_limit ?(max_generations = 6) c faults =
     let out = Array.make nf 0.0 in
     (* Batch the prob evaluation per generation to share memo tables. *)
     Array.iteri
-      (fun gi (m, _) ->
+      (fun gi { m; _ } ->
         let fis, roots = gen_all.(gi) in
         if Array.length roots > 0 then begin
           let vals = Bdd.prob_many m roots (fun v -> x_of_var.(v)) in
@@ -360,7 +417,7 @@ let make_bdd ~node_limit ?(max_generations = 6) c faults =
     let x_of_var = x_of_var_table x in
     let out = Array.make (Array.length subset) 0.0 in
     Array.iteri
-      (fun gi (m, _) ->
+      (fun gi { m; _ } ->
         let idxs, roots = gen_roots subset gi in
         if Array.length roots > 0 then begin
           let vals = Bdd.prob_many m roots (fun v -> x_of_var.(v)) in
@@ -385,7 +442,7 @@ let make_bdd ~node_limit ?(max_generations = 6) c faults =
     let ns = Array.length subset in
     let out0 = Array.make ns 0.0 and out1 = Array.make ns 0.0 in
     Array.iteri
-      (fun gi (m, _) ->
+      (fun gi { m; _ } ->
         let idxs, roots = gen_roots subset gi in
         if Array.length roots > 0 then begin
           let pairs = Bdd.prob_pair_many m roots ~var:fvar (fun v -> x_of_var.(v)) in

@@ -10,8 +10,10 @@
     - [Conditioned]: COP Shannon-expanded over the worst reconvergence
       sources (PREDICT's role);
     - [Bdd_exact]: exact detection probabilities from per-fault boolean
-      difference BDDs built once and re-evaluated per [X] in linear time;
-      falls back to [Cop] for faults whose BDD exceeds the node limit;
+      difference BDDs built once and re-evaluated per [X] in linear time.
+      Each is the fault's activation at the root of its fanout-free region
+      AND that root's observability, built once per root; falls back to
+      [Cop] for faults whose BDD exceeds the node limit;
     - [Stafan]: counting-based estimate from fresh weighted simulation;
     - [Monte_carlo]: direct fault-simulation estimate.
 
@@ -46,6 +48,3 @@ val make : ?jobs:int -> engine -> Rt_circuit.Netlist.t -> Rt_fault.Fault.t array
     per-assignment work across that many domains in the COP, conditioned
     and Monte-Carlo engines; [jobs = 1] is bit-identical to the serial
     implementation. *)
-
-val injection : Rt_fault.Fault.t -> Rt_bdd.Bdd_circuit.injection
-(** The BDD-level injection corresponding to a stuck-at fault. *)

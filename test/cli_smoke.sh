@@ -16,7 +16,7 @@
 #      `--obs-{listen,sample-ms} N`) and the removed `tables` and `selftest`
 #      subcommands are usage errors;
 #   7. a malformed .bench file (undeclared signal, cycle, duplicate, wrong
-#      arity) exits 124 with a FILE:LINE: message.
+#      arity, no OUTPUT) exits 124 with a FILE:LINE: message.
 #
 # Usage: cli_smoke.sh OPTPROB C17_BENCH   (run by `dune runtest`)
 set -eu
@@ -104,10 +104,11 @@ for sub in tables selftest; do
   [ "$rc" -eq 124 ] || fail "the removed $sub subcommand exited $rc, not 124"
 done
 
-# Each file's defect is on line 3.
-for bad in 'b = AND(a, c)' 'b = AND(b, a)' 'INPUT(a)' 'b = NOT(a, a)'; do
+# Each file's defect is on line 3; the last one declares no OUTPUT.
+for bad in 'OUTPUT(b)\nb = AND(a, c)' 'OUTPUT(b)\nb = AND(b, a)' 'OUTPUT(b)\nINPUT(a)' \
+  'OUTPUT(b)\nb = NOT(a, a)' 'b = NOT(a)\nc = NOT(b)'; do
   f="$dir/bad.bench"
-  printf 'INPUT(a)\nOUTPUT(b)\n%s\n' "$bad" >"$f"
+  printf 'INPUT(a)\n%b\n' "$bad" >"$f"
   rc=0
   "$optprob" generate "$f" >/dev/null 2>"$dir/bad.err" || rc=$?
   if [ "$rc" -ne 124 ] || ! grep -q "$f:3: " "$dir/bad.err"; then

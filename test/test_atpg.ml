@@ -82,21 +82,24 @@ let podem_vs_bdd_qcheck =
     (fun seed ->
       let c = Generators.random_circuit ~inputs:9 ~gates:50 ~seed in
       let faults = Rt_fault.Collapse.collapsed_universe c in
+      let o =
+        Rt_testability.Detect.make (Rt_testability.Detect.Bdd_exact { node_limit = 500_000 }) c
+          faults
+      in
+      let exact = Rt_testability.Oracle.exact_mask o in
+      let red = Rt_testability.Oracle.proven_redundant o in
       let ok = ref true in
-      Array.iter
-        (fun f ->
+      Array.iteri
+        (fun fi f ->
           match Podem.generate ~backtrack_limit:50_000 c f with
           | Podem.Aborted, _ -> ()
           | verdict, _ ->
-            let inj = Rt_testability.Detect.injection f in
-            (match Rt_bdd.Bdd_circuit.detection_function c inj with
-             | None -> ()
-             | Some (_, det, _) ->
-               let bdd_red = Rt_bdd.Bdd.is_zero det in
-               (match verdict with
-                | Podem.Redundant -> if not bdd_red then ok := false
-                | Podem.Test _ -> if bdd_red then ok := false
-                | Podem.Aborted -> ())))
+            if exact.(fi) then begin
+              match verdict with
+              | Podem.Redundant -> if not red.(fi) then ok := false
+              | Podem.Test _ -> if red.(fi) then ok := false
+              | Podem.Aborted -> ()
+            end)
         faults;
       !ok)
 

@@ -202,22 +202,22 @@ let detection_prob_vs_bruteforce_qcheck =
     (fun seed ->
       let c = Generators.random_circuit ~inputs:6 ~gates:25 ~seed in
       let faults = Rt_fault.Collapse.collapsed_universe c in
-      let x = Array.make 6 0.5 in
+      let o =
+        Rt_testability.Detect.make (Rt_testability.Detect.Bdd_exact { node_limit = 500_000 }) c
+          faults
+      in
+      let exact = Rt_testability.Oracle.exact_mask o in
+      let pf = Rt_testability.Oracle.probs o (Array.make 6 0.5) in
       let ok = ref true in
       Array.iteri
         (fun fi f ->
-          if fi mod 7 = 0 then begin
-            (* sample a few faults per circuit to bound the cost *)
-            let inj = Rt_testability.Detect.injection f in
-            match Bdd_circuit.detection_prob c inj x with
-            | None -> ()
-            | Some p ->
-              let count = ref 0 in
-              for v = 0 to 63 do
-                if Rt_sim.Fault_sim.detects c f (bits_of_int 6 v) then incr count
-              done;
-              let brute = Float.of_int !count /. 64.0 in
-              if Float.abs (p -. brute) > 1e-9 then ok := false
+          if exact.(fi) then begin
+            let count = ref 0 in
+            for v = 0 to 63 do
+              if Rt_sim.Fault_sim.detects c f (bits_of_int 6 v) then incr count
+            done;
+            let brute = Float.of_int !count /. 64.0 in
+            if Float.abs (pf.(fi) -. brute) > 1e-9 then ok := false
           end)
         faults;
       !ok)
@@ -245,10 +245,14 @@ let test_detection_function_redundant () =
   (match Netlist.find c (Netlist.name c zero) with
    | None -> Alcotest.fail "node lost"
    | Some node ->
-     (match Bdd_circuit.detection_function c (Bdd_circuit.Stem (node, false)) with
-      | None -> Alcotest.fail "tiny circuit must fit"
-      | Some (_, detect, _) ->
-        check Alcotest.bool "s-a-0 on constant-0 node is redundant" true (Bdd.is_zero detect)))
+     let stuck0 = { Rt_fault.Fault.site = Rt_fault.Fault.Stem node; stuck = false } in
+     let o =
+       Rt_testability.Detect.make (Rt_testability.Detect.Bdd_exact { node_limit = 100_000 }) c
+         [| stuck0 |]
+     in
+     check Alcotest.bool "tiny circuit must fit" true (Rt_testability.Oracle.exact_mask o).(0);
+     check Alcotest.bool "s-a-0 on constant-0 node is redundant" true
+       (Rt_testability.Oracle.proven_redundant o).(0))
 
 let () =
   let q = QCheck_alcotest.to_alcotest ~long:false in

@@ -213,7 +213,9 @@ let test_bench_error_lines () =
       ("cycle", "INPUT(a)\nOUTPUT(b)\nb = AND(b, a)\n", 3);
       ("duplicate", "INPUT(a)\nINPUT(a)\nOUTPUT(a)\n", 2);
       ("arity", "INPUT(a)\nOUTPUT(b)\nb = NOT(a, a)\n", 3);
-      ("undeclared output", "INPUT(a)\nOUTPUT(z)\nb = NOT(a)\n", 2) ]
+      ("undeclared output", "INPUT(a)\nOUTPUT(z)\nb = NOT(a)\n", 2);
+      ("no output", "INPUT(a)\nb = NOT(a)\nc = NOT(b)\n", 3);
+      ("no output, no trailing newline", "INPUT(a)\nb = NOT(a)", 2) ]
 
 let test_bench_out_of_order () =
   (* Declarations in any order must parse. *)

@@ -628,8 +628,8 @@ let test_proven_redundant () =
   let pf = Oracle.probs o [| 0.3 |] in
   Array.iteri (fun i r -> if r && pf.(i) <> 0.0 then Alcotest.fail "redundant with p > 0") red
 
-(* The exact engine's generations on S1, pinned: one roomy generation, four
-   tight ones, and a limit so small that most faults fall back to COP.
+(* The exact engine's generations on S1, pinned: one roomy generation,
+   three tight ones, and a limit so small that most faults fall back to COP.
    The storage inside the BDD manager must not move node ids, so these
    labels and the exact p_f are fixed points of any change to it. *)
 let test_bdd_generations_pinned () =
@@ -637,19 +637,152 @@ let test_bdd_generations_pinned () =
   let faults = Rt_fault.Collapse.collapsed_universe c in
   let engine node_limit = Detect.make (Detect.Bdd_exact { node_limit }) c faults in
   let roomy = engine 500_000 and tight = engine 30_000 in
-  check Alcotest.string "500k label" "bdd-exact(534/534 exact, 1 generations, 93034 nodes)"
+  check Alcotest.string "500k label" "bdd-exact(534/534 exact, 1 generations, 56311 nodes)"
     (Oracle.describe roomy);
-  check Alcotest.string "30k label" "bdd-exact(534/534 exact, 4 generations, 105506 nodes)"
+  check Alcotest.string "30k label" "bdd-exact(534/534 exact, 3 generations, 61367 nodes)"
     (Oracle.describe tight);
-  check Alcotest.string "8k label" "bdd-exact(12/534 exact, 1 generations, 7998 nodes)"
+  check Alcotest.string "8k label" "bdd-exact(20/534 exact, 1 generations, 7998 nodes)"
     (Oracle.describe (engine 8_000));
   let x = Array.make (Array.length (Netlist.inputs c)) 0.5 in
   let p_roomy = Oracle.probs roomy x and p_tight = Oracle.probs tight x in
   Array.iteri
     (fun f p ->
       if Int64.bits_of_float p <> Int64.bits_of_float p_tight.(f) then
-        Alcotest.failf "fault %d: p_f %h with one generation, %h with four" f p p_tight.(f))
+        Alcotest.failf "fault %d: p_f %h with one generation, %h with three" f p p_tight.(f))
     p_roomy
+
+(* The reference detection function for the exact engine's region
+   decomposition: the whole faulty circuit rebuilt in a fresh manager and
+   XORed with the good circuit at every output.  Returns the probability
+   at [x] and whether the function is zero. *)
+let reference_detection c f x =
+  let module Bdd = Rt_bdd.Bdd in
+  let order = Rt_bdd.Bdd_circuit.dfs_order c in
+  let m = Bdd.manager ~nvars:(Array.length (Netlist.inputs c)) () in
+  let good = Rt_bdd.Bdd_circuit.build_into m ~order c in
+  let n = Netlist.size c in
+  let const = if f.Rt_fault.Fault.stuck then Bdd.one m else Bdd.zero m in
+  let bad = Array.make n (Bdd.zero m) in
+  for i = 0 to n - 1 do
+    bad.(i) <-
+      (match (f.Rt_fault.Fault.site, Netlist.kind c i) with
+       | Rt_fault.Fault.Stem s, _ when s = i -> const
+       | _, Rt_circuit.Gate.Input -> good.(i)
+       | site, k ->
+         let args = Array.map (fun j -> bad.(j)) (Netlist.fanin c i) in
+         (match site with
+          | Rt_fault.Fault.Branch (g, pin) when g = i -> args.(pin) <- const
+          | Rt_fault.Fault.Branch _ | Rt_fault.Fault.Stem _ -> ());
+         Bdd.apply_kind m k args)
+  done;
+  let detect =
+    Array.fold_left
+      (fun acc o -> Bdd.or_ m acc (Bdd.xor_ m good.(o) bad.(o)))
+      (Bdd.zero m) (Netlist.outputs c)
+  in
+  let x_of_var = Array.make (Array.length order) 0.5 in
+  Array.iteri (fun i v -> x_of_var.(v) <- x.(i)) order;
+  (Bdd.prob m detect (fun v -> x_of_var.(v)), Bdd.is_zero detect)
+
+(* Every stem fault and a fault on every gate pin, whatever the driver's
+   fanout: the decomposition must hold for sites the collapsed universe
+   never asks about too. *)
+let every_site_fault c =
+  let acc = ref [] in
+  for i = Netlist.size c - 1 downto 0 do
+    Array.iteri
+      (fun k _ ->
+        acc :=
+          { Rt_fault.Fault.site = Rt_fault.Fault.Branch (i, k); stuck = false }
+          :: { Rt_fault.Fault.site = Rt_fault.Fault.Branch (i, k); stuck = true }
+          :: !acc)
+      (Netlist.fanin c i);
+    acc :=
+      { Rt_fault.Fault.site = Rt_fault.Fault.Stem i; stuck = false }
+      :: { Rt_fault.Fault.site = Rt_fault.Fault.Stem i; stuck = true }
+      :: !acc
+  done;
+  Array.of_list !acc
+
+(* The engine's p_f and redundancy flag, fault by fault, against the full
+   rebuild; [""] when all agree bit for bit. *)
+let engine_vs_reference c faults xs =
+  let o = Detect.make (Detect.Bdd_exact { node_limit = 500_000 }) c faults in
+  let exact = Oracle.exact_mask o and red = Oracle.proven_redundant o in
+  let problems = Buffer.create 64 in
+  List.iter
+    (fun x ->
+      let pf = Oracle.probs o x in
+      Array.iteri
+        (fun i f ->
+          let p, zero = reference_detection c f x in
+          let name = Rt_fault.Fault.to_string c f in
+          if not exact.(i) then Printf.bprintf problems "%s not exact; " name
+          else if Int64.bits_of_float p <> Int64.bits_of_float pf.(i) then
+            Printf.bprintf problems "%s: engine %h, rebuild %h; " name pf.(i) p
+          else if zero <> red.(i) then
+            Printf.bprintf problems "%s: redundant flag %b; " name red.(i))
+        faults)
+    xs;
+  Buffer.contents problems
+
+let random_points rng ni k = List.init k (fun _ -> Array.init ni (fun _ -> Rt_util.Rng.float rng))
+
+let bdd_regions_match_rebuild_qcheck =
+  QCheck.Test.make ~name:"bdd region decomposition equals full rebuild" ~count:20
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let rng = Rt_util.Rng.create seed in
+      let check_circuit c =
+        let ni = Array.length (Netlist.inputs c) in
+        let problems = engine_vs_reference c (every_site_fault c) (random_points rng ni 2) in
+        if problems <> "" then QCheck.Test.fail_reportf "seed %d: %s" seed problems
+      in
+      check_circuit (Generators.random_circuit ~inputs:7 ~gates:30 ~seed);
+      check_circuit (multi_pin_circuit rng ~inputs:5 ~gates:25);
+      true)
+
+(* One netlist with each region shape the decomposition must get right:
+   a primary output that also feeds a gate (node 4), a node read on two
+   pins of one gate (input c into node 5, which makes c a root), branch
+   faults on a root gate (node 6) and on a non-root one (node 5), and a
+   chain whose fanout never reaches an output (7 -> 8). *)
+let test_bdd_region_shapes () =
+  let open Rt_circuit.Gate in
+  let c =
+    Netlist.make
+      ~kinds:[| Input; Input; Input; Input; And; Or; Nand; Not; And |]
+      ~fanins:
+        [| [||]; [||]; [||]; [||]; [| 0; 1 |]; [| 2; 2 |]; [| 4; 5; 3 |]; [| 3 |]; [| 7; 0 |] |]
+      ~names:[| "a"; "b"; "c"; "d"; "ab"; "cc"; "y"; "nd"; "dead" |]
+      ~output_list:[ 4; 6 ]
+  in
+  let root = Rt_circuit.Cone.ffr_roots c in
+  check Alcotest.(list int) "region roots" [ 0; 4; 2; 3; 4; 6; 6; 8; 8 ] (Array.to_list root);
+  let faults = every_site_fault c in
+  let rng = Rt_util.Rng.create 5 in
+  let xs = Array.make 4 0.5 :: random_points rng 4 3 in
+  check Alcotest.string "engine equals full rebuild" "" (engine_vs_reference c faults xs);
+  (* The rebuild itself against enumeration, at the uniform point. *)
+  Array.iter
+    (fun f ->
+      let count = ref 0 in
+      for v = 0 to 15 do
+        let pattern = Array.init 4 (fun i -> (v lsr i) land 1 = 1) in
+        if Rt_sim.Fault_sim.detects c f pattern then incr count
+      done;
+      let p, _ = reference_detection c f (Array.make 4 0.5) in
+      check (Alcotest.float 0.0) (Rt_fault.Fault.to_string c f) (Float.of_int !count /. 16.0) p)
+    faults;
+  let o = Detect.make (Detect.Bdd_exact { node_limit = 10_000 }) c faults in
+  Array.iteri
+    (fun i f ->
+      match f.Rt_fault.Fault.site with
+      | Rt_fault.Fault.Stem (7 | 8) | Rt_fault.Fault.Branch ((7 | 8), _) ->
+        check Alcotest.bool (Rt_fault.Fault.to_string c f ^ " redundant") true
+          (Oracle.proven_redundant o).(i)
+      | Rt_fault.Fault.Stem _ | Rt_fault.Fault.Branch _ -> ())
+    faults
 
 (* --- Test_length ------------------------------------------------------------------ *)
 
@@ -709,7 +842,9 @@ let () =
           Alcotest.test_case "keyed plan cache" `Quick test_plan_cache_keyed;
           Alcotest.test_case "stafan close on trees" `Quick test_stafan_close_to_exact_on_tree;
           Alcotest.test_case "proven redundant" `Quick test_proven_redundant;
-          Alcotest.test_case "bdd generations pinned on s1" `Quick test_bdd_generations_pinned ] );
+          Alcotest.test_case "bdd generations pinned on s1" `Quick test_bdd_generations_pinned;
+          q bdd_regions_match_rebuild_qcheck;
+          Alcotest.test_case "bdd region shapes" `Quick test_bdd_region_shapes ] );
       ( "test-length",
         [ Alcotest.test_case "single fault" `Quick test_required_single_fault;
           Alcotest.test_case "confidence inverse" `Quick test_required_confidence_inverse;
