@@ -161,7 +161,7 @@ let () =
     exit 1
   end;
   (* Timing: sweep all inputs per iteration, like one PREPARE pass, on a
-     plan made for a fresh copy of the hard prefix (a plan-cache miss).
+     fresh plan for the hard prefix, as [Optimize.run] makes one per sweep.
      Recording stays OFF here — these numbers are the oracle alone. *)
   let sweep f () =
     let plan = Oracle.plan oracle (Array.copy hard) in
@@ -215,7 +215,7 @@ let () =
   let pair_ratio = median (Array.map2 (fun f b -> f /. b) s_fused s_base) in
   Printf.printf "bench-smoke (s1, cop, %d hard faults, %d inputs):\n" (Array.length hard) n_inputs;
   Printf.printf "  fused cofactor_pair sweep:  %8.3f ms\n" (t_fused *. 1000.0 /. Float.of_int sweep_iters);
-  Printf.printf "  2x probs_subset sweep:      %8.3f ms\n" (t_base *. 1000.0 /. Float.of_int sweep_iters);
+  Printf.printf "  2x probs_plan sweep:        %8.3f ms\n" (t_base *. 1000.0 /. Float.of_int sweep_iters);
   Printf.printf "  ratio (fused / baseline):   %8.3f (median of %d pairs: %.3f)\n" ratio
     (rounds * sweep_iters) pair_ratio;
   Printf.printf "  telemetry-on overhead:      %8.3f x (median of %d paired off/on sweeps)\n"

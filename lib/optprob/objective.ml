@@ -1,6 +1,4 @@
-(* The paper's single-detection objective, kept as plain module-level
-   functions: these exact float expressions are the reference semantics the
-   [single] protocol instance must reproduce bit-for-bit. *)
+(* The paper's single-detection objective: the closures of [single]. *)
 
 let value ~n pfs = Array.fold_left (fun acc p -> acc +. Float.exp (-.n *. p)) 0.0 pfs
 

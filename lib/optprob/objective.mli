@@ -54,9 +54,11 @@ type t = {
 }
 
 val single : t
-(** The paper's objective: [F = exp], key ["single"].  Its closures are
-    the module-level functions below, so it is bit-identical to the
-    pre-protocol implementation. *)
+(** The paper's objective: [F = exp], key ["single"].  [single.value ~n pfs]
+    is [J_N]; [single.derivatives_along] is paper eq. 13/14,
+    [J' = sum -N b_f exp(-N p_f(y))], [J'' = sum (N b_f)^2 exp(-N p_f(y))]
+    with [b_f = p1_f - p0_f], so [J'' >= 0] always; [single.confidence] is
+    the eq. (1) approximation used throughout §2.3. *)
 
 val n_detect : k:int -> t
 (** [n_detect ~k] is [J_{N,n}(X) = sum_f P(fault f detected < k times)]
@@ -69,24 +71,3 @@ val n_detect : k:int -> t
 val poisson_tail : k:int -> float -> float * float * float
 (** [poisson_tail ~k lambda] is [(F_k, F_k', F_k'')] at [lambda] — exposed
     for property tests of the convexity contract. *)
-
-(** {2 The paper objective as module-level functions}
-
-    Kept for direct callers (tests, repro experiments); {!single} wraps
-    exactly these. *)
-
-val value : n:float -> float array -> float
-(** [value ~n pfs] is [J_N] from the fault detection probabilities. *)
-
-val value_along : n:float -> p0:float array -> p1:float array -> float -> float
-(** [value_along ~n ~p0 ~p1 y]: [J_N(X, y|i)] where [p0]/[p1] are the
-    cofactor detection probabilities of the faults under scrutiny. *)
-
-val derivatives_along :
-  n:float -> p0:float array -> p1:float array -> float -> float * float
-(** First and second derivative of {!value_along} in [y] (paper eq. 13/14):
-    [J' = sum -N b_f exp(-N p_f(y))], [J'' = sum (N b_f)^2 exp(-N p_f(y))]
-    with [b_f = p1_f - p0_f].  [J'' >= 0] always. *)
-
-val confidence : n:float -> float array -> float
-(** [exp (-J_N)] — the approximation of eq. (1) used throughout §2.3. *)

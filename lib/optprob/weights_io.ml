@@ -11,6 +11,7 @@ let save path c w =
 
 let load path c =
   let w = Array.make (Array.length (Netlist.inputs c)) 0.5 in
+  let seen = Array.make (Array.length w) false in
   let ic =
     try open_in path with Sys_error msg -> failwith (Printf.sprintf "weights file %s: %s" path msg)
   in
@@ -34,7 +35,10 @@ let load path c =
         | [ name; value ] ->
           (match Netlist.find c name with
            | Some node when Netlist.kind c node = Rt_circuit.Gate.Input ->
-             w.(Netlist.input_index c node) <- weight lineno value
+             let pos = Netlist.input_index c node in
+             if seen.(pos) then fail lineno "duplicate input %s" name;
+             seen.(pos) <- true;
+             w.(pos) <- weight lineno value
            | Some _ | None -> fail lineno "unknown input %s" name)
         | _ -> fail lineno "expected 'name value'"
       end;

@@ -26,7 +26,10 @@ type t = {
   confidence : float;
   seed : int;  (** fault-simulation seed (the only seed-dependent stages are
                    [validated]/[report]) *)
-  jobs : int option;  (** worker domains; never affects results or artifact keys *)
+  jobs : int option;
+      (** worker domains; never affects results (every engine and the
+          fault simulator are bit-identical at every job count) or
+          artifact keys *)
   block_words : int option;
       (** ppsfp batch width in 64-pattern words ([--block-words] /
           [OPTPROB_BLOCK_WORDS]); like [jobs], never affects results or

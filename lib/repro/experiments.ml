@@ -426,7 +426,7 @@ let x3_convexity_scan () =
   x'.(0) <- 1.0;
   let p1 = gather (Oracle.probs o x') in
   let ys = List.init 11 (fun i -> 0.05 +. (0.09 *. Float.of_int i)) in
-  let js = List.map (fun y -> Rt_optprob.Objective.value_along ~n ~p0 ~p1 y) ys in
+  let js = List.map (fun y -> Rt_optprob.Objective.single.value_along ~n ~p0 ~p1 y) ys in
   (* Convexity check: second differences non-negative. *)
   let rec second_diffs = function
     | a :: (b :: c :: _ as rest) -> (a +. c -. (2.0 *. b)) :: second_diffs rest

@@ -1,11 +1,12 @@
-(* COP evaluation: the activation x observability estimate, in three
-   forms — full sweep, plan-restricted sweep, and an incremental state
-   that caches a base point's signal probabilities / observabilities and
-   re-evaluates only a flipped input's damage cone.
+(* COP evaluation: the activation x observability estimate, in two
+   forms — a plan-restricted sweep (a full query is the all-faults plan),
+   and an incremental state that caches a base point's signal
+   probabilities / observabilities and re-evaluates only a flipped input's
+   damage cone.
 
    Bit-identity invariant (what makes the incremental path safe for the
    optimizer): after any [eval] / [cofactor_pair], the returned vector is
-   bit-for-bit what [probs_subset] computes from scratch at the same
+   bit-for-bit what [probs_plan] computes from scratch at the same
    point.  The argument: a masked node outside fanout*(i) has no path
    from input i (sp_mask is fanin-closed, so any such path would be
    entirely masked), hence its cached value already equals the from-
@@ -36,23 +37,15 @@ let[@inline] fault_prob c ~sp ~obs f =
   | Fault.Branch (g, k) -> act *. Observability.pin_observability c ~node_probs:sp ~obs g k
 
 let fill ~jobs c ~sp ~obs faults out =
-  let nf = Array.length faults in
   (* The per-fault work is sub-microsecond: only worth domains on large
-     universes (and never more domains than cores — see Parallel.region). *)
-  Parallel.region ~label:"cop.fill" ~min_per_chunk:1024 ~seq_below:4096 ~jobs ~n:nf
-    (fun ~chunk:_ ~lo ~hi ->
+     universes, in slices large enough to amortise claiming them. *)
+  Parallel.sweep ~label:"cop.fill" ~grain:1024 ~seq_below:4096 ~jobs ~n:(Array.length faults)
+    (fun ~worker:_ ~lo ~hi ->
       for i = lo to hi - 1 do
         out.(i) <- fault_prob c ~sp ~obs faults.(i)
       done)
 
-let probs ?(jobs = 1) c faults x =
-  let sp = Signal_prob.independence c x in
-  let obs = Observability.cop c ~node_probs:sp in
-  let out = Array.make (Array.length faults) 0.0 in
-  fill ~jobs c ~sp ~obs faults out;
-  out
-
-let probs_subset ?(jobs = 1) c plan x =
+let probs_plan ?(jobs = 1) c plan x =
   let sp = Signal_prob.independence_subset c ~mask:(Oracle.sp_mask plan) x in
   let obs = Observability.cop_subset c ~mask:(Oracle.obs_mask plan) ~node_probs:sp in
   let out = Array.make (Array.length (Oracle.selected plan)) 0.0 in
@@ -255,7 +248,7 @@ let apply_patch st (sp_dirty, obs_dirty) v =
   for k = Array.length obs_dirty - 1 downto 0 do
     let g = obs_dirty.(k) in
     st.save_obs.(k) <- obs.(g);
-    Observability.set_cop_node c ~stem_rule:Observability.Complement_product ~node_probs:sp ~obs g
+    Observability.set_cop_node c ~node_probs:sp ~obs g
   done;
   Rt_obs.add c_patched (Array.length sp_dirty + Array.length obs_dirty)
 

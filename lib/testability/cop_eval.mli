@@ -1,5 +1,6 @@
-(** COP detection-probability evaluation: full sweeps, plan-restricted
-    sweeps, and an incremental state for cofactor queries.
+(** COP detection-probability evaluation: plan-restricted sweeps (a full
+    query is the sweep over an all-faults plan), and an incremental state
+    for cofactor queries.
 
     The incremental {!state} caches the signal probabilities and
     observabilities of a base point [x] under a plan's masks.  A query at
@@ -14,16 +15,15 @@
     rebuilt.
 
     Every result is bit-identical to the corresponding from-scratch
-    {!probs_subset} call: nodes outside the cone cannot depend on the
+    {!probs_plan} call: nodes outside the cone cannot depend on the
     flipped input (the masks are closure-consistent), and nodes inside are
     recomputed in the same order with the same arithmetic. *)
 
-val probs : ?jobs:int -> Rt_circuit.Netlist.t -> Rt_fault.Fault.t array -> float array -> float array
-(** Full-circuit COP estimate of [p_f(X)] per fault. *)
-
-val probs_subset : ?jobs:int -> Rt_circuit.Netlist.t -> Oracle.plan -> float array -> float array
-(** Plan-restricted sweep: masked signal-probability and observability
-    sweeps, then the selected faults only. *)
+val probs_plan : ?jobs:int -> Rt_circuit.Netlist.t -> Oracle.plan -> float array -> float array
+(** COP estimate of [p_f(X)] for the plan's selected faults: masked
+    signal-probability and observability sweeps, then the selected faults
+    only.  [jobs] shares the per-fault step across domains on large
+    plans; the result does not depend on it. *)
 
 type cones
 (** The damage cones of one circuit.  Each input's full-circuit cone is

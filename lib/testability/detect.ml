@@ -1,16 +1,16 @@
 (* Engine constructors for the oracle protocol.  The query mechanics —
-   subset plans, keyed plan cache, counters, spans, the generic cofactor
-   fallback — all live in [Oracle]; the COP sweep core
-   and the incremental damage-cone evaluator live in [Cop_eval].  What
-   remains here is one constructor per ANALYSIS engine, each registering
-   its fused [cofactor_pair] when it has one:
+   subset plans, counters, spans, the generic cofactor fallback — all live
+   in [Oracle]; the COP sweep core and the incremental damage-cone
+   evaluator live in [Cop_eval].  What remains here is one constructor per
+   ANALYSIS engine.  Each has one evaluation kernel, its plan query; its
+   full query is that kernel over an all-faults plan built here, once.
+   Each also registers its fused [cofactor_pair] when it has one:
 
    - COP: a shared incremental state re-evaluates only the flipped
      input's cone (and commits the patch when the optimizer moves the
      base point by one coordinate);
    - conditioned COP: per-assignment incremental states under the
-     Shannon expansion (serial path only — the sharded path's partial
-     sums have their own association order);
+     Shannon expansion (up to 8 conditioning variables);
    - exact BDD: one paired traversal per generation returns both
      cofactors of every selected detection root;
    - STAFAN / Monte-Carlo: the weighted pattern batches drawn for the
@@ -34,87 +34,56 @@ type engine =
 
 let c_bdd_nodes = Rt_obs.counter "bdd.nodes_allocated"
 
-let no_flags faults = Array.make (Array.length faults) false
+(* Every engine goes through here: its full query is its plan query over
+   all of its faults, on a plan built once per engine.  The estimators
+   flag no fault exact or redundant. *)
+let engine_oracle ~kind ~label ~c ~faults ?exact ?redundant ~run_subset ?cofactor_pair () =
+  let flags = function Some f -> f | None -> Array.make (Array.length faults) false in
+  let all = Oracle.make_plan c faults (Array.init (Array.length faults) Fun.id) in
+  Oracle.make ~kind ~label ~c ~faults ~exact:(flags exact) ~redundant:(flags redundant)
+    ~run:(run_subset all) ~run_subset ?cofactor_pair ()
 
 (* --- COP ------------------------------------------------------------------ *)
 
 let make_cop ~jobs c faults =
   let st = Cop_eval.create ~jobs (Cop_eval.cones c) in
-  Oracle.make ~kind:"cop" ~label:"cop" ~c ~faults ~exact:(no_flags faults)
-    ~redundant:(no_flags faults)
-    ~run:(fun x -> Cop_eval.probs ~jobs c faults x)
-    ~run_subset:(fun plan x -> Cop_eval.probs_subset ~jobs c plan x)
+  engine_oracle ~kind:"cop" ~label:"cop" ~c ~faults
+    ~run_subset:(fun plan x -> Cop_eval.probs_plan ~jobs c plan x)
     ~cofactor_pair:(fun plan ~input x -> Cop_eval.cofactor_pair st plan ~input x)
     ()
 
 (* PREDICT-style (ABS86): Shannon-expand the COP estimate over the
    highest-fanout inputs — activation and observability are conditionally
    estimated per assignment, which removes the input-level correlations
-   plain COP ignores.  The assignments are independent, so with [jobs > 1]
-   they are sharded across domains (per-domain accumulators merged in
-   chunk order; [jobs = 1] keeps the exact serial summation order). *)
-let conditioned_expand ~jobs ~positions ~nf x eval_assignment =
-  let k = Array.length positions in
-  let n_assign = 1 lsl k in
-  let accumulate ~lo ~hi =
-    let acc = Array.make nf 0.0 in
-    let x' = Array.copy x in
-    for a = lo to hi - 1 do
-      let weight = ref 1.0 in
-      Array.iteri
-        (fun j pos ->
-          if (a lsr j) land 1 = 1 then begin
-            x'.(pos) <- 1.0;
-            weight := !weight *. x.(pos)
-          end
-          else begin
-            x'.(pos) <- 0.0;
-            weight := !weight *. (1.0 -. x.(pos))
-          end)
-        positions;
-      if !weight > 0.0 then begin
-        let pf = eval_assignment x' in
-        Array.iteri (fun i v -> acc.(i) <- acc.(i) +. (!weight *. v)) pf
-      end
-    done;
-    acc
-  in
-  if jobs <= 1 then accumulate ~lo:0 ~hi:n_assign
-  else begin
-    (* Each assignment is a full COP sweep — heavy enough that any split
-       pays off, so only the hardware clamp applies. *)
-    let parts = Array.make jobs [||] in
-    Parallel.region ~label:"conditioned.expand" ~jobs ~n:n_assign (fun ~chunk ~lo ~hi ->
-        parts.(chunk) <- accumulate ~lo ~hi);
-    (* The region runs at most [n_assign] chunks, so chunk 0 always holds
-       a partial; chunks it did not use stay empty and add nothing. *)
-    let acc = parts.(0) in
-    for chunk = 1 to jobs - 1 do
-      Array.iteri (fun i v -> acc.(i) <- acc.(i) +. v) parts.(chunk)
-    done;
-    acc
-  end
+   plain COP ignores.  The assignments are summed in ascending order at
+   every job count ([jobs] only shares each sweep's per-fault step), so
+   the result never depends on [jobs]. *)
+let conditioned_expand ~positions ~nf x eval_assignment =
+  let acc = Array.make nf 0.0 in
+  let x' = Array.copy x in
+  for a = 0 to (1 lsl Array.length positions) - 1 do
+    let weight = ref 1.0 in
+    Array.iteri
+      (fun j pos ->
+        if (a lsr j) land 1 = 1 then begin
+          x'.(pos) <- 1.0;
+          weight := !weight *. x.(pos)
+        end
+        else begin
+          x'.(pos) <- 0.0;
+          weight := !weight *. (1.0 -. x.(pos))
+        end)
+      positions;
+    if !weight > 0.0 then begin
+      let pf = eval_assignment x' in
+      Array.iteri (fun i v -> acc.(i) <- acc.(i) +. (!weight *. v)) pf
+    end
+  done;
+  acc
 
-let conditioned_probs ?(jobs = 1) ~max_vars c faults x =
-  let set = Signal_prob.conditioning_set ~max_vars c in
-  if Array.length set = 0 then Cop_eval.probs ~jobs c faults x
-  else begin
-    let positions = Array.map (fun i -> Netlist.input_index c i) set in
-    conditioned_expand ~jobs ~positions ~nf:(Array.length faults) x (fun x' ->
-        Cop_eval.probs c faults x')
-  end
-
-let conditioned_probs_subset ?(jobs = 1) ~max_vars c plan x =
-  let set = Signal_prob.conditioning_set ~max_vars c in
-  if Array.length set = 0 then Cop_eval.probs_subset ~jobs c plan x
-  else begin
-    let positions = Array.map (fun i -> Netlist.input_index c i) set in
-    conditioned_expand ~jobs ~positions ~nf:(Array.length (Oracle.selected plan)) x (fun x' ->
-        Cop_eval.probs_subset c plan x')
-  end
-
-(* Fused conditioned cofactors (serial expansion only): one incremental
-   COP state per live assignment, all sharing one damage-cone table.
+(* Fused conditioned cofactors: one incremental COP state per live
+   assignment, all sharing one damage-cone table, summed in the
+   expansion's order.
    When the flipped input is itself a conditioning variable its value is
    fixed by the assignment, so one evaluation serves both cofactors and
    only the Shannon weights differ (the x_i factor becomes 0.0 or 1.0 —
@@ -122,7 +91,7 @@ let conditioned_probs_subset ?(jobs = 1) ~max_vars c plan x =
    multiplying by 1.0 is exact and a 0.0 factor zeroes the product and
    skips the assignment).  Otherwise
    the assignment's state answers both cofactors from one damage cone. *)
-let conditioned_cofactor ~positions c =
+let conditioned_cofactor ~jobs ~positions c =
   let n_assign = 1 lsl Array.length positions in
   let states = Array.make n_assign None in
   let cones = Cop_eval.cones c in
@@ -130,7 +99,7 @@ let conditioned_cofactor ~positions c =
     match states.(a) with
     | Some s -> s
     | None ->
-      let s = Cop_eval.create ~jobs:1 cones in
+      let s = Cop_eval.create ~jobs cones in
       states.(a) <- Some s;
       s
   in
@@ -181,6 +150,13 @@ let conditioned_cofactor ~positions c =
 let make_conditioned ~jobs ~max_vars c faults =
   let set = Signal_prob.conditioning_set ~max_vars c in
   let k = Array.length set in
+  let positions = Array.map (fun i -> Netlist.input_index c i) set in
+  let run_subset plan x =
+    if k = 0 then Cop_eval.probs_plan ~jobs c plan x
+    else
+      conditioned_expand ~positions ~nf:(Array.length (Oracle.selected plan)) x (fun x' ->
+          Cop_eval.probs_plan ~jobs c plan x')
+  in
   let cofactor =
     if k = 0 then begin
       (* No conditioning variables: the engine degenerates to plain COP,
@@ -188,22 +164,16 @@ let make_conditioned ~jobs ~max_vars c faults =
       let st = Cop_eval.create ~jobs (Cop_eval.cones c) in
       Some (fun plan ~input x -> Cop_eval.cofactor_pair st plan ~input x)
     end
-    else if jobs = 1 && k <= 8 then begin
-      let positions = Array.map (fun i -> Netlist.input_index c i) set in
-      Some (conditioned_cofactor ~positions c)
-    end
+    else if k <= 8 then Some (conditioned_cofactor ~jobs ~positions c)
     else
-      (* Sharded expansion sums per-chunk partials whose association
-         order the fused path cannot reproduce bit-exactly — let the
-         protocol fall back to two plain subset queries. *)
+      (* Past 8 variables the 2^k per-assignment states, each holding
+         node-sized arrays, are not kept: the protocol falls back to two
+         plain plan queries. *)
       None
   in
-  Oracle.make ~kind:"conditioned"
+  engine_oracle ~kind:"conditioned"
     ~label:(Printf.sprintf "conditioned(cop, %d vars)" k)
-    ~c ~faults ~exact:(no_flags faults) ~redundant:(no_flags faults)
-    ~run:(fun x -> conditioned_probs ~jobs ~max_vars c faults x)
-    ~run_subset:(fun plan x -> conditioned_probs_subset ~jobs ~max_vars c plan x)
-    ?cofactor_pair:cofactor ()
+    ~c ~faults ~run_subset ?cofactor_pair:cofactor ()
 
 (* Exact engine.  Good-circuit BDDs are built once per "generation"; per
    fault, only the chain from its site to the root of its fanout-free
@@ -389,29 +359,6 @@ let make_bdd ~node_limit ?(max_generations = 6) c faults =
       subset;
     (Array.of_list !idxs, Array.of_list !roots)
   in
-  (* Every generation's (fault indices, detection roots), for full queries. *)
-  let gen_all =
-    let all = Array.init nf Fun.id in
-    Array.mapi (fun gi _ -> gen_roots all gi) generations
-  in
-  let run x =
-    let x_of_var = x_of_var_table x in
-    let out = Array.make nf 0.0 in
-    (* Batch the prob evaluation per generation to share memo tables. *)
-    Array.iteri
-      (fun gi { m; _ } ->
-        let fis, roots = gen_all.(gi) in
-        if Array.length roots > 0 then begin
-          let vals = Bdd.prob_many m roots (fun v -> x_of_var.(v)) in
-          Array.iteri (fun j fi -> out.(fi) <- vals.(j)) fis
-        end)
-      generations;
-    if Array.exists (fun r -> r = None) detect_roots then begin
-      let fb = Cop_eval.probs c faults x in
-      Array.iteri (fun fi r -> if r = None then out.(fi) <- fb.(fi)) detect_roots
-    end;
-    out
-  in
   let run_subset plan x =
     let subset = Oracle.subset plan in
     let x_of_var = x_of_var_table x in
@@ -425,7 +372,7 @@ let make_bdd ~node_limit ?(max_generations = 6) c faults =
         end)
       generations;
     if Array.exists (fun fi -> detect_roots.(fi) = None) subset then begin
-      let fb = Cop_eval.probs_subset c plan x in
+      let fb = Cop_eval.probs_plan c plan x in
       Array.iteri (fun j fi -> if detect_roots.(fi) = None then out.(j) <- fb.(j)) subset
     end;
     out
@@ -457,9 +404,9 @@ let make_bdd ~node_limit ?(max_generations = 6) c faults =
     if Array.exists (fun fi -> detect_roots.(fi) = None) subset then begin
       let x' = Array.copy x in
       x'.(input) <- 0.0;
-      let fb0 = Cop_eval.probs_subset c plan x' in
+      let fb0 = Cop_eval.probs_plan c plan x' in
       x'.(input) <- 1.0;
-      let fb1 = Cop_eval.probs_subset c plan x' in
+      let fb1 = Cop_eval.probs_plan c plan x' in
       Array.iteri
         (fun j fi ->
           if detect_roots.(fi) = None then begin
@@ -471,11 +418,11 @@ let make_bdd ~node_limit ?(max_generations = 6) c faults =
     (out0, out1)
   in
   let n_exact = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 exact in
-  Oracle.make ~kind:"bdd"
+  engine_oracle ~kind:"bdd"
     ~label:
       (Printf.sprintf "bdd-exact(%d/%d exact, %d generations, %d nodes)" n_exact nf
          (Array.length generations) !total_nodes)
-    ~c ~faults ~exact ~redundant ~run ~run_subset ~cofactor_pair:cofactor ()
+    ~c ~faults ~exact ~redundant ~run_subset ~cofactor_pair:cofactor ()
 
 (* --- Pattern-counting engines ---------------------------------------------
 
@@ -534,14 +481,12 @@ let make_stafan ~n_patterns ~seed c faults =
     let pf1 = Stafan.detection_probs_subset c ~mask counts1 sel in
     (pf0, pf1)
   in
-  Oracle.make ~kind:"stafan"
+  engine_oracle ~kind:"stafan"
     ~label:(Printf.sprintf "stafan(%d patterns)" n_patterns)
-    ~c ~faults ~exact:(no_flags faults) ~redundant:(no_flags faults)
-    ~run:(fun x -> Stafan.detection_probs c (count x) faults)
-    ~run_subset:
-      (fun plan x ->
-        Stafan.detection_probs_subset c ~mask:(Oracle.obs_mask plan) (count x)
-          (Oracle.selected plan))
+    ~c ~faults
+    ~run_subset:(fun plan x ->
+      Stafan.detection_probs_subset c ~mask:(Oracle.obs_mask plan) (count x)
+        (Oracle.selected plan))
     ~cofactor_pair:cofactor ()
 
 let make_mc ~jobs ~n_patterns ~seed c faults =
@@ -560,17 +505,15 @@ let make_mc ~jobs ~n_patterns ~seed c faults =
     in
     (pf0, pf1)
   in
-  Oracle.make ~kind:"mc"
+  engine_oracle ~kind:"mc"
     ~label:(Printf.sprintf "monte-carlo(%d patterns)" n_patterns)
-    ~c ~faults ~exact:(no_flags faults) ~redundant:(no_flags faults)
-    ~run:(fun x -> Rt_sim.Detect_mc.detection_probs ~jobs c faults ~weights:x ~n_patterns ~seed)
-    ~run_subset:
-      (fun plan x ->
-        (* Without dropping, each fault's detection counts depend only on
-           the shared pattern stream, so simulating the selected faults
-           alone reproduces the full run's estimates exactly. *)
-        Rt_sim.Detect_mc.detection_probs ~jobs c (Oracle.selected plan) ~weights:x ~n_patterns
-          ~seed)
+    ~c ~faults
+    ~run_subset:(fun plan x ->
+      (* Without dropping, each fault's detection counts depend only on
+         the shared pattern stream, so simulating the selected faults
+         alone reproduces a run over every fault exactly. *)
+      Rt_sim.Detect_mc.detection_probs ~jobs c (Oracle.selected plan) ~weights:x ~n_patterns
+        ~seed)
     ~cofactor_pair:cofactor ()
 
 let make ?jobs engine c faults =

@@ -19,17 +19,20 @@
 
     Every engine is constructed as a value of the engine-agnostic
     {!Oracle.t} protocol, and all queries go through {!Oracle}
-    ({!Oracle.probs}, {!Oracle.probs_subset}, {!Oracle.cofactor_pair}, ...).
-    Each engine does only a subset's share of the work on subset queries:
+    ({!Oracle.probs}, {!Oracle.probs_plan}, {!Oracle.cofactor_pair}, ...).
+    Each engine has one evaluation kernel, its plan query; {!Oracle.probs}
+    is that query over an all-faults plan built once by {!make}.  Each
+    engine does only a plan's share of the work:
     COP/conditioned restrict their signal-probability and observability
     sweeps to the union of the selected faults' cones, the exact engine
     evaluates only the selected detection BDDs (skipping whole generations
     none of them landed in), STAFAN restricts its observability sweep, and
     Monte-Carlo simulates only the selected faults.  Each constructor also
     registers the engine's fused cofactor implementation when it has one
-    (incremental damage-cone re-evaluation for COP and serial conditioned
-    COP, a paired traversal for the exact BDDs, a recorded and replayed
-    pattern base for STAFAN / Monte-Carlo). *)
+    (incremental damage-cone re-evaluation for COP and for conditioned
+    COP with up to 8 conditioning variables, a paired traversal for the
+    exact BDDs, a recorded and replayed pattern base for STAFAN /
+    Monte-Carlo). *)
 
 type engine =
   | Cop
@@ -42,9 +45,9 @@ type engine =
   | Monte_carlo of { n_patterns : int; seed : int }
 
 val make : ?jobs:int -> engine -> Rt_circuit.Netlist.t -> Rt_fault.Fault.t array -> Oracle.t
-(** Performs all per-circuit precomputation (e.g. BDD construction) so that
-    repeated {!Oracle.probs} calls are cheap.  [jobs] (default: the
-    [OPTPROB_JOBS] environment variable, else 1) shards per-fault and
-    per-assignment work across that many domains in the COP, conditioned
-    and Monte-Carlo engines; [jobs = 1] is bit-identical to the serial
-    implementation. *)
+(** Performs all per-circuit precomputation (e.g. BDD construction and
+    the all-faults plan) so that repeated {!Oracle.probs} calls are cheap.
+    [jobs] (default: the [OPTPROB_JOBS] environment variable, else 1)
+    shares per-fault work across that many domains in the COP,
+    conditioned and Monte-Carlo engines; every engine's results are
+    bit-identical at every [jobs]. *)

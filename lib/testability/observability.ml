@@ -1,10 +1,6 @@
 module Netlist = Rt_circuit.Netlist
 module Gate = Rt_circuit.Gate
 
-type stem_rule =
-  | Complement_product
-  | Maximum
-
 let[@inline] pin_sensitization c ~node_probs g k =
   let fi = Netlist.fanin c g in
   match Netlist.kind c g with
@@ -32,9 +28,9 @@ let pin_observability c ~node_probs ~obs g k =
    reader its pins last to first.  The order is part of the result:
    1 - prod (1 - o_b) is not associative in floating point, and this is
    the order the pinned digests and recorded tables were produced with. *)
-let set_cop_node c ~stem_rule ~node_probs ~obs g =
+let set_cop_node c ~node_probs ~obs g =
   let base = if Netlist.is_output c g then 1.0 else 0.0 in
-  let acc = ref (match stem_rule with Complement_product -> 1.0 -. base | Maximum -> base) in
+  let acc = ref (1.0 -. base) in
   let readers = Netlist.fanout c g in
   for r = Array.length readers - 1 downto 0 do
     let reader = readers.(r) in
@@ -42,27 +38,17 @@ let set_cop_node c ~stem_rule ~node_probs ~obs g =
     for k = Array.length fi - 1 downto 0 do
       if fi.(k) = g then begin
         let o = pin_sensitization c ~node_probs reader k *. obs.(reader) in
-        match stem_rule with
-        | Complement_product -> acc := !acc *. (1.0 -. o)
-        | Maximum -> acc := Float.max !acc o
+        acc := !acc *. (1.0 -. o)
       end
     done
   done;
-  obs.(g) <- (match stem_rule with Complement_product -> 1.0 -. !acc | Maximum -> !acc)
+  obs.(g) <- 1.0 -. !acc
 
-let cop ?(stem_rule = Complement_product) c ~node_probs =
-  let n = Netlist.size c in
-  let obs = Array.make n 0.0 in
-  for g = n - 1 downto 0 do
-    set_cop_node c ~stem_rule ~node_probs ~obs g
-  done;
-  obs
-
-let cop_subset ?(stem_rule = Complement_product) c ~mask ~node_probs =
+let cop_subset c ~mask ~node_probs =
   let n = Netlist.size c in
   if Array.length mask <> n then invalid_arg "Observability.cop_subset: mask size";
   let obs = Array.make n 0.0 in
   for g = n - 1 downto 0 do
-    if mask.(g) then set_cop_node c ~stem_rule ~node_probs ~obs g
+    if mask.(g) then set_cop_node c ~node_probs ~obs g
   done;
   obs

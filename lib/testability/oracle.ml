@@ -2,20 +2,22 @@
    ANALYSIS engine — COP, conditioned COP, exact BDD, STAFAN, Monte-Carlo
    — is a value of [t]; the optimizer talks only to this interface.
 
-   The protocol's core operation is [cofactor_pair]: both single-variable
-   cofactors p_f(X,0|i) and p_f(X,1|i) of a fault subset from ONE
-   traversal (paper §4, eq. 15 — the PREPARE step).  Engines that can
-   exploit incrementality provide a fused implementation (registered via
-   [?cofactor_pair] at construction); the others fall back to two
-   independent subset queries.  Which path ran is visible in the
-   [oracle.cofactor.{incremental,full}] counters and the per-query span. *)
+   Each engine has one evaluation kernel, its plan query [run_subset];
+   its full query [run] is that kernel over an all-faults plan built when
+   the engine is constructed.  The protocol's core operation is
+   [cofactor_pair]: both single-variable cofactors p_f(X,0|i) and
+   p_f(X,1|i) of a fault subset from ONE traversal (paper §4, eq. 15 — the
+   PREPARE step).  Engines that can exploit incrementality provide a fused
+   implementation (registered via [?cofactor_pair] at construction); the
+   others fall back to two independent plan queries.  Which path ran is
+   visible in the [oracle.cofactor.{incremental,full}] counters and the
+   per-query span. *)
 
 module Netlist = Rt_circuit.Netlist
 module Fault = Rt_fault.Fault
 
 type plan = {
-  key : int array;
-      (* the subset index array; cache lookups compare it with [==] *)
+  key : int array;  (* the subset index array *)
   owner : Fault.t array;
       (* the fault array the indices refer to; queries validate it with
          [==] so a plan can never be replayed against another oracle *)
@@ -40,7 +42,6 @@ type t = {
   run : float array -> float array;
   run_subset : plan -> float array -> float array;
   cofactor : (plan -> input:int -> float array -> float array * float array) option;
-  mutable plans : plan list;  (* MRU-first keyed cache, bounded *)
   cq_run : Rt_obs.counter;
   cq_subset : Rt_obs.counter;
   cq_cofactor : Rt_obs.counter;
@@ -49,8 +50,6 @@ type t = {
   h_cofactor : Rt_obs.histogram;
 }
 
-let c_plan_hit = Rt_obs.counter "detect.plan.hit"
-let c_plan_miss = Rt_obs.counter "detect.plan.miss"
 let c_cof_incremental = Rt_obs.counter "oracle.cofactor.incremental"
 let c_cof_full = Rt_obs.counter "oracle.cofactor.full"
 
@@ -64,7 +63,6 @@ let make ~kind ~label ~c ~faults ~exact ~redundant ~run ~run_subset ?cofactor_pa
     run;
     run_subset;
     cofactor = cofactor_pair;
-    plans = [];
     cq_run = Rt_obs.counter ("oracle.queries." ^ kind);
     cq_subset = Rt_obs.counter ("oracle.subset_queries." ^ kind);
     cq_cofactor = Rt_obs.counter ("oracle.cofactor_queries." ^ kind);
@@ -75,17 +73,14 @@ let make ~kind ~label ~c ~faults ~exact ~redundant ~run ~run_subset ?cofactor_pa
 (* --- Subset plans ---------------------------------------------------------
 
    PREPARE (paper §4) only ever asks for the detection probabilities of the
-   [nf] hardest faults, so every engine gets a [run_subset] / [cofactor]
-   that restricts its work to those faults' cones.  The node masks are
-   derived once per subset and cached keyed on the physical identity of the
-   index array — OPTIMIZE passes the same [hard_indices] array for a whole
-   sweep.  The cache holds several recent plans (MRU first) so callers that
-   alternate between subsets — partitioning, interleaved sweeps over
-   different prefixes — no longer thrash a single slot. *)
-
-let max_cached_plans = 8
+   [nf] hardest faults, so every engine evaluates a plan: the selected
+   faults plus the node masks their evaluation touches.  A plan depends
+   only on the circuit and the fault array, so engines build their
+   all-faults plan (behind {!probs}) before the oracle exists, and OPTIMIZE
+   builds one per sweep for its [hard_indices]. *)
 
 let make_plan c faults subset =
+  Rt_obs.with_span ~cat:"detect" "subset_plan" @@ fun () ->
   let n = Netlist.size c in
   let nf = Array.length faults in
   let sel =
@@ -119,36 +114,13 @@ let make_plan c faults subset =
   done;
   { key = subset; owner = faults; sel; obs_mask; sp_mask }
 
-let rec take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | p :: rest -> p :: take (n - 1) rest
-
-let plan o subset =
-  let rec find acc = function
-    | [] -> None
-    | p :: rest when p.key == subset -> Some (p, List.rev_append acc rest)
-    | p :: rest -> find (p :: acc) rest
-  in
-  match find [] o.plans with
-  | Some (p, rest) ->
-    Rt_obs.incr c_plan_hit;
-    o.plans <- p :: rest;
-    p
-  | None ->
-    Rt_obs.incr c_plan_miss;
-    let p =
-      Rt_obs.with_span ~cat:"detect" "subset_plan" (fun () ->
-          make_plan o.c o.fault_list subset)
-    in
-    o.plans <- p :: take (max_cached_plans - 1) o.plans;
-    p
+let plan o subset = make_plan o.c o.fault_list subset
 
 (* --- Queries --------------------------------------------------------------
 
    Every dispatch through the oracle is a span named for the phase
    ("analysis" / "cofactor_pair"), categorised by engine, plus per-engine
-   query counters — full-vector, subset and cofactor queries separately so
+   query counters — full-vector, plan and cofactor queries separately so
    the PREPARE savings are visible in a metrics snapshot — and per-engine
    latency histograms, so a tail regression in one engine's queries is
    visible even when the totals (and hence the mean) barely move. *)
@@ -166,12 +138,6 @@ let probs_plan o p x =
   check_width o x "Oracle.probs_plan";
   if p.owner != o.fault_list then invalid_arg "Oracle.probs_plan: plan from another oracle";
   Rt_obs.incr o.cq_subset;
-  Rt_obs.with_span_h ~cat:o.kind "analysis" o.h_subset (fun () -> o.run_subset p x)
-
-let probs_subset o subset x =
-  check_width o x "Oracle.probs_subset";
-  Rt_obs.incr o.cq_subset;
-  let p = plan o subset in
   Rt_obs.with_span_h ~cat:o.kind "analysis" o.h_subset (fun () -> o.run_subset p x)
 
 (* The engine-independent fallback: two independent subset evaluations on

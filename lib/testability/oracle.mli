@@ -4,17 +4,21 @@
     queries for a fixed circuit and fault list.  Three query shapes:
 
     - {!probs}: the full vector [p_f(X)] (the paper's ANALYSIS);
-    - {!probs_subset} / {!probs_plan}: the same restricted to a fault
-      subset's cones;
+    - {!probs_plan}: the same restricted to a fault subset's cones;
     - {!cofactor_pair}: both single-variable cofactors [p_f(X,0|i)] and
       [p_f(X,1|i)] of a subset from {e one} traversal — the PREPARE step
       (paper §4, eq. 15), the optimizer's hot path.
+
+    Each engine has one evaluation kernel, its plan query: the engines in
+    {!Detect} answer {!probs} with that kernel over an all-faults plan
+    built once at construction, so a full query is the plan query over
+    every fault and the two can never disagree.
 
     Engines register a fused [cofactor_pair] at construction when they can
     share work between the two cofactors (incremental damage-cone
     re-evaluation for COP/conditioned, a paired BDD traversal, a replayed
     pattern base for MC/STAFAN); otherwise the protocol falls back to two
-    independent subset queries.  Both paths return bit-identical vectors —
+    independent plan queries.  Both paths return bit-identical vectors —
     the fused implementations are required to reproduce the fallback's
     floats exactly — so switching engines or paths never changes optimizer
     results.  The [oracle.cofactor.incremental] / [oracle.cofactor.full]
@@ -23,8 +27,9 @@
 type plan
 (** A prepared subset query: the selected faults plus the node masks
     (observability cone union; fanin-closed signal-probability support)
-    their evaluation touches.  Plans are tied to the oracle family that
-    made them (same circuit and fault array). *)
+    their evaluation touches.  A plan is tied to the fault array it was
+    made from: queries accept it only from an oracle over that same
+    array. *)
 
 type t
 
@@ -42,19 +47,25 @@ val make :
   t
 (** Engine constructors call this.  [kind] names the engine family for
     counters and spans ("cop", "bdd", ...); [label] is the human
-    description.  [run_subset] receives a validated plan.  The optional
+    description.  [run] answers {!probs}; {!Detect}'s engines pass
+    [run_subset] over their all-faults plan.  [run_subset] receives a
+    validated plan.  The optional
     [cofactor_pair] is the engine's fused two-cofactor evaluation; it must
     be bit-identical to evaluating [run_subset] twice at [x] with
     coordinate [input] set to 0.0 and 1.0, and must not mutate [x]. *)
 
+val make_plan : Rt_circuit.Netlist.t -> Rt_fault.Fault.t array -> int array -> plan
+(** [make_plan c faults subset] computes the cone masks for a subset of
+    [faults] — element [j] of plan-query results corresponds to fault
+    index [subset.(j)].  Needs no oracle, so an engine constructor can
+    build its all-faults plan before calling {!make} with the same
+    [faults] array.  Raises [Invalid_argument] on out-of-range fault
+    indices. *)
+
 val plan : t -> int array -> plan
-(** [plan o subset] prepares (or retrieves) the cone masks for a fault
-    subset — element [j] of subset-query results corresponds to fault
-    index [subset.(j)].  Plans are cached keyed on the physical identity
-    of [subset] (a small MRU list, so alternating between a few subsets
-    does not thrash); reuse one index array across calls, as
-    {!Rt_optprob.Optimize.run} does per sweep, to amortise planning.
-    Raises [Invalid_argument] on out-of-range fault indices. *)
+(** [plan o subset] is [make_plan (circuit o) (faults o) subset].  Plans
+    are not cached: build one per subset and reuse it across queries, as
+    {!Rt_optprob.Optimize.run} does per sweep. *)
 
 (** Plan accessors, for engine implementations (treat the returned arrays
     as read-only — they are the plan's own state). *)
@@ -76,9 +87,6 @@ val sp_mask : plan -> bool array
 
 val probs : t -> float array -> float array
 (** [probs o x] is [p_f(X)] for each fault, in fault-array order. *)
-
-val probs_subset : t -> int array -> float array -> float array
-(** [probs_subset o subset x] is [probs_plan o (plan o subset) x]. *)
 
 val probs_plan : t -> plan -> float array -> float array
 (** Subset query against a prepared plan: equals gathering the selected

@@ -66,11 +66,9 @@ let controllability counts n = Float.of_int counts.ones.(n) /. Float.of_int coun
 
 (* Same loop shape and fold order as [Observability.set_cop_node], with
    the measured sensitization in place of the COP product. *)
-let set_observability_node c counts ~stem_rule ~total ~obs g =
+let set_observability_node c counts ~total ~obs g =
   let base = if Netlist.is_output c g then 1.0 else 0.0 in
-  let acc =
-    ref (match stem_rule with Observability.Complement_product -> 1.0 -. base | Observability.Maximum -> base)
-  in
+  let acc = ref (1.0 -. base) in
   let readers = Netlist.fanout c g in
   for r = Array.length readers - 1 downto 0 do
     let reader = readers.(r) in
@@ -79,33 +77,19 @@ let set_observability_node c counts ~stem_rule ~total ~obs g =
       if fi.(k) = g then begin
         let sens_p = Float.of_int counts.sens.(reader).(k) /. total in
         let o = sens_p *. obs.(reader) in
-        match stem_rule with
-        | Observability.Complement_product -> acc := !acc *. (1.0 -. o)
-        | Observability.Maximum -> acc := Float.max !acc o
+        acc := !acc *. (1.0 -. o)
       end
     done
   done;
-  obs.(g) <-
-    (match stem_rule with
-     | Observability.Complement_product -> 1.0 -. !acc
-     | Observability.Maximum -> !acc)
+  obs.(g) <- 1.0 -. !acc
 
-let observability ?(stem_rule = Observability.Complement_product) c counts =
-  let n = Netlist.size c in
-  let total = Float.of_int counts.n_patterns in
-  let obs = Array.make n 0.0 in
-  for g = n - 1 downto 0 do
-    set_observability_node c counts ~stem_rule ~total ~obs g
-  done;
-  obs
-
-let observability_subset ?(stem_rule = Observability.Complement_product) c ~mask counts =
+let observability_subset c ~mask counts =
   let n = Netlist.size c in
   if Array.length mask <> n then invalid_arg "Stafan.observability_subset: mask size";
   let total = Float.of_int counts.n_patterns in
   let obs = Array.make n 0.0 in
   for g = n - 1 downto 0 do
-    if mask.(g) then set_observability_node c counts ~stem_rule ~total ~obs g
+    if mask.(g) then set_observability_node c counts ~total ~obs g
   done;
   obs
 
@@ -119,12 +103,7 @@ let fault_prob c counts ~total ~obs f =
     let sens_p = Float.of_int counts.sens.(g).(k) /. total in
     act *. sens_p *. obs.(g)
 
-let detection_probs ?stem_rule c counts faults =
-  let obs = observability ?stem_rule c counts in
-  let total = Float.of_int counts.n_patterns in
-  Array.map (fault_prob c counts ~total ~obs) faults
-
-let detection_probs_subset ?stem_rule c ~mask counts faults =
-  let obs = observability_subset ?stem_rule c ~mask counts in
+let detection_probs_subset c ~mask counts faults =
+  let obs = observability_subset c ~mask counts in
   let total = Float.of_int counts.n_patterns in
   Array.map (fault_prob c counts ~total ~obs) faults

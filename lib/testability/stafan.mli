@@ -3,7 +3,10 @@
     Instead of analytic propagation, controllabilities and sensitization
     probabilities are {e counted} during ordinary logic simulation; the
     paper names STAFAN as an alternative ANALYSIS provider for the
-    optimizer, and this module implements that role. *)
+    optimizer, and this module implements that role.  The observability
+    sweep is restricted to a node mask, the cones of the faults a query
+    asks about; the engine's full query passes the all-faults plan's
+    mask. *)
 
 type counts = {
   n_patterns : int;
@@ -19,36 +22,20 @@ val count :
 val controllability : counts -> Rt_circuit.Netlist.node -> float
 (** Measured one-probability of a node. *)
 
-val observability :
-  ?stem_rule:Observability.stem_rule -> Rt_circuit.Netlist.t -> counts -> float array
+val observability_subset : Rt_circuit.Netlist.t -> mask:bool array -> counts -> float array
 (** Backward observability sweep driven by the measured sensitization
-    ratios. *)
-
-val observability_subset :
-  ?stem_rule:Observability.stem_rule ->
-  Rt_circuit.Netlist.t ->
-  mask:bool array ->
-  counts ->
-  float array
-(** {!observability} restricted to a fanout-closed node mask (readers of
-    masked nodes are masked); masked values equal the full sweep's. *)
-
-val detection_probs :
-  ?stem_rule:Observability.stem_rule ->
-  Rt_circuit.Netlist.t ->
-  counts ->
-  Rt_fault.Fault.t array ->
-  float array
-(** Per-fault detection probability estimate: activation x observability,
-    both from counts. *)
+    ratios, over the nodes where [mask] is true (other entries stay 0).
+    [mask] must be fanout-closed (readers of masked nodes are masked), so
+    each masked value is the one an unmasked sweep would compute.  Stems
+    combine branches as {!Observability.cop_subset} does. *)
 
 val detection_probs_subset :
-  ?stem_rule:Observability.stem_rule ->
   Rt_circuit.Netlist.t ->
   mask:bool array ->
   counts ->
   Rt_fault.Fault.t array ->
   float array
-(** As {!detection_probs} for an already-gathered fault subset, with the
+(** Per-fault detection probability estimate for an already-gathered
+    fault subset: activation x observability, both from counts, with the
     observability sweep restricted to [mask] (the union of the subset's
     fanout cones). *)

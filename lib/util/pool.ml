@@ -239,7 +239,7 @@ let shutdown t =
   Mutex.unlock t.submit;
   List.iter Domain.join ds
 
-(* The process-wide pool behind [Parallel.region]/[Parallel.sweep].
+(* The process-wide pool behind [Parallel.sweep].
    Shut down via [at_exit] so the program never terminates with parked
    domains still alive. *)
 let default_pool = ref None

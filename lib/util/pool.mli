@@ -26,7 +26,7 @@ val create : unit -> t
 (** A new pool with no domains; they are spawned on demand by {!run}. *)
 
 val default : unit -> t
-(** The process-wide pool used by [Parallel.region]; created on first
+(** The process-wide pool used by [Parallel.sweep]; created on first
     use and shut down via [at_exit]. *)
 
 val run :

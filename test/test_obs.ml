@@ -219,7 +219,7 @@ let test_counter_disabled_drops () =
 
 (* Run [f] over [0, n) on a private pool with exactly [jobs] participants.
    Pool.run honours [participants] (the hardware clamp lives in Parallel's
-   region policy), so this exercises cross-domain atomics even on a
+   sweep policy), so this exercises cross-domain atomics even on a
    single-core host. *)
 let on_domains ~jobs ~n f =
   let p = Pool.create () in
@@ -545,51 +545,24 @@ let test_obs_diff =
   check Alcotest.bool "sub-floor span noise ignored" true
     (List.for_all (fun f -> f.Obs.Diff.kind <> "span") regs)
 
-(* --- Parallel.region policy ------------------------------------------------ *)
+(* --- Parallel.sweep policy ------------------------------------------------- *)
 
-let test_region_seq_below =
+let test_sweep_seq_below =
   with_obs @@ fun () ->
   let spawns = Obs.counter "parallel.spawns" in
   let fallbacks = Obs.counter "parallel.seq_fallbacks" in
   let before_spawns = Obs.value spawns and before_fb = Obs.value fallbacks in
   let out = Array.make 100 0 in
-  Parallel.region ~jobs:4 ~seq_below:1000 ~n:100 (fun ~chunk:_ ~lo ~hi ->
+  Parallel.sweep ~jobs:4 ~seq_below:1000 ~n:100 (fun ~worker ~lo ~hi ->
+      if worker <> 0 || lo <> 0 || hi <> 100 then Alcotest.fail "not one inline call";
       for i = lo to hi - 1 do
         out.(i) <- i * i
       done);
   check Alcotest.int "no domains spawned below threshold" before_spawns (Obs.value spawns);
   check Alcotest.bool "fallback counted" true (Obs.value fallbacks > before_fb);
-  Array.iteri (fun i v -> check Alcotest.int "work done" (i * i) v) out;
-  (* Above the threshold, chunk-indexed partials concatenated in chunk
-     order cover the range in order, whatever the effective job count. *)
-  let parts = Array.make 4 [||] in
-  Parallel.region ~jobs:4 ~seq_below:0 ~n:100 (fun ~chunk ~lo ~hi ->
-      parts.(chunk) <- Array.init (hi - lo) (fun k -> lo + k));
-  check Alcotest.(array int) "chunk-ordered merge" (Array.init 100 Fun.id)
-    (Array.concat (Array.to_list parts))
+  Array.iteri (fun i v -> check Alcotest.int "work done" (i * i) v) out
 
 (* --- oracle protocol counters ---------------------------------------------- *)
-
-let test_plan_cache_counters =
-  with_obs @@ fun () ->
-  let c = Generators.wide_and 8 in
-  let faults = Rt_fault.Collapse.collapsed_universe c in
-  let nf = Array.length faults in
-  let o = Detect.make Detect.Cop c faults in
-  let hit = Obs.counter "detect.plan.hit" in
-  let miss = Obs.counter "detect.plan.miss" in
-  let hit0 = Obs.value hit and miss0 = Obs.value miss in
-  let x = Array.make 8 0.5 in
-  let s1 = Array.init (min 6 nf) Fun.id in
-  let s2 = Array.init (min 6 nf) (fun i -> nf - 1 - i) in
-  (* Alternating keys: the keyed cache must hold both (the old
-     single-entry cache missed every call here). *)
-  ignore (Oracle.probs_subset o s1 x);
-  ignore (Oracle.probs_subset o s2 x);
-  ignore (Oracle.probs_subset o s1 x);
-  ignore (Oracle.probs_subset o s2 x);
-  check Alcotest.int "two plan misses" (miss0 + 2) (Obs.value miss);
-  check Alcotest.int "two plan hits" (hit0 + 2) (Obs.value hit)
 
 let test_cofactor_counters =
   with_obs @@ fun () ->
@@ -610,16 +583,16 @@ let test_cofactor_counters =
   check Alcotest.int "fused queries counted incremental" (i0 + 2) (Obs.value incr_c);
   check Alcotest.int "no full fallback for cop" f0 (Obs.value full_c);
   check Alcotest.int "per-engine cofactor queries" (q0 + 2) (Obs.value q_cop);
-  (* A sharded conditioned engine (with a nonempty conditioning set) has
-     no fused path: the same query lands on the full-fallback counter. *)
-  let cr = Generators.random_circuit ~inputs:7 ~gates:30 ~seed:1 in
-  if Array.length (Rt_testability.Signal_prob.conditioning_set ~max_vars:2 cr) = 0 then
-    Alcotest.fail "fixture circuit must have conditioning variables";
+  (* A conditioned engine over more than 8 variables has no fused path:
+     the same query lands on the full-fallback counter. *)
+  let cr = Generators.random_circuit ~inputs:12 ~gates:60 ~seed:1 in
+  if Array.length (Rt_testability.Signal_prob.conditioning_set ~max_vars:9 cr) <= 8 then
+    Alcotest.fail "fixture circuit must have 9 conditioning variables";
   let fr = Rt_fault.Collapse.collapsed_universe cr in
-  let oc = Detect.make ~jobs:4 (Detect.Conditioned { max_vars = 2 }) cr fr in
+  let oc = Detect.make (Detect.Conditioned { max_vars = 9 }) cr fr in
   let planc = Oracle.plan oc (Array.init (min 6 (Array.length fr)) Fun.id) in
   let i1 = Obs.value incr_c and f1 = Obs.value full_c in
-  ignore (Oracle.cofactor_pair oc planc ~input:0 ~x:(Array.make 7 0.5));
+  ignore (Oracle.cofactor_pair oc planc ~input:0 ~x:(Array.make 12 0.5));
   check Alcotest.int "fallback counted full" (f1 + 1) (Obs.value full_c);
   check Alcotest.int "fallback not counted incremental" i1 (Obs.value incr_c)
 
@@ -794,10 +767,9 @@ let () =
       ( "atomic",
         [ Alcotest.test_case "no tmp leftovers" `Quick test_artifact_atomic ] );
       ( "parallel",
-        [ Alcotest.test_case "region seq_below fallback" `Quick test_region_seq_below ] );
+        [ Alcotest.test_case "sweep seq_below fallback" `Quick test_sweep_seq_below ] );
       ( "oracle",
-        [ Alcotest.test_case "keyed plan cache counters" `Quick test_plan_cache_counters;
-          Alcotest.test_case "cofactor path counters" `Quick test_cofactor_counters ] );
+        [ Alcotest.test_case "cofactor path counters" `Quick test_cofactor_counters ] );
       ( "convergence",
         [ Alcotest.test_case "recorder matches report" `Quick test_convergence_matches_report ] );
       ( "invariance",

@@ -16,7 +16,7 @@ let check = Alcotest.check
 
 let test_objective_value () =
   (* J_N = sum exp(-N p). *)
-  let j = Objective.value ~n:10.0 [| 0.1; 0.2 |] in
+  let j = Objective.single.value ~n:10.0 [| 0.1; 0.2 |] in
   let expect = Float.exp (-1.0) +. Float.exp (-2.0) in
   check (Alcotest.float 1e-12) "value" expect j
 
@@ -25,7 +25,7 @@ let test_objective_confidence_consistency () =
      (1-p)^N is small — the regime NORMALIZE targets. *)
   let pfs = [| 0.001; 0.003 |] in
   let n = 5000.0 in
-  let approx = Objective.confidence ~n pfs in
+  let approx = Objective.single.confidence ~n pfs in
   let exact = Rt_util.Prob.detection_confidence ~n pfs in
   if Float.abs (approx -. exact) > 0.01 then
     Alcotest.failf "approx %.4f vs exact %.4f" approx exact
@@ -41,8 +41,8 @@ let derivatives_qcheck =
       let p0 = Array.of_list (List.map fst pairs) in
       let p1 = Array.of_list (List.map snd pairs) in
       let h = 1e-5 in
-      let j y = Objective.value_along ~n ~p0 ~p1 y in
-      let d1, d2 = Objective.derivatives_along ~n ~p0 ~p1 y in
+      let j y = Objective.single.value_along ~n ~p0 ~p1 y in
+      let d1, d2 = Objective.single.derivatives_along ~n ~p0 ~p1 y in
       let fd1 = (j (y +. h) -. j (y -. h)) /. (2.0 *. h) in
       let fd2 = (j (y +. h) +. j (y -. h) -. (2.0 *. j y)) /. (h *. h) in
       let close a b scale = Float.abs (a -. b) <= (1e-3 *. scale) +. 1e-6 in
@@ -130,7 +130,7 @@ let test_normalize_matches_direct () =
   let pfs = [| 0.001; 0.01; 0.05; 0.3; 0.3; 0.4 |] in
   let norm = Normalize.run ~confidence:0.95 pfs in
   let q = -.Float.log 0.95 in
-  let j n = Objective.value ~n pfs in
+  let j n = Objective.single.value ~n pfs in
   check Alcotest.bool "J(N) <= Q" true (j norm.Normalize.n <= q +. 1e-9);
   check Alcotest.bool "J(N-2) > Q" true (j (norm.Normalize.n -. 2.0) > q)
 
@@ -264,7 +264,7 @@ let minimize_qcheck =
       let best = ref Float.infinity and best_y = ref 0.5 in
       for k = 0 to 980 do
         let y = 0.01 +. (0.001 *. Float.of_int k) in
-        let j = Objective.value_along ~n ~p0 ~p1 y in
+        let j = Objective.single.value_along ~n ~p0 ~p1 y in
         if j < !best then begin
           best := j;
           best_y := y

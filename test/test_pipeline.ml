@@ -112,7 +112,7 @@ let test_golden_legacy_jobs () =
         (Printf.sprintf "legacy jobs-invariant (%s)" engine)
         (legacy_weights ~engine ~jobs:1 ~opt:false "c432ish")
         (legacy_weights ~engine ~jobs:4 ~opt:false "c432ish"))
-    [ "cop"; "bdd:200000" ]
+    [ "cop"; "cond:3"; "bdd:200000" ]
 
 (* --- optimization-stage transparency -----------------------------------------
 

@@ -69,7 +69,8 @@ let test_weights_load_rejects () =
       ("ch0_r0 inf\n", 1, "weight inf is not finite");
       ("ch0_r0 -infinity\n", 1, "weight -infinity is not finite");
       ("ch0_r0 1.5\n", 1, "weight 1.5 is outside [0,1]");
-      ("ch0_r0 -0.01\n", 1, "weight -0.01 is outside [0,1]") ]
+      ("ch0_r0 -0.01\n", 1, "weight -0.01 is outside [0,1]");
+      ("ch0_r0 0.9\nch0_r1 0.5\nch0_r0 0.1\n", 3, "duplicate input ch0_r0") ]
 
 let test_weights_load_bounds_accepted () =
   let c = Generators.c432ish () in

@@ -345,38 +345,15 @@ let bits_qcheck =
 
 (* --- Parallel ------------------------------------------------------------------ *)
 
-let test_parallel_chunk_bounds () =
-  List.iter
-    (fun (jobs, n) ->
-      let prev = ref 0 in
-      for k = 0 to jobs - 1 do
-        let lo, hi = Parallel.chunk_bounds ~jobs ~n k in
-        check Alcotest.int "contiguous" !prev lo;
-        let sz = hi - lo in
-        check Alcotest.bool "balanced" true (sz >= n / jobs && sz <= (n / jobs) + 1);
-        prev := hi
-      done;
-      check Alcotest.int "tiles the range" n !prev)
-    [ (1, 10); (3, 10); (4, 3); (7, 100); (5, 0) ]
-
-(* Parallel.region clamps to the hardware core count; lifting the clamp
+(* Parallel.sweep clamps to the hardware core count; lifting the clamp
    makes these tests run real pool domains even on a single-core host. *)
 let () = Unix.putenv "OPTPROB_JOBS_OVERCOMMIT" "1"
 
-let test_parallel_covers_once () =
-  let n = 1000 in
-  let hits = Array.make n 0 in
-  Parallel.region ~jobs:4 ~n (fun ~chunk:_ ~lo ~hi ->
-      for i = lo to hi - 1 do
-        hits.(i) <- hits.(i) + 1
-      done);
-  Array.iteri (fun i h -> if h <> 1 then Alcotest.failf "index %d visited %d times" i h) hits
-
 let test_parallel_worker_exception () =
-  (* An exception in a pool-run chunk must surface on the caller. *)
+  (* An exception in a pool-run slice must surface on the caller. *)
   match
-    Parallel.region ~jobs:4 ~n:64 (fun ~chunk ~lo:_ ~hi:_ ->
-        if chunk = 3 then failwith "boom")
+    Parallel.sweep ~grain:1 ~jobs:4 ~n:64 (fun ~worker:_ ~lo ~hi:_ ->
+        if lo = 40 then failwith "boom")
   with
   | () -> Alcotest.fail "expected the worker's exception"
   | exception Failure msg -> check Alcotest.string "message" "boom" msg
@@ -389,7 +366,7 @@ let test_parallel_resolve () =
 (* --- Pool ------------------------------------------------------------------ *)
 
 (* Pool.run honours [participants] exactly (the hardware clamp lives in
-   Parallel's region policy), so these tests exercise real cross-domain
+   Parallel's sweep policy), so these tests exercise real cross-domain
    scheduling even on a single-core host. *)
 
 let test_pool_covers_once () =
@@ -482,18 +459,16 @@ let test_parallel_sweep_covers_once () =
     (fun i h -> if Atomic.get h <> 1 then Alcotest.failf "index %d visited %d times" i (Atomic.get h))
     hits
 
-let parallel_region_qcheck =
-  QCheck.Test.make ~name:"region sums match serial" ~count:50
-    QCheck.(pair (int_range 0 500) (int_range 1 8))
-    (fun (n, jobs) ->
-      let partials = Array.make jobs 0 in
-      Parallel.region ~jobs ~n (fun ~chunk ~lo ~hi ->
-          let s = ref 0 in
+let parallel_sweep_qcheck =
+  QCheck.Test.make ~name:"sweep sums match serial" ~count:50
+    QCheck.(triple (int_range 0 500) (int_range 1 8) (int_range 1 40))
+    (fun (n, jobs, grain) ->
+      let out = Array.make n 0 in
+      Parallel.sweep ~grain ~jobs ~n (fun ~worker:_ ~lo ~hi ->
           for i = lo to hi - 1 do
-            s := !s + i
-          done;
-          partials.(chunk) <- !s);
-      Array.fold_left ( + ) 0 partials = n * (n - 1) / 2)
+            out.(i) <- i
+          done);
+      Array.fold_left ( + ) 0 out = n * (n - 1) / 2)
 
 let () =
   let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests) in
@@ -528,12 +503,10 @@ let () =
         Alcotest.test_case "edge cases" `Quick test_bits_edge_cases
         :: List.map (QCheck_alcotest.to_alcotest ~long:false) bits_qcheck );
       ( "parallel",
-        [ Alcotest.test_case "chunk bounds" `Quick test_parallel_chunk_bounds;
-          Alcotest.test_case "covers every index once" `Quick test_parallel_covers_once;
-          Alcotest.test_case "worker exception propagates" `Quick test_parallel_worker_exception;
+        [ Alcotest.test_case "worker exception propagates" `Quick test_parallel_worker_exception;
           Alcotest.test_case "resolve_jobs policy" `Quick test_parallel_resolve;
           Alcotest.test_case "sweep covers every index once" `Quick test_parallel_sweep_covers_once;
-          QCheck_alcotest.to_alcotest ~long:false parallel_region_qcheck ] );
+          QCheck_alcotest.to_alcotest ~long:false parallel_sweep_qcheck ] );
       ( "pool",
         [ Alcotest.test_case "covers every index once" `Quick test_pool_covers_once;
           Alcotest.test_case "reuses and grows domains" `Quick test_pool_reuse_and_growth;
