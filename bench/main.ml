@@ -9,14 +9,10 @@
      dune exec bench/main.exe -- --json       also write BENCH_optprob.json
                                               (per-experiment wall-clock and
                                               work counters, machine readable)
-     dune exec bench/main.exe -- --registry D also ingest this bench run into
-                                              the run registry at D (bare
-                                              --registry uses the default
-                                              _obs/registry convention)
 
    An unknown option or experiment id prints the usage line and exits 2. *)
 
-let usage = "usage: main.exe [--full] [--only ID,...] [--json] [--registry [DIR]]"
+let usage = "usage: main.exe [--full] [--only ID,...] [--json]"
 
 let usage_error fmt =
   Printf.ksprintf
@@ -31,7 +27,6 @@ let parse_args () =
   let full = ref (Sys.getenv_opt "OPTPROB_BENCH_FULL" = Some "1") in
   let only = ref Rt_repro.Experiments.ids in
   let json = ref false in
-  let registry = ref None in
   let rec go = function
     | [] -> ()
     | "--full" :: rest ->
@@ -42,13 +37,6 @@ let parse_args () =
       go rest
     | "--only" :: ids :: rest ->
       only := String.split_on_char ',' ids;
-      go rest
-    | "--registry" :: dir :: rest
-      when not (String.length dir >= 2 && String.sub dir 0 2 = "--") ->
-      registry := Some dir;
-      go rest
-    | "--registry" :: rest ->
-      registry := Some (Rt_obs_registry.default_dir ());
       go rest
     | [ "--only" ] -> usage_error "--only needs a comma-separated list of experiment ids"
     | arg :: _ -> usage_error "unknown option %s" arg
@@ -64,7 +52,7 @@ let parse_args () =
             (String.concat "," Rt_repro.Experiments.ids))
       !only
   in
-  (!full, experiments, !json, !registry)
+  (!full, experiments, !json)
 
 (* Runs each experiment individually (so its wall-clock is attributable),
    prints its table, and returns [(id, title, seconds, counters)] in run
@@ -187,39 +175,8 @@ let write_json ~path ~mode ~experiments ~opt ~total_seconds =
   p "}\n";
   close_out oc
 
-(* Record the finished bench run — per-experiment wall-clock as a latency
-   histogram and a per-experiment gauge, plus the work counters each
-   experiment burned — and ingest it straight from the sink into the run registry,
-   so `optprob obs trend bench.experiment_us.p50` works across bench
-   invocations without any separate tooling. *)
-let ingest_run ~registry ~experiments ~total_seconds =
-  let sanitize name =
-    String.map (fun c -> if (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-                          || (c >= '0' && c <= '9') || c = '.' then c else '_')
-      name
-  in
-  Rt_obs.set_enabled true;
-  Rt_obs.clear ();
-  let h = Rt_obs.histogram "bench.experiment_us" in
-  List.iter
-    (fun (id, _title, seconds, counters) ->
-      Rt_obs.observe h (seconds *. 1e6);
-      Rt_obs.gauge_set (Rt_obs.gauge (Printf.sprintf "bench.%s.s" (sanitize id))) seconds;
-      List.iter (fun (name, v) -> Rt_obs.add (Rt_obs.counter name) v) counters)
-    experiments;
-  let run =
-    Rt_obs.Artifact.of_sink
-      ~manifest:(Rt_obs.Artifact.make_manifest ~argv:Sys.argv ~wall_s:total_seconds ())
-      ()
-  in
-  Rt_obs.clear ();
-  Rt_obs.set_enabled false;
-  match Rt_obs_registry.ingest_run ~source:"bench" ~registry run with
-  | Ok id -> Format.printf "@.registry: ingested %s into %s@." id registry
-  | Error e -> Format.eprintf "@.registry: ingest failed: %s@." e
-
 let () =
-  let full, experiments, json, registry = parse_args () in
+  let full, experiments, json = parse_args () in
   Format.printf "optprob reproduction harness (%s mode)@."
     (if full then "full paper-scale" else "quick");
   let t0 = Rt_util.Stats.timer_start () in
@@ -235,8 +192,4 @@ let () =
       ~experiments ~opt
       ~total_seconds:(Rt_util.Stats.timer_elapsed t0);
     Format.printf "@.wrote %s@." path
-  end;
-  match registry with
-  | None -> ()
-  | Some reg ->
-    ingest_run ~registry:reg ~experiments ~total_seconds:(Rt_util.Stats.timer_elapsed t0)
+  end

@@ -37,21 +37,11 @@
    6. a second jobs=4 run spawns no additional domains
       ([parallel.spawns] flat), i.e. the domain pool persists.
 
-   Finally the whole smoke run is ingested into the persistent run
-   registry (argv.(2), default the OPTPROB_OBS_REGISTRY/_obs/registry
-   convention; pass "-" to skip):
-   7. the first ever run bootstrap-promotes itself as the baseline;
-      every later run is diffed against the promoted baseline record and
-      fails on histogram (3x, cross-runner noise allowance) or counter
-      (1.5x, counters are deterministic) regressions, and the
-      smoke.sweep_us.p50 trend over the registry history is printed with
-      its step-change verdict.
-
    The timed sections run with recording OFF so the numbers measure the
    oracle/simulator, not the telemetry.  Artifacts land under an optional
-   argv root (default _obs/smoke) as <root>/{baseline,fused},
-   <root>/{ppsfp-wide,ppsfp-narrow} and <root>/run (the ingested one),
-   ready for CI upload or a manual `optprob obs diff`.
+   argv root (default _obs/smoke) as <root>/{baseline,fused} and
+   <root>/{ppsfp-wide,ppsfp-narrow}, ready for CI upload or a manual
+   `optprob obs diff`.
 
    Exits nonzero on any violation.  Run with: make bench-smoke *)
 
@@ -338,102 +328,5 @@ let () =
     Printf.eprintf "bench-smoke FAIL: second jobs=4 run spawned %d extra domains\n"
       (spawns_after - spawns_warm);
     exit 1
-  end;
-  (* --- run registry ----------------------------------------------------------
-     Ingest the whole smoke run into the persistent registry and gate
-     against the promoted baseline record.  The first run ever seen
-     bootstrap-promotes itself; after that, histograms get a lenient 3x
-     band (cross-runner latency noise) while counters — deterministic for
-     a fixed workload — keep the default 1.5x. *)
-  let module Reg = Rt_obs_registry in
-  let registry =
-    if Array.length Sys.argv > 2 then Sys.argv.(2) else Reg.default_dir ()
-  in
-  if registry <> "-" then begin
-    Rt_obs.set_enabled true;
-    Rt_obs.clear ();
-    let h_sweep = Rt_obs.histogram "smoke.sweep_us" in
-    Array.iter (Rt_obs.observe h_sweep) s_fused;
-    let h_ppsfp = Rt_obs.histogram "smoke.ppsfp_us" in
-    Array.iter (Rt_obs.observe h_ppsfp) s_wide;
-    (* One recorded pass per kernel puts the deterministic counters
-       (oracle.*, ppsfp.batches) next to the latency histograms. *)
-    sweep fused ();
-    ignore (sim ~jobs:1 ~block_words:8 ~drop:false ());
-    let dir_run = Filename.concat out_root "run" in
-    Rt_obs.Artifact.write ~dir:dir_run
-      ~manifest:
-        (Rt_obs.Artifact.make_manifest ~engine:"cop" ~circuit:"s1" ~block_words:8
-           ~argv:Sys.argv
-           ~wall_s:(Rt_util.Stats.timer_elapsed t_run)
-           ())
-      ();
-    Rt_obs.clear ();
-    Rt_obs.set_enabled false;
-    let id =
-      match Reg.ingest ~registry ~obs_dir:dir_run () with
-      | Ok id -> id
-      | Error e ->
-        Printf.eprintf "bench-smoke FAIL: registry ingest: %s\n" e;
-        exit 1
-    in
-    Printf.printf "registry (%s):\n" registry;
-    Printf.printf "  ingested:                   %s\n" id;
-    (match Reg.promoted ~registry with
-     | None -> (
-       match Reg.promote ~registry id with
-       | Ok () -> Printf.printf "  baseline:                   %s (bootstrap promote)\n" id
-       | Error e ->
-         Printf.eprintf "bench-smoke FAIL: baseline promote: %s\n" e;
-         exit 1)
-     | Some base when base = id -> ()
-     | Some base ->
-       let base_run =
-         match Reg.load ~registry base with
-         | Ok r -> r.Reg.r_run
-         | Error e ->
-           Printf.eprintf "bench-smoke FAIL: baseline load: %s\n" e;
-           exit 1
-       in
-       let thresholds = { Rt_obs.Diff.default with quantile_ratio = 3.0; span_ratio = 3.0 } in
-       let base_diff = Rt_obs.Diff.compare ~thresholds base_run (read_run dir_run) in
-       Printf.printf "  baseline:                   %s\n" base;
-       Rt_obs.Diff.pp_report Format.std_formatter base_diff;
-       (* Gate on what is stable across runners: work counters (exact for a
-          fixed workload, 1.5x default band) and the two aggregate smoke.*
-          latency histograms at 3x.  Kernel-internal micro-latency
-          histograms (p99 buckets of a few us) and span wall-clocks stay
-          report-only — they swing more than any honest band under CI
-          noise. *)
-       let is_smoke name =
-         String.length name >= 6 && String.sub name 0 6 = "smoke."
-       in
-       let gated =
-         List.filter
-           (fun f ->
-             f.Rt_obs.Diff.kind = "counter"
-             || (f.Rt_obs.Diff.kind = "histogram" && is_smoke f.Rt_obs.Diff.name))
-           (Rt_obs.Diff.regressions base_diff)
-       in
-       if gated <> [] then begin
-         Printf.eprintf
-           "bench-smoke FAIL: %d regression(s) vs promoted baseline %s\n"
-           (List.length gated) base;
-         exit 1
-       end);
-    let series = Reg.series ~registry "smoke.sweep_us.p50" in
-    let vals = Array.of_list (List.map (fun p -> p.Reg.p_value) series.Reg.s_points) in
-    Printf.printf "  smoke.sweep_us.p50 trend:   %s  (%d run(s), p50 %.1f us)\n"
-      (Reg.sparkline vals) (Array.length vals) series.Reg.s_p50;
-    match Reg.step_changes vals with
-    | [] -> ()
-    | steps ->
-      List.iter
-        (fun s ->
-          Printf.printf "  step change:                run %d/%d %s to %.1f us (median %.1f)\n"
-            (s.Reg.st_index + 1) (Array.length vals)
-            (if s.Reg.st_up then "up" else "down")
-            s.Reg.st_value s.Reg.st_median)
-        steps
   end;
   Printf.printf "bench-smoke OK\n"

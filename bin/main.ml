@@ -1,42 +1,31 @@
 (* optprob — command-line front end.
 
    Subcommands: list, generate, simplify, analyze, optimize, simulate,
-   run, atpg, and the `obs` family
-   (list/show/ingest/trend/baseline/diff/gc) over the persistent run
-   registry and run artifacts.  Every compute subcommand is a thin layer
-   over the Rt_pipeline stage graph: it builds one validated
-   Rt_pipeline.Config via the shared Cli terms, creates a pipeline
-   context, and asks for the stages it needs.  With --work-dir the stage
-   artifacts are content-addressed on disk, so re-runs (`optprob run`)
-   resume past everything unchanged. *)
+   run, atpg, and `obs diff` over two run artifact directories.  Every
+   compute subcommand is a thin layer over the Rt_pipeline stage graph:
+   it builds one validated Rt_pipeline.Config via the shared Cli terms,
+   creates a pipeline context, and asks for the stages it needs.  With
+   --work-dir the stage artifacts are content-addressed on disk, so
+   re-runs (`optprob run`) resume past everything unchanged. *)
 
 open Cmdliner
 module Pipeline = Rt_pipeline
 module Config = Rt_pipeline.Config
 module Cli = Rt_pipeline.Cli
-module Registry = Rt_obs_registry
 
 (* --- observability flags ---------------------------------------------------
    Shared by the compute-heavy subcommands.  --obs-dir DIR writes one
    self-describing artifact directory per run (manifest.json,
    metrics.json, trace.json and, for optimize/run, convergence.json),
    diffable with `optprob obs diff`.
-   --obs-registry ingests the finished run into the run registry, from
-   the artifact directory when there is one and from memory otherwise.
    Any obs flag enables Rt_obs recording; the disabled default costs one
    branch per probe. *)
 
 type obs = {
   obs_dir : string option;
   verbose : bool;
-  registry : string option;  (* "" = the default registry directory *)
   mutable t_start : float;
 }
-
-let resolve_registry obs =
-  match obs.registry with
-  | Some "" -> Some (Registry.default_dir ())
-  | other -> other
 
 let obs_dir_arg =
   Arg.(value & opt (some string) None & info [ "obs-dir" ] ~docv:"DIR"
@@ -48,27 +37,17 @@ let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ]
          ~doc:"Print the aggregated phase timings, counters and latency histograms to stderr.")
 
-let registry_flag_arg =
-  Arg.(value & opt ~vopt:(Some "") (some string) None
-       & info [ "obs-registry" ] ~docv:"DIR"
-         ~env:(Cmd.Env.info "OPTPROB_OBS_REGISTRY")
-         ~doc:"Ingest this run's observability artifact into the persistent run registry \
-               at $(docv) when it completes (bare flag: $(b,_obs/registry), or \
-               $(b,OPTPROB_OBS_REGISTRY)).  Query the history with $(b,optprob obs) \
-               list/show/trend/diff.")
-
 let obs_arg =
-  Term.(const (fun obs_dir verbose registry -> { obs_dir; verbose; registry; t_start = 0.0 })
-        $ obs_dir_arg $ verbose_arg $ registry_flag_arg)
+  Term.(const (fun obs_dir verbose -> { obs_dir; verbose; t_start = 0.0 })
+        $ obs_dir_arg $ verbose_arg)
 
 let obs_begin obs =
   obs.t_start <- Unix.gettimeofday ();
-  if obs.obs_dir <> None || obs.verbose || obs.registry <> None then Rt_obs.set_enabled true
+  if obs.obs_dir <> None || obs.verbose then Rt_obs.set_enabled true
 
 (* The manifest carries the full config slice (engine, seed, jobs, circuit,
-   patterns, block_words, opt_passes, opt_rounds, objective) so registry
-   queries and
-   trend filters never have to re-parse argv. *)
+   patterns, block_words, opt_passes, opt_rounds, objective), so a reader
+   of an artifact directory never has to re-parse argv. *)
 let manifest_of_cfg ?(cfg : Config.t option) obs =
   let f g = Option.map g cfg in
   Rt_obs.Artifact.make_manifest
@@ -85,25 +64,11 @@ let manifest_of_cfg ?(cfg : Config.t option) obs =
     ~wall_s:(Unix.gettimeofday () -. obs.t_start) ()
 
 let obs_end ?(cfg : Config.t option) ?convergence obs =
-  let manifest = manifest_of_cfg ?cfg obs in
   (match obs.obs_dir with
    | Some dir ->
-     Rt_obs.Artifact.write ~dir ~manifest ?convergence ();
+     Rt_obs.Artifact.write ~dir ~manifest:(manifest_of_cfg ?cfg obs) ?convergence ();
      Format.eprintf "wrote run artifact %s@." dir
    | None -> ());
-  (* flag-gated auto-ingest: every completed run lands in the registry *)
-  (match resolve_registry obs with
-   | None -> ()
-   | Some reg ->
-     let ingested =
-       match obs.obs_dir with
-       | Some dir -> Registry.ingest ~registry:reg ~obs_dir:dir ()
-       | None ->
-         Registry.ingest_run ~registry:reg (Rt_obs.Artifact.of_sink ~manifest ?convergence ())
-     in
-     (match ingested with
-      | Ok id -> Format.eprintf "registry: ingested %s into %s@." id reg
-      | Error msg -> Format.eprintf "registry: ingest failed: %s@." msg));
   if obs.verbose then begin
     Rt_obs.sample_gc ();
     Rt_obs.pp_summary Format.err_formatter
@@ -406,7 +371,7 @@ let atpg_cmd =
        ~doc:"Deterministic test generation (PODEM) — the section-5.2 baseline." ~exits)
     Term.(ret (const (fun c () -> wrap (run c)) $ Cli.circuit_arg $ const ()))
 
-(* --- obs: the run-registry subcommand family --------------------------------- *)
+(* --- obs diff ------------------------------------------------------------------ *)
 
 let diff_thresholds_term =
   let d = Rt_obs.Diff.default in
@@ -437,304 +402,15 @@ let diff_thresholds_term =
           min_span_us })
     $ span_ratio $ quantile_ratio $ counter_ratio $ min_span_us)
 
-let diff_quiet_arg =
-  Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Only set the exit status; print nothing.")
-
-let registry_dir_arg =
-  Arg.(value & opt string (Registry.default_dir ())
-       & info [ "obs-registry" ] ~docv:"DIR"
-         ~doc:"Registry root directory (default: $(b,OPTPROB_OBS_REGISTRY) when set, \
-               else $(b,_obs/registry)).")
-
-let filter_args =
-  let engine =
-    Arg.(value & opt (some string) None & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Only runs whose manifest engine equals $(docv).")
+let obs_diff_cmd =
+  let side n docv doc = Arg.(required & pos n (some string) None & info [] ~docv ~doc) in
+  let quiet =
+    Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Only set the exit status; print nothing.")
   in
-  let circuit =
-    Arg.(value & opt (some string) None & info [ "circuit" ] ~docv:"NAME"
-           ~doc:"Only runs whose manifest circuit equals $(docv).")
-  in
-  let git_rev =
-    Arg.(value & opt (some string) None & info [ "git-rev" ] ~docv:"REV"
-           ~doc:"Only runs whose git revision starts with $(docv).")
-  in
-  let config =
-    Arg.(value & opt_all string [] & info [ "config" ] ~docv:"K=V"
-           ~doc:"Only runs whose manifest config slice contains $(docv) \
-                 (repeatable; e.g. $(b,--config jobs=4 --config block_words=8)).")
-  in
-  Term.(const (fun e c g kvs -> (e, c, g, kvs)) $ engine $ circuit $ git_rev $ config)
-
-(* parse --config K=V pairs inside [wrap] so a bad pair is a clean error *)
-let make_filter (f_engine, f_circuit, f_git_rev, kvs) =
-  let pair kv =
-    match String.index_opt kv '=' with
-    | Some i -> (String.sub kv 0 i, String.sub kv (i + 1) (String.length kv - i - 1))
-    | None -> failwith (Printf.sprintf "--config %s: expected K=V" kv)
-  in
-  { Registry.f_engine; f_circuit; f_git_rev; f_config = List.map pair kvs }
-
-let short_rev rev = if String.length rev > 8 then String.sub rev 0 8 else rev
-
-let obs_list_cmd =
-  let ids_only =
-    Arg.(value & flag & info [ "ids" ] ~doc:"Print record ids only (for scripting).")
-  in
-  let run reg fargs ids_only () =
-    let sums = Registry.list ~filter:(make_filter fargs) ~registry:reg () in
-    if ids_only then List.iter (fun (s : Registry.summary) -> print_endline s.Registry.id) sums
-    else begin
-      Format.printf "%-24s %-20s %-12s %-10s %-9s %s@." "ID" "WHEN(UTC)" "CIRCUIT" "ENGINE"
-        "GIT" "WALL_S";
-      List.iter
-        (fun (s : Registry.summary) ->
-          let tm = Unix.gmtime s.Registry.ts in
-          Format.printf "%-24s %04d-%02d-%02d %02d:%02d:%02d   %-12s %-10s %-9s %.2f@."
-            s.Registry.id (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1) tm.Unix.tm_mday
-            tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
-            (Option.value ~default:"-" s.Registry.circuit)
-            (Option.value ~default:"-" s.Registry.engine)
-            (short_rev s.Registry.git_rev) s.Registry.wall_s)
-        sums;
-      Format.printf "%d record(s) in %s%s@." (List.length sums) reg
-        (match Registry.promoted ~registry:reg with
-         | Some id -> Printf.sprintf " (baseline %s)" id
-         | None -> "")
-    end
-  in
-  Cmd.v
-    (Cmd.info "list" ~doc:"List registry records, oldest first, with optional filters." ~exits)
-    Term.(
-      ret
-        (const (fun r f i () -> wrap (run r f i))
-        $ registry_dir_arg $ filter_args $ ids_only $ const ()))
-
-let obs_show_cmd =
-  let id_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc:"Record id.")
-  in
-  let run reg id () =
-    match Registry.load ~registry:reg id with
-    | Error msg -> failwith msg
-    | Ok r ->
-      let s = r.Registry.r_summary in
-      let tm = Unix.gmtime s.Registry.ts in
-      Format.printf "id:       %s@." s.Registry.id;
-      Format.printf "ingested: %04d-%02d-%02d %02d:%02d:%02d UTC@." (tm.Unix.tm_year + 1900)
-        (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec;
-      Format.printf "git_rev:  %s@." s.Registry.git_rev;
-      Format.printf "wall_s:   %.3f@." s.Registry.wall_s;
-      if s.Registry.config <> [] then begin
-        Format.printf "config:@.";
-        List.iter (fun (k, v) -> Format.printf "  %-14s %s@." k v) s.Registry.config
-      end;
-      Format.printf "metrics (%d):@." (List.length r.Registry.r_metrics);
-      List.iter (fun (k, v) -> Format.printf "  %-44s %.6g@." k v) r.Registry.r_metrics
-  in
-  Cmd.v
-    (Cmd.info "show" ~doc:"Show one record: identity, config slice and all derived metrics."
-       ~exits)
-    Term.(ret (const (fun r i () -> wrap (run r i)) $ registry_dir_arg $ id_arg $ const ()))
-
-let obs_ingest_cmd =
-  let dir_arg =
-    Arg.(required & pos 0 (some dir) None & info [] ~docv:"DIR"
-           ~doc:"A run artifact directory (from --obs-dir).")
-  in
-  let id_arg =
-    Arg.(value & opt (some string) None & info [ "id" ] ~docv:"ID"
-           ~doc:"Pin the record id instead of generating one.")
-  in
-  let run reg dir id () =
-    match Registry.ingest ?id ~registry:reg ~obs_dir:dir () with
-    | Ok id -> Format.printf "ingested %s as %s@." dir id
-    | Error msg -> failwith msg
-  in
-  Cmd.v
-    (Cmd.info "ingest" ~doc:"Ingest an --obs-dir artifact directory into the registry." ~exits)
-    Term.(
-      ret
-        (const (fun r d i () -> wrap (run r d i))
-        $ registry_dir_arg $ dir_arg $ id_arg $ const ()))
-
-let obs_trend_cmd =
-  let metric_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"METRIC"
-           ~doc:"Derived metric name, e.g. $(b,pipeline.total_us), $(b,wall_s), \
-                 $(b,oracle.query.us.p90), $(b,span.optimize.us) — see \
-                 $(b,optprob obs show ID) for everything a record carries.")
-  in
-  let last_arg =
-    Arg.(value & opt int 30 & info [ "last" ] ~docv:"N" ~doc:"Use the last $(docv) runs.")
-  in
-  let window_arg =
-    Arg.(value & opt int 8 & info [ "window" ] ~docv:"W"
-           ~doc:"Trailing window width for the step-change detector.")
-  in
-  let step_k_arg =
-    Arg.(value & opt float 4.0 & info [ "step-k" ] ~docv:"K"
-           ~doc:"Flag a point deviating more than $(docv) robust sigmas (1.4826*MAD) \
-                 from the trailing-window median.")
-  in
-  let step_rel_arg =
-    Arg.(value & opt float 0.25 & info [ "step-rel" ] ~docv:"F"
-           ~doc:"Relative noise floor: never flag a deviation below $(docv)*|median|.")
-  in
-  let invert_arg =
-    Arg.(value & flag & info [ "invert" ]
-           ~doc:"Treat the metric as higher-is-better (downward steps gate).")
-  in
-  let gate_arg =
-    Arg.(value & flag & info [ "gate" ]
-           ~doc:"Exit 3 when the newest point is a flagged regression step.")
-  in
-  let run reg fargs metric last window k rel invert gate () =
-    let filter = make_filter fargs in
-    let series = Registry.series ~filter ~last ~registry:reg metric in
-    let pts = series.Registry.s_points in
-    if pts = [] then Format.printf "trend %s: no data points in %s@." metric reg
-    else begin
-      Format.printf "trend %s (%d point(s), registry %s):@." metric (List.length pts) reg;
-      List.iter
-        (fun (p : Registry.point) ->
-          Format.printf "  %-24s %.6g@." p.Registry.p_id p.Registry.p_value)
-        pts;
-      let values =
-        Array.of_list (List.map (fun (p : Registry.point) -> p.Registry.p_value) pts)
-      in
-      Format.printf "  spark: %s@." (Registry.sparkline values);
-      Format.printf "  mean %.4g  p50 %.4g  p90 %.4g@." series.Registry.s_mean
-        series.Registry.s_p50 series.Registry.s_p90;
-      let steps = Registry.step_changes ~window ~k ~rel values in
-      if steps = [] then Format.printf "  step changes: none@."
-      else
-        List.iter
-          (fun (st : Registry.step) ->
-            let p = List.nth pts st.Registry.st_index in
-            Format.printf "  step at %s: %.4g vs trailing median %.4g (%s, x%.2g over threshold)@."
-              p.Registry.p_id st.Registry.st_value st.Registry.st_median
-              (if st.Registry.st_up then "up" else "down")
-              st.Registry.st_ratio)
-          steps;
-      if gate then begin
-        let newest = Array.length values - 1 in
-        let bad =
-          List.exists
-            (fun (st : Registry.step) ->
-              st.Registry.st_index = newest
-              && (if invert then not st.Registry.st_up else st.Registry.st_up))
-            steps
-        in
-        if bad then begin
-          Format.printf "trend gate: REGRESSION on the newest run@.";
-          exit 3
-        end
-        else Format.printf "trend gate: ok@."
-      end
-    end
-  in
-  let exits = Cmd.Exit.info 3 ~doc:"with --gate, when the newest run regressed." :: exits in
-  Cmd.v
-    (Cmd.info "trend"
-       ~doc:"Time series of one metric over the registry: values, sparkline, mean/p50/p90 \
-             and robust step-change detection."
-       ~exits)
-    Term.(
-      ret
-        (const (fun r f m l w k rl i g () -> wrap (run r f m l w k rl i g))
-        $ registry_dir_arg $ filter_args $ metric_arg $ last_arg $ window_arg $ step_k_arg
-        $ step_rel_arg $ invert_arg $ gate_arg $ const ()))
-
-let obs_baseline_cmd =
-  let show_term =
-    Term.(
-      ret
-        (const (fun reg () ->
-             wrap (fun () ->
-                 match Registry.promoted ~registry:reg with
-                 | Some id -> Format.printf "%s@." id
-                 | None -> Format.printf "no baseline promoted@."))
-        $ registry_dir_arg $ const ()))
-  in
-  let promote_cmd =
-    let id_arg =
-      Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc:"Record id.")
-    in
-    let run reg id () =
-      match Registry.promote ~registry:reg id with
-      | Ok () -> Format.printf "baseline: %s@." id
-      | Error msg -> failwith msg
-    in
-    Cmd.v (Cmd.info "promote" ~doc:"Promote a record as the baseline." ~exits)
-      Term.(ret (const (fun r i () -> wrap (run r i)) $ registry_dir_arg $ id_arg $ const ()))
-  in
-  let clear_cmd =
-    let run reg () =
-      Registry.clear_baseline ~registry:reg;
-      Format.printf "baseline cleared@."
-    in
-    Cmd.v (Cmd.info "clear" ~doc:"Drop the promoted baseline." ~exits)
-      Term.(ret (const (fun r () -> wrap (run r)) $ registry_dir_arg $ const ()))
-  in
-  let show_cmd =
-    Cmd.v (Cmd.info "show" ~doc:"Print the promoted baseline id." ~exits) show_term
-  in
-  Cmd.group ~default:show_term
-    (Cmd.info "baseline" ~doc:"Manage the promoted baseline record." ~exits)
-    [ promote_cmd; show_cmd; clear_cmd ]
-
-let obs_reg_diff_cmd =
-  let side_a =
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"A"
-           ~doc:"Baseline side: a record id or an artifact directory.  With --baseline \
-                 this is the candidate (defaults to the newest record).")
-  in
-  let side_b =
-    Arg.(value & pos 1 (some string) None & info [] ~docv:"B"
-           ~doc:"Candidate side: a record id or an artifact directory.")
-  in
-  let baseline_flag =
-    Arg.(value & flag & info [ "baseline" ]
-           ~doc:"Diff against the promoted baseline instead of an explicit pair.")
-  in
-  let run reg use_baseline a b thresholds quiet () =
-    (* a side is an existing directory, else a registry record id *)
-    let resolve name =
-      if Sys.file_exists name && Sys.is_directory name then
-        match Rt_obs.Artifact.read name with Ok r -> r | Error msg -> failwith msg
-      else
-        match Registry.load ~registry:reg name with
-        | Ok r -> r.Registry.r_run
-        | Error _ ->
-          failwith
-            (Printf.sprintf "%s: neither an artifact directory nor a record id in %s" name reg)
-    in
-    let name_a, name_b =
-      if use_baseline then begin
-        let bid =
-          match Registry.promoted ~registry:reg with
-          | Some id -> id
-          | None ->
-            failwith "no baseline promoted (run `optprob obs baseline promote ID` first)"
-        in
-        let candidate =
-          match (a, b) with
-          | _, Some x | Some x, None -> x
-          | None, None -> (
-            match List.rev (Registry.list ~registry:reg ()) with
-            | s :: _ -> s.Registry.id
-            | [] -> failwith ("registry is empty: " ^ reg))
-        in
-        (bid, candidate)
-      end
-      else
-        match (a, b) with
-        | Some a, Some b -> (a, b)
-        | _ -> failwith "give two sides (A B) or --baseline"
-    in
-    let run_a = resolve name_a in
-    let run_b = resolve name_b in
+  let run a b thresholds quiet () =
+    let read dir = match Rt_obs.Artifact.read dir with Ok r -> r | Error msg -> failwith msg in
+    let run_a = read a in
+    let run_b = read b in
     let findings = Rt_obs.Diff.compare ~thresholds run_a run_b in
     if not quiet then Rt_obs.Diff.pp_report Format.std_formatter findings;
     if Rt_obs.Diff.regressions findings <> [] then exit 3
@@ -742,50 +418,18 @@ let obs_reg_diff_cmd =
   let exits = Cmd.Exit.info 3 ~doc:"on regressions past the configured thresholds." :: exits in
   Cmd.v
     (Cmd.info "diff"
-       ~doc:"Diff two run artifact directories (from --obs-dir) or registry records: counter \
-             deltas, span-tree wall-clock, histogram quantile shifts, convergence divergence.  \
-             With --baseline, diff the newest run against the promoted baseline."
+       ~doc:"Diff two run artifact directories (from --obs-dir): counter deltas, span-tree \
+             wall-clock, histogram quantile shifts, convergence divergence."
        ~exits)
     Term.(
       ret
-        (const (fun r bl a b th q () -> wrap (run r bl a b th q))
-        $ registry_dir_arg $ baseline_flag $ side_a $ side_b $ diff_thresholds_term
-        $ diff_quiet_arg $ const ()))
-
-let obs_gc_cmd =
-  let keep_arg =
-    Arg.(value & opt (some int) None & info [ "keep" ] ~docv:"N"
-           ~doc:"Keep only the newest $(docv) records.")
-  in
-  let max_age_arg =
-    Arg.(value & opt (some float) None & info [ "max-age-days" ] ~docv:"D"
-           ~doc:"Drop records older than $(docv) days.")
-  in
-  let run reg keep max_age_days () =
-    if keep = None && max_age_days = None then
-      failwith "nothing to do: give --keep and/or --max-age-days";
-    let removed =
-      Registry.gc ?keep ?max_age_s:(Option.map (fun d -> d *. 86400.0) max_age_days)
-        ~registry:reg ()
-    in
-    Format.printf "obs gc: removed %d record(s), %d left@." removed
-      (List.length (Registry.list ~registry:reg ()))
-  in
-  Cmd.v
-    (Cmd.info "gc"
-       ~doc:"Apply retention to the registry (the promoted baseline always survives)." ~exits)
-    Term.(
-      ret
-        (const (fun r k a () -> wrap (run r k a))
-        $ registry_dir_arg $ keep_arg $ max_age_arg $ const ()))
+        (const (fun a b th q () -> wrap (run a b th q))
+        $ side 0 "A" "Baseline artifact directory." $ side 1 "B" "Candidate artifact directory."
+        $ diff_thresholds_term $ quiet $ const ()))
 
 let obs_cmd =
-  Cmd.group
-    (Cmd.info "obs"
-       ~doc:"The persistent run registry: history, trends, baselines and regression gates."
-       ~exits)
-    [ obs_list_cmd; obs_show_cmd; obs_ingest_cmd; obs_trend_cmd; obs_baseline_cmd;
-      obs_reg_diff_cmd; obs_gc_cmd ]
+  Cmd.group (Cmd.info "obs" ~doc:"Compare run artifacts written by --obs-dir." ~exits)
+    [ obs_diff_cmd ]
 
 let () =
   let doc = "optimized input probabilities for random tests (Wunderlich, DAC 1987)" in

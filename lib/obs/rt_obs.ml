@@ -502,39 +502,6 @@ module Json = struct
   let num_members = function
     | Obj fields -> List.filter_map (fun (k, v) -> Option.map (fun f -> (k, f)) (to_float v)) fields
     | _ -> []
-
-  let print (j : t) : string =
-    let buf = Buffer.create 256 in
-    let rec go = function
-      | Null -> Buffer.add_string buf "null"
-      | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-      | Num f -> Buffer.add_string buf (json_float f)
-      | Str s ->
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (json_escape s);
-        Buffer.add_char buf '"'
-      | Arr xs ->
-        Buffer.add_char buf '[';
-        List.iteri
-          (fun i x ->
-            if i > 0 then Buffer.add_char buf ',';
-            go x)
-          xs;
-        Buffer.add_char buf ']'
-      | Obj fields ->
-        Buffer.add_char buf '{';
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_char buf ',';
-            Buffer.add_char buf '"';
-            Buffer.add_string buf (json_escape k);
-            Buffer.add_string buf "\":";
-            go v)
-          fields;
-        Buffer.add_char buf '}'
-    in
-    go j;
-    Buffer.contents buf
 end
 
 (* A mark's string fields as the members of a JSON object. *)
@@ -607,17 +574,18 @@ let metrics_json () =
   Buffer.add_string buf "\n  }\n}\n";
   Buffer.contents buf
 
-(* Atomic artifact write: registry records are ingested from concurrent
-   domains, and a crash in the middle of a write must not leave a torn
-   file behind, so write a sibling temp file and rename it into place —
+(* Atomic file write, shared by run artifacts and the pipeline's stage
+   store: a crash in the middle of a write must not leave a torn file
+   behind, so write a sibling temp file and rename it into place —
    [Sys.rename] replaces atomically on POSIX.  The temp name carries pid
-   *and* domain id so concurrent writers within one process (registry
-   ingests from two domains) can't collide on the sibling. *)
+   *and* domain id so concurrent writers of one path (two processes on
+   one --work-dir, or two domains) never share the sibling.  Binary mode:
+   the stage store writes [Marshal] payloads. *)
 let write_file path s =
   let tmp =
     Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ()) ((Domain.self () :> int))
   in
-  let oc = open_out tmp in
+  let oc = open_out_bin tmp in
   (try output_string oc s
    with e ->
      close_out_noerr oc;
@@ -793,10 +761,8 @@ end
    manifest.json (provenance), metrics.json (counters + gauges +
    histograms), trace.json (Perfetto: spans and marks) and, when a
    convergence recorder exists, convergence.json.
-   [read] parses a directory back into a [run], the one form `obs diff` and
-   the run registry consume; [of_sink] parses the same documents straight
-   from the sink, so a run that is never written still yields the same
-   [run]. *)
+   [read] parses a directory back into a [run], the one form `obs diff`
+   consumes. *)
 
 module Artifact = struct
   type manifest = {
@@ -905,15 +871,11 @@ module Artifact = struct
 
   type run = {
     manifest : Json.t;
-    metrics : Json.t;
-    convergence : Json.t;
     counters : (string * float) list;
     gauges : (string * float) list;
     histograms : (string * (string * float) list) list;
     span_totals : (string * float) list;
-    sweeps : int option;
     final_n : float option;
-    final_j : float option;
   }
 
   let by_name l = List.sort (fun (a, _) (b, _) -> String.compare a b) l
@@ -933,40 +895,6 @@ module Artifact = struct
      | _ -> ());
     by_name (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
-  let make_run ~manifest ~metrics ~convergence ~span_totals =
-    let section k = Option.value ~default:Json.Null (Json.member k metrics) in
-    let histograms =
-      match section "histograms" with
-      | Json.Obj hs -> List.map (fun (name, h) -> (name, Json.num_members h)) hs
-      | _ -> []
-    in
-    let sweeps, final_n, final_j =
-      match Json.member "rows" convergence with
-      | Some (Json.Arr rows) ->
-        List.fold_left
-          (fun (sweeps, n, j) r ->
-            let num k = Option.bind (Json.member k r) Json.to_float in
-            match Json.member "stage" r with
-            | Some (Json.Str "sweep") -> (Option.map succ sweeps, n, j)
-            | Some (Json.Str "final") -> (sweeps, num "n", num "j_n")
-            | _ -> (sweeps, n, j))
-          (Some 0, None, None) rows
-      | _ -> (None, None, None)
-    in
-    { manifest; metrics; convergence;
-      counters = Json.num_members (section "counters");
-      gauges = Json.num_members (section "gauges");
-      histograms; span_totals; sweeps; final_n; final_j }
-
-  let of_sink ~manifest ?convergence () =
-    sample_gc ();
-    make_run ~manifest:(Json.parse (manifest_json manifest)) ~metrics:(Json.parse (metrics_json ()))
-      ~convergence:
-        (match convergence with
-         | Some t -> Json.parse (Convergence.to_json t)
-         | None -> Json.Null)
-      ~span_totals:(span_totals (Json.parse (trace_json ())))
-
   let read dir =
     let load file =
       let path = Filename.concat dir file in
@@ -980,10 +908,32 @@ module Artifact = struct
     | Json.Null -> Error (dir ^ ": missing or unreadable metrics.json")
     | metrics -> (
       try
+        let span_totals = span_totals (load "trace.json") in
+        let convergence = load "convergence.json" in
+        let manifest = load "manifest.json" in
+        let section k = Option.value ~default:Json.Null (Json.member k metrics) in
+        let histograms =
+          match section "histograms" with
+          | Json.Obj hs -> List.map (fun (name, h) -> (name, Json.num_members h)) hs
+          | _ -> []
+        in
+        (* [n] of the last "final" row *)
+        let final_n =
+          match Json.member "rows" convergence with
+          | Some (Json.Arr rows) ->
+            List.fold_left
+              (fun n r ->
+                match Json.member "stage" r with
+                | Some (Json.Str "final") -> Option.bind (Json.member "n" r) Json.to_float
+                | _ -> n)
+              None rows
+          | _ -> None
+        in
         Ok
-          (make_run ~manifest:(load "manifest.json") ~metrics
-             ~convergence:(load "convergence.json")
-             ~span_totals:(span_totals (load "trace.json")))
+          { manifest;
+            counters = Json.num_members (section "counters");
+            gauges = Json.num_members (section "gauges");
+            histograms; span_totals; final_n }
       with Failure m -> Error m)
 end
 

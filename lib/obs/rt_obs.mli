@@ -13,10 +13,8 @@
     aggregated tree.  Counters, gauges and histograms snapshot to JSON and
     to an OpenMetrics text exposition.  {!Artifact} bundles everything a run
     recorded into one self-describing directory; {!Artifact.read} turns such
-    a directory back into an {!Artifact.run}, and {!Artifact.of_sink} builds
-    the same [run] from the same documents without writing them.  {!Diff}
-    compares two runs, and the run registry stores and rebuilds the same
-    [run].  The convergence recorder is an explicit per-run object
+    a directory back into an {!Artifact.run}, and {!Diff} compares two
+    runs.  The convergence recorder is an explicit per-run object
     (see {!Convergence}) that works independently of the global flag. *)
 
 val set_enabled : bool -> unit
@@ -188,8 +186,7 @@ val metrics_json : unit -> string
 (** {1 JSON reader}
 
     A minimal JSON parser (no external dependency) for reading artifacts
-    back — used by {!Artifact.read} and the run registry, and available to
-    tests. *)
+    back — used by {!Artifact.read}, and available to tests. *)
 
 module Json : sig
   type t =
@@ -210,17 +207,14 @@ module Json : sig
   val num_members : t -> (string * float) list
   (** The numeric members of an object, in document order; [[]] for anything
       else. *)
-
-  val print : t -> string
-  (** Serialize back to JSON text (compact, [parse]-roundtrippable; non-finite
-      numbers print as [null]/[1e999] like the rest of the emitters). *)
 end
 
 (** {1 Files} *)
 
 val write_file : string -> string -> unit
-(** Atomic write: a sibling temp file (named with the pid and the domain id,
-    so concurrent writers never share one) renamed into place. *)
+(** Atomic write in binary mode: a sibling temp file (named with the pid and
+    the domain id, so concurrent writers never share one) renamed into
+    place. *)
 
 val read_file : string -> string
 
@@ -298,21 +292,15 @@ module Artifact : sig
       [trace.json] and — when a recorder is given — [convergence.json].
       Samples the GC gauges first. *)
 
-  (** One run's artifact, parsed: the three documents the run registry
-      stores verbatim, and the views {!Diff} and the registry's derived
-      metric map are computed from. *)
+  (** One run's artifact, parsed into the views {!Diff} compares. *)
   type run = {
     manifest : Json.t;  (** [manifest.json]; [Null] when absent *)
-    metrics : Json.t;  (** [metrics.json] *)
-    convergence : Json.t;  (** [convergence.json]; [Null] when absent *)
     counters : (string * float) list;
     gauges : (string * float) list;
     histograms : (string * (string * float) list) list;
         (** per histogram its numeric stats: count, sum, min, max, p50, p90, p99 *)
     span_totals : (string * float) list;  (** total span µs per name, sorted *)
-    sweeps : int option;  (** convergence sweep rows; [None] without rows *)
     final_n : float option;  (** [n] of the last ["final"] convergence row *)
-    final_j : float option;  (** [j_n] of the last ["final"] convergence row *)
   }
 
   val read : string -> (run, string) result
@@ -321,18 +309,6 @@ module Artifact : sig
       ignored.  [Error] names the directory when [metrics.json] is missing
       or unreadable, and the file when any other present file is
       malformed. *)
-
-  val of_sink : manifest:manifest -> ?convergence:Convergence.t -> unit -> run
-  (** The [run] that {!write} followed by {!read} would give, built in
-      memory: refreshes the GC gauges like {!write}, then parses the very
-      documents {!write} emits ([manifest.json], [metrics.json],
-      [trace.json], [convergence.json]) without touching the disk. *)
-
-  val make_run :
-    manifest:Json.t -> metrics:Json.t -> convergence:Json.t ->
-    span_totals:(string * float) list -> run
-  (** Build a [run] from documents already parsed and span totals already
-      folded — how the run registry rebuilds one from a record. *)
 end
 
 (** {1 Artifact diffing} *)
@@ -363,8 +339,7 @@ module Diff : sig
 
   val compare : ?thresholds:thresholds -> Artifact.run -> Artifact.run -> finding list
   (** [compare a b] diffs two runs (A = baseline, B = candidate), each from
-      {!Artifact.read}, {!Artifact.of_sink} or a registry record, and
-      returns findings ranked most severe first. *)
+      {!Artifact.read}, and returns findings ranked most severe first. *)
 
   val regressions : finding list -> finding list
 

@@ -28,7 +28,7 @@
 
 type t = {
   key : string;
-      (** Stable identity for content-addressed artifacts and registry
+      (** Stable identity for content-addressed artifacts and manifest
           config slices (e.g. ["single"], ["ndetect:2"]).  Two instances
           with the same key must compute the same function. *)
   label : string;  (** Human-readable description for reports and logs. *)

@@ -104,9 +104,10 @@ let quantize grid dyadic =
   | None, Some g when g > 0.0 -> Rt_optprob.Optimize.Grid g
   | None, (Some _ | None) -> Rt_optprob.Optimize.No_quantization
 
-(* All subcommand configs funnel through Config.build via this one
-   constructor; the circuit/engine args are pre-validated by their
-   converters so [Config.exn] cannot raise here. *)
+(* All subcommand configs funnel through Config.of_source via this one
+   constructor.  The circuit/engine args are pre-validated by their
+   converters; a value Config still rejects (an out-of-range number) is a
+   usage error, exit 124, like a bad option. *)
 let make_config circuit engine confidence seed jobs block_words sweeps grid dyadic weights
     patterns work_dir no_opt opt_passes opt_rounds objective =
   let weights =
@@ -118,12 +119,13 @@ let make_config circuit engine confidence seed jobs block_words sweeps grid dyad
       ~quantize:(quantize grid dyadic) ~weights ~patterns ?work_dir ?opt_passes
       ~opt_rounds ?objective circuit
   with
-  | Ok cfg -> cfg
-  | Error msg -> failwith msg
+  | Ok cfg -> `Ok cfg
+  | Error msg -> `Error (false, msg)
 
 let config ?(default_patterns = 10_000) () =
   Term.(
-    const make_config $ circuit_arg $ engine_arg $ confidence_arg $ seed_arg $ jobs_arg
-    $ block_words_arg $ sweeps_arg $ grid_arg $ dyadic_arg $ weights_arg
-    $ patterns_arg ~default:default_patterns $ work_dir_arg $ no_opt_arg $ opt_passes_arg
-    $ opt_rounds_arg $ objective_arg)
+    ret
+      (const make_config $ circuit_arg $ engine_arg $ confidence_arg $ seed_arg $ jobs_arg
+      $ block_words_arg $ sweeps_arg $ grid_arg $ dyadic_arg $ weights_arg
+      $ patterns_arg ~default:default_patterns $ work_dir_arg $ no_opt_arg $ opt_passes_arg
+      $ opt_rounds_arg $ objective_arg))

@@ -254,6 +254,10 @@ let of_source ?(engine = "bdd") ?(confidence = 0.95) ?(seed = 2024) ?jobs ?block
       | Ok _ ->
         if opt_rounds < 0 then
           Error (Printf.sprintf "opt_rounds must be >= 0 (got %d)" opt_rounds)
+        else if not (confidence > 0.0 && confidence < 1.0) then
+          Error (Printf.sprintf "confidence must be in (0, 1) (got %g)" confidence)
+        else if patterns < 0 then
+          Error (Printf.sprintf "patterns must be >= 0 (got %d)" patterns)
         else
           Ok
             { circuit; engine; confidence; seed; jobs; block_words; sweeps; alpha; nf_min;

@@ -191,7 +191,7 @@ val optimize_key : t -> string
 
 val objective_key : t -> string
 (** The validated objective spec verbatim (e.g. ["ndetect:2"]) — the
-    config-slice value recorded in manifests and the registry. *)
+    config-slice value recorded in run manifests. *)
 
 val opt_key : t -> string
 (** ["opt=off"] when [opt_passes = []], else the pass list and round

@@ -6,21 +6,17 @@
    the marshalled value; the file's own MD5 is the artifact digest fed
    into downstream keys, so a change anywhere upstream reliably re-keys
    everything below it.  Unreadable or truncated files are treated as
-   cache misses and overwritten (writes go through a rename so a crash
-   mid-write never leaves a plausible-looking artifact behind). *)
+   cache misses and overwritten.  Writes go through [Rt_obs.write_file]:
+   a per-process, per-domain temp file renamed into place, so a crash
+   mid-write never leaves a plausible-looking artifact behind and two
+   runs that save the same stage never share a temp file. *)
 
 type t = { dir : string }
 
 let schema = "optprob-pipeline-artifact/3"
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let create dir =
-  mkdir_p dir;
+  Rt_obs.mkdir_p dir;
   { dir }
 
 let key ~stage ~parts =
@@ -53,10 +49,5 @@ let load t ~stage ~key =
 
 let save t ~stage ~key value =
   let body = header stage ^ Marshal.to_string value [] in
-  let p = path t ~stage ~key in
-  let tmp = p ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc body;
-  close_out oc;
-  Sys.rename tmp p;
+  Rt_obs.write_file (path t ~stage ~key) body;
   Digest.to_hex (Digest.string body)

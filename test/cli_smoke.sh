@@ -3,19 +3,18 @@
 #
 #   1. `run --objective single` twice against one --work-dir, each writing an
 #      --obs-dir artifact of exactly four documents; `obs diff A B -q` on the
-#      two directories exits 0;
+#      two directories exits 0, and a side that is not an artifact
+#      directory exits 124 with a message naming it;
 #   2. `run --objective ndetect:2` against the same work dir shares the four
 #      upstream stages and re-runs the four downstream ones; a repeat is a
 #      full cache hit; the manifest and the per-objective counter record it;
-#   3. the registry diff path: `obs ingest` A, then `obs diff ID B`,
-#      `obs baseline promote ID` + `obs diff --baseline`, and an unknown side;
-#   4. `run --obs-registry R` without --obs-dir ingests from memory: R holds
-#      exactly one record and no temporary artifact directory;
-#   5. `atpg` on a .bench file succeeds;
-#   6. removed flags (`--trace FILE` and the live-telemetry pair
-#      `--obs-{listen,sample-ms} N`) and the removed `tables` and `selftest`
-#      subcommands are usage errors;
-#   7. a malformed .bench file (undeclared signal, cycle, duplicate, wrong
+#   3. `atpg` on a .bench file succeeds;
+#   4. removed flags (`--trace FILE`, the live-telemetry pair
+#      `--obs-{listen,sample-ms} N` and `--obs-registry DIR`), the removed
+#      `tables` and `selftest` subcommands and the removed `obs list` and
+#      `obs trend` are usage errors;
+#   5. an out-of-range --confidence or --patterns exits 124 with a message;
+#   6. a malformed .bench file (undeclared signal, cycle, duplicate, wrong
 #      arity, no OUTPUT) exits 124 with a FILE:LINE: message.
 #
 # Usage: cli_smoke.sh OPTPROB C17_BENCH   (run by `dune runtest`)
@@ -41,6 +40,12 @@ run --objective single --obs-dir "$dir/b"
 [ "$(ls "$dir/a")" = "$(printf 'convergence.json\nmanifest.json\nmetrics.json\ntrace.json')" ] ||
   fail "run --obs-dir wrote other than the four documents: $(ls "$dir/a" | tr '\n' ' ')"
 "$optprob" obs diff "$dir/a" "$dir/b" -q
+rc=0
+"$optprob" obs diff nosuch "$dir/b" 2>"$dir/nosuch.err" || rc=$?
+if [ "$rc" -ne 124 ] || ! grep -q "nosuch: missing or unreadable metrics.json" "$dir/nosuch.err"; then
+  cat "$dir/nosuch.err" >&2
+  fail "obs diff on an unknown side did not fail cleanly (exit $rc)"
+fi
 
 # Objectives key the stages from normalized onward: distinct objectives
 # share the upstream stages and never cross-hit downstream.
@@ -63,27 +68,6 @@ grep -q '"objective": "ndetect:2"' "$dir/nd/manifest.json" ||
 grep -q '"objective.ndetect_2.runs"' "$dir/nd/metrics.json" ||
   fail "per-objective run counter missing"
 
-# A registry record diffs like the directory it was ingested from.
-reg="$dir/registry"
-"$optprob" obs ingest "$dir/a" --obs-registry "$reg" >/dev/null
-id=$("$optprob" obs list --ids --obs-registry "$reg")
-"$optprob" obs diff "$id" "$dir/b" -q --obs-registry "$reg"
-"$optprob" obs baseline promote "$id" --obs-registry "$reg" >/dev/null
-"$optprob" obs diff --baseline -q --obs-registry "$reg"
-rc=0
-"$optprob" obs diff nosuch "$dir/b" --obs-registry "$reg" 2>"$dir/nosuch.err" || rc=$?
-if [ "$rc" -eq 0 ] || ! grep -q "neither an artifact directory nor a record id" "$dir/nosuch.err"; then
-  cat "$dir/nosuch.err" >&2
-  fail "obs diff on an unknown side did not fail cleanly (exit $rc)"
-fi
-
-mreg="$dir/mem-registry"
-run --objective single --obs-registry "$mreg"
-[ "$(ls "$mreg")" = "$(printf 'index.json\nrecords')" ] ||
-  fail "registry ingest without --obs-dir left extra entries: $(ls "$mreg" | tr '\n' ' ')"
-[ "$("$optprob" obs list --ids --obs-registry "$mreg" | wc -l)" -eq 1 ] ||
-  fail "registry ingest without --obs-dir did not list exactly one id"
-
 "$optprob" atpg "$c17" >/dev/null
 
 rejected() {
@@ -95,13 +79,23 @@ rejected() {
   fi
 }
 rejected --trace "$dir/x.json"
-for flag in listen:0 sample-ms:5; do
+for flag in listen:0 sample-ms:5 registry:"$dir/reg"; do
   rejected "--obs-${flag%%:*}" "${flag#*:}"
 done
-for sub in tables selftest; do
+for sub in tables selftest "obs list" "obs trend"; do
   rc=0
-  "$optprob" "$sub" >/dev/null 2>&1 || rc=$?
+  # shellcheck disable=SC2086 # "obs list" splits into a command and subcommand
+  "$optprob" $sub >/dev/null 2>&1 || rc=$?
   [ "$rc" -eq 124 ] || fail "the removed $sub subcommand exited $rc, not 124"
+done
+
+for arg in --confidence=1.5 --confidence=0 --confidence=nan --patterns=-5; do
+  rc=0
+  "$optprob" analyze "$c17" -e cop "$arg" >/dev/null 2>"$dir/range.err" || rc=$?
+  if [ "$rc" -ne 124 ] || ! grep -q "must be" "$dir/range.err"; then
+    cat "$dir/range.err" >&2
+    fail "$arg was not rejected with exit 124 and a message (exit $rc)"
+  fi
 done
 
 # Each file's defect is on line 3; the last one declares no OUTPUT.

@@ -545,6 +545,47 @@ let test_obs_diff =
   check Alcotest.bool "sub-floor span noise ignored" true
     (List.for_all (fun f -> f.Obs.Diff.kind <> "span") regs)
 
+(* Files an older build wrote next to the four documents (timeline.json,
+   events.jsonl, metrics.prom) are ignored: the parsed run and its diff
+   against the pre-stray read are unchanged. *)
+let test_stray_timeline =
+  with_obs @@ fun () ->
+  let art = scratch_dir "stray" in
+  Obs.with_span ~cat:"phase" "pipeline.analyze" (fun () ->
+      let t = Unix.gettimeofday () in
+      while Unix.gettimeofday () -. t < 1e-3 do
+        ignore (Sys.opaque_identity 1)
+      done);
+  Obs.add (Obs.counter "test.stray.queries") 5;
+  Obs.gauge_set (Obs.gauge "test.stray.level") 0.5;
+  List.iter (Obs.observe (Obs.histogram "test.stray.lat_us")) [ 99.0; 100.0; 101.0 ];
+  Obs.Artifact.write ~dir:art ~manifest:test_manifest ();
+  let before = read art in
+  write_file (Filename.concat art "timeline.json")
+    {|{"schema":"optprob-timeline/1","period_ms":5,"dropped":0,"samples":[
+{"ts_us":1000.0,"counters":{"pool.tasks":3},"gauges":{"ppsfp.live_faults":7}}]}|};
+  write_file (Filename.concat art "events.jsonl")
+    {|{"type":"span","name":"pipeline.analyze","cat":"phase","ts_us":10.000,"dur_us":1200.000,"tid":0}
+{"type":"span","name":"stray.span","cat":"phase","ts_us":20.000,"dur_us":50.000,"tid":0}
+{"type":"mark","name":"checkpoint","ts_us":30.000,"tid":0,"fields":{"k":"v"}}
+|};
+  write_file (Filename.concat art "metrics.prom")
+    {|# TYPE optprob_test_stray_queries counter
+optprob_test_stray_queries_total 999
+# TYPE optprob_test_stray_level gauge
+optprob_test_stray_level 0.75
+# EOF
+|};
+  let after = read art in
+  let nums = Alcotest.(list (pair string (float 0.0))) in
+  check nums "same counters" before.Obs.Artifact.counters after.Obs.Artifact.counters;
+  check nums "same gauges" before.Obs.Artifact.gauges after.Obs.Artifact.gauges;
+  check
+    Alcotest.(list (pair string (list (pair string (float 0.0)))))
+    "same histograms" before.Obs.Artifact.histograms after.Obs.Artifact.histograms;
+  check nums "same span totals" before.Obs.Artifact.span_totals after.Obs.Artifact.span_totals;
+  check Alcotest.int "no finding" 0 (List.length (Obs.Diff.compare before after))
+
 (* --- Parallel.sweep policy ------------------------------------------------- *)
 
 let test_sweep_seq_below =
@@ -766,6 +807,8 @@ let () =
         [ Alcotest.test_case "obs-diff self-test" `Quick test_obs_diff ] );
       ( "atomic",
         [ Alcotest.test_case "no tmp leftovers" `Quick test_artifact_atomic ] );
+      ( "compat",
+        [ Alcotest.test_case "stray timeline.json ignored" `Quick test_stray_timeline ] );
       ( "parallel",
         [ Alcotest.test_case "sweep seq_below fallback" `Quick test_sweep_seq_below ] );
       ( "oracle",

@@ -1,5 +1,6 @@
 (* Rt_pipeline: golden equivalence with the pre-refactor wiring, cache
-   resume semantics (qcheck), stage invalidation, config validation. *)
+   resume semantics (qcheck), concurrent store writes, stage invalidation,
+   config validation. *)
 
 module Pipeline = Rt_pipeline
 module Config = Rt_pipeline.Config
@@ -357,6 +358,33 @@ let test_corrupt_artifact_is_miss () =
   check Alcotest.bool "corrupt artifact reads as a miss" true
     (Store.load store ~stage:"loaded" ~key = None)
 
+(* Two writers of one stage artifact (two runs sharing a --work-dir; here
+   two domains) must not share a temp file: every save succeeds, no temp
+   file is left behind, and the artifact loads back. *)
+let test_concurrent_save () =
+  let dir = fresh_dir () in
+  let store = Store.create dir in
+  let key = Store.key ~stage:"loaded" ~parts:[ "race" ] in
+  let value = Array.init 4096 Fun.id in
+  let writer () =
+    let failures = ref 0 in
+    for _ = 1 to 200 do
+      try ignore (Store.save store ~stage:"loaded" ~key value) with Sys_error _ -> incr failures
+    done;
+    !failures
+  in
+  (* two spawned writers: they start within microseconds of each other *)
+  let d1 = Domain.spawn writer in
+  let d2 = Domain.spawn writer in
+  let failures = Domain.join d1 + Domain.join d2 in
+  check Alcotest.int "saves that raised" 0 failures;
+  check Alcotest.(list string) "only the artifact is left"
+    [ Filename.basename (Store.path store ~stage:"loaded" ~key) ]
+    (Array.to_list (Sys.readdir dir));
+  match Store.load store ~stage:"loaded" ~key with
+  | Some (v, _) -> check Alcotest.(array int) "loads back" value v
+  | None -> Alcotest.fail "artifact did not load back"
+
 (* --- config validation ------------------------------------------------------- *)
 
 let error_of = function
@@ -433,6 +461,23 @@ let test_did_you_mean_objective () =
   | Ok (Config.Two_stage (Some 100)) -> ()
   | _ -> Alcotest.fail "twostage:100 parses"
 
+(* Out-of-range numbers are rejected up front, not deep inside a stage. *)
+let test_numeric_ranges () =
+  List.iter
+    (fun confidence ->
+      check Alcotest.bool
+        (Printf.sprintf "confidence %g rejected" confidence)
+        true
+        (contains ~sub:"confidence must be in (0, 1)"
+           (error_of (Config.make ~confidence ~circuit:"s1" ()))))
+    [ 1.5; 1.0; 0.0; -0.5; Float.nan; Float.infinity ];
+  check Alcotest.bool "negative patterns rejected" true
+    (contains ~sub:"patterns must be >= 0"
+       (error_of (Config.make ~patterns:(-5) ~circuit:"s1" ())));
+  match Config.make ~confidence:0.5 ~patterns:0 ~circuit:"s1" () with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail m
+
 let test_edit_distance () =
   check Alcotest.int "identical" 0 (Config.edit_distance "cop" "cop");
   check Alcotest.int "one substitution" 1 (Config.edit_distance "bdd" "bdd:");
@@ -461,7 +506,8 @@ let () =
       ( "cache",
         [ QCheck_alcotest.to_alcotest cache_hit_qcheck;
           Alcotest.test_case "cache-hit counters on resume" `Quick test_cache_hit_counters;
-          Alcotest.test_case "corrupt artifact is a miss" `Quick test_corrupt_artifact_is_miss ] );
+          Alcotest.test_case "corrupt artifact is a miss" `Quick test_corrupt_artifact_is_miss;
+          Alcotest.test_case "concurrent saves of one artifact" `Quick test_concurrent_save ] );
       ( "invalidation",
         [ Alcotest.test_case "seed bump re-runs exactly validated+report" `Quick
             test_seed_invalidation;
@@ -478,5 +524,6 @@ let () =
           Alcotest.test_case "engine did-you-mean" `Quick test_did_you_mean_engine;
           Alcotest.test_case "opt-passes did-you-mean" `Quick test_did_you_mean_opt_passes;
           Alcotest.test_case "objective did-you-mean" `Quick test_did_you_mean_objective;
+          Alcotest.test_case "numeric ranges rejected" `Quick test_numeric_ranges;
           Alcotest.test_case "edit distance" `Quick test_edit_distance;
           Alcotest.test_case "valid circuit specs parse" `Quick test_valid_circuits_parse ] ) ]
