@@ -314,6 +314,15 @@ let () =
   Printf.printf "  narrow W=1 run:             %8.3f ms\n" (t_narrow *. 1000.0 /. Float.of_int ppsfp_iters);
   Printf.printf "  wide   W=8 run:             %8.3f ms\n" (t_wide *. 1000.0 /. Float.of_int ppsfp_iters);
   Printf.printf "  width speedup (W1 / W8):    %8.3f x\n" width_ratio;
+  (* The kernel's cost per unit of work: a no-drop run propagates every
+     fault over every word of every block. *)
+  let ns_per_fault_word t ~block_words =
+    let block = 64 * block_words in
+    let words = Array.length mfaults * block_words * ((512 + block - 1) / block) in
+    t *. 1e9 /. Float.of_int (ppsfp_iters * words)
+  in
+  Printf.printf "  ns per live fault-word W=1: %8.1f ns\n" (ns_per_fault_word t_narrow ~block_words:1);
+  Printf.printf "  ns per live fault-word W=8: %8.1f ns\n" (ns_per_fault_word t_wide ~block_words:8);
   Printf.printf "  domain spawns warm/after:   %d / %d\n" spawns_warm spawns_after;
   Printf.printf "  artifacts:                  %s {ppsfp-wide,ppsfp-narrow}\n" out_root;
   Rt_obs.Diff.pp_report Format.std_formatter ppsfp_diff;

@@ -7,13 +7,16 @@ type site =
 
 type t = { site : site; stuck : bool }
 
+(* By node, then the stem before pin [k], then stuck-at-0 first; no
+   allocation. *)
 let compare a b =
-  let key f =
-    match f.site with
-    | Stem n -> (n, -1, if f.stuck then 1 else 0)
-    | Branch (g, k) -> (g, k, if f.stuck then 1 else 0)
-  in
-  Stdlib.compare (key a) (key b)
+  let node f = match f.site with Stem n -> n | Branch (g, _) -> g in
+  let pin f = match f.site with Stem _ -> -1 | Branch (_, k) -> k in
+  let d = Int.compare (node a) (node b) in
+  if d <> 0 then d
+  else
+    let d = Int.compare (pin a) (pin b) in
+    if d <> 0 then d else Bool.compare a.stuck b.stuck
 
 let equal a b = compare a b = 0
 

@@ -258,11 +258,18 @@ let of_source ?(engine = "bdd") ?(confidence = 0.95) ?(seed = 2024) ?jobs ?block
           Error (Printf.sprintf "confidence must be in (0, 1) (got %g)" confidence)
         else if patterns < 0 then
           Error (Printf.sprintf "patterns must be >= 0 (got %d)" patterns)
+        else if sweeps < 0 then Error (Printf.sprintf "sweeps must be >= 0 (got %d)" sweeps)
         else
-          Ok
-            { circuit; engine; confidence; seed; jobs; block_words; sweeps; alpha; nf_min;
-              w_min; start; start_jitter; quantize; weights; patterns; work_dir; opt_passes;
-              opt_rounds; objective }))
+          match quantize with
+          | Optimize.Grid g when not (g > 0.0 && g < 0.5) ->
+            Error (Printf.sprintf "grid must be in (0, 0.5) (got %g)" g)
+          | Optimize.Dyadic b when b < 1 || b > 30 ->
+            Error (Printf.sprintf "dyadic bits must be in [1, 30] (got %d)" b)
+          | Optimize.Grid _ | Optimize.Dyadic _ | Optimize.No_quantization ->
+            Ok
+              { circuit; engine; confidence; seed; jobs; block_words; sweeps; alpha; nf_min;
+                w_min; start; start_jitter; quantize; weights; patterns; work_dir; opt_passes;
+                opt_rounds; objective }))
 
 let make ?engine ?confidence ?seed ?jobs ?block_words ?sweeps ?alpha ?nf_min ?w_min ?start
     ?start_jitter ?quantize ?weights ?patterns ?work_dir ?opt_passes ?opt_rounds ?objective

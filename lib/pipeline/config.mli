@@ -80,7 +80,9 @@ val make :
 (** Defaults: engine ["bdd"], confidence 0.95, seed 2024, patterns 10_000,
     and {!Rt_optprob.Optimize.default_options} for the optimizer fields.
     [Error] carries a user-ready message (with a did-you-mean suggestion)
-    when the circuit or engine spec is invalid. *)
+    when the circuit or engine spec is invalid, and when a number is out
+    of range: confidence outside (0, 1), negative patterns, sweeps or
+    opt_rounds, a grid outside (0, 0.5) or dyadic bits outside [1, 30]. *)
 
 val of_source :
   ?engine:string ->

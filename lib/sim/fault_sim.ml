@@ -41,213 +41,297 @@ type stats = {
    output differences are "the root differs" AND "flipping the root
    changes that output", lane by lane. *)
 
-(* Workspace reused across faults and roots within a block; one per
-   worker slot when the work is sharded with [jobs > 1].  Every row is
-   an unboxed [Pattern.words] buffer, so the propagation kernel below
-   allocates nothing per gate, fault or root. *)
-type ws = {
-  c : Netlist.t;
-  w : int;  (* lane words per block *)
-  fval : Pattern.words;  (* node-major faulty values, size * w *)
-  pin : Pattern.words;  (* one row: a branch fault's stuck pin value *)
-  out : Pattern.words;  (* one row: scratch gate evaluation *)
-  det : Pattern.words;  (* one row: the lane differences of the last call *)
-  dirty : bool array;
-  queued : bool array;
-  touched : int array;  (* stack of dirty nodes, reset per propagation *)
-  mutable n_touched : int;
-  mutable hi : int;  (* largest queued id, -1 when none *)
+(* The compiled netlist: [simulate] builds it once per call for its
+   block width [w], and both the good machine and every faulty
+   propagation run on it.  [code.(n)]: bit 0 complements the result and
+   [code lsr 1] is the operation — 0 a primary input, 1 a constant (0
+   before the complement), 2 AND over the fanins (BUF and NOT are
+   one-fanin ANDs), 3 OR, 4 XOR.  Node [n]'s fanins are the row offsets
+   (fanin id * w) [fi.(fi_start.(n)) .. fi.(fi_start.(n + 1) - 1)], in
+   pin order; its readers are [fo.(fo_start.(n)) ..], one per reading
+   pin, ascending.  Value buffers hold [n + 1] rows: row [n] is the stuck
+   pin of a branch fault. *)
+type kernel = {
+  w : int;
+  n : int;
+  code : int array;
+  fi_start : int array;
+  fi : int array;
+  fo_start : int array;
+  fo : int array;
+  is_out : bool array;
+  inputs : int array;  (* [Netlist.inputs]: block row [p] is node [inputs.(p)] *)
+  root : int array;  (* [Cone.ffr_roots] *)
 }
+
+let compile ~words c =
+  let n = Netlist.size c in
+  let code =
+    Array.init n (fun i ->
+        match Netlist.kind c i with
+        | Gate.Input -> 0
+        | Gate.Const0 -> 2
+        | Gate.Const1 -> 3
+        | Gate.Buf | Gate.And -> 4
+        | Gate.Not | Gate.Nand -> 5
+        | Gate.Or -> 6
+        | Gate.Nor -> 7
+        | Gate.Xor -> 8
+        | Gate.Xnor -> 9)
+  in
+  let flat row scale =
+    let start = Array.make (n + 1) 0 in
+    for i = 0 to n - 1 do
+      start.(i + 1) <- start.(i) + Array.length (row c i)
+    done;
+    let a = Array.make start.(n) 0 in
+    for i = 0 to n - 1 do
+      Array.iteri (fun j x -> a.(start.(i) + j) <- x * scale) (row c i)
+    done;
+    (start, a)
+  in
+  let fi_start, fi = flat Netlist.fanin words in
+  let fo_start, fo = flat Netlist.fanout 1 in
+  { w = words;
+    n;
+    code;
+    fi_start;
+    fi;
+    fo_start;
+    fo;
+    is_out = Array.init n (Netlist.is_output c);
+    inputs = Netlist.inputs c;
+    root = Cone.ffr_roots c }
 
 let row len =
   let r = BA1.create Bigarray.int64 Bigarray.c_layout (max 1 len) in
   BA1.fill r 0L;
   r
 
-let make_ws ~words c =
-  let n = Netlist.size c in
-  { c;
-    w = words;
-    fval = row (n * words);
-    pin = row words;
-    out = row words;
-    det = row words;
-    dirty = Array.make n false;
-    queued = Array.make n false;
-    touched = Array.make (max 1 n) 0;
+let fill_row (v : Pattern.words) o w x =
+  for i = 0 to w - 1 do
+    BA1.unsafe_set v (o + i) x
+  done
+
+(* Evaluate gate [x] into its row of [v] from its fanins' rows of [v].
+   The fanin at flat index [pin] reads the stuck-pin row instead (a
+   branch fault), none when [pin] is -1.  A two-input gate, the common
+   case, takes one pass with the complement folded in. *)
+let eval k (v : Pattern.words) ~pin x =
+  let w = k.w and o = x * k.w in
+  let a = Array.unsafe_get k.fi_start x and b = Array.unsafe_get k.fi_start (x + 1) in
+  let code = Array.unsafe_get k.code x in
+  let op = code lsr 1 and inv = if code land 1 = 1 then -1L else 0L in
+  if op = 1 then fill_row v o w inv
+  else if b - a = 2 then begin
+    let s0 = if a = pin then k.n * w else Array.unsafe_get k.fi a in
+    let s1 = if a + 1 = pin then k.n * w else Array.unsafe_get k.fi (a + 1) in
+    if op = 2 then
+      for i = 0 to w - 1 do
+        BA1.unsafe_set v (o + i)
+          (Int64.logxor (Int64.logand (BA1.unsafe_get v (s0 + i)) (BA1.unsafe_get v (s1 + i))) inv)
+      done
+    else if op = 3 then
+      for i = 0 to w - 1 do
+        BA1.unsafe_set v (o + i)
+          (Int64.logxor (Int64.logor (BA1.unsafe_get v (s0 + i)) (BA1.unsafe_get v (s1 + i))) inv)
+      done
+    else
+      for i = 0 to w - 1 do
+        BA1.unsafe_set v (o + i)
+          (Int64.logxor (Int64.logxor (BA1.unsafe_get v (s0 + i)) (BA1.unsafe_get v (s1 + i))) inv)
+      done
+  end
+  else begin
+    let s = if a = pin then k.n * w else Array.unsafe_get k.fi a in
+    for i = 0 to w - 1 do
+      BA1.unsafe_set v (o + i) (BA1.unsafe_get v (s + i))
+    done;
+    for j = a + 1 to b - 1 do
+      let s = if j = pin then k.n * w else Array.unsafe_get k.fi j in
+      if op = 2 then
+        for i = 0 to w - 1 do
+          BA1.unsafe_set v (o + i) (Int64.logand (BA1.unsafe_get v (o + i)) (BA1.unsafe_get v (s + i)))
+        done
+      else if op = 3 then
+        for i = 0 to w - 1 do
+          BA1.unsafe_set v (o + i) (Int64.logor (BA1.unsafe_get v (o + i)) (BA1.unsafe_get v (s + i)))
+        done
+      else
+        for i = 0 to w - 1 do
+          BA1.unsafe_set v (o + i) (Int64.logxor (BA1.unsafe_get v (o + i)) (BA1.unsafe_get v (s + i)))
+        done
+    done;
+    if code land 1 = 1 then
+      for i = 0 to w - 1 do
+        BA1.unsafe_set v (o + i) (Int64.lognot (BA1.unsafe_get v (o + i)))
+      done
+  end
+
+(* The good machine: the inputs' rows copied from the block's
+   input-major words (same row layout), then every gate in id order. *)
+let run_good k (blk : Pattern.block) (good : Pattern.words) =
+  let w = k.w and data = blk.Pattern.data in
+  Array.iteri
+    (fun p x ->
+      for i = 0 to w - 1 do
+        BA1.unsafe_set good ((x * w) + i) (BA1.unsafe_get data ((p * w) + i))
+      done)
+    k.inputs;
+  for x = 0 to k.n - 1 do
+    if k.code.(x) <> 0 then eval k good ~pin:(-1) x
+  done
+
+let good_values c (blk : Pattern.block) =
+  let k = compile ~words:blk.Pattern.words c in
+  let good = row ((k.n + 1) * k.w) in
+  run_good k blk good;
+  good
+
+(* Workspace reused across faults and roots within a block; one per
+   worker slot when the work is sharded with [jobs > 1].  [v] holds the
+   faulty machine's rows, loaded from the good block at the start of
+   every block.  Invariant between propagations: every row holds the
+   good value in every valid lane (the other lanes are masked wherever
+   they are read), so a clean fanin is read with no test, and each
+   propagation restores the rows it changed.  Every row is an unboxed
+   [Pattern.words] buffer, so the kernel allocates nothing per gate,
+   fault or root. *)
+type ws = {
+  v : Pattern.words;  (* node-major, (size + 1) * w *)
+  det : Pattern.words;  (* one row: the last flip's output differences *)
+  queued : bool array;
+  touched : int array;  (* stack of changed rows of the current flip *)
+  mutable n_touched : int;
+  mutable hi : int;  (* largest queued id, -1 when none *)
+}
+
+let make_ws k =
+  { v = row ((k.n + 1) * k.w);
+    det = row k.w;
+    queued = Array.make k.n false;
+    touched = Array.make (max 1 k.n) 0;
     n_touched = 0;
     hi = -1 }
 
-(* The row holding fanin [j] (node [s]) of the gate under evaluation: the
-   stuck pin of a branch fault, the faulty row of a dirty fanin, or the
-   good row.  Selecting the row, never the int64 word, keeps every read
-   an unboxed Bigarray load. *)
-let src_row ws (good : Pattern.words) ~pin j s : Pattern.words =
-  if j = pin then ws.pin else if ws.dirty.(s) then ws.fval else good
-
-let src_off ws ~pin j s = if j = pin then 0 else s * ws.w
-
-(* Evaluate gate [g] into [ws.out], one word loop per fanin.  [pin] is
-   the fanin index replaced by [ws.pin] (a branch fault), or -1. *)
-let eval_gate ws (good : Pattern.words) g ~pin =
-  let fi = Netlist.fanin ws.c g in
-  let kind = Netlist.kind ws.c g in
-  let w = ws.w and out = ws.out in
-  match kind with
-  | Gate.Input -> invalid_arg "Fault_sim: primary inputs have no gate function"
-  | Gate.Const0 -> BA1.fill out 0L
-  | Gate.Const1 -> BA1.fill out (-1L)
-  | Gate.Buf | Gate.Not | Gate.And | Gate.Nand | Gate.Or | Gate.Nor | Gate.Xor | Gate.Xnor ->
-    let r = src_row ws good ~pin 0 fi.(0) and o = src_off ws ~pin 0 fi.(0) in
-    for k = 0 to w - 1 do
-      BA1.unsafe_set out k (BA1.unsafe_get r (o + k))
-    done;
-    for j = 1 to Array.length fi - 1 do
-      let r = src_row ws good ~pin j fi.(j) and o = src_off ws ~pin j fi.(j) in
-      match kind with
-      | Gate.And | Gate.Nand ->
-        for k = 0 to w - 1 do
-          BA1.unsafe_set out k (Int64.logand (BA1.unsafe_get out k) (BA1.unsafe_get r (o + k)))
-        done
-      | Gate.Or | Gate.Nor ->
-        for k = 0 to w - 1 do
-          BA1.unsafe_set out k (Int64.logor (BA1.unsafe_get out k) (BA1.unsafe_get r (o + k)))
-        done
-      | Gate.Xor | Gate.Xnor ->
-        for k = 0 to w - 1 do
-          BA1.unsafe_set out k (Int64.logxor (BA1.unsafe_get out k) (BA1.unsafe_get r (o + k)))
-        done
-      | Gate.Input | Gate.Const0 | Gate.Const1 | Gate.Buf | Gate.Not -> ()
-    done;
-    if Gate.inverting kind then
-      for k = 0 to w - 1 do
-        BA1.unsafe_set out k (Int64.lognot (BA1.unsafe_get out k))
-      done
-
-(* Whether [ws.out] differs from the good value of [n] in any valid lane. *)
-let out_differs ws (good : Pattern.words) lanes n =
-  let o = n * ws.w in
-  let k = ref 0 in
+(* Whether row [x] of [v] differs from the good row in a valid lane. *)
+let differs k (v : Pattern.words) (good : Pattern.words) lanes x =
+  let o = x * k.w in
+  let i = ref 0 in
   while
-    !k < ws.w
-    && Int64.logand
-         (Int64.logxor (BA1.unsafe_get ws.out !k) (BA1.unsafe_get good (o + !k)))
-         lanes.(!k)
+    !i < k.w
+    && Int64.logand (Int64.logxor (BA1.unsafe_get v (o + !i)) (BA1.unsafe_get good (o + !i))) lanes.(!i)
        = 0L
   do
-    incr k
+    incr i
   done;
-  !k < ws.w
+  !i < k.w
 
-(* Store [ws.out] as the faulty row of [n], mark it dirty and, unless [n]
-   is [stop], queue its fanouts.  A node is committed at most once per
-   propagation: the site first, then each node the cursor reaches, and
-   pushes only target larger ids. *)
-let commit ws ~stop n =
-  let o = n * ws.w in
-  for k = 0 to ws.w - 1 do
-    BA1.unsafe_set ws.fval (o + k) (BA1.unsafe_get ws.out k)
-  done;
-  ws.dirty.(n) <- true;
-  ws.touched.(ws.n_touched) <- n;
+let restore k (v : Pattern.words) (good : Pattern.words) x =
+  let o = x * k.w in
+  for i = 0 to k.w - 1 do
+    BA1.unsafe_set v (o + i) (BA1.unsafe_get good (o + i))
+  done
+
+(* OR row [x]'s valid-lane differences into [dst] at [d]. *)
+let or_diff k (v : Pattern.words) (good : Pattern.words) lanes x (dst : Pattern.words) d =
+  let o = x * k.w in
+  for i = 0 to k.w - 1 do
+    BA1.unsafe_set dst (d + i)
+      (Int64.logor (BA1.unsafe_get dst (d + i))
+         (Int64.logand (Int64.logxor (BA1.unsafe_get v (o + i)) (BA1.unsafe_get good (o + i))) lanes.(i)))
+  done
+
+(* Keep changed row [x]: record it for the restore, OR its differences
+   into [det] if it is a primary output, and queue its readers. *)
+let commit k ws (good : Pattern.words) lanes x =
+  ws.touched.(ws.n_touched) <- x;
   ws.n_touched <- ws.n_touched + 1;
-  if n <> stop then begin
-    let fo = Netlist.fanout ws.c n in
-    for i = 0 to Array.length fo - 1 do
-      let r = fo.(i) in
-      if not ws.queued.(r) then begin
-        ws.queued.(r) <- true;
-        if r > ws.hi then ws.hi <- r
-      end
-    done
-  end
+  if k.is_out.(x) then or_diff k ws.v good lanes x ws.det 0;
+  for j = k.fo_start.(x) to k.fo_start.(x + 1) - 1 do
+    let r = Array.unsafe_get k.fo j in
+    if not ws.queued.(r) then begin
+      ws.queued.(r) <- true;
+      if r > ws.hi then ws.hi <- r
+    end
+  done
 
-(* Clear the previous propagation's dirty marks and the event frontier. *)
-let reset ws =
-  for i = 0 to ws.n_touched - 1 do
-    ws.dirty.(ws.touched.(i)) <- false
+(* [ws.det] := the valid lanes in which flipping root [r] (injecting the
+   complement of its good row) changes some primary output.  [good] is
+   the good block, shared read-only across domains; [lanes.(i)] masks
+   word [i]'s valid lanes.  The wide event frontier is the union of the
+   per-word narrow frontiers (a node is kept if *any* word differs, and
+   its row is exact for every word), so each word's masked differences —
+   hence the stats replayed from them — equal the one-word computation
+   exactly.
+
+   Propagation walks an ascending cursor over node ids from [r] to the
+   largest queued id.  [Netlist.make] rejects any fanin id >= its node's
+   id, so every push targets a larger id than the node being evaluated:
+   the cursor visits each queued node once, after all its fanins are
+   final, and clears its [queued] flag on the way.  A node whose row
+   does not differ in a valid lane queues nothing and needs no restore:
+   it already holds the good value in every valid lane. *)
+let flip_root k ws ~(good : Pattern.words) ~lanes r =
+  let v = ws.v in
+  BA1.fill ws.det 0L;
+  let o = r * k.w in
+  for i = 0 to k.w - 1 do
+    BA1.unsafe_set v (o + i) (Int64.lognot (BA1.unsafe_get good (o + i)))
+  done;
+  commit k ws good lanes r;
+  let x = ref (r + 1) in
+  while !x <= ws.hi do
+    if ws.queued.(!x) then begin
+      ws.queued.(!x) <- false;
+      eval k v ~pin:(-1) !x;
+      if differs k v good lanes !x then commit k ws good lanes !x
+    end;
+    incr x
+  done;
+  for t = 0 to ws.n_touched - 1 do
+    restore k v good ws.touched.(t)
   done;
   ws.n_touched <- 0;
   ws.hi <- -1
 
-(* The one propagation kernel.  [ws.out] holds the faulty row of [site]
-   on a reset workspace; its effect is propagated through the fanout of
-   [site], stopping at node [stop] (whose fanouts are not queued), or
-   reaching the outputs when [stop] is -1.  [good] is the fault-free
-   wide simulation, shared read-only across domains; [lanes.(k)] masks
-   word [k]'s valid lanes.  The wide event frontier is the union of the
-   per-word narrow frontiers (a node is re-evaluated if *any* word
-   differs, and its stored faulty row is exact for every word), so each
-   word's masked differences — hence the stats replayed from them —
-   equal the one-word computation exactly.
-
-   Propagation walks an ascending cursor over node ids from the site to
-   the largest queued id.  [Netlist.make] rejects any fanin id >= its
-   node's id, so every push targets a larger id than the node being
-   evaluated: the cursor visits each queued node once, after all its
-   fanins are final, and clears its [queued] flag on the way. *)
-let propagate ws ~(good : Pattern.words) ~lanes ~stop site =
-  if out_differs ws good lanes site then begin
-    commit ws ~stop site;
-    let n = ref (site + 1) in
-    while !n <= ws.hi do
-      if ws.queued.(!n) then begin
-        ws.queued.(!n) <- false;
-        eval_gate ws good !n ~pin:(-1);
-        if out_differs ws good lanes !n then commit ws ~stop !n
-      end;
-      incr n
-    done
-  end
-
-(* OR into [ws.det] node [n]'s valid-lane differences, if it is dirty. *)
-let or_diff ws (good : Pattern.words) lanes n =
-  if ws.dirty.(n) then begin
-    let r = n * ws.w in
-    for k = 0 to ws.w - 1 do
-      BA1.unsafe_set ws.det k
-        (Int64.logor (BA1.unsafe_get ws.det k)
-           (Int64.logand
-              (Int64.logxor (BA1.unsafe_get ws.fval (r + k)) (BA1.unsafe_get good (r + k)))
-              lanes.(k)))
-    done
-  end
-
-let site_of f = match f.Fault.site with Fault.Stem n -> n | Fault.Branch (g, _) -> g
-
-(* [ws.det] := the fault's valid-lane differences at its region's root:
-   the fault is injected at its site and propagated no further than the
-   root. *)
-let local_diff ws ~root ~(good : Pattern.words) ~lanes fault =
-  reset ws;
+(* Fault [fi]'s valid-lane differences at its region's root into its
+   fault-indexed [table] row.  The fault is injected at its site, and
+   its effect climbs the region's single-reader chain: a node below the
+   root has exactly one reader, on one pin, so the chain from the site
+   to the root is the only path the fault can change, and every other
+   fanin of a chain gate holds its good value.  The climb stops early
+   where the difference dies (it is then zero at the root), and the rows
+   it wrote are restored. *)
+let store_local k ws ~(good : Pattern.words) ~lanes ~(table : Pattern.words) faults fi =
+  let v = ws.v and w = k.w in
+  let f = faults.(fi) in
+  let stuck = if f.Fault.stuck then -1L else 0L in
   let site =
-    match fault.Fault.site with
-    | Fault.Stem n ->
-      BA1.fill ws.out (if fault.Fault.stuck then -1L else 0L);
-      n
-    | Fault.Branch (g, k) ->
-      BA1.fill ws.pin (if fault.Fault.stuck then -1L else 0L);
-      eval_gate ws good g ~pin:k;
+    match f.Fault.site with
+    | Fault.Stem s ->
+      fill_row v (s * w) w stuck;
+      s
+    | Fault.Branch (g, p) ->
+      fill_row v (k.n * w) w stuck;
+      eval k v ~pin:(k.fi_start.(g) + p) g;
       g
   in
-  let r = root.(site) in
-  propagate ws ~good ~lanes ~stop:r site;
-  BA1.fill ws.det 0L;
-  or_diff ws good lanes r
-
-(* [ws.det] := the valid lanes in which flipping root [r] (injecting the
-   complement of its good row) changes some primary output. *)
-let flip_root ws ~(good : Pattern.words) ~lanes r =
-  reset ws;
-  let o = r * ws.w in
-  for k = 0 to ws.w - 1 do
-    BA1.unsafe_set ws.out k (Int64.lognot (BA1.unsafe_get good (o + k)))
+  let r = k.root.(site) in
+  let x = ref site in
+  while !x <> r && differs k v good lanes !x do
+    x := k.fo.(k.fo_start.(!x));
+    eval k v ~pin:(-1) !x
   done;
-  propagate ws ~good ~lanes ~stop:(-1) r;
-  BA1.fill ws.det 0L;
-  let outputs = Netlist.outputs ws.c in
-  for i = 0 to Array.length outputs - 1 do
-    or_diff ws good lanes outputs.(i)
+  let d = fi * w in
+  fill_row table d w 0L;
+  or_diff k v good lanes !x table d;
+  let last = !x in
+  x := site;
+  restore k v good site;
+  while !x <> last do
+    x := k.fo.(k.fo_start.(!x));
+    restore k v good !x
   done
 
 let c_batches = Rt_obs.counter "ppsfp.batches"
@@ -265,46 +349,43 @@ let g_live = Rt_obs.gauge "ppsfp.live_faults"
    millisecond of work. *)
 let ppsfp_seq_below = 256
 
-(* Schedule faults region by region: stable order by (root, site id).
-   The faults of one region are then consecutive in the live set, which
-   is what lets [propagate_block] flip each root once, and successive
-   flips propagate through overlapping gate ranges.  Stats are
-   accumulated per fault index, so the schedule never affects results. *)
-let region_order ~root c faults =
-  let size = Netlist.size c in
-  let key fi =
-    let s = site_of faults.(fi) in
-    (root.(s) * size) + s
-  in
-  let order = Array.init (Array.length faults) Fun.id in
-  Array.sort
-    (fun a b ->
-      let d = Int.compare (key a) (key b) in
-      if d <> 0 then d else Int.compare a b)
-    order;
+let site_of f = match f.Fault.site with Fault.Stem n -> n | Fault.Branch (g, _) -> g
+
+(* Schedule faults region by region: a stable counting sort by root
+   id.  The faults of one region are then consecutive in the live set,
+   which is what lets [propagate_block] flip each root once, and
+   successive flips propagate through overlapping gate ranges.  Stats
+   are accumulated per fault index, so the schedule never affects
+   results. *)
+let region_order k faults =
+  let root fi = k.root.(site_of faults.(fi)) in
+  let start = Array.make (k.n + 1) 0 in
+  Array.iteri (fun fi _ -> start.(root fi + 1) <- start.(root fi + 1) + 1) faults;
+  for i = 1 to k.n do
+    start.(i) <- start.(i) + start.(i - 1)
+  done;
+  let order = Array.make (Array.length faults) 0 in
+  Array.iteri
+    (fun fi _ ->
+      let r = root fi in
+      order.(start.(r)) <- fi;
+      start.(r) <- start.(r) + 1)
+    faults;
   order
 
 let lanes_of_block blk =
   Array.init blk.Pattern.words (fun k ->
       if k < blk.Pattern.filled then Pattern.word_mask blk.Pattern.counts.(k) else 0L)
 
-(* Fault [fi]'s difference at its root into its fault-indexed [table]
-   row. *)
-let store_local ws ~root ~(good : Pattern.words) ~lanes ~(table : Pattern.words) faults fi =
-  local_diff ws ~root ~good ~lanes faults.(fi);
-  for k = 0 to ws.w - 1 do
-    BA1.unsafe_set table ((fi * ws.w) + k) (BA1.unsafe_get ws.det k)
-  done
-
 (* Flip root [r] and mask with its observability the [table] rows of
    live entries [first, stop), the faults of its region. *)
-let flip_region ws ~(good : Pattern.words) ~lanes ~(table : Pattern.words) ~live ~first ~stop r =
-  let w = ws.w in
-  flip_root ws ~good ~lanes r;
+let flip_region k ws ~(good : Pattern.words) ~lanes ~(table : Pattern.words) ~live ~first ~stop r =
+  let w = k.w in
+  flip_root k ws ~good ~lanes r;
   for q = first to stop - 1 do
     let o = live.(q) * w in
-    for k = 0 to w - 1 do
-      BA1.unsafe_set table (o + k) (Int64.logand (BA1.unsafe_get table (o + k)) (BA1.unsafe_get ws.det k))
+    for i = 0 to w - 1 do
+      BA1.unsafe_set table (o + i) (Int64.logand (BA1.unsafe_get table (o + i)) (BA1.unsafe_get ws.det i))
     done
   done
 
@@ -319,22 +400,22 @@ let flip_region ws ~(good : Pattern.words) ~lanes ~(table : Pattern.words) ~live
    usually dies at the site.  Both sweeps write rows owned by one item
    (a fault, a region's first entry), so sharding is race-free and no
    row depends on scheduling. *)
-let propagate_block ~jobs ~wss ~root ~good ~lanes ~(table : Pattern.words) ~live ~todo faults =
+let propagate_block k ~jobs ~wss ~good ~lanes ~(table : Pattern.words) ~live ~todo faults =
   Rt_util.Parallel.sweep ~label:"ppsfp" ~seq_below:ppsfp_seq_below ~jobs ~n:todo
     (fun ~worker ~lo ~hi ->
       let ws = wss.(worker) in
       for p = lo to hi - 1 do
-        store_local ws ~root ~good ~lanes ~table faults live.(p)
+        store_local k ws ~good ~lanes ~table faults live.(p)
       done);
-  let words = wss.(0).w in
-  let root_at p = root.(site_of faults.(live.(p))) in
+  let words = k.w in
+  let root_at p = k.root.(site_of faults.(live.(p))) in
   let excited p =
     let o = live.(p) * words in
-    let k = ref 0 in
-    while !k < words && Int64.equal (BA1.unsafe_get table (o + !k)) 0L do
-      incr k
+    let i = ref 0 in
+    while !i < words && Int64.equal (BA1.unsafe_get table (o + !i)) 0L do
+      incr i
     done;
-    !k < words
+    !i < words
   in
   Rt_util.Parallel.sweep ~label:"ppsfp.roots" ~seq_below:ppsfp_seq_below ~jobs ~n:todo
     (fun ~worker ~lo ~hi ->
@@ -351,7 +432,7 @@ let propagate_block ~jobs ~wss ~root ~good ~lanes ~(table : Pattern.words) ~live
           done;
           (* Rows before [first] are zero and stay so. *)
           if !first < !stop then
-            flip_region wss.(worker) ~good ~lanes ~table ~live ~first:!first ~stop:!stop r
+            flip_region k wss.(worker) ~good ~lanes ~table ~live ~first:!first ~stop:!stop r
         end
       done)
 
@@ -361,12 +442,12 @@ let simulate ?jobs ?block_words ?(drop = true) c faults ~source ~n_patterns =
   let nf = Array.length faults in
   let first_detect = Array.make nf (-1) in
   let detect_count = Array.make nf 0 in
-  let sim = Logic_sim.create_wide ~words c in
-  let wss = Array.init jobs (fun _ -> make_ws ~words c) in
-  let root = Cone.ffr_roots c in
+  let k = compile ~words c in
+  let good = row ((k.n + 1) * words) in
+  let wss = Array.init jobs (fun _ -> make_ws k) in
   let blk = Pattern.make_block ~n_inputs:(Array.length (Netlist.inputs c)) ~words in
   let table = row (nf * words) in
-  let live = region_order ~root c faults in
+  let live = region_order k faults in
   let n_live = ref nf in
   let base = ref 0 in
   Rt_obs.with_span ~cat:"sim" "fault_sim" @@ fun () ->
@@ -374,9 +455,9 @@ let simulate ?jobs ?block_words ?(drop = true) c faults ~source ~n_patterns =
     let t_batch = Rt_obs.span_begin () in
     Pattern.fill_block source blk ~needed:(n_patterns - !base);
     let lanes = lanes_of_block blk in
-    Logic_sim.run_wide sim blk;
-    let good = Logic_sim.wide_values sim in
-    propagate_block ~jobs ~wss ~root ~good ~lanes ~table ~live ~todo:!n_live faults;
+    run_good k blk good;
+    Array.iter (fun ws -> BA1.blit good ws.v) wss;
+    propagate_block k ~jobs ~wss ~good ~lanes ~table ~live ~todo:!n_live faults;
     (* Serial word-by-word replay: within a word, detections are lane-
        parallel; between words, drops take effect, exactly as if each
        word had been its own batch. *)

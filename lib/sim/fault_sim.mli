@@ -2,13 +2,13 @@
 
     For each block of up to [W * 64] patterns ([W] words of 64 lanes,
     see {!Pattern.block}) the good circuit is simulated once; each live
-    fault is then injected and its effect propagated event-driven, all
-    lanes at once, but only up to the root of its fanout-free region
+    fault is then injected and its effect carried, all lanes at once,
+    up the single-reader chain to the root of its fanout-free region
     ({!Rt_circuit.Cone.ffr_roots}).  Where that difference is nonzero,
-    the root's flip is propagated to the outputs, at most once per root
-    and block, and the fault is detected in the lanes where both the
-    root differs and its flip is observed — exactly the lanes where a
-    full propagation of the fault would reach an output.  Live faults
+    the root's flip is propagated event-driven to the outputs, at most
+    once per root and block, and the fault is detected in the lanes
+    where both the root differs and its flip is observed — exactly the
+    lanes where a full propagation of the fault would reach an output.  Live faults
     are scheduled region by region and sharded across the persistent
     domain pool with work stealing; detection bookkeeping replays
     serially word by word, so results never depend on [jobs] or
@@ -49,6 +49,11 @@ val simulate :
     difference is source consumption — the block is filled before
     simulating, so when dropping empties the live set mid-block up to
     [W - 1] already-pulled source batches go unused. *)
+
+val good_values : Rt_circuit.Netlist.t -> Pattern.block -> Pattern.words
+(** The good machine on one block, exactly as {!simulate} runs it on
+    its compiled netlist: node [x]'s value in word [i] is at
+    [x * block.words + i] (lanes past a word's count are garbage). *)
 
 val detects :
   Rt_circuit.Netlist.t -> Rt_fault.Fault.t -> bool array -> bool

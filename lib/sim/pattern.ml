@@ -49,8 +49,8 @@ let equiprobable rng ~n_inputs =
 
 (* Wide blocks: W words of up to 64 patterns each, Bigarray-backed so the
    whole block is one flat unboxed buffer (input-major — input [i]'s W
-   words are contiguous, matching the per-input fill and the wide sim's
-   inner word loop).  A block is *filled from* the narrow source, one
+   words are contiguous, matching the per-input fill and the fault
+   simulator's node-major rows).  A block is *filled from* the narrow source, one
    batch per word in stream order, so the pattern sequence — and hence
    every downstream statistic — is identical to pulling the same source
    through the one-word path. *)

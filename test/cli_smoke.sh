@@ -13,7 +13,8 @@
 #      `--obs-{listen,sample-ms} N` and `--obs-registry DIR`), the removed
 #      `tables` and `selftest` subcommands and the removed `obs list` and
 #      `obs trend` are usage errors;
-#   5. an out-of-range --confidence or --patterns exits 124 with a message;
+#   5. an out-of-range --confidence, --patterns, --grid, --dyadic or
+#      --sweeps exits 124 with a message;
 #   6. a malformed .bench file (undeclared signal, cycle, duplicate, wrong
 #      arity, no OUTPUT) exits 124 with a FILE:LINE: message.
 #
@@ -89,7 +90,8 @@ for sub in tables selftest "obs list" "obs trend"; do
   [ "$rc" -eq 124 ] || fail "the removed $sub subcommand exited $rc, not 124"
 done
 
-for arg in --confidence=1.5 --confidence=0 --confidence=nan --patterns=-5; do
+for arg in --confidence=1.5 --confidence=0 --confidence=nan --patterns=-5 --grid=2.0 \
+  --dyadic=0 --sweeps=-1; do
   rc=0
   "$optprob" analyze "$c17" -e cop "$arg" >/dev/null 2>"$dir/range.err" || rc=$?
   if [ "$rc" -ne 124 ] || ! grep -q "must be" "$dir/range.err"; then

@@ -228,38 +228,64 @@ let test_bench_comments_and_blanks () =
 
 (* --- Cones -------------------------------------------------------------------- *)
 
+(* Nodes reachable from [root], itself included: one ascending sweep,
+   since ids are topological.  The reference for the region checks. *)
+let transitive_fanout c root =
+  let mask = Array.make (Netlist.size c) false in
+  mask.(root) <- true;
+  for i = root + 1 to Netlist.size c - 1 do
+    if Array.exists (fun j -> mask.(j)) (Netlist.fanin c i) then mask.(i) <- true
+  done;
+  mask
+
+(* Primary inputs in the transitive fanin of [o], by a depth-first walk
+   over fanins: an independent check on [transitive_fanout]. *)
+let support c o =
+  let seen = Array.make (Netlist.size c) false in
+  let rec walk x =
+    if not seen.(x) then begin
+      seen.(x) <- true;
+      Array.iter walk (Netlist.fanin c x)
+    end
+  in
+  walk o;
+  Array.of_list (List.filter (fun i -> seen.(i)) (Array.to_list (Netlist.inputs c)))
+
 let test_cone_support () =
   let c = Generators.s1_comparator () in
   (* Every output of the full comparator depends on all 48 inputs. *)
   Array.iter
-    (fun o -> check Alcotest.int "full support" 48 (Cone.support_size c o))
+    (fun o -> check Alcotest.int "full support" 48 (Array.length (support c o)))
     (Netlist.outputs c);
-  let sizes = Cone.all_support_sizes c in
   Array.iter
-    (fun o -> check Alcotest.int "sweep agrees with DFS" (Cone.support_size c o) sizes.(o))
-    (Netlist.outputs c)
-
-let test_cone_extract () =
-  let c = Generators.c432ish () in
-  let o = (Netlist.outputs c).(0) in
-  let sub, mapping = Cone.extract c [ o ] in
-  check Alcotest.int "one output" 1 (Array.length (Netlist.outputs sub));
-  (* The extracted cone computes the same function. *)
-  let rng = Rt_util.Rng.create 9 in
-  for _ = 1 to 50 do
-    let inp = Array.init (Array.length (Netlist.inputs c)) (fun _ -> Rt_util.Rng.bool rng) in
-    let full = Netlist.eval c inp in
-    let sub_in = Array.map (fun i -> full.(mapping.(i))) (Netlist.inputs sub) in
-    let sub_out = Netlist.eval_outputs sub sub_in in
-    if sub_out.(0) <> full.(o) then Alcotest.fail "extracted cone differs"
-  done
+    (fun i ->
+      let reached = transitive_fanout c i in
+      Array.iter
+        (fun o ->
+          check Alcotest.bool "fanout sweep agrees with fanin walk"
+            (Array.mem i (support c o)) reached.(o))
+        (Netlist.outputs c))
+    (Netlist.inputs c)
 
 let test_transitive_fanout () =
   let c = Generators.c432ish () in
   let i0 = (Netlist.inputs c).(0) in
-  let mask = Cone.transitive_fanout c i0 in
+  let mask = transitive_fanout c i0 in
   check Alcotest.bool "contains itself" true mask.(i0);
-  check Alcotest.bool "reaches an output" true (Cone.reaches_output c i0)
+  check Alcotest.bool "reaches an output" true
+    (Array.exists (fun o -> mask.(o)) (Netlist.outputs c));
+  (* The sweep equals a depth-first walk over fanouts from every node. *)
+  for x = 0 to Netlist.size c - 1 do
+    let seen = Array.make (Netlist.size c) false in
+    let rec walk y =
+      if not seen.(y) then begin
+        seen.(y) <- true;
+        Array.iter walk (Netlist.fanout c y)
+      end
+    in
+    walk x;
+    check Alcotest.(array bool) "sweep equals fanout walk" seen (transitive_fanout c x)
+  done
 
 (* A hand-built netlist with a node read on two pins (q), an output that
    also feeds a gate (p), a constant inside a region (k) and a dangling
@@ -288,12 +314,12 @@ let test_ffr_roots () =
       (match Netlist.fanout c i with
        | [| g |] -> check Alcotest.int "reader in the region" r root.(g)
        | _ -> Alcotest.failf "node %d in a region without exactly one reader" i);
-      let beyond = Cone.transitive_fanout c r in
+      let beyond = transitive_fanout c r in
       Array.iteri
         (fun j reached ->
           if reached && not (beyond.(j) || (root.(j) = r && j < r)) then
             Alcotest.failf "node %d reaches %d around its root %d" i j r)
-        (Cone.transitive_fanout c i)
+        (transitive_fanout c i)
     end
   done
 
@@ -443,7 +469,8 @@ let test_paper_suite_wellformed () =
          construction). *)
       Array.iter
         (fun i ->
-          if not (Cone.reaches_output c i) then
+          let reached = transitive_fanout c i in
+          if not (Array.exists (fun o -> reached.(o)) (Netlist.outputs c)) then
             Alcotest.failf "%s: input %s reaches no output" name (Netlist.name c i))
         (Netlist.inputs c))
     Generators.paper_suite
@@ -489,7 +516,6 @@ let () =
           Alcotest.test_case "comments and blanks" `Quick test_bench_comments_and_blanks ] );
       ( "cone",
         [ Alcotest.test_case "support" `Quick test_cone_support;
-          Alcotest.test_case "extract" `Quick test_cone_extract;
           Alcotest.test_case "transitive fanout" `Quick test_transitive_fanout;
           Alcotest.test_case "fanout-free region roots" `Quick test_ffr_roots ] );
       ( "generators",

@@ -96,6 +96,80 @@ let collapse_covers_universe_qcheck =
       let total = Array.fold_left (fun acc cls -> acc + Array.length cls) 0 classes in
       total = Array.length u)
 
+(* The Hashtbl implementation [Collapse.classes] replaced, kept as the
+   reference: faults keyed by value, a union-find over positions, and
+   classes sorted through the tuple order [Fault.compare] had. *)
+module Reference = struct
+  let compare a b =
+    let key f =
+      match f.Fault.site with
+      | Fault.Stem n -> (n, -1, if f.Fault.stuck then 1 else 0)
+      | Fault.Branch (g, k) -> (g, k, if f.Fault.stuck then 1 else 0)
+    in
+    Stdlib.compare (key a) (key b)
+
+  let rec find parent i = if parent.(i) = i then i else find parent parent.(i)
+
+  let classes c faults =
+    let n = Array.length faults in
+    let index = Hashtbl.create (2 * n) in
+    Array.iteri (fun i f -> Hashtbl.replace index f i) faults;
+    let parent = Array.init n Fun.id in
+    let connection_fault g k stuck =
+      let src = (Netlist.fanin c g).(k) in
+      if Array.length (Netlist.fanout c src) > 1 then { Fault.site = Fault.Branch (g, k); stuck }
+      else { Fault.site = Fault.Stem src; stuck }
+    in
+    let link g k in_val out_val =
+      match
+        ( Hashtbl.find_opt index (connection_fault g k in_val),
+          Hashtbl.find_opt index { Fault.site = Fault.Stem g; stuck = out_val } )
+      with
+      | Some a, Some b ->
+        let ra = find parent a and rb = find parent b in
+        if ra <> rb then parent.(max ra rb) <- min ra rb
+      | None, _ | Some _, None -> ()
+    in
+    Netlist.iter_gates c (fun g ->
+        let arity = Array.length (Netlist.fanin c g) in
+        match Netlist.kind c g with
+        | Rt_circuit.Gate.And -> for k = 0 to arity - 1 do link g k false false done
+        | Rt_circuit.Gate.Nand -> for k = 0 to arity - 1 do link g k false true done
+        | Rt_circuit.Gate.Or -> for k = 0 to arity - 1 do link g k true true done
+        | Rt_circuit.Gate.Nor -> for k = 0 to arity - 1 do link g k true false done
+        | Rt_circuit.Gate.Buf ->
+          link g 0 false false;
+          link g 0 true true
+        | Rt_circuit.Gate.Not ->
+          link g 0 false true;
+          link g 0 true false
+        | _ -> ());
+    let buckets = Hashtbl.create n in
+    Array.iteri
+      (fun i _ ->
+        let r = find parent i in
+        Hashtbl.replace buckets r (i :: Option.value ~default:[] (Hashtbl.find_opt buckets r)))
+      faults;
+    Hashtbl.fold
+      (fun _ members acc ->
+        Array.of_list (List.sort compare (List.rev_map (fun i -> faults.(i)) members)) :: acc)
+      buckets []
+    |> List.sort (fun a b -> compare a.(0) b.(0))
+    |> Array.of_list
+end
+
+let collapse_matches_reference_qcheck =
+  QCheck.Test.make ~name:"collapse equals the Hashtbl reference" ~count:60
+    QCheck.(pair (int_range 0 10_000) (int_range 4 120))
+    (fun (seed, gates) ->
+      let c = Generators.random_circuit ~inputs:6 ~gates ~seed in
+      let u = Fault.universe c in
+      let expected = Reference.classes c u in
+      let sign a b = Int.compare (Fault.compare a b) 0 = Int.compare (Reference.compare a b) 0 in
+      Collapse.classes c u = expected
+      && Collapse.collapsed_universe c = Array.map (fun cl -> cl.(0)) expected
+      && Array.for_all (fun a -> Array.for_all (sign a) u) u)
+
 let test_source_and_pp () =
   let b = Builder.create () in
   let x = Builder.input b "x" in
@@ -124,4 +198,5 @@ let () =
         [ Alcotest.test_case "shrinks" `Quick test_collapse_shrinks;
           Alcotest.test_case "ratio" `Quick test_ratio;
           q collapse_equivalence_qcheck;
+          q collapse_matches_reference_qcheck;
           q collapse_covers_universe_qcheck ] ) ]

@@ -474,6 +474,15 @@ let test_numeric_ranges () =
   check Alcotest.bool "negative patterns rejected" true
     (contains ~sub:"patterns must be >= 0"
        (error_of (Config.make ~patterns:(-5) ~circuit:"s1" ())));
+  check Alcotest.bool "negative sweeps rejected" true
+    (contains ~sub:"sweeps must be >= 0" (error_of (Config.make ~sweeps:(-1) ~circuit:"s1" ())));
+  List.iter
+    (fun (quantize, sub) ->
+      check Alcotest.bool sub true (contains ~sub (error_of (Config.make ~quantize ~circuit:"s1" ()))))
+    Rt_optprob.Optimize.
+      [ (Grid 2.0, "grid must be in (0, 0.5)"); (Grid 0.5, "grid must be in (0, 0.5)");
+        (Grid 0.0, "grid must be in (0, 0.5)"); (Dyadic 0, "dyadic bits must be in [1, 30]");
+        (Dyadic 31, "dyadic bits must be in [1, 30]") ];
   match Config.make ~confidence:0.5 ~patterns:0 ~circuit:"s1" () with
   | Ok _ -> ()
   | Error m -> Alcotest.fail m
