@@ -323,6 +323,10 @@ let () =
   in
   Printf.printf "  ns per live fault-word W=1: %8.1f ns\n" (ns_per_fault_word t_narrow ~block_words:1);
   Printf.printf "  ns per live fault-word W=8: %8.1f ns\n" (ns_per_fault_word t_wide ~block_words:8);
+  (* The other hot kernel's unit cost, recorded next to ppsfp's and not
+     gated: one PREPARE sweep of fused cofactor pairs on s1. *)
+  Printf.printf "  fused cofactor sweep (s1):  %8.1f us median of %d\n" (median s_fused)
+    (Array.length s_fused);
   Printf.printf "  domain spawns warm/after:   %d / %d\n" spawns_warm spawns_after;
   Printf.printf "  artifacts:                  %s {ppsfp-wide,ppsfp-narrow}\n" out_root;
   Rt_obs.Diff.pp_report Format.std_formatter ppsfp_diff;

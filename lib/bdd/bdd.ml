@@ -26,8 +26,7 @@ type manager = {
   mutable table : int array;  (** unique table: node ids, 0 = empty *)
   mutable cache : int array;
       (** computed cache: quads (op, a, b, result), op = -1 when empty.
-          Ops: 0 = and, 1 = or, 2 = xor, 3 = not (b = 0), 4 / 5 =
-          restrict variable b to false / true. *)
+          Ops: 0 = and, 1 = or, 2 = xor, 3 = not (b = 0). *)
   mutable stamp : Bytes.t;
       (** probability queries: node x is memoised in the running query
           iff stamp.[x] = epoch (1 .. 255); value holds its probability,
@@ -226,8 +225,6 @@ let and_ m f g = apply m 0 f g
 let or_ m f g = apply m 1 f g
 let xor_ m f g = apply m 2 f g
 
-let ite m c t e = or_ m (and_ m c t) (and_ m (not_ m c) e)
-
 let apply_kind m kind args =
   let open Rt_circuit.Gate in
   let fold op init = Array.fold_left (fun acc x -> apply m op acc x) init args in
@@ -243,24 +240,6 @@ let apply_kind m kind args =
   | Nor -> not_ m (fold 1 0)
   | Xor -> fold 2 0
   | Xnor -> not_ m (fold 2 0)
-
-let rec restrict m x i v =
-  if x < 2 then x
-  else begin
-    let vx = m.vars.(x) in
-    if vx > i then x
-    else if vx = i then restrict m (if v then m.highs.(x) else m.lows.(x)) i v
-    else begin
-      let op = if v then 5 else 4 in
-      let r = cache_find m op x i in
-      if r >= 0 then r
-      else begin
-        let r = mk m vx (restrict m m.lows.(x) i v) (restrict m m.highs.(x) i v) in
-        cache_add m op x i r;
-        r
-      end
-    end
-  end
 
 let eval m x assign =
   let rec go x = if x < 2 then x = 1 else go (if assign m.vars.(x) then m.highs.(x) else m.lows.(x)) in
@@ -354,16 +333,3 @@ let prob_pair_many m roots ~var p =
       fill_pair m p e var x;
       (pair0 m var x, pair1 m var x))
     roots
-
-let sat_fraction m x = prob m x (fun _ -> 0.5)
-
-let any_sat m x =
-  if x = 0 then None
-  else begin
-    let rec go x acc =
-      if x = 1 then acc
-      else if m.lows.(x) <> 0 then go m.lows.(x) ((m.vars.(x), false) :: acc)
-      else go m.highs.(x) ((m.vars.(x), true) :: acc)
-    in
-    Some (List.rev (go x []))
-  end

@@ -34,7 +34,6 @@ val not_ : manager -> t -> t
 val and_ : manager -> t -> t -> t
 val or_ : manager -> t -> t -> t
 val xor_ : manager -> t -> t -> t
-val ite : manager -> t -> t -> t -> t
 
 val apply_kind : manager -> Rt_circuit.Gate.kind -> t array -> t
 (** Fold a gate's boolean function over BDD operands (Input is invalid). *)
@@ -44,9 +43,6 @@ val equal : t -> t -> bool
 
 val is_zero : t -> bool
 val is_one : t -> bool
-
-val restrict : manager -> t -> int -> bool -> t
-(** Cofactor with respect to one variable. *)
 
 val eval : manager -> t -> (int -> bool) -> bool
 (** Evaluate under an assignment. *)
@@ -70,11 +66,3 @@ val prob_pair_many : manager -> t array -> var:int -> (int -> float) -> (float *
     [p] overridden to return 0.0 (resp. 1.0) at [var]; subgraphs ordered
     below [var] are evaluated once and shared by both components.  This is
     the exact engine's PREPARE kernel (paper §4, eq. 15). *)
-
-val sat_fraction : manager -> t -> float
-(** [sat_fraction m f] is the fraction of assignments satisfying [f]:
-    {!prob} at the uniform distribution. *)
-
-val any_sat : manager -> t -> (int * bool) list option
-(** A satisfying partial assignment (variables not listed are free), or
-    [None] for the zero BDD. *)

@@ -59,48 +59,6 @@ let eval k (vs : bool array) =
   | Xor -> Array.fold_left (fun acc v -> acc <> v) false vs
   | Xnor -> not (Array.fold_left (fun acc v -> acc <> v) false vs)
 
-(* The arithmetical embedding, one loop per kind over the fanin indices,
-   so the sweeps that call it once per node allocate nothing.  The folds
-   run in pin order: the product from 1.0, the complement product from
-   1.0, and XOR pairwise from 0.0 (p <- a(1-b) + b(1-a), exact for
-   independent fanins). *)
-let[@inline] prod (p : float array) (fanin : int array) =
-  let acc = ref 1.0 in
-  for j = 0 to Array.length fanin - 1 do
-    acc := !acc *. p.(fanin.(j))
-  done;
-  !acc
-
-let[@inline] prod_compl (p : float array) (fanin : int array) =
-  let acc = ref 1.0 in
-  for j = 0 to Array.length fanin - 1 do
-    acc := !acc *. (1.0 -. p.(fanin.(j)))
-  done;
-  !acc
-
-let[@inline] xor (p : float array) (fanin : int array) =
-  let acc = ref 0.0 in
-  for j = 0 to Array.length fanin - 1 do
-    let b = p.(fanin.(j)) in
-    acc := (!acc *. (1.0 -. b)) +. (b *. (1.0 -. !acc))
-  done;
-  !acc
-
-let set_prob k (p : float array) ~(fanin : int array) dst =
-  p.(dst) <-
-    (match k with
-     | Input -> invalid_arg "Gate.set_prob: Input has no gate function"
-     | Const0 -> 0.0
-     | Const1 -> 1.0
-     | Buf -> p.(fanin.(0))
-     | Not -> 1.0 -. p.(fanin.(0))
-     | And -> prod p fanin
-     | Nand -> 1.0 -. prod p fanin
-     | Or -> 1.0 -. prod_compl p fanin
-     | Nor -> prod_compl p fanin
-     | Xor -> xor p fanin
-     | Xnor -> 1.0 -. xor p fanin)
-
 let inverting = function
   | Nand | Nor | Not | Xnor -> true
   | Input | Const0 | Const1 | Buf | And | Or | Xor -> false

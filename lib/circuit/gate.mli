@@ -1,11 +1,10 @@
 (** The gate alphabet of combinational networks.
 
-    Two semantics are provided for every gate kind: boolean evaluation and
-    the arithmetical embedding of paper §2.1 (evaluation over independent
-    signal probabilities).  Keeping both next to the type definition
-    guarantees they never drift apart.  Word-parallel evaluation is
+    The boolean semantics is {!eval}.  Word-parallel evaluation is
     unrolled per kind inside the simulators ([Logic_sim], [Fault_sim]),
-    whose tests check it against {!eval}. *)
+    and the arithmetical embedding of paper §2.1 (evaluation over
+    independent signal probabilities) inside the COP kernel
+    ([Rt_testability.Cop_eval]); their tests check each against {!eval}. *)
 
 type kind =
   | Input        (** primary input; no fanin *)
@@ -33,14 +32,6 @@ val arity_ok : kind -> int -> bool
 
 val eval : kind -> bool array -> bool
 (** Boolean semantics over the fanin values. *)
-
-val set_prob : kind -> float array -> fanin:int array -> int -> unit
-(** [set_prob k p ~fanin dst] stores in [p.(dst)] the arithmetical
-    embedding under the independence assumption: the exact probability of
-    the gate output being true when the fanin signals, read as
-    [p.(fanin.(j))], are {e independent}.  Products fold in pin order from
-    1.0 and [Xor] folds pairwise from 0.0.  Allocates nothing, so a
-    per-node sweep can call it directly on its probability vector. *)
 
 val inverting : kind -> bool
 (** Whether the gate complements the natural monotone body ([Nand], [Nor],

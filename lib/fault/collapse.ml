@@ -42,7 +42,8 @@ let id c line f =
       invalid_arg "Collapse: branch fault on a missing pin";
     (2 * (line.(g) + 1 + k)) + s
 
-let classes c faults =
+let collapsed_universe c =
+  let faults = Fault.universe c in
   let nf = Array.length faults in
   let line = lines c in
   let n_ids = 2 * line.(Netlist.size c) in
@@ -86,39 +87,15 @@ let classes c faults =
       sorted.(start.(f)) <- i;
       start.(f) <- start.(f) + 1)
     ids;
-  (* Number the classes as their least members appear, then fill them
-     in that order: members sorted, classes ordered by representative. *)
-  let cls = Array.make nf (-1) and size = Array.make nf 0 in
-  let n_cls = ref 0 in
+  (* A class's representative is its least member, the first of its
+     positions in id order; classes come out ordered by representative. *)
+  let seen = Array.make nf false and reps = ref [] in
   Array.iter
     (fun i ->
       let r = find parent i in
-      if cls.(r) < 0 then begin
-        cls.(r) <- !n_cls;
-        incr n_cls
-      end;
-      size.(cls.(r)) <- size.(cls.(r)) + 1)
+      if not seen.(r) then begin
+        seen.(r) <- true;
+        reps := faults.(i) :: !reps
+      end)
     sorted;
-  let out = Array.init !n_cls (fun k -> Array.make size.(k) faults.(0)) in
-  let fill = Array.make !n_cls 0 in
-  Array.iter
-    (fun i ->
-      let k = cls.(find parent i) in
-      out.(k).(fill.(k)) <- faults.(i);
-      fill.(k) <- fill.(k) + 1)
-    sorted;
-  out
-
-let representatives c faults = Array.map (fun cl -> cl.(0)) (classes c faults)
-
-let collapsed_universe c = representatives c (Fault.universe c)
-
-let collapsed_universe_back ~remap ~original ~optimized =
-  Array.map
-    (fun f -> (f, Fault.map_back ~remap ~original ~optimized f))
-    (collapsed_universe optimized)
-
-let ratio c =
-  let u = Fault.universe c in
-  if Array.length u = 0 then 1.0
-  else Float.of_int (Array.length (representatives c u)) /. Float.of_int (Array.length u)
+  Array.of_list (List.rev !reps)

@@ -7,24 +7,6 @@
     Collapsing shrinks the universe by 40-60 % on typical netlists, which
     directly shrinks every ANALYSIS and fault-simulation pass. *)
 
-val classes : Rt_circuit.Netlist.t -> Fault.t array -> Fault.t array array
-(** Partition into equivalence classes (each class sorted, classes ordered
-    by their representative). *)
-
-val representatives : Rt_circuit.Netlist.t -> Fault.t array -> Fault.t array
-(** One fault per class: the class's {!Fault.compare}-least member. *)
-
 val collapsed_universe : Rt_circuit.Netlist.t -> Fault.t array
-(** [representatives c (Fault.universe c)]. *)
-
-val collapsed_universe_back :
-  remap:Rt_circuit.Passes.Remap.t ->
-  original:Rt_circuit.Netlist.t ->
-  optimized:Rt_circuit.Netlist.t ->
-  (Fault.t * Fault.t option) array
-(** The collapsed universe of the optimized netlist, each representative
-    paired with its original-netlist image via {!Fault.map_back} —
-    generated on the small netlist, reportable in original terms. *)
-
-val ratio : Rt_circuit.Netlist.t -> float
-(** [|collapsed| / |universe|], a quick quality metric. *)
+(** One fault per equivalence class of {!Fault.universe}: the class's
+    {!Fault.compare}-least member, classes ordered by it. *)

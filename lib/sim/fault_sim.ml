@@ -2,7 +2,6 @@ module Netlist = Rt_circuit.Netlist
 module Gate = Rt_circuit.Gate
 module Cone = Rt_circuit.Cone
 module Fault = Rt_fault.Fault
-module Bits = Rt_util.Bits
 module BA1 = Bigarray.Array1
 
 type stats = {
@@ -436,6 +435,22 @@ let propagate_block k ~jobs ~wss ~good ~lanes ~(table : Pattern.words) ~live ~to
         end
       done)
 
+(* Word bit tricks for the replay, branch-free and total ([ctz 0L] = 64;
+   the looping lowest-lane helper they replaced never returned on 0L).
+   They live here, inlined into the replay, because under dune's -opaque
+   dev profile a call to another module passes the int64 word boxed. *)
+let[@inline] popcount w =
+  let open Int64 in
+  let x = sub w (logand (shift_right_logical w 1) 0x5555555555555555L) in
+  let x = add (logand x 0x3333333333333333L) (logand (shift_right_logical x 2) 0x3333333333333333L) in
+  let x = logand (add x (shift_right_logical x 4)) 0x0F0F0F0F0F0F0F0FL in
+  to_int (shift_right_logical (mul x 0x0101010101010101L) 56)
+
+(* The lowest set bit's index is the popcount of the mask of all strictly
+   lower bit positions. *)
+let[@inline] ctz w =
+  if Int64.equal w 0L then 64 else popcount (Int64.sub (Int64.logand w (Int64.neg w)) 1L)
+
 let simulate ?jobs ?block_words ?(drop = true) c faults ~source ~n_patterns =
   let jobs = Rt_util.Parallel.resolve_jobs jobs in
   let words = Pattern.resolve_block_words block_words in
@@ -472,8 +487,8 @@ let simulate ?jobs ?block_words ?(drop = true) c faults ~source ~n_patterns =
           let d = BA1.unsafe_get table ((fi * words) + !w) in
           if not (Int64.equal d 0L) then begin
             if first_detect.(fi) < 0 then
-              first_detect.(fi) <- !base + !processed + Bits.ctz d;
-            detect_count.(fi) <- detect_count.(fi) + Bits.popcount d;
+              first_detect.(fi) <- !base + !processed + ctz d;
+            detect_count.(fi) <- detect_count.(fi) + popcount d;
             if drop then decr alive
           end
         end

@@ -50,6 +50,14 @@ val simulate :
     simulating, so when dropping empties the live set mid-block up to
     [W - 1] already-pulled source batches go unused. *)
 
+val popcount : int64 -> int
+(** Number of set bits (0..64), branch-free — the replay's per-word
+    detection count. *)
+
+val ctz : int64 -> int
+(** Index of the least significant set bit; [64] when the word is zero —
+    the replay's first-detecting lane. *)
+
 val good_values : Rt_circuit.Netlist.t -> Pattern.block -> Pattern.words
 (** The good machine on one block, exactly as {!simulate} runs it on
     its compiled netlist: node [x]'s value in word [i] is at

@@ -4,6 +4,15 @@
    probabilities / observabilities and re-evaluates only a flipped input's
    damage cone.
 
+   Both forms run one compiled kernel.  A circuit's gates are compiled
+   once per [cones] value, on first use, into flat arrays: a gate code per
+   node, every fanin row in one int array, and every node's observability
+   edges — the (reader, pin) pairs that read it — packed one int each in
+   one int array.  A plan's faults are compiled into a fault table (source
+   node, site, pin, stuck value) cached the way the plan's cone cut is.
+   The sweeps, the damage-cone patch and the per-fault fill all run the
+   three per-node kernels below over these tables.
+
    Bit-identity invariant (what makes the incremental path safe for the
    optimizer): after any [eval] / [cofactor_pair], the returned vector is
    bit-for-bit what [probs_plan] computes from scratch at the same
@@ -11,13 +20,11 @@
    from input i (sp_mask is fanin-closed, so any such path would be
    entirely masked), hence its cached value already equals the from-
    scratch value; a node inside the cone is recomputed in ascending
-   (topological, therefore level) order with exactly the sweep's
-   arithmetic ([Gate.set_prob] over the same fanin reads).  The
-   observability side re-runs [Observability.set_cop_node] in descending
-   order over exactly the nodes whose kernel reads a changed value: a
-   reader's observability, or a side pin's signal probability.  Both
-   per-node kernels are the ones the sweeps call, so the patch allocates
-   nothing per node.
+   (topological, therefore level) order by the sweep's own kernel over
+   the same fanin reads.  The observability side re-runs the sweep's
+   observability kernel in descending order over exactly the nodes whose
+   kernel reads a changed value: a reader's observability, or a side
+   pin's signal probability.  The kernels allocate nothing per node.
 
    The cones depend only on the circuit and the plan's masks, so each
    input's full-circuit cone is built once per oracle ([cones], shared by
@@ -29,30 +36,222 @@ module Gate = Rt_circuit.Gate
 module Fault = Rt_fault.Fault
 module Parallel = Rt_util.Parallel
 
-let[@inline] fault_prob c ~sp ~obs f =
-  let src = Fault.source f c in
-  let act = if f.Fault.stuck then 1.0 -. sp.(src) else sp.(src) in
-  match f.Fault.site with
-  | Fault.Stem n -> act *. obs.(n)
-  | Fault.Branch (g, k) -> act *. Observability.pin_observability c ~node_probs:sp ~obs g k
+(* --- The compiled circuit ---------------------------------------------------- *)
 
-let fill ~jobs c ~sp ~obs faults out =
-  (* The per-fault work is sub-microsecond: only worth domains on large
-     universes, in slices large enough to amortise claiming them. *)
-  Parallel.sweep ~label:"cop.fill" ~grain:1024 ~seq_below:4096 ~jobs ~n:(Array.length faults)
-    (fun ~worker:_ ~lo ~hi ->
+type table = {
+  kind : Gate.kind array;  (* the gate code of every node *)
+  output : Bytes.t;  (* '\001' at a primary output *)
+  fanin_at : int array;  (* node g's fanins are fanin.(fanin_at.(g) .. fanin_at.(g+1) - 1) *)
+  fanin : int array;
+  edge_at : int array;  (* node g's edges are edge.(edge_at.(g) .. edge_at.(g+1) - 1) *)
+  edge : int array;  (* (reader lsl pin_bits) lor pin, in the observability fold's order *)
+  pin_bits : int;
+}
+
+(* The observability edges of node g are listed in the order its fold
+   meets them: [Netlist.fanout g] last to first, and within one reader
+   its pins last to first, one edge per pin that reads g.  A reader that
+   reads g on two pins is listed twice in [Netlist.fanout g], so each of
+   its matching pins is met twice; the pinned results count them so.
+   The order is part of the result: 1 - prod (1 - o_b) is not
+   associative in floating point, and this is the order the pinned
+   digests and recorded tables were produced with.  Two passes — count,
+   then fill — so no list is built. *)
+let compile c =
+  let n = Netlist.size c in
+  let fanin_at = Array.make (n + 1) 0 in
+  let max_arity = ref 1 in
+  for g = 0 to n - 1 do
+    let a = Array.length (Netlist.fanin c g) in
+    if a > !max_arity then max_arity := a;
+    fanin_at.(g + 1) <- fanin_at.(g) + a
+  done;
+  let fanin = Array.make fanin_at.(n) 0 in
+  for g = 0 to n - 1 do
+    let fi = Netlist.fanin c g in
+    Array.blit fi 0 fanin fanin_at.(g) (Array.length fi)
+  done;
+  let pin_bits = ref 0 in
+  while 1 lsl !pin_bits < !max_arity do
+    incr pin_bits
+  done;
+  let pin_bits = !pin_bits in
+  let edges_of g emit =
+    let readers = Netlist.fanout c g in
+    for ri = Array.length readers - 1 downto 0 do
+      let r = readers.(ri) in
+      for j = fanin_at.(r + 1) - 1 downto fanin_at.(r) do
+        if fanin.(j) = g then emit ((r lsl pin_bits) lor (j - fanin_at.(r)))
+      done
+    done
+  in
+  let edge_at = Array.make (n + 1) 0 in
+  for g = 0 to n - 1 do
+    let count = ref 0 in
+    edges_of g (fun _ -> incr count);
+    edge_at.(g + 1) <- edge_at.(g) + !count
+  done;
+  let edge = Array.make edge_at.(n) 0 in
+  for g = 0 to n - 1 do
+    let at = ref edge_at.(g) in
+    edges_of g (fun e ->
+        edge.(!at) <- e;
+        incr at)
+  done;
+  { kind = Array.init n (Netlist.kind c);
+    output = Bytes.init n (fun g -> if Netlist.is_output c g then '\001' else '\000');
+    fanin_at;
+    fanin;
+    edge_at;
+    edge;
+    pin_bits }
+
+(* --- The per-node kernels ------------------------------------------------------
+
+   Each stores into the caller's array or returns a float that stays
+   unboxed: all three are inlined into the loops below, and dune's
+   default profile compiles with -opaque, where a float returned from a
+   call across modules would be boxed. *)
+
+(* The arithmetical embedding of gate g under the independence
+   assumption, folded in pin order: the product from 1.0 (AND/NAND), the
+   complement product from 1.0 (OR/NOR), XOR pairwise from 0.0
+   (p <- a(1-b) + b(1-a), exact for independent fanins).  Input nodes
+   are set by the callers. *)
+let[@inline] prod (sp : float array) (fanin : int array) lo hi =
+  let acc = ref 1.0 in
+  for j = lo to hi - 1 do
+    acc := !acc *. sp.(fanin.(j))
+  done;
+  !acc
+
+let[@inline] prod_compl (sp : float array) (fanin : int array) lo hi =
+  let acc = ref 1.0 in
+  for j = lo to hi - 1 do
+    acc := !acc *. (1.0 -. sp.(fanin.(j)))
+  done;
+  !acc
+
+let[@inline] xor (sp : float array) (fanin : int array) lo hi =
+  let acc = ref 0.0 in
+  for j = lo to hi - 1 do
+    let b = sp.(fanin.(j)) in
+    acc := (!acc *. (1.0 -. b)) +. (b *. (1.0 -. !acc))
+  done;
+  !acc
+
+let[@inline] set_sp t (sp : float array) g =
+  let fanin = t.fanin in
+  let lo = t.fanin_at.(g) and hi = t.fanin_at.(g + 1) in
+  sp.(g) <-
+    (match t.kind.(g) with
+     | Gate.Input -> invalid_arg "Cop_eval: an input has no gate function"
+     | Gate.Const0 -> 0.0
+     | Gate.Const1 -> 1.0
+     | Gate.Buf -> sp.(fanin.(lo))
+     | Gate.Not -> 1.0 -. sp.(fanin.(lo))
+     | Gate.And -> prod sp fanin lo hi
+     | Gate.Nand -> 1.0 -. prod sp fanin lo hi
+     | Gate.Or -> 1.0 -. prod_compl sp fanin lo hi
+     | Gate.Nor -> prod_compl sp fanin lo hi
+     | Gate.Xor -> xor sp fanin lo hi
+     | Gate.Xnor -> 1.0 -. xor sp fanin lo hi)
+
+(* Probability that gate r's output is sensitive to its pin k: every
+   other pin at its non-controlling value, 1 for the BUF/NOT/XOR family. *)
+let[@inline] sensitization t (sp : float array) r k =
+  let fanin = t.fanin in
+  let lo = t.fanin_at.(r) and hi = t.fanin_at.(r + 1) in
+  match t.kind.(r) with
+  | Gate.Input | Gate.Const0 | Gate.Const1 -> invalid_arg "Cop_eval: a pin of a non-gate"
+  | Gate.Buf | Gate.Not | Gate.Xor | Gate.Xnor -> 1.0
+  | Gate.And | Gate.Nand ->
+    let acc = ref 1.0 in
+    for j = lo to hi - 1 do
+      if j <> lo + k then acc := !acc *. sp.(fanin.(j))
+    done;
+    !acc
+  | Gate.Or | Gate.Nor ->
+    let acc = ref 1.0 in
+    for j = lo to hi - 1 do
+      if j <> lo + k then acc := !acc *. (1.0 -. sp.(fanin.(j)))
+    done;
+    !acc
+
+(* Node g's observability from its readers' observabilities: each edge
+   (r, k) is a branch observable with [sensitization r k * obs r], and the
+   branches recombine as 1 - prod (1 - o_b), from 1.0 at a primary output
+   (STAFAN's rule; under reconvergent fanout an estimate that can
+   overestimate), in the edge order [compile] fixes. *)
+let[@inline] set_obs t (sp : float array) (obs : float array) g =
+  let edge = t.edge and pin_bits = t.pin_bits in
+  let pin_mask = (1 lsl pin_bits) - 1 in
+  let acc = ref (if Bytes.get t.output g <> '\000' then 0.0 else 1.0) in
+  for e = t.edge_at.(g) to t.edge_at.(g + 1) - 1 do
+    let r = edge.(e) lsr pin_bits in
+    let o = sensitization t sp r (edge.(e) land pin_mask) *. obs.(r) in
+    acc := !acc *. (1.0 -. o)
+  done;
+  obs.(g) <- 1.0 -. !acc
+
+(* --- Sweeps -------------------------------------------------------------------- *)
+
+let sweep_into c t ~sp_mask ~obs_mask x sp obs =
+  let n = Array.length t.kind in
+  for g = 0 to n - 1 do
+    if sp_mask.(g) then
+      match t.kind.(g) with
+      | Gate.Input -> sp.(g) <- x.(Netlist.input_index c g)
+      | _ -> set_sp t sp g
+  done;
+  for g = n - 1 downto 0 do
+    if obs_mask.(g) then set_obs t sp obs g
+  done
+
+(* --- The compiled faults ------------------------------------------------------- *)
+
+type faults = {
+  src : int array;  (* the node driving the faulted line *)
+  site : int array;  (* the stem's node, or the gate a branch enters *)
+  pin : int array;  (* the branch's pin, -1 for a stem *)
+  stuck : bool array;
+}
+
+let compile_faults c plan =
+  let sel = Oracle.selected plan in
+  { src = Array.map (fun f -> Fault.source f c) sel;
+    site =
+      Array.map
+        (fun f -> match f.Fault.site with Fault.Stem n -> n | Fault.Branch (g, _) -> g)
+        sel;
+    pin =
+      Array.map
+        (fun f -> match f.Fault.site with Fault.Stem _ -> -1 | Fault.Branch (_, k) -> k)
+        sel;
+    stuck = Array.map (fun f -> f.Fault.stuck) sel }
+
+(* p_f = activation x observability of the faulted line; a branch's line
+   is observable through its pin's sensitization. *)
+let[@inline] fault_prob t (sp : float array) (obs : float array) ~src ~site ~pin ~stuck =
+  let act = if stuck then 1.0 -. sp.(src) else sp.(src) in
+  if pin < 0 then act *. obs.(site) else act *. (sensitization t sp site pin *. obs.(site))
+
+(* [fill lo hi] for slices of [0, n).  The per-fault work is
+   sub-microsecond: only worth domains on large universes, in slices
+   large enough to amortise claiming them. *)
+let over_faults ~jobs n fill =
+  Parallel.sweep ~label:"cop.fill" ~grain:1024 ~seq_below:4096 ~jobs ~n (fun ~worker:_ ~lo ~hi ->
+      fill lo hi)
+
+let fill ~jobs t fs ~sp ~obs out =
+  over_faults ~jobs (Array.length fs.src) (fun lo hi ->
       for i = lo to hi - 1 do
-        out.(i) <- fault_prob c ~sp ~obs faults.(i)
+        out.(i) <-
+          fault_prob t sp obs ~src:fs.src.(i) ~site:fs.site.(i) ~pin:fs.pin.(i)
+            ~stuck:fs.stuck.(i)
       done)
 
-let probs_plan ?(jobs = 1) c plan x =
-  let sp = Signal_prob.independence_subset c ~mask:(Oracle.sp_mask plan) x in
-  let obs = Observability.cop_subset c ~mask:(Oracle.obs_mask plan) ~node_probs:sp in
-  let out = Array.make (Array.length (Oracle.selected plan)) 0.0 in
-  fill ~jobs c ~sp ~obs (Oracle.selected plan) out;
-  out
-
-(* --- Damage cones ---------------------------------------------------------- *)
+(* --- Damage cones and the compiled state they share ----------------------------- *)
 
 (* Flag bits of a full-circuit cone byte. *)
 let sp_bit = 1
@@ -60,75 +259,150 @@ let obs_bit = 2
 
 type cones = {
   circuit : Netlist.t;
+  mutable table : table option;  (* compiled on first use, kept from the second *)
+  mutable queried : bool;  (* a one-shot query has compiled a table and dropped it *)
   full : Bytes.t array;
       (* by input index: one flag byte per node under the full masks,
          [Bytes.empty] until first use; depends only on the circuit *)
-  mutable cut_for : Oracle.plan option;  (* the plan [cut] was intersected with *)
+  mutable cut_for : Oracle.plan option;  (* the plan [cut] and [faults] belong to *)
   cut : (int array * int array) option array;
       (* by input index: (sp-dirty nodes ascending, obs-dirty nodes
          ascending) inside [cut_for]'s masks, computed on first use *)
-  sp_buf : int array;  (* node-sized buffers for one cut *)
-  obs_buf : int array;
+  mutable faults : faults option;  (* [cut_for]'s compiled faults *)
+  mutable sp_buf : int array;  (* node-sized buffers for one cut, allocated on the first *)
+  mutable obs_buf : int array;
 }
 
 let cones c =
-  let ni = Array.length (Netlist.inputs c) and n = Netlist.size c in
+  let ni = Array.length (Netlist.inputs c) in
   { circuit = c;
+    table = None;
+    queried = false;
     full = Array.make ni Bytes.empty;
     cut_for = None;
     cut = Array.make ni None;
-    sp_buf = Array.make n 0;
-    obs_buf = Array.make n 0 }
+    faults = None;
+    sp_buf = [||];
+    obs_buf = [||] }
+
+let table t =
+  match t.table with
+  | Some tab -> tab
+  | None ->
+    let tab = compile t.circuit in
+    t.table <- Some tab;
+    tab
+
+(* The table for a one-shot sweep.  The first such sweep on a [cones]
+   compiles a table for itself and drops it; any later use keeps one.  An
+   oracle asked a single question — the analysis ahead of a fault
+   simulation — then holds no table while the simulation runs, where
+   keeping c6288ish's (about 10k words) raised the peak major heap by
+   0.35 MB. *)
+let one_shot_table t =
+  match t.table with
+  | Some tab -> tab
+  | None when t.queried -> table t
+  | None ->
+    t.queried <- true;
+    compile t.circuit
+
+(* Drop [cut] and [faults] when a query names another plan. *)
+let switch_plan t plan =
+  match t.cut_for with
+  | Some p when p == plan -> ()
+  | Some _ | None ->
+    t.cut_for <- Some plan;
+    t.faults <- None;
+    Array.fill t.cut 0 (Array.length t.cut) None
+
+let plan_faults t plan =
+  switch_plan t plan;
+  match t.faults with
+  | Some fs -> fs
+  | None ->
+    let fs = compile_faults t.circuit plan in
+    t.faults <- Some fs;
+    fs
+
+let sweep_with tab c ~sp_mask ~obs_mask x =
+  let n = Array.length tab.kind in
+  if Array.length sp_mask <> n || Array.length obs_mask <> n then
+    invalid_arg "Cop_eval.sweep: mask size";
+  let sp = Array.make n 0.0 and obs = Array.make n 0.0 in
+  sweep_into c tab ~sp_mask ~obs_mask x sp obs;
+  (sp, obs)
+
+let sweep t ~sp_mask ~obs_mask x = sweep_with (one_shot_table t) t.circuit ~sp_mask ~obs_mask x
+
+(* A one-shot query reads the plan's faults as they are: a fault table
+   built here would be garbage after one use, and on a large universe
+   (c6288ish: 5728 faults) it would outweigh the sweep's own arrays. *)
+let probs_plan ?(jobs = 1) t plan x =
+  let tab = one_shot_table t and c = t.circuit in
+  let sp, obs =
+    sweep_with tab c ~sp_mask:(Oracle.sp_mask plan) ~obs_mask:(Oracle.obs_mask plan) x
+  in
+  let sel = Oracle.selected plan in
+  let out = Array.make (Array.length sel) 0.0 in
+  over_faults ~jobs (Array.length sel) (fun lo hi ->
+      for i = lo to hi - 1 do
+        let f = sel.(i) in
+        let src = Fault.source f c and stuck = f.Fault.stuck in
+        out.(i) <-
+          (match f.Fault.site with
+           | Fault.Stem n -> fault_prob tab sp obs ~src ~site:n ~pin:(-1) ~stuck
+           | Fault.Branch (g, k) -> fault_prob tab sp obs ~src ~site:g ~pin:k ~stuck)
+      done);
+  out
 
 let[@inline] flags b g = Char.code (Bytes.get b g)
 let[@inline] mark b g bit = Bytes.set b g (Char.unsafe_chr (flags b g lor bit))
 
 (* The full-circuit damage cone of input [input].  sp side: the
    transitive fanout of the input node, in one ascending sweep (fanin ids
-   are smaller).  obs side, the exact rule: [set_cop_node g] reads, per
-   reader r and pin k with [fanin r].(k) = g, only [obs r] and — for
-   AND/NAND/OR/NOR, whose pin sensitization is the product over the other
-   pins — the signal probabilities at the pins j <> k.  So g is dirty iff
-   some such (r, k) has [obs r] dirty or an sp-dirty fanin at a pin j <> k.
-   One descending sweep pushes that from each reader to its fanins:
-   readers have larger ids, so a reader's own flag is final when it is
-   visited. *)
-let build_full c input =
-  let n = Netlist.size c in
+   are smaller).  obs side, the exact rule: [set_obs g] reads, per edge
+   (r, k) of g, only [obs r] and — for AND/NAND/OR/NOR, whose pin
+   sensitization is the product over the other pins — the signal
+   probabilities at the pins j <> k.  So g is dirty iff some such (r, k)
+   has [obs r] dirty or an sp-dirty fanin at a pin j <> k.  One
+   descending sweep pushes that from each reader to its fanins: readers
+   have larger ids, so a reader's own flag is final when it is visited. *)
+let build_full c tab input =
+  let n = Array.length tab.kind in
+  let fanin = tab.fanin in
   let b = Bytes.make n '\000' in
   let root = (Netlist.inputs c).(input) in
   mark b root sp_bit;
   for g = root + 1 to n - 1 do
-    let fi = Netlist.fanin c g in
-    let j = ref 0 in
-    while !j < Array.length fi do
-      if flags b fi.(!j) land sp_bit <> 0 then begin
+    let j = ref tab.fanin_at.(g) and hi = tab.fanin_at.(g + 1) in
+    while !j < hi do
+      if flags b fanin.(!j) land sp_bit <> 0 then begin
         mark b g sp_bit;
-        j := Array.length fi
+        j := hi
       end
       else incr j
     done
   done;
   for r = n - 1 downto 0 do
-    let fi = Netlist.fanin c r in
-    let nfi = Array.length fi in
+    let lo = tab.fanin_at.(r) and hi = tab.fanin_at.(r + 1) in
     if flags b r land obs_bit <> 0 then
-      for k = 0 to nfi - 1 do mark b fi.(k) obs_bit done
+      for j = lo to hi - 1 do mark b fanin.(j) obs_bit done
     else
-      match Netlist.kind c r with
+      match tab.kind.(r) with
       | Gate.And | Gate.Nand | Gate.Or | Gate.Nor ->
         let ndirty = ref 0 and dirty_pin = ref (-1) in
-        for k = 0 to nfi - 1 do
-          if flags b fi.(k) land sp_bit <> 0 then begin
+        for j = lo to hi - 1 do
+          if flags b fanin.(j) land sp_bit <> 0 then begin
             incr ndirty;
-            dirty_pin := k
+            dirty_pin := j
           end
         done;
         (* One sp-dirty pin changes the sensitization of every other
            pin; two or more change that of every pin. *)
         if !ndirty > 0 then
-          for k = 0 to nfi - 1 do
-            if !ndirty > 1 || k <> !dirty_pin then mark b fi.(k) obs_bit
+          for j = lo to hi - 1 do
+            if !ndirty > 1 || j <> !dirty_pin then mark b fanin.(j) obs_bit
           done
       | Gate.Input | Gate.Const0 | Gate.Const1 | Gate.Buf | Gate.Not | Gate.Xor | Gate.Xnor -> ()
   done;
@@ -138,7 +412,7 @@ let full t input =
   let b = t.full.(input) in
   if Bytes.length b > 0 then b
   else begin
-    let b = build_full t.circuit input in
+    let b = build_full t.circuit (table t) input in
     t.full.(input) <- b;
     b
   end
@@ -163,6 +437,10 @@ let full_cone_sizes t ~input =
 let intersect t plan input =
   let b = full t input in
   let spm = Oracle.sp_mask plan and om = Oracle.obs_mask plan in
+  if Array.length t.sp_buf = 0 then begin
+    t.sp_buf <- Array.make (Bytes.length b) 0;
+    t.obs_buf <- Array.make (Bytes.length b) 0
+  end;
   let sp_buf = t.sp_buf and obs_buf = t.obs_buf in
   let ns = ref 0 and no = ref 0 in
   for g = 0 to Bytes.length b - 1 do
@@ -181,11 +459,7 @@ let intersect t plan input =
   (Array.sub sp_buf 0 !ns, Array.sub obs_buf 0 !no)
 
 let cone t plan ~input =
-  (match t.cut_for with
-   | Some p when p == plan -> ()
-   | Some _ | None ->
-     t.cut_for <- Some plan;
-     Array.fill t.cut 0 (Array.length t.cut) None);
+  switch_plan t plan;
   match t.cut.(input) with
   | Some cone -> cone
   | None ->
@@ -196,7 +470,6 @@ let cone t plan ~input =
 (* --- Incremental state ---------------------------------------------------- *)
 
 type state = {
-  c : Netlist.t;
   jobs : int;
   cone_table : cones;  (* shared by every state of one oracle *)
   mutable plan : Oracle.plan option;
@@ -208,8 +481,7 @@ type state = {
 }
 
 let create ?(jobs = 1) cone_table =
-  { c = cone_table.circuit;
-    jobs;
+  { jobs;
     cone_table;
     plan = None;
     base_x = [||];
@@ -222,10 +494,22 @@ let c_rebuilds = Rt_obs.counter "cop.incremental.rebuilds"
 let c_commits = Rt_obs.counter "cop.incremental.commits"
 let c_patched = Rt_obs.counter "cop.incremental.nodes_patched"
 
+(* The from-scratch sweep into the state's own arrays, cleared first so
+   that every node outside the masks reads 0 as in [probs_plan]. *)
 let rebuild st plan x =
   Rt_obs.incr c_rebuilds;
-  st.sp <- Signal_prob.independence_subset st.c ~mask:(Oracle.sp_mask plan) x;
-  st.obs <- Observability.cop_subset st.c ~mask:(Oracle.obs_mask plan) ~node_probs:st.sp;
+  let tab = table st.cone_table in
+  let n = Array.length tab.kind in
+  if Array.length st.sp <> n then begin
+    st.sp <- Array.make n 0.0;
+    st.obs <- Array.make n 0.0
+  end
+  else begin
+    Array.fill st.sp 0 n 0.0;
+    Array.fill st.obs 0 n 0.0
+  end;
+  sweep_into st.cone_table.circuit tab ~sp_mask:(Oracle.sp_mask plan)
+    ~obs_mask:(Oracle.obs_mask plan) x st.sp st.obs;
   st.base_x <- Array.copy x
 
 let ensure_saves st n_sp n_obs =
@@ -234,21 +518,22 @@ let ensure_saves st n_sp n_obs =
 
 (* Re-evaluate the cone for the input at value [v], saving the previous
    values into the undo buffers.  sp ascending, obs descending — the same
-   orders (and the same per-node arithmetic) as the full masked sweeps. *)
+   orders and the same per-node kernels as the full masked sweeps. *)
 let apply_patch st (sp_dirty, obs_dirty) v =
-  let c = st.c in
+  let tab = table st.cone_table in
   let sp = st.sp and obs = st.obs in
+  let save_sp = st.save_sp and save_obs = st.save_obs in
   for k = 0 to Array.length sp_dirty - 1 do
     let g = sp_dirty.(k) in
-    st.save_sp.(k) <- sp.(g);
-    match Netlist.kind c g with
+    save_sp.(k) <- sp.(g);
+    match tab.kind.(g) with
     | Gate.Input -> sp.(g) <- v  (* only the flipped input itself; inputs have no fanin *)
-    | kind -> Gate.set_prob kind sp ~fanin:(Netlist.fanin c g) g
+    | _ -> set_sp tab sp g
   done;
   for k = Array.length obs_dirty - 1 downto 0 do
     let g = obs_dirty.(k) in
-    st.save_obs.(k) <- obs.(g);
-    Observability.set_cop_node c ~node_probs:sp ~obs g
+    save_obs.(k) <- obs.(g);
+    set_obs tab sp obs g
   done;
   Rt_obs.add c_patched (Array.length sp_dirty + Array.length obs_dirty)
 
@@ -288,27 +573,29 @@ let sync st plan x =
     else if !ndiff > 1 then rebuild st plan x
   end
 
+let fill_plan st plan =
+  let fs = plan_faults st.cone_table plan in
+  let out = Array.make (Array.length fs.src) 0.0 in
+  fill ~jobs:st.jobs (table st.cone_table) fs ~sp:st.sp ~obs:st.obs out;
+  out
+
 let eval st plan x =
   sync st plan x;
-  let sel = Oracle.selected plan in
-  let out = Array.make (Array.length sel) 0.0 in
-  fill ~jobs:st.jobs st.c ~sp:st.sp ~obs:st.obs sel out;
-  out
+  fill_plan st plan
 
 let cofactor_pair st plan ~input x =
   sync st plan x;
   let ((sp_d, obs_d) as cone) = cone st.cone_table plan ~input in
   ensure_saves st (Array.length sp_d) (Array.length obs_d);
-  let sel = Oracle.selected plan in
-  let nf = Array.length sel in
   let eval_patched v =
     apply_patch st cone v;
-    Fun.protect
-      ~finally:(fun () -> restore st cone)
-      (fun () ->
-        let out = Array.make nf 0.0 in
-        fill ~jobs:st.jobs st.c ~sp:st.sp ~obs:st.obs sel out;
-        out)
+    match fill_plan st plan with
+    | pf ->
+      restore st cone;
+      pf
+    | exception e ->
+      restore st cone;
+      raise e
   in
   let pf0 = eval_patched 0.0 in
   let pf1 = eval_patched 1.0 in

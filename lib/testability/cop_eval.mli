@@ -2,6 +2,24 @@
     query is the sweep over an all-faults plan), and an incremental state
     for cofactor queries.
 
+    COP estimates [p_f] as activation × observability.  Signal
+    probabilities propagate forward under the independence assumption
+    (the arithmetical embedding of paper §2.1, exact on fanout-free
+    circuits).  Observabilities propagate backward from the outputs: a
+    branch into pin [k] of gate [r] is observable with [r]'s observability
+    times the probability that every other pin of [r] holds its
+    non-controlling value, and branch observabilities recombine at a stem
+    as [1 - prod (1 - o_b)] (STAFAN's rule; an estimate that can
+    overestimate under reconvergent fanout).
+
+    All of it runs one compiled kernel.  On first use a {!cones} value
+    compiles its circuit into flat arrays — a gate code per node, the
+    fanin rows, and each node's observability edges (reader, pin), packed
+    one int each in the order the observability fold meets them — and a
+    plan's faults into a table of source node, site, pin and stuck value,
+    cached with the plan's cone cut.  Nothing is compiled until a query
+    needs it, so an oracle that is never queried costs no table.
+
     The incremental {!state} caches the signal probabilities and
     observabilities of a base point [x] under a plan's masks.  A query at
     [x] with input [i] flipped re-evaluates only the {e damage cone} of
@@ -17,23 +35,34 @@
     Every result is bit-identical to the corresponding from-scratch
     {!probs_plan} call: nodes outside the cone cannot depend on the
     flipped input (the masks are closure-consistent), and nodes inside are
-    recomputed in the same order with the same arithmetic. *)
+    recomputed in the same order by the same per-node kernels. *)
 
-val probs_plan : ?jobs:int -> Rt_circuit.Netlist.t -> Oracle.plan -> float array -> float array
+type cones
+(** The compiled circuit and the damage cones of one circuit.  Each
+    input's full-circuit cone is built on first use and kept as one flag
+    byte per node; a plan's cone is that byte table intersected with the
+    plan's masks, cut on first use per (plan, input) and kept, with the
+    plan's compiled faults, until a query names another plan.  One value
+    serves every {!state} of an oracle, so the conditioned engine's
+    per-assignment states share it.  Not thread-safe. *)
+
+val cones : Rt_circuit.Netlist.t -> cones
+(** Compiles nothing yet. *)
+
+val sweep :
+  cones -> sp_mask:bool array -> obs_mask:bool array -> float array -> float array * float array
+(** [sweep t ~sp_mask ~obs_mask x] is (signal probabilities, COP
+    observabilities) at input probabilities [x]: the masked nodes in one
+    ascending and one descending pass, every other entry 0.  A value is
+    the unmasked sweep's when [sp_mask] is fanin-closed and [obs_mask]
+    fanout-closed with its fanins in [sp_mask], as a plan's masks are;
+    pass an all-false [obs_mask] for signal probabilities alone. *)
+
+val probs_plan : ?jobs:int -> cones -> Oracle.plan -> float array -> float array
 (** COP estimate of [p_f(X)] for the plan's selected faults: masked
     signal-probability and observability sweeps, then the selected faults
     only.  [jobs] shares the per-fault step across domains on large
-    plans; the result does not depend on it. *)
-
-type cones
-(** The damage cones of one circuit.  Each input's full-circuit cone is
-    built on first use and kept as one flag byte per node; a plan's cone
-    is that byte table intersected with the plan's masks, cut on first use
-    per (plan, input) and kept until a query names another plan.  One
-    table serves every {!state} of an oracle, so the conditioned engine's
-    per-assignment states share it. *)
-
-val cones : Rt_circuit.Netlist.t -> cones
+    plans; the result does not depend on it.  Keeps no per-plan state. *)
 
 val cone : cones -> Oracle.plan -> input:int -> int array * int array
 (** [cone t plan ~input] is the input's damage cone under the plan's

@@ -46,9 +46,10 @@ let engine_oracle ~kind ~label ~c ~faults ?exact ?redundant ~run_subset ?cofacto
 (* --- COP ------------------------------------------------------------------ *)
 
 let make_cop ~jobs c faults =
-  let st = Cop_eval.create ~jobs (Cop_eval.cones c) in
+  let cones = Cop_eval.cones c in
+  let st = Cop_eval.create ~jobs cones in
   engine_oracle ~kind:"cop" ~label:"cop" ~c ~faults
-    ~run_subset:(fun plan x -> Cop_eval.probs_plan ~jobs c plan x)
+    ~run_subset:(fun plan x -> Cop_eval.probs_plan ~jobs cones plan x)
     ~cofactor_pair:(fun plan ~input x -> Cop_eval.cofactor_pair st plan ~input x)
     ()
 
@@ -91,10 +92,9 @@ let conditioned_expand ~positions ~nf x eval_assignment =
    multiplying by 1.0 is exact and a 0.0 factor zeroes the product and
    skips the assignment).  Otherwise
    the assignment's state answers both cofactors from one damage cone. *)
-let conditioned_cofactor ~jobs ~positions c =
+let conditioned_cofactor ~jobs ~positions cones =
   let n_assign = 1 lsl Array.length positions in
   let states = Array.make n_assign None in
-  let cones = Cop_eval.cones c in
   let state a =
     match states.(a) with
     | Some s -> s
@@ -151,20 +151,21 @@ let make_conditioned ~jobs ~max_vars c faults =
   let set = Signal_prob.conditioning_set ~max_vars c in
   let k = Array.length set in
   let positions = Array.map (fun i -> Netlist.input_index c i) set in
+  let cones = Cop_eval.cones c in
   let run_subset plan x =
-    if k = 0 then Cop_eval.probs_plan ~jobs c plan x
+    if k = 0 then Cop_eval.probs_plan ~jobs cones plan x
     else
       conditioned_expand ~positions ~nf:(Array.length (Oracle.selected plan)) x (fun x' ->
-          Cop_eval.probs_plan ~jobs c plan x')
+          Cop_eval.probs_plan ~jobs cones plan x')
   in
   let cofactor =
     if k = 0 then begin
       (* No conditioning variables: the engine degenerates to plain COP,
          so a plain incremental state is the fused path. *)
-      let st = Cop_eval.create ~jobs (Cop_eval.cones c) in
+      let st = Cop_eval.create ~jobs cones in
       Some (fun plan ~input x -> Cop_eval.cofactor_pair st plan ~input x)
     end
-    else if k <= 8 then Some (conditioned_cofactor ~jobs ~positions c)
+    else if k <= 8 then Some (conditioned_cofactor ~jobs ~positions cones)
     else
       (* Past 8 variables the 2^k per-assignment states, each holding
          node-sized arrays, are not kept: the protocol falls back to two
@@ -339,6 +340,8 @@ let make_bdd ~node_limit ?(max_generations = 6) c faults =
         total_nodes := !total_nodes + Bdd.node_count !current.m);
   let generations = Array.of_list (List.rev !generations_rev) in
   Rt_obs.add c_bdd_nodes !total_nodes;
+  (* Faults the generations could not afford are estimated by COP. *)
+  let cop = Cop_eval.cones c in
   let x_of_var_table x =
     let t = Array.make (max 1 (Array.length order)) 0.5 in
     Array.iteri (fun i v -> t.(v) <- x.(i)) order;
@@ -372,7 +375,7 @@ let make_bdd ~node_limit ?(max_generations = 6) c faults =
         end)
       generations;
     if Array.exists (fun fi -> detect_roots.(fi) = None) subset then begin
-      let fb = Cop_eval.probs_plan c plan x in
+      let fb = Cop_eval.probs_plan cop plan x in
       Array.iteri (fun j fi -> if detect_roots.(fi) = None then out.(j) <- fb.(j)) subset
     end;
     out
@@ -404,9 +407,9 @@ let make_bdd ~node_limit ?(max_generations = 6) c faults =
     if Array.exists (fun fi -> detect_roots.(fi) = None) subset then begin
       let x' = Array.copy x in
       x'.(input) <- 0.0;
-      let fb0 = Cop_eval.probs_plan c plan x' in
+      let fb0 = Cop_eval.probs_plan cop plan x' in
       x'.(input) <- 1.0;
-      let fb1 = Cop_eval.probs_plan c plan x' in
+      let fb1 = Cop_eval.probs_plan cop plan x' in
       Array.iteri
         (fun j fi ->
           if detect_roots.(fi) = None then begin

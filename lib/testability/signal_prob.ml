@@ -1,31 +1,14 @@
 module Netlist = Rt_circuit.Netlist
-module Gate = Rt_circuit.Gate
 
-let independence c x =
+(* The COP sweep's signal-probability pass over every node, with no
+   observability pass. *)
+let independence_with cones c x =
   if Array.length x <> Array.length (Netlist.inputs c) then
     invalid_arg "Signal_prob.independence: weight vector width mismatch";
   let n = Netlist.size c in
-  let p = Array.make n 0.0 in
-  for i = 0 to n - 1 do
-    match Netlist.kind c i with
-    | Gate.Input -> p.(i) <- x.(Netlist.input_index c i)
-    | k -> Gate.set_prob k p ~fanin:(Netlist.fanin c i) i
-  done;
-  p
+  fst (Cop_eval.sweep cones ~sp_mask:(Array.make n true) ~obs_mask:(Array.make n false) x)
 
-let independence_subset c ~mask x =
-  if Array.length x <> Array.length (Netlist.inputs c) then
-    invalid_arg "Signal_prob.independence_subset: weight vector width mismatch";
-  let n = Netlist.size c in
-  if Array.length mask <> n then invalid_arg "Signal_prob.independence_subset: mask size";
-  let p = Array.make n 0.0 in
-  for i = 0 to n - 1 do
-    if mask.(i) then
-      match Netlist.kind c i with
-      | Gate.Input -> p.(i) <- x.(Netlist.input_index c i)
-      | k -> Gate.set_prob k p ~fanin:(Netlist.fanin c i) i
-  done;
-  p
+let independence c x = independence_with (Cop_eval.cones c) c x
 
 let conditioning_set ?(max_vars = 8) c =
   if max_vars < 0 || max_vars > 16 then invalid_arg "Signal_prob.conditioning_set";
@@ -46,6 +29,7 @@ let conditioned ?max_vars c x =
     let positions = Array.map (fun i -> Netlist.input_index c i) set in
     let acc = Array.make (Netlist.size c) 0.0 in
     let x' = Array.copy x in
+    let cones = Cop_eval.cones c in
     for a = 0 to (1 lsl k) - 1 do
       let weight = ref 1.0 in
       Array.iteri
@@ -60,7 +44,7 @@ let conditioned ?max_vars c x =
           end)
         positions;
       if !weight > 0.0 then begin
-        let p = independence c x' in
+        let p = independence_with cones c x' in
         Array.iteri (fun n v -> acc.(n) <- acc.(n) +. (!weight *. v)) p
       end
     done;

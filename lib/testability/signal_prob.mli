@@ -8,16 +8,9 @@
 
 val independence : Rt_circuit.Netlist.t -> float array -> float array
 (** One forward sweep applying each gate's arithmetical embedding as if all
-    fanins were independent — the classical COP/PREDICT-style estimate.
-    Exact when no reconvergent fanout exists. *)
-
-val independence_subset :
-  Rt_circuit.Netlist.t -> mask:bool array -> float array -> float array
-(** {!independence} restricted to the nodes where [mask] is true; other
-    entries stay 0.  [mask] must be fanin-closed (every fanin of a masked
-    gate is masked), as produced by {!Detect}'s subset planner — masked
-    values then equal the full sweep's exactly, at the cost of only the
-    masked cone. *)
+    fanins were independent — the classical COP/PREDICT-style estimate,
+    computed by {!Cop_eval}'s kernel.  Exact when no reconvergent fanout
+    exists. *)
 
 val conditioning_set : ?max_vars:int -> Rt_circuit.Netlist.t -> Rt_circuit.Netlist.node array
 (** The inputs with the largest fanout (at least 2), up to [max_vars]

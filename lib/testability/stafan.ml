@@ -64,8 +64,9 @@ let count c ~source ~n_patterns =
 
 let controllability counts n = Float.of_int counts.ones.(n) /. Float.of_int counts.n_patterns
 
-(* Same loop shape and fold order as [Observability.set_cop_node], with
-   the measured sensitization in place of the COP product. *)
+(* The fold order of COP's observability kernel ([Cop_eval]'s edge
+   order: readers last to first, pins last to first), with the measured
+   sensitization in place of the COP product. *)
 let set_observability_node c counts ~total ~obs g =
   let base = if Netlist.is_output c g then 1.0 else 0.0 in
   let acc = ref (1.0 -. base) in

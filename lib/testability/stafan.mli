@@ -27,7 +27,7 @@ val observability_subset : Rt_circuit.Netlist.t -> mask:bool array -> counts -> 
     ratios, over the nodes where [mask] is true (other entries stay 0).
     [mask] must be fanout-closed (readers of masked nodes are masked), so
     each masked value is the one an unmasked sweep would compute.  Stems
-    combine branches as {!Observability.cop_subset} does. *)
+    combine branches as COP's observability sweep ({!Cop_eval.sweep}) does. *)
 
 val detection_probs_subset :
   Rt_circuit.Netlist.t ->

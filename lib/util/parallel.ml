@@ -42,8 +42,12 @@ let c_seq_fallbacks = Rt_obs.counter "parallel.seq_fallbacks"
    measured ppsfp-on-one-core case was 4x slower at jobs=4 than serial). *)
 let sweep_jobs ~seq_below ~jobs ~n =
   let requested = max 1 jobs in
-  let cap = if overcommit () then max_jobs else hardware_jobs () in
-  let eff = if n < seq_below then 1 else min requested cap in
+  (* The environment and the core count are read only when they can
+     matter: a getenv per call cost more than a small COP fill's work. *)
+  let eff =
+    if requested = 1 || n < seq_below then 1
+    else min requested (if overcommit () then max_jobs else hardware_jobs ())
+  in
   if requested > 1 && eff = 1 then Rt_obs.incr c_seq_fallbacks;
   eff
 

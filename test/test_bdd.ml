@@ -30,23 +30,19 @@ let test_canonicity () =
   let f2 = Bdd.or_ m (Bdd.not_ m x) (Bdd.not_ m y) in
   check Alcotest.bool "de morgan canonical" true (Bdd.equal f1 f2)
 
+(* If-then-else composed from the connectives. *)
+let ite m c t e = Bdd.or_ m (Bdd.and_ m c t) (Bdd.and_ m (Bdd.not_ m c) e)
+
 let test_ite () =
   let m = Bdd.manager ~nvars:3 () in
   let c = Bdd.var m 0 and t = Bdd.var m 1 and e = Bdd.var m 2 in
-  let f = Bdd.ite m c t e in
+  let f = ite m c t e in
   List.iter
     (fun v ->
       let assign i = (v lsr i) land 1 = 1 in
       let expect = if assign 0 then assign 1 else assign 2 in
       if Bdd.eval m f assign <> expect then Alcotest.failf "ite wrong at %d" v)
     (List.init 8 Fun.id)
-
-let test_restrict () =
-  let m = Bdd.manager ~nvars:2 () in
-  let x = Bdd.var m 0 and y = Bdd.var m 1 in
-  let f = Bdd.xor_ m x y in
-  check Alcotest.bool "f|x=0 is y" true (Bdd.equal (Bdd.restrict m f 0 false) y);
-  check Alcotest.bool "f|x=1 is ~y" true (Bdd.equal (Bdd.restrict m f 0 true) (Bdd.not_ m y))
 
 let test_node_limit () =
   let m = Bdd.manager ~node_limit:8 ~nvars:16 () in
@@ -63,19 +59,8 @@ let test_sat_fraction_parity () =
   for i = 0 to 7 do
     f := Bdd.xor_ m !f (Bdd.var m i)
   done;
-  check (Alcotest.float 1e-12) "parity fraction" 0.5 (Bdd.sat_fraction m !f)
-
-let test_any_sat () =
-  let m = Bdd.manager ~nvars:4 () in
-  let f =
-    Bdd.and_ m (Bdd.var m 0) (Bdd.and_ m (Bdd.not_ m (Bdd.var m 2)) (Bdd.var m 3))
-  in
-  (match Bdd.any_sat m f with
-   | None -> Alcotest.fail "satisfiable function"
-   | Some assign ->
-     let value = Bdd.eval m f (fun i -> List.assoc_opt i assign = Some true) in
-     check Alcotest.bool "assignment satisfies" true value);
-  check Alcotest.bool "zero unsat" true (Bdd.any_sat m (Bdd.zero m) = None)
+  (* The satisfying fraction is the probability at the uniform distribution. *)
+  check (Alcotest.float 1e-12) "parity fraction" 0.5 (Bdd.prob m !f (fun _ -> 0.5))
 
 (* OR of x_i & x_(i+k) under the order x_0 .. x_(2k-1) needs about 2^(k+1)
    nodes: with k = 12 the store and the unique table grow (and rehash)
@@ -94,7 +79,7 @@ let test_growth_and_rebuild () =
   let f = build () in
   let nodes = Bdd.node_count m in
   check Alcotest.bool "more than 4096 nodes" true (nodes > 4096);
-  check (Alcotest.float 1e-12) "sat fraction" (1.0 -. (0.75 ** Float.of_int k)) (Bdd.sat_fraction m f);
+  check (Alcotest.float 1e-12) "sat fraction" (1.0 -. (0.75 ** Float.of_int k)) (Bdd.prob m f (fun _ -> 0.5));
   let f' = build () in
   check Alcotest.int "rebuild allocates no node" nodes (Bdd.node_count m);
   check Alcotest.bool "rebuild returns the same root" true (Bdd.equal f f')
@@ -261,10 +246,8 @@ let () =
         [ Alcotest.test_case "terminal identities" `Quick test_terminal_identities;
           Alcotest.test_case "canonicity" `Quick test_canonicity;
           Alcotest.test_case "ite" `Quick test_ite;
-          Alcotest.test_case "restrict" `Quick test_restrict;
           Alcotest.test_case "node limit" `Quick test_node_limit;
           Alcotest.test_case "sat fraction parity" `Quick test_sat_fraction_parity;
-          Alcotest.test_case "any_sat" `Quick test_any_sat;
           Alcotest.test_case "growth and rebuild" `Quick test_growth_and_rebuild;
           Alcotest.test_case "queries reuse scratch" `Quick test_queries_reuse_scratch ] );
       ( "circuit",

@@ -57,9 +57,15 @@ let test_gate_prob_matches_enumeration () =
         in
         if Gate.eval k bools then total := !total +. weight
       done;
-      let p = Array.append ps [| Float.nan |] in
-      Gate.set_prob k p ~fanin:(Array.init arity Fun.id) arity;
-      let got = p.(arity) in
+      (* The embedding is the COP kernel's: one gate over [arity] inputs. *)
+      let c =
+        Netlist.make
+          ~kinds:(Array.append (Array.make arity Gate.Input) [| k |])
+          ~fanins:(Array.append (Array.make arity [||]) [| Array.init arity Fun.id |])
+          ~names:(Array.init (arity + 1) (Printf.sprintf "n%d"))
+          ~output_list:[ arity ]
+      in
+      let got = (Rt_testability.Signal_prob.independence c ps).(arity) in
       if Float.abs (!total -. got) > 1e-9 then
         Alcotest.failf "gate %s prob: enum %.6f vs formula %.6f" (Gate.to_string k) !total got)
     all_gate_kinds

@@ -57,7 +57,7 @@ let test_collapse_shrinks () =
     (fun (name, gen) ->
       let c = gen () in
       let u = Fault.universe c in
-      let r = Collapse.representatives c u in
+      let r = Collapse.collapsed_universe c in
       if Array.length r >= Array.length u then Alcotest.failf "%s: no shrink" name;
       if Float.of_int (Array.length r) /. Float.of_int (Array.length u) < 0.2 then
         Alcotest.failf "%s: collapse suspiciously aggressive" name)
@@ -71,33 +71,8 @@ let detection_set c f =
   done;
   !set
 
-let collapse_equivalence_qcheck =
-  QCheck.Test.make ~name:"collapse classes are true equivalences" ~count:20
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      let c = Generators.random_circuit ~inputs:6 ~gates:20 ~seed in
-      let classes = Collapse.classes c (Fault.universe c) in
-      Array.for_all
-        (fun cls ->
-          match Array.to_list cls with
-          | [] -> false
-          | first :: rest ->
-            let ref_set = detection_set c first in
-            List.for_all (fun f -> detection_set c f = ref_set) rest)
-        classes)
-
-let collapse_covers_universe_qcheck =
-  QCheck.Test.make ~name:"collapse classes partition the universe" ~count:30
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      let c = Generators.random_circuit ~inputs:6 ~gates:20 ~seed in
-      let u = Fault.universe c in
-      let classes = Collapse.classes c u in
-      let total = Array.fold_left (fun acc cls -> acc + Array.length cls) 0 classes in
-      total = Array.length u)
-
-(* The Hashtbl implementation [Collapse.classes] replaced, kept as the
-   reference: faults keyed by value, a union-find over positions, and
+(* The Hashtbl implementation the library's union-find replaced, kept as
+   the reference for its equivalence classes: faults keyed by value, a union-find over positions, and
    classes sorted through the tuple order [Fault.compare] had. *)
 module Reference = struct
   let compare a b =
@@ -158,6 +133,48 @@ module Reference = struct
     |> Array.of_list
 end
 
+(* Each reference class is represented in the collapsed universe by its
+   least member, and every member detects on exactly the patterns its
+   representative does. *)
+let collapse_equivalence_qcheck =
+  QCheck.Test.make ~name:"collapse classes are true equivalences" ~count:20
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let c = Generators.random_circuit ~inputs:6 ~gates:20 ~seed in
+      let collapsed = Collapse.collapsed_universe c in
+      Array.for_all
+        (fun cls ->
+          match Array.to_list cls with
+          | [] -> false
+          | first :: rest ->
+            let ref_set = detection_set c first in
+            Array.exists (Fault.equal first) collapsed
+            && List.for_all (fun f -> detection_set c f = ref_set) rest)
+        (Reference.classes c (Fault.universe c)))
+
+(* The collapsed faults are distinct universe faults in ascending order,
+   one in every class. *)
+let collapse_covers_universe_qcheck =
+  QCheck.Test.make ~name:"collapse classes partition the universe" ~count:30
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let c = Generators.random_circuit ~inputs:6 ~gates:20 ~seed in
+      let u = Fault.universe c in
+      let collapsed = Collapse.collapsed_universe c in
+      let ascending = ref true in
+      for i = 1 to Array.length collapsed - 1 do
+        if Fault.compare collapsed.(i - 1) collapsed.(i) >= 0 then ascending := false
+      done;
+      !ascending
+      && Array.for_all (fun f -> Array.exists (Fault.equal f) u) collapsed
+      && Array.for_all
+           (fun cls ->
+             Array.fold_left
+               (fun n f -> if Array.exists (Fault.equal f) collapsed then n + 1 else n)
+               0 cls
+             = 1)
+           (Reference.classes c u))
+
 let collapse_matches_reference_qcheck =
   QCheck.Test.make ~name:"collapse equals the Hashtbl reference" ~count:60
     QCheck.(pair (int_range 0 10_000) (int_range 4 120))
@@ -166,8 +183,7 @@ let collapse_matches_reference_qcheck =
       let u = Fault.universe c in
       let expected = Reference.classes c u in
       let sign a b = Int.compare (Fault.compare a b) 0 = Int.compare (Reference.compare a b) 0 in
-      Collapse.classes c u = expected
-      && Collapse.collapsed_universe c = Array.map (fun cl -> cl.(0)) expected
+      Collapse.collapsed_universe c = Array.map (fun cl -> cl.(0)) expected
       && Array.for_all (fun a -> Array.for_all (sign a) u) u)
 
 let test_source_and_pp () =
@@ -182,10 +198,6 @@ let test_source_and_pp () =
   check Alcotest.int "stem source" x (Fault.source f c);
   check Alcotest.string "pp stem" "x s-a-1" (Fault.to_string c f)
 
-let test_ratio () =
-  let r = Collapse.ratio (Generators.c432ish ()) in
-  check Alcotest.bool "ratio in (0,1)" true (r > 0.0 && r < 1.0)
-
 let () =
   let q = QCheck_alcotest.to_alcotest ~long:false in
   Alcotest.run "rt_fault"
@@ -196,7 +208,6 @@ let () =
           Alcotest.test_case "source / pp" `Quick test_source_and_pp ] );
       ( "collapse",
         [ Alcotest.test_case "shrinks" `Quick test_collapse_shrinks;
-          Alcotest.test_case "ratio" `Quick test_ratio;
           q collapse_equivalence_qcheck;
           q collapse_matches_reference_qcheck;
           q collapse_covers_universe_qcheck ] ) ]

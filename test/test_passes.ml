@@ -145,7 +145,11 @@ let test_map_back_detection () =
     (fun seed ->
       let c = redundant_circuit ~n_inputs:4 ~n_gates:24 seed in
       let opt, remap, _ = Passes.run c in
-      let pairs = Rt_fault.Collapse.collapsed_universe_back ~remap ~original:c ~optimized:opt in
+      let pairs =
+        Array.map
+          (fun f -> (f, Rt_fault.Fault.map_back ~remap ~original:c ~optimized:opt f))
+          (Rt_fault.Collapse.collapsed_universe opt)
+      in
       let opt_faults = Array.map fst pairs in
       let orig_faults =
         Array.map

@@ -3,7 +3,6 @@
    computation. *)
 
 module Signal_prob = Rt_testability.Signal_prob
-module Observability = Rt_testability.Observability
 module Stafan = Rt_testability.Stafan
 module Detect = Rt_testability.Detect
 module Oracle = Rt_testability.Oracle
@@ -94,8 +93,8 @@ let conditioned_improves_qcheck =
 let test_observability_range_and_outputs () =
   let c = Generators.c880ish () in
   let x = Array.make 22 0.5 in
-  let sp = Signal_prob.independence c x in
-  let obs = Observability.cop_subset c ~mask:(Array.make (Netlist.size c) true) ~node_probs:sp in
+  let all = Array.make (Netlist.size c) true in
+  let _, obs = Cop_eval.sweep (Cop_eval.cones c) ~sp_mask:all ~obs_mask:all x in
   Array.iter
     (fun o ->
       if o < -1e-12 || o > 1.0 +. 1e-12 then Alcotest.failf "observability %f out of range" o)
@@ -111,9 +110,15 @@ let test_pin_sensitization () =
   let g = Builder.and2 b x y in
   Builder.output b g;
   let c = Builder.finalize b in
-  let sp = Signal_prob.independence c [| 0.3; 0.8 |] in
-  (* Sensitisation of pin 0 (x) through the AND = P(y = 1) = 0.8. *)
-  check (Alcotest.float 1e-9) "and pin sens" 0.8 (Observability.pin_sensitization c ~node_probs:sp g 0)
+  (* A branch fault's p_f is activation x sensitization x obs(g), and
+     obs(g) = 1 at the output: pin 0 (x) is sensitized by P(y = 1) = 0.8,
+     pin 1 (y) by P(x = 1) = 0.3. *)
+  let branch k = { Rt_fault.Fault.site = Rt_fault.Fault.Branch (g, k); stuck = false } in
+  let faults = [| branch 0; branch 1 |] in
+  let plan = Oracle.make_plan c faults [| 0; 1 |] in
+  let pf = Cop_eval.probs_plan (Cop_eval.cones c) plan [| 0.3; 0.8 |] in
+  check (Alcotest.float 1e-9) "and pin sens" 0.8 (pf.(0) /. 0.3);
+  check (Alcotest.float 1e-9) "and pin 1 sens" 0.3 (pf.(1) /. 0.8)
 
 let test_cop_exact_on_single_and () =
   (* For z = AND(x, y), fault z s-a-0: COP predicts p(x=1)p(y=1). *)
@@ -431,6 +436,21 @@ module Ref_kernels = struct
     sweep c ~mask ~branch:(fun obs reader k ->
         pin_sensitization c ~node_probs reader k *. obs.(reader))
 
+  (* A plan's p_f from scratch: masked sweeps, then activation x the
+     faulted line's observability, a branch's through its pin. *)
+  let probs_plan c plan x =
+    let sp = independence_subset c ~mask:(Oracle.sp_mask plan) x in
+    let obs = cop_subset c ~mask:(Oracle.obs_mask plan) ~node_probs:sp in
+    Array.map
+      (fun f ->
+        let src = Rt_fault.Fault.source f c in
+        let act = if f.Rt_fault.Fault.stuck then 1.0 -. sp.(src) else sp.(src) in
+        match f.Rt_fault.Fault.site with
+        | Rt_fault.Fault.Stem n -> act *. obs.(n)
+        | Rt_fault.Fault.Branch (g, k) ->
+          act *. (pin_sensitization c ~node_probs:sp g k *. obs.(g)))
+      (Oracle.selected plan)
+
   let stafan_subset c ~mask (counts : Stafan.counts) =
     let total = Float.of_int counts.n_patterns in
     sweep c ~mask ~branch:(fun obs reader k ->
@@ -471,23 +491,15 @@ let check_kernels c rng =
         | 2 -> 0.5
         | _ -> Rt_util.Rng.float rng)
   in
-  let all = Array.make n true in
+  let all = Array.make n true and none = Array.make n false in
   let mask = Array.init n (fun _ -> Rt_util.Rng.float rng < 0.7) in
   let expect what a b = if not (bits_equal a b) then QCheck.Test.fail_reportf "%s differs" what in
+  let cones = Cop_eval.cones c in
   let sp = Signal_prob.independence c x in
   expect "independence" (Ref_kernels.independence_subset c ~mask:all x) sp;
-  expect "independence_subset"
+  expect "masked signal probabilities"
     (Ref_kernels.independence_subset c ~mask x)
-    (Signal_prob.independence_subset c ~mask x);
-  Netlist.iter_gates c (fun g ->
-      match Netlist.kind c g with
-      | Rt_circuit.Gate.Const0 | Rt_circuit.Gate.Const1 -> ()
-      | _ ->
-        for k = 0 to Array.length (Netlist.fanin c g) - 1 do
-          expect "pin_sensitization"
-            [| Ref_kernels.pin_sensitization c ~node_probs:sp g k |]
-            [| Observability.pin_sensitization c ~node_probs:sp g k |]
-        done);
+    (fst (Cop_eval.sweep cones ~sp_mask:mask ~obs_mask:none x));
   let counts =
     { Stafan.n_patterns = 256;
       ones = Array.make n 0;
@@ -498,7 +510,7 @@ let check_kernels c rng =
     (fun (what, mask) ->
       expect ("cop" ^ what)
         (Ref_kernels.cop_subset c ~mask ~node_probs:sp)
-        (Observability.cop_subset c ~mask ~node_probs:sp);
+        (snd (Cop_eval.sweep cones ~sp_mask:all ~obs_mask:mask x));
       expect ("stafan" ^ what)
         (Ref_kernels.stafan_subset c ~mask counts)
         (Stafan.observability_subset c ~mask counts))
@@ -512,6 +524,73 @@ let kernels_bit_identical_qcheck =
       let rng = Rt_util.Rng.create wseed in
       check_kernels (Generators.random_circuit ~inputs ~gates:(6 * inputs) ~seed) rng;
       check_kernels (multi_pin_circuit rng ~inputs ~gates:(6 * inputs)) rng;
+      true)
+
+(* The compiled evaluator against the references from scratch, along a
+   random walk of the moves PREPARE makes: committed one-coordinate moves
+   (0/1 corners included), jumps of several coordinates, and switches
+   between plans.  After every step, [eval] and [cofactor_pair] on one
+   shared state must reproduce [Ref_kernels.probs_plan] bit for bit.  The
+   multi-pin circuits give nodes several observability edges into one
+   reader, so the edge order is exercised within a reader as well as
+   across readers. *)
+let check_walk c rng =
+  let ni = Array.length (Netlist.inputs c) in
+  let faults = Rt_fault.Fault.universe c in
+  let nf = Array.length faults in
+  let plans =
+    Array.init 3 (fun p ->
+        let subset =
+          if p = 0 then Array.init nf Fun.id
+          else
+            match List.filter (fun _ -> Rt_util.Rng.float rng < 0.3) (List.init nf Fun.id) with
+            | [] -> [| Rt_util.Rng.int rng nf |]
+            | l -> Array.of_list l
+        in
+        Oracle.make_plan c faults subset)
+  in
+  let value () =
+    match Rt_util.Rng.int rng 6 with
+    | 0 -> 0.0
+    | 1 -> 1.0
+    | _ -> Rt_util.Rng.float rng
+  in
+  let st = Cop_eval.create (Cop_eval.cones c) in
+  let x = Array.init ni (fun _ -> value ()) in
+  let plan = ref plans.(0) in
+  let expect step what a b =
+    if not (bits_equal a b) then QCheck.Test.fail_reportf "step %d: %s differs" step what
+  in
+  for step = 0 to 39 do
+    (match Rt_util.Rng.int rng 8 with
+     | 0 -> plan := plans.(Rt_util.Rng.int rng 3)
+     | 1 ->
+       for _ = 0 to 2 do
+         x.(Rt_util.Rng.int rng ni) <- value ()
+       done
+     | _ -> x.(Rt_util.Rng.int rng ni) <- value ());
+    expect step "eval" (Ref_kernels.probs_plan c !plan x) (Cop_eval.eval st !plan x);
+    let input = Rt_util.Rng.int rng ni in
+    let pf0, pf1 = Cop_eval.cofactor_pair st !plan ~input x in
+    let at v =
+      let x' = Array.copy x in
+      x'.(input) <- v;
+      Ref_kernels.probs_plan c !plan x'
+    in
+    expect step "cofactor 0" (at 0.0) pf0;
+    expect step "cofactor 1" (at 1.0) pf1
+  done
+
+let compiled_walk_qcheck =
+  QCheck.Test.make ~name:"compiled evaluator equals the references along a PREPARE walk"
+    ~count:30
+    QCheck.(triple (int_range 0 10_000) (int_range 0 1_000) (int_range 3 10))
+    (fun (seed, wseed, inputs) ->
+      (* The shrinker can step below the range's lower bound. *)
+      let inputs = max 3 inputs in
+      let rng = Rt_util.Rng.create wseed in
+      check_walk (Generators.random_circuit ~inputs ~gates:(5 * inputs) ~seed) rng;
+      check_walk (multi_pin_circuit rng ~inputs ~gates:(5 * inputs)) rng;
       true)
 
 (* The damage cone is sound: a node whose masked-sweep signal probability
@@ -533,12 +612,11 @@ let damage_cone_covers_changes_qcheck =
           Array.of_list (match l with [] -> [ Rt_util.Rng.int rng nf ] | l -> l)
         in
         let plan = Oracle.plan (Detect.make Detect.Cop c faults) subset in
+        let cones = Cop_eval.cones c in
         let sweep x =
-          let sp = Signal_prob.independence_subset c ~mask:(Oracle.sp_mask plan) x in
-          (sp, Observability.cop_subset c ~mask:(Oracle.obs_mask plan) ~node_probs:sp)
+          Cop_eval.sweep cones ~sp_mask:(Oracle.sp_mask plan) ~obs_mask:(Oracle.obs_mask plan) x
         in
         let sp, obs = sweep x in
-        let cones = Cop_eval.cones c in
         let differs a b g = Int64.bits_of_float a.(g) <> Int64.bits_of_float b.(g) in
         let ok = ref true in
         for i = 0 to 6 do
@@ -583,18 +661,29 @@ let test_cop_cofactor_allocation () =
   let plan = Oracle.plan o (Array.init nf Fun.id) in
   let ni = Array.length (Netlist.inputs c) in
   let x = Array.make ni 0.5 in
-  let sweep () =
-    for i = 0 to ni - 1 do
-      ignore (Sys.opaque_identity (Oracle.cofactor_pair o plan ~input:i ~x))
-    done
-  in
-  sweep ();
-  let before = Gc.minor_words () in
-  sweep ();
-  let per_call = (Gc.minor_words () -. before) /. Float.of_int ni in
   let bound = Float.of_int ((4 * nf) + 256) in
-  if per_call > bound then
-    Alcotest.failf "cofactor_pair allocates %.0f minor words per call (bound %.0f)" per_call bound
+  let measure what sweep =
+    sweep ();
+    let before = Gc.minor_words () in
+    sweep ();
+    let per_call = (Gc.minor_words () -. before) /. Float.of_int ni in
+    if per_call > bound then
+      Alcotest.failf "%s: cofactor_pair allocates %.0f minor words per call (bound %.0f)" what
+        per_call bound
+  in
+  measure "fixed x" (fun () ->
+      for i = 0 to ni - 1 do
+        ignore (Sys.opaque_identity (Oracle.cofactor_pair o plan ~input:i ~x))
+      done);
+  (* As [Optimize.run] sweeps: after its query, each coordinate moves, so
+     the next query commits that move's cone patch into the base point. *)
+  let flip = ref false in
+  measure "committed moves" (fun () ->
+      flip := not !flip;
+      for i = 0 to ni - 1 do
+        ignore (Sys.opaque_identity (Oracle.cofactor_pair o plan ~input:i ~x));
+        x.(i) <- (if !flip then 0.25 else 0.5)
+      done)
 
 let test_proven_redundant () =
   let b = Builder.create ~fold:false ~prune:false () in
@@ -819,6 +908,7 @@ let () =
           q jobs_oracle_agreement_qcheck;
           q cofactor_matches_two_subsets_qcheck;
           q cofactor_affinity_qcheck;
+          q compiled_walk_qcheck;
           q damage_cone_covers_changes_qcheck;
           Alcotest.test_case "s1 obs cone total" `Quick test_s1_obs_cone_total;
           Alcotest.test_case "cop cofactor_pair allocation bounded" `Quick

@@ -1,12 +1,11 @@
-(* Unit and property tests for Rt_util: Rng, Prob, Stats, Bits,
-   and the Parallel/Pool multicore layer. *)
+(* Unit and property tests for Rt_util: Rng, Prob, Stats, and the
+   Parallel/Pool multicore layer. *)
 
 module Rng = Rt_util.Rng
 module Prob = Rt_util.Prob
 module Stats = Rt_util.Stats
 module Parallel = Rt_util.Parallel
 module Pool = Rt_util.Pool
-module Bits = Rt_util.Bits
 
 let check = Alcotest.check
 let checkf msg = Alcotest.check (Alcotest.float 1e-9) msg
@@ -253,47 +252,6 @@ let test_geometric_steps () =
   in
   check Alcotest.bool "strictly increasing" true (increasing steps)
 
-(* --- Bits ------------------------------------------------------------------ *)
-
-let popcount_ref w =
-  let c = ref 0 in
-  for i = 0 to 63 do
-    if Int64.logand (Int64.shift_right_logical w i) 1L <> 0L then incr c
-  done;
-  !c
-
-let ctz_ref w =
-  let rec go i = if i = 64 || Int64.logand (Int64.shift_right_logical w i) 1L <> 0L then i else go (i + 1) in
-  go 0
-
-let test_bits_edge_cases () =
-  check Alcotest.int "popcount 0" 0 (Bits.popcount 0L);
-  check Alcotest.int "popcount -1" 64 (Bits.popcount (-1L));
-  check Alcotest.int "popcount 1" 1 (Bits.popcount 1L);
-  check Alcotest.int "popcount msb" 1 (Bits.popcount Int64.min_int);
-  (* The helper this replaced looped forever on zero. *)
-  check Alcotest.int "ctz 0 is total" 64 (Bits.ctz 0L);
-  check Alcotest.int "ctz 1" 0 (Bits.ctz 1L);
-  check Alcotest.int "ctz msb" 63 (Bits.ctz Int64.min_int);
-  check Alcotest.int64 "lowest_bit 0" 0L (Bits.lowest_bit 0L);
-  check Alcotest.int64 "lowest_bit 12" 4L (Bits.lowest_bit 12L)
-
-let bits_qcheck =
-  let word =
-    QCheck.(
-      map
-        (fun (a, b) -> Int64.logxor (Int64.shift_left (Int64.of_int a) 32) (Int64.of_int b))
-        (pair int int))
-  in
-  [ QCheck.Test.make ~name:"popcount matches bit loop" ~count:500 word
-      (fun w -> Bits.popcount w = popcount_ref w);
-    QCheck.Test.make ~name:"ctz matches bit loop" ~count:500 word
-      (fun w -> Bits.ctz w = ctz_ref w);
-    QCheck.Test.make ~name:"lowest_bit isolates ctz" ~count:500 word
-      (fun w ->
-        if Int64.equal w 0L then Bits.lowest_bit w = 0L
-        else Bits.lowest_bit w = Int64.shift_left 1L (Bits.ctz w)) ]
-
 (* --- Parallel ------------------------------------------------------------------ *)
 
 (* Parallel.sweep clamps to the hardware core count; lifting the clamp
@@ -446,9 +404,6 @@ let () =
         [ Alcotest.test_case "mean/variance" `Quick test_stats_mean_var;
           Alcotest.test_case "quantile" `Quick test_stats_quantile;
           Alcotest.test_case "geometric steps" `Quick test_geometric_steps ] );
-      ( "bits",
-        Alcotest.test_case "edge cases" `Quick test_bits_edge_cases
-        :: List.map (QCheck_alcotest.to_alcotest ~long:false) bits_qcheck );
       ( "parallel",
         [ Alcotest.test_case "worker exception propagates" `Quick test_parallel_worker_exception;
           Alcotest.test_case "resolve_jobs policy" `Quick test_parallel_resolve;
