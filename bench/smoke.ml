@@ -37,6 +37,10 @@
    6. a second jobs=4 run spawns no additional domains
       ([parallel.spawns] flat), i.e. the domain pool persists.
 
+   Next to the gates it prints, ungated, the kernels' unit costs (ns per
+   live fault-word, the median fused cofactor sweep) and the front end's
+   ([Passes.run] and [Collapse.collapsed_universe] on c6288ish).
+
    The timed sections run with recording OFF so the numbers measure the
    oracle/simulator, not the telemetry.  Artifacts land under an optional
    argv root (default _obs/smoke) as <root>/{baseline,fused} and
@@ -57,6 +61,7 @@ let rounds = 3
    on either side. *)
 let sweep_iters = 100
 let ppsfp_iters = 20
+let front_end_iters = 51
 
 (* Time [f] and [g] over [rounds * iters] pairs of back-to-back calls,
    alternating which of the two runs first, so both sample sets see the
@@ -224,6 +229,22 @@ let () =
     Printf.eprintf "bench-smoke FAIL: telemetry overhead %.3fx > 1.5x\n" obs_ratio;
     exit 1
   end;
+  (* --- front end ----------------------------------------------------------- *)
+  (* The front end's unit costs, printed next to the kernels' and not
+     gated: the netlist passes to fixpoint and fault collapsing on the
+     full c6288ish.  Timed before any jobs > 1 run starts pool domains,
+     which every minor collection would then have to stop. *)
+  let raw = Pconfig.load_circuit (Pconfig.Builtin "c6288ish") in
+  let opt, _, _ = Rt_circuit.Passes.run raw in
+  let median_us f =
+    median
+      (Array.init front_end_iters (fun _ ->
+           let t = Rt_util.Stats.timer_start () in
+           ignore (Sys.opaque_identity (f ()));
+           Rt_util.Stats.timer_elapsed t *. 1e6))
+  in
+  let t_passes = median_us (fun () -> Rt_circuit.Passes.run raw) in
+  let t_collapse = median_us (fun () -> Rt_fault.Collapse.collapsed_universe opt) in
   (* --- wide-word ppsfp ----------------------------------------------------- *)
   let mctx = Pipeline.create (Pconfig.exn (Pconfig.make ~engine:"cop" ~circuit:"c6288ish:8" ())) in
   let mult = Pipeline.circuit mctx in
@@ -327,6 +348,8 @@ let () =
      gated: one PREPARE sweep of fused cofactor pairs on s1. *)
   Printf.printf "  fused cofactor sweep (s1):  %8.1f us median of %d\n" (median s_fused)
     (Array.length s_fused);
+  Printf.printf "  Passes.run (c6288ish):      %8.1f us median of %d\n" t_passes front_end_iters;
+  Printf.printf "  collapse (c6288ish):        %8.1f us median of %d\n" t_collapse front_end_iters;
   Printf.printf "  domain spawns warm/after:   %d / %d\n" spawns_warm spawns_after;
   Printf.printf "  artifacts:                  %s {ppsfp-wide,ppsfp-narrow}\n" out_root;
   Rt_obs.Diff.pp_report Format.std_formatter ppsfp_diff;

@@ -1,5 +1,3 @@
-type const_val = V0 | V1
-
 type t = {
   mutable kinds : Gate.kind array;
   mutable fanins : int array array;
@@ -7,7 +5,6 @@ type t = {
   mutable n : int;
   mutable outputs : int list;
   used_names : (string, unit) Hashtbl.t;
-  const_of : (int, const_val) Hashtbl.t;
   mutable const0 : int;
   mutable const1 : int;
   fold : bool;
@@ -22,7 +19,6 @@ let create ?(fold = true) ?(prune = true) () =
     n = 0;
     outputs = [];
     used_names = Hashtbl.create 64;
-    const_of = Hashtbl.create 4;
     const0 = -1;
     const1 = -1;
     fold;
@@ -46,7 +42,7 @@ let fresh_name b base =
   if not (Hashtbl.mem b.used_names base) then base
   else begin
     let rec try_suffix k =
-      let candidate = Printf.sprintf "%s_%d" base k in
+      let candidate = base ^ "_" ^ string_of_int k in
       if Hashtbl.mem b.used_names candidate then try_suffix (k + 1) else candidate
     in
     try_suffix 1
@@ -56,7 +52,7 @@ let add b kind name fanin =
   if b.frozen then invalid_arg "Builder: already finalized";
   ensure_capacity b;
   let id = b.n in
-  let name = fresh_name b (match name with Some s -> s | None -> Printf.sprintf "n%d" id) in
+  let name = fresh_name b (match name with Some s -> s | None -> "n" ^ string_of_int id) in
   Hashtbl.add b.used_names name ();
   b.kinds.(id) <- kind;
   b.fanins.(id) <- fanin;
@@ -66,32 +62,26 @@ let add b kind name fanin =
 
 let input b name = add b Gate.Input (Some name) [||]
 
-let inputs b prefix n = Array.init n (fun i -> input b (Printf.sprintf "%s%d" prefix i))
+let inputs b prefix n = Array.init n (fun i -> input b (prefix ^ string_of_int i))
 
+(* [const0]/[const1] are the only constant nodes a builder makes; -1
+   until made, which matches no node id. *)
 let const b v =
   if v then begin
-    if b.const1 < 0 then begin
-      b.const1 <- add b Gate.Const1 (Some "const1") [||];
-      Hashtbl.add b.const_of b.const1 V1
-    end;
+    if b.const1 < 0 then b.const1 <- add b Gate.Const1 (Some "const1") [||];
     b.const1
   end
   else begin
-    if b.const0 < 0 then begin
-      b.const0 <- add b Gate.Const0 (Some "const0") [||];
-      Hashtbl.add b.const_of b.const0 V0
-    end;
+    if b.const0 < 0 then b.const0 <- add b Gate.Const0 (Some "const0") [||];
     b.const0
   end
-
-let const_value b id = Hashtbl.find_opt b.const_of id
 
 (* Constant folding: with the constant fanins stripped, a gate may collapse
    to a constant, a buffer or an inverter.  This implements the paper's
    remark that S1 was built "where some redundancies are removed". *)
 let fold_gate b kind fanin =
-  let consts, vars = List.partition (fun j -> const_value b j <> None) fanin in
-  let cvals = List.map (fun j -> const_value b j = Some V1) consts in
+  let consts, vars = List.partition (fun j -> j = b.const0 || j = b.const1) fanin in
+  let cvals = List.map (fun j -> j = b.const1) consts in
   let mk_const v = `Const v in
   match kind with
   | Gate.Input | Gate.Const0 | Gate.Const1 -> `Keep
@@ -153,17 +143,15 @@ let andn b xs = gate b Gate.And xs
 let orn b xs = gate b Gate.Or xs
 
 let mux b ~sel a0 a1 =
-  match const_value b sel with
-  | Some V0 -> a0
-  | Some V1 -> a1
-  | None ->
-    if a0 = a1 then a0
-    else begin
-      let ns = not_ b sel in
-      let t0 = and2 b ns a0 in
-      let t1 = and2 b sel a1 in
-      or2 b t0 t1
-    end
+  if sel = b.const0 then a0
+  else if sel = b.const1 then a1
+  else if a0 = a1 then a0
+  else begin
+    let ns = not_ b sel in
+    let t0 = and2 b ns a0 in
+    let t1 = and2 b sel a1 in
+    or2 b t0 t1
+  end
 
 let output b ?name node =
   if node < 0 || node >= b.n then invalid_arg "Builder.output: unknown node";

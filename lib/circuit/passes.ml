@@ -227,19 +227,42 @@ let dead_cone_run c =
 (* Sort key (level, tie, old id) with inputs pinned first inside level 0
    (their relative order is load-bearing) and higher-fanout nodes earlier
    within a level.  Idempotent: after renumbering, new ids ascend in
-   exactly this key order, so a second sort is the identity. *)
+   exactly this key order, so a second sort is the identity.
+
+   Two stable counting sorts produce that order in linear time.  Ids
+   enter ascending; the first pass sorts them by tie rank (inputs 0, then
+   fanout [f] at rank [1 + max_fanout - f], so higher fanout ranks
+   lower), the second by level.  Stability keeps ascending ids inside
+   each tie rank and the tie order inside each level, which is the
+   lexicographic (level, tie, id) order. *)
+let counting_sort ~buckets key src =
+  let start = Array.make (buckets + 1) 0 in
+  Array.iter (fun i -> start.(key i + 1) <- start.(key i + 1) + 1) src;
+  for b = 1 to buckets do
+    start.(b) <- start.(b) + start.(b - 1)
+  done;
+  let dst = Array.make (Array.length src) 0 in
+  Array.iter
+    (fun i ->
+      let b = key i in
+      dst.(start.(b)) <- i;
+      start.(b) <- start.(b) + 1)
+    src;
+  dst
+
 let relevel_run c =
   let n = Netlist.size c in
-  let key i =
-    let tie =
-      match Netlist.kind c i with
-      | Gate.Input -> min_int
-      | _ -> -Array.length (Netlist.fanout c i)
-    in
-    (Netlist.level c i, tie, i)
+  let max_fanout = ref 0 in
+  for i = 0 to n - 1 do
+    max_fanout := Int.max !max_fanout (Array.length (Netlist.fanout c i))
+  done;
+  let tie_rank i =
+    match Netlist.kind c i with
+    | Gate.Input -> 0
+    | _ -> 1 + !max_fanout - Array.length (Netlist.fanout c i)
   in
-  let order = Array.init n Fun.id in
-  Array.sort (fun a b -> compare (key a) (key b)) order;
+  let by_tie = counting_sort ~buckets:(!max_fanout + 2) tie_rank (Array.init n Fun.id) in
+  let order = counting_sort ~buckets:(Netlist.max_level c + 1) (Netlist.level c) by_tie in
   let ident = ref true in
   Array.iteri (fun ni oi -> if ni <> oi then ident := false) order;
   if !ident then None

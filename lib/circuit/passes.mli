@@ -82,7 +82,8 @@ val relevel : pass
     logic level, placing high-fanout nodes first within each level so
     widely-read signals sit early and fanout cones stay contiguous for
     the forward array sweeps.  Inputs keep their relative order.  Pure
-    permutation — nothing is added or removed — and idempotent. *)
+    permutation — nothing is added or removed — and idempotent.  Linear
+    time: two stable counting sorts, by tie rank then by level. *)
 
 val all : pass list
 (** Every pass, in the canonical order [const-fold; identity; dead-cone;

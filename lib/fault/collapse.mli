@@ -9,4 +9,7 @@
 
 val collapsed_universe : Rt_circuit.Netlist.t -> Fault.t array
 (** One fault per equivalence class of {!Fault.universe}: the class's
-    {!Fault.compare}-least member, classes ordered by it. *)
+    {!Fault.compare}-least member, classes ordered by it.  Linear in the
+    netlist: the union-find runs on integer fault ids, numbered so that
+    they ascend in {!Fault.compare} order, and a {!Fault.t} is built only
+    for each class's representative; the full universe is never built. *)

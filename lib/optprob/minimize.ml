@@ -1,6 +1,5 @@
 type result = {
   y : float;
-  objective : float;
   iterations : int;
 }
 
@@ -38,15 +37,14 @@ let newton ?(objective = Objective.single) ?(lo = 0.01) ?(hi = 0.99) ?(tol = 1e-
     (p0m, p1m)
   in
   let deriv y = objective.Objective.derivatives_along ~n ~p0:p0m ~p1:p1m y in
-  let value y = objective.Objective.value_along ~n ~p0 ~p1 y in
   (* Convexity: J' is non-decreasing on the contract region (globally for
      the paper objective).  Track a bracket [a, b] with J'(a) <= 0 <= J'(b)
      when one exists; fall back to the boundary when J' keeps one sign over
      the whole interval. *)
   let d_lo, _ = deriv lo in
   let d_hi, _ = deriv hi in
-  if d_lo >= 0.0 then { y = lo; objective = value lo; iterations = 0 }
-  else if d_hi <= 0.0 then { y = hi; objective = value hi; iterations = 0 }
+  if d_lo >= 0.0 then { y = lo; iterations = 0 }
+  else if d_hi <= 0.0 then { y = hi; iterations = 0 }
   else begin
     let a = ref lo and b = ref hi in
     let y = ref (Rt_util.Prob.clamp ~lo ~hi y_start) in
@@ -65,5 +63,5 @@ let newton ?(objective = Objective.single) ?(lo = 0.01) ?(hi = 0.99) ?(tol = 1e-
       if Float.abs (next -. !y) < tol || !b -. !a < tol then finished := true;
       y := next
     done;
-    { y = !y; objective = value !y; iterations = !iters }
+    { y = !y; iterations = !iters }
   end

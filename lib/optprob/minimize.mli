@@ -12,7 +12,6 @@
 
 type result = {
   y : float;  (** the minimising weight *)
-  objective : float;  (** [J_N] restricted to the scrutinised faults at [y] *)
   iterations : int;
 }
 
@@ -30,8 +29,8 @@ val newton :
 (** [newton ~n ~p0 ~p1 y_start] minimises over [[lo, hi]] (default
     [[0.01, 0.99]], [tol = 1e-6], [max_iter = 60]).  [p0]/[p1] are the
     cofactor detection probabilities of the relevant faults.  [objective]
-    (default {!Objective.single}) supplies the restricted value and its
-    derivatives.  The Newton steps evaluate the derivatives over the faults
-    with [p0 <> p1] only (the others contribute exact zeros); [objective]
-    in the result sums every fault.  Raises [Invalid_argument] when
+    (default {!Objective.single}) supplies the derivatives; the restricted
+    value itself is never evaluated, since no caller reads it.  The Newton
+    steps evaluate the derivatives over the faults with [p0 <> p1] only
+    (the others contribute exact zeros).  Raises [Invalid_argument] when
     [lo >= hi] or when [p0] and [p1] differ in length. *)

@@ -49,10 +49,10 @@ type table = {
 }
 
 (* The observability edges of node g are listed in the order its fold
-   meets them: [Netlist.fanout g] last to first, and within one reader
+   meets them: its distinct readers last to first, and within one reader
    its pins last to first, one edge per pin that reads g.  A reader that
-   reads g on two pins is listed twice in [Netlist.fanout g], so each of
-   its matching pins is met twice; the pinned results count them so.
+   reads g on several pins is listed once per pin in [Netlist.fanout g],
+   in adjacent slots, so only the first slot of such a run is visited.
    The order is part of the result: 1 - prod (1 - o_b) is not
    associative in floating point, and this is the order the pinned
    digests and recorded tables were produced with.  Two passes — count,
@@ -80,9 +80,10 @@ let compile c =
     let readers = Netlist.fanout c g in
     for ri = Array.length readers - 1 downto 0 do
       let r = readers.(ri) in
-      for j = fanin_at.(r + 1) - 1 downto fanin_at.(r) do
-        if fanin.(j) = g then emit ((r lsl pin_bits) lor (j - fanin_at.(r)))
-      done
+      if ri = Array.length readers - 1 || readers.(ri + 1) <> r then
+        for j = fanin_at.(r + 1) - 1 downto fanin_at.(r) do
+          if fanin.(j) = g then emit ((r lsl pin_bits) lor (j - fanin_at.(r)))
+        done
     done
   in
   let edge_at = Array.make (n + 1) 0 in

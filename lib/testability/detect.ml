@@ -147,8 +147,17 @@ let conditioned_cofactor ~jobs ~positions cones =
     done;
     (acc0, acc1)
 
+let conditioning_set ?(max_vars = 8) c =
+  if max_vars < 0 || max_vars > 16 then invalid_arg "Detect.conditioning_set";
+  Netlist.inputs c |> Array.to_list
+  |> List.filter (fun i -> Array.length (Netlist.fanout c i) >= 2)
+  |> List.sort (fun a b ->
+         compare (Array.length (Netlist.fanout c b)) (Array.length (Netlist.fanout c a)))
+  |> List.filteri (fun k _ -> k < max_vars)
+  |> Array.of_list
+
 let make_conditioned ~jobs ~max_vars c faults =
-  let set = Signal_prob.conditioning_set ~max_vars c in
+  let set = conditioning_set ~max_vars c in
   let k = Array.length set in
   let positions = Array.map (fun i -> Netlist.input_index c i) set in
   let cones = Cop_eval.cones c in

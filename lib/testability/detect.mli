@@ -44,6 +44,11 @@ type engine =
   | Stafan of { n_patterns : int; seed : int }
   | Monte_carlo of { n_patterns : int; seed : int }
 
+val conditioning_set : ?max_vars:int -> Rt_circuit.Netlist.t -> Rt_circuit.Netlist.node array
+(** The inputs with the largest fanout (at least 2), up to [max_vars]
+    (default 8) — the reconvergence sources [Conditioned] expands over.
+    Raises [Invalid_argument] outside [0 .. 16]. *)
+
 val make : ?jobs:int -> engine -> Rt_circuit.Netlist.t -> Rt_fault.Fault.t array -> Oracle.t
 (** Performs all per-circuit precomputation (e.g. BDD construction and
     the all-faults plan) so that repeated {!Oracle.probs} calls are cheap.

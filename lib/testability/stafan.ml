@@ -65,22 +65,25 @@ let count c ~source ~n_patterns =
 let controllability counts n = Float.of_int counts.ones.(n) /. Float.of_int counts.n_patterns
 
 (* The fold order of COP's observability kernel ([Cop_eval]'s edge
-   order: readers last to first, pins last to first), with the measured
-   sensitization in place of the COP product. *)
+   order: distinct readers last to first, pins last to first), with the
+   measured sensitization in place of the COP product.  A reader listed
+   in adjacent fanout slots, once per pin that reads g, is visited once. *)
 let set_observability_node c counts ~total ~obs g =
   let base = if Netlist.is_output c g then 1.0 else 0.0 in
   let acc = ref (1.0 -. base) in
   let readers = Netlist.fanout c g in
   for r = Array.length readers - 1 downto 0 do
     let reader = readers.(r) in
-    let fi = Netlist.fanin c reader in
-    for k = Array.length fi - 1 downto 0 do
-      if fi.(k) = g then begin
-        let sens_p = Float.of_int counts.sens.(reader).(k) /. total in
-        let o = sens_p *. obs.(reader) in
-        acc := !acc *. (1.0 -. o)
-      end
-    done
+    if r = Array.length readers - 1 || readers.(r + 1) <> reader then begin
+      let fi = Netlist.fanin c reader in
+      for k = Array.length fi - 1 downto 0 do
+        if fi.(k) = g then begin
+          let sens_p = Float.of_int counts.sens.(reader).(k) /. total in
+          let o = sens_p *. obs.(reader) in
+          acc := !acc *. (1.0 -. o)
+        end
+      done
+    end
   done;
   obs.(g) <- 1.0 -. !acc
 

@@ -65,7 +65,12 @@ let test_gate_prob_matches_enumeration () =
           ~names:(Array.init (arity + 1) (Printf.sprintf "n%d"))
           ~output_list:[ arity ]
       in
-      let got = (Rt_testability.Signal_prob.independence c ps).(arity) in
+      let all = Array.make (arity + 1) true in
+      let sp, _ =
+        Rt_testability.Cop_eval.sweep (Rt_testability.Cop_eval.cones c) ~sp_mask:all
+          ~obs_mask:(Array.make (arity + 1) false) ps
+      in
+      let got = sp.(arity) in
       if Float.abs (!total -. got) > 1e-9 then
         Alcotest.failf "gate %s prob: enum %.6f vs formula %.6f" (Gate.to_string k) !total got)
     all_gate_kinds

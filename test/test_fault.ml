@@ -186,6 +186,21 @@ let collapse_matches_reference_qcheck =
       Collapse.collapsed_universe c = Array.map (fun cl -> cl.(0)) expected
       && Array.for_all (fun a -> Array.for_all (sign a) u) u)
 
+(* The pipeline's input: every paper circuit after the netlist passes,
+   with the raw netlist too. *)
+let test_collapse_paper_suite () =
+  List.iter
+    (fun (name, gen) ->
+      let raw = gen () in
+      let opt, _, _ = Rt_circuit.Passes.run raw in
+      List.iter
+        (fun (what, c) ->
+          let expected = Reference.classes c (Fault.universe c) in
+          if Collapse.collapsed_universe c <> Array.map (fun cl -> cl.(0)) expected then
+            Alcotest.failf "%s (%s): collapse differs from the Hashtbl reference" name what)
+        [ ("raw", raw); ("optimized", opt) ])
+    Generators.paper_suite
+
 let test_source_and_pp () =
   let b = Builder.create () in
   let x = Builder.input b "x" in
@@ -210,4 +225,6 @@ let () =
         [ Alcotest.test_case "shrinks" `Quick test_collapse_shrinks;
           q collapse_equivalence_qcheck;
           q collapse_matches_reference_qcheck;
+          Alcotest.test_case "collapse equals the Hashtbl reference on the paper suite" `Quick
+            test_collapse_paper_suite;
           q collapse_covers_universe_qcheck ] ) ]

@@ -627,7 +627,7 @@ let test_cofactor_counters =
   (* A conditioned engine over more than 8 variables has no fused path:
      the same query lands on the full-fallback counter. *)
   let cr = Generators.random_circuit ~inputs:12 ~gates:60 ~seed:1 in
-  if Array.length (Rt_testability.Signal_prob.conditioning_set ~max_vars:9 cr) <= 8 then
+  if Array.length (Detect.conditioning_set ~max_vars:9 cr) <= 8 then
     Alcotest.fail "fixture circuit must have 9 conditioning variables";
   let fr = Rt_fault.Collapse.collapsed_universe cr in
   let oc = Detect.make (Detect.Conditioned { max_vars = 9 }) cr fr in

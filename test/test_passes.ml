@@ -127,6 +127,54 @@ let driver_idempotence_qcheck =
       Passes.Remap.is_identity r2
       && Bench_format.to_string c1 = Bench_format.to_string c2)
 
+(* [Passes.relevel]'s order as it was computed before its counting
+   sorts: an [Array.sort] on the tuple key (level, tie, id) under
+   polymorphic compare, inputs at tie [min_int] and every other node at
+   minus its fanout. *)
+let reference_relevel_order c =
+  let key i =
+    let tie =
+      match Netlist.kind c i with
+      | Gate.Input -> min_int
+      | _ -> -Array.length (Netlist.fanout c i)
+    in
+    (Netlist.level c i, tie, i)
+  in
+  let order = Array.init (Netlist.size c) Fun.id in
+  Array.sort (fun a b -> compare (key a) (key b)) order;
+  order
+
+(* The permutation [relevel] applies: new id -> old id. *)
+let relevel_order c =
+  match Passes.apply Passes.relevel c with
+  | None -> Array.init (Netlist.size c) Fun.id
+  | Some (c', r) -> Array.init (Netlist.size c') (Passes.Remap.back r)
+
+let relevel_matches_reference_qcheck =
+  QCheck.Test.make ~name:"relevel order equals the tuple-key sort" ~count:60
+    QCheck.(triple (int_range 0 100_000) (int_range 2 12) (int_range 4 120))
+    (fun (seed, inputs, gates) ->
+      let rng = Rt_util.Rng.create seed in
+      List.for_all
+        (fun c -> relevel_order c = reference_relevel_order c)
+        [ Generators.random_circuit ~inputs ~gates ~seed;
+          Multi_pin.circuit rng ~inputs ~gates;
+          redundant_circuit ~n_inputs:(min inputs 5) seed ])
+
+(* The paper circuits, raw and after the fixpoint (where relevel is the
+   identity). *)
+let test_relevel_paper_suite () =
+  List.iter
+    (fun (name, gen) ->
+      let c = gen () in
+      let opt, _, _ = Passes.run c in
+      List.iter
+        (fun (what, c) ->
+          if relevel_order c <> reference_relevel_order c then
+            Alcotest.failf "%s (%s): relevel order differs from the tuple-key sort" name what)
+        [ ("raw", c); ("optimized", opt) ])
+    Generators.paper_suite
+
 let empty_pass_list_is_identity () =
   let c = redundant_circuit ~n_inputs:3 7 in
   let c', r, stats = Passes.run ~passes:[] c in
@@ -271,6 +319,8 @@ let () =
         [ q pass_preservation_qcheck;
           q driver_preservation_qcheck;
           q driver_idempotence_qcheck;
+          q relevel_matches_reference_qcheck;
+          Alcotest.test_case "relevel order on the paper suite" `Quick test_relevel_paper_suite;
           Alcotest.test_case "empty pass list is the identity" `Quick
             empty_pass_list_is_identity ] );
       ( "fault-map-back",

@@ -2,7 +2,6 @@
    STAFAN, the detection-probability oracles, and test-length
    computation. *)
 
-module Signal_prob = Rt_testability.Signal_prob
 module Stafan = Rt_testability.Stafan
 module Detect = Rt_testability.Detect
 module Oracle = Rt_testability.Oracle
@@ -11,6 +10,59 @@ module Test_length = Rt_testability.Test_length
 module Netlist = Rt_circuit.Netlist
 module Generators = Rt_circuit.Generators
 module Builder = Rt_circuit.Builder
+
+(* Signal-probability references: the independence estimate (the COP
+   sweep's signal-probability pass over every node), its PREDICT-style
+   Shannon expansion over {!Detect.conditioning_set}, and the exact
+   values from BDDs, which measure how far reconvergence moves the
+   estimate. *)
+module Signal_prob = struct
+  let independence_with cones c x =
+    let n = Netlist.size c in
+    fst (Cop_eval.sweep cones ~sp_mask:(Array.make n true) ~obs_mask:(Array.make n false) x)
+
+  let independence c x = independence_with (Cop_eval.cones c) c x
+
+  (* Average the independence sweep over every assignment of the
+     conditioning set, weighted by the assignment's probability. *)
+  let conditioned ?max_vars c x =
+    let set = Detect.conditioning_set ?max_vars c in
+    let positions = Array.map (fun i -> Netlist.input_index c i) set in
+    let acc = Array.make (Netlist.size c) 0.0 in
+    let x' = Array.copy x in
+    let cones = Cop_eval.cones c in
+    for a = 0 to (1 lsl Array.length set) - 1 do
+      let weight = ref 1.0 in
+      Array.iteri
+        (fun j pos ->
+          if (a lsr j) land 1 = 1 then begin
+            x'.(pos) <- 1.0;
+            weight := !weight *. x.(pos)
+          end
+          else begin
+            x'.(pos) <- 0.0;
+            weight := !weight *. (1.0 -. x.(pos))
+          end)
+        positions;
+      if !weight > 0.0 then
+        Array.iteri
+          (fun n v -> acc.(n) <- acc.(n) +. (!weight *. v))
+          (independence_with cones c x')
+    done;
+    acc
+
+  let exact c x = Rt_bdd.Bdd_circuit.signal_probs c x
+
+  (* Largest absolute gap between the estimate and the exact values. *)
+  let max_error c x =
+    Option.map
+      (fun ex ->
+        let est = independence c x in
+        let worst = ref 0.0 in
+        Array.iteri (fun i e -> worst := Float.max !worst (Float.abs (e -. est.(i)))) ex;
+        !worst)
+      (exact c x)
+end
 
 let check = Alcotest.check
 
@@ -119,6 +171,32 @@ let test_pin_sensitization () =
   let pf = Cop_eval.probs_plan (Cop_eval.cones c) plan [| 0.3; 0.8 |] in
   check (Alcotest.float 1e-9) "and pin sens" 0.8 (pf.(0) /. 0.3);
   check (Alcotest.float 1e-9) "and pin 1 sens" 0.3 (pf.(1) /. 0.8)
+
+(* g = AND(a, a, b) reads a on two pins: a's observability has one
+   branch per pin, each sensitized by the product over the other pins,
+   p_a * p_b for both, so obs(a) = 1 - (1 - p_a p_b)^2 and not the
+   four-branch 1 - (1 - p_a p_b)^4.  STAFAN's measured sensitizations
+   recombine the same way. *)
+let test_reader_on_two_pins () =
+  let b = Builder.create () in
+  let a = Builder.input b "a" in
+  let bi = Builder.input b "b" in
+  let g = Builder.andn b [ a; a; bi ] in
+  Builder.output b g;
+  let c = Builder.finalize b in
+  let pa = 0.6 and pb = 0.7 in
+  let all = Array.make (Netlist.size c) true in
+  let _, obs = Cop_eval.sweep (Cop_eval.cones c) ~sp_mask:all ~obs_mask:all [| pa; pb |] in
+  let two_branches s = 1.0 -. ((1.0 -. s) *. (1.0 -. s)) in
+  check (Alcotest.float 1e-12) "cop obs(a)" (two_branches (pa *. pb)) obs.(a);
+  check (Alcotest.float 1e-12) "cop obs(b)" (pa *. pa) obs.(bi);
+  let counts =
+    { Stafan.n_patterns = 100;
+      ones = Array.make (Netlist.size c) 0;
+      sens = Array.init (Netlist.size c) (fun n -> Array.make (Array.length (Netlist.fanin c n)) 30) }
+  in
+  let sobs = Stafan.observability_subset c ~mask:all counts in
+  check (Alcotest.float 1e-12) "stafan obs(a)" (two_branches 0.3) sobs.(a)
 
 let test_cop_exact_on_single_and () =
   (* For z = AND(x, y), fault z s-a-0: COP predicts p(x=1)p(y=1). *)
@@ -412,7 +490,9 @@ module Ref_kernels = struct
       !p
 
   (* The shared backward sweep; [branch obs reader k] is one branch's
-     observability (COP or STAFAN). *)
+     observability (COP or STAFAN).  One branch per pin that reads g: a
+     reader on several pins of g fills adjacent slots of
+     [Netlist.fanout g], and only the first of them is visited. *)
   let sweep c ~mask ~branch =
     let n = Netlist.size c in
     let obs = Array.make n 0.0 in
@@ -420,13 +500,16 @@ module Ref_kernels = struct
       if mask.(g) then begin
         let base = if Netlist.is_output c g then 1.0 else 0.0 in
         let branch_obs = ref [] in
-        Array.iter
-          (fun reader ->
-            let fi = Netlist.fanin c reader in
-            Array.iteri
-              (fun k f -> if f = g then branch_obs := branch obs reader k :: !branch_obs)
-              fi)
-          (Netlist.fanout c g);
+        let readers = Netlist.fanout c g in
+        Array.iteri
+          (fun ri reader ->
+            if ri = 0 || readers.(ri - 1) <> reader then begin
+              let fi = Netlist.fanin c reader in
+              Array.iteri
+                (fun k f -> if f = g then branch_obs := branch obs reader k :: !branch_obs)
+                fi
+            end)
+          readers;
         obs.(g) <- 1.0 -. List.fold_left (fun acc o -> acc *. (1.0 -. o)) (1.0 -. base) !branch_obs
       end
     done;
@@ -456,28 +539,6 @@ module Ref_kernels = struct
     sweep c ~mask ~branch:(fun obs reader k ->
         Float.of_int counts.sens.(reader).(k) /. total *. obs.(reader))
 end
-
-(* [Generators.random_circuit] never wires one node into two pins of the
-   same gate; this netlist does, and uses every gate kind, so the
-   within-reader pin order of the observability fold is exercised too. *)
-let multi_pin_circuit rng ~inputs ~gates =
-  let kinds = Rt_circuit.Gate.[| And; Nand; Or; Nor; Xor; Xnor; Buf; Not; Const0; Const1 |] in
-  let n = inputs + gates in
-  let kind = Array.make n Rt_circuit.Gate.Input in
-  let fanins = Array.make n [||] in
-  for g = inputs to n - 1 do
-    let k = kinds.(Rt_util.Rng.int rng (Array.length kinds)) in
-    let arity =
-      match k with
-      | Rt_circuit.Gate.Const0 | Rt_circuit.Gate.Const1 -> 0
-      | Rt_circuit.Gate.Buf | Rt_circuit.Gate.Not -> 1
-      | _ -> 1 + Rt_util.Rng.int rng 4
-    in
-    kind.(g) <- k;
-    fanins.(g) <- Array.init arity (fun _ -> g - 1 - Rt_util.Rng.int rng (min g 6))
-  done;
-  let outputs = List.filter (fun g -> g >= n - 3 || Rt_util.Rng.int rng 5 = 0) (List.init gates (( + ) inputs)) in
-  Netlist.make ~kinds:kind ~fanins ~names:(Array.init n (Printf.sprintf "n%d")) ~output_list:outputs
 
 let check_kernels c rng =
   let n = Netlist.size c in
@@ -523,7 +584,7 @@ let kernels_bit_identical_qcheck =
     (fun (seed, wseed, inputs) ->
       let rng = Rt_util.Rng.create wseed in
       check_kernels (Generators.random_circuit ~inputs ~gates:(6 * inputs) ~seed) rng;
-      check_kernels (multi_pin_circuit rng ~inputs ~gates:(6 * inputs)) rng;
+      check_kernels (Multi_pin.circuit rng ~inputs ~gates:(6 * inputs)) rng;
       true)
 
 (* The compiled evaluator against the references from scratch, along a
@@ -590,7 +651,7 @@ let compiled_walk_qcheck =
       let inputs = max 3 inputs in
       let rng = Rt_util.Rng.create wseed in
       check_walk (Generators.random_circuit ~inputs ~gates:(5 * inputs) ~seed) rng;
-      check_walk (multi_pin_circuit rng ~inputs ~gates:(5 * inputs)) rng;
+      check_walk (Multi_pin.circuit rng ~inputs ~gates:(5 * inputs)) rng;
       true)
 
 (* The damage cone is sound: a node whose masked-sweep signal probability
@@ -812,7 +873,7 @@ let bdd_regions_match_rebuild_qcheck =
         if problems <> "" then QCheck.Test.fail_reportf "seed %d: %s" seed problems
       in
       check_circuit (Generators.random_circuit ~inputs:7 ~gates:30 ~seed);
-      check_circuit (multi_pin_circuit rng ~inputs:5 ~gates:25);
+      check_circuit (Multi_pin.circuit rng ~inputs:5 ~gates:25);
       true)
 
 (* One netlist with each region shape the decomposition must get right:
@@ -900,6 +961,7 @@ let () =
       ( "observability",
         [ Alcotest.test_case "range and outputs" `Quick test_observability_range_and_outputs;
           Alcotest.test_case "pin sensitization" `Quick test_pin_sensitization;
+          Alcotest.test_case "reader on two pins" `Quick test_reader_on_two_pins;
           q kernels_bit_identical_qcheck ] );
       ( "detect-oracles",
         [ Alcotest.test_case "cop exact on single AND" `Quick test_cop_exact_on_single_and;
