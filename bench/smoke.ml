@@ -38,8 +38,10 @@
       ([parallel.spawns] flat), i.e. the domain pool persists.
 
    Next to the gates it prints, ungated, the kernels' unit costs (ns per
-   live fault-word, the median fused cofactor sweep) and the front end's
-   ([Passes.run] and [Collapse.collapsed_universe] on c6288ish).
+   live fault-word, the median fused cofactor sweep), the front end's
+   ([Passes.run] and [Collapse.collapsed_universe] on c6288ish) and the
+   exact engine's construction ([Detect.make] at 2M nodes on s1 and
+   c7552ish, with its node count).
 
    The timed sections run with recording OFF so the numbers measure the
    oracle/simulator, not the telemetry.  Artifacts land under an optional
@@ -62,6 +64,7 @@ let rounds = 3
 let sweep_iters = 100
 let ppsfp_iters = 20
 let front_end_iters = 51
+let bdd_iters = 11
 
 (* Time [f] and [g] over [rounds * iters] pairs of back-to-back calls,
    alternating which of the two runs first, so both sample sets see the
@@ -245,6 +248,22 @@ let () =
   in
   let t_passes = median_us (fun () -> Rt_circuit.Passes.run raw) in
   let t_collapse = median_us (fun () -> Rt_fault.Collapse.collapsed_universe opt) in
+  (* The exact engine's construction at T1's node limit, also before any
+     pool domain exists: it allocates heavily. *)
+  let bdd_build name =
+    let c = Pconfig.load_circuit (Pconfig.Builtin name) in
+    let faults = Rt_fault.Collapse.collapsed_universe c in
+    let engine = Rt_testability.Detect.Bdd_exact { node_limit = 2_000_000 } in
+    let label = Oracle.describe (Rt_testability.Detect.make engine c faults) in
+    let times =
+      Array.init bdd_iters (fun _ ->
+          let t = Rt_util.Stats.timer_start () in
+          ignore (Sys.opaque_identity (Rt_testability.Detect.make engine c faults));
+          Rt_util.Stats.timer_elapsed t *. 1e3)
+    in
+    (name, median times, label)
+  in
+  let bdd_builds = List.map bdd_build [ "s1"; "c7552ish" ] in
   (* --- wide-word ppsfp ----------------------------------------------------- *)
   let mctx = Pipeline.create (Pconfig.exn (Pconfig.make ~engine:"cop" ~circuit:"c6288ish:8" ())) in
   let mult = Pipeline.circuit mctx in
@@ -350,6 +369,11 @@ let () =
     (Array.length s_fused);
   Printf.printf "  Passes.run (c6288ish):      %8.1f us median of %d\n" t_passes front_end_iters;
   Printf.printf "  collapse (c6288ish):        %8.1f us median of %d\n" t_collapse front_end_iters;
+  List.iter
+    (fun (name, ms, label) ->
+      Printf.printf "  bdd build (%s): %*s%8.1f ms median of %d, %s\n" name
+        (14 - String.length name) "" ms bdd_iters label)
+    bdd_builds;
   Printf.printf "  domain spawns warm/after:   %d / %d\n" spawns_warm spawns_after;
   Printf.printf "  artifacts:                  %s {ppsfp-wide,ppsfp-narrow}\n" out_root;
   Rt_obs.Diff.pp_report Format.std_formatter ppsfp_diff;

@@ -38,7 +38,12 @@ type manager = {
 }
 
 let terminal_var = max_int
-let initial_capacity = 1024
+
+(* The smallest power of two, at least 1024, that holds [capacity] nodes
+   or every node [node_limit] allows, whichever is fewer. *)
+let initial_capacity ~capacity node_limit =
+  let rec fit c = if c >= capacity || c >= node_limit then c else fit (2 * c) in
+  fit 1024
 
 (* The computed cache holds one entry per two slots of the node store and
    doubles with it, up to this many entries (32 MB). *)
@@ -49,8 +54,8 @@ let[@inline] hash3 a b c =
   let h = ((((a * k) + b) * k) + c) * k in
   h lxor (h lsr 29)
 
-let manager ?(node_limit = 2_000_000) ~nvars () =
-  let cap = initial_capacity in
+let manager ?(node_limit = 2_000_000) ?(capacity = 1024) ~nvars () =
+  let cap = initial_capacity ~capacity node_limit in
   { nvars;
     node_limit;
     vars = Array.make cap terminal_var;

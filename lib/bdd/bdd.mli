@@ -20,9 +20,12 @@ exception Limit_exceeded
 (** Raised by node allocation when the manager's node limit is reached —
     callers fall back to estimation. *)
 
-val manager : ?node_limit:int -> nvars:int -> unit -> manager
+val manager : ?node_limit:int -> ?capacity:int -> nvars:int -> unit -> manager
 (** [manager ~nvars ()] supports variables [0 .. nvars-1] with the natural
-    order.  [node_limit] (default 2_000_000) bounds the unique table. *)
+    order.  [node_limit] (default 2_000_000) bounds the unique table.
+    [capacity] (default 1024) is how many nodes the tables are allocated
+    for up front, capped by [node_limit]; past it they double.  Node ids,
+    and so every result, do not depend on it. *)
 
 val node_count : manager -> int
 (** Nodes currently allocated (excludes terminals). *)

@@ -40,11 +40,11 @@ let newton ?(objective = Objective.single) ?(lo = 0.01) ?(hi = 0.99) ?(tol = 1e-
   (* Convexity: J' is non-decreasing on the contract region (globally for
      the paper objective).  Track a bracket [a, b] with J'(a) <= 0 <= J'(b)
      when one exists; fall back to the boundary when J' keeps one sign over
-     the whole interval. *)
+     the whole interval.  J'(hi) is read only once J'(lo) < 0, so a
+     coordinate pegged at [lo] costs one derivative evaluation. *)
   let d_lo, _ = deriv lo in
-  let d_hi, _ = deriv hi in
   if d_lo >= 0.0 then { y = lo; iterations = 0 }
-  else if d_hi <= 0.0 then { y = hi; iterations = 0 }
+  else if fst (deriv hi) <= 0.0 then { y = hi; iterations = 0 }
   else begin
     let a = ref lo and b = ref hi in
     let y = ref (Rt_util.Prob.clamp ~lo ~hi y_start) in

@@ -84,6 +84,7 @@ type report = {
 type t = {
   config : Config.t;
   store : Store.t option;
+  rev : string;  (** git revision in every stage key, read once here *)
   mutable s_loaded : Rt_circuit.Netlist.t staged option;
   mutable s_opt : opt_netlist staged option;
   mutable s_faults : Rt_fault.Fault.t array staged option;
@@ -99,6 +100,7 @@ type t = {
 let create config =
   { config;
     store = Option.map Store.create config.Config.work_dir;
+    rev = Rt_obs.Artifact.git_rev ();
     s_loaded = None;
     s_opt = None;
     s_faults = None;
@@ -115,7 +117,7 @@ let config t = t.config
 (* --- stage executor --------------------------------------------------------- *)
 
 let exec t ~stage ~parts compute =
-  let key = Store.key ~stage ~parts in
+  let key = Store.key ~rev:t.rev ~stage ~parts in
   let cached =
     match t.store with
     | Some store -> Store.load store ~stage ~key

@@ -19,10 +19,8 @@ let create dir =
   Rt_obs.mkdir_p dir;
   { dir }
 
-let key ~stage ~parts =
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\x00" (schema :: stage :: Rt_obs.Artifact.git_rev () :: parts)))
+let key ~rev ~stage ~parts =
+  Digest.to_hex (Digest.string (String.concat "\x00" (schema :: stage :: rev :: parts)))
 
 let path t ~stage ~key = Filename.concat t.dir (stage ^ "-" ^ key ^ ".art")
 

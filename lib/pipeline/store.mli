@@ -14,8 +14,10 @@ type t
 val create : string -> t
 (** Create (mkdir -p) the store rooted at a directory. *)
 
-val key : stage:string -> parts:string list -> string
-(** Deterministic hex key from the stage name, git rev and key parts. *)
+val key : rev:string -> stage:string -> parts:string list -> string
+(** Deterministic hex key from the stage name, the git revision [rev]
+    ({!Rt_obs.Artifact.git_rev}, which the caller reads once per pipeline
+    context rather than once per stage) and key parts. *)
 
 val load : t -> stage:string -> key:string -> ('a * string) option
 (** [(value, digest)] for the stored artifact, or [None] on miss/corruption.

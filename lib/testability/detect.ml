@@ -185,30 +185,182 @@ let make_conditioned ~jobs ~max_vars c faults =
     ~label:(Printf.sprintf "conditioned(cop, %d vars)" k)
     ~c ~faults ~run_subset ?cofactor_pair:cofactor ()
 
-(* Exact engine.  Good-circuit BDDs are built once per "generation"; per
-   fault, only the chain from its site to the root of its fanout-free
-   region ([Cone.ffr_roots]) is rebuilt with the fault injected.  Every
-   path from the site to an output passes through that root [r], and a
-   non-root node of a region has exactly one reader, so the chain is the
-   site's only route out and the outputs see the fault only as a flip of
-   [r].  The detection BDD is therefore
-     (good_r XOR bad_r) AND obs_r,   obs_r = OR_o (good_o XOR good_o[r := NOT r]),
-   where [obs_r] depends on the root alone and is built once per
-   generation, on the first fault that needs it.  This is the same
-   Boolean function as the boolean difference of the whole faulty
-   circuit, and BDDs are canonical, so every probability, cofactor pair
-   and redundancy flag equals the full rebuild's bit for bit.
+(* Exact engine.  Good-circuit BDDs are built once per "generation"; a
+   fault's detection function is assembled from pieces that depend on its
+   fanout-free region ([Cone.ffr_roots]), not on the fault.  Every path
+   from a site to an output passes through the root [r] of the site's
+   region, and a non-root node of a region has exactly one reader, read on
+   one pin, so the outputs see the fault only as a flip of [r]:
+     detect = ((good_x XOR v) AND D_x) AND obs_r
+   for a stem stuck-at-[v] fault on [x]: [good_x XOR v] says the fault
+   flips [x], the region difference [D_x] says the flip reaches [r], and
+   the observability [obs_r] says a flip of [r] reaches an output.
+
+   - [D_r = 1] and [D_x = D_reader AND sens(reader, pin)], built once per
+     node and generation.  A branch fault on pin [k] of [gate] uses
+     [D_gate AND sens(gate, k)] in place of [D_x].
+   - [obs_r = OR_o Delta_o] over the outputs in [r]'s fanout cone, where
+     [Delta_g = good_g XOR flipped_g] with [r] inverted ([observability]).
+     It is built once per root and generation, on the first fault that
+     needs it.
+
+   Each piece is a Boolean function fixed by the circuit, so the product
+   is the boolean difference of the whole faulty circuit whichever route
+   built it.  BDDs are canonical under the fixed variable order, so every
+   probability, cofactor pair and redundancy flag equals a full rebuild's
+   bit for bit; only node counts and seconds depend on the route.
+
+   Each generation's manager starts with room for 128 nodes per fault, at
+   most 2^16 (3.5 MB of tables) and fewer when the node limit is lower:
+   the paper circuits' exact builds make 42 to 200 nodes per fault (S1
+   76, c499ish 1906).  Doubling up from 1024 slots allocated each table
+   six times over on S1 and rehashed the store at every step, which cost
+   about 30% of its build and 40% of the heap peak of a process that
+   builds it repeatedly.  The per-fault sizing keeps a tiny circuit from
+   paying for 2^16 slots.
 
    The shared unique table fills up with per-fault intermediates, so when
    it overflows a fresh generation (new manager, same variable order,
-   rebuilt good circuit, empty observability memo) continues with the
-   remaining faults — only a fault too large for an empty manager falls
-   back to the COP estimate. *)
+   rebuilt good circuit, empty memos) continues with the remaining faults
+   — only a fault too large for an empty manager falls back to the COP
+   estimate. *)
+
+(* The condition under which gate [i] passes a flip on pin [k] to its
+   output, the other pins at their [good] values: the AND of the others
+   for AND/NAND, the AND of their complements (built as the complement of
+   their OR) for OR/NOR, and 1 for BUF/NOT/XOR/XNOR. *)
+let sens m c good i k =
+  let fanin = Netlist.fanin c i in
+  let others op init =
+    let acc = ref init in
+    Array.iteri (fun p j -> if p <> k then acc := op m !acc good.(j)) fanin;
+    !acc
+  in
+  match Netlist.kind c i with
+  | Gate.And | Gate.Nand -> others Bdd.and_ (Bdd.one m)
+  | Gate.Or | Gate.Nor -> Bdd.not_ m (others Bdd.or_ (Bdd.zero m))
+  | Gate.Buf | Gate.Not | Gate.Xor | Gate.Xnor -> Bdd.one m
+  | Gate.Input | Gate.Const0 | Gate.Const1 -> invalid_arg "Detect.sens"
+
+type obs_build = Delta | Flipped
+
+(* Scratch for walking a root's fanout cone: [dirty] marks the cone, and
+   only while [with_cone] runs; [cone] lists its nodes. *)
+type cone_scratch = { dirty : bool array; cone : int array }
+
+let cone_scratch c =
+  let n = Netlist.size c in
+  { dirty = Array.make n false; cone = Array.make n 0 }
+
+(* [f] over the transitive fanout of [r] in ascending ids, [r] first.
+   Fanin ids are below the reader's, so that is a topological order.  The
+   marks are cleared on the way out, [Bdd.Limit_exceeded] included. *)
+let with_cone s c r f =
+  let size = ref 0 in
+  let rec mark i =
+    if not s.dirty.(i) then begin
+      s.dirty.(i) <- true;
+      s.cone.(!size) <- i;
+      incr size;
+      Array.iter mark (Netlist.fanout c i)
+    end
+  in
+  mark r;
+  let nodes = Array.sub s.cone 0 !size in
+  Fun.protect
+    (fun () ->
+      Array.sort compare nodes;
+      f nodes)
+    ~finally:(fun () -> Array.iter (fun i -> s.dirty.(i) <- false) nodes)
+
+let dirty_pins s c i =
+  Array.fold_left (fun acc j -> if s.dirty.(j) then acc + 1 else acc) 0 (Netlist.fanin c i)
+
+let is_linear c i =
+  match Netlist.kind c i with
+  | Gate.Buf | Gate.Not | Gate.Xor | Gate.Xnor -> true
+  | _ -> false
+
+(* A root takes [Flipped] when the cone's reconvergent non-linear gates
+   (two or more dirty pins) outnumber its linear ones (BUF/NOT/XOR/XNOR):
+   each reconvergent gate costs the Delta rule an XOR per dirty pin and
+   one more, and on c1355ish's NAND-expanded XORs those intermediates
+   overflow the node limit before faults that [Flipped] places (50
+   against 74 of 2252 at 2M nodes). *)
+let choose_build s c nodes =
+  let reconvergent = ref 0 and linear = ref 0 in
+  for p = 1 to Array.length nodes - 1 do
+    let i = nodes.(p) in
+    if is_linear c i then incr linear else if dirty_pins s c i >= 2 then incr reconvergent
+  done;
+  if !reconvergent > !linear then Flipped else Delta
+
+let obs_build_for c r =
+  let s = cone_scratch c in
+  with_cone s c r (choose_build s c)
+
+(* [obs_r], the condition under which inverting node [r] flips some
+   output, built over [r]'s fanout cone one of two ways, each node's value
+   going to [value]:
+
+   - [Delta]: propagate [Delta_g = good_g XOR flipped_g] from
+     [Delta_r = 1].  A linear gate gets the XOR of its dirty pins'
+     Deltas, so with one dirty pin it passes [Delta_a] on with no apply at
+     all.  Another gate with one dirty pin [a] gets
+     [Delta_a AND sens(g, pin)]; where flips reconverge it needs its
+     flipped value, [good_g XOR apply(good_a XOR Delta_a, ...)].
+     [obs_r = OR_o Delta_o].
+   - [Flipped]: rebuild the cone with [r] inverted and XOR with the good
+     circuit at every dirty output. *)
+let observability ?build s ~value:v c m good r =
+  let delta i =
+    let fanin = Netlist.fanin c i in
+    if is_linear c i then
+      Array.fold_left
+        (fun acc j -> if s.dirty.(j) then Bdd.xor_ m acc v.(j) else acc)
+        (Bdd.zero m) fanin
+    else if dirty_pins s c i = 1 then begin
+      let k = ref 0 in
+      while not s.dirty.(fanin.(!k)) do incr k done;
+      Bdd.and_ m v.(fanin.(!k)) (sens m c good i !k)
+    end
+    else
+      let args =
+        Array.map (fun j -> if s.dirty.(j) then Bdd.xor_ m good.(j) v.(j) else good.(j)) fanin
+      in
+      Bdd.xor_ m good.(i) (Bdd.apply_kind m (Netlist.kind c i) args)
+  in
+  let flipped i =
+    Bdd.apply_kind m (Netlist.kind c i)
+      (Array.map (fun j -> if s.dirty.(j) then v.(j) else good.(j)) (Netlist.fanin c i))
+  in
+  with_cone s c r (fun nodes ->
+      let build = match build with Some b -> b | None -> choose_build s c nodes in
+      let step, output_delta =
+        match build with
+        | Delta ->
+          v.(r) <- Bdd.one m;
+          (delta, fun o -> v.(o))
+        | Flipped ->
+          v.(r) <- Bdd.not_ m good.(r);
+          (flipped, fun o -> Bdd.xor_ m good.(o) v.(o))
+      in
+      for p = 1 to Array.length nodes - 1 do
+        v.(nodes.(p)) <- step nodes.(p)
+      done;
+      Array.fold_left
+        (fun acc o -> if s.dirty.(o) then Bdd.or_ m acc (output_delta o) else acc)
+        (Bdd.zero m) (Netlist.outputs c))
+
+let root_observability ?build c m ~good r =
+  observability ?build (cone_scratch c) ~value:(Array.make (Netlist.size c) (Bdd.zero m)) c m good r
+
 type generation = {
   m : Bdd.manager;
   good : Bdd.t array;
+  diff : Bdd.t option array;  (** D_x per node, [None] until built *)
   obs : Bdd.t option array;  (** obs_r per region root, [None] until built *)
-  flipped : Bdd.t array;  (** scratch: node values with one root inverted *)
+  value : Bdd.t array;  (** scratch: Delta or flipped values of one cone *)
 }
 
 let make_bdd ~node_limit ?(max_generations = 6) c faults =
@@ -217,84 +369,62 @@ let make_bdd ~node_limit ?(max_generations = 6) c faults =
   let redundant = Array.make nf false in
   let order = Bdd_circuit.dfs_order c in
   let n = Netlist.size c in
-  let outputs = Netlist.outputs c in
   let root_of = Rt_circuit.Cone.ffr_roots c in
   let new_generation () =
-    let m = Bdd.manager ~node_limit ~nvars:(Array.length (Netlist.inputs c)) () in
+    let m =
+      Bdd.manager ~node_limit
+        ~capacity:(min (1 lsl 16) (128 * nf))
+        ~nvars:(Array.length (Netlist.inputs c))
+        ()
+    in
     { m;
       good = Bdd_circuit.build_into m ~order c;
+      diff = Array.make n None;
       obs = Array.make n None;
-      flipped = Array.make n (Bdd.zero m) }
+      value = Array.make n (Bdd.zero m) }
   in
-  (* [dirty] marks the transitive fanout of the root being flipped, and
-     only while its observability is built: the marks are cleared on the
-     way out, [Bdd.Limit_exceeded] included, and the memo entry is set
-     only once the build has finished. *)
-  let dirty = Array.make n false in
-  let cone = Array.make n 0 in
-  let observability g r =
+  let scratch = cone_scratch c in
+  (* Memo entries are set only once their build has finished. *)
+  let obs g r =
     match g.obs.(r) with
     | Some o -> o
     | None ->
-      let m = g.m in
-      let size = ref 0 in
-      let rec mark i =
-        if not dirty.(i) then begin
-          dirty.(i) <- true;
-          cone.(!size) <- i;
-          incr size;
-          Array.iter mark (Netlist.fanout c i)
-        end
-      in
-      mark r;
-      let nodes = Array.sub cone 0 !size in
-      let build () =
-        (* Fanin ids are below the reader's, so ascending ids are a
-           topological order of the cone. *)
-        Array.sort compare nodes;
-        g.flipped.(r) <- Bdd.not_ m g.good.(r);
-        for p = 1 to Array.length nodes - 1 do
-          let i = nodes.(p) in
-          let args =
-            Array.map (fun j -> if dirty.(j) then g.flipped.(j) else g.good.(j)) (Netlist.fanin c i)
-          in
-          g.flipped.(i) <- Bdd.apply_kind m (Netlist.kind c i) args
-        done;
-        Array.fold_left
-          (fun acc o ->
-            if dirty.(o) then Bdd.or_ m acc (Bdd.xor_ m g.good.(o) g.flipped.(o)) else acc)
-          (Bdd.zero m) outputs
-      in
-      let clear () = Array.iter (fun i -> dirty.(i) <- false) nodes in
-      let o = Fun.protect build ~finally:clear in
+      let o = observability scratch ~value:g.value c g.m g.good r in
       g.obs.(r) <- Some o;
       o
   in
+  let rec region_diff g x =
+    if root_of.(x) = x then Bdd.one g.m
+    else begin
+      match g.diff.(x) with
+      | Some d -> d
+      | None ->
+        let reader = (Netlist.fanout c x).(0) in
+        let fanin = Netlist.fanin c reader in
+        let k = ref 0 in
+        while fanin.(!k) <> x do incr k done;
+        let d = Bdd.and_ g.m (region_diff g reader) (sens g.m c g.good reader !k) in
+        g.diff.(x) <- Some d;
+        d
+    end
+  in
   let build_fault g f =
-    let m = g.m and good = g.good in
-    let const v = if v then Bdd.one m else Bdd.zero m in
-    (* The faulty value of [node] read by the region's next gate, up to
-       the root. *)
-    let rec climb node value =
-      if root_of.(node) = node then (node, value)
-      else begin
-        let reader = (Netlist.fanout c node).(0) in
-        let args =
-          Array.map (fun j -> if j = node then value else good.(j)) (Netlist.fanin c reader)
-        in
-        climb reader (Bdd.apply_kind m (Netlist.kind c reader) args)
-      end
-    in
-    let r, bad_r =
+    let m = g.m in
+    let line, d, r =
       match f.Fault.site with
-      | Fault.Stem s -> climb s (const f.Fault.stuck)
+      | Fault.Stem s -> (s, region_diff g s, root_of.(s))
       | Fault.Branch (gate, k) ->
-        let args = Array.map (fun j -> good.(j)) (Netlist.fanin c gate) in
-        args.(k) <- const f.Fault.stuck;
-        climb gate (Bdd.apply_kind m (Netlist.kind c gate) args)
+        let j = (Netlist.fanin c gate).(k) in
+        (* A non-root fanin is read on this pin alone, so its D is the
+           pin's. *)
+        ( j,
+          (if root_of.(j) <> j then region_diff g j
+           else Bdd.and_ m (region_diff g gate) (sens m c g.good gate k)),
+          root_of.(gate) )
     in
-    let activated = Bdd.xor_ m good.(r) bad_r in
-    if Bdd.is_zero activated then activated else Bdd.and_ m activated (observability g r)
+    let flip = if f.Fault.stuck then Bdd.not_ m g.good.(line) else g.good.(line) in
+    let activated = Bdd.and_ m flip d in
+    if Bdd.is_zero activated then activated else Bdd.and_ m activated (obs g r)
   in
   (* detect_roots.(fi) = Some (generation, root). *)
   let detect_roots = Array.make nf None in

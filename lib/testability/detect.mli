@@ -11,9 +11,11 @@
       sources (PREDICT's role);
     - [Bdd_exact]: exact detection probabilities from per-fault boolean
       difference BDDs built once and re-evaluated per [X] in linear time.
-      Each is the fault's activation at the root of its fanout-free region
-      AND that root's observability, built once per root; falls back to
-      [Cop] for faults whose BDD exceeds the node limit;
+      Each is the fault's activation AND its line's difference to the
+      root of its fanout-free region (built once per node) AND that
+      root's observability (built once per root, by difference
+      propagation); falls back to [Cop] for faults whose BDD exceeds the
+      node limit;
     - [Stafan]: counting-based estimate from fresh weighted simulation;
     - [Monte_carlo]: direct fault-simulation estimate.
 
@@ -48,6 +50,28 @@ val conditioning_set : ?max_vars:int -> Rt_circuit.Netlist.t -> Rt_circuit.Netli
 (** The inputs with the largest fanout (at least 2), up to [max_vars]
     (default 8) — the reconvergence sources [Conditioned] expands over.
     Raises [Invalid_argument] outside [0 .. 16]. *)
+
+type obs_build =
+  | Delta  (** propagate [good_g XOR flipped_g] from the root *)
+  | Flipped  (** rebuild the fanout cone with the root inverted *)
+
+val root_observability :
+  ?build:obs_build ->
+  Rt_circuit.Netlist.t ->
+  Rt_bdd.Bdd.manager ->
+  good:Rt_bdd.Bdd.t array ->
+  Rt_circuit.Netlist.node ->
+  Rt_bdd.Bdd.t
+(** [root_observability c m ~good r] is the exact engine's [obs_r]: the
+    condition under which inverting node [r] flips some output, given the
+    good-circuit BDDs [good] built in [m].  [build] forces one of the two
+    constructions (default: {!obs_build_for}); both return the same
+    canonical BDD. *)
+
+val obs_build_for : Rt_circuit.Netlist.t -> Rt_circuit.Netlist.node -> obs_build
+(** The construction the exact engine uses for root [r]: [Flipped] when,
+    in [r]'s fanout cone, the gates other than BUF/NOT/XOR/XNOR that read
+    the cone on two or more pins outnumber the BUF/NOT/XOR/XNOR gates. *)
 
 val make : ?jobs:int -> engine -> Rt_circuit.Netlist.t -> Rt_fault.Fault.t array -> Oracle.t
 (** Performs all per-circuit precomputation (e.g. BDD construction and

@@ -2,13 +2,15 @@
    never wires one node into two pins of the same gate; this netlist
    does, and uses every gate kind, so code that walks a node's readers
    pin by pin (the observability fold, the relevel tie on fanout) meets
-   a reader listed more than once. *)
+   a reader listed more than once.  [kinds] weights the gate mix (a kind
+   listed twice is drawn twice as often). *)
 
 module Gate = Rt_circuit.Gate
 module Netlist = Rt_circuit.Netlist
 
-let circuit rng ~inputs ~gates =
-  let kinds = Gate.[| And; Nand; Or; Nor; Xor; Xnor; Buf; Not; Const0; Const1 |] in
+let all_kinds = Gate.[| And; Nand; Or; Nor; Xor; Xnor; Buf; Not; Const0; Const1 |]
+
+let circuit ?(kinds = all_kinds) rng ~inputs ~gates =
   let n = inputs + gates in
   let kind = Array.make n Gate.Input in
   let fanins = Array.make n [||] in

@@ -84,6 +84,23 @@ let test_growth_and_rebuild () =
   check Alcotest.int "rebuild allocates no node" nodes (Bdd.node_count m);
   check Alcotest.bool "rebuild returns the same root" true (Bdd.equal f f')
 
+(* The tables' initial size only decides when they grow: the same
+   operations make the same nodes in a manager that never grows. *)
+let test_capacity_keeps_nodes () =
+  let k = 12 in
+  let build capacity =
+    let m = Bdd.manager ~capacity ~nvars:(2 * k) () in
+    let f = ref (Bdd.zero m) in
+    for i = 0 to k - 1 do
+      f := Bdd.or_ m !f (Bdd.and_ m (Bdd.var m i) (Bdd.var m (i + k)))
+    done;
+    (Bdd.node_count m, Bdd.prob m !f (fun v -> 0.1 +. (0.03 *. Float.of_int v)))
+  in
+  let n_small, p_small = build 1024 and n_big, p_big = build (1 lsl 16) in
+  check Alcotest.int "node count" n_small n_big;
+  check Alcotest.bool "probability bit for bit" true
+    (Int64.bits_of_float p_small = Int64.bits_of_float p_big)
+
 (* Probability queries memoise in scratch kept by the manager.  Interleave
    them with node allocation (so the scratch is outgrown), with changing
    input probabilities and with cofactor-pair queries, and check each answer
@@ -249,6 +266,7 @@ let () =
           Alcotest.test_case "node limit" `Quick test_node_limit;
           Alcotest.test_case "sat fraction parity" `Quick test_sat_fraction_parity;
           Alcotest.test_case "growth and rebuild" `Quick test_growth_and_rebuild;
+          Alcotest.test_case "capacity keeps nodes" `Quick test_capacity_keeps_nodes;
           Alcotest.test_case "queries reuse scratch" `Quick test_queries_reuse_scratch ] );
       ( "circuit",
         [ q bdd_vs_netlist_qcheck;

@@ -278,6 +278,30 @@ let test_minimize_boundary () =
   let r = Minimize.newton ~lo:0.05 ~hi:0.95 ~n:100.0 ~p0:[| 0.0 |] ~p1:[| 0.5 |] 0.5 in
   check (Alcotest.float 1e-9) "pegged at hi" 0.95 r.Minimize.y
 
+(* The upper boundary's derivative is read only when the lower one is
+   negative: a coordinate pegged at [lo] costs one derivative call, one
+   pegged at [hi] two. *)
+let test_minimize_boundary_calls () =
+  let calls = ref 0 in
+  let objective =
+    { Objective.single with
+      Objective.derivatives_along =
+        (fun ~n ~p0 ~p1 y ->
+          incr calls;
+          Objective.single.Objective.derivatives_along ~n ~p0 ~p1 y) }
+  in
+  let newton ~p0 ~p1 =
+    calls := 0;
+    let r = Minimize.newton ~objective ~lo:0.05 ~hi:0.95 ~n:100.0 ~p0 ~p1 0.5 in
+    (r.Minimize.y, !calls)
+  in
+  let y, k = newton ~p0:[| 0.5 |] ~p1:[| 0.0 |] in
+  check (Alcotest.float 0.0) "pegged at lo" 0.05 y;
+  check Alcotest.int "one derivative call at lo" 1 k;
+  let y, k = newton ~p0:[| 0.0 |] ~p1:[| 0.5 |] in
+  check (Alcotest.float 0.0) "pegged at hi" 0.95 y;
+  check Alcotest.int "two derivative calls at hi" 2 k
+
 (* [Minimize.newton] before it dropped the p0 = p1 faults: the Newton
    steps ran the derivatives over every fault.  Kept as the reference the
    compacted search must reproduce bit for bit. *)
@@ -500,6 +524,7 @@ let () =
         [ q minimize_qcheck;
           Alcotest.test_case "boundary optimum" `Quick test_minimize_boundary;
           q newton_matches_reference_qcheck;
+          Alcotest.test_case "boundary derivative calls" `Quick test_minimize_boundary_calls;
           Alcotest.test_case "p0/p1 length mismatch" `Quick test_minimize_length_mismatch ] );
       ( "optimize",
         [ Alcotest.test_case "wide AND" `Quick test_optimize_improves_wide_and;

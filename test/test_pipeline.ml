@@ -344,10 +344,35 @@ let test_cache_hit_counters () =
         (value (Printf.sprintf "pipeline.stage.%s.run" stage)))
     Pipeline.stage_names
 
+(* The git revision in the stage keys is read once per context: two
+   contexts built from one config key every stage alike, and the keys are
+   the ones a per-stage read of the revision gives. *)
+let test_contexts_share_digests () =
+  let cfg =
+    Config.exn (Config.make ~engine:"cop" ~patterns:128 ~sweeps:1 ~circuit:"wide_and-8" ())
+  in
+  let digests t =
+    ignore (Pipeline.report t);
+    [ (Pipeline.loaded t).Pipeline.digest;
+      (Pipeline.opt_netlist t).Pipeline.digest;
+      (Pipeline.faults t).Pipeline.digest;
+      (Pipeline.analysis t).Pipeline.digest;
+      (Pipeline.normalized t).Pipeline.digest;
+      (Pipeline.validated t).Pipeline.digest;
+      (Pipeline.report t).Pipeline.digest ]
+  in
+  let a = Pipeline.create cfg and b = Pipeline.create cfg in
+  check Alcotest.(list string) "stage digests" (digests a) (digests b);
+  check Alcotest.string "loaded key"
+    ("mem:"
+    ^ Store.key ~rev:(Rt_obs.Artifact.git_rev ()) ~stage:"loaded"
+        ~parts:[ Config.circuit_key cfg.Config.circuit ])
+    (Pipeline.loaded a).Pipeline.digest
+
 let test_corrupt_artifact_is_miss () =
   let dir = fresh_dir () in
   let store = Store.create dir in
-  let key = Store.key ~stage:"loaded" ~parts:[ "x" ] in
+  let key = Store.key ~rev:"test" ~stage:"loaded" ~parts:[ "x" ] in
   ignore (Store.save store ~stage:"loaded" ~key [| 1; 2; 3 |]);
   (match Store.load store ~stage:"loaded" ~key with
    | Some (v, _) -> check Alcotest.(array int) "roundtrip" [| 1; 2; 3 |] v
@@ -364,7 +389,7 @@ let test_corrupt_artifact_is_miss () =
 let test_concurrent_save () =
   let dir = fresh_dir () in
   let store = Store.create dir in
-  let key = Store.key ~stage:"loaded" ~parts:[ "race" ] in
+  let key = Store.key ~rev:"test" ~stage:"loaded" ~parts:[ "race" ] in
   let value = Array.init 4096 Fun.id in
   let writer () =
     let failures = ref 0 in
@@ -515,6 +540,8 @@ let () =
       ( "cache",
         [ QCheck_alcotest.to_alcotest cache_hit_qcheck;
           Alcotest.test_case "cache-hit counters on resume" `Quick test_cache_hit_counters;
+          Alcotest.test_case "contexts from one config share digests" `Quick
+            test_contexts_share_digests;
           Alcotest.test_case "corrupt artifact is a miss" `Quick test_corrupt_artifact_is_miss;
           Alcotest.test_case "concurrent saves of one artifact" `Quick test_concurrent_save ] );
       ( "invalidation",

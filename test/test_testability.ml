@@ -763,7 +763,7 @@ let test_proven_redundant () =
   Array.iteri (fun i r -> if r && pf.(i) <> 0.0 then Alcotest.fail "redundant with p > 0") red
 
 (* The exact engine's generations on S1, pinned: one roomy generation,
-   three tight ones, and a limit so small that most faults fall back to COP.
+   two tight ones, and a limit so small that faults fall back to COP.
    The storage inside the BDD manager must not move node ids, so these
    labels and the exact p_f are fixed points of any change to it. *)
 let test_bdd_generations_pinned () =
@@ -771,11 +771,11 @@ let test_bdd_generations_pinned () =
   let faults = Rt_fault.Collapse.collapsed_universe c in
   let engine node_limit = Detect.make (Detect.Bdd_exact { node_limit }) c faults in
   let roomy = engine 500_000 and tight = engine 30_000 in
-  check Alcotest.string "500k label" "bdd-exact(534/534 exact, 1 generations, 56311 nodes)"
+  check Alcotest.string "500k label" "bdd-exact(534/534 exact, 1 generations, 40554 nodes)"
     (Oracle.describe roomy);
-  check Alcotest.string "30k label" "bdd-exact(534/534 exact, 3 generations, 61367 nodes)"
+  check Alcotest.string "30k label" "bdd-exact(534/534 exact, 2 generations, 43379 nodes)"
     (Oracle.describe tight);
-  check Alcotest.string "8k label" "bdd-exact(20/534 exact, 1 generations, 7998 nodes)"
+  check Alcotest.string "8k label" "bdd-exact(324/534 exact, 6 generations, 47988 nodes)"
     (Oracle.describe (engine 8_000));
   let x = Array.make (Array.length (Netlist.inputs c)) 0.5 in
   let p_roomy = Oracle.probs roomy x and p_tight = Oracle.probs tight x in
@@ -862,6 +862,11 @@ let engine_vs_reference c faults xs =
 
 let random_points rng ni k = List.init k (fun _ -> Array.init ni (fun _ -> Rt_util.Rng.float rng))
 
+(* Mostly linear gates over AND/OR-type ones: the Delta-built
+   observability (linear gates XOR their dirty pins' Deltas) meets
+   reconvergent AND/OR gates inside it. *)
+let xor_rich = Rt_circuit.Gate.[| Xor; Xnor; Xor; Xnor; Buf; Not; And; Nand; Or; Nor |]
+
 let bdd_regions_match_rebuild_qcheck =
   QCheck.Test.make ~name:"bdd region decomposition equals full rebuild" ~count:20
     QCheck.(int_range 0 10_000)
@@ -874,7 +879,89 @@ let bdd_regions_match_rebuild_qcheck =
       in
       check_circuit (Generators.random_circuit ~inputs:7 ~gates:30 ~seed);
       check_circuit (Multi_pin.circuit rng ~inputs:5 ~gates:25);
+      check_circuit (Multi_pin.circuit ~kinds:xor_rich rng ~inputs:6 ~gates:30);
       true)
+
+(* Two syndrome bits over five data bits, each XOR expanded into four
+   NAND2s as c1355ish expands c499ish, decoded by an AND and an OR: every
+   flip of an XOR operand reconverges on two NANDs, so these roots take
+   the flipped-cone observability. *)
+let nand_xor_circuit () =
+  let b = Rt_circuit.Builder.create ~fold:false () in
+  let d = Rt_circuit.Builder.inputs b "d" 5 in
+  let xor x y =
+    let t1 = Rt_circuit.Builder.nand2 b x y in
+    Rt_circuit.Builder.nand2 b (Rt_circuit.Builder.nand2 b x t1) (Rt_circuit.Builder.nand2 b y t1)
+  in
+  let s0 = xor (xor d.(0) d.(1)) d.(2) and s1 = xor (xor d.(1) d.(3)) d.(4) in
+  Rt_circuit.Builder.output b ~name:"s0" s0;
+  Rt_circuit.Builder.output b ~name:"s1" s1;
+  Rt_circuit.Builder.output b ~name:"both" (Rt_circuit.Builder.and2 b s0 s1);
+  Rt_circuit.Builder.output b ~name:"either" (Rt_circuit.Builder.or2 b s0 d.(4));
+  Rt_circuit.Builder.finalize b
+
+(* The region roots of [c] whose observability is built each way, and
+   whether some Delta-built cone holds a non-linear gate reading it on two
+   or more pins. *)
+let obs_builds c =
+  let root = Rt_circuit.Cone.ffr_roots c in
+  let n = Netlist.size c in
+  let flipped = ref 0 and delta = ref 0 and delta_reconvergent = ref false in
+  for r = 0 to n - 1 do
+    if root.(r) = r then
+      match Detect.obs_build_for c r with
+      | Detect.Flipped -> incr flipped
+      | Detect.Delta ->
+        incr delta;
+        let cone = Array.make n false in
+        cone.(r) <- true;
+        for i = r + 1 to n - 1 do
+          let dirty =
+            Array.fold_left (fun k j -> if cone.(j) then k + 1 else k) 0 (Netlist.fanin c i)
+          in
+          if dirty > 0 then cone.(i) <- true;
+          match Netlist.kind c i with
+          | Rt_circuit.Gate.(Buf | Not | Xor | Xnor) -> ()
+          | _ -> if dirty >= 2 then delta_reconvergent := true
+        done
+  done;
+  (!flipped, !delta, !delta_reconvergent)
+
+let xor_rich_fixture () =
+  Multi_pin.circuit ~kinds:xor_rich (Rt_util.Rng.create 11) ~inputs:6 ~gates:30
+
+let test_bdd_nand_xor () =
+  let c = nand_xor_circuit () in
+  let flipped, _, _ = obs_builds c in
+  check Alcotest.bool "some root takes the flipped cone" true (flipped > 0);
+  let _, delta, reconvergent = obs_builds (xor_rich_fixture ()) in
+  check Alcotest.bool "xor-rich fixture: Delta through a reconvergent gate" true
+    (delta > 0 && reconvergent);
+  let rng = Rt_util.Rng.create 3 in
+  check Alcotest.string "engine equals full rebuild" ""
+    (engine_vs_reference c (every_site_fault c) (Array.make 5 0.5 :: random_points rng 5 3))
+
+(* Both observability constructions of every region root, in one manager,
+   are the same node: BDDs are canonical, so the engine's per-root choice
+   cannot move a probability. *)
+let test_obs_builds_equal () =
+  let module Bdd = Rt_bdd.Bdd in
+  List.iter
+    (fun (name, c) ->
+      let m = Bdd.manager ~nvars:(Array.length (Netlist.inputs c)) () in
+      let good = Rt_bdd.Bdd_circuit.build_into m ~order:(Rt_bdd.Bdd_circuit.dfs_order c) c in
+      let root = Rt_circuit.Cone.ffr_roots c in
+      Array.iteri
+        (fun r rr ->
+          if rr = r then begin
+            let delta = Detect.root_observability ~build:Detect.Delta c m ~good r in
+            let flipped = Detect.root_observability ~build:Detect.Flipped c m ~good r in
+            if not (Bdd.equal delta flipped) then Alcotest.failf "%s root %d: builds differ" name r
+          end)
+        root)
+    [ ("nand-xor", nand_xor_circuit ());
+      ("xor-rich", xor_rich_fixture ());
+      ("s1", Generators.s1_comparator ()) ]
 
 (* One netlist with each region shape the decomposition must get right:
    a primary output that also feeds a gate (node 4), a node read on two
@@ -979,7 +1066,9 @@ let () =
           Alcotest.test_case "proven redundant" `Quick test_proven_redundant;
           Alcotest.test_case "bdd generations pinned on s1" `Quick test_bdd_generations_pinned;
           q bdd_regions_match_rebuild_qcheck;
-          Alcotest.test_case "bdd region shapes" `Quick test_bdd_region_shapes ] );
+          Alcotest.test_case "bdd region shapes" `Quick test_bdd_region_shapes;
+          Alcotest.test_case "bdd nand-expanded xor" `Quick test_bdd_nand_xor;
+          Alcotest.test_case "bdd observability builds equal" `Quick test_obs_builds_equal ] );
       ( "test-length",
         [ Alcotest.test_case "single fault" `Quick test_required_single_fault;
           Alcotest.test_case "confidence inverse" `Quick test_required_confidence_inverse;
