@@ -39,18 +39,3 @@ let build_into m ~order c =
        | k -> Bdd.apply_kind m k (Array.map (fun j -> bdds.(j)) (Netlist.fanin c i)))
   done;
   bdds
-
-let build ?(node_limit = 500_000) ?order c =
-  let order = match order with Some o -> o | None -> dfs_order c in
-  let m = Bdd.manager ~node_limit ~nvars:(Array.length (Netlist.inputs c)) () in
-  match build_into m ~order c with
-  | bdds -> Some (m, bdds, order)
-  | exception Bdd.Limit_exceeded -> None
-
-let signal_probs ?node_limit c x =
-  match build ?node_limit c with
-  | None -> None
-  | Some (m, bdds, order) ->
-    let x_of_var = Array.make (Array.length order) 0.5 in
-    Array.iteri (fun i v -> x_of_var.(v) <- x.(i)) order;
-    Some (Bdd.prob_many m bdds (fun v -> x_of_var.(v)))

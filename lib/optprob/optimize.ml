@@ -99,17 +99,25 @@ let run ?(options = default_options) ?progress ?recorder ?keep oracle =
           0.5 +. (o.start_jitter *. ((2.0 *. phase) -. 1.0)))
   in
   (* Out-of-scope faults (two-stage stage 2 optimizes survivors only) are
-     masked to p = 0, which NORMALIZE already treats as
-     not-part-of-the-population. *)
-  let masked pf =
+     held at p = 0, which NORMALIZE already treats as
+     not-part-of-the-population.  Only the kept faults are queried: one
+     plan over them, built once per run, scattered into a zero vector;
+     by the plan contract that equals the full query masked to them. *)
+  let probs =
     match keep with
-    | None -> pf
-    | Some k -> Array.mapi (fun f p -> if k.(f) then p else 0.0) pf
+    | None -> Oracle.probs oracle
+    | Some k ->
+      let kept = Array.of_seq (Seq.filter (fun f -> k.(f)) (Seq.init (Array.length k) Fun.id)) in
+      let plan = Oracle.plan oracle kept in
+      fun x ->
+        let pf = Array.make (Array.length k) 0.0 in
+        Array.iteri (fun j p -> pf.(kept.(j)) <- p) (Oracle.probs_plan oracle plan x);
+        pf
   in
   (* ANALYSIS + NORMALIZE; keeps the raw p_f vector so the convergence
      trace can report J_N alongside N. *)
   let analyse x =
-    let pf = masked (Oracle.probs oracle x) in
+    let pf = probs x in
     (pf, Normalize.run ~objective:obj ~confidence:o.confidence ~nf_min:o.nf_min pf)
   in
   (* The pf summary only matters when someone records it — the histogram of
@@ -259,8 +267,14 @@ let two_stage ?(options = default_options) ?(n1_grid = default_n1_grid) ?n1
   let stage1 = run ~options ?progress ?recorder oracle in
   let n_single = stage1.n_final in
   let pf1 = Oracle.probs oracle stage1.weights in
-  let detectable = Array.map (fun p -> p > 0.0) pf1 in
-  let n_detectable = Array.fold_left (fun a d -> if d then a + 1 else a) 0 detectable in
+  (* Only detectable faults can survive into stage 2, and a fault's
+     first detection does not depend on which other faults are simulated
+     alongside it, so the survivor simulations run over these alone. *)
+  let detectable =
+    Array.of_seq (Seq.filter (fun f -> pf1.(f) > 0.0) (Seq.init n_faults Fun.id))
+  in
+  let n_detectable = Array.length detectable in
+  let sim_faults = Array.map (fun f -> faults.(f)) detectable in
   let candidates =
     match n1 with
     | Some v -> [ max 0 v ]
@@ -285,13 +299,13 @@ let two_stage ?(options = default_options) ?(n1_grid = default_n1_grid) ?n1
          with the stage-1 weights? *)
       let rng = Rt_util.Rng.create (seed + cand_n1) in
       let stats =
-        Rt_sim.Fault_sim.simulate ?jobs ?block_words ~drop:true circuit faults
+        Rt_sim.Fault_sim.simulate ?jobs ?block_words ~drop:true circuit sim_faults
           ~source:(Rt_sim.Pattern.weighted rng stage1.weights) ~n_patterns:cand_n1
       in
-      let keep =
-        Array.init n_faults (fun f ->
-            detectable.(f) && stats.Rt_sim.Fault_sim.first_detect.(f) < 0)
-      in
+      let keep = Array.make n_faults false in
+      Array.iteri
+        (fun j f -> if stats.Rt_sim.Fault_sim.first_detect.(j) < 0 then keep.(f) <- true)
+        detectable;
       let survivors = Array.fold_left (fun a k -> if k then a + 1 else a) 0 keep in
       if survivors = 0 then
         ({ cand_n1; cand_survivors = 0; cand_n2 = 0.0; cand_total = Float.of_int cand_n1 },
@@ -309,18 +323,23 @@ let two_stage ?(options = default_options) ?(n1_grid = default_n1_grid) ?n1
       end
     end
   in
-  let evaluated = List.map evaluate candidates in
-  let best =
-    List.fold_left
-      (fun acc (c, r2) ->
-        match acc with
-        | None -> Some (c, r2)
-        | Some (b, _) when c.cand_total < b.cand_total -> Some (c, r2)
-        | Some _ -> acc)
-      None evaluated
+  (* Walk the splits in ascending N1, keeping the first strictly smallest
+     total.  A split's total N1 + N2 is never below N1 (N2 >= 0, and
+     rounding the sum cannot go below N1), so once N1 reaches the best
+     total no remaining split can be chosen: stop there.  The chosen split
+     is the one the whole grid would give, bit for bit. *)
+  let rec search ((b, _) as best) evaluated = function
+    | n1 :: rest when Float.of_int n1 < b.cand_total ->
+      let ((c, _) as e) = evaluate n1 in
+      search (if c.cand_total < b.cand_total then e else best) (c :: evaluated) rest
+    | _ -> (best, List.rev evaluated)
   in
-  let best_c, best_r2 =
-    match best with Some b -> b | None -> assert false (* candidates never empty *)
+  let (best_c, best_r2), evaluated =
+    match candidates with
+    | first :: rest ->
+      let ((c, _) as e) = evaluate first in
+      search e [ c ] rest
+    | [] -> assert false (* candidates never empty *)
   in
   Rt_obs.mark "two_stage.chosen"
     ~fields:
@@ -337,4 +356,4 @@ let two_stage ?(options = default_options) ?(n1_grid = default_n1_grid) ?n1
     ts_single_n = n_single;
     ts_weights =
       (match best_r2 with Some r -> r.weights | None -> stage1.weights);
-    ts_candidates = List.map fst evaluated }
+    ts_candidates = evaluated }

@@ -75,8 +75,12 @@ val run :
     ["final"], whose [n] equals [n_final]); each row carries the
     objective's key.  [keep], when given, restricts the optimization to
     the marked faults (one flag per fault, in fault-array order): the rest
-    are masked to [p_f = 0], exactly how NORMALIZE treats faults outside
-    the population — this is the two-stage driver's survivors hook. *)
+    are held at [p_f = 0], exactly how NORMALIZE treats faults outside
+    the population — this is {!two_stage}'s survivors hook.
+    ANALYSIS then queries one plan of the kept faults, built once per run,
+    instead of every fault; by the plan contract the result is the full
+    query masked afterwards, bit for bit (so an all-true [keep] is [run]
+    without it). *)
 
 val improvement : report -> float
 (** [n_initial / n_final] — the paper reports orders of magnitude here. *)
@@ -91,7 +95,17 @@ val improvement : report -> float
     over, so the expected total [N1 + N2] can undercut any fixed
     single-stage budget.  The grid of candidate splits always contains
     [N1 = 0], whose design degenerates to the single-stage one, so the
-    chosen design is never worse than single-stage by construction. *)
+    chosen design is never worse than single-stage by construction.
+
+    The splits are evaluated in ascending [N1], and the first strictly
+    smallest total is chosen.  The search stops at the first split whose
+    [N1] is at least the best total found so far: its total
+    [N1 + N2 >= N1] (N2 is non-negative and rounding the sum cannot go
+    below [N1]), and so is every larger split's, so none of them could
+    be chosen.  The chosen split is therefore the whole grid's, bit for
+    bit, without paying the survivor simulation and stage-2 optimization
+    of splits that cannot win (the early termination of adaptive
+    two-stage design searches).  [N1 = 0] is always evaluated first. *)
 
 type candidate = {
   cand_n1 : int;  (** stage-1 pattern budget *)
@@ -111,7 +125,10 @@ type two_stage_report = {
   ts_total : float;  (** expected total patterns of the chosen design *)
   ts_single_n : float;  (** the single-stage [n_final], for comparison *)
   ts_weights : float array;  (** stage-2 weights (stage-1's when degenerate) *)
-  ts_candidates : candidate list;  (** every split evaluated, ascending [cand_n1] *)
+  ts_candidates : candidate list;
+      (** every split evaluated, ascending [cand_n1]: a prefix of the grid
+          that ends before the first split whose [N1] reaches the best
+          total so far *)
 }
 
 val default_n1_grid : float list
@@ -132,8 +149,10 @@ val two_stage :
   two_stage_report
 (** [two_stage oracle] runs the single-stage design, then searches the
     stage split.  [n1] pins the stage-1 budget instead of searching
-    [n1_grid]; [seed] makes the stage-1 simulated patterns deterministic;
-    [sim_cap] (65536) bounds the per-candidate simulation cost — grid
-    candidates above it are skipped.  [jobs]/[block_words] are passed to
+    [n1_grid]; [seed] makes the stage-1 simulated patterns deterministic
+    (split [N1] draws from stream [seed + N1]); [sim_cap] (65536) bounds
+    the per-candidate simulation cost — grid candidates above it are
+    skipped.  Survivor simulations cover only the faults detectable at the
+    stage-1 weights, the only ones that can survive.  [jobs]/[block_words] are passed to
     the ppsfp fault simulator.  [options.objective] applies to both
     stages. *)

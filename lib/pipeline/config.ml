@@ -134,8 +134,13 @@ let engine_of_string s =
     need "stafan:" (fun n -> Detect.Stafan { n_patterns = n; seed = 7 })
   else if String.length s > 3 && String.sub s 0 3 = "mc:" then
     need "mc:" (fun n -> Detect.Monte_carlo { n_patterns = n; seed = 7 })
-  else if String.length s > 5 && String.sub s 0 5 = "cond:" then
-    need "cond:" (fun n -> Detect.Conditioned { max_vars = n })
+  else if String.length s > 5 && String.sub s 0 5 = "cond:" then begin
+    (* The conditioned engine expands 2^K assignments; Detect caps K at 16. *)
+    match int_after "cond:" with
+    | Some k when k >= 1 && k <= 16 -> Ok (Detect.Conditioned { max_vars = k })
+    | Some _ -> Error (Printf.sprintf "engine %S: K must be in [1, 16] (valid: %s)" s engine_usage)
+    | None -> fail ()
+  end
   else fail ()
 
 (* --- objective validation ---------------------------------------------------- *)

@@ -13,8 +13,8 @@
 #      `--obs-{listen,sample-ms} N` and `--obs-registry DIR`), the removed
 #      `tables` and `selftest` subcommands and the removed `obs list` and
 #      `obs trend` are usage errors;
-#   5. an out-of-range --confidence, --patterns, --grid, --dyadic or
-#      --sweeps exits 124 with a message;
+#   5. an out-of-range --confidence, --patterns, --grid, --dyadic,
+#      --sweeps or cond:K engine exits 124 with a message;
 #   6. a malformed .bench file (undeclared signal, cycle, duplicate, wrong
 #      arity, no OUTPUT) exits 124 with a FILE:LINE: message.
 #
@@ -99,6 +99,14 @@ for arg in --confidence=1.5 --confidence=0 --confidence=nan --patterns=-5 --grid
     fail "$arg was not rejected with exit 124 and a message (exit $rc)"
   fi
 done
+
+# The conditioned engine expands 2^K assignments; K above 16 is a usage error.
+rc=0
+"$optprob" analyze "$c17" -e cond:17 >/dev/null 2>"$dir/range.err" || rc=$?
+if [ "$rc" -ne 124 ] || ! grep -q "K must be in \[1, 16\]" "$dir/range.err"; then
+  cat "$dir/range.err" >&2
+  fail "-e cond:17 was not rejected with exit 124 and a message (exit $rc)"
+fi
 
 # Each file's defect is on line 3; the last one declares no OUTPUT.
 for bad in 'OUTPUT(b)\nb = AND(a, c)' 'OUTPUT(b)\nb = AND(b, a)' 'OUTPUT(b)\nINPUT(a)' \

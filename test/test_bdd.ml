@@ -2,7 +2,6 @@
    (Parker-McCluskey), fault detection functions, and the node limit. *)
 
 module Bdd = Rt_bdd.Bdd
-module Bdd_circuit = Rt_bdd.Bdd_circuit
 module Netlist = Rt_circuit.Netlist
 module Generators = Rt_circuit.Generators
 
@@ -157,7 +156,7 @@ let bdd_vs_netlist_qcheck =
     QCheck.(int_range 0 10_000)
     (fun seed ->
       let c = Generators.random_circuit ~inputs:7 ~gates:40 ~seed in
-      match Bdd_circuit.build c with
+      match Bdd_ref.build c with
       | None -> QCheck.assume_fail ()
       | Some (m, bdds, order) ->
         let ok = ref true in
@@ -181,7 +180,7 @@ let prob_vs_enumeration_qcheck =
     (fun seed ->
       let c = Generators.random_circuit ~inputs:6 ~gates:30 ~seed in
       let x = Array.init 6 (fun i -> 0.1 +. (0.13 *. Float.of_int i)) in
-      match Bdd_circuit.signal_probs c x with
+      match Bdd_ref.signal_probs c x with
       | None -> QCheck.assume_fail ()
       | Some probs ->
         (* enumerate *)
@@ -229,7 +228,7 @@ let test_dfs_order_comparator () =
      exponentially; the DFS order must keep S1 comfortably under the
      limit. *)
   let c = Generators.s1_comparator () in
-  match Bdd_circuit.build ~node_limit:200_000 c with
+  match Bdd_ref.build ~node_limit:200_000 c with
   | None -> Alcotest.fail "s1 did not fit with DFS order"
   | Some (m, _, _) ->
     check Alcotest.bool "small" true (Bdd.node_count m < 100_000)

@@ -485,6 +485,189 @@ let test_two_stage_pinned_split () =
   check Alcotest.int "stage-2 weights match input width" 8
     (Array.length ts.Optimize.ts_weights)
 
+(* --- Two-stage split search: the pruned walk against the whole grid -------------- *)
+
+module Oracle = Rt_testability.Oracle
+
+let bits a = List.map (Printf.sprintf "%h") a
+
+let report_bits (r : Optimize.report) =
+  bits (Array.to_list r.Optimize.weights)
+  @ bits [ r.Optimize.n_initial; r.Optimize.n_final ]
+  @ [ string_of_int r.Optimize.sweeps_run ]
+  @ bits r.Optimize.history @ bits r.Optimize.j_history
+  @ List.map string_of_int (Array.to_list r.Optimize.undetectable)
+
+let candidate_bits (c : Optimize.candidate) =
+  [ string_of_int c.Optimize.cand_n1; string_of_int c.Optimize.cand_survivors ]
+  @ bits [ c.Optimize.cand_n2; c.Optimize.cand_total ]
+
+(* [oracle] with the faults outside [keep] masked to p = 0 after a full
+   query: stage 2's analysis as it was before it queried a plan of the
+   survivors alone.  Subset and cofactor queries pass through unmasked
+   (PREPARE only asks for the hardest detectable, hence kept, faults). *)
+let masked_oracle oracle keep =
+  Oracle.make ~kind:(Oracle.kind oracle) ~label:(Oracle.describe oracle)
+    ~c:(Oracle.circuit oracle) ~faults:(Oracle.faults oracle) ~exact:(Oracle.exact_mask oracle)
+    ~redundant:(Oracle.proven_redundant oracle)
+    ~run:(fun x -> Array.mapi (fun f p -> if keep.(f) then p else 0.0) (Oracle.probs oracle x))
+    ~run_subset:(fun p x -> Oracle.probs_plan oracle p x)
+    ~cofactor_pair:(fun p ~input x -> Oracle.cofactor_pair oracle p ~input ~x)
+    ()
+
+(* Every split of the default grid, each evaluated in full: survivors
+   simulated over all faults with the [seed + n1] stream, stage 2 run on
+   masked full queries.  Returns stage 1 and the candidates in ascending
+   N1 with their stage-2 reports. *)
+let exhaustive_two_stage ~sim_cap oracle =
+  let seed = 0x2757 in
+  let c = Oracle.circuit oracle and faults = Oracle.faults oracle in
+  let stage1 = Optimize.run oracle in
+  let n_single = stage1.Optimize.n_final in
+  let pf1 = Oracle.probs oracle stage1.Optimize.weights in
+  let base = if Float.is_finite n_single then n_single else 0.0 in
+  let grid =
+    List.map (fun f -> Float.to_int (Float.ceil (f *. base))) Optimize.default_n1_grid
+    |> List.filter (fun v -> v >= 0 && v <= sim_cap)
+    |> List.cons 0 |> List.sort_uniq compare
+  in
+  let count a = Array.fold_left (fun n b -> if b then n + 1 else n) 0 a in
+  let evaluate n1 =
+    if n1 = 0 then
+      ( { Optimize.cand_n1 = 0; cand_survivors = count (Array.map (fun p -> p > 0.0) pf1);
+          cand_n2 = n_single; cand_total = n_single },
+        None )
+    else begin
+      let stats =
+        Rt_sim.Fault_sim.simulate ~drop:true c faults
+          ~source:(Rt_sim.Pattern.weighted (Rt_util.Rng.create (seed + n1)) stage1.Optimize.weights)
+          ~n_patterns:n1
+      in
+      let keep =
+        Array.mapi (fun f p -> p > 0.0 && stats.Rt_sim.Fault_sim.first_detect.(f) < 0) pf1
+      in
+      let survivors = count keep in
+      if survivors = 0 then
+        ( { Optimize.cand_n1 = n1; cand_survivors = 0; cand_n2 = 0.0;
+            cand_total = Float.of_int n1 },
+          None )
+      else begin
+        let options = { Optimize.default_options with start = Some stage1.Optimize.weights } in
+        let r2 = Optimize.run ~options (masked_oracle oracle keep) in
+        let n2 = r2.Optimize.n_final in
+        let total = if Float.is_finite n2 then Float.of_int n1 +. n2 else Float.infinity in
+        ( { Optimize.cand_n1 = n1; cand_survivors = survivors; cand_n2 = n2; cand_total = total },
+          Some r2 )
+      end
+    end
+  in
+  (stage1, List.map evaluate grid)
+
+let split_circuit =
+  let print = function
+    | `Wide w -> Printf.sprintf "wide_and %d" w
+    | `Random seed -> Printf.sprintf "random_circuit ~inputs:8 ~gates:40 ~seed:%d" seed
+    | `Multi_pin seed -> Printf.sprintf "Multi_pin.circuit (Rng.create %d) ~inputs:8 ~gates:40" seed
+  in
+  QCheck.make ~print
+    QCheck.Gen.(
+      oneof
+        [ map (fun w -> `Wide w) (int_range 5 9);
+          map (fun s -> `Random s) (int_range 0 10_000);
+          map (fun s -> `Multi_pin s) (int_range 0 10_000) ])
+
+let pruned_split_search_qcheck =
+  QCheck.Test.make ~name:"pruned split search equals the exhaustive grid" ~count:100
+    split_circuit (fun spec ->
+      let c =
+        match spec with
+        | `Wide w -> Generators.wide_and w
+        | `Random seed -> Generators.random_circuit ~inputs:8 ~gates:40 ~seed
+        | `Multi_pin seed -> Multi_pin.circuit (Rt_util.Rng.create seed) ~inputs:8 ~gates:40
+      in
+      let faults = Rt_fault.Collapse.collapsed_universe c in
+      let sim_cap = 65536 in
+      let ts = Optimize.two_stage ~sim_cap (Detect.make Detect.Cop c faults) in
+      let stage1, all = exhaustive_two_stage ~sim_cap (Detect.make Detect.Cop c faults) in
+      let chosen, r2 =
+        List.fold_left
+          (fun ((b, _) as acc) ((c, _) as e) ->
+            if c.Optimize.cand_total < b.Optimize.cand_total then e else acc)
+          (List.hd all) (List.tl all)
+      in
+      (* The walk evaluates splits until N1 reaches the best total so far. *)
+      let rec walk best = function
+        | (c, _) :: rest when Float.of_int c.Optimize.cand_n1 < best ->
+          c :: walk (Float.min best c.Optimize.cand_total) rest
+        | _ -> []
+      in
+      let expected = walk Float.infinity all in
+      let n_eval = List.length ts.Optimize.ts_candidates in
+      let skipped = List.filteri (fun i _ -> i >= n_eval) all in
+      let fail fmt = Printf.ksprintf (fun m -> QCheck.Test.fail_reportf "%s" m) fmt in
+      if report_bits ts.Optimize.ts_stage1 <> report_bits stage1 then fail "stage 1 differs";
+      if ts.Optimize.ts_n1 <> chosen.Optimize.cand_n1 then
+        fail "split N1 %d, exhaustive %d" ts.Optimize.ts_n1 chosen.Optimize.cand_n1;
+      if ts.Optimize.ts_survivors <> chosen.Optimize.cand_survivors then fail "survivors differ";
+      if bits [ ts.Optimize.ts_n2; ts.Optimize.ts_total ]
+         <> bits [ chosen.Optimize.cand_n2; chosen.Optimize.cand_total ]
+      then fail "N2 or total differs";
+      let weights = match r2 with Some r -> r.Optimize.weights | None -> stage1.Optimize.weights in
+      if bits (Array.to_list ts.Optimize.ts_weights) <> bits (Array.to_list weights) then
+        fail "weights differ";
+      if Option.map report_bits ts.Optimize.ts_stage2 <> Option.map report_bits r2 then
+        fail "stage-2 report differs";
+      if List.concat_map candidate_bits ts.Optimize.ts_candidates
+         <> List.concat_map
+              (fun (c, _) -> candidate_bits c)
+              (List.filteri (fun i _ -> i < n_eval) all)
+      then fail "evaluated splits are not a prefix of the grid";
+      List.iter
+        (fun (c, _) ->
+          if Float.of_int c.Optimize.cand_n1 < ts.Optimize.ts_total then
+            fail "skipped N1 = %d below the total %h" c.Optimize.cand_n1 ts.Optimize.ts_total)
+        skipped;
+      if List.length expected <> n_eval then
+        fail "%d splits evaluated, %d before the cutoff" n_eval (List.length expected);
+      true)
+
+let test_split_at_best_total_skipped () =
+  (* A split whose N1 equals the best total so far cannot win (its total
+     is at least N1 and the choice keeps the first strictly smaller one),
+     so the walk stops there.  On wide_and 8 the grid's N1 = 27 reaches a
+     total of 48; a grid point placed at exactly N1 = 48 is not evaluated. *)
+  let c = Generators.wide_and 8 in
+  let oracle () = Detect.make Detect.Cop c (Rt_fault.Collapse.collapsed_universe c) in
+  let ts = Optimize.two_stage (oracle ()) in
+  let n = ts.Optimize.ts_single_n in
+  let f =
+    List.find
+      (fun f -> Float.to_int (Float.ceil (f *. n)) = ts.Optimize.ts_n1)
+      Optimize.default_n1_grid
+  in
+  let at_total = Float.to_int ts.Optimize.ts_total in
+  check Alcotest.bool "total is an integer above N1" true
+    (Float.of_int at_total = ts.Optimize.ts_total && at_total > ts.Optimize.ts_n1);
+  let ts' =
+    Optimize.two_stage ~n1_grid:[ f; (Float.of_int at_total -. 0.5) /. n ] (oracle ())
+  in
+  check (Alcotest.list Alcotest.int) "evaluated splits" [ 0; ts.Optimize.ts_n1 ]
+    (List.map (fun c -> c.Optimize.cand_n1) ts'.Optimize.ts_candidates);
+  check Alcotest.string "same total" (Printf.sprintf "%h" ts.Optimize.ts_total)
+    (Printf.sprintf "%h" ts'.Optimize.ts_total)
+
+let test_keep_all_is_run () =
+  (* A mask that keeps every fault queries a plan of all faults, which is
+     the full query bit for bit. *)
+  List.iter
+    (fun c ->
+      let faults = Rt_fault.Collapse.collapsed_universe c in
+      let r = Optimize.run (Detect.make Detect.Cop c faults) in
+      let keep = Array.make (Array.length faults) true in
+      let rk = Optimize.run ~keep (Detect.make Detect.Cop c faults) in
+      check (Alcotest.list Alcotest.string) "keep-all report" (report_bits r) (report_bits rk))
+    [ Generators.wide_and 8; Generators.random_circuit ~inputs:8 ~gates:40 ~seed:3 ]
+
 let test_partition_antagonist () =
   let c = Generators.antagonist ~k:10 () in
   let faults = Rt_fault.Collapse.collapsed_universe c in
@@ -537,7 +720,11 @@ let () =
             test_optimize_ndetect_objective ] );
       ( "two-stage",
         [ q two_stage_never_worse_qcheck;
-          Alcotest.test_case "pinned split" `Quick test_two_stage_pinned_split ] );
+          Alcotest.test_case "pinned split" `Quick test_two_stage_pinned_split;
+          q pruned_split_search_qcheck;
+          Alcotest.test_case "split at the best total skipped" `Quick
+            test_split_at_best_total_skipped;
+          Alcotest.test_case "keep all is run" `Quick test_keep_all_is_run ] );
       ( "partition",
         [ Alcotest.test_case "antagonist" `Quick test_partition_antagonist;
           Alcotest.test_case "antagonism measure" `Quick test_antagonism_measure ] ) ]

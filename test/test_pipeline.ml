@@ -508,6 +508,13 @@ let test_numeric_ranges () =
       [ (Grid 2.0, "grid must be in (0, 0.5)"); (Grid 0.5, "grid must be in (0, 0.5)");
         (Grid 0.0, "grid must be in (0, 0.5)"); (Dyadic 0, "dyadic bits must be in [1, 30]");
         (Dyadic 31, "dyadic bits must be in [1, 30]") ];
+  List.iter
+    (fun engine ->
+      check Alcotest.bool (engine ^ " rejected") true
+        (contains ~sub:"K must be in [1, 16]" (error_of (Config.make ~engine ~circuit:"s1" ()))))
+    [ "cond:17"; "cond:20" ];
+  check Alcotest.bool "cond:16 accepted" true
+    (Result.is_ok (Config.make ~engine:"cond:16" ~circuit:"s1" ()));
   match Config.make ~confidence:0.5 ~patterns:0 ~circuit:"s1" () with
   | Ok _ -> ()
   | Error m -> Alcotest.fail m

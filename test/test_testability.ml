@@ -51,7 +51,7 @@ module Signal_prob = struct
     done;
     acc
 
-  let exact c x = Rt_bdd.Bdd_circuit.signal_probs c x
+  let exact c x = Bdd_ref.signal_probs c x
 
   (* Largest absolute gap between the estimate and the exact values. *)
   let max_error c x =
