@@ -228,8 +228,8 @@ let optimize_cmd =
     if cfg.Config.objective <> "single" then
       Format.printf "objective:      %s@." cfg.Config.objective;
     Format.printf "N conventional: %.3e@." report.Rt_optprob.Optimize.n_initial;
-    Format.printf "N optimized:    %.3e  (gain x%.0f)@." report.Rt_optprob.Optimize.n_final
-      (Rt_optprob.Optimize.improvement report);
+    Format.printf "N optimized:    %.3e  (gain %a)@." report.Rt_optprob.Optimize.n_final
+      Pipeline.pp_gain report;
     (match opt.Pipeline.opt_two_stage with
      | Some ts ->
        Format.printf "two-stage:      N1=%d (%d survivors) + N2=%s = %s vs single %.3e@."

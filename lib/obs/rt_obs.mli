@@ -118,7 +118,7 @@ val sample_gc : unit -> unit
 
     Domain-safe log-bucketed value distributions: observation is lock-free
     (atomic bucket increment plus CAS loops for sum/min/max), and every
-    histogram shares one fixed bucket layout ({!buckets_per_decade} buckets
+    histogram shares one fixed bucket layout (four buckets
     per decade between [10^-9] and [10^9], plus underflow and overflow
     buckets), which makes {!hsnap_merge} lossless, associative and
     commutative.  Reported quantiles are upper bounds of the true sample
@@ -146,23 +146,14 @@ type hsnap = {
   sum : float;
   min : float;  (** [+inf] when empty *)
   max : float;  (** [-inf] when empty *)
-  buckets : int array;  (** length {!n_buckets}; shared fixed layout *)
+  buckets : int array;  (** shared fixed layout *)
 }
 
-val buckets_per_decade : int
-val n_buckets : int
-
 val bucket_ratio : float
-(** Ratio between consecutive bucket upper bounds ([10^(1/buckets_per_decade)]). *)
-
-val bucket_upper : int -> float
-(** Upper bound of bucket [i]; [+inf] for the overflow bucket. *)
+(** Ratio between consecutive bucket upper bounds ([10^(1/4)]). *)
 
 val hsnap_empty : hsnap
 val histogram_snapshot : histogram -> hsnap
-
-val histograms_snapshot : unit -> (string * hsnap) list
-(** All registered histograms with at least one observation, sorted by name. *)
 
 val hsnap_of_samples : float array -> hsnap
 (** Pure summary of a sample array (independent of the global sink and the

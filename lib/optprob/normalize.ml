@@ -66,9 +66,11 @@ let run ?(objective = Objective.single) ?(confidence = 0.95) ?(nf_min = 8) pfs =
       in
       go (min n_det (max 1 nf_min))
     in
-    let rec grow m = if fst (decide m) || m > 1e15 then m else grow (m *. 2.0) in
+    (* Doubling stops only where [m] overflows to infinity: a finite N is
+       found whenever one is representable. *)
+    let rec grow m = if fst (decide m) || m = Float.infinity then m else grow (m *. 2.0) in
     let hi = grow 1.0 in
-    if not (fst (decide hi)) then
+    if hi = Float.infinity || not (fst (decide hi)) then
       { sorted_idx; undetectable; n = Float.infinity; nf = min n_det nf_min }
     else begin
       let rec bisect lo hi =

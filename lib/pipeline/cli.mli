@@ -3,36 +3,12 @@
 
 open Cmdliner
 
-val circuit_conv : Config.circuit_source Arg.conv
-val engine_conv : string Arg.conv
-(** Validating converters (did-you-mean errors at parse time). *)
-
 val circuit_arg : Config.circuit_source Term.t
-val engine_arg : string Term.t
-val confidence_arg : float Term.t
-val seed_arg : int Term.t
-val jobs_arg : int option Term.t
-val weights_arg : string option Term.t
-val sweeps_arg : int Term.t
-val grid_arg : float option Term.t
-val dyadic_arg : int option Term.t
-val patterns_arg : default:int -> int Term.t
-val work_dir_arg : string option Term.t
-
-val opt_passes_conv : string list Arg.conv
-(** Comma-separated pass names (did-you-mean errors at parse time). *)
+(** The positional CIRCUIT (did-you-mean errors at parse time). *)
 
 val no_opt_arg : bool Term.t
 val opt_passes_arg : string list option Term.t
 val opt_rounds_arg : int Term.t
-
-val objective_conv : string Arg.conv
-(** Objective spec, validated at parse time (did-you-mean errors). *)
-
-val objective_arg : string option Term.t
-
-val quantize : float option -> int option -> Rt_optprob.Optimize.quantization
-(** Combine [--grid]/[--dyadic] into a quantization choice. *)
 
 val config : ?default_patterns:int -> unit -> Config.t Term.t
 (** The full shared config term: positional CIRCUIT plus --engine,

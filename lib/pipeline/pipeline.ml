@@ -400,6 +400,11 @@ let pp_stages ppf outcome =
   let hits = List.length (List.filter snd outcome.o_stages) in
   Format.fprintf ppf "  %d/%d stages from cache@." hits (List.length outcome.o_stages)
 
+let pp_gain ppf (r : Optimize.report) =
+  if Float.is_finite r.Optimize.n_initial && Float.is_finite r.Optimize.n_final then
+    Format.fprintf ppf "x%.0f" (Optimize.improvement r)
+  else Format.pp_print_string ppf "n/a"
+
 let pp_report ppf r =
   Format.fprintf ppf "circuit:        %s (%s)@." r.r_circuit r.r_stats;
   if r.r_opt_key <> "opt=off" then
@@ -414,8 +419,8 @@ let pp_report ppf r =
   if r.r_objective <> "single" then
     Format.fprintf ppf "objective:      %s@." r.r_objective;
   Format.fprintf ppf "N initial:      %.3e@." r.r_opt.Optimize.n_initial;
-  Format.fprintf ppf "N optimized:    %.3e  (gain x%.0f)@." r.r_opt.Optimize.n_final
-    (Optimize.improvement r.r_opt);
+  Format.fprintf ppf "N optimized:    %.3e  (gain %a)@." r.r_opt.Optimize.n_final pp_gain
+    r.r_opt;
   (match r.r_two_stage with
    | Some ts ->
      Format.fprintf ppf "two-stage:      N1=%d (%d survivors) + N2=%s = %s vs single %.3e@."

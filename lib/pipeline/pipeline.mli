@@ -170,3 +170,6 @@ val stage_names : string list
 val all_cached : outcome -> bool
 val pp_stages : Format.formatter -> outcome -> unit
 val pp_report : Format.formatter -> report -> unit
+
+val pp_gain : Format.formatter -> Rt_optprob.Optimize.report -> unit
+(** [x<n_initial / n_final>], or [n/a] unless both N are finite. *)

@@ -16,7 +16,8 @@ type stats = {
    handles the W words of a block together.  Per block, each live fault
    is propagated only up to the root of its fanout-free region, and a
    root that some fault's difference reaches is flipped and propagated
-   to the outputs once (see "Fanout-free regions" below).  Detection
+   to the outputs once (see "Fanout-free regions" below), only in the
+   lanes no output has decided yet (see [flip_root]).  Detection
    bookkeeping (first_detect / detect_count / drop order) replays
    serially from the per-fault detection rows *word by word* — a fault
    detected in word [w] leaves the live set before word [w+1] is
@@ -198,9 +199,10 @@ let good_values c (blk : Pattern.block) =
    fault or root. *)
 type ws = {
   v : Pattern.words;  (* node-major, (size + 1) * w *)
-  det : Pattern.words;  (* one row: the last flip's output differences *)
+  det : Pattern.words;  (* one row: the current flip's output differences *)
+  rem : Pattern.words;  (* one row: the current flip's undecided lanes *)
   queued : bool array;
-  touched : int array;  (* stack of changed rows of the current flip *)
+  touched : int array;  (* stack of committed rows of the current flip *)
   mutable n_touched : int;
   mutable hi : int;  (* largest queued id, -1 when none *)
 }
@@ -208,18 +210,22 @@ type ws = {
 let make_ws k =
   { v = row ((k.n + 1) * k.w);
     det = row k.w;
+    rem = row k.w;
     queued = Array.make k.n false;
     touched = Array.make (max 1 k.n) 0;
     n_touched = 0;
     hi = -1 }
 
-(* Whether row [x] of [v] differs from the good row in a valid lane. *)
-let differs k (v : Pattern.words) (good : Pattern.words) lanes x =
+(* Whether row [x] of [v] differs from the good row in a lane of
+   [mask] (the valid lanes, or a flip's undecided ones). *)
+let differs k (v : Pattern.words) (good : Pattern.words) (mask : Pattern.words) x =
   let o = x * k.w in
   let i = ref 0 in
   while
     !i < k.w
-    && Int64.logand (Int64.logxor (BA1.unsafe_get v (o + !i)) (BA1.unsafe_get good (o + !i))) lanes.(!i)
+    && Int64.logand
+         (Int64.logxor (BA1.unsafe_get v (o + !i)) (BA1.unsafe_get good (o + !i)))
+         (BA1.unsafe_get mask !i)
        = 0L
   do
     incr i
@@ -232,61 +238,97 @@ let restore k (v : Pattern.words) (good : Pattern.words) x =
     BA1.unsafe_set v (o + i) (BA1.unsafe_get good (o + i))
   done
 
-(* OR row [x]'s valid-lane differences into [dst] at [d]. *)
-let or_diff k (v : Pattern.words) (good : Pattern.words) lanes x (dst : Pattern.words) d =
+(* OR row [x]'s differences in the lanes of [mask] into [dst] at [d]. *)
+let or_diff k (v : Pattern.words) (good : Pattern.words) (mask : Pattern.words) x
+    (dst : Pattern.words) d =
   let o = x * k.w in
   for i = 0 to k.w - 1 do
     BA1.unsafe_set dst (d + i)
       (Int64.logor (BA1.unsafe_get dst (d + i))
-         (Int64.logand (Int64.logxor (BA1.unsafe_get v (o + i)) (BA1.unsafe_get good (o + i))) lanes.(i)))
+         (Int64.logand
+            (Int64.logxor (BA1.unsafe_get v (o + i)) (BA1.unsafe_get good (o + i)))
+            (BA1.unsafe_get mask i)))
   done
 
-(* Keep changed row [x]: record it for the restore, OR its differences
-   into [det] if it is a primary output, and queue its readers. *)
-let commit k ws (good : Pattern.words) lanes x =
+(* Keep row [x], which differs in an undecided lane: record it for the
+   restore, and if it is a primary output, move the undecided lanes
+   where it differs into [det].  An output differs in no undecided lane
+   after that, so only a non-output queues its readers.  Returns whether
+   a lane is still undecided. *)
+let commit k ws (good : Pattern.words) x =
   ws.touched.(ws.n_touched) <- x;
   ws.n_touched <- ws.n_touched + 1;
-  if k.is_out.(x) then or_diff k ws.v good lanes x ws.det 0;
-  for j = k.fo_start.(x) to k.fo_start.(x + 1) - 1 do
-    let r = Array.unsafe_get k.fo j in
-    if not ws.queued.(r) then begin
-      ws.queued.(r) <- true;
-      if r > ws.hi then ws.hi <- r
-    end
-  done
+  if k.is_out.(x) then begin
+    or_diff k ws.v good ws.rem x ws.det 0;
+    let left = ref 0L in
+    for i = 0 to k.w - 1 do
+      let r = Int64.logand (BA1.unsafe_get ws.rem i) (Int64.lognot (BA1.unsafe_get ws.det i)) in
+      BA1.unsafe_set ws.rem i r;
+      left := Int64.logor !left r
+    done;
+    not (Int64.equal !left 0L)
+  end
+  else begin
+    for j = k.fo_start.(x) to k.fo_start.(x + 1) - 1 do
+      let r = Array.unsafe_get k.fo j in
+      if not ws.queued.(r) then begin
+        ws.queued.(r) <- true;
+        if r > ws.hi then ws.hi <- r
+      end
+    done;
+    true
+  end
 
-(* [ws.det] := the valid lanes in which flipping root [r] (injecting the
-   complement of its good row) changes some primary output.  [good] is
-   the good block, shared read-only across domains; [lanes.(i)] masks
-   word [i]'s valid lanes.  The wide event frontier is the union of the
-   per-word narrow frontiers (a node is kept if *any* word differs, and
-   its row is exact for every word), so each word's masked differences —
-   hence the stats replayed from them — equal the one-word computation
-   exactly.
+(* [ws.det] := the lanes of [ws.rem] in which flipping root [r]
+   (injecting the complement of its good row) changes some primary
+   output.  The caller loads [ws.rem] with the lanes the flip can
+   matter in — valid lanes where some fault of [r]'s region reaches
+   [r] — and the flip leaves it empty or holding the lanes no output
+   decided.  [good] is the good block, shared read-only across domains.
+   The wide event frontier is the union of the per-word narrow
+   frontiers (a node is kept if it differs in an undecided lane of
+   *any* word), so each word's masked detections — hence the stats
+   replayed from them — equal the one-word computation exactly.
 
    Propagation walks an ascending cursor over node ids from [r] to the
    largest queued id.  [Netlist.make] rejects any fanin id >= its node's
    id, so every push targets a larger id than the node being evaluated:
    the cursor visits each queued node once, after all its fanins are
-   final, and clears its [queued] flag on the way.  A node whose row
-   does not differ in a valid lane queues nothing and needs no restore:
-   it already holds the good value in every valid lane. *)
-let flip_root k ws ~(good : Pattern.words) ~lanes r =
+   final, and clears its [queued] flag on the way.
+
+   Lanes retire as outputs decide them.  A lane leaves [rem] when a
+   committed output differs in it, and [det] only grows, so a retired
+   lane is already detected and no later value in it can change the
+   result.  Only a node that differs in a lane still undecided is
+   committed and queues its readers; an evaluated node that is not is
+   restored at once.  In a lane that stays undecided to the end, every
+   node that differs was therefore committed and propagated exactly as
+   by a full walk, and a node whose fanins all hold the good value in
+   that lane holds it too: by induction on the cursor, every row is
+   exact in the lanes undecided when it is evaluated.  So [det] equals
+   the full walk's output differences within the loaded lanes.  When no
+   lane is left the walk stops: the queued flags between the cursor and
+   [hi] are cleared, and the committed rows restored.  A flipped output
+   root stops at once. *)
+let flip_root k ws ~(good : Pattern.words) r =
   let v = ws.v in
   BA1.fill ws.det 0L;
   let o = r * k.w in
   for i = 0 to k.w - 1 do
     BA1.unsafe_set v (o + i) (Int64.lognot (BA1.unsafe_get good (o + i)))
   done;
-  commit k ws good lanes r;
+  let live = ref (commit k ws good r) in
   let x = ref (r + 1) in
-  while !x <= ws.hi do
+  while !live && !x <= ws.hi do
     if ws.queued.(!x) then begin
       ws.queued.(!x) <- false;
       eval k v ~pin:(-1) !x;
-      if differs k v good lanes !x then commit k ws good lanes !x
+      if differs k v good ws.rem !x then live := commit k ws good !x else restore k v good !x
     end;
     incr x
+  done;
+  for y = !x to ws.hi do
+    ws.queued.(y) <- false
   done;
   for t = 0 to ws.n_touched - 1 do
     restore k v good ws.touched.(t)
@@ -372,15 +414,27 @@ let region_order k faults =
     faults;
   order
 
-let lanes_of_block blk =
-  Array.init blk.Pattern.words (fun k ->
-      if k < blk.Pattern.filled then Pattern.word_mask blk.Pattern.counts.(k) else 0L)
+let lanes_of_block blk : Pattern.words =
+  let r = row blk.Pattern.words in
+  for i = 0 to blk.Pattern.filled - 1 do
+    BA1.unsafe_set r i (Pattern.word_mask blk.Pattern.counts.(i))
+  done;
+  r
 
 (* Flip root [r] and mask with its observability the [table] rows of
-   live entries [first, stop), the faults of its region. *)
-let flip_region k ws ~(good : Pattern.words) ~lanes ~(table : Pattern.words) ~live ~first ~stop r =
+   live entries [first, stop), the faults of its region.  The flip's
+   undecided lanes start as the OR of those rows (already masked to the
+   valid lanes by [store_local]): no other lane can reach a row. *)
+let flip_region k ws ~(good : Pattern.words) ~(table : Pattern.words) ~live ~first ~stop r =
   let w = k.w in
-  flip_root k ws ~good ~lanes r;
+  BA1.fill ws.rem 0L;
+  for q = first to stop - 1 do
+    let o = live.(q) * w in
+    for i = 0 to w - 1 do
+      BA1.unsafe_set ws.rem i (Int64.logor (BA1.unsafe_get ws.rem i) (BA1.unsafe_get table (o + i)))
+    done
+  done;
+  flip_root k ws ~good r;
   for q = first to stop - 1 do
     let o = live.(q) * w in
     for i = 0 to w - 1 do
@@ -431,7 +485,7 @@ let propagate_block k ~jobs ~wss ~good ~lanes ~(table : Pattern.words) ~live ~to
           done;
           (* Rows before [first] are zero and stay so. *)
           if !first < !stop then
-            flip_region k wss.(worker) ~good ~lanes ~table ~live ~first:!first ~stop:!stop r
+            flip_region k wss.(worker) ~good ~table ~live ~first:!first ~stop:!stop r
         end
       done)
 

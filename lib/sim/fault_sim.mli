@@ -8,7 +8,11 @@
     the root's flip is propagated event-driven to the outputs, at most
     once per root and block, and the fault is detected in the lanes
     where both the root differs and its flip is observed — exactly the
-    lanes where a full propagation of the fault would reach an output.  Live faults
+    lanes where a full propagation of the fault would reach an output.
+    The flip is carried only in lanes still undecided: those where some
+    live fault of the region reaches the root and no output has shown
+    the flip yet.  It stops once every such lane is decided, so a
+    flipped output stops at once.  Live faults
     are scheduled region by region and sharded across the persistent
     domain pool with work stealing; detection bookkeeping replays
     serially word by word, so results never depend on [jobs] or

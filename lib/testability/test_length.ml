@@ -7,10 +7,12 @@ let required ?(confidence = 0.95) pfs =
   else begin
     let target = confidence in
     let conf n = Rt_util.Prob.detection_confidence ~n pfs in
-    (* Exponential search then bisection on the monotone confidence. *)
-    let rec grow hi = if conf hi >= target || hi > 1e15 then hi else grow (hi *. 2.0) in
+    (* Exponential search then bisection on the monotone confidence.  The
+       doubling stops only where [hi] overflows to infinity, so a finite N
+       is found whenever one is representable. *)
+    let rec grow hi = if conf hi >= target || hi = Float.infinity then hi else grow (hi *. 2.0) in
     let hi = grow 1.0 in
-    if conf hi < target then Float.infinity
+    if hi = Float.infinity || conf hi < target then Float.infinity
     else begin
       let rec bisect lo hi =
         if hi -. lo <= Float.max 0.5 (1e-9 *. hi) then hi

@@ -8,7 +8,9 @@
 #   2. `run --objective ndetect:2` against the same work dir shares the four
 #      upstream stages and re-runs the four downstream ones; a repeat is a
 #      full cache hit; the manifest and the per-objective counter record it;
-#   3. `atpg` on a .bench file succeeds;
+#   3. `atpg` on a .bench file succeeds, and `simulate` prints its pinned
+#      coverage and undetected fault, at the default settings and at
+#      --jobs 3 --block-words 8;
 #   4. removed flags (`--trace FILE`, the live-telemetry pair
 #      `--obs-{listen,sample-ms} N` and `--obs-registry DIR`), the removed
 #      `tables` and `selftest` subcommands and the removed `obs list` and
@@ -70,6 +72,13 @@ grep -q '"objective.ndetect_2.runs"' "$dir/nd/metrics.json" ||
   fail "per-objective run counter missing"
 
 "$optprob" atpg "$c17" >/dev/null
+
+expected_sim=$(printf 'patterns: 2000  faults: 280  coverage: 99.64%%\nundetected:\n  n19->n22[0] s-a-1')
+for flags in "" "--jobs 3 --block-words 8"; do
+  # shellcheck disable=SC2086
+  got=$("$optprob" simulate c6288ish:4 -n 2000 $flags)
+  [ "$got" = "$expected_sim" ] || fail "simulate c6288ish:4 -n 2000 $flags printed: $got"
+done
 
 rejected() {
   rc=0

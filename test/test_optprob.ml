@@ -151,6 +151,21 @@ let test_normalize_hard_prefix () =
   let hard = Normalize.hard_indices norm in
   check Alcotest.bool "hardest first" true (hard.(0) = 1 && hard.(1) = 3)
 
+(* A detection probability far below 1e-15 still has a finite test
+   length, about 3e18 for 1e-18 at 95%: neither search may give up on a
+   representable N.  Eq. (1) gives ln 0.05 / ln (1 - p); NORMALIZE's
+   J_N = e^(-N p) <= -ln 0.95 gives -ln (-ln 0.95) / p. *)
+let test_tiny_pf_finite_n () =
+  let pfs = [| 1e-18; 0.5; 1e-3 |] in
+  let tl = Rt_testability.Test_length.required ~confidence:0.95 pfs in
+  let nn = (Normalize.run ~confidence:0.95 pfs).Normalize.n in
+  List.iter
+    (fun (name, n, expect) ->
+      if not (Float.is_finite n && Float.abs (n -. expect) <= 1e-6 *. expect) then
+        Alcotest.failf "%s: N = %g, expected about %g" name n expect)
+    [ ("Test_length.required", tl, Float.log 0.05 /. Float.log1p (-1e-18));
+      ("Normalize.run", nn, -.Float.log (-.Float.log 0.95) /. 1e-18) ]
+
 let normalize_sorted_qcheck =
   QCheck.Test.make ~name:"normalize sorted_idx ascending in probability" ~count:200
     QCheck.(list_of_size Gen.(1 -- 30) (float_range 1e-6 1.0))
@@ -199,9 +214,10 @@ let normalize_reference ~objective ~confidence ~nf_min pfs =
       in
       go (min n_det (max 1 nf_min))
     in
-    let rec grow m = if fst (decide m) || m > 1e15 then m else grow (m *. 2.0) in
+    let rec grow m = if fst (decide m) || m = Float.infinity then m else grow (m *. 2.0) in
     let hi = grow 1.0 in
-    if not (fst (decide hi)) then (sorted_idx, undetectable, Float.infinity, min n_det nf_min)
+    if hi = Float.infinity || not (fst (decide hi)) then
+      (sorted_idx, undetectable, Float.infinity, min n_det nf_min)
     else begin
       let rec bisect lo hi =
         if hi -. lo <= Float.max 0.5 (1e-9 *. hi) then hi
@@ -224,7 +240,7 @@ let normalize_matches_reference_qcheck =
     QCheck.Gen.(
       frequency
         [ (1, return 0.0);
-          (3, oneofl [ 1e-5; 1e-4; 1e-3; 0.01; 0.2 ]);
+          (3, oneofl [ 1e-18; 1e-5; 1e-4; 1e-3; 0.01; 0.2 ]);
           (3, float_range 1e-6 0.5) ])
   in
   QCheck.Test.make ~name:"normalize equals the list-based reference" ~count:150
@@ -369,6 +385,10 @@ let test_optimize_improves_wide_and () =
   let oracle = Detect.make (Detect.Bdd_exact { node_limit = 100_000 }) c faults in
   let r = Optimize.run oracle in
   check Alcotest.bool "improves by > 100x" true (Optimize.improvement r > 100.0);
+  let gain r = Format.asprintf "%a" Rt_pipeline.pp_gain r in
+  check Alcotest.string "gain printed" (Printf.sprintf "x%.0f" (Optimize.improvement r)) (gain r);
+  check Alcotest.string "no gain from an infinite N" "n/a"
+    (gain { r with Optimize.n_initial = Float.infinity });
   (* Theory: optimal weight for an n-input AND is about n/(n+1) ~ 0.92. *)
   Array.iter
     (fun w -> if w < 0.75 then Alcotest.failf "weight %.2f too low for wide AND" w)
@@ -701,6 +721,7 @@ let () =
           Alcotest.test_case "excludes zeros" `Quick test_normalize_excludes_zeros;
           Alcotest.test_case "all zero" `Quick test_normalize_all_zero;
           Alcotest.test_case "hard prefix" `Quick test_normalize_hard_prefix;
+          Alcotest.test_case "tiny p_f gives a finite N" `Quick test_tiny_pf_finite_n;
           q normalize_sorted_qcheck;
           q normalize_matches_reference_qcheck ] );
       ( "minimize",

@@ -265,9 +265,11 @@ let faulty_values c f pattern =
 
 (* Whether [simulate], with and without dropping, at several (jobs,
    block_words), reproduces the single-pattern reference on [vectors]:
-   first detections and detection counts.  [Fault_sim.detects] must agree
-   with the reference's output comparison on every pattern. *)
-let agrees_with_reference c faults vectors =
+   first detections and detection counts.  With [cross_check] (the
+   default), [Fault_sim.detects] must agree with the reference's output
+   comparison on every pattern. *)
+let agrees_with_reference ?(grid = [ (1, 1); (1, 4); (2, 4); (1, 16) ]) ?(cross_check = true) c
+    faults vectors =
   let n_patterns = Array.length vectors in
   let outputs = Netlist.outputs c in
   let reference =
@@ -275,11 +277,13 @@ let agrees_with_reference c faults vectors =
       (fun f ->
         Array.map
           (fun v ->
-            let good = Netlist.eval c v and bad = faulty_values c f v in
-            let hit = Array.exists (fun o -> good.(o) <> bad.(o)) outputs in
-            if hit <> Fault_sim.detects c f v then
-              Alcotest.failf "detects disagrees with the faulty evaluation of %s"
-                (Fault.to_string c f);
+            let hit = Fault_sim.detects c f v in
+            if cross_check then begin
+              let good = Netlist.eval c v and bad = faulty_values c f v in
+              if hit <> Array.exists (fun o -> good.(o) <> bad.(o)) outputs then
+                Alcotest.failf "detects disagrees with the faulty evaluation of %s"
+                  (Fault.to_string c f)
+            end;
             hit)
           vectors)
       faults
@@ -319,7 +323,7 @@ let agrees_with_reference c faults vectors =
                  s.Fault_sim.first_detect.(fi) = fd && s.Fault_sim.detect_count.(fi) = count)
                faults))
         [ false; true ])
-    [ (1, 1); (1, 4); (2, 4); (1, 16) ]
+    grid
 
 (* Sparse weights: each input is 1 with a probability drawn from
    [0.02, 0.15], so most fault effects die inside their region or
@@ -370,6 +374,66 @@ let test_ppsfp_edge_netlists () =
       if not (agrees_with_reference c (every_line_faults c) vectors) then
         Alcotest.failf "netlist %d disagrees with the reference" k)
     [ first; second ]
+
+(* Lane retirement.  A root flip stops carrying its difference in a
+   lane once an output shows it there, and stops altogether once every
+   lane it can matter in is decided, so a flip's walk is cut short in
+   some lanes and whole blocks, and the next flip on the same workspace
+   must find every row and queued flag clean.  Patterns are drawn with
+   per-input weights (sparse, dense or equiprobable) so that whole
+   blocks are decided by an early output, and with dropping the live
+   regions thin out block by block.  The grid includes [jobs] 3: where
+   the live set is large enough to shard (c6288ish:4's first block),
+   each worker's workspace sees its own sequence of flips. *)
+let retire_grid = [ (1, 1); (1, 4); (3, 1); (3, 4) ]
+
+let weighted_vectors rng n_in n =
+  let w =
+    Array.init n_in (fun _ ->
+        match Rng.int rng 3 with
+        | 0 -> 0.02 +. (0.13 *. Rng.float rng)
+        | 1 -> 0.85 +. (0.13 *. Rng.float rng)
+        | _ -> 0.5)
+  in
+  Array.init n (fun _ -> Array.map (fun p -> Rng.float rng < p) w)
+
+let ppsfp_drop_reference_qcheck =
+  QCheck.Test.make ~name:"ppsfp with dropping equals the per-pattern reference" ~count:5
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let c =
+        match seed mod 3 with
+        | 0 -> Generators.c6288ish ~width:(3 + (seed / 3 mod 2)) ()
+        | k -> Generators.random_circuit ~inputs:8 ~gates:(20 * (k + 1)) ~seed
+      in
+      let faults = Rt_fault.Collapse.collapsed_universe c in
+      let n_in = Array.length (Netlist.inputs c) in
+      agrees_with_reference ~grid:retire_grid ~cross_check:false c faults
+        (weighted_vectors rng n_in 320))
+
+(* A root [r] (fanout 2, with the faults of its input [a] in its
+   region) reaches the early output [e] wherever [b] is 1, and
+   otherwise only the late output [z], through a chain no other root
+   walks.  The first 64 patterns hold [a] at 0 and [b] at 1, so at one
+   word per block the first flip of [r] is decided at [e] with the chain
+   still queued, and the region's faults that need [a] = 1 stay live
+   into the later blocks, where they are seen only at [z] wherever [b]
+   is 0: a queued flag left over from the early stop, or a chain row not
+   restored, loses them. *)
+let test_ppsfp_early_and_late_outputs () =
+  let kinds = Gate.[| Input; Input; Input; Input; Not; And; And; Or; Not |]
+  and fanins = [| [||]; [||]; [||]; [||]; [| 0 |]; [| 4; 1 |]; [| 4; 2 |]; [| 6; 3 |]; [| 7 |] |] in
+  let names = Array.mapi (fun i _ -> Printf.sprintf "n%d" i) kinds in
+  let c = Netlist.make ~kinds ~fanins ~names ~output_list:[ 5; 8 ] in
+  let rng = Rng.create 11 in
+  let vectors =
+    Array.init 320 (fun i ->
+        if i < 64 then [| false; true; Rng.bool rng; Rng.bool rng |]
+        else Array.init 4 (fun _ -> Rng.bool rng))
+  in
+  if not (agrees_with_reference ~grid:retire_grid c (every_line_faults c) vectors) then
+    Alcotest.fail "early/late output netlist disagrees with the reference"
 
 (* The propagation kernel must not allocate per gate: losing one
    [Pattern.words] annotation turns every Bigarray read into a boxing
@@ -534,6 +598,9 @@ let () =
           Alcotest.test_case "coverage accounting" `Quick test_coverage_monotone;
           q ppsfp_all_kinds_qcheck;
           Alcotest.test_case "ppsfp edge netlists" `Quick test_ppsfp_edge_netlists;
+          q ppsfp_drop_reference_qcheck;
+          Alcotest.test_case "ppsfp early and late outputs" `Quick
+            test_ppsfp_early_and_late_outputs;
           Alcotest.test_case "kernel allocation-free" `Quick test_kernel_allocation_free ] );
       ( "bits",
         Alcotest.test_case "edge cases" `Quick test_bits_edge_cases
