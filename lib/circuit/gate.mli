@@ -1,7 +1,8 @@
 (** The gate alphabet of combinational networks.
 
     The boolean semantics is {!eval}.  Word-parallel evaluation is
-    unrolled per kind inside the simulators ([Logic_sim], [Fault_sim]),
+    unrolled per kind inside the fault simulator's compiled good machine
+    ([Fault_sim]), which also gathers STAFAN's counts,
     and the arithmetical embedding of paper §2.1 (evaluation over
     independent signal probabilities) inside the COP kernel
     ([Rt_testability.Cop_eval]); their tests check each against {!eval}. *)

@@ -289,22 +289,18 @@ let hsnap_quantile s q =
 
 let g_minor_words = gauge "gc.minor_words"
 let g_major_words = gauge "gc.major_words"
-let g_promoted_words = gauge "gc.promoted_words"
 let g_heap_words = gauge "gc.heap_words"
 let g_minor_collections = gauge "gc.minor_collections"
 let g_major_collections = gauge "gc.major_collections"
-let g_compactions = gauge "gc.compactions"
 
 let sample_gc () =
   if Atomic.get on then begin
     let s = Gc.quick_stat () in
     gauge_set g_minor_words s.Gc.minor_words;
     gauge_set g_major_words s.Gc.major_words;
-    gauge_set g_promoted_words s.Gc.promoted_words;
     gauge_set g_heap_words (Float.of_int s.Gc.heap_words);
     gauge_set g_minor_collections (Float.of_int s.Gc.minor_collections);
-    gauge_set g_major_collections (Float.of_int s.Gc.major_collections);
-    gauge_set g_compactions (Float.of_int s.Gc.compactions)
+    gauge_set g_major_collections (Float.of_int s.Gc.major_collections)
   end
 
 let clear () =

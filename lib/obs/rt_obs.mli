@@ -110,9 +110,9 @@ val counters_snapshot : unit -> (string * int) list
 val gauges_snapshot : unit -> (string * float) list
 
 val sample_gc : unit -> unit
-(** Refresh the [gc.*] gauges (minor/major/promoted words, heap words,
-    collection and compaction counts) from [Gc.quick_stat].  Intended for
-    phase boundaries; free when recording is disabled. *)
+(** Refresh the [gc.*] gauges (minor/major words, heap words, minor and
+    major collection counts) from [Gc.quick_stat].  Intended for phase
+    boundaries; free when recording is disabled. *)
 
 (** {1 Histograms}
 

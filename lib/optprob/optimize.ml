@@ -190,12 +190,6 @@ let run ?(options = default_options) ?progress ?recorder ?keep oracle =
      j_history := j_new :: !j_history;
      record ~stage:"sweep" ~sweep:!sweeps ~j:j_new ~n:n_new ~y:x ~pf:pf';
      Rt_obs.sample_gc ();
-     Rt_obs.mark "sweep.done"
-       ~fields:
-         [ ("sweep", string_of_int !sweeps);
-           ("objective", obj.Objective.key);
-           ("n", Printf.sprintf "%.6g" n_new);
-           ("j", Printf.sprintf "%.6g" j_new) ];
      (match progress with Some f -> f ~sweep:!sweeps ~n:n_new | None -> ());
      if n_new < !best_n then begin
        best_n := n_new;
@@ -341,12 +335,6 @@ let two_stage ?(options = default_options) ?(n1_grid = default_n1_grid) ?n1
       search e [ c ] rest
     | [] -> assert false (* candidates never empty *)
   in
-  Rt_obs.mark "two_stage.chosen"
-    ~fields:
-      [ ("n1", string_of_int best_c.cand_n1);
-        ("survivors", string_of_int best_c.cand_survivors);
-        ("total", Printf.sprintf "%.6g" best_c.cand_total);
-        ("single", Printf.sprintf "%.6g" n_single) ];
   { ts_stage1 = stage1;
     ts_n1 = best_c.cand_n1;
     ts_survivors = best_c.cand_survivors;

@@ -571,6 +571,54 @@ let simulate ?jobs ?block_words ?(drop = true) c faults ~source ~n_patterns =
   done;
   { faults; first_detect; detect_count; patterns_run = !base }
 
+(* STAFAN's counts on the compiled good machine.  Per gate pin, the
+   lanes where the gate's output is sensitive to that pin are the AND of
+   its other fanin rows: complemented for OR/NOR, none for the XOR
+   family (all lanes), and BUF/NOT are one-fanin ANDs, whose empty AND is
+   all lanes too.  Every word is masked to its valid lanes, and the
+   source is pulled exactly as a one-word loop would pull it. *)
+type counts = {
+  n_patterns : int;
+  ones : int array;
+  sens : int array array;
+}
+
+let count c ~source ~n_patterns =
+  let words = Pattern.resolve_block_words None in
+  let k = compile ~words c in
+  let good = row ((k.n + 1) * words) in
+  let blk = Pattern.make_block ~n_inputs:(Array.length k.inputs) ~words in
+  let ones = Array.make k.n 0 in
+  let sens =
+    Array.init k.n (fun x ->
+        if k.code.(x) lsr 1 <= 1 then [||] else Array.make (k.fi_start.(x + 1) - k.fi_start.(x)) 0)
+  in
+  let base = ref 0 in
+  while !base < n_patterns do
+    Pattern.fill_block source blk ~needed:(n_patterns - !base);
+    run_good k blk good;
+    for i = 0 to blk.Pattern.filled - 1 do
+      let m = Pattern.word_mask blk.Pattern.counts.(i) in
+      for x = 0 to k.n - 1 do
+        let s = sens.(x) and a = k.fi_start.(x) and op = k.code.(x) lsr 1 in
+        ones.(x) <- ones.(x) + popcount (Int64.logand (BA1.unsafe_get good ((x * words) + i)) m);
+        for p = 0 to Array.length s - 1 do
+          let lanes = ref m in
+          if op <> 4 then
+            for j = a to a + Array.length s - 1 do
+              if j <> a + p then begin
+                let y = BA1.unsafe_get good (k.fi.(j) + i) in
+                lanes := Int64.logand !lanes (if op = 2 then y else Int64.lognot y)
+              end
+            done;
+          s.(p) <- s.(p) + popcount !lanes
+        done
+      done
+    done;
+    base := !base + blk.Pattern.total
+  done;
+  { n_patterns; ones; sens }
+
 let detects c f pattern =
   let good = Netlist.eval c pattern in
   let n = Netlist.size c in

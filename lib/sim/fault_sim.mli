@@ -67,6 +67,24 @@ val good_values : Rt_circuit.Netlist.t -> Pattern.block -> Pattern.words
     its compiled netlist: node [x]'s value in word [i] is at
     [x * block.words + i] (lanes past a word's count are garbage). *)
 
+type counts = {
+  n_patterns : int;
+  ones : int array;  (** per node: patterns with value 1 *)
+  sens : int array array;
+      (** [sens.(g).(k)]: patterns where gate [g]'s output is sensitive to
+          its pin [k] (empty array for inputs and constants) *)
+}
+(** STAFAN's statistics (Jain & Agrawal 1984): one-counts and per-pin
+    sensitization counts, gathered during good-machine simulation. *)
+
+val count : Rt_circuit.Netlist.t -> source:Pattern.source -> n_patterns:int -> counts
+(** [count c ~source ~n_patterns] runs the good machine of {!simulate}
+    on the first [n_patterns] patterns of [source], in blocks of the
+    [OPTPROB_BLOCK_WORDS] width ({!Pattern.resolve_block_words}), and
+    counts.  It pulls [source] exactly as often as a one-word loop does
+    (once per 64 patterns of 64-pattern batches), so the counts and the
+    source consumption do not depend on the width. *)
+
 val detects :
   Rt_circuit.Netlist.t -> Rt_fault.Fault.t -> bool array -> bool
 (** [detects c f pattern]: single-pattern check (reference semantics used by

@@ -6,9 +6,6 @@ type batch = {
 
 type source = unit -> batch
 
-let lane_mask b =
-  if b.n_patterns >= 64 then -1L else Int64.sub (Int64.shift_left 1L b.n_patterns) 1L
-
 let pattern b l =
   if l < 0 || l >= b.n_patterns then invalid_arg "Pattern.pattern: lane out of range";
   Array.init b.n_inputs (fun i ->
@@ -118,8 +115,6 @@ let fill_block src blk ~needed =
     incr w
   done;
   blk.filled <- !w
-
-let block_word blk i w = Bigarray.Array1.get blk.data ((i * blk.words) + w)
 
 let take src n =
   let rec go remaining acc =

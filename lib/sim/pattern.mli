@@ -2,16 +2,13 @@
 
     A batch packs up to 64 patterns: one 64-bit word per primary input,
     bit [l] of word [i] being input [i]'s value in pattern (lane) [l].
-    Unused lanes of a short batch are zero and excluded by [lane_mask]. *)
+    Unused lanes of a short batch are zero. *)
 
 type batch = {
   n_inputs : int;
   n_patterns : int;  (** 1..64 *)
   bits : int64 array;  (** one word per input *)
 }
-
-val lane_mask : batch -> int64
-(** Ones in the valid lanes. *)
 
 val pattern : batch -> int -> bool array
 (** Extract lane [l] as a plain input vector. *)
@@ -76,6 +73,3 @@ val fill_block : source -> block -> needed:int -> unit
     to the patterns still needed; lanes past a word's count are unmasked
     garbage, so consumers must apply {!word_mask}.  At most [needed]
     patterns and at least one word result ([needed > 0] required). *)
-
-val block_word : block -> int -> int -> int64
-(** [block_word blk i w] is input [i]'s word [w]. *)

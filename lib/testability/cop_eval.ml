@@ -11,7 +11,9 @@
    one int array.  A plan's faults are compiled into a fault table (source
    node, site, pin, stuck value) cached the way the plan's cone cut is.
    The sweeps, the damage-cone patch and the per-fault fill all run the
-   three per-node kernels below over these tables.
+   three per-node kernels below over these tables.  STAFAN's measured
+   fold ([probs_counted]) walks the same edge and fault tables with
+   counted sensitizations in place of [sensitization].
 
    Bit-identity invariant (what makes the incremental path safe for the
    optimizer): after any [eval] / [cofactor_pair], the returned vector is
@@ -179,19 +181,39 @@ let[@inline] sensitization t (sp : float array) r k =
     done;
     !acc
 
+(* The stem fold: node g's branch observabilities o_b recombine as
+   1 - prod (1 - o_b), the product running from 0.0 at a primary output
+   (observed outright) and from 1.0 elsewhere (STAFAN's rule; under
+   reconvergent fanout an estimate that can overestimate).  COP's and
+   STAFAN's kernels both fold through these two steps, in the edge order
+   [compile] fixes. *)
+let[@inline] stem_start t g = if Bytes.get t.output g <> '\000' then 0.0 else 1.0
+let[@inline] stem_step acc o = acc *. (1.0 -. o)
+
 (* Node g's observability from its readers' observabilities: each edge
-   (r, k) is a branch observable with [sensitization r k * obs r], and the
-   branches recombine as 1 - prod (1 - o_b), from 1.0 at a primary output
-   (STAFAN's rule; under reconvergent fanout an estimate that can
-   overestimate), in the edge order [compile] fixes. *)
+   (r, k) is a branch observable with [sensitization r k * obs r]. *)
 let[@inline] set_obs t (sp : float array) (obs : float array) g =
   let edge = t.edge and pin_bits = t.pin_bits in
   let pin_mask = (1 lsl pin_bits) - 1 in
-  let acc = ref (if Bytes.get t.output g <> '\000' then 0.0 else 1.0) in
+  let acc = ref (stem_start t g) in
   for e = t.edge_at.(g) to t.edge_at.(g + 1) - 1 do
     let r = edge.(e) lsr pin_bits in
     let o = sensitization t sp r (edge.(e) land pin_mask) *. obs.(r) in
-    acc := !acc *. (1.0 -. o)
+    acc := stem_step !acc o
+  done;
+  obs.(g) <- 1.0 -. !acc
+
+(* STAFAN's observability of node g: the same edges and fold, each branch
+   observable with its measured sensitization [sens r k / total] in place
+   of COP's product. *)
+let[@inline] set_obs_counted t (sens : int array array) ~total (obs : float array) g =
+  let edge = t.edge and pin_bits = t.pin_bits in
+  let pin_mask = (1 lsl pin_bits) - 1 in
+  let acc = ref (stem_start t g) in
+  for e = t.edge_at.(g) to t.edge_at.(g + 1) - 1 do
+    let r = edge.(e) lsr pin_bits in
+    let o = Float.of_int sens.(r).(edge.(e) land pin_mask) /. total *. obs.(r) in
+    acc := stem_step !acc o
   done;
   obs.(g) <- 1.0 -. !acc
 
@@ -356,6 +378,33 @@ let probs_plan ?(jobs = 1) t plan x =
            | Fault.Branch (g, k) -> fault_prob tab sp obs ~src ~site:g ~pin:k ~stuck)
       done);
   out
+
+(* --- STAFAN's measured fold ------------------------------------------------- *)
+
+let observability_counted t ~mask (counts : Rt_sim.Fault_sim.counts) =
+  let tab = table t in
+  let n = Array.length tab.kind in
+  if Array.length mask <> n then invalid_arg "Cop_eval.observability_counted: mask size";
+  let total = Float.of_int counts.n_patterns in
+  let obs = Array.make n 0.0 in
+  for g = n - 1 downto 0 do
+    if mask.(g) then set_obs_counted tab counts.sens ~total obs g
+  done;
+  obs
+
+(* p_f = measured activation x observability over the plan's fault
+   table; a branch's line through its pin's measured sensitization,
+   associated as (act * s) * obs. *)
+let probs_counted t plan (counts : Rt_sim.Fault_sim.counts) =
+  let obs = observability_counted t ~mask:(Oracle.obs_mask plan) counts in
+  let fs = plan_faults t plan in
+  let total = Float.of_int counts.n_patterns in
+  Array.init (Array.length fs.src) (fun i ->
+      let c1 = Float.of_int counts.ones.(fs.src.(i)) /. total in
+      let act = if fs.stuck.(i) then 1.0 -. c1 else c1 in
+      let site = fs.site.(i) and pin = fs.pin.(i) in
+      if pin < 0 then act *. obs.(site)
+      else act *. (Float.of_int counts.sens.(site).(pin) /. total) *. obs.(site))
 
 let[@inline] flags b g = Char.code (Bytes.get b g)
 let[@inline] mark b g bit = Bytes.set b g (Char.unsafe_chr (flags b g lor bit))

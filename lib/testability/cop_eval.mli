@@ -35,7 +35,12 @@
     Every result is bit-identical to the corresponding from-scratch
     {!probs_plan} call: nodes outside the cone cannot depend on the
     flipped input (the masks are closure-consistent), and nodes inside are
-    recomputed in the same order by the same per-node kernels. *)
+    recomputed in the same order by the same per-node kernels.
+
+    STAFAN's measured fold runs on the same compiled edge and fault
+    tables: {!probs_counted} is COP's observability sweep and per-fault
+    step with counted sensitizations and one-probabilities
+    ({!Rt_sim.Fault_sim.count}) in place of the computed ones. *)
 
 type cones
 (** The compiled circuit and the damage cones of one circuit.  Each
@@ -63,6 +68,20 @@ val probs_plan : ?jobs:int -> cones -> Oracle.plan -> float array -> float array
     signal-probability and observability sweeps, then the selected faults
     only.  [jobs] shares the per-fault step across domains on large
     plans; the result does not depend on it.  Keeps no per-plan state. *)
+
+val observability_counted :
+  cones -> mask:bool array -> Rt_sim.Fault_sim.counts -> float array
+(** STAFAN's backward observability sweep over the nodes where [mask] is
+    true (other entries 0): each branch is observable with its measured
+    sensitization ratio times its reader's observability, and stems fold
+    their branches as COP's sweep does, in the same edge order.  A value
+    is the unmasked sweep's when [mask] is fanout-closed. *)
+
+val probs_counted : cones -> Oracle.plan -> Rt_sim.Fault_sim.counts -> float array
+(** STAFAN's [p_f] for the plan's selected faults: measured activation
+    times the faulted line's observability from {!observability_counted}
+    over the plan's observability mask, a branch's through its pin's
+    measured sensitization. *)
 
 val cone : cones -> Oracle.plan -> input:int -> int array * int array
 (** [cone t plan ~input] is the input's damage cone under the plan's

@@ -602,33 +602,24 @@ let replaying_source ~input base recorded =
     { b with Pattern.bits }
 
 let make_stafan ~n_patterns ~seed c faults =
-  let count x =
-    let rng = Rt_util.Rng.create seed in
-    let source = Pattern.weighted rng x in
-    Stafan.count c ~source ~n_patterns
-  in
+  let cones = Cop_eval.cones c in
+  let count source = Rt_sim.Fault_sim.count c ~source ~n_patterns in
   let cofactor plan ~input x =
-    let sel = Oracle.selected plan in
-    let mask = Oracle.obs_mask plan in
     let x0 = Array.copy x in
     x0.(input) <- 0.0;
     let rng = Rt_util.Rng.create seed in
     let base = Pattern.weighted rng x0 in
     let record, recorded = recording_source base in
-    let counts0 = Stafan.count c ~source:record ~n_patterns in
-    let pf0 = Stafan.detection_probs_subset c ~mask counts0 sel in
-    let counts1 =
-      Stafan.count c ~source:(replaying_source ~input base recorded) ~n_patterns
-    in
-    let pf1 = Stafan.detection_probs_subset c ~mask counts1 sel in
+    let pf0 = Cop_eval.probs_counted cones plan (count record) in
+    let pf1 = Cop_eval.probs_counted cones plan (count (replaying_source ~input base recorded)) in
     (pf0, pf1)
   in
   engine_oracle ~kind:"stafan"
     ~label:(Printf.sprintf "stafan(%d patterns)" n_patterns)
     ~c ~faults
     ~run_subset:(fun plan x ->
-      Stafan.detection_probs_subset c ~mask:(Oracle.obs_mask plan) (count x)
-        (Oracle.selected plan))
+      Cop_eval.probs_counted cones plan
+        (count (Pattern.weighted (Rt_util.Rng.create seed) x)))
     ~cofactor_pair:cofactor ()
 
 let make_mc ~jobs ~n_patterns ~seed c faults =

@@ -1,9 +1,8 @@
-(* Tests for Rt_sim: pattern batches/sources, the 64-way logic simulator,
-   PPSFP fault simulation against the single-pattern reference, and
-   coverage accounting. *)
+(* Tests for Rt_sim: pattern batches/sources, the compiled good machine
+   and STAFAN's counts on it, PPSFP fault simulation against the
+   single-pattern reference, and coverage accounting. *)
 
 module Pattern = Rt_sim.Pattern
-module Logic_sim = Rt_sim.Logic_sim
 module Fault_sim = Rt_sim.Fault_sim
 module Detect_mc = Rt_sim.Detect_mc
 module Netlist = Rt_circuit.Netlist
@@ -31,10 +30,6 @@ let test_of_vectors_roundtrip () =
     (fun i v ->
       if v <> vectors.(i) then Alcotest.failf "pattern %d corrupted by packing" i)
     flat
-
-let test_lane_mask () =
-  let b = List.hd (Pattern.of_vectors (Array.init 5 (fun i -> bits_of_int 3 i))) in
-  check Alcotest.int64 "5 lanes" 0x1FL (Pattern.lane_mask b)
 
 let test_take_exact () =
   let rng = Rt_util.Rng.create 3 in
@@ -82,54 +77,128 @@ let test_block_resolve () =
   check Alcotest.int "nonsense clamps to one word" 1 (Pattern.resolve_block_words (Some 0));
   check Alcotest.int "cap" Pattern.max_block_words (Pattern.resolve_block_words (Some 10_000))
 
-(* --- Logic_sim ------------------------------------------------------------------ *)
+(* --- The good machine ------------------------------------------------------------ *)
 
-let logic_sim_vs_eval_qcheck =
+let bit word lane = Int64.logand (Int64.shift_right_logical word lane) 1L <> 0L
+
+(* [Fault_sim.good_values] against [Netlist.eval], pattern by pattern, at
+   W = 1 and 3 with a short last word. *)
+let good_values_vs_eval_qcheck =
   QCheck.Test.make ~name:"word simulation equals scalar evaluation" ~count:30
     QCheck.(int_range 0 10_000)
     (fun seed ->
       let c = Generators.random_circuit ~inputs:8 ~gates:50 ~seed in
-      let sim = Logic_sim.create c in
-      let vectors = Array.init 64 (fun i -> bits_of_int 8 ((i * 2654435761) land 255)) in
-      let batch = List.hd (Pattern.of_vectors vectors) in
-      Logic_sim.run sim batch;
-      let ok = ref true in
-      for lane = 0 to 63 do
-        let vals = Netlist.eval c vectors.(lane) in
-        for n = 0 to Netlist.size c - 1 do
-          let got = Int64.logand (Int64.shift_right_logical (Logic_sim.value sim n) lane) 1L <> 0L in
-          if got <> vals.(n) then ok := false
-        done
-      done;
-      !ok)
+      List.for_all
+        (fun words ->
+          let n = (64 * words) - 17 in
+          let vectors =
+            Array.init n (fun i -> bits_of_int 8 (((i + seed) * 2654435761) lsr 5 land 255))
+          in
+          let batches = ref (Pattern.of_vectors vectors) in
+          let src () =
+            match !batches with
+            | b :: rest ->
+              batches := rest;
+              b
+            | [] -> Alcotest.fail "source overrun"
+          in
+          let blk = Pattern.make_block ~n_inputs:8 ~words in
+          Pattern.fill_block src blk ~needed:n;
+          let good = Fault_sim.good_values c blk in
+          let ok = ref true in
+          Array.iteri
+            (fun p v ->
+              let vals = Netlist.eval c v in
+              for x = 0 to Netlist.size c - 1 do
+                let word = Bigarray.Array1.get good ((x * words) + (p / 64)) in
+                if bit word (p mod 64) <> vals.(x) then ok := false
+              done)
+            vectors;
+          !ok)
+        [ 1; 3 ])
 
-let wide_sim_vs_narrow_qcheck =
-  QCheck.Test.make ~name:"wide simulation equals narrow word by word" ~count:20
+(* STAFAN's counts from scalar evaluation: per pattern [Netlist.eval],
+   and pin [k] of gate [g] is sensitized where flipping it flips [g]. *)
+let count_reference c vectors =
+  let n = Netlist.size c in
+  let ones = Array.make n 0 in
+  let sens =
+    Array.init n (fun g ->
+        match Netlist.kind c g with
+        | Gate.Input | Gate.Const0 | Gate.Const1 -> [||]
+        | _ -> Array.make (Array.length (Netlist.fanin c g)) 0)
+  in
+  Array.iter
+    (fun v ->
+      let vals = Netlist.eval c v in
+      for g = 0 to n - 1 do
+        if vals.(g) then ones.(g) <- ones.(g) + 1;
+        let fi = Netlist.fanin c g in
+        Array.iteri
+          (fun k _ ->
+            let args = Array.map (fun f -> vals.(f)) fi in
+            args.(k) <- not args.(k);
+            if Gate.eval (Netlist.kind c g) args <> vals.(g) then sens.(g).(k) <- sens.(g).(k) + 1)
+          sens.(g)
+      done)
+    vectors;
+  (ones, sens)
+
+let with_block_words w f =
+  let saved = Sys.getenv_opt "OPTPROB_BLOCK_WORDS" in
+  Unix.putenv "OPTPROB_BLOCK_WORDS" (string_of_int w);
+  Fun.protect f ~finally:(fun () ->
+      Unix.putenv "OPTPROB_BLOCK_WORDS" (Option.value saved ~default:""))
+
+(* [Fault_sim.count] equals the scalar reference on the first [n]
+   patterns of a weighted source (whose unused lanes are not zero), at
+   every block width, pulling exactly one batch per 64 patterns — the
+   record/replay cofactors of the STAFAN engine rely on that count. *)
+let check_count c rng =
+  let ni = Array.length (Netlist.inputs c) in
+  let x = Array.init ni (fun _ -> Rng.float rng) in
+  let seed = Rng.int rng 10_000 in
+  List.iter
+    (fun n ->
+      let pulled = ref [] in
+      let counts_at w =
+        let base = Pattern.weighted (Rng.create seed) x in
+        pulled := [];
+        let source () =
+          let b = base () in
+          pulled := b :: !pulled;
+          b
+        in
+        let counts = with_block_words w (fun () -> Fault_sim.count c ~source ~n_patterns:n) in
+        if List.length !pulled <> (n + 63) / 64 then
+          Alcotest.failf "n=%d W=%d: %d batches pulled" n w (List.length !pulled);
+        counts
+      in
+      let counts = counts_at 1 in
+      let vectors =
+        List.rev !pulled
+        |> List.concat_map (fun b -> List.init 64 (Pattern.pattern b))
+        |> List.filteri (fun i _ -> i < n)
+        |> Array.of_list
+      in
+      let ones, sens = count_reference c vectors in
+      let same what (got : Fault_sim.counts) =
+        if got.Fault_sim.n_patterns <> n || got.ones <> ones || got.sens <> sens then
+          Alcotest.failf "n=%d: %s counts differ from the scalar reference" n what
+      in
+      same "W=1" counts;
+      same "W=3" (counts_at 3);
+      same "W=4" (counts_at 4))
+    [ 1; 63; 64; 65; 263 ]
+
+let count_vs_reference_qcheck =
+  QCheck.Test.make ~name:"stafan counts equal the scalar reference" ~count:12
     QCheck.(int_range 0 10_000)
     (fun seed ->
-      let c = Generators.random_circuit ~inputs:6 ~gates:40 ~seed in
-      let rng = Rt_util.Rng.create seed in
-      let src = Pattern.equiprobable rng ~n_inputs:6 in
-      let batches = Array.init 3 (fun _ -> src ()) in
-      let i = ref 0 in
-      let replay () =
-        let b = batches.(!i) in
-        incr i;
-        b
-      in
-      let blk = Pattern.make_block ~n_inputs:6 ~words:3 in
-      Pattern.fill_block replay blk ~needed:192;
-      let wide = Fault_sim.good_values c blk in
-      let narrow = Logic_sim.create c in
-      let ok = ref true in
-      for w = 0 to 2 do
-        Logic_sim.run narrow batches.(w);
-        for n = 0 to Netlist.size c - 1 do
-          if not (Int64.equal (Logic_sim.value narrow n) (Bigarray.Array1.get wide ((n * 3) + w)))
-          then ok := false
-        done
-      done;
-      !ok)
+      let rng = Rng.create seed in
+      check_count (Generators.random_circuit ~inputs:6 ~gates:30 ~seed) rng;
+      check_count (Multi_pin.circuit rng ~inputs:5 ~gates:25) rng;
+      true)
 
 (* --- Fault_sim ------------------------------------------------------------------- *)
 
@@ -586,12 +655,11 @@ let () =
   Alcotest.run "rt_sim"
     [ ( "pattern",
         [ Alcotest.test_case "of_vectors roundtrip" `Quick test_of_vectors_roundtrip;
-          Alcotest.test_case "lane mask" `Quick test_lane_mask;
           Alcotest.test_case "take exact" `Quick test_take_exact;
           Alcotest.test_case "weighted statistics" `Quick test_weighted_statistics;
           Alcotest.test_case "fill_block truncation" `Quick test_fill_block_truncates;
           Alcotest.test_case "resolve_block_words policy" `Quick test_block_resolve ] );
-      ("logic-sim", [ q logic_sim_vs_eval_qcheck; q wide_sim_vs_narrow_qcheck ]);
+      ("logic-sim", [ q good_values_vs_eval_qcheck; q count_vs_reference_qcheck ]);
       ( "fault-sim",
         [ q ppsfp_vs_reference_qcheck;
           Alcotest.test_case "drop keeps first_detect" `Quick test_drop_consistency;

@@ -1,8 +1,8 @@
-(* Tests for Rt_testability: signal probability engines, observability,
-   STAFAN, the detection-probability oracles, and test-length
-   computation. *)
+(* Tests for Rt_testability: signal probability engines, observability
+   (COP's and STAFAN's measured fold), the detection-probability
+   oracles, and test-length computation. *)
 
-module Stafan = Rt_testability.Stafan
+module Fault_sim = Rt_sim.Fault_sim
 module Detect = Rt_testability.Detect
 module Oracle = Rt_testability.Oracle
 module Cop_eval = Rt_testability.Cop_eval
@@ -191,11 +191,11 @@ let test_reader_on_two_pins () =
   check (Alcotest.float 1e-12) "cop obs(a)" (two_branches (pa *. pb)) obs.(a);
   check (Alcotest.float 1e-12) "cop obs(b)" (pa *. pa) obs.(bi);
   let counts =
-    { Stafan.n_patterns = 100;
+    { Fault_sim.n_patterns = 100;
       ones = Array.make (Netlist.size c) 0;
       sens = Array.init (Netlist.size c) (fun n -> Array.make (Array.length (Netlist.fanin c n)) 30) }
   in
-  let sobs = Stafan.observability_subset c ~mask:all counts in
+  let sobs = Cop_eval.observability_counted (Cop_eval.cones c) ~mask:all counts in
   check (Alcotest.float 1e-12) "stafan obs(a)" (two_branches 0.3) sobs.(a)
 
 let test_cop_exact_on_single_and () =
@@ -534,10 +534,26 @@ module Ref_kernels = struct
           act *. (pin_sensitization c ~node_probs:sp g k *. obs.(g)))
       (Oracle.selected plan)
 
-  let stafan_subset c ~mask (counts : Stafan.counts) =
+  let stafan_subset c ~mask (counts : Fault_sim.counts) =
     let total = Float.of_int counts.n_patterns in
     sweep c ~mask ~branch:(fun obs reader k ->
         Float.of_int counts.sens.(reader).(k) /. total *. obs.(reader))
+
+  (* STAFAN's p_f from scratch: measured activation x the faulted line's
+     observability, a branch's through its measured sensitization,
+     associated as (act * s) * obs. *)
+  let stafan_probs_plan c plan (counts : Fault_sim.counts) =
+    let total = Float.of_int counts.n_patterns in
+    let obs = stafan_subset c ~mask:(Oracle.obs_mask plan) counts in
+    Array.map
+      (fun f ->
+        let c1 = Float.of_int counts.ones.(Rt_fault.Fault.source f c) /. total in
+        let act = if f.Rt_fault.Fault.stuck then 1.0 -. c1 else c1 in
+        match f.Rt_fault.Fault.site with
+        | Rt_fault.Fault.Stem n -> act *. obs.(n)
+        | Rt_fault.Fault.Branch (g, k) ->
+          act *. (Float.of_int counts.sens.(g).(k) /. total) *. obs.(g))
+      (Oracle.selected plan)
 end
 
 let check_kernels c rng =
@@ -562,8 +578,8 @@ let check_kernels c rng =
     (Ref_kernels.independence_subset c ~mask x)
     (fst (Cop_eval.sweep cones ~sp_mask:mask ~obs_mask:none x));
   let counts =
-    { Stafan.n_patterns = 256;
-      ones = Array.make n 0;
+    { Fault_sim.n_patterns = 256;
+      ones = Array.init n (fun _ -> Rt_util.Rng.int rng 257);
       sens =
         Array.init n (fun g -> Array.map (fun _ -> Rt_util.Rng.int rng 257) (Netlist.fanin c g)) }
   in
@@ -574,8 +590,18 @@ let check_kernels c rng =
         (snd (Cop_eval.sweep cones ~sp_mask:all ~obs_mask:mask x));
       expect ("stafan" ^ what)
         (Ref_kernels.stafan_subset c ~mask counts)
-        (Stafan.observability_subset c ~mask counts))
-    [ ("", all); ("_subset", mask) ]
+        (Cop_eval.observability_counted cones ~mask counts))
+    [ ("", all); ("_subset", mask) ];
+  let faults = Rt_fault.Fault.universe c in
+  let subset =
+    List.init (Array.length faults) Fun.id
+    |> List.filter (fun _ -> Rt_util.Rng.float rng < 0.4)
+    |> Array.of_list
+  in
+  let plan = Oracle.make_plan c faults subset in
+  expect "stafan p_f"
+    (Ref_kernels.stafan_probs_plan c plan counts)
+    (Cop_eval.probs_counted cones plan counts)
 
 let kernels_bit_identical_qcheck =
   QCheck.Test.make ~name:"fanin-indexed kernels bit-identical to the gathered-array reference"
