@@ -2,15 +2,21 @@
    node i >= 2 has (var, low, high) with low <> high and both children over
    strictly larger variables.
 
-   All storage is flat int arrays.  The unique table is open-addressed
-   with linear probing over node ids (0 marks an empty slot, since
-   internal ids are >= 2), twice the size of the node store so its load
-   stays at most 1/2, and rehashed whenever the store doubles.  The
-   computed cache is a direct-mapped array of (op, a, b, result) quads
-   shared by every operation; an insert overwrites whatever entry held its
-   slot.  Losing an entry cannot change node ids: recomputing a result
-   reruns [mk] only on triples the first computation already inserted, so
-   it finds them in the unique table and allocates nothing. *)
+   Each node is one packed int, [(var lsl 46) lor (low lsl 23) lor high]:
+   23 bits per child id and 16 for the variable.  The terminals carry the
+   variable [0xFFFF], above every real one, so a "variable greater than"
+   test puts them below all variables; that caps the variables at 65 535
+   and the node ids below 2^23.  The unique table is open-addressed with
+   linear probing over 32-bit node ids in a [Bytes] (0 marks an empty
+   slot, since internal ids are >= 2), twice the size of the node store so
+   its load stays at most 1/2, and rehashed whenever the store doubles; a
+   probe compares one packed word.  The computed cache is a direct-mapped
+   array of (key, result) pairs, the key packing (op, a, b) as a node packs
+   (var, low, high), shared by every operation; an insert overwrites
+   whatever entry held its slot.  Losing an entry cannot change node ids:
+   recomputing a result reruns [mk] only on triples the first computation
+   already inserted, so it finds them in the unique table and allocates
+   nothing. *)
 
 type t = int
 
@@ -19,13 +25,11 @@ exception Limit_exceeded
 type manager = {
   nvars : int;
   node_limit : int;
-  mutable vars : int array;
-  mutable lows : int array;
-  mutable highs : int array;
+  mutable nodes : int array;  (** packed (var, low, high) per node *)
   mutable n : int;
-  mutable table : int array;  (** unique table: node ids, 0 = empty *)
+  mutable table : Bytes.t;  (** unique table: 32-bit node ids, 0 = empty *)
   mutable cache : int array;
-      (** computed cache: quads (op, a, b, result), op = -1 when empty.
+      (** computed cache: pairs (key, result), key = -1 when empty.
           Ops: 0 = and, 1 = or, 2 = xor, 3 = not (b = 0). *)
   mutable stamp : Bytes.t;
       (** probability queries: node x is memoised in the running query
@@ -37,7 +41,26 @@ type manager = {
   mutable v1 : float array;
 }
 
-let terminal_var = max_int
+let id_bits = 23
+let id_mask = (1 lsl id_bits) - 1
+let max_node_limit = 1 lsl id_bits
+let terminal_var = 0xFFFF
+
+let[@inline] pack v low high = (v lsl (2 * id_bits)) lor (low lsl id_bits) lor high
+let[@inline] var_of w = w lsr (2 * id_bits)
+let[@inline] low_of w = (w lsr id_bits) land id_mask
+let[@inline] high_of w = w land id_mask
+
+let terminal = pack terminal_var 0 0
+
+(* The unsafe native-endian forms of [Bytes.get_int32_le]/[set_int32_le]:
+   as primitives they compile inline, where a call to the [Bytes] functions
+   would box its [int32]. *)
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+let[@inline] slot_id table i = Int32.to_int (get32 table (4 * i))
+let[@inline] set_slot table i id = set32 table (4 * i) (Int32.of_int id)
 
 (* The smallest power of two, at least 1024, that holds [capacity] nodes
    or every node [node_limit] allows, whichever is fewer. *)
@@ -46,7 +69,7 @@ let initial_capacity ~capacity node_limit =
   fit 1024
 
 (* The computed cache holds one entry per two slots of the node store and
-   doubles with it, up to this many entries (32 MB). *)
+   doubles with it, up to this many entries (16 MB). *)
 let max_cache_entries = 1 lsl 20
 
 let[@inline] hash3 a b c =
@@ -55,15 +78,15 @@ let[@inline] hash3 a b c =
   h lxor (h lsr 29)
 
 let manager ?(node_limit = 2_000_000) ?(capacity = 1024) ~nvars () =
+  if node_limit > max_node_limit then invalid_arg "Bdd.manager: node_limit above 2^23";
+  if nvars > terminal_var then raise Limit_exceeded;
   let cap = initial_capacity ~capacity node_limit in
   { nvars;
     node_limit;
-    vars = Array.make cap terminal_var;
-    lows = Array.make cap 0;
-    highs = Array.make cap 0;
+    nodes = Array.make cap terminal;
     n = 2;
-    table = Array.make (2 * cap) 0;
-    cache = Array.make (2 * cap) (-1);
+    table = Bytes.make (8 * cap) '\000';
+    cache = Array.make cap (-1);
     stamp = Bytes.empty;
     epoch = 0;
     value = [||];
@@ -80,87 +103,82 @@ let equal (a : t) (b : t) = a = b
 
 (* --- unique table -------------------------------------------------------- *)
 
-(* Node id of (v, low, high) if present, else [lnot i] for the empty slot
-   [i] it would occupy. *)
-let rec probe m mask v low high i =
-  let id = Array.unsafe_get m.table i in
+(* Node id of the packed word [w] if present, else [lnot i] for the empty
+   slot [i] it would occupy. *)
+let rec probe m mask w i =
+  let id = slot_id m.table i in
   if id = 0 then lnot i
-  else if m.vars.(id) = v && m.lows.(id) = low && m.highs.(id) = high then id
-  else probe m mask v low high ((i + 1) land mask)
+  else if Array.unsafe_get m.nodes id = w then id
+  else probe m mask w ((i + 1) land mask)
 
 let rec free_slot table mask i =
-  if Array.unsafe_get table i = 0 then i else free_slot table mask ((i + 1) land mask)
+  if slot_id table i = 0 then i else free_slot table mask ((i + 1) land mask)
+
+let[@inline] table_mask table = (Bytes.length table lsr 2) - 1
 
 (* --- computed cache ------------------------------------------------------ *)
 
-let[@inline] cache_slot cache op a b = (hash3 op a b land ((Array.length cache lsr 2) - 1)) lsl 2
+let[@inline] cache_slot cache op a b = (hash3 op a b land ((Array.length cache lsr 1) - 1)) lsl 1
 
 (* The cached result, or -1. *)
 let cache_find m op a b =
   let c = m.cache in
   let s = cache_slot c op a b in
-  if c.(s) = op && c.(s + 1) = a && c.(s + 2) = b then c.(s + 3) else -1
+  if c.(s) = pack op a b then c.(s + 1) else -1
 
 let cache_add m op a b r =
   let c = m.cache in
   let s = cache_slot c op a b in
-  c.(s) <- op;
-  c.(s + 1) <- a;
-  c.(s + 2) <- b;
-  c.(s + 3) <- r
+  c.(s) <- pack op a b;
+  c.(s + 1) <- r
 
 (* Double the node store, rehash the unique table into twice that, and
    double the computed cache until it reaches its cap.  The cache is lossy,
    so copying its entries over is only a saving: the results they hold are
    not recomputed. *)
 let grow m =
-  let cap = 2 * Array.length m.vars in
-  let extend a fill =
-    let a' = Array.make cap fill in
-    Array.blit a 0 a' 0 m.n;
-    a'
-  in
-  m.vars <- extend m.vars terminal_var;
-  m.lows <- extend m.lows 0;
-  m.highs <- extend m.highs 0;
-  let table = Array.make (2 * cap) 0 in
-  let mask = (2 * cap) - 1 in
+  let cap = 2 * Array.length m.nodes in
+  let nodes = Array.make cap terminal in
+  Array.blit m.nodes 0 nodes 0 m.n;
+  m.nodes <- nodes;
+  let table = Bytes.make (8 * cap) '\000' in
+  let mask = table_mask table in
   for id = 2 to m.n - 1 do
-    table.(free_slot table mask (hash3 m.vars.(id) m.lows.(id) m.highs.(id) land mask)) <- id
+    let w = nodes.(id) in
+    set_slot table (free_slot table mask (hash3 (var_of w) (low_of w) (high_of w) land mask)) id
   done;
   m.table <- table;
   let old = m.cache in
-  let entries = Array.length old / 4 in
+  let entries = Array.length old / 2 in
   if entries < max_cache_entries then begin
-    m.cache <- Array.make (8 * entries) (-1);
+    m.cache <- Array.make (4 * entries) (-1);
     for e = 0 to entries - 1 do
-      let s = 4 * e in
-      if old.(s) >= 0 then cache_add m old.(s) old.(s + 1) old.(s + 2) old.(s + 3)
+      let key = old.(2 * e) in
+      if key >= 0 then cache_add m (var_of key) (low_of key) (high_of key) old.((2 * e) + 1)
     done
   end
 
 let mk m v low high =
   if low = high then low
   else begin
-    let mask = Array.length m.table - 1 in
-    let found = probe m mask v low high (hash3 v low high land mask) in
+    let w = pack v low high in
+    let mask = table_mask m.table in
+    let found = probe m mask w (hash3 v low high land mask) in
     if found >= 0 then found
     else begin
       if m.n >= m.node_limit then raise Limit_exceeded;
       let slot =
-        if m.n < Array.length m.vars then lnot found
+        if m.n < Array.length m.nodes then lnot found
         else begin
           grow m;
-          let mask = Array.length m.table - 1 in
+          let mask = table_mask m.table in
           free_slot m.table mask (hash3 v low high land mask)
         end
       in
       let id = m.n in
       m.n <- id + 1;
-      m.vars.(id) <- v;
-      m.lows.(id) <- low;
-      m.highs.(id) <- high;
-      m.table.(slot) <- id;
+      m.nodes.(id) <- w;
+      set_slot m.table slot id;
       id
     end
   end
@@ -177,7 +195,8 @@ let rec not_ m x =
     let r = cache_find m 3 x 0 in
     if r >= 0 then r
     else begin
-      let r = mk m m.vars.(x) (not_ m m.lows.(x)) (not_ m m.highs.(x)) in
+      let w = m.nodes.(x) in
+      let r = mk m (var_of w) (not_ m (low_of w)) (not_ m (high_of w)) in
       cache_add m 3 x 0 r;
       r
     end
@@ -216,10 +235,11 @@ let rec apply m op f g =
     let r = cache_find m op f' g' in
     if r >= 0 then r
     else begin
-      let vf = m.vars.(f') and vg = m.vars.(g') in
+      let wf = m.nodes.(f') and wg = m.nodes.(g') in
+      let vf = var_of wf and vg = var_of wg in
       let v = if vf <= vg then vf else vg in
-      let f0 = if vf = v then m.lows.(f') else f' and f1 = if vf = v then m.highs.(f') else f' in
-      let g0 = if vg = v then m.lows.(g') else g' and g1 = if vg = v then m.highs.(g') else g' in
+      let f0 = if vf = v then low_of wf else f' and f1 = if vf = v then high_of wf else f' in
+      let g0 = if vg = v then low_of wg else g' and g1 = if vg = v then high_of wg else g' in
       let r = mk m v (apply m op f0 g0) (apply m op f1 g1) in
       cache_add m op f' g' r;
       r
@@ -247,7 +267,13 @@ let apply_kind m kind args =
   | Xnor -> not_ m (fold 2 0)
 
 let eval m x assign =
-  let rec go x = if x < 2 then x = 1 else go (if assign m.vars.(x) then m.highs.(x) else m.lows.(x)) in
+  let rec go x =
+    if x < 2 then x = 1
+    else begin
+      let w = m.nodes.(x) in
+      go (if assign (var_of w) then high_of w else low_of w)
+    end
+  in
   go x
 
 (* --- probabilities ------------------------------------------------------- *)
@@ -279,10 +305,11 @@ let start_query m ~pair =
 let rec fill m p e x =
   if x >= 2 && Bytes.get m.stamp x <> e then begin
     Bytes.set m.stamp x e;
-    let lo = m.lows.(x) and hi = m.highs.(x) in
+    let w = m.nodes.(x) in
+    let lo = low_of w and hi = high_of w in
     fill m p e lo;
     fill m p e hi;
-    let pv = p m.vars.(x) in
+    let pv = p (var_of w) in
     m.value.(x) <- ((1.0 -. pv) *. m.value.(lo)) +. (pv *. m.value.(hi))
   end
 
@@ -308,14 +335,16 @@ let prob m x p = (prob_many m [| x |] p).(0)
    exactly [value low] in IEEE arithmetic because every partial
    probability here is finite and non-negative (so the dropped product is
    +0.0 and the kept one is preserved by the multiplication by 1.0). *)
-let pair0 m var x = if m.vars.(x) > var then m.value.(x) else m.v0.(x)
-let pair1 m var x = if m.vars.(x) > var then m.value.(x) else m.v1.(x)
+let pair0 m var x = if var_of m.nodes.(x) > var then m.value.(x) else m.v0.(x)
+let pair1 m var x = if var_of m.nodes.(x) > var then m.value.(x) else m.v1.(x)
 
 let rec fill_pair m p e var x =
-  if m.vars.(x) > var then fill m p e x (* terminals land here too *)
+  let w = m.nodes.(x) in
+  let v = var_of w in
+  if v > var then fill m p e x (* terminals land here too *)
   else if Bytes.get m.stamp x <> e then begin
     Bytes.set m.stamp x e;
-    let v = m.vars.(x) and lo = m.lows.(x) and hi = m.highs.(x) in
+    let lo = low_of w and hi = high_of w in
     if v = var then begin
       fill m p e lo;
       fill m p e hi;

@@ -20,12 +20,19 @@ exception Limit_exceeded
 (** Raised by node allocation when the manager's node limit is reached —
     callers fall back to estimation. *)
 
+val max_node_limit : int
+(** 2^23 = 8_388_608: a node packs its two child ids into 23-bit fields. *)
+
 val manager : ?node_limit:int -> ?capacity:int -> nvars:int -> unit -> manager
 (** [manager ~nvars ()] supports variables [0 .. nvars-1] with the natural
-    order.  [node_limit] (default 2_000_000) bounds the unique table.
-    [capacity] (default 1024) is how many nodes the tables are allocated
-    for up front, capped by [node_limit]; past it they double.  Node ids,
-    and so every result, do not depend on it. *)
+    order.  [node_limit] (default 2_000_000) bounds the unique table;
+    above {!max_node_limit} it raises [Invalid_argument].  More than
+    65 535 variables (a node's variable is a 16-bit field, its top value
+    the terminals') raise {!Limit_exceeded}, so callers fall back to
+    estimation as on any overflow.  [capacity] (default 1024) is how many
+    nodes the tables are allocated for up front, capped by [node_limit];
+    past it they double.  Node ids, and so every result, do not depend
+    on it. *)
 
 val node_count : manager -> int
 (** Nodes currently allocated (excludes terminals). *)

@@ -22,16 +22,8 @@ type event = {
   tid : int;
 }
 
-type mark = {
-  m_name : string;
-  m_ts_us : float;
-  m_tid : int;
-  m_fields : (string * string) list;
-}
-
 let lock = Mutex.create ()
 let events_rev : event list ref = ref []
-let marks_rev : mark list ref = ref []
 
 let record ev =
   Mutex.lock lock;
@@ -64,22 +56,6 @@ let events () =
   let evs = !events_rev in
   Mutex.unlock lock;
   List.rev evs
-
-let mark ?(fields = []) name =
-  if Atomic.get on then begin
-    let m =
-      { m_name = name; m_ts_us = now_us (); m_tid = (Domain.self () :> int); m_fields = fields }
-    in
-    Mutex.lock lock;
-    marks_rev := m :: !marks_rev;
-    Mutex.unlock lock
-  end
-
-let marks () =
-  Mutex.lock lock;
-  let ms = !marks_rev in
-  Mutex.unlock lock;
-  List.rev ms
 
 (* --- counters / gauges ----------------------------------------------------- *)
 
@@ -306,7 +282,6 @@ let sample_gc () =
 let clear () =
   Mutex.lock lock;
   events_rev := [];
-  marks_rev := [];
   Hashtbl.iter (fun _ c -> Atomic.set c 0) counters;
   Hashtbl.iter (fun _ g -> Atomic.set g 0.0) gauges;
   Hashtbl.iter
@@ -500,40 +475,15 @@ module Json = struct
     | _ -> []
 end
 
-(* A mark's string fields as the members of a JSON object. *)
-let fields_json fields =
-  String.concat ","
-    (List.map
-       (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-       fields)
-
 let trace_json () =
-  let evs = events () in
-  let ms = marks () in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  let first = ref true in
-  let emit s =
-    if not !first then Buffer.add_string buf ",\n";
-    first := false;
-    Buffer.add_string buf s
+  let span ev =
+    Printf.sprintf
+      "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d}"
+      (json_escape ev.name) (json_escape ev.cat) ev.ts_us ev.dur_us ev.tid
   in
-  List.iter
-    (fun ev ->
-      emit
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d}"
-           (json_escape ev.name) (json_escape ev.cat) ev.ts_us ev.dur_us ev.tid))
-    evs;
-  List.iter
-    (fun m ->
-      emit
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"mark\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,\"pid\":1,\"tid\":%d,\"args\":{%s}}"
-           (json_escape m.m_name) m.m_ts_us m.m_tid (fields_json m.m_fields)))
-    ms;
-  Buffer.add_string buf "\n]}\n";
-  Buffer.contents buf
+  "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
+  ^ String.concat ",\n" (List.map span (events ()))
+  ^ "\n]}\n"
 
 let hsnap_json s =
   let qs =
@@ -755,7 +705,7 @@ end
 
    One `--obs-dir DIR` run writes a self-describing artifact directory:
    manifest.json (provenance), metrics.json (counters + gauges +
-   histograms), trace.json (Perfetto: spans and marks) and, when a
+   histograms), trace.json (Perfetto: spans) and, when a
    convergence recorder exists, convergence.json.
    [read] parses a directory back into a [run], the one form `obs diff`
    consumes. *)

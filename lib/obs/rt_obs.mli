@@ -1,4 +1,4 @@
-(** Observability for the optimize pipeline: spans, marks, counters/gauges,
+(** Observability for the optimize pipeline: spans, counters/gauges,
     log-bucketed histograms, a convergence recorder, unified run artifacts,
     their one reader and an artifact-diff analyzer.
 
@@ -23,10 +23,10 @@ val set_enabled : bool -> unit
 val enabled : unit -> bool
 
 val now_us : unit -> float
-(** Wall clock in microseconds since the epoch (the span/mark timebase). *)
+(** Wall clock in microseconds since the epoch (the span timebase). *)
 
 val clear : unit -> unit
-(** Drop all recorded spans and marks, and reset every registered counter,
+(** Drop all recorded spans, and reset every registered counter,
     gauge and histogram to zero (registrations themselves survive —
     instrumented modules keep their handles). *)
 
@@ -59,25 +59,9 @@ val with_span : ?cat:string -> string -> (unit -> 'a) -> 'a
 val events : unit -> event list
 (** Snapshot of all recorded spans, oldest first. *)
 
-(** {1 Marks}
-
-    Instant structured-log events: a name, a timestamp and free-form string
-    fields.  They appear as instant events in the trace. *)
-
-type mark = {
-  m_name : string;
-  m_ts_us : float;
-  m_tid : int;
-  m_fields : (string * string) list;
-}
-
-val mark : ?fields:(string * string) list -> string -> unit
-val marks : unit -> mark list
-
 val trace_json : unit -> string
 (** Chrome [trace_event] JSON: an object with a ["traceEvents"] array of
-    complete ("ph":"X") span events plus instant ("ph":"i") marks,
-    timestamps in microseconds. *)
+    complete ("ph":"X") span events, timestamps in microseconds. *)
 
 val pp_summary : Format.formatter -> unit
 (** Human-readable aggregated span tree (count and total wall-clock per

@@ -128,8 +128,15 @@ let engine_of_string s =
   in
   if s = "cop" then Ok Detect.Cop
   else if s = "bdd" then Ok (Detect.Bdd_exact { node_limit = 1_000_000 })
-  else if String.length s > 4 && String.sub s 0 4 = "bdd:" then
-    need "bdd:" (fun n -> Detect.Bdd_exact { node_limit = n })
+  else if String.length s > 4 && String.sub s 0 4 = "bdd:" then begin
+    (* Bdd packs node ids into 23-bit fields; Bdd.manager caps the limit. *)
+    let cap = Rt_bdd.Bdd.max_node_limit in
+    match int_after "bdd:" with
+    | Some n when n >= 1 && n <= cap -> Ok (Detect.Bdd_exact { node_limit = n })
+    | Some _ ->
+      Error (Printf.sprintf "engine %S: nodes must be in [1, %d] (valid: %s)" s cap engine_usage)
+    | None -> fail ()
+  end
   else if String.length s > 7 && String.sub s 0 7 = "stafan:" then
     need "stafan:" (fun n -> Detect.Stafan { n_patterns = n; seed = 7 })
   else if String.length s > 3 && String.sub s 0 3 = "mc:" then

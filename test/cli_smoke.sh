@@ -117,6 +117,15 @@ if [ "$rc" -ne 124 ] || ! grep -q "K must be in \[1, 16\]" "$dir/range.err"; the
   fail "-e cond:17 was not rejected with exit 124 and a message (exit $rc)"
 fi
 
+# The exact engine packs node ids into 23 bits; a node limit above 2^23 is a
+# usage error.
+rc=0
+"$optprob" analyze "$c17" -e bdd:8388609 >/dev/null 2>"$dir/range.err" || rc=$?
+if [ "$rc" -ne 124 ] || ! grep -q "nodes must be in \[1, 8388608\]" "$dir/range.err"; then
+  cat "$dir/range.err" >&2
+  fail "-e bdd:8388609 was not rejected with exit 124 and a message (exit $rc)"
+fi
+
 # Each file's defect is on line 3; the last one declares no OUTPUT.
 for bad in 'OUTPUT(b)\nb = AND(a, c)' 'OUTPUT(b)\nb = AND(b, a)' 'OUTPUT(b)\nINPUT(a)' \
   'OUTPUT(b)\nb = NOT(a, a)' 'b = NOT(a)\nc = NOT(b)'; do

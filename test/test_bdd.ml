@@ -43,13 +43,48 @@ let test_ite () =
       if Bdd.eval m f assign <> expect then Alcotest.failf "ite wrong at %d" v)
     (List.init 8 Fun.id)
 
+(* The store holds the two terminals and [node_limit - 2] internal nodes:
+   the allocation that would reach [node_limit] raises, and none before it
+   does, also across the store's doubling (1025).  A node packs its child
+   ids into 23 bits and its variable into 16, whose top value is the
+   terminals': a larger limit is refused, and a 65 536th variable
+   overflows like any other limit. *)
 let test_node_limit () =
   let m = Bdd.manager ~node_limit:8 ~nvars:16 () in
   Alcotest.check_raises "limit" Bdd.Limit_exceeded (fun () ->
       let acc = ref (Bdd.one m) in
       for i = 0 to 15 do
         acc := Bdd.and_ m !acc (Bdd.var m i)
-      done)
+      done);
+  List.iter
+    (fun limit ->
+      let m = Bdd.manager ~node_limit:limit ~nvars:limit () in
+      let x0 = Bdd.var m 0 in
+      for i = 1 to limit - 3 do
+        ignore (Bdd.var m i)
+      done;
+      check Alcotest.int "store full" (limit - 2) (Bdd.node_count m);
+      Alcotest.check_raises "one more" Bdd.Limit_exceeded (fun () -> ignore (Bdd.var m (limit - 2)));
+      check Alcotest.int "nothing allocated past it" (limit - 2) (Bdd.node_count m);
+      check Alcotest.bool "a full store still finds its nodes" true (Bdd.equal x0 (Bdd.var m 0)))
+    [ 8; 1025; 3000 ];
+  Alcotest.check_raises "limit above 2^23" (Invalid_argument "Bdd.manager: node_limit above 2^23")
+    (fun () -> ignore (Bdd.manager ~node_limit:(Bdd.max_node_limit + 1) ~nvars:1 ()));
+  ignore (Bdd.manager ~node_limit:Bdd.max_node_limit ~nvars:1 ());
+  Alcotest.check_raises "65 536 variables" Bdd.Limit_exceeded (fun () ->
+      ignore (Bdd.manager ~nvars:65_536 ()));
+  let m = Bdd.manager ~nvars:65_535 () in
+  let top = Bdd.var m 65_534 in
+  let f = Bdd.and_ m (Bdd.var m 0) (Bdd.not_ m top) in
+  check Alcotest.bool "eval on the last variable" true (Bdd.eval m f (fun v -> v = 0));
+  check Alcotest.bool "eval with it set" false (Bdd.eval m f (fun _ -> true));
+  check (Alcotest.float 0.0) "prob" 0.125
+    (Bdd.prob m f (fun v -> if v = 65_534 then 0.75 else 0.5));
+  match Bdd.prob_pair_many m [| f |] ~var:65_534 (fun _ -> 0.5) with
+  | [| (p0, p1) |] ->
+    check (Alcotest.float 0.0) "cofactor 0" 0.5 p0;
+    check (Alcotest.float 0.0) "cofactor 1" 0.0 p1
+  | _ -> Alcotest.fail "one pair per root"
 
 let test_sat_fraction_parity () =
   (* Parity of n variables is satisfied by exactly half the assignments. *)
@@ -84,18 +119,23 @@ let test_growth_and_rebuild () =
   check Alcotest.bool "rebuild returns the same root" true (Bdd.equal f f')
 
 (* The tables' initial size only decides when they grow: the same
-   operations make the same nodes in a manager that never grows. *)
+   operations make the same nodes in a manager that starts at 1024 and
+   doubles at least four times as in one that never grows. *)
 let test_capacity_keeps_nodes () =
-  let k = 12 in
+  let k = 13 in
   let build capacity =
     let m = Bdd.manager ~capacity ~nvars:(2 * k) () in
     let f = ref (Bdd.zero m) in
-    for i = 0 to k - 1 do
-      f := Bdd.or_ m !f (Bdd.and_ m (Bdd.var m i) (Bdd.var m (i + k)))
-    done;
-    (Bdd.node_count m, Bdd.prob m !f (fun v -> 0.1 +. (0.03 *. Float.of_int v)))
+    let ids =
+      List.init k (fun i ->
+          f := Bdd.or_ m !f (Bdd.and_ m (Bdd.var m i) (Bdd.var m (i + k)));
+          !f)
+    in
+    (ids, Bdd.node_count m, Bdd.prob m !f (fun v -> 0.1 +. (0.03 *. Float.of_int v)))
   in
-  let n_small, p_small = build 1024 and n_big, p_big = build (1 lsl 16) in
+  let ids_small, n_small, p_small = build 1024 and ids_big, n_big, p_big = build (1 lsl 16) in
+  check Alcotest.bool "four doublings" true (n_small + 2 > 8 * 1024);
+  check Alcotest.bool "node ids" true (List.equal Bdd.equal ids_small ids_big);
   check Alcotest.int "node count" n_small n_big;
   check Alcotest.bool "probability bit for bit" true
     (Int64.bits_of_float p_small = Int64.bits_of_float p_big)

@@ -437,6 +437,12 @@ let test_did_you_mean_engine () =
   (match Config.engine_of_string "stafan:100" with
    | Ok (Detect.Stafan { n_patterns = 100; seed = 7 }) -> ()
    | Ok _ -> Alcotest.fail "wrong stafan parse"
+   | Error m -> Alcotest.fail m);
+  check Alcotest.bool "bdd node limit range" true
+    (contains ~sub:"[1, 8388608]" (error_of (Config.engine_of_string "bdd:8388609")));
+  (match Config.engine_of_string "bdd:8388608" with
+   | Ok (Detect.Bdd_exact { node_limit = 8388608 }) -> ()
+   | Ok _ -> Alcotest.fail "wrong bdd parse"
    | Error m -> Alcotest.fail m)
 
 let test_did_you_mean_opt_passes () =
