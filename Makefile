@@ -19,16 +19,17 @@ bench-json:
 
 # Fast perf/correctness gate for the fused cofactor path: bit-identical to
 # two subset queries, the median of paired fused/baseline sweep ratios must
-# not exceed 1.0, and the artifact diff (1.5x quantile gate) must not flag
-# the fused side against the two-query baseline.  Artifacts land under
+# not exceed 1.0, and the artifact diff (1.5x gate on the exact p50/p99 of
+# the timed sweep spans) must not flag the fused side against the
+# two-query baseline.  Artifacts land under
 # _obs/smoke/{baseline,fused} for upload or manual `optprob obs diff`.
 bench-smoke:
 	dune exec bench/smoke.exe -- _obs/smoke
 
 # End-to-end artifact demo: two identical optimize runs under --obs-dir,
 # then `obs diff` between them.  Thresholds are deliberately loose (10x) —
-# the demo proves the plumbing (manifest, metrics, histograms, diff), not
-# machine speed, so CI timer noise cannot flake it.
+# the demo proves the plumbing (manifest, metrics, span quantiles, diff),
+# not machine speed, so CI timer noise cannot flake it.
 obs-demo:
 	dune exec bin/main.exe -- optimize s1 --engine cond:8 --sweeps 2 \
 	  --obs-dir _obs/demo/a
@@ -37,7 +38,8 @@ obs-demo:
 	@test -s _obs/demo/a/manifest.json
 	@test ! -e _obs/demo/a/metrics.prom
 	@test ! -e _obs/demo/a/events.jsonl
-	@grep -q '"optprob-metrics/2"' _obs/demo/a/metrics.json
+	@grep -q '"optprob-metrics/3"' _obs/demo/a/metrics.json
+	@! grep -q '"histograms"' _obs/demo/a/metrics.json
 	dune exec bin/main.exe -- obs diff _obs/demo/a _obs/demo/b \
 	  --max-span-ratio 10 --max-quantile-ratio 10 --max-counter-ratio 10
 	@echo "obs-demo: _obs/demo/{a,b} ok"

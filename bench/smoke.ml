@@ -12,10 +12,10 @@
       phases.  Two gates judge them: the median of the per-pair
       fused/baseline ratios must not exceed 1.0, and the [Rt_obs.Diff]
       engine itself, run on both sides written as --obs-dir style run
-      artifacts with the default 1.5x quantile threshold, must not flag
-      the fused side, so the bench exercises the same regression analyzer
-      CI relies on.  The histogram buckets are 1.78x apart, so the diff
-      alone can miss a fused path 2x slower;
+      artifacts (each sample a [smoke.sweep] span), must not flag the
+      fused side's exact p50 or p99 past the default 1.5x quantile
+      threshold, so the bench exercises the same regression analyzer CI
+      relies on;
    3. enabling telemetry does not slow the fused sweep beyond a lenient
       1.5x band (the disabled path is a single atomic load).  Off and on
       sweeps are interleaved in pairs and the gate is the median of the
@@ -28,11 +28,11 @@
    5. on the no-drop workload (every fault stays live, the hard-fault
       regime the paper's optimization targets) the wide datapath (W=8)
       beats the narrow one (W=1, timed in interleaved pairs with W=8)
-      by enough that obs diff, run with the
-      narrow side as candidate against the wide baseline, flags the
-      narrow path as a regression.  Inverting the roles turns the
-      analyzer into a speedup lock: losing the width win makes the gate
-      fail.  The width axis is chosen because it does not depend on host
+      by enough that obs diff, run with the narrow side as candidate
+      against the wide baseline, flags the narrow side's [smoke.ppsfp]
+      span quantiles as a regression at 1.25x.  Inverting the roles
+      turns the analyzer into a speedup lock: losing the width win makes
+      the gate fail.  The width axis is chosen because it does not depend on host
       core count, unlike the jobs axis;
    6. a second jobs=4 run spawns no additional domains
       ([parallel.spawns] flat), i.e. the domain pool persists.
@@ -107,6 +107,12 @@ let median a =
 let paired_ratio ~off ~on =
   let (_, s_off), (_, s_on) = time_pairs ~iters:sweep_iters off on in
   median (Array.map2 (fun a b -> b /. a) s_off s_on)
+
+(* Record each timed sample (us) as one [name] span ending now, so the
+   written artifact's trace carries the samples and obs diff reads their
+   exact quantiles. *)
+let record_samples name samples =
+  Array.iter (fun us -> Rt_obs.span_end ~cat:"smoke" name (Rt_obs.now_us () -. us)) samples
 
 (* Parse an artifact directory this smoke just wrote; an unreadable one is
    a harness failure. *)
@@ -197,8 +203,7 @@ let () =
       ()
   in
   let write side samples =
-    let h = Rt_obs.histogram "smoke.sweep_us" in
-    Array.iter (Rt_obs.observe h) samples;
+    record_samples "smoke.sweep" samples;
     let dir = Filename.concat out_root side in
     Rt_obs.Artifact.write ~dir ~manifest:(manifest side) ();
     Rt_obs.clear ();
@@ -208,7 +213,12 @@ let () =
   let dir_fused = write "fused" s_fused in
   Rt_obs.set_enabled false;
   let diff = Rt_obs.Diff.compare (read_run dir_base) (read_run dir_fused) in
-  let regressions = Rt_obs.Diff.regressions diff in
+  let quantile_regressions name diff =
+    List.filter
+      (fun f -> f.Rt_obs.Diff.kind = "quantile" && f.Rt_obs.Diff.name = name)
+      (Rt_obs.Diff.regressions diff)
+  in
+  let regressions = quantile_regressions "smoke.sweep" diff in
   let ratio = t_fused /. t_base in
   let pair_ratio = median (Array.map2 (fun f b -> f /. b) s_fused s_base) in
   Printf.printf "bench-smoke (s1, cop, %d hard faults, %d inputs):\n" (Array.length hard) n_inputs;
@@ -221,7 +231,7 @@ let () =
   Printf.printf "  artifacts:                  %s {baseline,fused}\n" out_root;
   Rt_obs.Diff.pp_report Format.std_formatter diff;
   if regressions <> [] then begin
-    Printf.eprintf "bench-smoke FAIL: obs diff flags the fused path as a regression\n";
+    Printf.eprintf "bench-smoke FAIL: obs diff flags the fused sweep's quantiles as a regression\n";
     exit 1
   end;
   if pair_ratio > 1.0 then begin
@@ -307,12 +317,11 @@ let () =
       (fun () -> ignore (sim ~jobs:1 ~block_words:8 ~drop:false ()))
   in
   (* One extra (untimed) recorded run per side puts the kernel counters —
-     ppsfp.batches, parallel.* — next to the latency histogram in each
+     ppsfp.batches, parallel.* — next to the timed samples in each
      artifact, so obs diff also sees the 8x good-machine-pass blowup of
      the narrow side. *)
   let write_ppsfp side samples ~block_words =
-    let h = Rt_obs.histogram "smoke.ppsfp_us" in
-    Array.iter (Rt_obs.observe h) samples;
+    record_samples "smoke.ppsfp" samples;
     ignore (sim ~jobs:1 ~block_words ~drop:false ());
     let dir = Filename.concat out_root side in
     Rt_obs.Artifact.write ~dir ~manifest:(manifest side) ();
@@ -327,17 +336,13 @@ let () =
   (* Roles inverted on purpose: wide is the baseline, narrow the
      candidate, and the gate requires obs diff to FLAG a latency
      regression — i.e. W=1 must be at least [quantile_ratio] slower than
-     W=8.  If a change erodes the width win below that bar, no histogram
-     finding is emitted and the gate fails. *)
+     W=8.  If a change erodes the width win below that bar, no quantile
+     finding is emitted for [smoke.ppsfp] and the gate fails. *)
   let ppsfp_thresholds = { Rt_obs.Diff.default with quantile_ratio = 1.25 } in
   let ppsfp_diff =
     Rt_obs.Diff.compare ~thresholds:ppsfp_thresholds (read_run dir_wide) (read_run dir_narrow)
   in
-  let ppsfp_regressions =
-    List.filter
-      (fun f -> f.Rt_obs.Diff.kind = "histogram")
-      (Rt_obs.Diff.regressions ppsfp_diff)
-  in
+  let ppsfp_regressions = quantile_regressions "smoke.ppsfp" ppsfp_diff in
   let width_ratio = t_narrow /. t_wide in
   (* Pool persistence: after a first jobs=4 run has warmed the pool, a
      second run must not spawn any further domains. *)

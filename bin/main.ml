@@ -35,7 +35,7 @@ let obs_dir_arg =
 
 let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ]
-         ~doc:"Print the aggregated phase timings, counters and latency histograms to stderr.")
+         ~doc:"Print the aggregated phase timings, counters and gauges to stderr.")
 
 let obs_arg =
   Term.(const (fun obs_dir verbose -> { obs_dir; verbose; t_start = 0.0 })
@@ -69,10 +69,7 @@ let obs_end ?(cfg : Config.t option) ?convergence obs =
      Rt_obs.Artifact.write ~dir ~manifest:(manifest_of_cfg ?cfg obs) ?convergence ();
      Format.eprintf "wrote run artifact %s@." dir
    | None -> ());
-  if obs.verbose then begin
-    Rt_obs.sample_gc ();
-    Rt_obs.pp_summary Format.err_formatter
-  end
+  if obs.verbose then Rt_obs.pp_summary Format.err_formatter
 
 let exits = Cmd.Exit.defaults
 
@@ -382,7 +379,7 @@ let diff_thresholds_term =
   let quantile_ratio =
     Arg.(value & opt float d.Rt_obs.Diff.quantile_ratio
          & info [ "max-quantile-ratio" ] ~docv:"R"
-           ~doc:"Flag a histogram whose p50 or p99 shifted by more than $(docv)x \
+           ~doc:"Flag a span whose exact p50 or p99 shifted by more than $(docv)x \
                  (also gates the convergence final N).")
   in
   let counter_ratio =
@@ -391,7 +388,8 @@ let diff_thresholds_term =
   in
   let min_span_us =
     Arg.(value & opt float d.Rt_obs.Diff.min_span_us & info [ "min-span-us" ] ~docv:"US"
-           ~doc:"Noise floor: ignore span totals below $(docv) microseconds in both runs.")
+           ~doc:"Noise floor: ignore a span (total and quantiles) whose total is below \
+                 $(docv) microseconds in both runs.")
   in
   Term.(
     const (fun span_ratio quantile_ratio counter_ratio min_span_us ->
@@ -419,7 +417,7 @@ let obs_diff_cmd =
   Cmd.v
     (Cmd.info "diff"
        ~doc:"Diff two run artifact directories (from --obs-dir): counter deltas, span-tree \
-             wall-clock, histogram quantile shifts, convergence divergence."
+             wall-clock and exact p50/p99 shifts, convergence divergence."
        ~exits)
     Term.(
       ret

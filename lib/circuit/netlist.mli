@@ -66,4 +66,4 @@ val eval_outputs : t -> bool array -> bool array
 (** Just the primary output values, in [outputs] order. *)
 
 val stats : t -> Format.formatter -> unit
-(** One-line summary: inputs/outputs/gates/levels and gate histogram. *)
+(** One-line summary: inputs/outputs/gates/levels and per-kind gate counts. *)

@@ -341,7 +341,6 @@ let run ?(rounds = 8) ?(passes = all) c =
     if not !round_changed then continue_ := false
   done;
   Rt_obs.add (Rt_obs.counter "opt.rounds") !round;
-  Rt_obs.add (Rt_obs.counter "opt.nodes_removed") (Netlist.size c - Netlist.size !cur);
   ( !cur,
     !remap,
     { rounds = !round; per_pass = List.map (fun (p, stat) -> (p.p_name, !stat)) acc } )

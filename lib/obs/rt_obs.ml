@@ -3,12 +3,12 @@
    the overhead budget that lets the library's hot loops stay instrumented
    permanently.  Recording itself takes a mutex (spans are emitted at
    region/phase granularity, so contention is negligible next to the work
-   being timed); counters are plain atomics and histogram observation is
-   lock-free (atomic bucket increments plus CAS loops for sum/min/max). *)
+   being timed); counters are plain atomics.  Spans are the only timing
+   channel: latency quantiles are computed exactly from their durations
+   when an artifact is read back. *)
 
 let on = Atomic.make false
 let set_enabled b = Atomic.set on b
-let enabled () = Atomic.get on
 
 let now_us () = Unix.gettimeofday () *. 1e6
 
@@ -95,203 +95,19 @@ let snapshot tbl get =
 let counters_snapshot () = snapshot counters Atomic.get
 let gauges_snapshot () = snapshot gauges Atomic.get
 
-(* --- histograms ------------------------------------------------------------
-
-   Fixed log-bucketed layout shared by every histogram: [buckets_per_decade]
-   buckets per decade over [10^lo_exp, 10^hi_exp], plus an underflow bucket
-   (index 0, everything <= 10^lo_exp) and an overflow bucket (last index,
-   upper bound +inf).  A shared layout makes merging lossless and trivially
-   associative/commutative: add the bucket arrays element-wise.  The bucket
-   index is found by binary search over the precomputed upper bounds — no
-   [log10] at observe time, and a value is *always* counted in a bucket
-   whose upper bound is >= the value, so reported quantiles are upper
-   bounds of the true sample quantiles (within one bucket ratio). *)
-
-let buckets_per_decade = 4
-let lo_exp = -9
-let hi_exp = 9
-let bucket_ratio = Float.pow 10.0 (1.0 /. Float.of_int buckets_per_decade)
-let n_core = (hi_exp - lo_exp) * buckets_per_decade
-
-(* upper bounds for buckets 0 .. n_core; bucket n_core + 1 is +inf *)
-let bounds =
-  Array.init (n_core + 1) (fun i ->
-      Float.pow 10.0 (Float.of_int lo_exp +. (Float.of_int i /. Float.of_int buckets_per_decade)))
-
-let n_buckets = n_core + 2
-let bucket_upper i = if i >= n_buckets - 1 then Float.infinity else bounds.(i)
-
-let bucket_index v =
-  if Float.is_nan v || v <= bounds.(0) then 0
-  else if v > bounds.(n_core) then n_buckets - 1
-  else begin
-    (* smallest i with bounds.(i) >= v; invariant: bounds.(hi) >= v *)
-    let lo = ref 0 and hi = ref n_core in
-    while !hi - !lo > 0 do
-      let mid = (!lo + !hi) / 2 in
-      if bounds.(mid) >= v then hi := mid else lo := mid + 1
-    done;
-    !hi
-  end
-
-type histogram = {
-  h_name : string;
-  h_count : int Atomic.t;
-  h_sum : float Atomic.t;
-  h_min : float Atomic.t;
-  h_max : float Atomic.t;
-  h_buckets : int Atomic.t array;
-}
-
-type hsnap = {
-  count : int;
-  sum : float;
-  min : float;  (* +inf when empty *)
-  max : float;  (* -inf when empty *)
-  buckets : int array;  (* length [n_buckets] *)
-}
-
-let histograms : (string, histogram) Hashtbl.t = Hashtbl.create 16
-
-let histogram name =
-  registered histograms
-    (fun () ->
-      { h_name = name;
-        h_count = Atomic.make 0;
-        h_sum = Atomic.make 0.0;
-        h_min = Atomic.make Float.infinity;
-        h_max = Atomic.make Float.neg_infinity;
-        h_buckets = Array.init n_buckets (fun _ -> Atomic.make 0) })
-    name
-
-let rec atomic_add_float a x =
-  let cur = Atomic.get a in
-  if not (Atomic.compare_and_set a cur (cur +. x)) then atomic_add_float a x
-
-let rec atomic_fold_float a better x =
-  let cur = Atomic.get a in
-  if better x cur && not (Atomic.compare_and_set a cur x) then atomic_fold_float a better x
-
-let observe_always h v =
-  ignore (Atomic.fetch_and_add h.h_count 1);
-  ignore (Atomic.fetch_and_add h.h_buckets.(bucket_index v) 1);
-  atomic_add_float h.h_sum v;
-  atomic_fold_float h.h_min (fun x cur -> x < cur) v;
-  atomic_fold_float h.h_max (fun x cur -> x > cur) v
-
-let observe h v = if Atomic.get on then observe_always h v
-
-let span_end_h ?(cat = "span") name h t0 =
-  if t0 > Float.neg_infinity then begin
-    (* One clock read feeds both the event and the histogram, so the two
-       views of the span duration are identical. *)
-    let dur = Float.max 0.0 (now_us () -. t0) in
-    record { name; cat; ts_us = t0; dur_us = dur; tid = (Domain.self () :> int) };
-    observe_always h dur
-  end
-
-let with_span_h ?cat name h f =
-  if not (Atomic.get on) then f ()
-  else begin
-    let t0 = now_us () in
-    match f () with
-    | v ->
-      span_end_h ?cat name h t0;
-      v
-    | exception e ->
-      span_end_h ?cat name h t0;
-      raise e
-  end
-
-let histogram_snapshot h =
-  { count = Atomic.get h.h_count;
-    sum = Atomic.get h.h_sum;
-    min = Atomic.get h.h_min;
-    max = Atomic.get h.h_max;
-    buckets = Array.map Atomic.get h.h_buckets }
-
-let histograms_snapshot () =
-  snapshot histograms histogram_snapshot
-  |> List.filter (fun (_, s) -> s.count > 0)
-
-let hsnap_empty =
-  { count = 0;
-    sum = 0.0;
-    min = Float.infinity;
-    max = Float.neg_infinity;
-    buckets = Array.make n_buckets 0 }
-
-let hsnap_of_samples xs =
-  let buckets = Array.make n_buckets 0 in
-  let sum = ref 0.0 and mn = ref Float.infinity and mx = ref Float.neg_infinity in
-  Array.iter
-    (fun v ->
-      buckets.(bucket_index v) <- buckets.(bucket_index v) + 1;
-      sum := !sum +. v;
-      if v < !mn then mn := v;
-      if v > !mx then mx := v)
-    xs;
-  { count = Array.length xs; sum = !sum; min = !mn; max = !mx; buckets }
-
-let hsnap_merge a b =
-  { count = a.count + b.count;
-    sum = a.sum +. b.sum;
-    min = Float.min a.min b.min;
-    max = Float.max a.max b.max;
-    buckets = Array.init n_buckets (fun i -> a.buckets.(i) + b.buckets.(i)) }
-
-(* Upper bound of the true sample quantile: the rank-th smallest sample lies
-   in the bucket where the cumulative count reaches the rank, and every
-   sample in a bucket is <= its upper bound (and <= the exact max). *)
-let hsnap_quantile s q =
-  if s.count = 0 then Float.nan
-  else if q <= 0.0 then s.min
-  else begin
-    let rank = Stdlib.min s.count (int_of_float (Float.ceil (q *. Float.of_int s.count))) in
-    let rank = Stdlib.max 1 rank in
-    let acc = ref 0 and i = ref 0 in
-    while !acc < rank && !i < n_buckets do
-      acc := !acc + s.buckets.(!i);
-      if !acc < rank then Stdlib.incr i
-    done;
-    Float.min (bucket_upper !i) s.max
-  end
-
-(* --- GC gauges --------------------------------------------------------------
-
-   Cheap heap gauges from [Gc.quick_stat], refreshed at phase boundaries
-   (sweep ends, artifact writes).  Gated like everything
-   else: free when recording is off. *)
-
-let g_minor_words = gauge "gc.minor_words"
-let g_major_words = gauge "gc.major_words"
-let g_heap_words = gauge "gc.heap_words"
-let g_minor_collections = gauge "gc.minor_collections"
-let g_major_collections = gauge "gc.major_collections"
-
-let sample_gc () =
-  if Atomic.get on then begin
-    let s = Gc.quick_stat () in
-    gauge_set g_minor_words s.Gc.minor_words;
-    gauge_set g_major_words s.Gc.major_words;
-    gauge_set g_heap_words (Float.of_int s.Gc.heap_words);
-    gauge_set g_minor_collections (Float.of_int s.Gc.minor_collections);
-    gauge_set g_major_collections (Float.of_int s.Gc.major_collections)
-  end
+(* Exact nearest-rank percentile of an ascending array: the smallest
+   sample with at least [pct]% of the samples at or below it ([pct] in
+   [0, 100], integer so the rank needs no float rounding); [nan] when
+   empty. *)
+let percentile sorted pct =
+  let n = Array.length sorted in
+  if n = 0 then Float.nan else sorted.(Int.max 0 (((pct * n) + 99) / 100 - 1))
 
 let clear () =
   Mutex.lock lock;
   events_rev := [];
   Hashtbl.iter (fun _ c -> Atomic.set c 0) counters;
   Hashtbl.iter (fun _ g -> Atomic.set g 0.0) gauges;
-  Hashtbl.iter
-    (fun _ h ->
-      Atomic.set h.h_count 0;
-      Atomic.set h.h_sum 0.0;
-      Atomic.set h.h_min Float.infinity;
-      Atomic.set h.h_max Float.neg_infinity;
-      Array.iter (fun b -> Atomic.set b 0) h.h_buckets)
-    histograms;
   Mutex.unlock lock
 
 (* --- JSON ------------------------------------------------------------------ *)
@@ -485,22 +301,6 @@ let trace_json () =
   ^ String.concat ",\n" (List.map span (events ()))
   ^ "\n]}\n"
 
-let hsnap_json s =
-  let qs =
-    [ ("p50", hsnap_quantile s 0.5); ("p90", hsnap_quantile s 0.9); ("p99", hsnap_quantile s 0.99) ]
-  in
-  let buckets =
-    Array.to_list s.buckets
-    |> List.mapi (fun i c -> (i, c))
-    |> List.filter (fun (_, c) -> c > 0)
-    |> List.map (fun (i, c) -> Printf.sprintf "[%s, %d]" (json_float (bucket_upper i)) c)
-    |> String.concat ", "
-  in
-  Printf.sprintf "{\"count\": %d, \"sum\": %s, \"min\": %s, \"max\": %s, %s, \"buckets\": [%s]}"
-    s.count (json_float s.sum) (json_float s.min) (json_float s.max)
-    (String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k (json_float v)) qs))
-    buckets
-
 let metrics_json () =
   let buf = Buffer.create 1024 in
   let obj add xs =
@@ -511,12 +311,10 @@ let metrics_json () =
         add v)
       xs
   in
-  Buffer.add_string buf "{\n  \"schema\": \"optprob-metrics/2\",\n  \"counters\": {\n";
+  Buffer.add_string buf "{\n  \"schema\": \"optprob-metrics/3\",\n  \"counters\": {\n";
   obj (fun v -> Buffer.add_string buf (string_of_int v)) (counters_snapshot ());
   Buffer.add_string buf "\n  },\n  \"gauges\": {\n";
   obj (fun v -> Buffer.add_string buf (Printf.sprintf "%.17g" v)) (gauges_snapshot ());
-  Buffer.add_string buf "\n  },\n  \"histograms\": {\n";
-  obj (fun s -> Buffer.add_string buf (hsnap_json s)) (histograms_snapshot ());
   Buffer.add_string buf "\n  }\n}\n";
   Buffer.contents buf
 
@@ -636,16 +434,6 @@ let pp_summary ppf =
   if gs <> [] then begin
     Format.fprintf ppf "gauges:@.";
     List.iter (fun (name, v) -> Format.fprintf ppf "  %-44s %12.1f@." name v) gs
-  end;
-  let hs = histograms_snapshot () in
-  if hs <> [] then begin
-    Format.fprintf ppf "histograms (quantiles are bucket upper bounds):@.";
-    Format.fprintf ppf "  %-44s %8s %10s %10s %10s %10s@." "" "count" "p50" "p90" "p99" "max";
-    List.iter
-      (fun (name, s) ->
-        Format.fprintf ppf "  %-44s %8d %10.4g %10.4g %10.4g %10.4g@." name s.count
-          (hsnap_quantile s 0.5) (hsnap_quantile s 0.9) (hsnap_quantile s 0.99) s.max)
-      hs
   end
 
 (* --- convergence recorder --------------------------------------------------- *)
@@ -657,7 +445,7 @@ module Convergence = struct
     j : float;
     n : float;
     y : float array;
-    pf : hsnap option;
+    pf : (string * float) list option;
     objective : string;
   }
 
@@ -665,16 +453,24 @@ module Convergence = struct
 
   let create () = { rows_rev = [] }
 
+  (* The exact distribution summary of one row's samples, in JSON order. *)
+  let summary samples =
+    let s = Array.copy samples in
+    Array.sort Float.compare s;
+    let n = Array.length s in
+    (("count", Float.of_int n) :: ("min", percentile s 0)
+     :: List.map (fun p -> (Printf.sprintf "p%d" p, percentile s p)) [ 1; 10; 50; 90; 99 ])
+    @ [ ("max", percentile s 100) ]
+
   let record t ?pf ?(objective = "single") ~stage ~sweep ~j ~n ~y () =
+    let pf = Option.map summary pf in
     t.rows_rev <- { stage; sweep; j; n; y = Array.copy y; pf; objective } :: t.rows_rev
 
   let rows t = List.rev t.rows_rev
 
-  let pf_quantiles = [ ("p1", 0.01); ("p10", 0.1); ("p50", 0.5); ("p90", 0.9); ("p99", 0.99) ]
-
   let to_json t =
     let buf = Buffer.create 1024 in
-    Buffer.add_string buf "{\n  \"schema\": \"optprob-convergence/2\",\n  \"rows\": [\n";
+    Buffer.add_string buf "{\n  \"schema\": \"optprob-convergence/3\",\n  \"rows\": [\n";
     List.iteri
       (fun i r ->
         if i > 0 then Buffer.add_string buf ",\n";
@@ -683,18 +479,13 @@ module Convergence = struct
              "    {\"stage\": \"%s\", \"objective\": \"%s\", \"sweep\": %d, \"j_n\": %.17g, \"n\": %s, \"y\": [%s]"
              (json_escape r.stage) (json_escape r.objective) r.sweep r.j (json_float r.n)
              (String.concat ", " (Array.to_list (Array.map (Printf.sprintf "%.17g") r.y))));
-        (match r.pf with
-         | Some s ->
-           Buffer.add_string buf
-             (Printf.sprintf ", \"pf\": {\"count\": %d, \"min\": %s, %s, \"max\": %s}" s.count
-                (json_float s.min)
-                (String.concat ", "
-                   (List.map
-                      (fun (k, q) ->
-                        Printf.sprintf "\"%s\": %s" k (json_float (hsnap_quantile s q)))
-                      pf_quantiles))
-                (json_float s.max))
-         | None -> ());
+        Option.iter
+          (fun kvs ->
+            Buffer.add_string buf
+              (Printf.sprintf ", \"pf\": {%s}"
+                 (String.concat ", "
+                    (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k (json_float v)) kvs))))
+          r.pf;
         Buffer.add_string buf "}")
       (rows t);
     Buffer.add_string buf "\n  ]\n}\n";
@@ -704,11 +495,11 @@ end
 (* --- run artifacts ----------------------------------------------------------
 
    One `--obs-dir DIR` run writes a self-describing artifact directory:
-   manifest.json (provenance), metrics.json (counters + gauges +
-   histograms), trace.json (Perfetto: spans) and, when a
-   convergence recorder exists, convergence.json.
-   [read] parses a directory back into a [run], the one form `obs diff`
-   consumes. *)
+   manifest.json (provenance), metrics.json (counters + gauges),
+   trace.json (Perfetto: spans) and, when a convergence recorder exists,
+   convergence.json.  [read] parses a directory back into a [run], the
+   one form `obs diff` consumes; its per-span latency quantiles come
+   from the trace's events. *)
 
 module Artifact = struct
   type manifest = {
@@ -807,7 +598,6 @@ module Artifact = struct
 
   let write ~dir ~manifest ?convergence () =
     mkdir_p dir;
-    sample_gc ();
     write_file (Filename.concat dir "manifest.json") (manifest_json manifest);
     write_file (Filename.concat dir "metrics.json") (metrics_json ());
     write_file (Filename.concat dir "trace.json") (trace_json ());
@@ -815,19 +605,19 @@ module Artifact = struct
     | Some t -> write_file (Filename.concat dir "convergence.json") (Convergence.to_json t)
     | None -> ()
 
+  type span_stat = { count : int; total_us : float; p50_us : float; p99_us : float }
+
   type run = {
     manifest : Json.t;
     counters : (string * float) list;
     gauges : (string * float) list;
-    histograms : (string * (string * float) list) list;
-    span_totals : (string * float) list;
+    spans : (string * span_stat) list;
     final_n : float option;
   }
 
-  let by_name l = List.sort (fun (a, _) (b, _) -> String.compare a b) l
-
-  (* Total span wall-clock per name from a trace.json. *)
-  let span_totals trace =
+  (* Per span name of a trace.json: event count, total duration and exact
+     p50/p99, sorted by name. *)
+  let span_stats trace =
     let tbl = Hashtbl.create 32 in
     (match Json.member "traceEvents" trace with
      | Some (Json.Arr evs) ->
@@ -835,11 +625,20 @@ module Artifact = struct
          (fun e ->
            match (Json.member "name" e, Json.member "dur" e) with
            | Some (Json.Str name), Some (Json.Num dur) ->
-             Hashtbl.replace tbl name ((try Hashtbl.find tbl name with Not_found -> 0.0) +. dur)
+             Hashtbl.replace tbl name (dur :: Option.value ~default:[] (Hashtbl.find_opt tbl name))
            | _ -> ())
          evs
      | _ -> ());
-    by_name (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+    let stat durs =
+      let d = Array.of_list durs in
+      Array.sort Float.compare d;
+      { count = Array.length d;
+        total_us = Array.fold_left ( +. ) 0.0 d;
+        p50_us = percentile d 50;
+        p99_us = percentile d 99 }
+    in
+    Hashtbl.fold (fun name durs acc -> (name, stat durs) :: acc) tbl []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
   let read dir =
     let load file =
@@ -854,15 +653,10 @@ module Artifact = struct
     | Json.Null -> Error (dir ^ ": missing or unreadable metrics.json")
     | metrics -> (
       try
-        let span_totals = span_totals (load "trace.json") in
+        let spans = span_stats (load "trace.json") in
         let convergence = load "convergence.json" in
         let manifest = load "manifest.json" in
         let section k = Option.value ~default:Json.Null (Json.member k metrics) in
-        let histograms =
-          match section "histograms" with
-          | Json.Obj hs -> List.map (fun (name, h) -> (name, Json.num_members h)) hs
-          | _ -> []
-        in
         (* [n] of the last "final" row *)
         let final_n =
           match Json.member "rows" convergence with
@@ -879,7 +673,7 @@ module Artifact = struct
           { manifest;
             counters = Json.num_members (section "counters");
             gauges = Json.num_members (section "gauges");
-            histograms; span_totals; final_n }
+            spans; final_n }
       with Failure m -> Error m)
 end
 
@@ -891,7 +685,7 @@ module Diff = struct
     quantile_ratio : float;
     counter_ratio : float;
     min_span_us : float;
-    min_hist_count : int;
+    min_span_count : int;
   }
 
   let default =
@@ -899,13 +693,13 @@ module Diff = struct
       quantile_ratio = 1.5;
       counter_ratio = 1.5;
       min_span_us = 1000.0;
-      min_hist_count = 1 }
+      min_span_count = 1 }
 
   type severity = Regression | Improvement | Info
 
   type finding = {
     severity : severity;
-    kind : string;  (* "counter" | "gauge" | "span" | "histogram" | "convergence" | "manifest" *)
+    kind : string;  (* "counter" | "gauge" | "span" | "quantile" | "convergence" | "manifest" *)
     name : string;
     a : float;
     b : float;
@@ -946,15 +740,6 @@ module Diff = struct
             { severity = sev; kind; name; a; b;
               detail = Printf.sprintf "%.4g -> %.4g %s (x%.3g)" a b unit_ (ratio a b) })
 
-  let hist_quantiles (r : Artifact.run) =
-    List.filter_map
-      (fun (name, stats) ->
-        let f k = List.assoc_opt k stats in
-        match (f "count", f "p50", f "p99", f "max") with
-        | Some c, Some p50, Some p99, Some _ -> Some (name, (c, p50, p99))
-        | _ -> None)
-      r.histograms
-
   let compare ?(thresholds = default) (ra : Artifact.run) (rb : Artifact.run) =
     let t = thresholds in
     let counters =
@@ -963,44 +748,44 @@ module Diff = struct
         ~unit_:"" ra.counters rb.counters
     in
     let gauges =
-      (* gauges (heap sizes, GC totals) are environment-dependent: report,
-         never gate *)
+      (* a gauge is a last-written value, not a cost: report, never gate *)
       compare_keyed ~kind:"gauge" ~thr:Float.infinity ~gate:(fun _ _ -> false) ~unit_:""
         ra.gauges rb.gauges
       |> List.filter (fun f -> Float.abs (ratio f.a f.b -. 1.0) > 0.25)
     in
+    let totals = List.map (fun (name, (st : Artifact.span_stat)) -> (name, st.total_us)) in
     let spans =
       compare_keyed ~kind:"span" ~thr:t.span_ratio
         ~gate:(fun a b -> Float.max a b >= t.min_span_us)
-        ~unit_:"us" ra.span_totals rb.span_totals
+        ~unit_:"us" (totals ra.spans) (totals rb.spans)
     in
-    let hists =
-      join ~kind:"histogram" ~value:(fun (_, _, p99) -> p99)
-        ~both:(fun name (ca, p50a, p99a) (cb, p50b, p99b) ->
-          let eligible =
-            ca >= Float.of_int t.min_hist_count && cb >= Float.of_int t.min_hist_count
-          in
-          let sev_of qa qb =
-            if eligible && qa <> qb then classify t.quantile_ratio qa qb else Info
-          in
-          let sev =
-            match (sev_of p50a p50b, sev_of p99a p99b) with
-            | Regression, _ | _, Regression -> Regression
-            | Improvement, _ | _, Improvement -> Improvement
-            | _ -> Info
-          in
-          if p50a = p50b && p99a = p99b && ca = cb then None
-          else
-            Some
-              { severity = sev;
-                kind = "histogram";
-                name;
-                a = p99a;
-                b = p99b;
-                detail =
-                  Printf.sprintf "p50 %.4g -> %.4g (x%.3g), p99 %.4g -> %.4g (x%.3g), n %g -> %g"
-                    p50a p50b (ratio p50a p50b) p99a p99b (ratio p99a p99b) ca cb })
-        (hist_quantiles ra) (hist_quantiles rb)
+    (* A span name's exact p50/p99, eligible under the same noise floor as
+       its total.  Only a shift past [quantile_ratio] is a finding: the
+       span finding above already reports the name's smaller moves. *)
+    let quantiles =
+      List.filter_map
+        (fun (name, (qa : Artifact.span_stat)) ->
+          match List.assoc_opt name rb.spans with
+          | Some qb
+            when Int.min qa.count qb.count >= t.min_span_count
+                 && Float.max qa.total_us qb.total_us >= t.min_span_us -> (
+            let sev x y = classify t.quantile_ratio x y in
+            match (sev qa.p50_us qb.p50_us, sev qa.p99_us qb.p99_us) with
+            | Info, Info -> None
+            | s50, s99 ->
+              let regressed = s50 = Regression || s99 = Regression in
+              Some
+                { severity = (if regressed then Regression else Improvement);
+                  kind = "quantile";
+                  name;
+                  a = qa.p99_us;
+                  b = qb.p99_us;
+                  detail =
+                    Printf.sprintf "p50 %.4g -> %.4g us (x%.3g), p99 %.4g -> %.4g us (x%.3g), n %d -> %d"
+                      qa.p50_us qb.p50_us (ratio qa.p50_us qb.p50_us) qa.p99_us qb.p99_us
+                      (ratio qa.p99_us qb.p99_us) qa.count qb.count })
+          | _ -> None)
+        ra.spans
     in
     let convergence =
       match (ra.final_n, rb.final_n) with
@@ -1030,7 +815,7 @@ module Diff = struct
     in
     List.sort
       (fun x y -> compare (rank x) (rank y))
-      (counters @ gauges @ spans @ hists @ convergence @ manifest)
+      (counters @ gauges @ spans @ quantiles @ convergence @ manifest)
 
   let regressions fs = List.filter (fun f -> f.severity = Regression) fs
 

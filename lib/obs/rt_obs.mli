@@ -1,6 +1,6 @@
-(** Observability for the optimize pipeline: spans, counters/gauges,
-    log-bucketed histograms, a convergence recorder, unified run artifacts,
-    their one reader and an artifact-diff analyzer.
+(** Observability for the optimize pipeline: spans, counters/gauges, a
+    convergence recorder, unified run artifacts, their one reader and an
+    artifact-diff analyzer.
 
     Everything here is a global, process-wide sink.  Recording is gated on a
     single enabled flag: when disabled (the default) every entry point costs
@@ -10,24 +10,24 @@
 
     Spans export as Chrome [trace_event] JSON (loadable in [chrome://tracing]
     or {{:https://ui.perfetto.dev}Perfetto}) and as a human-readable
-    aggregated tree.  Counters, gauges and histograms snapshot to JSON and
-    to an OpenMetrics text exposition.  {!Artifact} bundles everything a run
-    recorded into one self-describing directory; {!Artifact.read} turns such
-    a directory back into an {!Artifact.run}, and {!Diff} compares two
-    runs.  The convergence recorder is an explicit per-run object
-    (see {!Convergence}) that works independently of the global flag. *)
+    aggregated tree; they are the only timing channel, and
+    {!Artifact.read} derives exact per-span latency quantiles from them.
+    Counters and gauges snapshot to JSON.  {!Artifact} bundles everything
+    a run recorded into one self-describing directory; {!Artifact.read}
+    turns such a directory back into an {!Artifact.run}, and {!Diff}
+    compares two runs.  The convergence recorder is an explicit per-run
+    object (see {!Convergence}) that works independently of the global
+    flag. *)
 
 val set_enabled : bool -> unit
 (** Turn recording on or off globally.  Off by default. *)
-
-val enabled : unit -> bool
 
 val now_us : unit -> float
 (** Wall clock in microseconds since the epoch (the span timebase). *)
 
 val clear : unit -> unit
-(** Drop all recorded spans, and reset every registered counter,
-    gauge and histogram to zero (registrations themselves survive —
+(** Drop all recorded spans, and reset every registered counter and
+    gauge to zero (registrations themselves survive —
     instrumented modules keep their handles). *)
 
 (** {1 Spans}
@@ -50,7 +50,9 @@ val span_begin : unit -> float
     for hot paths (per-chunk timing). *)
 
 val span_end : ?cat:string -> string -> float -> unit
-(** [span_end ~cat name t0] records the span opened by [span_begin]. *)
+(** [span_end ~cat name t0] records the span opened by [span_begin].  A
+    [t0] taken from {!now_us} records a span that started then, so a
+    duration measured elsewhere can be recorded back-dated. *)
 
 val with_span : ?cat:string -> string -> (unit -> 'a) -> 'a
 (** Run a thunk inside a span.  When disabled this is just [f ()].  The span
@@ -65,8 +67,8 @@ val trace_json : unit -> string
 
 val pp_summary : Format.formatter -> unit
 (** Human-readable aggregated span tree (count and total wall-clock per
-    name, nested by containment) followed by the nonzero counters, all
-    gauges, and per-histogram count/p50/p90/p99/max. *)
+    name, nested by containment) followed by the nonzero counters and all
+    gauges. *)
 
 (** {1 Counters and gauges}
 
@@ -93,70 +95,8 @@ val counters_snapshot : unit -> (string * int) list
 
 val gauges_snapshot : unit -> (string * float) list
 
-val sample_gc : unit -> unit
-(** Refresh the [gc.*] gauges (minor/major words, heap words, minor and
-    major collection counts) from [Gc.quick_stat].  Intended for phase
-    boundaries; free when recording is disabled. *)
-
-(** {1 Histograms}
-
-    Domain-safe log-bucketed value distributions: observation is lock-free
-    (atomic bucket increment plus CAS loops for sum/min/max), and every
-    histogram shares one fixed bucket layout (four buckets
-    per decade between [10^-9] and [10^9], plus underflow and overflow
-    buckets), which makes {!hsnap_merge} lossless, associative and
-    commutative.  Reported quantiles are upper bounds of the true sample
-    quantiles: a value is always counted in a bucket whose upper bound is
-    at least the value, and bucket bounds are one {!bucket_ratio} apart. *)
-
-type histogram
-
-val histogram : string -> histogram
-(** Registered by name, like {!counter}. *)
-
-val observe : histogram -> float -> unit
-(** Record one sample.  Dropped while disabled; lock-free while enabled. *)
-
-val span_end_h : ?cat:string -> string -> histogram -> float -> unit
-(** {!span_end} that also observes the span's duration (µs) into a
-    histogram — one clock read serves both. *)
-
-val with_span_h : ?cat:string -> string -> histogram -> (unit -> 'a) -> 'a
-(** {!with_span} that also observes the duration (µs) into a histogram. *)
-
-(** A point-in-time copy of a histogram (or a pure sample summary). *)
-type hsnap = {
-  count : int;
-  sum : float;
-  min : float;  (** [+inf] when empty *)
-  max : float;  (** [-inf] when empty *)
-  buckets : int array;  (** shared fixed layout *)
-}
-
-val bucket_ratio : float
-(** Ratio between consecutive bucket upper bounds ([10^(1/4)]). *)
-
-val hsnap_empty : hsnap
-val histogram_snapshot : histogram -> hsnap
-
-val hsnap_of_samples : float array -> hsnap
-(** Pure summary of a sample array (independent of the global sink and the
-    enabled flag) — used e.g. for the per-sweep [p_f] distribution. *)
-
-val hsnap_merge : hsnap -> hsnap -> hsnap
-(** Lossless element-wise merge; associative and commutative (the float
-    [sum] is subject to rounding, everything else is exact). *)
-
-val hsnap_quantile : hsnap -> float -> float
-(** [hsnap_quantile s q] for [q] in [(0, 1]]: an upper bound of the true
-    sample quantile, within one {!bucket_ratio} (and never above the exact
-    recorded [max]).  [q <= 0] returns the exact [min]; empty snapshots
-    return [nan]. *)
-
 val metrics_json : unit -> string
-(** [{"schema":"optprob-metrics/2","counters":{...},"gauges":{...},
-    "histograms":{...}}]; each histogram carries count/sum/min/max,
-    p50/p90/p99 and its nonzero buckets as [[upper_bound, count]] pairs. *)
+(** [{"schema":"optprob-metrics/3","counters":{...},"gauges":{...}}]. *)
 
 (** {1 JSON reader}
 
@@ -212,7 +152,10 @@ module Convergence : sig
     j : float;  (** [J_N] at this point (detectable faults) *)
     n : float;  (** required test length *)
     y : float array;  (** the weight vector *)
-    pf : hsnap option;  (** distribution of [p_f(X)] over detectable faults *)
+    pf : (string * float) list option;
+        (** exact distribution of [p_f(X)] over the detectable faults:
+            count, min, p1, p10, p50, p90, p99 and max, in that order
+            (nearest-rank percentiles) *)
     objective : string;  (** objective key the row's [j]/[n] were computed under *)
   }
 
@@ -221,15 +164,16 @@ module Convergence : sig
   val create : unit -> t
 
   val record :
-    t -> ?pf:hsnap -> ?objective:string -> stage:string -> sweep:int -> j:float ->
+    t -> ?pf:float array -> ?objective:string -> stage:string -> sweep:int -> j:float ->
     n:float -> y:float array -> unit -> unit
-  (** [objective] defaults to ["single"]. *)
+  (** [pf] is the row's sample, summarised on the spot; [objective]
+      defaults to ["single"]. *)
 
   val rows : t -> row list
   (** Oldest first. *)
 
   val to_json : t -> string
-  (** [{"schema":"optprob-convergence/2","rows":[...]}]; floats printed
+  (** [{"schema":"optprob-convergence/3","rows":[...]}]; floats printed
       with full precision so the final [n] round-trips exactly. *)
 end
 
@@ -264,26 +208,28 @@ module Artifact : sig
 
   val write : dir:string -> manifest:manifest -> ?convergence:Convergence.t -> unit -> unit
   (** Create [dir] (and parents) and write [manifest.json], [metrics.json],
-      [trace.json] and — when a recorder is given — [convergence.json].
-      Samples the GC gauges first. *)
+      [trace.json] and — when a recorder is given — [convergence.json]. *)
+
+  (** One span name's events in [trace.json]; the percentiles are exact
+      (nearest rank) over the event durations. *)
+  type span_stat = { count : int; total_us : float; p50_us : float; p99_us : float }
 
   (** One run's artifact, parsed into the views {!Diff} compares. *)
   type run = {
     manifest : Json.t;  (** [manifest.json]; [Null] when absent *)
     counters : (string * float) list;
     gauges : (string * float) list;
-    histograms : (string * (string * float) list) list;
-        (** per histogram its numeric stats: count, sum, min, max, p50, p90, p99 *)
-    span_totals : (string * float) list;  (** total span µs per name, sorted *)
+    spans : (string * span_stat) list;  (** per span name, sorted by name *)
     final_n : float option;  (** [n] of the last ["final"] convergence row *)
   }
 
   val read : string -> (run, string) result
   (** Parse an artifact directory.  [metrics.json] is required; manifest,
-      convergence and trace files are optional, and any other file is
-      ignored.  [Error] names the directory when [metrics.json] is missing
-      or unreadable, and the file when any other present file is
-      malformed. *)
+      convergence and trace files are optional, and any other file or
+      member (such as the bucketed latency summaries of an
+      [optprob-metrics/2] file) is ignored.  [Error] names the directory
+      when [metrics.json] is missing or unreadable, and the file when any
+      other present file is malformed. *)
 end
 
 (** {1 Artifact diffing} *)
@@ -291,10 +237,12 @@ end
 module Diff : sig
   type thresholds = {
     span_ratio : float;  (** gate on per-name total span wall-clock (B/A) *)
-    quantile_ratio : float;  (** gate on histogram p50/p99 and convergence final N *)
+    quantile_ratio : float;  (** gate on span p50/p99 and convergence final N *)
     counter_ratio : float;  (** gate on counter values (when >= 10 in one run) *)
-    min_span_us : float;  (** ignore span totals below this in both runs *)
-    min_hist_count : int;  (** ignore histograms with fewer observations *)
+    min_span_us : float;
+        (** ignore a span name (total and quantiles) whose total is below
+            this in both runs *)
+    min_span_count : int;  (** ignore quantiles of spans with fewer events *)
   }
 
   val default : thresholds
@@ -304,8 +252,10 @@ module Diff : sig
 
   type finding = {
     severity : severity;
-    kind : string;  (** ["counter"], ["gauge"], ["span"], ["histogram"],
-                        ["convergence"] or ["manifest"] *)
+    kind : string;
+        (** ["counter"], ["gauge"], ["span"] (total), ["quantile"] (span
+            p50/p99, only past [quantile_ratio]), ["convergence"] or
+            ["manifest"] *)
     name : string;
     a : float;
     b : float;

@@ -3,18 +3,10 @@ type result = {
   iterations : int;
 }
 
-let h_iters = Rt_obs.histogram "minimize.newton_iterations"
-
 let newton ?(objective = Objective.single) ?(lo = 0.01) ?(hi = 0.99) ?(tol = 1e-6)
     ?(max_iter = 60) ~n ~p0 ~p1 y_start =
   if lo >= hi then invalid_arg "Minimize.newton: empty interval";
   if Array.length p0 <> Array.length p1 then invalid_arg "Minimize.newton: p0/p1 length mismatch";
-  let observed r =
-    Rt_obs.observe h_iters (Float.of_int r.iterations);
-    r
-  in
-  observed
-  @@
   (* A fault with p0 = p1 does not move along this coordinate.  Its
      derivative terms are multiples of p1 - p0 = 0, so they are +0.0 or
      -0.0, and adding either to a sum that starts at +0.0 (and so can

@@ -76,7 +76,6 @@ let run ?(options = default_options) ?progress ?recorder ?keep oracle =
   let obj = o.objective in
   let okey = metric_key obj.Objective.key in
   Rt_obs.incr (Rt_obs.counter (Printf.sprintf "objective.%s.runs" okey));
-  let h_sweep_us = Rt_obs.histogram (Printf.sprintf "optimize.sweep_us.%s" okey) in
   let n_inputs = Array.length (Rt_circuit.Netlist.inputs (Oracle.circuit oracle)) in
   (match keep with
   | Some k when Array.length k <> Array.length (Oracle.faults oracle) ->
@@ -120,17 +119,14 @@ let run ?(options = default_options) ?progress ?recorder ?keep oracle =
     let pf = probs x in
     (pf, Normalize.run ~objective:obj ~confidence:o.confidence ~nf_min:o.nf_min pf)
   in
-  (* The pf summary only matters when someone records it — the histogram of
-     detection probabilities over the detectable faults, whose low tail is
-     the [nf] hardest faults PREPARE works on. *)
-  let pf_summary pf =
-    Rt_obs.hsnap_of_samples
-      (Array.of_seq (Seq.filter (fun p -> p > 0.0) (Array.to_seq pf)))
-  in
+  (* A recorded row carries the distribution of detection probabilities
+     over the detectable faults, whose low tail is the [nf] hardest faults
+     PREPARE works on. *)
   let record ~stage ~sweep ~j ~n ~y ~pf =
     match recorder with
     | Some r ->
-      Rt_obs.Convergence.record r ~pf:(pf_summary pf) ~objective:obj.Objective.key
+      let detectable = Array.of_seq (Seq.filter (fun p -> p > 0.0) (Array.to_seq pf)) in
+      Rt_obs.Convergence.record r ~pf:detectable ~objective:obj.Objective.key
         ~stage ~sweep ~j ~n ~y ()
     | None -> ()
   in
@@ -141,7 +137,6 @@ let run ?(options = default_options) ?progress ?recorder ?keep oracle =
   record ~stage:"initial" ~sweep:0
     ~j:(j_detectable ~objective:obj ~n:norm0.Normalize.n pf0v)
     ~n:norm0.Normalize.n ~y:x ~pf:pf0v;
-  Rt_obs.sample_gc ();
   let best_x = ref (Array.copy x) in
   let best_n = ref n_initial in
   let history = ref [] in
@@ -152,7 +147,6 @@ let run ?(options = default_options) ?progress ?recorder ?keep oracle =
   while !continue do
     incr sweeps;
     Rt_obs.incr c_sweeps;
-    let sweep_t0 = Rt_obs.now_us () in
     (Rt_obs.with_span ~cat:"phase" "sweep" @@ fun () ->
      let n_for_sweep =
        let n = !norm.Normalize.n in
@@ -189,7 +183,6 @@ let run ?(options = default_options) ?progress ?recorder ?keep oracle =
      let j_new = j_detectable ~objective:obj ~n:n_for_sweep pf' in
      j_history := j_new :: !j_history;
      record ~stage:"sweep" ~sweep:!sweeps ~j:j_new ~n:n_new ~y:x ~pf:pf';
-     Rt_obs.sample_gc ();
      (match progress with Some f -> f ~sweep:!sweeps ~n:n_new | None -> ());
      if n_new < !best_n then begin
        best_n := n_new;
@@ -204,8 +197,7 @@ let run ?(options = default_options) ?progress ?recorder ?keep oracle =
        | true, false -> false
        | true, true -> (n_old -. n_new) /. Float.max 1.0 n_old > o.alpha
      in
-     if (not improved) || !sweeps >= o.max_sweeps then continue := false);
-    Rt_obs.observe h_sweep_us (Rt_obs.now_us () -. sweep_t0)
+     if (not improved) || !sweeps >= o.max_sweeps then continue := false)
   done;
   (* Quantise the best weights seen and re-evaluate honestly. *)
   let final_x = apply_quantization o.quantize !best_x in
@@ -213,7 +205,6 @@ let run ?(options = default_options) ?progress ?recorder ?keep oracle =
   record ~stage:"final" ~sweep:!sweeps
     ~j:(j_detectable ~objective:obj ~n:final_norm.Normalize.n pf_final)
     ~n:final_norm.Normalize.n ~y:final_x ~pf:pf_final;
-  Rt_obs.sample_gc ();
   (* If quantisation degraded below the unquantised best, report the
      quantised figures anyway — that is what the hardware will do. *)
   { weights = final_x;

@@ -378,7 +378,6 @@ let store_local k ws ~(good : Pattern.words) ~lanes ~(table : Pattern.words) fau
 let c_batches = Rt_obs.counter "ppsfp.batches"
 let c_patterns = Rt_obs.counter "ppsfp.patterns"
 let c_dropped = Rt_obs.counter "ppsfp.faults_dropped"
-let h_batch = Rt_obs.histogram "ppsfp.batch_us"
 
 (* Undetected-fault population after the latest batch; its final value is
    the run's undetected-fault count. *)
@@ -566,7 +565,7 @@ let simulate ?jobs ?block_words ?(drop = true) c faults ~source ~n_patterns =
     Rt_obs.add c_patterns !processed;
     Rt_obs.add c_dropped (n0 - !n_live);
     Rt_obs.gauge_set g_live (Float.of_int !n_live);
-    Rt_obs.span_end_h ~cat:"sim" "ppsfp.batch" h_batch t_batch;
+    Rt_obs.span_end ~cat:"sim" "ppsfp.batch" t_batch;
     base := !base + !processed
   done;
   { faults; first_detect; detect_count; patterns_run = !base }

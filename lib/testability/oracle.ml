@@ -45,9 +45,6 @@ type t = {
   cq_run : Rt_obs.counter;
   cq_subset : Rt_obs.counter;
   cq_cofactor : Rt_obs.counter;
-  h_run : Rt_obs.histogram;
-  h_subset : Rt_obs.histogram;
-  h_cofactor : Rt_obs.histogram;
 }
 
 let c_cof_incremental = Rt_obs.counter "oracle.cofactor.incremental"
@@ -65,10 +62,7 @@ let make ~kind ~label ~c ~faults ~exact ~redundant ~run ~run_subset ?cofactor_pa
     cofactor = cofactor_pair;
     cq_run = Rt_obs.counter ("oracle.queries." ^ kind);
     cq_subset = Rt_obs.counter ("oracle.subset_queries." ^ kind);
-    cq_cofactor = Rt_obs.counter ("oracle.cofactor_queries." ^ kind);
-    h_run = Rt_obs.histogram ("oracle.latency_us.full." ^ kind);
-    h_subset = Rt_obs.histogram ("oracle.latency_us.subset." ^ kind);
-    h_cofactor = Rt_obs.histogram ("oracle.latency_us.cofactor_pair." ^ kind) }
+    cq_cofactor = Rt_obs.counter ("oracle.cofactor_queries." ^ kind) }
 
 (* --- Subset plans ---------------------------------------------------------
 
@@ -121,9 +115,10 @@ let plan o subset = make_plan o.c o.fault_list subset
    Every dispatch through the oracle is a span named for the phase
    ("analysis" / "cofactor_pair"), categorised by engine, plus per-engine
    query counters — full-vector, plan and cofactor queries separately so
-   the PREPARE savings are visible in a metrics snapshot — and per-engine
-   latency histograms, so a tail regression in one engine's queries is
-   visible even when the totals (and hence the mean) barely move. *)
+   the PREPARE savings are visible in a metrics snapshot.  The spans'
+   durations are the latency record: [obs diff] gates their exact p50/p99
+   per name, so a tail regression is visible even when the totals (and
+   hence the mean) barely move. *)
 
 let check_width o x name =
   if Array.length x <> Array.length (Netlist.inputs o.c) then
@@ -132,13 +127,13 @@ let check_width o x name =
 let probs o x =
   check_width o x "Oracle.probs";
   Rt_obs.incr o.cq_run;
-  Rt_obs.with_span_h ~cat:o.kind "analysis" o.h_run (fun () -> o.run x)
+  Rt_obs.with_span ~cat:o.kind "analysis" (fun () -> o.run x)
 
 let probs_plan o p x =
   check_width o x "Oracle.probs_plan";
   if p.owner != o.fault_list then invalid_arg "Oracle.probs_plan: plan from another oracle";
   Rt_obs.incr o.cq_subset;
-  Rt_obs.with_span_h ~cat:o.kind "analysis" o.h_subset (fun () -> o.run_subset p x)
+  Rt_obs.with_span ~cat:o.kind "analysis" (fun () -> o.run_subset p x)
 
 (* The engine-independent fallback: two independent subset evaluations on
    a private copy of [x] — exception-safe by construction (the caller's
@@ -158,7 +153,7 @@ let cofactor_pair o p ~input ~x =
   if p.owner != o.fault_list then
     invalid_arg "Oracle.cofactor_pair: plan from another oracle";
   Rt_obs.incr o.cq_cofactor;
-  Rt_obs.with_span_h ~cat:o.kind "cofactor_pair" o.h_cofactor (fun () ->
+  Rt_obs.with_span ~cat:o.kind "cofactor_pair" (fun () ->
       match o.cofactor with
       | Some f ->
         Rt_obs.incr c_cof_incremental;

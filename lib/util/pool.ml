@@ -67,7 +67,6 @@ type t = {
 }
 
 let c_spawns = Rt_obs.counter "parallel.spawns"
-let c_steals = Rt_obs.counter "parallel.steals"
 let c_tasks = Rt_obs.counter "pool.tasks"
 
 (* True on any domain currently executing inside a pool region (both pool
@@ -90,7 +89,6 @@ let run_slice job ~worker ~lo ~hi =
    single fetch_and_add.  When recording is on, every slice becomes a
    trace span on the executing domain. *)
 let drain job ~worker q =
-  let stolen = q <> worker in
   let continue = ref true in
   while !continue do
     let lo = Atomic.fetch_and_add job.next.(q) job.grain in
@@ -98,7 +96,6 @@ let drain job ~worker q =
     else begin
       let hi = min (lo + job.grain) job.hi.(q) in
       Rt_obs.incr c_tasks;
-      if stolen then Rt_obs.incr c_steals;
       let t0 = Rt_obs.span_begin () in
       run_slice job ~worker ~lo ~hi;
       if t0 > Float.neg_infinity then Rt_obs.span_end ~cat:"pool" (job.label ^ ".slice") t0
@@ -159,13 +156,14 @@ let ensure_workers t w =
   if t.quit then invalid_arg "Pool: pool is shut down";
   while t.n_workers < w do
     let lane = t.n_workers + 1 in
-    let d =
-      Domain.spawn (fun () -> worker_loop t ~lane t.epoch)
-    in
-    (* Spawn-epoch race: the worker captures the epoch from the shared
-       record under no lock, but [t.epoch] only changes under [t.submit],
-       which the grower holds — the worker either sees the current epoch
-       (parks) or an older one (checks for a job, finds none, parks). *)
+    (* The epoch is read here, before the spawn, not inside the new
+       domain: the caller publishes its region (bumping [t.epoch]) right
+       after growing the pool, and a domain that read the bumped epoch
+       would take that region as already seen and park through it.  An
+       epoch older than the next region's makes the worker check for a
+       job at once (and park again if none is published). *)
+    let epoch = t.epoch in
+    let d = Domain.spawn (fun () -> worker_loop t ~lane epoch) in
     t.domains <- d :: t.domains;
     t.n_workers <- t.n_workers + 1;
     Rt_obs.incr c_spawns

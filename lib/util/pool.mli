@@ -16,9 +16,8 @@
     its whole life — the [i]-th domain spawned is lane [i + 1], the
     submitting domain is lane 0.  Counters: [parallel.spawns] counts
     domain spawns (constant per process), [pool.tasks] counts executed
-    slices, [parallel.steals] the stolen ones.  When recording is on,
-    each slice is a trace span ["<label>.slice"] on the executing
-    domain. *)
+    slices.  When recording is on, each slice is a trace span
+    ["<label>.slice"] on the executing domain. *)
 
 type t
 

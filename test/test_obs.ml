@@ -308,103 +308,17 @@ let test_metrics_json_valid =
   with_obs @@ fun () ->
   Obs.add (Obs.counter "test.metrics\"quoted") 3;
   Obs.gauge_set (Obs.gauge "test.g") 1.5;
-  Obs.observe (Obs.histogram "test.h") 25.0;
   let j = parse_json (Obs.metrics_json ()) in
   (match member "schema" j with
-   | Str "optprob-metrics/2" -> ()
+   | Str "optprob-metrics/3" -> ()
    | _ -> Alcotest.fail "schema");
   (match member "test.metrics\"quoted" (member "counters" j) with
    | Num 3.0 -> ()
    | _ -> Alcotest.fail "counter value");
-  (match member "test.g" (member "gauges" j) with
-   | Num 1.5 -> ()
-   | _ -> Alcotest.fail "gauge value");
-  let h = member "test.h" (member "histograms" j) in
-  (match member "count" h with
-   | Num 1.0 -> ()
-   | _ -> Alcotest.fail "histogram count");
-  List.iter
-    (fun q ->
-      match member q h with
-      | Num v -> check Alcotest.bool (q ^ " bounds the sample") true (v >= 25.0)
-      | _ -> Alcotest.fail q)
-    [ "p50"; "p90"; "p99"; "max" ]
-
-(* --- histograms ------------------------------------------------------------- *)
-
-(* Observations racing from real domains must all land (count, buckets,
-   sum, min, max are all updated without a lock). *)
-let hist_concurrent_qcheck =
-  QCheck.Test.make ~name:"histogram: concurrent multi-domain observe loses nothing" ~count:5
-    QCheck.(pair (int_range 2 4) (int_range 500 3000))
-    (fun (jobs, n) ->
-      Obs.set_enabled true;
-      Obs.clear ();
-      let h = Obs.histogram "test.hist.race" in
-      on_domains ~jobs ~n (fun ~lo ~hi ->
-          for i = lo to hi - 1 do
-            Obs.observe h (0.5 +. Float.of_int (i mod 64))
-          done);
-      let s = Obs.histogram_snapshot h in
-      Obs.set_enabled false;
-      Obs.clear ();
-      s.Obs.count = n
-      && Array.fold_left ( + ) 0 s.Obs.buckets = n
-      && s.Obs.min = 0.5
-      && s.Obs.max = 0.5 +. Float.of_int (min 63 (n - 1)))
-
-let hsnap_eq a b =
-  a.Obs.count = b.Obs.count
-  && a.Obs.buckets = b.Obs.buckets
-  && a.Obs.min = b.Obs.min
-  && a.Obs.max = b.Obs.max
-  && Float.abs (a.Obs.sum -. b.Obs.sum) <= 1e-9 *. Float.max 1.0 (Float.abs a.Obs.sum)
-
-let samples_gen = QCheck.(list_of_size Gen.(int_range 0 200) (float_range 1e-6 1e6))
-
-let hist_merge_qcheck =
-  QCheck.Test.make ~name:"histogram merge: associative and commutative" ~count:50
-    QCheck.(triple samples_gen samples_gen samples_gen)
-    (fun (xs, ys, zs) ->
-      let s l = Obs.hsnap_of_samples (Array.of_list l) in
-      let a = s xs and b = s ys and c = s zs in
-      hsnap_eq (Obs.hsnap_merge a b) (Obs.hsnap_merge b a)
-      && hsnap_eq
-           (Obs.hsnap_merge (Obs.hsnap_merge a b) c)
-           (Obs.hsnap_merge a (Obs.hsnap_merge b c))
-      && hsnap_eq (Obs.hsnap_merge a Obs.hsnap_empty) a
-      && hsnap_eq
-           (Obs.hsnap_merge a b)
-           (s (xs @ ys)))
-
-(* The reported quantile is an upper bound of the true sample quantile and
-   overshoots by at most one bucket ratio (and never beyond the exact max). *)
-let hist_quantile_qcheck =
-  QCheck.Test.make ~name:"histogram quantiles bound true sample quantiles" ~count:100
-    QCheck.(
-      pair (list_of_size Gen.(int_range 1 200) (float_range 1e-6 1e6)) (float_range 0.01 1.0))
-    (fun (xs, q) ->
-      let arr = Array.of_list xs in
-      let s = Obs.hsnap_of_samples arr in
-      let sorted = Array.copy arr in
-      Array.sort Float.compare sorted;
-      let n = Array.length sorted in
-      let rank = max 1 (min n (int_of_float (Float.ceil (q *. Float.of_int n)))) in
-      let true_q = sorted.(rank - 1) in
-      let rep = Obs.hsnap_quantile s q in
-      rep >= true_q && rep <= true_q *. Obs.bucket_ratio *. (1.0 +. 1e-12))
-
-let test_with_span_h =
-  with_obs @@ fun () ->
-  let h = Obs.histogram "test.span_h" in
-  let r = Obs.with_span_h ~cat:"t" "timed" h (fun () -> 21 * 2) in
-  check Alcotest.int "thunk result" 42 r;
-  check Alcotest.int "span recorded" 1 (List.length (Obs.events ()));
-  let s = Obs.histogram_snapshot h in
-  check Alcotest.int "duration observed" 1 s.Obs.count;
-  let ev = List.hd (Obs.events ()) in
-  check Alcotest.bool "observed value is the span duration (same clock reads)" true
-    (s.Obs.max = ev.Obs.dur_us)
+  match j with
+  | Obj fields ->
+    check Alcotest.(list string) "members" [ "schema"; "counters"; "gauges" ] (List.map fst fields)
+  | _ -> Alcotest.fail "metrics.json not an object"
 
 (* --- run artifacts ---------------------------------------------------------- *)
 
@@ -430,7 +344,6 @@ let test_artifact_roundtrip =
   let dir = scratch_dir "artifact" in
   Obs.with_span ~cat:"phase" "work" ignore;
   Obs.incr (Obs.counter "test.artifact.queries");
-  Obs.observe (Obs.histogram "test.artifact.lat_us") 42.0;
   Obs.Artifact.write ~dir ~manifest:test_manifest ();
   (* manifest.json *)
   let m = Obs.Json.parse (read_file (Filename.concat dir "manifest.json")) in
@@ -471,11 +384,11 @@ let test_artifact_roundtrip =
   (match jmember "git_rev" m with
    | Obs.Json.Str _ -> ()
    | _ -> Alcotest.fail "git_rev");
-  (* metrics.json parses and carries the histogram *)
+  (* metrics.json parses and carries the counter *)
   let mx = Obs.Json.parse (read_file (Filename.concat dir "metrics.json")) in
-  (match jmember "test.artifact.lat_us" (jmember "histograms" mx) with
-   | Obs.Json.Obj _ -> ()
-   | _ -> Alcotest.fail "histogram in metrics.json");
+  (match jmember "test.artifact.queries" (jmember "counters" mx) with
+   | Obs.Json.Num 1.0 -> ()
+   | _ -> Alcotest.fail "counter in metrics.json");
   (* one format per document: no OpenMetrics copy, no JSON-lines event log *)
   List.iter
     (fun f ->
@@ -495,9 +408,11 @@ let test_artifact_roundtrip =
 
 (* --- obs diff ---------------------------------------------------------------
 
-   Deterministic self-test: identical artifacts diff clean; an injected 2x
-   slowdown (histogram samples and a hand-written span total) is flagged as
-   a regression on exactly the affected series. *)
+   Deterministic self-tests on hand-written traces: identical artifacts
+   diff clean; a 2x slowdown of one span name's p99 (same total) is
+   flagged as a quantile regression on exactly that name; a 2.4x span
+   total above the noise floor is flagged, the same ratio below it is
+   not. *)
 
 let write_file path s =
   let oc = open_out path in
@@ -507,49 +422,86 @@ let write_file path s =
 let read dir =
   match Obs.Artifact.read dir with Ok r -> r | Error e -> Alcotest.failf "read %s: %s" dir e
 
-let trace_with_dur dur =
-  Printf.sprintf
-    "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{\"name\":\"optimize\",\"cat\":\"phase\",\"ph\":\"X\",\"ts\":1.0,\"dur\":%.1f,\"pid\":1,\"tid\":0}]}"
-    dur
+(* A trace.json of complete events, one per (name, duration us). *)
+let trace_of events =
+  Printf.sprintf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[%s]}"
+    (String.concat ","
+       (List.mapi
+          (fun i (name, dur) ->
+            Printf.sprintf
+              "{\"name\":\"%s\",\"cat\":\"phase\",\"ph\":\"X\",\"ts\":%d.0,\"dur\":%.1f,\"pid\":1,\"tid\":0}"
+              name i dur)
+          events))
 
-let test_obs_diff =
+(* An artifact directory (written as a run writes it) whose trace is
+   replaced by [events]. *)
+let artifact tag events =
+  let dir = scratch_dir tag in
+  Obs.Artifact.write ~dir ~manifest:test_manifest ();
+  write_file (Filename.concat dir "trace.json") (trace_of events);
+  dir
+
+let trace_with_dur dur = trace_of [ ("optimize", dur) ]
+
+(* 200 calls of one span name; [slow] of them take [tail] us, the rest
+   [body] us. *)
+let calls name ~body ~tail ~slow = List.init 200 (fun i -> (name, if i < slow then tail else body))
+
+let test_obs_diff_identical =
   with_obs @@ fun () ->
-  let dir_a = scratch_dir "diff-a" and dir_b = scratch_dir "diff-b" in
-  let samples = Array.init 200 (fun i -> 10.0 +. Float.of_int (i mod 50)) in
-  let h = Obs.histogram "test.diff.lat_us" in
-  Array.iter (Obs.observe h) samples;
-  Obs.Artifact.write ~dir:dir_a ~manifest:test_manifest ();
-  Obs.clear ();
-  Array.iter (fun v -> Obs.observe h (2.0 *. v)) samples;
-  Obs.Artifact.write ~dir:dir_b ~manifest:test_manifest ();
-  (* same run vs itself: nothing to flag *)
-  let same = Obs.Diff.compare (read dir_a) (read dir_a) in
-  check Alcotest.int "identical dirs: zero regressions" 0
-    (List.length (Obs.Diff.regressions same));
-  (* 2x slower histogram: flagged by name *)
-  let regs = Obs.Diff.regressions (Obs.Diff.compare (read dir_a) (read dir_b)) in
-  check Alcotest.bool "2x slowdown flagged on the affected histogram" true
-    (List.exists
-       (fun f -> f.Obs.Diff.kind = "histogram" && f.Obs.Diff.name = "test.diff.lat_us")
-       regs);
-  check Alcotest.bool "no span regressions invented" true
-    (List.for_all (fun f -> f.Obs.Diff.kind <> "span") regs);
+  Obs.with_span ~cat:"phase" "work" ignore;
+  Obs.incr (Obs.counter "test.diff.queries");
+  let write tag =
+    let dir = scratch_dir tag in
+    Obs.Artifact.write ~dir ~manifest:test_manifest ();
+    dir
+  in
+  let findings a b = List.length (Obs.Diff.compare (read a) (read b)) in
+  check Alcotest.int "two artifacts of one recording: no finding" 0
+    (findings (write "diff-same-a") (write "diff-same-b"));
+  let evs = calls "lookup" ~body:10.0 ~tail:40.0 ~slow:5 in
+  check Alcotest.int "two identical traces: no finding" 0
+    (findings (artifact "diff-same-c" evs) (artifact "diff-same-d" evs))
+
+let test_obs_diff_p99 () =
+  (* Same count and nearly the same total (4.2 ms): only the tail moved,
+     2x, and only on "lookup". *)
+  let steady = calls "steady" ~body:100.0 ~tail:100.0 ~slow:0 in
+  let dir_a = artifact "diff-p99-a" (calls "lookup" ~body:20.0 ~tail:40.0 ~slow:10 @ steady) in
+  let dir_b = artifact "diff-p99-b" (calls "lookup" ~body:19.5 ~tail:80.0 ~slow:5 @ steady) in
+  let findings = Obs.Diff.compare (read dir_a) (read dir_b) in
+  let regs = Obs.Diff.regressions findings in
+  check Alcotest.(list (pair string string)) "the p99 slowdown, flagged by name"
+    [ ("quantile", "lookup") ]
+    (List.map (fun f -> (f.Obs.Diff.kind, f.Obs.Diff.name)) regs);
+  (match regs with
+   | [ f ] ->
+     check (Alcotest.float 0.0) "a is the baseline p99" 40.0 f.Obs.Diff.a;
+     check (Alcotest.float 0.0) "b is the candidate p99" 80.0 f.Obs.Diff.b
+   | _ -> ());
+  (* Reversed, the same shift is an improvement. *)
+  check Alcotest.bool "reversed: improvement, no regression" true
+    (Obs.Diff.regressions (Obs.Diff.compare (read dir_b) (read dir_a)) = [])
+
+let test_obs_diff () =
+  let dir_a = artifact "diff-a" [] and dir_b = artifact "diff-b" [] in
   (* inject a 2.4x span-tree slowdown above the noise floor *)
   write_file (Filename.concat dir_a "trace.json") (trace_with_dur 50_000.0);
   write_file (Filename.concat dir_b "trace.json") (trace_with_dur 120_000.0);
   let regs = Obs.Diff.regressions (Obs.Diff.compare (read dir_a) (read dir_b)) in
   check Alcotest.bool "span slowdown flagged" true
     (List.exists (fun f -> f.Obs.Diff.kind = "span" && f.Obs.Diff.name = "optimize") regs);
-  (* below the default 1 ms noise floor the same ratio stays quiet *)
+  (* below the default 1 ms noise floor the same ratio stays quiet, for
+     the total and the quantiles alike *)
   write_file (Filename.concat dir_a "trace.json") (trace_with_dur 100.0);
   write_file (Filename.concat dir_b "trace.json") (trace_with_dur 240.0);
-  let regs = Obs.Diff.regressions (Obs.Diff.compare (read dir_a) (read dir_b)) in
-  check Alcotest.bool "sub-floor span noise ignored" true
-    (List.for_all (fun f -> f.Obs.Diff.kind <> "span") regs)
+  check Alcotest.int "sub-floor span noise ignored" 0
+    (List.length (Obs.Diff.regressions (Obs.Diff.compare (read dir_a) (read dir_b))))
 
-(* Files an older build wrote next to the four documents (timeline.json,
-   events.jsonl, metrics.prom) are ignored: the parsed run and its diff
-   against the pre-stray read are unchanged. *)
+(* What an older build wrote is ignored: files next to the four documents
+   (timeline.json, events.jsonl, metrics.prom) and the [histograms] member
+   of a schema-2 metrics.json.  The parsed run and its diff against the
+   first read are unchanged. *)
 let test_stray_timeline =
   with_obs @@ fun () ->
   let art = scratch_dir "stray" in
@@ -560,9 +512,30 @@ let test_stray_timeline =
       done);
   Obs.add (Obs.counter "test.stray.queries") 5;
   Obs.gauge_set (Obs.gauge "test.stray.level") 0.5;
-  List.iter (Obs.observe (Obs.histogram "test.stray.lat_us")) [ 99.0; 100.0; 101.0 ];
   Obs.Artifact.write ~dir:art ~manifest:test_manifest ();
   let before = read art in
+  (* The metrics.json an older build wrote: schema /2 with a [histograms]
+     member (bucket-bounded latency summaries), here one whose name is
+     also a span's. *)
+  let metrics = Filename.concat art "metrics.json" in
+  let m = read_file metrics in
+  let v3 = "optprob-metrics/3" in
+  let at =
+    let rec find i = if String.sub m i (String.length v3) = v3 then i else find (i + 1) in
+    find 0
+  in
+  let close = String.rindex m '}' in
+  write_file metrics
+    (String.concat ""
+       [ String.sub m 0 at; "optprob-metrics/2";
+         String.sub m (at + String.length v3) (close - at - String.length v3);
+         {|,
+  "histograms": {
+    "pipeline.analyze": {"count": 1, "sum": 5000, "min": 5000, "max": 5000, "p50": 5000, "p90": 5000, "p99": 5000, "buckets": [[5623.4132519034993, 1]]},
+    "oracle.latency_us.cofactor_pair.cop": {"count": 3, "sum": 300, "min": 99, "max": 101, "p50": 100, "p90": 101, "p99": 101, "buckets": [[177.82794100389228, 3]]}
+  }
+}
+|} ]);
   write_file (Filename.concat art "timeline.json")
     {|{"schema":"optprob-timeline/1","period_ms":5,"dropped":0,"samples":[
 {"ts_us":1000.0,"counters":{"pool.tasks":3},"gauges":{"ppsfp.live_faults":7}}]}|};
@@ -582,10 +555,15 @@ optprob_test_stray_level 0.75
   let nums = Alcotest.(list (pair string (float 0.0))) in
   check nums "same counters" before.Obs.Artifact.counters after.Obs.Artifact.counters;
   check nums "same gauges" before.Obs.Artifact.gauges after.Obs.Artifact.gauges;
+  let stats (r : Obs.Artifact.run) =
+    List.map
+      (fun (name, (st : Obs.Artifact.span_stat)) ->
+        (name, [ Float.of_int st.count; st.total_us; st.p50_us; st.p99_us ]))
+      r.Obs.Artifact.spans
+  in
   check
-    Alcotest.(list (pair string (list (pair string (float 0.0)))))
-    "same histograms" before.Obs.Artifact.histograms after.Obs.Artifact.histograms;
-  check nums "same span totals" before.Obs.Artifact.span_totals after.Obs.Artifact.span_totals;
+    Alcotest.(list (pair string (list (float 0.0))))
+    "same span stats" (stats before) (stats after);
   check Alcotest.int "no finding" 0 (List.length (Obs.Diff.compare before after))
 
 (* --- Parallel.sweep policy ------------------------------------------------- *)
@@ -686,6 +664,29 @@ let test_convergence_matches_report () =
         | _ -> Alcotest.fail "convergence JSON n")
      | _ -> Alcotest.fail "convergence JSON rows")
   | [] -> Alcotest.fail "no rows"
+
+(* A row's pf summary is exact: nearest-rank percentiles of its sample. *)
+let test_convergence_pf_exact () =
+  let t = Obs.Convergence.create () in
+  (* 0.01 .. 0.99 shuffled, so the summary must sort; median 0.5 *)
+  let sample = Array.init 99 (fun i -> Float.of_int (((i * 37) mod 99) + 1) /. 100.0) in
+  Obs.Convergence.record t ~pf:sample ~stage:"initial" ~sweep:0 ~j:0.0 ~n:1.0 ~y:[||] ();
+  match Obs.Convergence.rows t with
+  | [ { Obs.Convergence.pf = Some pf; _ } ] ->
+    check
+      Alcotest.(list (pair string (float 0.0)))
+      "count, min, p1..p99, max"
+      [ ("count", 99.0); ("min", 0.01); ("p1", 0.01); ("p10", 0.10); ("p50", 0.50);
+        ("p90", 0.90); ("p99", 0.99); ("max", 0.99) ]
+      pf;
+    check Alcotest.bool "sample untouched" true (sample.(1) = 0.38);
+    (match member "rows" (parse_json (Obs.Convergence.to_json t)) with
+     | List [ row ] -> (
+       match member "p50" (member "pf" row) with
+       | Num v -> check (Alcotest.float 0.0) "JSON p50 is the exact median" 0.5 v
+       | _ -> Alcotest.fail "pf p50")
+     | _ -> Alcotest.fail "convergence rows")
+  | _ -> Alcotest.fail "one row with a pf summary"
 
 (* After `git gc` or `git pack-refs` a branch ref lives only in
    .git/packed-refs; the manifest must still record its hash. *)
@@ -797,16 +798,13 @@ let () =
       ( "json",
         [ Alcotest.test_case "trace_event output parses" `Quick test_trace_json_valid;
           Alcotest.test_case "metrics output parses" `Quick test_metrics_json_valid ] );
-      ( "histograms",
-        [ QCheck_alcotest.to_alcotest hist_concurrent_qcheck;
-          QCheck_alcotest.to_alcotest hist_merge_qcheck;
-          QCheck_alcotest.to_alcotest hist_quantile_qcheck;
-          Alcotest.test_case "with_span_h observes the span duration" `Quick test_with_span_h ] );
       ( "artifact",
         [ Alcotest.test_case "manifest/events/prom round-trip" `Quick test_artifact_roundtrip;
           Alcotest.test_case "git_rev through packed-refs" `Quick test_git_rev_packed ] );
       ( "diff",
-        [ Alcotest.test_case "obs-diff self-test" `Quick test_obs_diff ] );
+        [ Alcotest.test_case "obs-diff self-test" `Quick test_obs_diff;
+          Alcotest.test_case "identical artifacts diff clean" `Quick test_obs_diff_identical;
+          Alcotest.test_case "2x slower p99 flagged by name" `Quick test_obs_diff_p99 ] );
       ( "atomic",
         [ Alcotest.test_case "no tmp leftovers" `Quick test_artifact_atomic ] );
       ( "compat",
@@ -816,7 +814,8 @@ let () =
       ( "oracle",
         [ Alcotest.test_case "cofactor path counters" `Quick test_cofactor_counters ] );
       ( "convergence",
-        [ Alcotest.test_case "recorder matches report" `Quick test_convergence_matches_report ] );
+        [ Alcotest.test_case "recorder matches report" `Quick test_convergence_matches_report;
+          Alcotest.test_case "pf summary is exact" `Quick test_convergence_pf_exact ] );
       ( "invariance",
         [ QCheck_alcotest.to_alcotest telemetry_invariance_qcheck;
           Alcotest.test_case "fault sim under telemetry" `Quick

@@ -336,6 +336,29 @@ let test_pool_nested_runs_inline () =
       check Alcotest.int "nested regions all ran" (12 * 5) (Atomic.get inner_total));
   check Alcotest.bool "in_worker cleared outside regions" false (Pool.in_worker ())
 
+(* A domain spawned for a region must join that very region.  On a fresh
+   pool at [participants:2], lane 0's item waits (bounded) for lane 1 to
+   run a slice; a worker that took the region's epoch as already seen
+   would park through it, and lane 0 would time out and steal lane 1's
+   item itself, so no slice would run on lane 1.  Several fresh pools, since the spawn can win or lose the
+   race against the region's publication. *)
+let test_pool_new_worker_joins_first_region () =
+  for _ = 1 to 5 do
+    let p = Pool.create () in
+    Fun.protect ~finally:(fun () -> Pool.shutdown p)
+    @@ fun () ->
+    let lane1_ran = Atomic.make false in
+    Pool.run p ~grain:1 ~participants:2 ~n:2 (fun worker _ _ ->
+        if worker = 1 then Atomic.set lane1_ran true
+        else begin
+          let t0 = Unix.gettimeofday () in
+          while (not (Atomic.get lane1_ran)) && Unix.gettimeofday () -. t0 < 5.0 do
+            Domain.cpu_relax ()
+          done
+        end);
+    check Alcotest.bool "lane 1 ran a slice" true (Atomic.get lane1_ran)
+  done
+
 let test_pool_create_teardown_no_leak () =
   (* Repeated create/run/shutdown must terminate (join all domains) and a
      shut-down pool must refuse further parallel work. *)
@@ -415,5 +438,7 @@ let () =
           Alcotest.test_case "exception propagates, pool survives" `Quick
             test_pool_exception_propagates;
           Alcotest.test_case "nested regions run inline" `Quick test_pool_nested_runs_inline;
+          Alcotest.test_case "new worker joins its first region" `Quick
+            test_pool_new_worker_joins_first_region;
           Alcotest.test_case "create/teardown leaks nothing" `Quick
             test_pool_create_teardown_no_leak ] ) ]
