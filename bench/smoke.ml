@@ -60,9 +60,10 @@ let rounds = 3
 (* Calls per round: a cofactor sweep of s1 takes about a millisecond, so
    its gates take 300 samples per side, and p99 is the fourth-largest
    sample rather than the maximum, which one preempted call could set
-   on either side. *)
+   on either side.  The ppsfp runs take 102 per side, past the 100 events
+   [obs diff] needs before it judges a span's quantiles at all. *)
 let sweep_iters = 100
-let ppsfp_iters = 20
+let ppsfp_iters = 34
 let front_end_iters = 51
 let bdd_iters = 11
 

@@ -379,8 +379,9 @@ let diff_thresholds_term =
   let quantile_ratio =
     Arg.(value & opt float d.Rt_obs.Diff.quantile_ratio
          & info [ "max-quantile-ratio" ] ~docv:"R"
-           ~doc:"Flag a span whose exact p50 or p99 shifted by more than $(docv)x \
-                 (also gates the convergence final N).")
+           ~doc:"Flag a span (per name and category, from 100 events in each run) whose \
+                 exact p50 or p99 shifted by more than $(docv)x (also gates the \
+                 convergence final N).")
   in
   let counter_ratio =
     Arg.(value & opt float d.Rt_obs.Diff.counter_ratio & info [ "max-counter-ratio" ] ~docv:"R"

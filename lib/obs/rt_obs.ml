@@ -611,12 +611,12 @@ module Artifact = struct
     manifest : Json.t;
     counters : (string * float) list;
     gauges : (string * float) list;
-    spans : (string * span_stat) list;
+    spans : ((string * string) * span_stat) list;
     final_n : float option;
   }
 
-  (* Per span name of a trace.json: event count, total duration and exact
-     p50/p99, sorted by name. *)
+  (* Per (span name, category) of a trace.json: event count, total
+     duration and exact p50/p99, sorted by name then category. *)
   let span_stats trace =
     let tbl = Hashtbl.create 32 in
     (match Json.member "traceEvents" trace with
@@ -625,7 +625,9 @@ module Artifact = struct
          (fun e ->
            match (Json.member "name" e, Json.member "dur" e) with
            | Some (Json.Str name), Some (Json.Num dur) ->
-             Hashtbl.replace tbl name (dur :: Option.value ~default:[] (Hashtbl.find_opt tbl name))
+             let cat = match Json.member "cat" e with Some (Json.Str c) -> c | _ -> "" in
+             let key = (name, cat) in
+             Hashtbl.replace tbl key (dur :: Option.value ~default:[] (Hashtbl.find_opt tbl key))
            | _ -> ())
          evs
      | _ -> ());
@@ -637,8 +639,8 @@ module Artifact = struct
         p50_us = percentile d 50;
         p99_us = percentile d 99 }
     in
-    Hashtbl.fold (fun name durs acc -> (name, stat durs) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    Hashtbl.fold (fun key durs acc -> (key, stat durs) :: acc) tbl []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
 
   let read dir =
     let load file =
@@ -688,12 +690,14 @@ module Diff = struct
     min_span_count : int;
   }
 
+  (* Below 100 events a nearest-rank p99 is the maximum, so one preempted
+     call would decide the quantile finding on its own. *)
   let default =
     { span_ratio = 1.5;
       quantile_ratio = 1.5;
       counter_ratio = 1.5;
       min_span_us = 1000.0;
-      min_span_count = 1 }
+      min_span_count = 100 }
 
   type severity = Regression | Improvement | Info
 
@@ -753,19 +757,30 @@ module Diff = struct
         ra.gauges rb.gauges
       |> List.filter (fun f -> Float.abs (ratio f.a f.b -. 1.0) > 0.25)
     in
-    let totals = List.map (fun (name, (st : Artifact.span_stat)) -> (name, st.total_us)) in
+    (* span totals per name, summed over categories (the stats are sorted
+       by name, so a name's categories are adjacent) *)
+    let totals =
+      List.fold_left
+        (fun acc ((name, _), (st : Artifact.span_stat)) ->
+          match acc with
+          | (n, t) :: rest when n = name -> (n, t +. st.total_us) :: rest
+          | _ -> (name, st.total_us) :: acc)
+        []
+    in
     let spans =
       compare_keyed ~kind:"span" ~thr:t.span_ratio
         ~gate:(fun a b -> Float.max a b >= t.min_span_us)
         ~unit_:"us" (totals ra.spans) (totals rb.spans)
     in
-    (* A span name's exact p50/p99, eligible under the same noise floor as
-       its total.  Only a shift past [quantile_ratio] is a finding: the
-       span finding above already reports the name's smaller moves. *)
+    (* The exact p50/p99 of one span name in one category (the oracle's
+       spans are categorised by engine), eligible under the same noise
+       floor as its total and from [min_span_count] events on each side.
+       Only a shift past [quantile_ratio] is a finding: the span finding
+       above already reports the name's smaller moves. *)
     let quantiles =
       List.filter_map
-        (fun (name, (qa : Artifact.span_stat)) ->
-          match List.assoc_opt name rb.spans with
+        (fun (((name, cat) as key), (qa : Artifact.span_stat)) ->
+          match List.assoc_opt key rb.spans with
           | Some qb
             when Int.min qa.count qb.count >= t.min_span_count
                  && Float.max qa.total_us qb.total_us >= t.min_span_us -> (
@@ -781,8 +796,9 @@ module Diff = struct
                   a = qa.p99_us;
                   b = qb.p99_us;
                   detail =
-                    Printf.sprintf "p50 %.4g -> %.4g us (x%.3g), p99 %.4g -> %.4g us (x%.3g), n %d -> %d"
-                      qa.p50_us qb.p50_us (ratio qa.p50_us qb.p50_us) qa.p99_us qb.p99_us
+                    Printf.sprintf
+                      "[%s] p50 %.4g -> %.4g us (x%.3g), p99 %.4g -> %.4g us (x%.3g), n %d -> %d"
+                      cat qa.p50_us qb.p50_us (ratio qa.p50_us qb.p50_us) qa.p99_us qb.p99_us
                       (ratio qa.p99_us qb.p99_us) qa.count qb.count })
           | _ -> None)
         ra.spans

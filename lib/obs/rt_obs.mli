@@ -210,8 +210,8 @@ module Artifact : sig
   (** Create [dir] (and parents) and write [manifest.json], [metrics.json],
       [trace.json] and — when a recorder is given — [convergence.json]. *)
 
-  (** One span name's events in [trace.json]; the percentiles are exact
-      (nearest rank) over the event durations. *)
+  (** The events of one span name and category in [trace.json]; the
+      percentiles are exact (nearest rank) over the event durations. *)
   type span_stat = { count : int; total_us : float; p50_us : float; p99_us : float }
 
   (** One run's artifact, parsed into the views {!Diff} compares. *)
@@ -219,7 +219,9 @@ module Artifact : sig
     manifest : Json.t;  (** [manifest.json]; [Null] when absent *)
     counters : (string * float) list;
     gauges : (string * float) list;
-    spans : (string * span_stat) list;  (** per span name, sorted by name *)
+    spans : ((string * string) * span_stat) list;
+        (** per (span name, category), sorted; a span without a category
+            has [""] *)
     final_n : float option;  (** [n] of the last ["final"] convergence row *)
   }
 
@@ -242,19 +244,24 @@ module Diff : sig
     min_span_us : float;
         (** ignore a span name (total and quantiles) whose total is below
             this in both runs *)
-    min_span_count : int;  (** ignore quantiles of spans with fewer events *)
+    min_span_count : int;
+        (** ignore the quantiles of a span name and category with fewer
+            events than this in either run *)
   }
 
   val default : thresholds
-  (** 1.5x on everything, 1 ms span noise floor. *)
+  (** 1.5x on everything, 1 ms span noise floor, quantiles from 100
+      events (below that a nearest-rank p99 is the maximum). *)
 
   type severity = Regression | Improvement | Info
 
   type finding = {
     severity : severity;
     kind : string;
-        (** ["counter"], ["gauge"], ["span"] (total), ["quantile"] (span
-            p50/p99, only past [quantile_ratio]), ["convergence"] or
+        (** ["counter"], ["gauge"], ["span"] (total per name),
+            ["quantile"] (p50/p99 per span name and category, only past
+            [quantile_ratio]; one finding per category, named by the span
+            and with the category in [detail]), ["convergence"] or
             ["manifest"] *)
     name : string;
     a : float;

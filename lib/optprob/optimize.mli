@@ -34,9 +34,9 @@ type options = {
   objective : Objective.t;
       (** what the sweep minimises ({!Objective.single}).  Flows into
           NORMALIZE (the required [N] depends on the per-fault miss term)
-          and every MINIMIZE step; telemetry is recorded per objective key
-          ([objective.<key>.runs], [optimize.sweep_us.<key>], with [':']
-          mapped to ['_'] in metric names). *)
+          and every MINIMIZE step; the [objective.<key>.runs] counter is
+          recorded per objective key, with [':'] mapped to ['_'] in metric
+          names, and each sweep is timed by its [sweep] span. *)
 }
 
 val default_options : options

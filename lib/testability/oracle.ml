@@ -112,13 +112,14 @@ let plan o subset = make_plan o.c o.fault_list subset
 
 (* --- Queries --------------------------------------------------------------
 
-   Every dispatch through the oracle is a span named for the phase
-   ("analysis" / "cofactor_pair"), categorised by engine, plus per-engine
-   query counters — full-vector, plan and cofactor queries separately so
-   the PREPARE savings are visible in a metrics snapshot.  The spans'
-   durations are the latency record: [obs diff] gates their exact p50/p99
-   per name, so a tail regression is visible even when the totals (and
-   hence the mean) barely move. *)
+   Every dispatch through the oracle is a span named for the query
+   ("analysis" / "analysis.subset" / "cofactor_pair"), categorised by
+   engine, plus per-engine query counters — full-vector, plan and
+   cofactor queries separately so the PREPARE savings are visible in a
+   metrics snapshot.  The spans' durations are the latency record:
+   [obs diff] gates their exact p50/p99 per name and engine, so a tail
+   regression is visible even when the totals (and hence the mean) barely
+   move. *)
 
 let check_width o x name =
   if Array.length x <> Array.length (Netlist.inputs o.c) then
@@ -133,7 +134,7 @@ let probs_plan o p x =
   check_width o x "Oracle.probs_plan";
   if p.owner != o.fault_list then invalid_arg "Oracle.probs_plan: plan from another oracle";
   Rt_obs.incr o.cq_subset;
-  Rt_obs.with_span ~cat:o.kind "analysis" (fun () -> o.run_subset p x)
+  Rt_obs.with_span ~cat:o.kind "analysis.subset" (fun () -> o.run_subset p x)
 
 (* The engine-independent fallback: two independent subset evaluations on
    a private copy of [x] — exception-safe by construction (the caller's

@@ -315,6 +315,9 @@ let test_metrics_json_valid =
   (match member "test.metrics\"quoted" (member "counters" j) with
    | Num 3.0 -> ()
    | _ -> Alcotest.fail "counter value");
+  (match member "test.g" (member "gauges" j) with
+   | Num 1.5 -> ()
+   | _ -> Alcotest.fail "gauge value");
   match j with
   | Obj fields ->
     check Alcotest.(list string) "members" [ "schema"; "counters"; "gauges" ] (List.map fst fields)
@@ -427,10 +430,10 @@ let trace_of events =
   Printf.sprintf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[%s]}"
     (String.concat ","
        (List.mapi
-          (fun i (name, dur) ->
+          (fun i (name, cat, dur) ->
             Printf.sprintf
-              "{\"name\":\"%s\",\"cat\":\"phase\",\"ph\":\"X\",\"ts\":%d.0,\"dur\":%.1f,\"pid\":1,\"tid\":0}"
-              name i dur)
+              "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%d.0,\"dur\":%.1f,\"pid\":1,\"tid\":0}"
+              name cat i dur)
           events))
 
 (* An artifact directory (written as a run writes it) whose trace is
@@ -441,11 +444,12 @@ let artifact tag events =
   write_file (Filename.concat dir "trace.json") (trace_of events);
   dir
 
-let trace_with_dur dur = trace_of [ ("optimize", dur) ]
+let trace_with_dur dur = trace_of [ ("optimize", "phase", dur) ]
 
 (* 200 calls of one span name; [slow] of them take [tail] us, the rest
    [body] us. *)
-let calls name ~body ~tail ~slow = List.init 200 (fun i -> (name, if i < slow then tail else body))
+let calls ?(cat = "phase") name ~body ~tail ~slow =
+  List.init 200 (fun i -> (name, cat, if i < slow then tail else body))
 
 let test_obs_diff_identical =
   with_obs @@ fun () ->
@@ -483,6 +487,23 @@ let test_obs_diff_p99 () =
   check Alcotest.bool "reversed: improvement, no regression" true
     (Obs.Diff.regressions (Obs.Diff.compare (read dir_b) (read dir_a)) = [])
 
+(* One span name in two engine categories: only the BDD calls' tail
+   doubles.  Pooled, the 400 events keep their p99 (the COP tail fills
+   it); per category the BDD p99 is 40 -> 80 us. *)
+let test_obs_diff_by_cat () =
+  let cop = calls ~cat:"cop" "analysis" ~body:20.0 ~tail:40.0 ~slow:10 in
+  let bdd tail = calls ~cat:"bdd" "analysis" ~body:20.0 ~tail ~slow:3 in
+  let dir_a = artifact "diff-cat-a" (cop @ bdd 40.0) in
+  let dir_b = artifact "diff-cat-b" (cop @ bdd 80.0) in
+  match Obs.Diff.regressions (Obs.Diff.compare (read dir_a) (read dir_b)) with
+  | [ f ] ->
+    check Alcotest.(pair string string) "a quantile finding on the span" ("quantile", "analysis")
+      (f.Obs.Diff.kind, f.Obs.Diff.name);
+    check Alcotest.bool "of the bdd category" true
+      (String.length f.Obs.Diff.detail > 5 && String.sub f.Obs.Diff.detail 0 5 = "[bdd]");
+    check (Alcotest.float 0.0) "b is the bdd p99" 80.0 f.Obs.Diff.b
+  | fs -> Alcotest.failf "expected one regression, got %d" (List.length fs)
+
 let test_obs_diff () =
   let dir_a = artifact "diff-a" [] and dir_b = artifact "diff-b" [] in
   (* inject a 2.4x span-tree slowdown above the noise floor *)
@@ -491,6 +512,9 @@ let test_obs_diff () =
   let regs = Obs.Diff.regressions (Obs.Diff.compare (read dir_a) (read dir_b)) in
   check Alcotest.bool "span slowdown flagged" true
     (List.exists (fun f -> f.Obs.Diff.kind = "span" && f.Obs.Diff.name = "optimize") regs);
+  (* one event is too few for a quantile: the span total alone reports it *)
+  check Alcotest.bool "no quantile finding from one event" false
+    (List.exists (fun f -> f.Obs.Diff.kind = "quantile") regs);
   (* below the default 1 ms noise floor the same ratio stays quiet, for
      the total and the quantiles alike *)
   write_file (Filename.concat dir_a "trace.json") (trace_with_dur 100.0);
@@ -557,8 +581,8 @@ optprob_test_stray_level 0.75
   check nums "same gauges" before.Obs.Artifact.gauges after.Obs.Artifact.gauges;
   let stats (r : Obs.Artifact.run) =
     List.map
-      (fun (name, (st : Obs.Artifact.span_stat)) ->
-        (name, [ Float.of_int st.count; st.total_us; st.p50_us; st.p99_us ]))
+      (fun ((name, cat), (st : Obs.Artifact.span_stat)) ->
+        (name ^ "/" ^ cat, [ Float.of_int st.count; st.total_us; st.p50_us; st.p99_us ]))
       r.Obs.Artifact.spans
   in
   check
@@ -804,7 +828,8 @@ let () =
       ( "diff",
         [ Alcotest.test_case "obs-diff self-test" `Quick test_obs_diff;
           Alcotest.test_case "identical artifacts diff clean" `Quick test_obs_diff_identical;
-          Alcotest.test_case "2x slower p99 flagged by name" `Quick test_obs_diff_p99 ] );
+          Alcotest.test_case "2x slower p99 flagged by name" `Quick test_obs_diff_p99;
+          Alcotest.test_case "quantiles per span category" `Quick test_obs_diff_by_cat ] );
       ( "atomic",
         [ Alcotest.test_case "no tmp leftovers" `Quick test_artifact_atomic ] );
       ( "compat",
