@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is the pre-commit gate.
 
-.PHONY: all check test bench bench-json bench-smoke obs-demo clean
+.PHONY: all check test bench bench-json bench-smoke e2e-pairs obs-demo clean
 
 all:
 	dune build
@@ -25,6 +25,21 @@ bench-json:
 # _obs/smoke/{baseline,fused} for upload or manual `optprob obs diff`.
 bench-smoke:
 	dune exec bench/smoke.exe -- _obs/smoke
+
+# Alternating end-to-end pairs of this checkout against a parent revision
+# built in a temporary git worktree: N pairs of `main.exe --workload W
+# --seconds T` at seeds S+i, run_s median, quartiles and pairs won per
+# side, then heap_peak_mb at REPS reps.  PARENT=HEAD compares uncommitted
+# changes, PARENT=HEAD~1 the last commit.
+W ?= optimize-cop
+PARENT ?= HEAD
+N ?= 10
+T ?= 6
+S ?= 1
+REPS ?= 200
+e2e-pairs:
+	python3 bench/e2e_pairs.py --workload $(W) --parent $(PARENT) --pairs $(N) \
+	  --seconds $(T) --seed $(S) --heap-reps $(REPS)
 
 # End-to-end artifact demo: two identical optimize runs under --obs-dir,
 # then `obs diff` between them.  Thresholds are deliberately loose (10x) —

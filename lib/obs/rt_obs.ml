@@ -20,6 +20,7 @@ type event = {
   ts_us : float;
   dur_us : float;
   tid : int;
+  seq : int;
 }
 
 let lock = Mutex.create ()
@@ -30,24 +31,78 @@ let record ev =
   events_rev := ev :: !events_rev;
   Mutex.unlock lock
 
-let span_begin () = if Atomic.get on then now_us () else Float.neg_infinity
+(* Spans are numbered when they begin, from one process-wide counter, so
+   a domain's numbers are its begin order.  A span is recorded when it
+   ends, so a domain's recording order is its end order; the two orders
+   fix the nesting exactly, where two spans that share a microsecond
+   boundary leave timestamps ambiguous.  [with_span] keeps its number on
+   its own stack frame.  The explicit [span_begin] / [span_end] pair
+   passes only the start time, so each domain keeps the explicit spans
+   it has begun and not yet ended as a stack of (start, number);
+   [span_end] takes the topmost entry with its start, dropping any entry
+   above it (a [span_begin] whose [span_end] an exception skipped).  A
+   [span_end] with no entry (back-dated) is numbered when it ends. *)
+let begun = Atomic.make 0
+
+type open_spans = {
+  mutable depth : int;
+  mutable starts : float array;
+  mutable numbers : int array;
+}
+
+let open_key =
+  Domain.DLS.new_key (fun () ->
+      { depth = 0; starts = Array.make 16 0.0; numbers = Array.make 16 0 })
+
+let finish cat name t0 seq =
+  let dur = Float.max 0.0 (now_us () -. t0) in
+  record { name; cat; ts_us = t0; dur_us = dur; tid = (Domain.self () :> int); seq }
+
+let span_begin () =
+  if Atomic.get on then begin
+    let seq = Atomic.fetch_and_add begun 1 in
+    let t0 = now_us () in
+    let o = Domain.DLS.get open_key in
+    if o.depth = Array.length o.starts then begin
+      let grow a fill = Array.append a (Array.make (Array.length a) fill) in
+      o.starts <- grow o.starts 0.0;
+      o.numbers <- grow o.numbers 0
+    end;
+    o.starts.(o.depth) <- t0;
+    o.numbers.(o.depth) <- seq;
+    o.depth <- o.depth + 1;
+    t0
+  end
+  else Float.neg_infinity
 
 let span_end ?(cat = "span") name t0 =
   if t0 > Float.neg_infinity then begin
-    let dur = Float.max 0.0 (now_us () -. t0) in
-    record { name; cat; ts_us = t0; dur_us = dur; tid = (Domain.self () :> int) }
+    let o = Domain.DLS.get open_key in
+    let k = ref (o.depth - 1) in
+    while !k >= 0 && o.starts.(!k) <> t0 do
+      decr k
+    done;
+    let seq =
+      if !k >= 0 then begin
+        o.depth <- !k;
+        o.numbers.(!k)
+      end
+      else Atomic.fetch_and_add begun 1
+    in
+    finish cat name t0 seq
   end
 
-let with_span ?cat name f =
+let with_span ?(cat = "span") name f =
   if not (Atomic.get on) then f ()
   else begin
+    let seq = Atomic.fetch_and_add begun 1 in
     let t0 = now_us () in
     match f () with
     | v ->
-      span_end ?cat name t0;
+      finish cat name t0 seq;
       v
     | exception e ->
-      span_end ?cat name t0;
+      finish cat name t0 seq;
       raise e
   end
 
@@ -353,50 +408,44 @@ let rec mkdir_p dir =
 
 (* --- human-readable summary ------------------------------------------------ *)
 
-(* Rebuild span nesting per domain from the complete events: sort by start
-   (ties: longer first, i.e. parent before child) and keep a stack of open
-   ancestors; an event whose start falls inside the stack top is its child.
-   A 1 µs slack absorbs clock granularity at shared boundaries. *)
+(* Rebuild span nesting per domain from the begin numbers and the
+   recording (end) order: walk the spans in begin order with a stack of
+   open ancestors, popping every ancestor that ended before the span did;
+   the span is a child of what remains on top.  Spans on one domain nest
+   properly, so an ancestor that ended first had ended before the span
+   began.  No timestamp is read. *)
 type node = { ev : event; mutable children : node list }
 
 let forest evs =
   let by_tid = Hashtbl.create 8 in
-  List.iter
-    (fun e ->
+  List.iteri
+    (fun ended e ->
       let cur = try Hashtbl.find by_tid e.tid with Not_found -> [] in
-      Hashtbl.replace by_tid e.tid (e :: cur))
+      Hashtbl.replace by_tid e.tid ((ended, e) :: cur))
     evs;
-  let contains outer e =
-    e.ts_us >= outer.ts_us -. 1.0 && e.ts_us +. e.dur_us <= outer.ts_us +. outer.dur_us +. 1.0
-  in
   let tids = List.sort compare (Hashtbl.fold (fun tid _ acc -> tid :: acc) by_tid []) in
   List.concat_map
     (fun tid ->
       let es =
-        List.sort
-          (fun a b ->
-            match Float.compare a.ts_us b.ts_us with
-            | 0 -> Float.compare b.dur_us a.dur_us
-            | c -> c)
-          (Hashtbl.find by_tid tid)
+        List.sort (fun (_, a) (_, b) -> Int.compare a.seq b.seq) (Hashtbl.find by_tid tid)
       in
       let roots = ref [] in
       let stack = ref [] in
       List.iter
-        (fun e ->
+        (fun (ended, e) ->
           let n = { ev = e; children = [] } in
-          while (match !stack with top :: _ -> not (contains top.ev e) | [] -> false) do
+          while (match !stack with (top_ended, _) :: _ -> top_ended < ended | [] -> false) do
             stack := List.tl !stack
           done;
           (match !stack with
-           | top :: _ -> top.children <- n :: top.children
+           | (_, top) :: _ -> top.children <- n :: top.children
            | [] -> roots := n :: !roots);
-          stack := n :: !stack)
+          stack := (ended, n) :: !stack)
         es;
       List.rev !roots)
     tids
 
-let pp_summary ppf =
+let pp_span_tree ppf evs =
   let rec print indent nodes =
     (* Aggregate siblings by (name, cat), preserving first-seen order. *)
     let order = ref [] in
@@ -420,10 +469,13 @@ let pp_summary ppf =
         print (indent ^ "  ") (List.rev kids))
       (List.rev !order)
   in
+  print "" (forest evs)
+
+let pp_summary ppf =
   let evs = events () in
   if evs <> [] then begin
     Format.fprintf ppf "spans (aggregated by nesting):@.";
-    print "" (forest evs)
+    pp_span_tree ppf evs
   end;
   let cs = List.filter (fun (_, v) -> v <> 0) (counters_snapshot ()) in
   if cs <> [] then begin

@@ -33,8 +33,9 @@ val clear : unit -> unit
 (** {1 Spans}
 
     Nestable timed regions.  A span is recorded when it {e ends}; nesting is
-    reconstructed from the timestamps (per recording domain), which is also
-    how the Chrome trace viewer draws them. *)
+    reconstructed per recording domain from the order the spans began and
+    ended in, so two spans that share a microsecond boundary still nest
+    as they ran. *)
 
 type event = {
   name : string;
@@ -42,6 +43,10 @@ type event = {
   ts_us : float;  (** start, microseconds since the epoch *)
   dur_us : float;
   tid : int;  (** id of the recording domain *)
+  seq : int;
+      (** begin order: spans are numbered from one process-wide counter
+          when they begin (a back-dated {!span_end} when it ends), so on
+          one domain the numbers follow the order its spans began in *)
 }
 
 val span_begin : unit -> float
@@ -65,9 +70,15 @@ val trace_json : unit -> string
 (** Chrome [trace_event] JSON: an object with a ["traceEvents"] array of
     complete ("ph":"X") span events, timestamps in microseconds. *)
 
+val pp_span_tree : Format.formatter -> event list -> unit
+(** The aggregated span tree of [evs], which must be in recording order
+    as {!events} returns them (one domain's recording order is its end
+    order): one line per sibling group of the same name and category,
+    with its count and total wall-clock, children indented under it. *)
+
 val pp_summary : Format.formatter -> unit
 (** Human-readable aggregated span tree (count and total wall-clock per
-    name, nested by containment) followed by the nonzero counters and all
+    name, nested as the spans ran) followed by the nonzero counters and all
     gauges. *)
 
 (** {1 Counters and gauges}

@@ -5,6 +5,70 @@ type t = {
   nf : int;
 }
 
+(* The SORT step: fault indices [a] stably ascending by [key], with
+   stdlib's [Array.stable_sort] algorithm and its one scratch array of
+   ceil(n/2) ints, but the comparison is two float loads in place of a
+   closure call.  A stable order is unique, so the permutation is the one
+   [Array.stable_sort (fun i j -> Float.compare key.(i) key.(j))] gives:
+   the keys sorted here are > 0, never NaN, and on those
+   [Float.compare x y <= 0] is [x <= y]. *)
+let sort_by_key (key : float array) (a : int array) =
+  let cutoff = 5 in
+  (* Merge a.(i1 ..) (len1) and src2.(i2 ..) (len2) into dst from d; on
+     a tie the left run's element goes first.  dst may be a or src2,
+     written only below the read positions. *)
+  let merge i1 len1 src2 i2 len2 dst d =
+    let e1 = i1 + len1 and e2 = i2 + len2 in
+    let i1 = ref i1 and i2 = ref i2 and d = ref d in
+    while !i1 < e1 && !i2 < e2 do
+      let s1 = a.(!i1) and s2 = src2.(!i2) in
+      if key.(s1) <= key.(s2) then begin
+        dst.(!d) <- s1;
+        incr i1
+      end
+      else begin
+        dst.(!d) <- s2;
+        incr i2
+      end;
+      incr d
+    done;
+    if !i1 < e1 then Array.blit a !i1 dst !d (e1 - !i1)
+    else Array.blit src2 !i2 dst !d (e2 - !i2)
+  in
+  let isortto srcofs dst dstofs len =
+    for i = 0 to len - 1 do
+      let e = a.(srcofs + i) in
+      let ke = key.(e) in
+      let j = ref (dstofs + i - 1) in
+      while !j >= dstofs && key.(dst.(!j)) > ke do
+        dst.(!j + 1) <- dst.(!j);
+        decr j
+      done;
+      dst.(!j + 1) <- e
+    done
+  in
+  (* Sort a.(srcofs ..) (len) into dst.(dstofs ..). *)
+  let rec sortto srcofs dst dstofs len =
+    if len <= cutoff then isortto srcofs dst dstofs len
+    else begin
+      let l1 = len / 2 in
+      let l2 = len - l1 in
+      sortto (srcofs + l1) dst (dstofs + l1) l2;
+      sortto srcofs a (srcofs + l2) l1;
+      merge (srcofs + l2) l1 dst (dstofs + l1) l2 dst dstofs
+    end
+  in
+  let l = Array.length a in
+  if l <= cutoff then isortto 0 a 0 l
+  else begin
+    let l1 = l / 2 in
+    let l2 = l - l1 in
+    let t = Array.make l2 0 in
+    sortto l1 t 0 l2;
+    sortto 0 a l2 l1;
+    merge l2 l1 t 0 l2 a 0
+  end
+
 let run ?(objective = Objective.single) ?(confidence = 0.95) ?(nf_min = 8) pfs =
   if confidence <= 0.0 || confidence >= 1.0 then invalid_arg "Normalize.run: confidence";
   Rt_obs.with_span ~cat:"phase" "normalize" @@ fun () ->
@@ -27,7 +91,7 @@ let run ?(objective = Objective.single) ?(confidence = 0.95) ?(nf_min = 8) pfs =
   let sorted_idx =
     Rt_obs.with_span ~cat:"phase" "sort" @@ fun () ->
     let idx = pick (fun p -> p > 0.0) in
-    Array.stable_sort (fun a b -> Float.compare pfs.(a) pfs.(b)) idx;
+    sort_by_key pfs idx;
     idx
   in
   let n_det = Array.length sorted_idx in
@@ -42,12 +106,22 @@ let run ?(objective = Objective.single) ?(confidence = 0.95) ?(nf_min = 8) pfs =
        contribute at most the term of fault z.  The lower bound stops as
        soon as its partial sum passes q: the terms are >= 0 and adding a
        non-negative float never decreases a sum, so the full sum would
-       exceed q too, and only l <= q is ever used as a value. *)
+       exceed q too, and only l <= q is ever used as a value.  It also
+       stops at the first term that could not move the sum even doubled:
+       the prefix is ascending in p, so by the same contract every later
+       term is no larger (the factor 2 absorbs a computed term's
+       last-bit wobble), and rounding is monotone, so none of them moves
+       the sum either — it already holds the full prefix sum, bit for
+       bit. *)
     let l z m =
       let acc = ref 0.0 and i = ref 0 in
       while !i < z && !acc <= q do
-        acc := !acc +. term ~n:m ~p:(p !i);
-        incr i
+        let t = term ~n:m ~p:(p !i) in
+        if !acc +. (2.0 *. t) = !acc then i := z
+        else begin
+          acc := !acc +. t;
+          incr i
+        end
       done;
       !acc
     in

@@ -10,14 +10,52 @@ let value_along ~n ~p0 ~p1 y =
   done;
   !acc
 
+(* Below this argument [exp] returns +0: the exact value is at most 0.42
+   of 2^-1075, half the smallest subnormal, so any [exp] with an error
+   under 0.79 ulp rounds it to +0. *)
+let exp_zero_below = -746.0
+
+(* The derivative sums skip a term, without calling [exp], only where
+   adding it leaves both sums' bits unchanged; every other term is added
+   in the same order with the same roundings, so the result is bit for
+   bit the plain loop's.  With [e = exp a], the terms are [c1 * e]
+   (subtracted from [d1]) and [c2 * e] (added to [d2]).
+
+   - [a < exp_zero_below]: [e = +0], so a term is [+-0] whenever its
+     factor is finite, and [c2] finite implies [c1] finite.  A sum that
+     starts at +0 never becomes -0 (an exact cancellation gives +0), and
+     adding [+-0] to anything but -0 changes no bit.
+   - [a < -60]: [e <= 2^-86] (e^-60 is 8.8e-27, 2^-86 is 1.3e-26), and
+     rounding is monotone, so [|c * e| <= |c| * 2^-86].  Where that is
+     below [2^-54 |d|] — i.e. [|c| * 2^-32 < |d|] — the term is under
+     half an ulp of [d] on either side, even at a power of two, so
+     [d +- term] rounds back to [d].
+
+   Scaling by 2^-32 cannot overflow, and every comparison is false on a
+   NaN, so a NaN takes the [exp] path; an infinite [c] or [d] either
+   fails the test or leaves [d] unchanged anyway.  The length check lets
+   the loop read without bounds checks. *)
 let derivatives_along ~n ~p0 ~p1 y =
+  if Array.length p1 < Array.length p0 then
+    invalid_arg "Objective.derivatives_along: p1 shorter than p0";
   let d1 = ref 0.0 and d2 = ref 0.0 in
   for f = 0 to Array.length p0 - 1 do
-    let b = p1.(f) -. p0.(f) in
-    let p = p0.(f) +. (y *. b) in
-    let e = Float.exp (-.n *. p) in
-    d1 := !d1 -. (n *. b *. e);
-    d2 := !d2 +. (n *. b *. n *. b *. e)
+    let q0 = Array.unsafe_get p0 f in
+    let b = Array.unsafe_get p1 f -. q0 in
+    let p = q0 +. (y *. b) in
+    let a = -.n *. p in
+    let c1 = n *. b in
+    let c2 = c1 *. n *. b in
+    if
+      (not (a < -60.0))
+      || (if a < exp_zero_below then not (Float.abs c2 < Float.infinity)
+          else
+            not (Float.abs c1 *. 0x1p-32 < Float.abs !d1 && Float.abs c2 *. 0x1p-32 < Float.abs !d2))
+    then begin
+      let e = Float.exp a in
+      d1 := !d1 -. (c1 *. e);
+      d2 := !d2 +. (c2 *. e)
+    end
   done;
   (!d1, !d2)
 

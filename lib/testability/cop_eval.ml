@@ -330,10 +330,19 @@ let one_shot_table t =
     t.queried <- true;
     compile t.circuit
 
-(* Drop [cut] and [faults] when a query names another plan. *)
+(* The cones, the cuts and a state's cached arrays depend on a plan only
+   through its masks. *)
+let same_masks p q =
+  p == q || (Oracle.sp_mask p = Oracle.sp_mask q && Oracle.obs_mask p = Oracle.obs_mask q)
+
+(* Drop [faults] when a query names another plan, and [cut] too unless
+   the new plan has the same masks. *)
 let switch_plan t plan =
   match t.cut_for with
   | Some p when p == plan -> ()
+  | Some p when same_masks p plan ->
+    t.cut_for <- Some plan;
+    t.faults <- None
   | Some _ | None ->
     t.cut_for <- Some plan;
     t.faults <- None;
@@ -526,19 +535,13 @@ type state = {
   mutable base_x : float array;  (* [||] until the first rebuild *)
   mutable sp : float array;
   mutable obs : float array;
-  mutable save_sp : float array;  (* cone-sized undo buffers *)
-  mutable save_obs : float array;
+  mutable dirty : int;
+      (* the input whose cone holds a cofactor's values instead of
+         [base_x]'s, -1 when none *)
 }
 
 let create ?(jobs = 1) cone_table =
-  { jobs;
-    cone_table;
-    plan = None;
-    base_x = [||];
-    sp = [||];
-    obs = [||];
-    save_sp = [||];
-    save_obs = [||] }
+  { jobs; cone_table; plan = None; base_x = [||]; sp = [||]; obs = [||]; dirty = -1 }
 
 let c_rebuilds = Rt_obs.counter "cop.incremental.rebuilds"
 let c_commits = Rt_obs.counter "cop.incremental.commits"
@@ -560,50 +563,41 @@ let rebuild st plan x =
   end;
   sweep_into st.cone_table.circuit tab ~sp_mask:(Oracle.sp_mask plan)
     ~obs_mask:(Oracle.obs_mask plan) x st.sp st.obs;
-  st.base_x <- Array.copy x
+  st.base_x <- Array.copy x;
+  st.dirty <- -1
 
-let ensure_saves st n_sp n_obs =
-  if Array.length st.save_sp < n_sp then st.save_sp <- Array.make n_sp 0.0;
-  if Array.length st.save_obs < n_obs then st.save_obs <- Array.make n_obs 0.0
-
-(* Re-evaluate the cone for the input at value [v], saving the previous
-   values into the undo buffers.  sp ascending, obs descending — the same
-   orders and the same per-node kernels as the full masked sweeps. *)
+(* Re-evaluate the cone for the input at value [v]: sp ascending, obs
+   descending — the same orders and the same per-node kernels as the full
+   masked sweeps.  Every cone node is recomputed from its fanins (sp) or
+   its readers and their pins (obs), each of them either outside the
+   cone, which no patch writes, or recomputed earlier in the pass; so
+   what the cone held before — the base point's values or a cofactor's —
+   never reaches the result. *)
 let apply_patch st (sp_dirty, obs_dirty) v =
   let tab = table st.cone_table in
   let sp = st.sp and obs = st.obs in
-  let save_sp = st.save_sp and save_obs = st.save_obs in
   for k = 0 to Array.length sp_dirty - 1 do
     let g = sp_dirty.(k) in
-    save_sp.(k) <- sp.(g);
     match tab.kind.(g) with
     | Gate.Input -> sp.(g) <- v  (* only the flipped input itself; inputs have no fanin *)
     | _ -> set_sp tab sp g
   done;
   for k = Array.length obs_dirty - 1 downto 0 do
-    let g = obs_dirty.(k) in
-    save_obs.(k) <- obs.(g);
-    set_obs tab sp obs g
+    set_obs tab sp obs obs_dirty.(k)
   done;
   Rt_obs.add c_patched (Array.length sp_dirty + Array.length obs_dirty)
 
-let restore st (sp_dirty, obs_dirty) =
-  for k = 0 to Array.length sp_dirty - 1 do
-    st.sp.(sp_dirty.(k)) <- st.save_sp.(k)
-  done;
-  for k = 0 to Array.length obs_dirty - 1 do
-    st.obs.(obs_dirty.(k)) <- st.save_obs.(k)
-  done
-
-(* Bring the cached base point to (plan, x).  Same plan and a single
-   moved coordinate — the optimizer's per-coordinate update — commits
-   that coordinate's cone patch in place; anything else rebuilds. *)
+(* Bring the cached base point to (plan, x).  A plan with the same masks
+   as the state's keeps its arrays, which depend only on the masks and
+   the point.  There, a single moved coordinate — the optimizer's
+   per-coordinate update — commits that coordinate's cone patch in
+   place, and a cone a cofactor left dirty is re-patched at its committed
+   value (one patch serves both when the moved coordinate is the dirty
+   one); anything else rebuilds. *)
 let sync st plan x =
-  let same_plan = match st.plan with Some p -> p == plan | None -> false in
-  if not same_plan then begin
-    st.plan <- Some plan;
-    rebuild st plan x
-  end
+  let keep = match st.plan with Some p -> same_masks p plan | None -> false in
+  st.plan <- Some plan;
+  if not keep then rebuild st plan x
   else begin
     let first = ref (-1) and ndiff = ref 0 in
     for i = 0 to Array.length x - 1 do
@@ -612,15 +606,19 @@ let sync st plan x =
         incr ndiff
       end
     done;
-    if !ndiff = 1 then begin
-      let i = !first in
-      let ((sp_d, obs_d) as cone) = cone st.cone_table plan ~input:i in
-      ensure_saves st (Array.length sp_d) (Array.length obs_d);
-      apply_patch st cone x.(i);
-      st.base_x.(i) <- x.(i);
-      Rt_obs.incr c_commits
+    if !ndiff > 1 then rebuild st plan x
+    else begin
+      let d = st.dirty in
+      if d >= 0 && not (!ndiff = 1 && !first = d) then
+        apply_patch st (cone st.cone_table plan ~input:d) st.base_x.(d);
+      st.dirty <- -1;
+      if !ndiff = 1 then begin
+        let i = !first in
+        apply_patch st (cone st.cone_table plan ~input:i) x.(i);
+        st.base_x.(i) <- x.(i);
+        Rt_obs.incr c_commits
+      end
     end
-    else if !ndiff > 1 then rebuild st plan x
   end
 
 let fill_plan st plan =
@@ -633,20 +631,16 @@ let eval st plan x =
   sync st plan x;
   fill_plan st plan
 
+(* Both cofactors from the cone patched at 0 and then at 1, with no
+   restore in between or after: the cone is marked dirty first, so the
+   next [sync] re-patches it at the committed value, even after an
+   exception. *)
 let cofactor_pair st plan ~input x =
   sync st plan x;
-  let ((sp_d, obs_d) as cone) = cone st.cone_table plan ~input in
-  ensure_saves st (Array.length sp_d) (Array.length obs_d);
-  let eval_patched v =
-    apply_patch st cone v;
-    match fill_plan st plan with
-    | pf ->
-      restore st cone;
-      pf
-    | exception e ->
-      restore st cone;
-      raise e
-  in
-  let pf0 = eval_patched 0.0 in
-  let pf1 = eval_patched 1.0 in
+  let cone = cone st.cone_table plan ~input in
+  st.dirty <- input;
+  apply_patch st cone 0.0;
+  let pf0 = fill_plan st plan in
+  apply_patch st cone 1.0;
+  let pf1 = fill_plan st plan in
   (pf0, pf1)

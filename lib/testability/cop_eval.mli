@@ -26,11 +26,12 @@
     [i]: the masked transitive fanout of the input node (signal side) and
     the nodes whose COP observability reads a value that changes
     (observability side: a reader's observability, or the signal
-    probability of another pin of an AND/NAND/OR/NOR reader).  Patches are
-    undone after each query, so the cache is always consistent with
-    [base_x]; when the caller's [x] itself moves by one coordinate — the
-    optimizer's per-coordinate sweep — the patch is committed instead of
-    rebuilt.
+    probability of another pin of an AND/NAND/OR/NOR reader).  A query
+    leaves the cone it patched marked dirty, and the next query re-patches
+    it at the base point's value; when the caller's [x] itself moves by
+    one coordinate — the optimizer's per-coordinate sweep — the patch is
+    committed at the new value instead of rebuilt.  A plan with the same
+    masks as the previous one keeps the cached point and the cone cuts.
 
     Every result is bit-identical to the corresponding from-scratch
     {!probs_plan} call: nodes outside the cone cannot depend on the
@@ -109,4 +110,5 @@ val cofactor_pair :
   state -> Oracle.plan -> input:int -> float array -> float array * float array
 (** [(p_f(X,0|input), p_f(X,1|input))] for the plan's faults: sync the base
     point to [x], then patch the input's damage cone to 0.0 and 1.0 in
-    turn, restoring the cache after each.  Does not mutate [x]. *)
+    turn, leaving it dirty for the next query's sync to re-patch.  Does
+    not mutate [x]. *)

@@ -256,6 +256,48 @@ let test_span_nesting =
     check Alcotest.int "same domain" outer.Obs.tid inner.Obs.tid
   | evs -> Alcotest.failf "expected 2 events, got %d" (List.length evs)
 
+(* The tree lines of [pp_span_tree]: each line's indented name. *)
+let tree_names evs =
+  let buf = Buffer.create 256 in
+  let ppf = Format.formatter_of_buffer buf in
+  Obs.pp_span_tree ppf evs;
+  Format.pp_print_flush ppf ();
+  String.split_on_char '\n' (Buffer.contents buf)
+  |> List.filter (fun l -> l <> "")
+  |> List.map (fun l ->
+         (* "  <indent><name>   <count> x   <ms> ms" *)
+         let body = String.sub l 2 (String.length l - 2) in
+         let indent = ref 0 in
+         while body.[!indent] = ' ' do
+           incr indent
+         done;
+         String.sub body 0 (String.index_from body !indent ' '))
+
+(* Nesting follows the order spans began and ended in, not their
+   timestamps.  The events are listed in recording (end) order.  [a] ends
+   in the microsecond [b] begins in (a zero-length span, as a fast
+   MINIMIZE is), so by timestamps alone [a] looks like [b]'s child; [q]
+   and its child [c] share both start and end microsecond, so by
+   timestamps alone either could hold the other. *)
+let test_span_tree_begin_order () =
+  let ev name ts_us dur_us seq = { Obs.name; cat = "t"; ts_us; dur_us; tid = 0; seq } in
+  let evs =
+    [ ev "a" 100.0 0.0 1; ev "b" 100.0 3.0 2; ev "p" 99.0 10.0 0;
+      ev "c" 200.0 5.0 4; ev "q" 200.0 5.0 3 ]
+  in
+  check
+    Alcotest.(list string)
+    "tree" [ "p"; "  a"; "  b"; "q"; "  c" ] (tree_names evs);
+  (* The same shapes recorded live: siblings and a parent with a child. *)
+  (with_obs @@ fun () ->
+   Obs.with_span "p" (fun () ->
+       Obs.with_span "a" ignore;
+       Obs.with_span "b" (fun () -> Obs.with_span "c" ignore));
+   check
+     Alcotest.(list string)
+     "recorded tree" [ "p"; "  a"; "  b"; "    c" ] (tree_names (Obs.events ())))
+    ()
+
 let test_span_disabled () =
   Obs.set_enabled false;
   Obs.clear ();
@@ -818,7 +860,8 @@ let () =
       ( "spans",
         [ Alcotest.test_case "nesting" `Quick test_span_nesting;
           Alcotest.test_case "disabled records nothing" `Quick test_span_disabled;
-          Alcotest.test_case "records on raise" `Quick test_span_records_on_raise ] );
+          Alcotest.test_case "records on raise" `Quick test_span_records_on_raise;
+          Alcotest.test_case "tree nests by begin order" `Quick test_span_tree_begin_order ] );
       ( "json",
         [ Alcotest.test_case "trace_event output parses" `Quick test_trace_json_valid;
           Alcotest.test_case "metrics output parses" `Quick test_metrics_json_valid ] );

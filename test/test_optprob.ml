@@ -48,6 +48,72 @@ let derivatives_qcheck =
       let close a b scale = Float.abs (a -. b) <= (1e-3 *. scale) +. 1e-6 in
       close d1 fd1 (1.0 +. Float.abs d1) && close d2 fd2 (1.0 +. Float.abs d2) && d2 >= 0.0)
 
+(* [Objective.single.derivatives_along] before it skipped terms: one
+   [exp] per fault, every term added in fault order.  Kept as the
+   reference the skipping loop must reproduce bit for bit. *)
+let derivatives_reference ~n ~p0 ~p1 y =
+  let d1 = ref 0.0 and d2 = ref 0.0 in
+  for f = 0 to Array.length p0 - 1 do
+    let b = p1.(f) -. p0.(f) in
+    let p = p0.(f) +. (y *. b) in
+    let e = Float.exp (-.n *. p) in
+    d1 := !d1 -. (n *. b *. e);
+    d2 := !d2 +. (n *. b *. n *. b *. e)
+  done;
+  (!d1, !d2)
+
+(* Faults whose exponent -N p(y) sits near the two skip thresholds (-60,
+   and -745.13 where exp reaches +0), spread over [-800, 0], or near 0 —
+   a dominant term, placed last, first or both — with slopes of both
+   signs, N up to 1e20, and now and then a NaN or an infinity in p0, p1,
+   N or y. *)
+let derivatives_matches_reference_qcheck =
+  QCheck.Test.make ~name:"single derivatives equal the every-term reference bit for bit"
+    ~count:400 (QCheck.int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rt_util.Rng.create seed in
+      let u () = Rt_util.Rng.float rng in
+      let pick l = List.nth l (Rt_util.Rng.int rng (List.length l)) in
+      let special () = pick [ Float.nan; Float.infinity; Float.neg_infinity; 0.0 ] in
+      let n =
+        if Rt_util.Rng.int rng 20 = 0 then pick [ Float.infinity; Float.nan; 1e20; 1.0 ]
+        else 10.0 ** (20.0 *. u ())
+      in
+      let y = if Rt_util.Rng.int rng 20 = 0 then pick [ 0.0; 1.0; Float.nan ] else u () in
+      let specials = Rt_util.Rng.int rng 5 = 0 in
+      let fault arg =
+        let p = -.arg /. n in
+        let b = (if u () < 0.5 then -.p else p) *. (10.0 ** (-6.0 *. u ())) in
+        let p0 = p -. (y *. b) in
+        match if specials then Rt_util.Rng.int rng 60 else 2 with
+        | 0 -> (special (), p0 +. b)
+        | 1 -> (p0, special ())
+        | _ -> (p0, p0 +. b)
+      in
+      (* One cluster for every fault, or a fresh pick per fault. *)
+      let cluster = Rt_util.Rng.int rng 5 in
+      let arg () =
+        match if cluster < 4 then cluster else Rt_util.Rng.int rng 4 with
+        | 0 -> -60.0 +. (4.0 *. u ()) -. 2.0
+        | 1 -> -745.13 +. (4.0 *. u ()) -. 2.0
+        | 2 -> -800.0 *. u ()
+        | _ -> -3.0 *. u ()
+      in
+      let dominant () = fault (-0.1 *. u ()) in
+      let body = List.init (Rt_util.Rng.int rng 300) (fun _ -> fault (arg ())) in
+      let faults =
+        match Rt_util.Rng.int rng 4 with
+        | 0 -> body @ [ dominant () ]
+        | 1 -> dominant () :: body
+        | 2 -> (dominant () :: body) @ [ dominant () ]
+        | _ -> body
+      in
+      let p0 = Array.of_list (List.map fst faults) and p1 = Array.of_list (List.map snd faults) in
+      let d1, d2 = Objective.single.derivatives_along ~n ~p0 ~p1 y in
+      let r1, r2 = derivatives_reference ~n ~p0 ~p1 y in
+      Int64.bits_of_float d1 = Int64.bits_of_float r1
+      && Int64.bits_of_float d2 = Int64.bits_of_float r2)
+
 (* --- Objective protocol: n-detection ------------------------------------------- *)
 
 let test_poisson_tail_identities () =
@@ -235,7 +301,11 @@ let normalize_reference ~objective ~confidence ~nf_min pfs =
 let objectives = [ Objective.single; Objective.n_detect ~k:2; Objective.n_detect ~k:3 ]
 
 let normalize_matches_reference_qcheck =
-  (* Values drawn from a short list, so ties and zeros are common. *)
+  (* Values drawn from a short list, so ties and zeros are common.  The
+     long arrays (2 000 to 4 000 entries, the sort's merge path) draw
+     from five values most of the time; their tiny values drive N so
+     high that most terms are subnormal or +0, where the bound sums stop
+     early. *)
   let value =
     QCheck.Gen.(
       frequency
@@ -243,10 +313,19 @@ let normalize_matches_reference_qcheck =
           (3, oneofl [ 1e-18; 1e-5; 1e-4; 1e-3; 0.01; 0.2 ]);
           (3, float_range 1e-6 0.5) ])
   in
+  let long_value =
+    QCheck.Gen.(
+      frequency
+        [ (6, oneofl [ 1e-3; 0.01; 0.05; 0.2; 0.5 ]);
+          (1, map (fun e -> 10.0 ** -.e) (float_range 0.0 18.0));
+          (1, oneofl [ 0.0; 1e-18; 3e-16 ]) ])
+  in
   QCheck.Test.make ~name:"normalize equals the list-based reference" ~count:150
     (QCheck.make
        ~print:QCheck.Print.(array float)
-       QCheck.Gen.(array_size (1 -- 400) value))
+       QCheck.Gen.(
+         frequency
+           [ (3, array_size (1 -- 400) value); (1, array_size (2000 -- 4000) long_value) ]))
     (fun pfs ->
       List.for_all
         (fun objective ->
@@ -715,7 +794,8 @@ let () =
           Alcotest.test_case "poisson tail identities" `Quick test_poisson_tail_identities;
           Alcotest.test_case "ndetect:1 matches single" `Quick test_ndetect_one_matches_single;
           q poisson_tail_convex_qcheck;
-          q ndetect_derivatives_qcheck ] );
+          q ndetect_derivatives_qcheck;
+          q derivatives_matches_reference_qcheck ] );
       ( "normalize",
         [ Alcotest.test_case "matches direct search" `Quick test_normalize_matches_direct;
           Alcotest.test_case "excludes zeros" `Quick test_normalize_excludes_zeros;

@@ -615,9 +615,13 @@ let kernels_bit_identical_qcheck =
 
 (* The compiled evaluator against the references from scratch, along a
    random walk of the moves PREPARE makes: committed one-coordinate moves
-   (0/1 corners included), jumps of several coordinates, and switches
-   between plans.  After every step, [eval] and [cofactor_pair] on one
-   shared state must reproduce [Ref_kernels.probs_plan] bit for bit.  The
+   (0/1 corners included) of any input or of the one just cofactored,
+   steps that leave the point unchanged, jumps of several coordinates,
+   and switches between plans, two of which have another plan's masks
+   with a permuted or a larger subset.  Each step queries [cofactor_pair]
+   and, two times in three, [eval] before it, so a cofactor pair is
+   followed by either query.  After every step both must reproduce
+   [Ref_kernels.probs_plan] bit for bit on one shared state.  The
    multi-pin circuits give nodes several observability edges into one
    reader, so the edge order is exercised within a reader as well as
    across readers. *)
@@ -625,17 +629,35 @@ let check_walk c rng =
   let ni = Array.length (Netlist.inputs c) in
   let faults = Rt_fault.Fault.universe c in
   let nf = Array.length faults in
-  let plans =
-    Array.init 3 (fun p ->
-        let subset =
-          if p = 0 then Array.init nf Fun.id
-          else
-            match List.filter (fun _ -> Rt_util.Rng.float rng < 0.3) (List.init nf Fun.id) with
-            | [] -> [| Rt_util.Rng.int rng nf |]
-            | l -> Array.of_list l
-        in
-        Oracle.make_plan c faults subset)
+  let random_subset () =
+    match List.filter (fun _ -> Rt_util.Rng.float rng < 0.3) (List.init nf Fun.id) with
+    | [] -> [ Rt_util.Rng.int rng nf ]
+    | l -> l
   in
+  let plan_of l = Oracle.make_plan c faults (Array.of_list l) in
+  let all = plan_of (List.init nf Fun.id) in
+  let subset1 = random_subset () in
+  let p1 = plan_of subset1 and p2 = plan_of (random_subset ()) in
+  (* Same masks as [p1]: its subset reversed, and every fault whose site
+     its observability mask already holds. *)
+  let reversed = plan_of (List.rev subset1) in
+  let widened =
+    let inside i =
+      let site =
+        match faults.(i).Rt_fault.Fault.site with
+        | Rt_fault.Fault.Stem s -> s
+        | Rt_fault.Fault.Branch (g, _) -> g
+      in
+      (Oracle.obs_mask p1).(site)
+    in
+    plan_of (List.filter inside (List.init nf Fun.id))
+  in
+  List.iter
+    (fun p ->
+      if Oracle.sp_mask p <> Oracle.sp_mask p1 || Oracle.obs_mask p <> Oracle.obs_mask p1 then
+        QCheck.Test.fail_report "a same-mask plan has other masks")
+    [ reversed; widened ];
+  let plans = [| all; p1; p2; reversed; widened |] in
   let value () =
     match Rt_util.Rng.int rng 6 with
     | 0 -> 0.0
@@ -645,19 +667,24 @@ let check_walk c rng =
   let st = Cop_eval.create (Cop_eval.cones c) in
   let x = Array.init ni (fun _ -> value ()) in
   let plan = ref plans.(0) in
+  let last = ref 0 in
   let expect step what a b =
     if not (bits_equal a b) then QCheck.Test.fail_reportf "step %d: %s differs" step what
   in
-  for step = 0 to 39 do
-    (match Rt_util.Rng.int rng 8 with
-     | 0 -> plan := plans.(Rt_util.Rng.int rng 3)
-     | 1 ->
+  for step = 0 to 59 do
+    (match Rt_util.Rng.int rng 10 with
+     | 0 | 1 -> plan := plans.(Rt_util.Rng.int rng (Array.length plans))
+     | 2 ->
        for _ = 0 to 2 do
          x.(Rt_util.Rng.int rng ni) <- value ()
        done
+     | 3 -> ()
+     | 4 | 5 -> x.(!last) <- value ()
      | _ -> x.(Rt_util.Rng.int rng ni) <- value ());
-    expect step "eval" (Ref_kernels.probs_plan c !plan x) (Cop_eval.eval st !plan x);
+    if Rt_util.Rng.int rng 3 > 0 then
+      expect step "eval" (Ref_kernels.probs_plan c !plan x) (Cop_eval.eval st !plan x);
     let input = Rt_util.Rng.int rng ni in
+    last := input;
     let pf0, pf1 = Cop_eval.cofactor_pair st !plan ~input x in
     let at v =
       let x' = Array.copy x in
