@@ -53,8 +53,9 @@ obs-demo:
 	@test -s _obs/demo/a/manifest.json
 	@test ! -e _obs/demo/a/metrics.prom
 	@test ! -e _obs/demo/a/events.jsonl
-	@grep -q '"optprob-metrics/3"' _obs/demo/a/metrics.json
+	@grep -q '"optprob-metrics/4"' _obs/demo/a/metrics.json
 	@! grep -q '"histograms"' _obs/demo/a/metrics.json
+	@! grep -q '"gauges"' _obs/demo/a/metrics.json
 	dune exec bin/main.exe -- obs diff _obs/demo/a _obs/demo/b \
 	  --max-span-ratio 10 --max-quantile-ratio 10 --max-counter-ratio 10
 	@echo "obs-demo: _obs/demo/{a,b} ok"

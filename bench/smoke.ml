@@ -35,7 +35,7 @@
       the gate fail.  The width axis is chosen because it does not depend on host
       core count, unlike the jobs axis;
    6. a second jobs=4 run spawns no additional domains
-      ([parallel.spawns] flat), i.e. the domain pool persists.
+      ([parallel.spawns] flat), i.e. the parked domains persist.
 
    Next to the gates it prints, ungated, the kernels' unit costs (ns per
    live fault-word, the median fused cofactor sweep), the front end's
@@ -246,7 +246,7 @@ let () =
   (* --- front end ----------------------------------------------------------- *)
   (* The front end's unit costs, printed next to the kernels' and not
      gated: the netlist passes to fixpoint and fault collapsing on the
-     full c6288ish.  Timed before any jobs > 1 run starts pool domains,
+     full c6288ish.  Timed before any jobs > 1 run starts worker domains,
      which every minor collection would then have to stop. *)
   let raw = Pconfig.load_circuit (Pconfig.Builtin "c6288ish") in
   let opt, _, _ = Rt_circuit.Passes.run raw in
@@ -260,7 +260,7 @@ let () =
   let t_passes = median_us (fun () -> Rt_circuit.Passes.run raw) in
   let t_collapse = median_us (fun () -> Rt_fault.Collapse.collapsed_universe opt) in
   (* The exact engine's construction at T1's node limit, also before any
-     pool domain exists: it allocates heavily. *)
+     worker domain exists: it allocates heavily. *)
   let bdd_build name =
     let c = Pconfig.load_circuit (Pconfig.Builtin name) in
     let faults = Rt_fault.Collapse.collapsed_universe c in
@@ -345,8 +345,8 @@ let () =
   in
   let ppsfp_regressions = quantile_regressions "smoke.ppsfp" ppsfp_diff in
   let width_ratio = t_narrow /. t_wide in
-  (* Pool persistence: after a first jobs=4 run has warmed the pool, a
-     second run must not spawn any further domains. *)
+  (* Domain persistence: after a first jobs=4 run has spawned
+     [Parallel.sweep]'s domains, a second run must not spawn any more. *)
   Rt_obs.set_enabled true;
   Rt_obs.clear ();
   let spawns () = Rt_obs.value (Rt_obs.counter "parallel.spawns") in

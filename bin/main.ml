@@ -35,7 +35,7 @@ let obs_dir_arg =
 
 let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ]
-         ~doc:"Print the aggregated phase timings, counters and gauges to stderr.")
+         ~doc:"Print the aggregated phase timings and counters to stderr.")
 
 let obs_arg =
   Term.(const (fun obs_dir verbose -> { obs_dir; verbose; t_start = 0.0 })

@@ -1,3 +1,4 @@
+(* [(sum, carry_out)] of [x + y + cin]. *)
 let full_adder b x y cin =
   let s1 = Builder.xor2 b x y in
   let sum = Builder.xor2 b s1 cin in

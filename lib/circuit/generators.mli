@@ -9,10 +9,6 @@
 
 (** {1 Arithmetic building blocks} *)
 
-val full_adder :
-  Builder.t -> Netlist.node -> Netlist.node -> Netlist.node -> Netlist.node * Netlist.node
-(** [full_adder b x y cin] is [(sum, carry_out)]. *)
-
 val ripple_adder :
   Builder.t ->
   Netlist.node array ->

@@ -319,7 +319,6 @@ let run ?(rounds = 8) ?(passes = all) c =
     let round_changed = ref false in
     List.iter
       (fun (p, stat) ->
-        Rt_obs.incr (Rt_obs.counter ("opt.pass." ^ p.p_name ^ ".runs"));
         let result =
           Rt_obs.with_span ~cat:"opt" ("opt.pass." ^ p.p_name) (fun () -> p.p_run !cur)
         in
@@ -328,8 +327,6 @@ let run ?(rounds = 8) ?(passes = all) c =
         | None -> stat := { s with runs = s.runs + 1 }
         | Some (c', r) ->
           let removed = Netlist.size !cur - Netlist.size c' in
-          Rt_obs.incr (Rt_obs.counter ("opt.pass." ^ p.p_name ^ ".changed"));
-          Rt_obs.add (Rt_obs.counter ("opt.pass." ^ p.p_name ^ ".nodes_removed")) removed;
           stat :=
             { runs = s.runs + 1;
               changed = s.changed + 1;
@@ -340,7 +337,6 @@ let run ?(rounds = 8) ?(passes = all) c =
       acc;
     if not !round_changed then continue_ := false
   done;
-  Rt_obs.add (Rt_obs.counter "opt.rounds") !round;
   ( !cur,
     !remap,
     { rounds = !round; per_pass = List.map (fun (p, stat) -> (p.p_name, !stat)) acc } )

@@ -15,8 +15,8 @@
 
     The driver {!run} applies the pass list round-robin until a full
     round changes nothing (or the round budget is exhausted), composing
-    the remaps, and emits [opt.pass.<name>.{runs,changed,nodes_removed}]
-    counters plus an [opt.pass.<name>] span per application via [Rt_obs].
+    the remaps, and records an [opt.pass.<name>] span per application
+    via [Rt_obs]; the per-pass counts are in the returned {!stats}.
 
     Modeled on Blarney's [MNetlistPass] design: small passes with a
     changed flag, iterated to fixpoint (see DESIGN.md §14). *)

@@ -112,43 +112,34 @@ let events () =
   Mutex.unlock lock;
   List.rev evs
 
-(* --- counters / gauges ----------------------------------------------------- *)
+(* --- counters --------------------------------------------------------------- *)
 
 type counter = int Atomic.t
-type gauge = float Atomic.t
 
 let counters : (string, counter) Hashtbl.t = Hashtbl.create 64
-let gauges : (string, gauge) Hashtbl.t = Hashtbl.create 16
 
-let registered tbl make name =
+let counter name =
   Mutex.lock lock;
-  let v =
-    match Hashtbl.find_opt tbl name with
-    | Some v -> v
+  let c =
+    match Hashtbl.find_opt counters name with
+    | Some c -> c
     | None ->
-      let v = make () in
-      Hashtbl.add tbl name v;
-      v
+      let c = Atomic.make 0 in
+      Hashtbl.add counters name c;
+      c
   in
   Mutex.unlock lock;
-  v
+  c
 
-let counter name = registered counters (fun () -> Atomic.make 0) name
-let gauge name = registered gauges (fun () -> Atomic.make 0.0) name
 let incr c = if Atomic.get on then ignore (Atomic.fetch_and_add c 1)
 let add c k = if Atomic.get on then ignore (Atomic.fetch_and_add c k)
 let value c = Atomic.get c
-let gauge_set g v = if Atomic.get on then Atomic.set g v
-let gauge_value g = Atomic.get g
 
-let snapshot tbl get =
+let counters_snapshot () =
   Mutex.lock lock;
-  let xs = Hashtbl.fold (fun name v acc -> (name, get v) :: acc) tbl [] in
+  let xs = Hashtbl.fold (fun name c acc -> (name, Atomic.get c) :: acc) counters [] in
   Mutex.unlock lock;
   List.sort (fun (a, _) (b, _) -> String.compare a b) xs
-
-let counters_snapshot () = snapshot counters Atomic.get
-let gauges_snapshot () = snapshot gauges Atomic.get
 
 (* Exact nearest-rank percentile of an ascending array: the smallest
    sample with at least [pct]% of the samples at or below it ([pct] in
@@ -162,7 +153,6 @@ let clear () =
   Mutex.lock lock;
   events_rev := [];
   Hashtbl.iter (fun _ c -> Atomic.set c 0) counters;
-  Hashtbl.iter (fun _ g -> Atomic.set g 0.0) gauges;
   Mutex.unlock lock
 
 (* --- JSON ------------------------------------------------------------------ *)
@@ -341,6 +331,8 @@ module Json = struct
     | Str s -> Some s
     | _ -> None
 
+  (* The numeric members of an object, in document order; [] for anything
+     else. *)
   let num_members = function
     | Obj fields -> List.filter_map (fun (k, v) -> Option.map (fun f -> (k, f)) (to_float v)) fields
     | _ -> []
@@ -366,10 +358,8 @@ let metrics_json () =
         add v)
       xs
   in
-  Buffer.add_string buf "{\n  \"schema\": \"optprob-metrics/3\",\n  \"counters\": {\n";
+  Buffer.add_string buf "{\n  \"schema\": \"optprob-metrics/4\",\n  \"counters\": {\n";
   obj (fun v -> Buffer.add_string buf (string_of_int v)) (counters_snapshot ());
-  Buffer.add_string buf "\n  },\n  \"gauges\": {\n";
-  obj (fun v -> Buffer.add_string buf (Printf.sprintf "%.17g" v)) (gauges_snapshot ());
   Buffer.add_string buf "\n  }\n}\n";
   Buffer.contents buf
 
@@ -481,11 +471,6 @@ let pp_summary ppf =
   if cs <> [] then begin
     Format.fprintf ppf "counters:@.";
     List.iter (fun (name, v) -> Format.fprintf ppf "  %-44s %12d@." name v) cs
-  end;
-  let gs = gauges_snapshot () in
-  if gs <> [] then begin
-    Format.fprintf ppf "gauges:@.";
-    List.iter (fun (name, v) -> Format.fprintf ppf "  %-44s %12.1f@." name v) gs
   end
 
 (* --- convergence recorder --------------------------------------------------- *)
@@ -547,7 +532,7 @@ end
 (* --- run artifacts ----------------------------------------------------------
 
    One `--obs-dir DIR` run writes a self-describing artifact directory:
-   manifest.json (provenance), metrics.json (counters + gauges),
+   manifest.json (provenance), metrics.json (counters),
    trace.json (Perfetto: spans) and, when a convergence recorder exists,
    convergence.json.  [read] parses a directory back into a [run], the
    one form `obs diff` consumes; its per-span latency quantiles come
@@ -662,7 +647,6 @@ module Artifact = struct
   type run = {
     manifest : Json.t;
     counters : (string * float) list;
-    gauges : (string * float) list;
     spans : ((string * string) * span_stat) list;
     final_n : float option;
   }
@@ -726,7 +710,6 @@ module Artifact = struct
         Ok
           { manifest;
             counters = Json.num_members (section "counters");
-            gauges = Json.num_members (section "gauges");
             spans; final_n }
       with Failure m -> Error m)
 end
@@ -755,7 +738,7 @@ module Diff = struct
 
   type finding = {
     severity : severity;
-    kind : string;  (* "counter" | "gauge" | "span" | "quantile" | "convergence" | "manifest" *)
+    kind : string;  (* "counter" | "span" | "quantile" | "convergence" | "manifest" *)
     name : string;
     a : float;
     b : float;
@@ -802,12 +785,6 @@ module Diff = struct
       compare_keyed ~kind:"counter" ~thr:t.counter_ratio
         ~gate:(fun a b -> Float.max a b >= 10.0)
         ~unit_:"" ra.counters rb.counters
-    in
-    let gauges =
-      (* a gauge is a last-written value, not a cost: report, never gate *)
-      compare_keyed ~kind:"gauge" ~thr:Float.infinity ~gate:(fun _ _ -> false) ~unit_:""
-        ra.gauges rb.gauges
-      |> List.filter (fun f -> Float.abs (ratio f.a f.b -. 1.0) > 0.25)
     in
     (* span totals per name, summed over categories (the stats are sorted
        by name, so a name's categories are adjacent) *)
@@ -883,7 +860,7 @@ module Diff = struct
     in
     List.sort
       (fun x y -> compare (rank x) (rank y))
-      (counters @ gauges @ spans @ quantiles @ convergence @ manifest)
+      (counters @ spans @ quantiles @ convergence @ manifest)
 
   let regressions fs = List.filter (fun f -> f.severity = Regression) fs
 

@@ -1,4 +1,4 @@
-(** Observability for the optimize pipeline: spans, counters/gauges, a
+(** Observability for the optimize pipeline: spans, counters, a
     convergence recorder, unified run artifacts, their one reader and an
     artifact-diff analyzer.
 
@@ -12,7 +12,7 @@
     or {{:https://ui.perfetto.dev}Perfetto}) and as a human-readable
     aggregated tree; they are the only timing channel, and
     {!Artifact.read} derives exact per-span latency quantiles from them.
-    Counters and gauges snapshot to JSON.  {!Artifact} bundles everything
+    Counters snapshot to JSON.  {!Artifact} bundles everything
     a run recorded into one self-describing directory; {!Artifact.read}
     turns such a directory back into an {!Artifact.run}, and {!Diff}
     compares two runs.  The convergence recorder is an explicit per-run
@@ -26,9 +26,9 @@ val now_us : unit -> float
 (** Wall clock in microseconds since the epoch (the span timebase). *)
 
 val clear : unit -> unit
-(** Drop all recorded spans, and reset every registered counter and
-    gauge to zero (registrations themselves survive —
-    instrumented modules keep their handles). *)
+(** Drop all recorded spans, and reset every registered counter to
+    zero (registrations themselves survive — instrumented modules keep
+    their handles). *)
 
 (** {1 Spans}
 
@@ -78,10 +78,9 @@ val pp_span_tree : Format.formatter -> event list -> unit
 
 val pp_summary : Format.formatter -> unit
 (** Human-readable aggregated span tree (count and total wall-clock per
-    name, nested as the spans ran) followed by the nonzero counters and all
-    gauges. *)
+    name, nested as the spans ran) followed by the nonzero counters. *)
 
-(** {1 Counters and gauges}
+(** {1 Counters}
 
     Registered by name; the same name always returns the same handle, so
     instrumented modules can register at init time and increment with one
@@ -95,19 +94,11 @@ val incr : counter -> unit
 val add : counter -> int -> unit
 val value : counter -> int
 
-type gauge
-
-val gauge : string -> gauge
-val gauge_set : gauge -> float -> unit
-val gauge_value : gauge -> float
-
 val counters_snapshot : unit -> (string * int) list
 (** All registered counters, sorted by name. *)
 
-val gauges_snapshot : unit -> (string * float) list
-
 val metrics_json : unit -> string
-(** [{"schema":"optprob-metrics/3","counters":{...},"gauges":{...}}]. *)
+(** [{"schema":"optprob-metrics/4","counters":{...}}]. *)
 
 (** {1 JSON reader}
 
@@ -129,10 +120,6 @@ module Json : sig
   val member : string -> t -> t option
   val to_float : t -> float option
   val to_string : t -> string option
-
-  val num_members : t -> (string * float) list
-  (** The numeric members of an object, in document order; [[]] for anything
-      else. *)
 end
 
 (** {1 Files} *)
@@ -229,7 +216,6 @@ module Artifact : sig
   type run = {
     manifest : Json.t;  (** [manifest.json]; [Null] when absent *)
     counters : (string * float) list;
-    gauges : (string * float) list;
     spans : ((string * string) * span_stat) list;
         (** per (span name, category), sorted; a span without a category
             has [""] *)
@@ -240,7 +226,8 @@ module Artifact : sig
   (** Parse an artifact directory.  [metrics.json] is required; manifest,
       convergence and trace files are optional, and any other file or
       member (such as the bucketed latency summaries of an
-      [optprob-metrics/2] file) is ignored.  [Error] names the directory
+      [optprob-metrics/2] file or the gauges of an [optprob-metrics/3]
+      one) is ignored.  [Error] names the directory
       when [metrics.json] is missing or unreadable, and the file when any
       other present file is malformed. *)
 end
@@ -269,7 +256,7 @@ module Diff : sig
   type finding = {
     severity : severity;
     kind : string;
-        (** ["counter"], ["gauge"], ["span"] (total per name),
+        (** ["counter"], ["span"] (total per name),
             ["quantile"] (p50/p99 per span name and category, only past
             [quantile_ratio]; one finding per category, named by the span
             and with the category in [detail]), ["convergence"] or

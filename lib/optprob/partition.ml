@@ -9,6 +9,7 @@ type split = {
   n_total : float;
 }
 
+(* One vector per hard fault, evaluated at the weights [x]. *)
 let preference_vectors oracle ~hard x =
   let n_inputs = Array.length (Rt_circuit.Netlist.inputs (Oracle.circuit oracle)) in
   let vectors = Array.map (fun _ -> Array.make n_inputs 0.0) hard in

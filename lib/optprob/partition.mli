@@ -22,10 +22,6 @@ type split = {
   n_total : float;  (** sum of [n_parts]: total session length *)
 }
 
-val preference_vectors :
-  Rt_testability.Oracle.t -> hard:int array -> float array -> float array array
-(** One vector per hard fault, evaluated at the given weights. *)
-
 val antagonism : float array -> float array -> float
 (** Negative cosine similarity in [[-1, 1]]: 1 = perfectly antagonistic. *)
 

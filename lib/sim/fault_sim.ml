@@ -27,8 +27,8 @@ type stats = {
    W-dependence is source consumption: a block is filled before
    simulating, so when dropping empties the live set mid-block up to
    [W - 1] already-pulled batches go unused.  [jobs > 1] shards the
-   per-fault and per-root work across pool domains (each with its own
-   workspace) via grain-level work stealing; detection rows land in a
+   per-fault and per-root work across [Parallel.sweep]'s domains (each
+   with its own workspace) in claimed chunks; detection rows land in a
    shared table at fault-indexed rows, each written by one work item, so
    scheduling never touches the replay.
 
@@ -379,10 +379,6 @@ let c_batches = Rt_obs.counter "ppsfp.batches"
 let c_patterns = Rt_obs.counter "ppsfp.patterns"
 let c_dropped = Rt_obs.counter "ppsfp.faults_dropped"
 
-(* Undetected-fault population after the latest batch; its final value is
-   the run's undetected-fault count. *)
-let g_live = Rt_obs.gauge "ppsfp.live_faults"
-
 (* Sub-millisecond sweeps are not worth parallel dispatch
    (Parallel.sweep also clamps to the core count); at ~1-10 us per fault
    or root propagation this threshold puts the crossover near half a
@@ -442,7 +438,7 @@ let flip_region k ws ~(good : Pattern.words) ~(table : Pattern.words) ~live ~fir
   done
 
 (* One block's fault work for the first [todo] entries of [live], in two
-   pool sweeps, leaving each fault's detection row in its [table] row.
+   sweeps, leaving each fault's detection row in its [table] row.
    The first writes each fault's difference at its root.  The second
    flips, once, each root that some fault's difference reaches, and
    masks the region's rows with the flip: the region-ordered live set
@@ -564,7 +560,6 @@ let simulate ?jobs ?block_words ?(drop = true) c faults ~source ~n_patterns =
     Rt_obs.incr c_batches;
     Rt_obs.add c_patterns !processed;
     Rt_obs.add c_dropped (n0 - !n_live);
-    Rt_obs.gauge_set g_live (Float.of_int !n_live);
     Rt_obs.span_end ~cat:"sim" "ppsfp.batch" t_batch;
     base := !base + !processed
   done;

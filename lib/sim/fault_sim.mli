@@ -13,8 +13,8 @@
     live fault of the region reaches the root and no output has shown
     the flip yet.  It stops once every such lane is decided, so a
     flipped output stops at once.  Live faults
-    are scheduled region by region and sharded across the persistent
-    domain pool with work stealing; detection bookkeeping replays
+    are scheduled region by region and sharded across
+    {!Rt_util.Parallel.sweep}'s domains; detection bookkeeping replays
     serially word by word, so results never depend on [jobs] or
     [block_words].  With fault dropping this is the engine behind the
     paper's Tables 2 and 4 and Fig. 2. *)
@@ -41,7 +41,7 @@ val simulate :
 
     [jobs] (default: the [OPTPROB_JOBS] environment variable, else 1)
     shards the per-fault and per-root propagations of each block across
-    that many pool domains, each with its own workspace; detection
+    that many domains, each with its own workspace; detection
     bookkeeping is replayed deterministically on the caller, so the
     returned [stats] are bit-identical for every [jobs] value (the
     good-circuit simulation and the pattern source always run on the

@@ -260,11 +260,9 @@ let[@inline] fault_prob t (sp : float array) (obs : float array) ~src ~site ~pin
   if pin < 0 then act *. obs.(site) else act *. (sensitization t sp site pin *. obs.(site))
 
 (* [fill lo hi] for slices of [0, n).  The per-fault work is
-   sub-microsecond: only worth domains on large universes, in slices
-   large enough to amortise claiming them. *)
+   sub-microsecond: only worth domains on large universes. *)
 let over_faults ~jobs n fill =
-  Parallel.sweep ~label:"cop.fill" ~grain:1024 ~seq_below:4096 ~jobs ~n (fun ~worker:_ ~lo ~hi ->
-      fill lo hi)
+  Parallel.sweep ~label:"cop.fill" ~seq_below:4096 ~jobs ~n (fun ~worker:_ ~lo ~hi -> fill lo hi)
 
 let fill ~jobs t fs ~sp ~obs out =
   over_faults ~jobs (Array.length fs.src) (fun lo hi ->

@@ -43,7 +43,6 @@ type t = {
   run_subset : plan -> float array -> float array;
   cofactor : (plan -> input:int -> float array -> float array * float array) option;
   cq_run : Rt_obs.counter;
-  cq_subset : Rt_obs.counter;
   cq_cofactor : Rt_obs.counter;
 }
 
@@ -61,7 +60,6 @@ let make ~kind ~label ~c ~faults ~exact ~redundant ~run ~run_subset ?cofactor_pa
     run_subset;
     cofactor = cofactor_pair;
     cq_run = Rt_obs.counter ("oracle.queries." ^ kind);
-    cq_subset = Rt_obs.counter ("oracle.subset_queries." ^ kind);
     cq_cofactor = Rt_obs.counter ("oracle.cofactor_queries." ^ kind) }
 
 (* --- Subset plans ---------------------------------------------------------
@@ -133,7 +131,6 @@ let probs o x =
 let probs_plan o p x =
   check_width o x "Oracle.probs_plan";
   if p.owner != o.fault_list then invalid_arg "Oracle.probs_plan: plan from another oracle";
-  Rt_obs.incr o.cq_subset;
   Rt_obs.with_span ~cat:o.kind "analysis.subset" (fun () -> o.run_subset p x)
 
 (* The engine-independent fallback: two independent subset evaluations on

@@ -24,6 +24,8 @@ let log1mexp x =
   if x >= 0.0 then invalid_arg "Prob.log1mexp: argument must be negative";
   if x > -.Float.log 2.0 then Float.log (-.Float.expm1 x) else Float.log1p (-.Float.exp x)
 
+(* [n * log (1-p)], the log of one fault's escape probability;
+   [-infinity] when [p = 1]. *)
 let escape_exponent ~n p =
   let p = clamp p in
   if p >= 1.0 then Float.neg_infinity else n *. Float.log1p (-.p)

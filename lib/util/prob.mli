@@ -25,17 +25,10 @@ val complement_product : float array -> float
 (** [complement_product ps] is [1 - prod (1 - p_i)], computed stably — the
     probability that at least one independent event occurs. *)
 
-val log1mexp : float -> float
-(** [log1mexp x] is [log (1 - exp x)] for [x < 0], computed stably. *)
-
 val detection_confidence : n:float -> float array -> float
 (** [detection_confidence ~n pfs] is paper eq. (1):
     [prod_f (1 - (1-p_f)^n)], the probability that [n] random patterns
     detect every fault; evaluated in the log domain. *)
-
-val escape_exponent : n:float -> float -> float
-(** [escape_exponent ~n p] is [n * log (1-p)], i.e. [log ((1-p)^n)], the log
-    of one fault's escape probability; [-infinity] when [p = 1]. *)
 
 val pp : Format.formatter -> float -> unit
 (** Prints a probability with adaptive precision (scientific when tiny). *)

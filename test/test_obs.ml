@@ -6,7 +6,6 @@
 
 module Obs = Rt_obs
 module Parallel = Rt_util.Parallel
-module Pool = Rt_util.Pool
 module Optimize = Rt_optprob.Optimize
 module Detect = Rt_testability.Detect
 module Oracle = Rt_testability.Oracle
@@ -202,12 +201,7 @@ let test_counter_arithmetic =
   let snapshot = Obs.counters_snapshot () in
   check Alcotest.int "snapshot sees it" 42 (List.assoc "test.alpha" snapshot);
   Obs.clear ();
-  check Alcotest.int "clear zeroes, keeps registration" 0 (Obs.value c);
-  let g = Obs.gauge "test.level" in
-  Obs.gauge_set g 2.5;
-  check (Alcotest.float 0.0) "gauge" 2.5 (Obs.gauge_value g);
-  check (Alcotest.float 0.0) "gauge snapshot" 2.5
-    (List.assoc "test.level" (Obs.gauges_snapshot ()))
+  check Alcotest.int "clear zeroes, keeps registration" 0 (Obs.value c)
 
 let test_counter_disabled_drops () =
   Obs.set_enabled false;
@@ -217,14 +211,12 @@ let test_counter_disabled_drops () =
   Obs.add c 100;
   check Alcotest.int "increments dropped while disabled" 0 (Obs.value c)
 
-(* Run [f] over [0, n) on a private pool with exactly [jobs] participants.
-   Pool.run honours [participants] (the hardware clamp lives in Parallel's
-   sweep policy), so this exercises cross-domain atomics even on a
-   single-core host. *)
-let on_domains ~jobs ~n f =
-  let p = Pool.create () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () ->
-      Pool.run p ~participants:jobs ~n (fun _worker lo hi -> f ~lo ~hi))
+(* Run [f] over [0, n) on exactly [jobs] participants: lifting
+   Parallel.sweep's hardware clamp exercises cross-domain atomics even on
+   a single-core host. *)
+let () = Unix.putenv "OPTPROB_JOBS_OVERCOMMIT" "1"
+
+let on_domains ~jobs ~n f = Parallel.sweep ~jobs ~n (fun ~worker:_ ~lo ~hi -> f ~lo ~hi)
 
 (* Increments racing from real domains must all land. *)
 let test_counter_concurrent =
@@ -349,20 +341,16 @@ let test_trace_json_valid =
 let test_metrics_json_valid =
   with_obs @@ fun () ->
   Obs.add (Obs.counter "test.metrics\"quoted") 3;
-  Obs.gauge_set (Obs.gauge "test.g") 1.5;
   let j = parse_json (Obs.metrics_json ()) in
   (match member "schema" j with
-   | Str "optprob-metrics/3" -> ()
+   | Str "optprob-metrics/4" -> ()
    | _ -> Alcotest.fail "schema");
   (match member "test.metrics\"quoted" (member "counters" j) with
    | Num 3.0 -> ()
    | _ -> Alcotest.fail "counter value");
-  (match member "test.g" (member "gauges" j) with
-   | Num 1.5 -> ()
-   | _ -> Alcotest.fail "gauge value");
   match j with
   | Obj fields ->
-    check Alcotest.(list string) "members" [ "schema"; "counters"; "gauges" ] (List.map fst fields)
+    check Alcotest.(list string) "members" [ "schema"; "counters" ] (List.map fst fields)
   | _ -> Alcotest.fail "metrics.json not an object"
 
 (* --- run artifacts ---------------------------------------------------------- *)
@@ -565,9 +553,10 @@ let test_obs_diff () =
     (List.length (Obs.Diff.regressions (Obs.Diff.compare (read dir_a) (read dir_b))))
 
 (* What an older build wrote is ignored: files next to the four documents
-   (timeline.json, events.jsonl, metrics.prom) and the [histograms] member
-   of a schema-2 metrics.json.  The parsed run and its diff against the
-   first read are unchanged. *)
+   (timeline.json, events.jsonl, metrics.prom), the [gauges] member of a
+   schema-3 metrics.json and the [gauges] and [histograms] members of a
+   schema-2 one.  The parsed run and its diff against the first read are
+   unchanged. *)
 let test_stray_timeline =
   with_obs @@ fun () ->
   let art = scratch_dir "stray" in
@@ -577,31 +566,43 @@ let test_stray_timeline =
         ignore (Sys.opaque_identity 1)
       done);
   Obs.add (Obs.counter "test.stray.queries") 5;
-  Obs.gauge_set (Obs.gauge "test.stray.level") 0.5;
   Obs.Artifact.write ~dir:art ~manifest:test_manifest ();
   let before = read art in
-  (* The metrics.json an older build wrote: schema /2 with a [histograms]
-     member (bucket-bounded latency summaries), here one whose name is
-     also a span's. *)
+  (* The metrics.json an older build wrote: this one's counters under
+     [schema], followed by [members]. *)
   let metrics = Filename.concat art "metrics.json" in
   let m = read_file metrics in
-  let v3 = "optprob-metrics/3" in
-  let at =
-    let rec find i = if String.sub m i (String.length v3) = v3 then i else find (i + 1) in
-    find 0
+  let older schema members =
+    let v4 = "optprob-metrics/4" in
+    let at =
+      let rec find i = if String.sub m i (String.length v4) = v4 then i else find (i + 1) in
+      find 0
+    in
+    let close = String.rindex m '}' in
+    write_file metrics
+      (String.concat ""
+         [ String.sub m 0 at; schema;
+           String.sub m (at + String.length v4) (close - at - String.length v4);
+           members; "\n}\n" ])
   in
-  let close = String.rindex m '}' in
-  write_file metrics
-    (String.concat ""
-       [ String.sub m 0 at; "optprob-metrics/2";
-         String.sub m (at + String.length v3) (close - at - String.length v3);
-         {|,
+  let nums = Alcotest.(list (pair string (float 0.0))) in
+  (* Schema /3 had a [gauges] member (last-written values). *)
+  older "optprob-metrics/3" {|,
+  "gauges": {
+    "ppsfp.live_faults": 7
+  }|};
+  check nums "schema 3 counters" before.Obs.Artifact.counters (read art).Obs.Artifact.counters;
+  check Alcotest.int "schema 3 gauges ignored" 0 (List.length (Obs.Diff.compare before (read art)));
+  (* Schema /2 also had a [histograms] member (bucket-bounded latency
+     summaries), here one whose name is also a span's. *)
+  older "optprob-metrics/2" {|,
+  "gauges": {
+    "ppsfp.live_faults": 7
+  },
   "histograms": {
     "pipeline.analyze": {"count": 1, "sum": 5000, "min": 5000, "max": 5000, "p50": 5000, "p90": 5000, "p99": 5000, "buckets": [[5623.4132519034993, 1]]},
     "oracle.latency_us.cofactor_pair.cop": {"count": 3, "sum": 300, "min": 99, "max": 101, "p50": 100, "p90": 101, "p99": 101, "buckets": [[177.82794100389228, 3]]}
-  }
-}
-|} ]);
+  }|};
   write_file (Filename.concat art "timeline.json")
     {|{"schema":"optprob-timeline/1","period_ms":5,"dropped":0,"samples":[
 {"ts_us":1000.0,"counters":{"pool.tasks":3},"gauges":{"ppsfp.live_faults":7}}]}|};
@@ -618,9 +619,7 @@ optprob_test_stray_level 0.75
 # EOF
 |};
   let after = read art in
-  let nums = Alcotest.(list (pair string (float 0.0))) in
   check nums "same counters" before.Obs.Artifact.counters after.Obs.Artifact.counters;
-  check nums "same gauges" before.Obs.Artifact.gauges after.Obs.Artifact.gauges;
   let stats (r : Obs.Artifact.run) =
     List.map
       (fun ((name, cat), (st : Obs.Artifact.span_stat)) ->

@@ -1,11 +1,10 @@
 (* Unit and property tests for Rt_util: Rng, Prob, Stats, and the
-   Parallel/Pool multicore layer. *)
+   Parallel multicore layer. *)
 
 module Rng = Rt_util.Rng
 module Prob = Rt_util.Prob
 module Stats = Rt_util.Stats
 module Parallel = Rt_util.Parallel
-module Pool = Rt_util.Pool
 
 let check = Alcotest.check
 let checkf msg = Alcotest.check (Alcotest.float 1e-9) msg
@@ -255,14 +254,14 @@ let test_geometric_steps () =
 (* --- Parallel ------------------------------------------------------------------ *)
 
 (* Parallel.sweep clamps to the hardware core count; lifting the clamp
-   makes these tests run real pool domains even on a single-core host. *)
+   makes these tests run real worker domains even on a single-core host. *)
 let () = Unix.putenv "OPTPROB_JOBS_OVERCOMMIT" "1"
 
 let test_parallel_worker_exception () =
-  (* An exception in a pool-run slice must surface on the caller. *)
+  (* An exception in a chunk run on any domain must surface on the caller. *)
   match
-    Parallel.sweep ~grain:1 ~jobs:4 ~n:64 (fun ~worker:_ ~lo ~hi:_ ->
-        if lo = 40 then failwith "boom")
+    Parallel.sweep ~jobs:4 ~n:64 (fun ~worker:_ ~lo ~hi ->
+        if lo <= 40 && 40 < hi then failwith "boom")
   with
   | () -> Alcotest.fail "expected the worker's exception"
   | exception Failure msg -> check Alcotest.string "message" "boom" msg
@@ -272,135 +271,121 @@ let test_parallel_resolve () =
   check Alcotest.int "nonsense clamps to serial" 1 (Parallel.resolve_jobs (Some 0));
   check Alcotest.int "cap" Parallel.max_jobs (Parallel.resolve_jobs (Some 10_000))
 
-(* --- Pool ------------------------------------------------------------------ *)
-
-(* Pool.run honours [participants] exactly (the hardware clamp lives in
-   Parallel's sweep policy), so these tests exercise real cross-domain
-   scheduling even on a single-core host. *)
-
-let test_pool_covers_once () =
-  let p = Pool.create () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p)
-    (fun () ->
-      let n = 10_000 in
-      let hits = Array.init n (fun _ -> Atomic.make 0) in
-      Pool.run p ~grain:7 ~participants:4 ~n (fun _worker lo hi ->
-          for i = lo to hi - 1 do
-            Atomic.incr hits.(i)
-          done);
-      Array.iteri
-        (fun i h -> if Atomic.get h <> 1 then Alcotest.failf "index %d visited %d times" i (Atomic.get h))
-        hits;
-      check Alcotest.int "grew exactly participants - 1 domains" 3 (Pool.size p))
-
-let test_pool_reuse_and_growth () =
-  let p = Pool.create () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p)
-    (fun () ->
-      let total = Atomic.make 0 in
-      Pool.run p ~participants:2 ~n:100 (fun _ lo hi -> ignore (Atomic.fetch_and_add total (hi - lo)));
-      check Alcotest.int "one worker after 2-way region" 1 (Pool.size p);
-      (* Regions reuse parked domains; a wider region grows the pool. *)
-      for _ = 1 to 20 do
-        Pool.run p ~participants:4 ~n:50 (fun _ lo hi -> ignore (Atomic.fetch_and_add total (hi - lo)))
-      done;
-      check Alcotest.int "grown once to 3 workers" 3 (Pool.size p);
-      check Alcotest.int "all items ran" (100 + (20 * 50)) (Atomic.get total))
-
-let test_pool_exception_propagates () =
-  let p = Pool.create () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p)
-    (fun () ->
-      (match Pool.run p ~grain:1 ~participants:4 ~n:64 (fun _ lo _ -> if lo = 40 then failwith "boom") with
-       | () -> Alcotest.fail "expected the worker's exception"
-       | exception Failure msg -> check Alcotest.string "message" "boom" msg);
-      (* The pool survives a failed region. *)
-      let total = Atomic.make 0 in
-      Pool.run p ~participants:4 ~n:64 (fun _ lo hi -> ignore (Atomic.fetch_and_add total (hi - lo)));
-      check Alcotest.int "next region runs everything" 64 (Atomic.get total))
-
-let test_pool_nested_runs_inline () =
-  let p = Pool.create () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p)
-    (fun () ->
-      let inner_total = Atomic.make 0 in
-      let saw_worker_flag = Atomic.make true in
-      Pool.run p ~grain:1 ~participants:3 ~n:12 (fun _ _ _ ->
-          if not (Pool.in_worker ()) then Atomic.set saw_worker_flag false;
-          (* A nested submission must not deadlock on the submit lock; it
-             runs the body inline. *)
-          Pool.run p ~participants:3 ~n:5 (fun w lo hi ->
-              if w <> 0 || lo <> 0 || hi <> 5 then Atomic.set saw_worker_flag false;
-              ignore (Atomic.fetch_and_add inner_total (hi - lo))));
-      check Alcotest.bool "in_worker set and nested runs inline" true (Atomic.get saw_worker_flag);
-      check Alcotest.int "nested regions all ran" (12 * 5) (Atomic.get inner_total));
-  check Alcotest.bool "in_worker cleared outside regions" false (Pool.in_worker ())
-
-(* A domain spawned for a region must join that very region.  On a fresh
-   pool at [participants:2], lane 0's item waits (bounded) for lane 1 to
-   run a slice; a worker that took the region's epoch as already seen
-   would park through it, and lane 0 would time out and steal lane 1's
-   item itself, so no slice would run on lane 1.  Several fresh pools, since the spawn can win or lose the
-   race against the region's publication. *)
-let test_pool_new_worker_joins_first_region () =
-  for _ = 1 to 5 do
-    let p = Pool.create () in
-    Fun.protect ~finally:(fun () -> Pool.shutdown p)
-    @@ fun () ->
-    let lane1_ran = Atomic.make false in
-    Pool.run p ~grain:1 ~participants:2 ~n:2 (fun worker _ _ ->
-        if worker = 1 then Atomic.set lane1_ran true
-        else begin
-          let t0 = Unix.gettimeofday () in
-          while (not (Atomic.get lane1_ran)) && Unix.gettimeofday () -. t0 < 5.0 do
-            Domain.cpu_relax ()
-          done
-        end);
-    check Alcotest.bool "lane 1 ran a slice" true (Atomic.get lane1_ran)
-  done
-
-let test_pool_create_teardown_no_leak () =
-  (* Repeated create/run/shutdown must terminate (join all domains) and a
-     shut-down pool must refuse further parallel work. *)
-  for _ = 1 to 10 do
-    let p = Pool.create () in
-    let total = Atomic.make 0 in
-    Pool.run p ~participants:4 ~n:256 (fun _ lo hi -> ignore (Atomic.fetch_and_add total (hi - lo)));
-    Pool.shutdown p;
-    check Alcotest.int "covered before shutdown" 256 (Atomic.get total);
-    check Alcotest.int "no domains after shutdown" 0 (Pool.size p)
-  done;
-  let p = Pool.create () in
-  Pool.shutdown p;
-  Pool.shutdown p;  (* idempotent *)
-  (match Pool.run p ~participants:2 ~n:8 (fun _ _ _ -> ()) with
-   | () -> Alcotest.fail "expected Invalid_argument after shutdown"
-   | exception Invalid_argument _ -> ());
-  (* Serial and empty regions never need domains, even shut down. *)
-  Pool.run p ~participants:1 ~n:8 (fun _ _ _ -> ());
-  Pool.run p ~participants:4 ~n:0 (fun _ _ _ -> ())
-
-let test_parallel_sweep_covers_once () =
-  let n = 5000 in
+(* Sweeps [0, n) counting the visits of every index; fails unless each
+   is visited once, and returns the number of calls. *)
+let count_calls ~jobs ~n =
+  let calls = Atomic.make 0 in
   let hits = Array.init n (fun _ -> Atomic.make 0) in
-  Parallel.sweep ~grain:13 ~jobs:4 ~n (fun ~worker:_ ~lo ~hi ->
+  Parallel.sweep ~jobs ~n (fun ~worker:_ ~lo ~hi ->
+      Atomic.incr calls;
       for i = lo to hi - 1 do
         Atomic.incr hits.(i)
       done);
   Array.iteri
     (fun i h -> if Atomic.get h <> 1 then Alcotest.failf "index %d visited %d times" i (Atomic.get h))
-    hits
+    hits;
+  Atomic.get calls
 
-let parallel_sweep_qcheck =
-  QCheck.Test.make ~name:"sweep sums match serial" ~count:50
-    QCheck.(triple (int_range 0 500) (int_range 1 8) (int_range 1 40))
-    (fun (n, jobs, grain) ->
-      let out = Array.make n 0 in
-      Parallel.sweep ~grain ~jobs ~n (fun ~worker:_ ~lo ~hi ->
-          for i = lo to hi - 1 do
-            out.(i) <- i
-          done);
-      Array.fold_left ( + ) 0 out = n * (n - 1) / 2)
+let test_parallel_sweep_covers_once () = ignore (count_calls ~jobs:4 ~n:5000)
+
+(* The scheduler's contract on real domains: every index is covered
+   exactly once, by calls on non-empty contiguous ranges, each on a lane
+   below the job count that no concurrent call holds. *)
+let parallel_lanes_qcheck =
+  QCheck.Test.make ~name:"sweep chunks on distinct lanes" ~count:100
+    QCheck.(pair (int_range 0 3000) (int_range 1 8))
+    (fun (n, jobs) ->
+      let hits = Array.init n (fun _ -> Atomic.make 0) in
+      let busy = Array.init jobs (fun _ -> Atomic.make false) in
+      let bad = Atomic.make false in
+      Parallel.sweep ~jobs ~n (fun ~worker ~lo ~hi ->
+          if worker < 0 || worker >= jobs || lo < 0 || lo >= hi || hi > n then Atomic.set bad true
+          else begin
+            if Atomic.exchange busy.(worker) true then Atomic.set bad true;
+            for i = lo to hi - 1 do
+              Atomic.incr hits.(i)
+            done;
+            Atomic.set busy.(worker) false
+          end);
+      (not (Atomic.get bad)) && Array.for_all (fun h -> Atomic.get h = 1) hits)
+
+(* --- Pool ------------------------------------------------------------------ *)
+
+(* The parked domains behind Parallel.sweep are process-wide, so these
+   cases see whatever lanes earlier cases spawned; each is written to
+   hold for any prior pool size up to 8 workers (the qcheck's jobs <= 8). *)
+
+let test_pool_covers_once () =
+  check Alcotest.int "8 chunks per participant" 24 (count_calls ~jobs:3 ~n:10_000);
+  check Alcotest.int "at most one chunk per item" 5 (count_calls ~jobs:3 ~n:5)
+
+(* Spawns are counted only while recording. *)
+let spawns_during f =
+  Rt_obs.set_enabled true;
+  let spawns = Rt_obs.counter "parallel.spawns" in
+  let before = Rt_obs.value spawns in
+  Fun.protect ~finally:(fun () -> Rt_obs.set_enabled false) f;
+  Rt_obs.value spawns - before
+
+let test_pool_reuse_and_growth () =
+  let total = Atomic.make 0 in
+  let add ~worker:_ ~lo ~hi = ignore (Atomic.fetch_and_add total (hi - lo)) in
+  (* Nine participants need eight workers, more than any earlier case. *)
+  check Alcotest.bool "jobs=9 spawns a new worker" true
+    (spawns_during (fun () -> Parallel.sweep ~jobs:9 ~n:100 add) >= 1);
+  (* Sweeps reuse the parked domains; a wider one grows the pool once. *)
+  check Alcotest.int "no spawn while reusing" 0
+    (spawns_during (fun () ->
+         for jobs = 2 to 9 do
+           Parallel.sweep ~jobs ~n:50 add
+         done));
+  check Alcotest.int "one spawn for one more lane" 1
+    (spawns_during (fun () -> Parallel.sweep ~jobs:10 ~n:50 add));
+  check Alcotest.int "all items ran" (100 + (8 * 50) + 50) (Atomic.get total)
+
+let test_pool_exception_propagates () =
+  (match Parallel.sweep ~jobs:4 ~n:64 (fun ~worker:_ ~lo ~hi:_ -> if lo >= 40 then failwith "boom") with
+   | () -> Alcotest.fail "expected the worker's exception"
+   | exception Failure msg -> check Alcotest.string "message" "boom" msg);
+  (* The domains survive a failed sweep. *)
+  let total = Atomic.make 0 in
+  Parallel.sweep ~jobs:4 ~n:64 (fun ~worker:_ ~lo ~hi -> ignore (Atomic.fetch_and_add total (hi - lo)));
+  check Alcotest.int "next sweep runs everything" 64 (Atomic.get total)
+
+let test_pool_nested_runs_inline () =
+  let inner_total = Atomic.make 0 in
+  let inline = Atomic.make true in
+  Parallel.sweep ~jobs:3 ~n:12 (fun ~worker:_ ~lo ~hi ->
+      for _ = lo to hi - 1 do
+        (* A nested sweep must not deadlock on the submit lock; it runs
+           the body inline. *)
+        Parallel.sweep ~jobs:3 ~n:5 (fun ~worker ~lo ~hi ->
+            if worker <> 0 || lo <> 0 || hi <> 5 then Atomic.set inline false;
+            ignore (Atomic.fetch_and_add inner_total (hi - lo)))
+      done);
+  check Alcotest.bool "nested sweeps run inline" true (Atomic.get inline);
+  check Alcotest.int "nested sweeps all ran" (12 * 5) (Atomic.get inner_total);
+  (* Outside any sweep the caller is back on the parallel path. *)
+  check Alcotest.int "chunked again after nesting" 24 (count_calls ~jobs:3 ~n:30)
+
+(* A domain spawned for a sweep must join that very sweep.  With [n =
+   jobs] every chunk is one item, and each participant, after taking one,
+   waits (bounded) until every lane has run one; so each lane must join.
+   A new worker that took the sweep's epoch as already seen would park
+   through it, and the others would time out.  Jobs up to 12 spawn fresh
+   lanes whatever the earlier cases left. *)
+let test_pool_new_worker_joins_first_region () =
+  for jobs = 2 to 12 do
+    let ran = Array.init jobs (fun _ -> Atomic.make false) in
+    let all_ran () = Array.for_all Atomic.get ran in
+    Parallel.sweep ~jobs ~n:jobs (fun ~worker ~lo:_ ~hi:_ ->
+        Atomic.set ran.(worker) true;
+        let t0 = Unix.gettimeofday () in
+        while (not (all_ran ())) && Unix.gettimeofday () -. t0 < 5.0 do
+          Domain.cpu_relax ()
+        done);
+    if not (all_ran ()) then Alcotest.failf "a lane missed its first sweep at jobs=%d" jobs
+  done
 
 let () =
   let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests) in
@@ -431,7 +416,7 @@ let () =
         [ Alcotest.test_case "worker exception propagates" `Quick test_parallel_worker_exception;
           Alcotest.test_case "resolve_jobs policy" `Quick test_parallel_resolve;
           Alcotest.test_case "sweep covers every index once" `Quick test_parallel_sweep_covers_once;
-          QCheck_alcotest.to_alcotest ~long:false parallel_sweep_qcheck ] );
+          QCheck_alcotest.to_alcotest ~long:false parallel_lanes_qcheck ] );
       ( "pool",
         [ Alcotest.test_case "covers every index once" `Quick test_pool_covers_once;
           Alcotest.test_case "reuses and grows domains" `Quick test_pool_reuse_and_growth;
@@ -439,6 +424,4 @@ let () =
             test_pool_exception_propagates;
           Alcotest.test_case "nested regions run inline" `Quick test_pool_nested_runs_inline;
           Alcotest.test_case "new worker joins its first region" `Quick
-            test_pool_new_worker_joins_first_region;
-          Alcotest.test_case "create/teardown leaks nothing" `Quick
-            test_pool_create_teardown_no_leak ] ) ]
+            test_pool_new_worker_joins_first_region ] ) ]
