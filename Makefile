@@ -29,8 +29,10 @@ bench-smoke:
 # Alternating end-to-end pairs of this checkout against a parent revision
 # built in a temporary git worktree: N pairs of `main.exe --workload W
 # --seconds T` at seeds S+i, run_s median, quartiles and pairs won per
-# side, then heap_peak_mb at REPS reps.  PARENT=HEAD compares uncommitted
-# changes, PARENT=HEAD~1 the last commit.
+# side, then heap_peak_mb at REPS reps, and one summary row per workload
+# and side (run_s, setup_s, heap_peak_mb).  W=all runs every workload of
+# BENCHMARK.json against the one parent build.  PARENT=HEAD compares
+# uncommitted changes, PARENT=HEAD~1 the last commit.
 W ?= optimize-cop
 PARENT ?= HEAD
 N ?= 10

@@ -16,32 +16,38 @@
     compiles its circuit into flat arrays — a gate code per node, the
     fanin rows, and each node's observability edges (reader, pin), packed
     one int each in the order the observability fold meets them — and a
-    plan's faults into a table of source node, site, pin and stuck value,
-    cached with the plan's cone cut.  Nothing is compiled until a query
-    needs it, so an oracle that is never queried costs no table.
+    plan's faults into a table of source node, site, pin slot and stuck
+    value, cached with the plan's cone cut.  Each pin's sensitization
+    (the product over its gate's other pins) is computed once per sweep
+    into a per-pin table, which the observability fold and the per-fault
+    step read; a stem reads a constant 1.0 slot, so stems and branches
+    share one expression.  Nothing is compiled until a query needs it, so
+    an oracle that is never queried costs no table.
 
-    The incremental {!state} caches the signal probabilities and
-    observabilities of a base point [x] under a plan's masks.  A query at
-    [x] with input [i] flipped re-evaluates only the {e damage cone} of
-    [i]: the masked transitive fanout of the input node (signal side) and
-    the nodes whose COP observability reads a value that changes
-    (observability side: a reader's observability, or the signal
-    probability of another pin of an AND/NAND/OR/NOR reader).  A query
-    leaves the cone it patched marked dirty, and the next query re-patches
-    it at the base point's value; when the caller's [x] itself moves by
-    one coordinate — the optimizer's per-coordinate sweep — the patch is
-    committed at the new value instead of rebuilt.  A plan with the same
-    masks as the previous one keeps the cached point and the cone cuts.
+    The incremental {!state} caches the signal probabilities, pin
+    sensitizations and observabilities of a base point [x] under a
+    plan's masks.  A query at [x] with input [i] flipped re-evaluates
+    only the {e damage cone} of [i]: the masked transitive fanout of the
+    input node (signal side), the masked AND/NAND/OR/NOR gates with a
+    pin in it (sensitization side), and the nodes whose COP
+    observability reads a value that changes (observability side: a
+    reader's observability, or the sensitization of its pin at a reader
+    whose other pins changed).  A query leaves the cone it patched
+    marked dirty, and the next query re-patches it at the base point's
+    value; when the caller's [x] itself moves by one coordinate — the
+    optimizer's per-coordinate sweep — the patch is committed at the new
+    value instead of rebuilt.  A plan with the same masks as the
+    previous one keeps the cached point and the cone cuts.
 
     Every result is bit-identical to the corresponding from-scratch
     {!probs_plan} call: nodes outside the cone cannot depend on the
     flipped input (the masks are closure-consistent), and nodes inside are
     recomputed in the same order by the same per-node kernels.
 
-    STAFAN's measured fold runs on the same compiled edge and fault
-    tables: {!probs_counted} is COP's observability sweep and per-fault
-    step with counted sensitizations and one-probabilities
-    ({!Rt_sim.Fault_sim.count}) in place of the computed ones. *)
+    STAFAN's measured fold runs on the same compiled tables:
+    {!probs_counted} fills a sensitization table with the counted ratios
+    ({!Rt_sim.Fault_sim.count}) and runs COP's observability kernel over
+    it, so COP, its cofactors and STAFAN share one fold. *)
 
 type cones
 (** The compiled circuit and the damage cones of one circuit.  Each
@@ -84,11 +90,12 @@ val probs_counted : cones -> Oracle.plan -> Rt_sim.Fault_sim.counts -> float arr
     over the plan's observability mask, a branch's through its pin's
     measured sensitization. *)
 
-val cone : cones -> Oracle.plan -> input:int -> int array * int array
+val cone : cones -> Oracle.plan -> input:int -> int array * int array * int array
 (** [cone t plan ~input] is the input's damage cone under the plan's
-    masks: (signal-probability-dirty nodes ascending, observability-dirty
-    nodes ascending).  The arrays are the table's own; treat them as
-    read-only. *)
+    masks: (signal-probability-dirty nodes, sensitization-dirty gates,
+    observability-dirty nodes), each ascending.  A sensitization-dirty
+    gate is an AND/NAND/OR/NOR gate of the observability mask with a
+    signal-probability-dirty pin.  The arrays are fresh copies. *)
 
 val full_cone_sizes : cones -> input:int -> int * int
 (** Sizes of the input's signal-probability and observability cones

@@ -734,7 +734,7 @@ let damage_cone_covers_changes_qcheck =
         let differs a b g = Int64.bits_of_float a.(g) <> Int64.bits_of_float b.(g) in
         let ok = ref true in
         for i = 0 to 6 do
-          let sp_cone, obs_cone = Cop_eval.cone cones plan ~input:i in
+          let sp_cone, _, obs_cone = Cop_eval.cone cones plan ~input:i in
           List.iter
             (fun v ->
               let x' = Array.copy x in
@@ -748,6 +748,61 @@ let damage_cone_covers_changes_qcheck =
         done;
         !ok
       end)
+
+(* The sensitization cut is sound: a gate of the plan's observability
+   mask whose pin sensitization (the product over its other pins) moves
+   when input i is set to 0 or 1 is in the plan's sensitization cut of i,
+   so the patch refills its slots.  Multi-pin netlists wire one node into
+   several pins of a gate, where one dirty node is several dirty pins. *)
+let check_sens_cut c rng =
+  let ni = Array.length (Netlist.inputs c) and n = Netlist.size c in
+  let faults = Rt_fault.Fault.universe c in
+  let nf = Array.length faults in
+  let x = Array.init ni (fun _ -> 0.05 +. (0.9 *. Rt_util.Rng.float rng)) in
+  let subset =
+    match List.filter (fun _ -> Rt_util.Rng.float rng < 0.4) (List.init nf Fun.id) with
+    | [] -> [ Rt_util.Rng.int rng nf ]
+    | l -> l
+  in
+  let plan = Oracle.make_plan c faults (Array.of_list subset) in
+  let om = Oracle.obs_mask plan in
+  let cones = Cop_eval.cones c in
+  let sp_at x =
+    fst (Cop_eval.sweep cones ~sp_mask:(Oracle.sp_mask plan) ~obs_mask:(Array.make n false) x)
+  in
+  let sens sp r k = Ref_kernels.pin_sensitization c ~node_probs:sp r k in
+  let sp = sp_at x in
+  for i = 0 to ni - 1 do
+    let _, sens_cut, _ = Cop_eval.cone cones plan ~input:i in
+    Array.iter
+      (fun r -> if not om.(r) then QCheck.Test.fail_reportf "input %d: gate %d is unmasked" i r)
+      sens_cut;
+    List.iter
+      (fun v ->
+        let x' = Array.copy x in
+        x'.(i) <- v;
+        let sp' = sp_at x' in
+        for r = 0 to n - 1 do
+          if om.(r) then
+            Array.iteri
+              (fun k _ ->
+                if
+                  Int64.bits_of_float (sens sp r k) <> Int64.bits_of_float (sens sp' r k)
+                  && not (Array.mem r sens_cut)
+                then QCheck.Test.fail_reportf "input %d at %g: gate %d pin %d moved" i v r k)
+              (Netlist.fanin c r)
+        done)
+      [ 0.0; 1.0 ]
+  done
+
+let sens_cut_covers_changes_qcheck =
+  QCheck.Test.make ~name:"sensitization cut holds every gate a one-input change moves" ~count:40
+    QCheck.(pair (int_range 0 10_000) (int_range 0 1_000))
+    (fun (seed, wseed) ->
+      let rng = Rt_util.Rng.create wseed in
+      check_sens_cut (Generators.random_circuit ~inputs:7 ~gates:30 ~seed) rng;
+      check_sens_cut (Multi_pin.circuit rng ~inputs:7 ~gates:30) rng;
+      true)
 
 (* A node is observability-dirty only when its COP observability reads a
    changed value: a reader's observability, or another pin's signal
@@ -1121,7 +1176,8 @@ let () =
           q bdd_regions_match_rebuild_qcheck;
           Alcotest.test_case "bdd region shapes" `Quick test_bdd_region_shapes;
           Alcotest.test_case "bdd nand-expanded xor" `Quick test_bdd_nand_xor;
-          Alcotest.test_case "bdd observability builds equal" `Quick test_obs_builds_equal ] );
+          Alcotest.test_case "bdd observability builds equal" `Quick test_obs_builds_equal;
+          q sens_cut_covers_changes_qcheck ] );
       ( "test-length",
         [ Alcotest.test_case "single fault" `Quick test_required_single_fault;
           Alcotest.test_case "confidence inverse" `Quick test_required_confidence_inverse;
