@@ -250,7 +250,7 @@ let counting_sort ~buckets key src =
     src;
   dst
 
-let relevel_run c =
+let level_order c =
   let n = Netlist.size c in
   let max_fanout = ref 0 in
   for i = 0 to n - 1 do
@@ -261,8 +261,22 @@ let relevel_run c =
     | Gate.Input -> 0
     | _ -> 1 + !max_fanout - Array.length (Netlist.fanout c i)
   in
-  let by_tie = counting_sort ~buckets:(!max_fanout + 2) tie_rank (Array.init n Fun.id) in
-  let order = counting_sort ~buckets:(Netlist.max_level c + 1) (Netlist.level c) by_tie in
+  (* Ids already ascending in the key (a relevelled netlist, what the
+     fault simulator usually compiles) need no sort and no sort buffers. *)
+  let sorted = ref true in
+  for i = 0 to n - 2 do
+    let l = Netlist.level c i and l' = Netlist.level c (i + 1) in
+    if l > l' || (l = l' && tie_rank i > tie_rank (i + 1)) then sorted := false
+  done;
+  let ids = Array.init n Fun.id in
+  if !sorted then ids
+  else
+    counting_sort ~buckets:(Netlist.max_level c + 1) (Netlist.level c)
+      (counting_sort ~buckets:(!max_fanout + 2) tie_rank ids)
+
+let relevel_run c =
+  let n = Netlist.size c in
+  let order = level_order c in
   let ident = ref true in
   Array.iteri (fun ni oi -> if ni <> oi then ident := false) order;
   if !ident then None

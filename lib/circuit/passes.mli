@@ -85,6 +85,11 @@ val relevel : pass
     permutation — nothing is added or removed — and idempotent.  Linear
     time: two stable counting sorts, by tie rank then by level. *)
 
+val level_order : Netlist.t -> Netlist.node array
+(** The order {!relevel} numbers nodes in: [(level_order c).(i)] is the
+    node that gets id [i].  Every fanin precedes its reader, and the
+    order is the identity on a relevelled netlist. *)
+
 val all : pass list
 (** Every pass, in the canonical order [const-fold; identity; dead-cone;
     relevel]. *)

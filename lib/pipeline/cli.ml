@@ -37,9 +37,11 @@ let jobs_arg =
 
 let block_words_arg =
   Arg.(value & opt (some int) None & info [ "block-words" ] ~docv:"W"
-         ~doc:"Fault-simulation batch width in 64-pattern words (default: \
-               $(b,OPTPROB_BLOCK_WORDS) or 4, i.e. 256 patterns per good-machine pass). \
-               Results and stage artifacts are independent of W.")
+         ~doc:"Widest fault-simulation block in 64-pattern words (default: \
+               $(b,OPTPROB_BLOCK_WORDS) or 4, i.e. up to 256 patterns per good-machine \
+               pass).  With fault dropping the first block is one word wide and each \
+               later block doubles up to W.  Results and stage artifacts are \
+               independent of W.")
 
 let weights_arg =
   Arg.(value & opt (some string) None & info [ "weights"; "w" ] ~docv:"FILE"

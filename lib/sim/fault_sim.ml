@@ -11,22 +11,31 @@ type stats = {
   patterns_run : int;
 }
 
-(* The datapath is W x 64-bit wide: each good-machine pass simulates a
-   [Pattern.block] of up to [W] 64-pattern words, and all fault work
-   handles the W words of a block together.  Per block, each live fault
-   is propagated only up to the root of its fanout-free region, and a
-   root that some fault's difference reaches is flipped and propagated
-   to the outputs once (see "Fanout-free regions" below), only in the
-   lanes no output has decided yet (see [flip_root]).  Detection
-   bookkeeping (first_detect / detect_count / drop order) replays
-   serially from the per-fault detection rows *word by word* — a fault
-   detected in word [w] leaves the live set before word [w+1] is
-   accounted, and a block's trailing words are not accounted once the
-   live set empties — so the returned stats are bit-identical to the
-   one-word path for every (jobs, block_words) combination.  The only
-   W-dependence is source consumption: a block is filled before
+(* The datapath is up to W x 64-bit wide: each good-machine pass
+   simulates a [Pattern.block] of [w] 64-pattern words, [w <= W =
+   block_words], and all fault work handles the [w] words of a block
+   together.  Per block, each live fault is propagated only up to the
+   root of its fanout-free region, and a root that some fault's
+   difference reaches is flipped and propagated to the outputs once (see
+   "Fanout-free regions" below), only in the lanes no output has decided
+   yet (see [flip_root]).  Detection bookkeeping (first_detect /
+   detect_count / drop order) replays serially from the per-fault
+   detection rows *word by word* — a fault detected in word [i] leaves
+   the live set before word [i+1] is accounted, and a block's trailing
+   words are not accounted once the live set empties — so the returned
+   stats are bit-identical to the one-word path for every (jobs,
+   block_words) combination and every block width.
+
+   Block widths.  With dropping, most faults leave in the first few
+   hundred patterns, so a wide first block carries all [W] words of
+   every flip for faults that a single word would already have dropped.
+   [simulate] therefore starts one word wide and doubles the width each
+   block up to [W]; without dropping no fault leaves, and every block is
+   [W] wide.  The kernel is compiled once, with rows strided by [W], and
+   a narrower block works on the first [w] words of each row.  The only
+   width-dependence is source consumption: a block is filled before
    simulating, so when dropping empties the live set mid-block up to
-   [W - 1] already-pulled batches go unused.  [jobs > 1] shards the
+   [w - 1] already-pulled batches go unused.  [jobs > 1] shards the
    per-fault and per-root work across [Parallel.sweep]'s domains (each
    with its own workspace) in claimed chunks; detection rows land in a
    shared table at fault-indexed rows, each written by one work item, so
@@ -41,34 +50,46 @@ type stats = {
    output differences are "the root differs" AND "flipping the root
    changes that output", lane by lane. *)
 
-(* The compiled netlist: [simulate] builds it once per call for its
-   block width [w], and both the good machine and every faulty
-   propagation run on it.  [code.(n)]: bit 0 complements the result and
+(* The compiled netlist: [simulate] builds it once per call, and both
+   the good machine and every faulty propagation run on it.  Its nodes
+   are numbered by level ([Passes.level_order], the order the relevel
+   pass gives a netlist), so outputs at low levels come early in the
+   ascending walk of [flip_root] whatever the netlist's own numbering;
+   [id] maps a netlist id to its kernel id, and every array below is
+   indexed by kernel id.  [code.(n)]: bit 0 complements the result and
    [code lsr 1] is the operation — 0 a primary input, 1 a constant (0
    before the complement), 2 AND over the fanins (BUF and NOT are
    one-fanin ANDs), 3 OR, 4 XOR.  Node [n]'s fanins are the row offsets
-   (fanin id * w) [fi.(fi_start.(n)) .. fi.(fi_start.(n + 1) - 1)], in
-   pin order; its readers are [fo.(fo_start.(n)) ..], one per reading
-   pin, ascending.  Value buffers hold [n + 1] rows: row [n] is the stuck
-   pin of a branch fault. *)
+   (fanin id * stride) [fi.(fi_start.(n)) .. fi.(fi_start.(n + 1) - 1)],
+   in pin order; its readers are [fo.(fo_start.(n)) ..], one per reading
+   pin.  Value buffers hold [n + 1] rows of [stride] words: row [n] is
+   the stuck pin of a branch fault.  Every operation works on the first
+   [w] words of each row, the current block's width, which the caller
+   sets before each block and never changes while workers run. *)
 type kernel = {
-  w : int;
+  stride : int;
+  mutable w : int;
   n : int;
+  id : int array;
   code : int array;
   fi_start : int array;
   fi : int array;
   fo_start : int array;
   fo : int array;
   is_out : bool array;
-  inputs : int array;  (* [Netlist.inputs]: block row [p] is node [inputs.(p)] *)
+  inputs : int array;  (* block row [p] is kernel node [inputs.(p)] *)
   root : int array;  (* [Cone.ffr_roots] *)
 }
 
 let compile ~words c =
   let n = Netlist.size c in
+  let order = Rt_circuit.Passes.level_order c in
+  let id = Array.make n 0 in
+  Array.iteri (fun k x -> id.(x) <- k) order;
   let code =
-    Array.init n (fun i ->
-        match Netlist.kind c i with
+    Array.map
+      (fun x ->
+        match Netlist.kind c x with
         | Gate.Input -> 0
         | Gate.Const0 -> 2
         | Gate.Const1 -> 3
@@ -78,30 +99,34 @@ let compile ~words c =
         | Gate.Nor -> 7
         | Gate.Xor -> 8
         | Gate.Xnor -> 9)
+      order
   in
   let flat row scale =
     let start = Array.make (n + 1) 0 in
-    for i = 0 to n - 1 do
-      start.(i + 1) <- start.(i) + Array.length (row c i)
+    for k = 0 to n - 1 do
+      start.(k + 1) <- start.(k) + Array.length (row c order.(k))
     done;
     let a = Array.make start.(n) 0 in
-    for i = 0 to n - 1 do
-      Array.iteri (fun j x -> a.(start.(i) + j) <- x * scale) (row c i)
+    for k = 0 to n - 1 do
+      Array.iteri (fun j x -> a.(start.(k) + j) <- id.(x) * scale) (row c order.(k))
     done;
     (start, a)
   in
   let fi_start, fi = flat Netlist.fanin words in
   let fo_start, fo = flat Netlist.fanout 1 in
-  { w = words;
+  let root = Cone.ffr_roots c in
+  { stride = words;
+    w = words;
     n;
+    id;
     code;
     fi_start;
     fi;
     fo_start;
     fo;
-    is_out = Array.init n (Netlist.is_output c);
-    inputs = Netlist.inputs c;
-    root = Cone.ffr_roots c }
+    is_out = Array.map (Netlist.is_output c) order;
+    inputs = Array.map (fun x -> id.(x)) (Netlist.inputs c);
+    root = Array.map (fun x -> id.(root.(x))) order }
 
 let row len =
   let r = BA1.create Bigarray.int64 Bigarray.c_layout (max 1 len) in
@@ -118,14 +143,14 @@ let fill_row (v : Pattern.words) o w x =
    branch fault), none when [pin] is -1.  A two-input gate, the common
    case, takes one pass with the complement folded in. *)
 let eval k (v : Pattern.words) ~pin x =
-  let w = k.w and o = x * k.w in
+  let w = k.w and o = x * k.stride in
   let a = Array.unsafe_get k.fi_start x and b = Array.unsafe_get k.fi_start (x + 1) in
   let code = Array.unsafe_get k.code x in
   let op = code lsr 1 and inv = if code land 1 = 1 then -1L else 0L in
   if op = 1 then fill_row v o w inv
   else if b - a = 2 then begin
-    let s0 = if a = pin then k.n * w else Array.unsafe_get k.fi a in
-    let s1 = if a + 1 = pin then k.n * w else Array.unsafe_get k.fi (a + 1) in
+    let s0 = if a = pin then k.n * k.stride else Array.unsafe_get k.fi a in
+    let s1 = if a + 1 = pin then k.n * k.stride else Array.unsafe_get k.fi (a + 1) in
     if op = 2 then
       for i = 0 to w - 1 do
         BA1.unsafe_set v (o + i)
@@ -143,12 +168,12 @@ let eval k (v : Pattern.words) ~pin x =
       done
   end
   else begin
-    let s = if a = pin then k.n * w else Array.unsafe_get k.fi a in
+    let s = if a = pin then k.n * k.stride else Array.unsafe_get k.fi a in
     for i = 0 to w - 1 do
       BA1.unsafe_set v (o + i) (BA1.unsafe_get v (s + i))
     done;
     for j = a + 1 to b - 1 do
-      let s = if j = pin then k.n * w else Array.unsafe_get k.fi j in
+      let s = if j = pin then k.n * k.stride else Array.unsafe_get k.fi j in
       if op = 2 then
         for i = 0 to w - 1 do
           BA1.unsafe_set v (o + i) (Int64.logand (BA1.unsafe_get v (o + i)) (BA1.unsafe_get v (s + i)))
@@ -169,13 +194,13 @@ let eval k (v : Pattern.words) ~pin x =
   end
 
 (* The good machine: the inputs' rows copied from the block's
-   input-major words (same row layout), then every gate in id order. *)
+   input-major words, then every gate in kernel order. *)
 let run_good k (blk : Pattern.block) (good : Pattern.words) =
-  let w = k.w and data = blk.Pattern.data in
+  let w = k.w and s = k.stride and bw = blk.Pattern.words and data = blk.Pattern.data in
   Array.iteri
     (fun p x ->
       for i = 0 to w - 1 do
-        BA1.unsafe_set good ((x * w) + i) (BA1.unsafe_get data ((p * w) + i))
+        BA1.unsafe_set good ((x * s) + i) (BA1.unsafe_get data ((p * bw) + i))
       done)
     k.inputs;
   for x = 0 to k.n - 1 do
@@ -183,10 +208,18 @@ let run_good k (blk : Pattern.block) (good : Pattern.words) =
   done
 
 let good_values c (blk : Pattern.block) =
-  let k = compile ~words:blk.Pattern.words c in
-  let good = row ((k.n + 1) * k.w) in
+  let words = blk.Pattern.words in
+  let k = compile ~words c in
+  let good = row ((k.n + 1) * words) in
   run_good k blk good;
-  good
+  let out = row (k.n * words) in
+  Array.iteri
+    (fun x kx ->
+      for i = 0 to words - 1 do
+        BA1.unsafe_set out ((x * words) + i) (BA1.unsafe_get good ((kx * words) + i))
+      done)
+    k.id;
+  out
 
 (* Workspace reused across faults and roots within a block; one per
    worker slot when the work is sharded with [jobs > 1].  [v] holds the
@@ -198,7 +231,7 @@ let good_values c (blk : Pattern.block) =
    [Pattern.words] buffer, so the kernel allocates nothing per gate,
    fault or root. *)
 type ws = {
-  v : Pattern.words;  (* node-major, (size + 1) * w *)
+  v : Pattern.words;  (* node-major, (size + 1) * stride *)
   det : Pattern.words;  (* one row: the current flip's output differences *)
   rem : Pattern.words;  (* one row: the current flip's undecided lanes *)
   queued : bool array;
@@ -208,9 +241,9 @@ type ws = {
 }
 
 let make_ws k =
-  { v = row ((k.n + 1) * k.w);
-    det = row k.w;
-    rem = row k.w;
+  { v = row ((k.n + 1) * k.stride);
+    det = row k.stride;
+    rem = row k.stride;
     queued = Array.make k.n false;
     touched = Array.make (max 1 k.n) 0;
     n_touched = 0;
@@ -219,10 +252,10 @@ let make_ws k =
 (* Whether row [x] of [v] differs from the good row in a lane of
    [mask] (the valid lanes, or a flip's undecided ones). *)
 let differs k (v : Pattern.words) (good : Pattern.words) (mask : Pattern.words) x =
-  let o = x * k.w in
+  let w = k.w and o = x * k.stride in
   let i = ref 0 in
   while
-    !i < k.w
+    !i < w
     && Int64.logand
          (Int64.logxor (BA1.unsafe_get v (o + !i)) (BA1.unsafe_get good (o + !i)))
          (BA1.unsafe_get mask !i)
@@ -230,10 +263,57 @@ let differs k (v : Pattern.words) (good : Pattern.words) (mask : Pattern.words) 
   do
     incr i
   done;
-  !i < k.w
+  !i < w
+
+(* [eval] with [pin] -1, then [differs]: a two-input gate, the common
+   case, does both in one pass over its words. *)
+let eval_differs k (v : Pattern.words) (good : Pattern.words) (mask : Pattern.words) x =
+  let a = Array.unsafe_get k.fi_start x in
+  if Array.unsafe_get k.fi_start (x + 1) - a <> 2 then begin
+    eval k v ~pin:(-1) x;
+    differs k v good mask x
+  end
+  else begin
+    let w = k.w and o = x * k.stride in
+    let s0 = Array.unsafe_get k.fi a and s1 = Array.unsafe_get k.fi (a + 1) in
+    let code = Array.unsafe_get k.code x in
+    let op = code lsr 1 and inv = if code land 1 = 1 then -1L else 0L in
+    let d = ref 0L in
+    if op = 2 then
+      for i = 0 to w - 1 do
+        let r =
+          Int64.logxor (Int64.logand (BA1.unsafe_get v (s0 + i)) (BA1.unsafe_get v (s1 + i))) inv
+        in
+        BA1.unsafe_set v (o + i) r;
+        d :=
+          Int64.logor !d
+            (Int64.logand (Int64.logxor r (BA1.unsafe_get good (o + i))) (BA1.unsafe_get mask i))
+      done
+    else if op = 3 then
+      for i = 0 to w - 1 do
+        let r =
+          Int64.logxor (Int64.logor (BA1.unsafe_get v (s0 + i)) (BA1.unsafe_get v (s1 + i))) inv
+        in
+        BA1.unsafe_set v (o + i) r;
+        d :=
+          Int64.logor !d
+            (Int64.logand (Int64.logxor r (BA1.unsafe_get good (o + i))) (BA1.unsafe_get mask i))
+      done
+    else
+      for i = 0 to w - 1 do
+        let r =
+          Int64.logxor (Int64.logxor (BA1.unsafe_get v (s0 + i)) (BA1.unsafe_get v (s1 + i))) inv
+        in
+        BA1.unsafe_set v (o + i) r;
+        d :=
+          Int64.logor !d
+            (Int64.logand (Int64.logxor r (BA1.unsafe_get good (o + i))) (BA1.unsafe_get mask i))
+      done;
+    not (Int64.equal !d 0L)
+  end
 
 let restore k (v : Pattern.words) (good : Pattern.words) x =
-  let o = x * k.w in
+  let o = x * k.stride in
   for i = 0 to k.w - 1 do
     BA1.unsafe_set v (o + i) (BA1.unsafe_get good (o + i))
   done
@@ -241,7 +321,7 @@ let restore k (v : Pattern.words) (good : Pattern.words) x =
 (* OR row [x]'s differences in the lanes of [mask] into [dst] at [d]. *)
 let or_diff k (v : Pattern.words) (good : Pattern.words) (mask : Pattern.words) x
     (dst : Pattern.words) d =
-  let o = x * k.w in
+  let o = x * k.stride in
   for i = 0 to k.w - 1 do
     BA1.unsafe_set dst (d + i)
       (Int64.logor (BA1.unsafe_get dst (d + i))
@@ -290,11 +370,11 @@ let commit k ws (good : Pattern.words) x =
    *any* word), so each word's masked detections — hence the stats
    replayed from them — equal the one-word computation exactly.
 
-   Propagation walks an ascending cursor over node ids from [r] to the
-   largest queued id.  [Netlist.make] rejects any fanin id >= its node's
-   id, so every push targets a larger id than the node being evaluated:
-   the cursor visits each queued node once, after all its fanins are
-   final, and clears its [queued] flag on the way.
+   Propagation walks an ascending cursor over kernel ids from [r] to
+   the largest queued id.  The kernel numbers every fanin below its
+   reader, so every push targets a larger id than the node being
+   evaluated: the cursor visits each queued node once, after all its
+   fanins are final, and clears its [queued] flag on the way.
 
    Lanes retire as outputs decide them.  A lane leaves [rem] when a
    committed output differs in it, and [det] only grows, so a retired
@@ -309,11 +389,12 @@ let commit k ws (good : Pattern.words) x =
    the full walk's output differences within the loaded lanes.  When no
    lane is left the walk stops: the queued flags between the cursor and
    [hi] are cleared, and the committed rows restored.  A flipped output
-   root stops at once. *)
+   root stops at once.  The kernel's level order puts low-level outputs
+   early in the walk, so their lanes retire before the deeper cones. *)
 let flip_root k ws ~(good : Pattern.words) r =
   let v = ws.v in
   BA1.fill ws.det 0L;
-  let o = r * k.w in
+  let o = r * k.stride in
   for i = 0 to k.w - 1 do
     BA1.unsafe_set v (o + i) (Int64.lognot (BA1.unsafe_get good (o + i)))
   done;
@@ -322,8 +403,7 @@ let flip_root k ws ~(good : Pattern.words) r =
   while !live && !x <= ws.hi do
     if ws.queued.(!x) then begin
       ws.queued.(!x) <- false;
-      eval k v ~pin:(-1) !x;
-      if differs k v good ws.rem !x then live := commit k ws good !x else restore k v good !x
+      if eval_differs k v good ws.rem !x then live := commit k ws good !x else restore k v good !x
     end;
     incr x
   done;
@@ -351,10 +431,12 @@ let store_local k ws ~(good : Pattern.words) ~lanes ~(table : Pattern.words) fau
   let site =
     match f.Fault.site with
     | Fault.Stem s ->
-      fill_row v (s * w) w stuck;
+      let s = k.id.(s) in
+      fill_row v (s * k.stride) w stuck;
       s
     | Fault.Branch (g, p) ->
-      fill_row v (k.n * w) w stuck;
+      let g = k.id.(g) in
+      fill_row v (k.n * k.stride) w stuck;
       eval k v ~pin:(k.fi_start.(g) + p) g;
       g
   in
@@ -364,7 +446,7 @@ let store_local k ws ~(good : Pattern.words) ~lanes ~(table : Pattern.words) fau
     x := k.fo.(k.fo_start.(!x));
     eval k v ~pin:(-1) !x
   done;
-  let d = fi * w in
+  let d = fi * k.stride in
   fill_row table d w 0L;
   or_diff k v good lanes !x table d;
   let last = !x in
@@ -385,7 +467,10 @@ let c_dropped = Rt_obs.counter "ppsfp.faults_dropped"
    millisecond of work. *)
 let ppsfp_seq_below = 256
 
-let site_of f = match f.Fault.site with Fault.Stem n -> n | Fault.Branch (g, _) -> g
+(* Fault [f]'s region root, as a kernel id. *)
+let root_of k f =
+  let site = match f.Fault.site with Fault.Stem n -> n | Fault.Branch (g, _) -> g in
+  k.root.(k.id.(site))
 
 (* Schedule faults region by region: a stable counting sort by root
    id.  The faults of one region are then consecutive in the live set,
@@ -394,44 +479,36 @@ let site_of f = match f.Fault.site with Fault.Stem n -> n | Fault.Branch (g, _) 
    are accumulated per fault index, so the schedule never affects
    results. *)
 let region_order k faults =
-  let root fi = k.root.(site_of faults.(fi)) in
   let start = Array.make (k.n + 1) 0 in
-  Array.iteri (fun fi _ -> start.(root fi + 1) <- start.(root fi + 1) + 1) faults;
+  Array.iter (fun f -> start.(root_of k f + 1) <- start.(root_of k f + 1) + 1) faults;
   for i = 1 to k.n do
     start.(i) <- start.(i) + start.(i - 1)
   done;
   let order = Array.make (Array.length faults) 0 in
   Array.iteri
-    (fun fi _ ->
-      let r = root fi in
+    (fun fi f ->
+      let r = root_of k f in
       order.(start.(r)) <- fi;
       start.(r) <- start.(r) + 1)
     faults;
   order
-
-let lanes_of_block blk : Pattern.words =
-  let r = row blk.Pattern.words in
-  for i = 0 to blk.Pattern.filled - 1 do
-    BA1.unsafe_set r i (Pattern.word_mask blk.Pattern.counts.(i))
-  done;
-  r
 
 (* Flip root [r] and mask with its observability the [table] rows of
    live entries [first, stop), the faults of its region.  The flip's
    undecided lanes start as the OR of those rows (already masked to the
    valid lanes by [store_local]): no other lane can reach a row. *)
 let flip_region k ws ~(good : Pattern.words) ~(table : Pattern.words) ~live ~first ~stop r =
-  let w = k.w in
+  let w = k.w and s = k.stride in
   BA1.fill ws.rem 0L;
   for q = first to stop - 1 do
-    let o = live.(q) * w in
+    let o = live.(q) * s in
     for i = 0 to w - 1 do
       BA1.unsafe_set ws.rem i (Int64.logor (BA1.unsafe_get ws.rem i) (BA1.unsafe_get table (o + i)))
     done
   done;
   flip_root k ws ~good r;
   for q = first to stop - 1 do
-    let o = live.(q) * w in
+    let o = live.(q) * s in
     for i = 0 to w - 1 do
       BA1.unsafe_set table (o + i) (Int64.logand (BA1.unsafe_get table (o + i)) (BA1.unsafe_get ws.det i))
     done
@@ -455,15 +532,15 @@ let propagate_block k ~jobs ~wss ~good ~lanes ~(table : Pattern.words) ~live ~to
       for p = lo to hi - 1 do
         store_local k ws ~good ~lanes ~table faults live.(p)
       done);
-  let words = k.w in
-  let root_at p = k.root.(site_of faults.(live.(p))) in
+  let w = k.w and s = k.stride in
+  let root_at p = root_of k faults.(live.(p)) in
   let excited p =
-    let o = live.(p) * words in
+    let o = live.(p) * s in
     let i = ref 0 in
-    while !i < words && Int64.equal (BA1.unsafe_get table (o + !i)) 0L do
+    while !i < w && Int64.equal (BA1.unsafe_get table (o + !i)) 0L do
       incr i
     done;
-    !i < words
+    !i < w
   in
   Rt_util.Parallel.sweep ~label:"ppsfp.roots" ~seq_below:ppsfp_seq_below ~jobs ~n:todo
     (fun ~worker ~lo ~hi ->
@@ -511,14 +588,22 @@ let simulate ?jobs ?block_words ?(drop = true) c faults ~source ~n_patterns =
   let wss = Array.init jobs (fun _ -> make_ws k) in
   let blk = Pattern.make_block ~n_inputs:(Array.length (Netlist.inputs c)) ~words in
   let table = row (nf * words) in
+  let lanes = row words in
   let live = region_order k faults in
   let n_live = ref nf in
   let base = ref 0 in
+  (* The next block's width: the ramp of the header comment. *)
+  let width = ref (if drop then 1 else words) in
   Rt_obs.with_span ~cat:"sim" "fault_sim" @@ fun () ->
   while !base < n_patterns && (!n_live > 0 || not drop) do
     let t_batch = Rt_obs.span_begin () in
-    Pattern.fill_block source blk ~needed:(n_patterns - !base);
-    let lanes = lanes_of_block blk in
+    Pattern.fill_block ~words:!width source blk ~needed:(n_patterns - !base);
+    width := min words (2 * !width);
+    let filled = blk.Pattern.filled in
+    k.w <- filled;
+    for i = 0 to filled - 1 do
+      BA1.unsafe_set lanes i (Pattern.word_mask blk.Pattern.counts.(i))
+    done;
     run_good k blk good;
     Array.iter (fun ws -> BA1.blit good ws.v) wss;
     propagate_block k ~jobs ~wss ~good ~lanes ~table ~live ~todo:!n_live faults;
@@ -529,7 +614,7 @@ let simulate ?jobs ?block_words ?(drop = true) c faults ~source ~n_patterns =
     let alive = ref n0 in
     let processed = ref 0 in
     let w = ref 0 in
-    while !w < blk.Pattern.filled && (!alive > 0 || not drop) do
+    while !w < filled && (!alive > 0 || not drop) do
       for p = 0 to n0 - 1 do
         let fi = live.(p) in
         if not (drop && first_detect.(fi) >= 0) then begin
@@ -546,7 +631,7 @@ let simulate ?jobs ?block_words ?(drop = true) c faults ~source ~n_patterns =
       incr w
     done;
     if drop then begin
-      (* Compact the live set in place, preserving cone order. *)
+      (* Compact the live set in place, preserving region order. *)
       let k = ref 0 in
       for p = 0 to n0 - 1 do
         let fi = live.(p) in
@@ -570,7 +655,8 @@ let simulate ?jobs ?block_words ?(drop = true) c faults ~source ~n_patterns =
    its other fanin rows: complemented for OR/NOR, none for the XOR
    family (all lanes), and BUF/NOT are one-fanin ANDs, whose empty AND is
    all lanes too.  Every word is masked to its valid lanes, and the
-   source is pulled exactly as a one-word loop would pull it. *)
+   source is pulled exactly as a one-word loop would pull it.  The
+   counts are kept by netlist id, read from each node's kernel row. *)
 type counts = {
   n_patterns : int;
   ones : int array;
@@ -585,7 +671,8 @@ let count c ~source ~n_patterns =
   let ones = Array.make k.n 0 in
   let sens =
     Array.init k.n (fun x ->
-        if k.code.(x) lsr 1 <= 1 then [||] else Array.make (k.fi_start.(x + 1) - k.fi_start.(x)) 0)
+        let kx = k.id.(x) in
+        if k.code.(kx) lsr 1 <= 1 then [||] else Array.make (k.fi_start.(kx + 1) - k.fi_start.(kx)) 0)
   in
   let base = ref 0 in
   while !base < n_patterns do
@@ -594,8 +681,9 @@ let count c ~source ~n_patterns =
     for i = 0 to blk.Pattern.filled - 1 do
       let m = Pattern.word_mask blk.Pattern.counts.(i) in
       for x = 0 to k.n - 1 do
-        let s = sens.(x) and a = k.fi_start.(x) and op = k.code.(x) lsr 1 in
-        ones.(x) <- ones.(x) + popcount (Int64.logand (BA1.unsafe_get good ((x * words) + i)) m);
+        let kx = k.id.(x) in
+        let s = sens.(x) and a = k.fi_start.(kx) and op = k.code.(kx) lsr 1 in
+        ones.(x) <- ones.(x) + popcount (Int64.logand (BA1.unsafe_get good ((kx * words) + i)) m);
         for p = 0 to Array.length s - 1 do
           let lanes = ref m in
           if op <> 4 then

@@ -1,6 +1,6 @@
 (** Parallel-pattern single-fault propagation (PPSFP) fault simulation.
 
-    For each block of up to [W * 64] patterns ([W] words of 64 lanes,
+    For each block of up to [w * 64] patterns ([w] words of 64 lanes,
     see {!Pattern.block}) the good circuit is simulated once; each live
     fault is then injected and its effect carried, all lanes at once,
     up the single-reader chain to the root of its fanout-free region
@@ -16,8 +16,11 @@
     are scheduled region by region and sharded across
     {!Rt_util.Parallel.sweep}'s domains; detection bookkeeping replays
     serially word by word, so results never depend on [jobs] or
-    [block_words].  With fault dropping this is the engine behind the
-    paper's Tables 2 and 4 and Fig. 2. *)
+    [block_words].  The netlist is compiled with its nodes numbered by
+    level ({!Rt_circuit.Passes.level_order}), so a raw netlist whose
+    outputs are numbered last simulates as fast as a relevelled one.
+    With fault dropping this is the engine behind the paper's Tables 2
+    and 4 and Fig. 2. *)
 
 type stats = {
   faults : Rt_fault.Fault.t array;
@@ -48,11 +51,15 @@ val simulate :
     calling domain, preserving the RNG stream).
 
     [block_words] (default: the [OPTPROB_BLOCK_WORDS] environment
-    variable, else 4) is the batch width [W] in 64-pattern words.
-    Stats are bit-identical for every width; the only observable
-    difference is source consumption — the block is filled before
+    variable, else 4) is the widest block [W] in 64-pattern words.
+    With [drop] the first block is one word wide and each later block
+    doubles the width up to [W], since most faults drop within the
+    first few hundred patterns; without [drop] every block is [W]
+    wide.  Stats are bit-identical for every width; the only observable
+    difference is source consumption — a block is filled before
     simulating, so when dropping empties the live set mid-block up to
-    [W - 1] already-pulled source batches go unused. *)
+    [w - 1] already-pulled source batches of that [w]-word block go
+    unused. *)
 
 val popcount : int64 -> int
 (** Number of set bits (0..64), branch-free — the replay's per-word
@@ -65,7 +72,8 @@ val ctz : int64 -> int
 val good_values : Rt_circuit.Netlist.t -> Pattern.block -> Pattern.words
 (** The good machine on one block, exactly as {!simulate} runs it on
     its compiled netlist: node [x]'s value in word [i] is at
-    [x * block.words + i] (lanes past a word's count are garbage). *)
+    [x * block.words + i], [x] a netlist id (lanes past a word's count
+    are garbage). *)
 
 type counts = {
   n_patterns : int;

@@ -91,14 +91,20 @@ let make_block ~n_inputs ~words =
   Bigarray.Array1.fill data 0L;
   { width = n_inputs; words; counts = Array.make words 0; filled = 0; total = 0; data }
 
-let fill_block src blk ~needed =
+let fill_block ?words src blk ~needed =
   if needed <= 0 then invalid_arg "Pattern.fill_block: needed <= 0";
+  let limit =
+    match words with
+    | None -> blk.words
+    | Some w when w >= 1 && w <= blk.words -> w
+    | Some _ -> invalid_arg "Pattern.fill_block: words out of range"
+  in
   Array.fill blk.counts 0 blk.words 0;
   blk.filled <- 0;
   blk.total <- 0;
   let remaining = ref needed in
   let w = ref 0 in
-  while !w < blk.words && !remaining > 0 do
+  while !w < limit && !remaining > 0 do
     let b = src () in
     if b.n_inputs <> blk.width then invalid_arg "Pattern.fill_block: input width mismatch";
     (* Same per-batch truncation rule as the narrow consumers: the source

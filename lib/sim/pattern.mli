@@ -66,9 +66,11 @@ val word_mask : int -> int64
 val make_block : n_inputs:int -> words:int -> block
 (** A zeroed block; reuse it across {!fill_block} calls. *)
 
-val fill_block : source -> block -> needed:int -> unit
-(** Pull up to [block.words] batches (stopping once [needed] patterns are
-    packed) into the block, overwriting its previous contents.  Each
+val fill_block : ?words:int -> source -> block -> needed:int -> unit
+(** Pull up to [words] batches (default [block.words], the capacity;
+    [1 <= words <= block.words]), stopping once [needed] patterns are
+    packed, into the block, overwriting its previous contents.  Word [i]
+    of input row [p] stays at [p * block.words + i] whatever the limit.  Each
     pulled batch becomes one word, truncated — like the narrow consumers —
     to the patterns still needed; lanes past a word's count are unmasked
     garbage, so consumers must apply {!word_mask}.  At most [needed]

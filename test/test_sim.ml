@@ -70,7 +70,20 @@ let test_fill_block_truncates () =
   (* Refill overwrites the previous contents entirely. *)
   Pattern.fill_block src blk ~needed:40;
   check Alcotest.int "one word refill" 1 blk.Pattern.filled;
-  check (Alcotest.array Alcotest.int) "refill counts" [| 40; 0; 0; 0 |] blk.Pattern.counts
+  check (Alcotest.array Alcotest.int) "refill counts" [| 40; 0; 0; 0 |] blk.Pattern.counts;
+  (* A word limit stops early and keeps the block's row stride. *)
+  let pulled = ref [] in
+  let recording () =
+    let b = src () in
+    pulled := b :: !pulled;
+    b
+  in
+  Pattern.fill_block ~words:2 recording blk ~needed:1000;
+  check (Alcotest.array Alcotest.int) "limited counts" [| 64; 64; 0; 0 |] blk.Pattern.counts;
+  check Alcotest.int "limited total" 128 blk.Pattern.total;
+  check Alcotest.int "limited pulls" 2 (List.length !pulled);
+  check Alcotest.bool "stride kept" true
+    (Bigarray.Array1.get blk.Pattern.data ((3 * 4) + 1) = (List.hd !pulled).Pattern.bits.(3))
 
 let test_block_resolve () =
   check Alcotest.int "explicit wins" 8 (Pattern.resolve_block_words (Some 8));
@@ -525,12 +538,185 @@ let test_kernel_allocation_free () =
   let words = Gc.minor_words () -. before in
   let injections = Array.length faults * (n_patterns / (64 * block_words)) in
   let per = words /. Float.of_int injections in
-  (* 1.6 words measured (x86-64), all of it per-block bookkeeping.  The
+  (* 1.7 words measured (x86-64), all of it per-block bookkeeping.  The
      bound leaves 2.4 words of margin: a boxed int64 costs 3 words, so the
      replay boxing a detection word again (10.4 words before its bit
      tricks were inlined) fails it. *)
   if per > 4.0 then
     Alcotest.failf "%.1f minor words per fault-block injection (bound 4)" per
+
+(* --- Block-width ramp ---------------------------------------------------------- *)
+
+(* With dropping, [simulate]'s blocks are 1, 2, 4, ... words wide up to
+   [block_words]; without, every block is [block_words] wide.  The
+   number of blocks that cover [n_words] words. *)
+let ramp_blocks ~block_words ~drop n_words =
+  let rec go blocks width covered =
+    if covered >= n_words then blocks
+    else go (blocks + 1) (min block_words (2 * width)) (covered + width)
+  in
+  go 0 (if drop then 1 else block_words) 0
+
+(* [simulate]'s blocks and source pulls, read from the [ppsfp.batches]
+   counter and a counting source. *)
+let run_counted ?(jobs = 1) ~block_words ~drop c faults ~weights ~seed ~n_patterns =
+  let base = Pattern.weighted (Rng.create seed) weights in
+  let pulls = ref 0 in
+  let source () =
+    incr pulls;
+    base ()
+  in
+  let batches = Rt_obs.counter "ppsfp.batches" in
+  Rt_obs.set_enabled true;
+  let before = Rt_obs.value batches in
+  let s =
+    Fun.protect
+      ~finally:(fun () -> Rt_obs.set_enabled false)
+      (fun () -> Fault_sim.simulate ~jobs ~block_words ~drop c faults ~source ~n_patterns)
+  in
+  (s, Rt_obs.value batches - before, !pulls)
+
+let same_stats (a : Fault_sim.stats) (b : Fault_sim.stats) =
+  a.first_detect = b.first_detect
+  && a.detect_count = b.detect_count
+  && a.patterns_run = b.patterns_run
+
+(* c17 and a five-input AND, every fault detectable: with dropping the
+   live set empties inside the ramp, in its first block (64 patterns) or
+   its second (128 more), and every (jobs, block_words) pair stops where
+   the one-word run stops — [patterns_run] counts only the words up to
+   the last drop, and the block count is the ramp's over those words. *)
+let test_ramp_drains_early () =
+  let build kinds fanins output_list =
+    let names = Array.mapi (fun i _ -> Printf.sprintf "n%d" i) kinds in
+    Netlist.make ~kinds ~fanins ~names ~output_list
+  in
+  let c17 =
+    build
+      Gate.[| Input; Input; Input; Input; Input; Nand; Nand; Nand; Nand; Nand; Nand |]
+      [| [||]; [||]; [||]; [||]; [||]; [| 0; 2 |]; [| 2; 3 |]; [| 1; 6 |]; [| 6; 4 |];
+         [| 5; 7 |]; [| 7; 8 |] |]
+      [ 9; 10 ]
+  in
+  let and5 = Generators.wide_and 5 in
+  let drained_in = Array.make 3 0 in
+  List.iter
+    (fun (c, seed) ->
+      let faults = Rt_fault.Collapse.collapsed_universe c in
+      let weights = Array.make (Array.length (Netlist.inputs c)) 0.5 in
+      let run ~jobs ~block_words =
+        run_counted ~jobs ~block_words ~drop:true c faults ~weights ~seed ~n_patterns:4096
+      in
+      let reference, _, _ = run ~jobs:1 ~block_words:1 in
+      if Fault_sim.coverage reference < 1.0 then Alcotest.failf "seed %d: a fault is undetected" seed;
+      let words = (reference.patterns_run + 63) / 64 in
+      List.iter
+        (fun (jobs, block_words) ->
+          let s, blocks, pulls = run ~jobs ~block_words in
+          if not (same_stats s reference) then
+            Alcotest.failf "seed %d jobs=%d W=%d: stats differ from the one-word run" seed jobs
+              block_words;
+          let want = ramp_blocks ~block_words ~drop:true words in
+          if blocks <> want then
+            Alcotest.failf "seed %d W=%d: %d blocks, the ramp takes %d" seed block_words blocks want;
+          if block_words = 4 then begin
+            if blocks > 2 then Alcotest.failf "seed %d: drained in block %d" seed blocks;
+            drained_in.(blocks) <- drained_in.(blocks) + 1;
+            (* A block is filled before it runs: the second pulls 2 words. *)
+            if pulls > 3 || pulls < words then
+              Alcotest.failf "seed %d: %d source pulls for %d words" seed pulls words
+          end)
+        [ (1, 2); (1, 4); (3, 4); (1, 16) ])
+    (List.concat_map (fun c -> List.init 6 (fun seed -> (c, seed + 1))) [ c17; and5 ]);
+  if drained_in.(1) = 0 || drained_in.(2) = 0 then
+    Alcotest.failf "drained in block 1 %d times and in block 2 %d times; want both" drained_in.(1)
+      drained_in.(2)
+
+(* Pattern counts that end inside the ramp's first word (40) or mid-word
+   past it (1000 = 15 x 64 + 40), on the reference's every-line faults. *)
+let test_ramp_short_counts () =
+  let rng = Rng.create 23 in
+  List.iter
+    (fun n ->
+      let c = all_kinds_circuit rng in
+      let n_in = Array.length (Netlist.inputs c) in
+      let vectors = weighted_vectors rng n_in n in
+      if not (agrees_with_reference c (every_line_faults c) vectors) then
+        Alcotest.failf "n=%d disagrees with the reference" n)
+    [ 40; 1000 ]
+
+(* [o = a OR (a AND b)] does not depend on [b]: [g = a AND b] stuck-at-0
+   is never detected, so with dropping the live set never empties and
+   every block runs.  2048 patterns at W = 4 take the ramp's 1 + 2 words
+   and then 8 blocks of 4 (the last 1 word wide): 10 blocks; without
+   dropping, 2048 / 256 = 8.  The source is pulled once per 64 patterns
+   either way. *)
+let test_ramp_block_counts () =
+  let kinds = Gate.[| Input; Input; And; Or |]
+  and fanins = [| [||]; [||]; [| 0; 1 |]; [| 0; 2 |] |] in
+  let names = Array.mapi (fun i _ -> Printf.sprintf "n%d" i) kinds in
+  let c = Netlist.make ~kinds ~fanins ~names ~output_list:[ 3 ] in
+  let faults = every_line_faults c in
+  let n_patterns = 2048 in
+  List.iter
+    (fun (block_words, drop, want) ->
+      let s, blocks, pulls =
+        run_counted ~block_words ~drop c faults ~weights:[| 0.5; 0.5 |] ~seed:5 ~n_patterns
+      in
+      let tag = Printf.sprintf "W=%d drop=%b" block_words drop in
+      check Alcotest.int (tag ^ " blocks") want blocks;
+      check Alcotest.int (tag ^ " the ramp's count") (ramp_blocks ~block_words ~drop 32) blocks;
+      check Alcotest.int (tag ^ " pulls") 32 pulls;
+      check Alcotest.int (tag ^ " patterns_run") n_patterns s.Fault_sim.patterns_run;
+      check Alcotest.bool (tag ^ " g s-a-0 undetected") true
+        (Array.exists2
+           (fun f fd -> f = { Fault.site = Fault.Stem 2; stuck = false } && fd < 0)
+           faults s.Fault_sim.first_detect))
+    [ (4, true, 10); (4, false, 8); (1, true, 32); (1, false, 32); (16, true, 6); (16, false, 2) ]
+
+(* --- Kernel numbering ------------------------------------------------------------ *)
+
+(* [Fault_sim] numbers its kernel by level whatever the netlist's ids,
+   so a raw generator netlist (outputs numbered last) and its relevelled
+   copy give the same stats on the same patterns, fault for fault, at
+   every (jobs, block_words) pair, with and without dropping. *)
+let test_raw_equals_relevelled () =
+  List.iter
+    (fun (name, c) ->
+      let c', remap =
+        match Rt_circuit.Passes.apply Rt_circuit.Passes.relevel c with
+        | Some r -> r
+        | None -> Alcotest.failf "%s: relevel found nothing to renumber" name
+      in
+      let n = Netlist.size c and outs = Netlist.outputs c in
+      if Array.exists (fun o -> o < n - Array.length outs) outs then
+        Alcotest.failf "%s: outputs are not numbered last" name;
+      let fwd x = Option.get (Rt_circuit.Passes.Remap.forward remap x) in
+      let faults = Rt_fault.Collapse.collapsed_universe c in
+      let faults' =
+        Array.map
+          (fun f ->
+            match f.Fault.site with
+            | Fault.Stem x -> { f with Fault.site = Fault.Stem (fwd x) }
+            | Fault.Branch (g, p) -> { f with Fault.site = Fault.Branch (fwd g, p) })
+          faults
+      in
+      let n_in = Array.length (Netlist.inputs c) in
+      let weights = Array.init n_in (fun i -> if i mod 3 = 0 then 0.8 else 0.5) in
+      List.iter
+        (fun (jobs, block_words, drop) ->
+          let run c faults =
+            let source = Pattern.weighted (Rng.create 3) weights in
+            Fault_sim.simulate ~jobs ~block_words ~drop c faults ~source ~n_patterns:700
+          in
+          if not (same_stats (run c faults) (run c' faults')) then
+            Alcotest.failf "%s jobs=%d W=%d drop=%b: raw and relevelled stats differ" name jobs
+              block_words drop)
+        [ (1, 1, true); (1, 4, true); (3, 4, true); (1, 1, false); (1, 4, false); (3, 16, false) ])
+    [ ("c6288ish:4", Generators.c6288ish ~width:4 ());
+      ("c6288ish:5", Generators.c6288ish ~width:5 ());
+      ("s1", Generators.s1_comparator ());
+      ("c499ish", Generators.c499ish ()) ]
 
 (* --- Replay bit tricks --------------------------------------------------------- *)
 
@@ -670,6 +856,11 @@ let () =
           Alcotest.test_case "ppsfp early and late outputs" `Quick
             test_ppsfp_early_and_late_outputs;
           Alcotest.test_case "kernel allocation-free" `Quick test_kernel_allocation_free ] );
+      ( "ramp",
+        [ Alcotest.test_case "live set drains inside the ramp" `Quick test_ramp_drains_early;
+          Alcotest.test_case "short and partial pattern counts" `Quick test_ramp_short_counts;
+          Alcotest.test_case "block counts" `Quick test_ramp_block_counts;
+          Alcotest.test_case "raw and relevelled netlists" `Quick test_raw_equals_relevelled ] );
       ( "bits",
         Alcotest.test_case "edge cases" `Quick test_bits_edge_cases
         :: List.map (QCheck_alcotest.to_alcotest ~long:false) bits_qcheck );
